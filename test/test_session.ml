@@ -1013,6 +1013,167 @@ let test_pack_deadline_misses () =
          acc + x.Engine.sn_deadline_misses)
        0 (Engine.sessions eng))
 
+(* ---------- characterization: every window kind in one digest ---------- *)
+
+(* Seeded chaos drains that mix regular requests with growing
+   conversations — a cold first token per session, a conversation
+   replaced under its name, a byte budget that forces evict/restore
+   churn, transient aborts and a mid-drain fail-stop — rendered down to
+   the summary's deterministic fields (floats by their bits) and
+   hashed.  The digests were recorded on the three-path engine; any
+   refactor of the window path must leave them unchanged, at pack
+   window 8 (packed, size-1 and regular windows interleaved) and at
+   pack window 1 (size-1 and regular only). *)
+let render_summary (s : Engine.summary) =
+  let b = Buffer.create 8192 in
+  let f x = Int64.to_string (Int64.bits_of_float x) in
+  let add fmt = Printf.bprintf b fmt in
+  List.iter
+    (fun (r : Engine.request_report) ->
+      add "r%d:%d:%d:%d:%d:%s:%s:%s:%s:%s:%s:%b;" r.Engine.rr_id r.Engine.rr_nodes
+        r.Engine.rr_window r.Engine.rr_window_size r.Engine.rr_device
+        (f r.Engine.rr_arrival_us) (f r.Engine.rr_deadline_us)
+        (f r.Engine.rr_queue_us) (f r.Engine.rr_linearize_us)
+        (f r.Engine.rr_device_us) (f r.Engine.rr_total_us) r.Engine.rr_on_time)
+    s.Engine.requests;
+  List.iter
+    (fun (w : Engine.window_report) ->
+      let rp = w.Engine.wr_report in
+      let l = rp.Runtime.latency in
+      add "w%d:%d:%d:%d:%b:%d:%s:%s:%s:%s:%s:%s:%s:%s:%d:%d:%s:%s:%d:%s:%s:%s;"
+        w.Engine.wr_index w.Engine.wr_size w.Engine.wr_nodes w.Engine.wr_device
+        w.Engine.wr_cache_hit w.Engine.wr_attempts (f w.Engine.wr_dispatch_us)
+        (f l.Backend.total_us) (f l.Backend.compute_us) (f l.Backend.barrier_us)
+        (f l.Backend.launch_us) (f l.Backend.param_traffic_bytes)
+        (f l.Backend.global_traffic_bytes) (f l.Backend.onchip_traffic_bytes)
+        l.Backend.kernel_launches l.Backend.barriers (f rp.Runtime.linearize_us)
+        (f rp.Runtime.device_memory_bytes) rp.Runtime.num_nodes
+        (f rp.Runtime.occupancy)
+        (Option.value w.Engine.wr_session ~default:"-")
+        (String.concat "," w.Engine.wr_packed))
+    s.Engine.windows;
+  List.iter
+    (fun (id, (v : Tensor.t)) ->
+      add "o%d:%s;" id
+        (String.concat "," (Array.to_list (Array.map f v.Tensor.data))))
+    s.Engine.results;
+  let o = s.Engine.slo in
+  add "slo%d:%b:%b:%d:%d:%d:%d:%d:%d:%d:%d:%d:%s:%s;" o.Engine.slo_seed
+    o.Engine.slo_chaos o.Engine.slo_degraded o.Engine.slo_completed
+    o.Engine.slo_lost o.Engine.slo_shed o.Engine.slo_rejected
+    o.Engine.slo_transients o.Engine.slo_retries o.Engine.slo_failovers
+    o.Engine.slo_deadline_misses o.Engine.slo_on_time
+    (f o.Engine.slo_goodput_rps)
+    (match o.Engine.slo_first_damage_us with Some x -> f x | None -> "-");
+  List.iter
+    (fun (x : Engine.session_report) ->
+      add "s%s:%d:%d:%d:%d:%d:%d:%d:%d:%d:%d:%d:%d:%d;" x.Engine.sn_name
+        x.Engine.sn_nodes x.Engine.sn_windows x.Engine.sn_delta_nodes
+        x.Engine.sn_extends x.Engine.sn_cold x.Engine.sn_materializations
+        x.Engine.sn_rebinds x.Engine.sn_packed x.Engine.sn_deadline_misses
+        x.Engine.sn_device x.Engine.sn_bytes x.Engine.sn_evictions
+        x.Engine.sn_restores)
+    s.Engine.sessions;
+  let st = s.Engine.session_table in
+  add "t%d:%d:%s:%d:%d:%d:%d:%d:%d:%s:%s;" st.Session_store.st_live
+    st.Session_store.st_bytes
+    (match st.Session_store.st_budget_bytes with
+     | Some n -> string_of_int n
+     | None -> "-")
+    st.Session_store.st_spilled st.Session_store.st_evictions
+    st.Session_store.st_expired st.Session_store.st_spills
+    st.Session_store.st_restores st.Session_store.st_spilled_bytes
+    (f st.Session_store.st_spill_us) (f st.Session_store.st_restore_us);
+  add "p%d:%d" s.Engine.packed_windows s.Engine.packed_tokens;
+  Buffer.contents b
+
+let characterization_drains ~pack =
+  let spec = Models.Tree_lstm.spec ~vocab:20 ~hidden:4 () in
+  let params = spec.M.init_params (Rng.create 5) in
+  let faults =
+    [
+      Fault.Transient { device = -1; prob = 0.4; from_us = 0.0; until_us = infinity };
+      Fault.Fail_stop { device = 1; at_us = 2100.0 };
+    ]
+  in
+  let eng =
+    Engine.of_spec
+      ~config:
+        (Engine.Config.make ~devices:[ gpu; gpu; gpu ] ~faults ~seed:17
+           ~dispatch:Dispatch.Least_loaded ~params ~session_budget_bytes:2000
+           ~session_pack_window:pack ~session_pack_wait_us:100.0 ())
+      spec ~backend:gpu
+  in
+  (* chat-3 is replaced by a brand-new conversation at its fifth token;
+     the newcomer then keeps growing under the same name. *)
+  let convs =
+    List.init 4 (fun i ->
+        let own = conversation (900 + (17 * i)) ~vocab:20 ~kind:Structure.Tree ~tokens:7 in
+        let structs =
+          if i = 3 then
+            List.filteri (fun j _ -> j < 4) own
+            @ conversation 950 ~vocab:20 ~kind:Structure.Tree ~tokens:3
+          else own
+        in
+        (Printf.sprintf "chat-%d" i, structs))
+  in
+  let rng = Rng.create 31 in
+  let submit_ticks ~from ~upto =
+    List.iteri
+      (fun i (name, structs) ->
+        List.iteri
+          (fun j s ->
+            if j >= from && j < upto then
+              ignore
+                (Engine.submit_exn eng
+                   ~arrival_us:((1000.0 *. float_of_int j) +. (3.0 *. float_of_int i))
+                   ~session:name s))
+          structs)
+      convs;
+    for j = from to upto - 1 do
+      for k = 0 to 2 do
+        ignore
+          (Engine.submit_exn eng
+             ~arrival_us:((1000.0 *. float_of_int j) +. 200.0 +. (10.0 *. float_of_int k))
+             (Gen.sst_tree rng ~vocab:20 ()))
+      done
+    done;
+    Engine.drain eng
+  in
+  (* Two drains, so restores also cross a drain boundary. *)
+  let s1 = submit_ticks ~from:0 ~upto:4 in
+  let s2 = submit_ticks ~from:4 ~upto:8 in
+  [ s1; s2 ]
+
+let test_characterization () =
+  List.iter
+    (fun (pack, expected) ->
+      let summaries = characterization_drains ~pack in
+      let rendered = String.concat "\n" (List.map render_summary summaries) in
+      let total f = List.fold_left (fun acc s -> acc + f s) 0 summaries in
+      (* The drains reach every path the digest is meant to pin. *)
+      Alcotest.(check bool) "transients fired" true
+        (total (fun s -> s.Engine.slo.Engine.slo_transients) > 0);
+      Alcotest.(check bool) "a device fail-stopped" true
+        (List.exists
+           (fun s ->
+             List.exists (fun d -> d.Engine.dr_failed) s.Engine.device_reports)
+           summaries);
+      Alcotest.(check bool) "the budget evicted" true
+        ((List.nth summaries 1).Engine.session_table.Session_store.st_evictions > 0);
+      Alcotest.(check bool) "evicted sessions restored" true
+        ((List.nth summaries 1).Engine.session_table.Session_store.st_restores > 0);
+      Alcotest.(check bool) "packing matches the window" (pack > 1)
+        (total (fun s -> s.Engine.packed_windows) > 0);
+      Alcotest.(check string)
+        (Printf.sprintf "summary digest at pack window %d" pack)
+        expected
+        (Digest.to_hex (Digest.string rendered)))
+    [
+      (8, "cda6fc69082c8255f8151a3d63a51e43");
+      (1, "69bead32fcc21ad09587668136259393");
+    ]
+
 (* ---------- shape-cache accounting ---------- *)
 
 let test_cache_rejection_moves_no_counter () =
@@ -1136,6 +1297,8 @@ let () =
           Alcotest.test_case "deadline-misses" `Quick test_pack_deadline_misses;
           QCheck_alcotest.to_alcotest prop_pack_bitwise;
         ] );
+      ( "characterization",
+        [ Alcotest.test_case "summary-digest" `Quick test_characterization ] );
       ( "shape-cache",
         [
           Alcotest.test_case "rejection" `Quick test_cache_rejection_moves_no_counter;
