@@ -904,7 +904,8 @@ let pack_views views =
       num_leaves;
       max_children = mc;
       (* Host-side inspector state the executor never resolves — left
-         empty like the member delta views, so packing stays O(delta). *)
+         empty like the member delta views.  Region A above still makes
+         a pack O(max_children * sum of conversation sizes). *)
       new_of_old = [||];
       old_of_new = [||];
       leaf_begin = base;

@@ -239,8 +239,10 @@ val pack_views : t list -> packed
 (** Merge member delta views into one packed window.  Members keep
     their pack-order position within every level batch, so the merge —
     and everything priced or executed from it — is deterministic in the
-    member order.  O(sum of member delta sizes + pack width * levels).
-    Raises {!Rejected} ([Pack_incompatible]) when a member's view is
+    member order.  O(max_children * sum of member conversation sizes):
+    Region A copies every member's whole old prefix, and the child
+    tables are allocated over it, so a pack costs its conversations'
+    size, not only their deltas.  Raises {!Rejected} ([Pack_incompatible]) when a member's view is
     not a delta-view-shaped tiling, names the member so the caller can
     serve it solo. *)
 

@@ -555,16 +555,6 @@ let create ?(config = Config.default) ~model ~backend () =
         ?obs:config.Config.observability.Config.obs
         ?options:config.Config.compile.Config.options model)
 
-let create_legacy ?policy ?options ?lock_free ?dispatch ?devices ?cache_capacity
-    ?queue_cap ?degrade_watermark ?faults ?seed ?retry ?params ?obs ?autotune
-    ?tune_budget ~model ~backend () =
-  create
-    ~config:
-      (Config.make ?policy ?options ?lock_free ?dispatch ?devices ?cache_capacity
-         ?queue_cap ?degrade_watermark ?faults ?seed ?retry ?params ?obs ?autotune
-         ?tune_budget ())
-    ~model ~backend ()
-
 let of_spec ?(config = Config.default) (spec : M.t) ~backend =
   (* The config's options act as the base the model's schedule metadata
      merges into — the old [?base] argument's contract. *)
@@ -820,14 +810,41 @@ let reset_session sx =
   sx.sc_used <- 0;
   Hashtbl.reset sx.sx_states
 
+(* A session token served from its delta view. *)
+type delta = {
+  d_view : Linearizer.t;  (* delta view over the grown tail *)
+  d_news : Node.t array;  (* the appended nodes, in view batch order *)
+  d_base : int;  (* node-id boundary: ids < d_base are old *)
+}
+
 (* How one session submission is served this window. *)
 type session_serve =
-  | S_delta of {
-      sd_view : Linearizer.t;  (* delta view over the grown tail *)
-      sd_news : Node.t array;  (* the appended nodes, in view batch order *)
-      sd_base : int;  (* node-id boundary: ids < sd_base are old *)
-    }
+  | S_delta of delta
   | S_cold of Linearizer.forest * bool  (* full (re)linearization, cache hit *)
+
+(* The prefix size [s] grows from, when it is a pure-growth candidate
+   over the session's last structure [prev]: longer, same kind, and
+   physically sharing the prefix at both endpoints.  A restored session
+   has no [prev]; its spilled prefix was validated against [s] by
+   content digest (physical identity cannot survive an eviction, let
+   alone an engine restart) and the scratch tables were rebuilt over
+   nodes [0, restored).  Both the drain's grouping-time prediction and
+   the play-time delta check ask this one question, so they cannot
+   drift apart. *)
+let growth_base ~prev ~restored (s : Structure.t) =
+  let n = Structure.num_nodes s in
+  match prev with
+  | Some (p : Structure.t) ->
+    let b = Structure.num_nodes p in
+    if
+      n > b && b > 0
+      && s.Structure.kind = p.Structure.kind
+      && s.Structure.nodes.(0) == p.Structure.nodes.(0)
+      && s.Structure.nodes.(b - 1) == p.Structure.nodes.(b - 1)
+    then Some b
+    else None
+  | None -> (
+    match restored with Some b when n > b && b > 0 -> Some b | _ -> None)
 
 (* Validate that [s] purely grows the session's pinned conversation and
    build the token's delta view: a [Linearizer.t] whose batch table
@@ -836,104 +853,84 @@ type session_serve =
    children-first), while its node-id space, and therefore the bound
    state tensors, covers the whole conversation so the boundary rows
    can be pre-seeded.  O(delta) work: the prefix is checked by physical
-   identity at its endpoints and every appended node is validated in
-   full.  Returns [None] when [s] is not pure growth — the caller falls
-   back to a cold run. *)
+   identity at its endpoints ([growth_base]) and every appended node is
+   validated in full.  Returns [None] when [s] is not pure growth — the
+   caller falls back to a cold run. *)
 let session_delta_view sx (s : Structure.t) =
   let n = Structure.num_nodes s in
   let nodes = s.Structure.nodes in
-  let base =
-    match sx.sx_structure with
-    | Some prev ->
-      let b = Structure.num_nodes prev in
-      if
-        n <= b
-        || s.Structure.kind <> prev.Structure.kind
-        || not (nodes.(0) == prev.Structure.nodes.(0))
-        || not (nodes.(b - 1) == prev.Structure.nodes.(b - 1))
-      then None
-      else Some b
-    | None -> (
-      (* A restored session: the spilled prefix was validated against
-         [s] by content digest (physical identity cannot survive an
-         eviction, let alone an engine restart) and the scratch tables
-         were rebuilt over nodes [0, b). *)
-      match sx.sx_restored_base with Some b when n > b && b > 0 -> Some b | _ -> None)
-  in
-  match base with
+  match growth_base ~prev:sx.sx_structure ~restored:sx.sx_restored_base s with
   | None -> None
   | Some b ->
-    begin
-      let mc = Array.length sx.sc_child in
-      let ok = ref true in
-      for i = b to n - 1 do
-        let nd = nodes.(i) in
-        if nd.Node.id <> i || Array.length nd.Node.children > mc then ok := false
-        else
-          Array.iter
-            (fun (c : Node.t) ->
-              if c.Node.id >= i || not (nodes.(c.Node.id) == c) then ok := false)
-            nd.Node.children
+    let mc = Array.length sx.sc_child in
+    let ok = ref true in
+    for i = b to n - 1 do
+      let nd = nodes.(i) in
+      if nd.Node.id <> i || Array.length nd.Node.children > mc then ok := false
+      else
+        Array.iter
+          (fun (c : Node.t) ->
+            if c.Node.id >= i || not (nodes.(c.Node.id) == c) then ok := false)
+          nd.Node.children
+    done;
+    if not !ok then None
+    else begin
+      ensure_session_capacity sx n;
+      let d = n - b in
+      (* Levels of the appended nodes (children precede parents by id). *)
+      let dlv = Array.make d 0 in
+      for i = 0 to d - 1 do
+        let nd = nodes.(b + i) in
+        Array.iter
+          (fun (c : Node.t) ->
+            let cl =
+              if c.Node.id < b then sx.sc_level.(sx.sc_sid.(c.Node.id))
+              else dlv.(c.Node.id - b)
+            in
+            if cl + 1 > dlv.(i) then dlv.(i) <- cl + 1)
+          nd.Node.children
       done;
-      if not !ok then None
-      else begin
-        ensure_session_capacity sx n;
-        let d = n - b in
-        (* Levels of the appended nodes (children precede parents by id). *)
-        let dlv = Array.make d 0 in
-        for i = 0 to d - 1 do
-          let nd = nodes.(b + i) in
-          Array.iter
-            (fun (c : Node.t) ->
-              let cl =
-                if c.Node.id < b then sx.sc_level.(sx.sc_sid.(c.Node.id))
-                else dlv.(c.Node.id - b)
-              in
-              if cl + 1 > dlv.(i) then dlv.(i) <- cl + 1)
-            nd.Node.children
+      (* Level-sort the delta (stable), so every view batch is a
+         contiguous session-id run and children come first. *)
+      let order = Array.init d (fun i -> i) in
+      Array.stable_sort (fun i j -> compare (dlv.(i), i) (dlv.(j), j)) order;
+      let sid_base = sx.sc_used in
+      let news = Array.map (fun i -> nodes.(b + i)) order in
+      Array.iter (fun nd -> push_node sx nd) news;
+      let leaves = ref 0 in
+      Array.iter (fun i -> if dlv.(i) = 0 then incr leaves) order;
+      let batches = ref [] in
+      let i = ref !leaves in
+      while !i < d do
+        let l = dlv.(order.(!i)) in
+        let j = ref !i in
+        while !j < d && dlv.(order.(!j)) = l do
+          incr j
         done;
-        (* Level-sort the delta (stable), so every view batch is a
-           contiguous session-id run and children come first. *)
-        let order = Array.init d (fun i -> i) in
-        Array.stable_sort (fun i j -> compare (dlv.(i), i) (dlv.(j), j)) order;
-        let sid_base = sx.sc_used in
-        let news = Array.map (fun i -> nodes.(b + i)) order in
-        Array.iter (fun nd -> push_node sx nd) news;
-        let leaves = ref 0 in
-        Array.iter (fun i -> if dlv.(i) = 0 then incr leaves) order;
-        let batches = ref [] in
-        let i = ref !leaves in
-        while !i < d do
-          let l = dlv.(order.(!i)) in
-          let j = ref !i in
-          while !j < d && dlv.(order.(!j)) = l do
-            incr j
-          done;
-          batches := (sid_base + !i, !j - !i) :: !batches;
-          i := !j
-        done;
-        let batches = Array.of_list ((sid_base, !leaves) :: List.rev !batches) in
-        let view =
-          {
-            Linearizer.structure = s;
-            num_nodes = sx.sc_used;
-            num_leaves = !leaves;
-            max_children = mc;
-            (* Host-side inspector state the executor never resolves;
-               left empty so the view costs O(delta) to build. *)
-            new_of_old = [||];
-            old_of_new = [||];
-            leaf_begin = sid_base;
-            child = sx.sc_child;
-            num_children = sx.sc_num_children;
-            payload = sx.sc_payload;
-            level_of = sx.sc_level;
-            batches;
-            postorder = [||];
-          }
-        in
-        Some (view, news, b)
-      end
+        batches := (sid_base + !i, !j - !i) :: !batches;
+        i := !j
+      done;
+      let batches = Array.of_list ((sid_base, !leaves) :: List.rev !batches) in
+      let view =
+        {
+          Linearizer.structure = s;
+          num_nodes = sx.sc_used;
+          num_leaves = !leaves;
+          max_children = mc;
+          (* Host-side inspector state the executor never resolves;
+             left empty so the view costs O(delta) to build. *)
+          new_of_old = [||];
+          old_of_new = [||];
+          leaf_begin = sid_base;
+          child = sx.sc_child;
+          num_children = sx.sc_num_children;
+          payload = sx.sc_payload;
+          level_of = sx.sc_level;
+          batches;
+          postorder = [||];
+        }
+      in
+      Some { d_view = view; d_news = news; d_base = b }
     end
 
 (* Geometric materialization: once the conversation has doubled since
@@ -1425,13 +1422,38 @@ type attempt_outcome =
     }
   | Lost_window of float  (* the sim instant the window was declared lost *)
 
-(* One playable drain item: a batched window of stranger requests, a
-   single session token, or a packed window merging several sessions'
-   ready tokens into one forest launch. *)
-type drain_item =
-  | I_regular of pending list
-  | I_session of pending
-  | I_pack of pending list
+(* One playable drain item: a batched window of stranger requests, or a
+   pack of session tokens — a single token, or several sessions' ready
+   tokens to merge into one forest launch. *)
+type drain_item = I_regular of pending list | I_session of pending list
+
+(* A session member's state traffic: before the run, the persisted rows
+   of [sm_nodes]' children below [sm_base] are preloaded; after it, the
+   rows of [sm_nodes] are persisted.  A delta token stores its appended
+   nodes over its old prefix; a cold token has base 0 (nothing to
+   preload) and stores every node. *)
+type session_member = { sm_sx : session; sm_nodes : Node.t array; sm_base : int }
+
+(* One request inside a window.  [m_id] maps its request-local node ids
+   into the window's numbering: a cold forest span's [span_ids], a
+   session's scratch ids, or those composed with [Linearizer.pack_id]
+   in a packed window.  [m_lin_us] is its [rr_linearize_us] charge —
+   the whole window's inspector run for a regular member, its own
+   token's (plus any restore) for a session member. *)
+type member = {
+  m_p : pending;
+  m_lin_us : float;
+  m_id : int -> int;
+  m_session : session_member option;
+}
+
+(* A session token after its inspector work, before it plays. *)
+type token = {
+  tk_p : pending;
+  tk_sx : session;
+  tk_lin_us : float;  (* its inspector charge (0 in chaos mode) plus restore *)
+  tk_serve : session_serve;
+}
 
 let drain t =
   let pendings =
@@ -1464,8 +1486,7 @@ let drain t =
   in
   (* Session submissions bypass batching: a token of a pinned
      conversation cannot share a forest with strangers — its layout and
-     device are pinned — so each is its own size-1 window, ready at
-     arrival. *)
+     device are pinned — so session tokens form their own items. *)
   let sessionp, regular = List.partition (fun p -> p.p_session <> None) pendings in
   let windows =
     match policy.bucketing with
@@ -1475,140 +1496,100 @@ let drain t =
   let pack_w = t.eng_config.Config.sessions.Session_store.pack_window in
   let pack_wait = t.eng_config.Config.sessions.Session_store.pack_wait_us in
   let session_items =
-    if pack_w <= 1 then List.map (fun p -> (p.p_arrival, I_session p)) sessionp
-    else begin
-      (* Multi-session packing: group ready session tokens by pinned
-         device into packed windows of up to [pack_window] members,
-         admitting a token only within [pack_wait_us] of the pack's
-         first arrival.  Only tokens predicted to serve as deltas pack
-         (the authoritative delta check at play time falls any
-         mispredicted member back to its own size-1 window); the
-         prediction replays each session's structure evolution across
-         the drain, so a conversation's second token can pack even when
-         its first token of the same drain is what pins the session.
-         Sessions not yet pinned group under a sentinel device (-1):
-         playing their pack selects one device and pins every member to
-         it, exactly as a size-1 window would pin its one session.  Two
-         rules keep a session's own tokens in submission order: a token
-         may only join a pack opened after the session's previous item,
-         and an item's ready time is bumped to at least the ready time
-         of every member session's previous item below. *)
-      let last_item = Hashtbl.create 16 in
-      let seq = ref 0 in
-      let items = ref [] in  (* newest first *)
-      let open_packs = ref [] in  (* oldest first *)
-      (* name -> (pinned device, structure as of the session's last
-         token below) — the grouping-time mirror of what
-         [session_delta_view] will see when the token plays. *)
-      let pred = Hashtbl.create 16 in
-      let pred_of name =
-        match Hashtbl.find_opt pred name with
-        | Some st -> st
-        | None ->
-          let st =
-            match Hashtbl.find_opt t.eng_sessions name with
-            | None -> (None, `Fresh)
-            | Some sx ->
-              ( sx.sx_device,
-                (match sx.sx_structure with
-                 | Some s -> `Struct s
-                 | None -> (
-                   match sx.sx_restored_base with
-                   | Some b -> `Restored b
-                   | None -> `Fresh)) )
-          in
-          Hashtbl.replace pred name st;
-          st
+    (* Multi-session packing: group ready session tokens by pinned
+       device into packs of up to [pack_window] members, admitting a
+       token only within [pack_wait_us] of the pack's first arrival (at
+       a pack window of 1 every token is its own item, ready at
+       arrival).  Only tokens predicted to serve as deltas pack (the
+       authoritative delta check at play time falls any mispredicted
+       member back to its own size-1 window); the prediction replays
+       each session's structure evolution across the drain, so a
+       conversation's second token can pack even when its first token
+       of the same drain is what pins the session.  Sessions not yet
+       pinned group under a sentinel device (-1): playing their pack
+       selects one device and pins every member to it, exactly as a
+       size-1 window would pin its one session.  Two rules keep a
+       session's own tokens in submission order: a token may only join
+       a pack opened after the session's previous item, and an item's
+       ready time is bumped to at least the ready time of every member
+       session's previous item below. *)
+    let last_item = Hashtbl.create 16 in
+    let seq = ref 0 in
+    let items = ref [] in  (* member lists, newest first *)
+    let open_packs = ref [] in  (* joinable packs, oldest first; never full *)
+    (* name -> (pinned device, structure as of the session's last token
+       below, restored prefix) — the grouping-time mirror of what
+       [session_delta_view] will see when the token plays. *)
+    let pred = Hashtbl.create 16 in
+    let predicted p =
+      let name = Option.get p.p_session in
+      let dev, prev, restored =
+        match (Hashtbl.find_opt pred name, Hashtbl.find_opt t.eng_sessions name) with
+        | Some st, _ -> st
+        | None, Some sx -> (sx.sx_device, sx.sx_structure, sx.sx_restored_base)
+        | None, None -> (None, None, None)
       in
-      let predicted p =
+      let s = p.p_structure in
+      let ok =
+        Lower.delta_compatible t.eng_compiled.Lower.options
+        && growth_base ~prev ~restored s <> None
+      in
+      Hashtbl.replace pred name (dev, Some s, None);
+      if ok then Some (Option.value dev ~default:(-1)) else None
+    in
+    let new_item name oms =
+      incr seq;
+      Hashtbl.replace last_item name !seq;
+      items := oms :: !items;
+      !seq
+    in
+    List.iter
+      (fun p ->
         let name = Option.get p.p_session in
-        let dev, base = pred_of name in
-        let s = p.p_structure in
-        let n = Structure.num_nodes s in
-        let nodes = s.Structure.nodes in
-        let ok =
-          Lower.delta_compatible t.eng_compiled.Lower.options
-          && (match base with
-              | `Struct prev ->
-                let b = Structure.num_nodes prev in
-                n > b && b > 0
-                && s.Structure.kind = prev.Structure.kind
-                && nodes.(0) == prev.Structure.nodes.(0)
-                && nodes.(b - 1) == prev.Structure.nodes.(b - 1)
-              | `Restored b -> n > b && b > 0
-              | `Fresh -> false)
+        let after_last oseq =
+          match Hashtbl.find_opt last_item name with
+          | Some ls -> oseq > ls
+          | None -> true
         in
-        Hashtbl.replace pred name (dev, `Struct s);
-        if ok then Some (match dev with Some d -> d | None -> -1) else None
-      in
-      List.iter
-        (fun p ->
-          let name = Option.get p.p_session in
-          let after_last oseq =
-            match Hashtbl.find_opt last_item name with
-            | Some ls -> oseq > ls
-            | None -> true
+        match predicted p with
+        | None -> ignore (new_item name (ref [ p ]))
+        | Some d -> (
+          let joinable (oseq, odev, ofirst, _, _) =
+            odev = d && p.p_arrival <= ofirst +. pack_wait && after_last oseq
           in
-          match predicted p with
+          match List.find_opt joinable !open_packs with
+          | Some ((oseq, _, _, oms, ocount) as op) ->
+            oms := p :: !oms;
+            incr ocount;
+            Hashtbl.replace last_item name oseq;
+            if !ocount >= pack_w then
+              open_packs := List.filter (fun o -> o != op) !open_packs
           | None ->
-            incr seq;
-            Hashtbl.replace last_item name !seq;
-            items := (!seq, `Single p) :: !items
-          | Some d -> (
-            let joinable (oseq, odev, ofirst, _, ocount) =
-              odev = d && !ocount < pack_w
-              && p.p_arrival <= ofirst +. pack_wait
-              && after_last oseq
-            in
-            match List.find_opt joinable !open_packs with
-            | Some (oseq, _, _, oms, ocount) ->
-              oms := p :: !oms;
-              incr ocount;
-              Hashtbl.replace last_item name oseq
-            | None ->
-              incr seq;
-              let op = (!seq, d, p.p_arrival, ref [ p ], ref 1) in
-              open_packs := !open_packs @ [ op ];
-              Hashtbl.replace last_item name !seq;
-              items := (!seq, `Pack op) :: !items))
-        sessionp;
-      (* Materialize in creation order; a pack is ready when its last
-         member arrives, and every item waits for its member sessions'
-         previous items so no session's tokens can reorder. *)
-      let prev_ready = Hashtbl.create 16 in
-      let ready_of base names =
-        let r =
-          List.fold_left
-            (fun r nm ->
+            let oms = ref [ p ] in
+            let oseq = new_item name oms in
+            if pack_w > 1 then
+              open_packs := !open_packs @ [ (oseq, d, p.p_arrival, oms, ref 1) ]))
+      sessionp;
+    (* Materialize in creation order; a pack is ready when its last
+       member arrives, and every item waits for its member sessions'
+       previous items so no session's tokens can reorder. *)
+    let prev_ready = Hashtbl.create 16 in
+    List.rev_map
+      (fun oms ->
+        let members = List.rev !oms in
+        let names = List.map (fun p -> Option.get p.p_session) members in
+        let ready =
+          List.fold_left2
+            (fun r p nm ->
               match Hashtbl.find_opt prev_ready nm with
-              | Some pr -> Float.max r pr
-              | None -> r)
-            base names
+              | Some pr -> Float.max (Float.max r p.p_arrival) pr
+              | None -> Float.max r p.p_arrival)
+            Float.neg_infinity members names
         in
-        List.iter (fun nm -> Hashtbl.replace prev_ready nm r) names;
-        r
-      in
-      List.rev_map
-        (fun (_, item) ->
-          match item with
-          | `Single p ->
-            (ready_of p.p_arrival [ Option.get p.p_session ], I_session p)
-          | `Pack (_, _, _, oms, ocount) ->
-            let members = List.rev !oms in
-            if !ocount = 1 then
-              let p = List.hd members in
-              (ready_of p.p_arrival [ Option.get p.p_session ], I_session p)
-            else
-              let base =
-                List.fold_left
-                  (fun m p -> Float.max m p.p_arrival)
-                  Float.neg_infinity members
-              in
-              let names = List.map (fun p -> Option.get p.p_session) members in
-              (ready_of base names, I_pack members))
-        (List.rev !items)
-      |> List.rev
-    end
+        List.iter (fun nm -> Hashtbl.replace prev_ready nm ready) names;
+        (ready, I_session members))
+      (List.rev !items)
+    |> List.rev
   in
   let windows =
     List.map (fun (r, ms) -> (r, I_regular ms)) windows @ session_items
@@ -1683,15 +1664,15 @@ let drain t =
           Dispatch.fail d)
       (Dispatch.devices disp)
   in
-  (* The retry/failover loop, shared by regular and session windows.
+  (* The retry/failover loop of [play_window] below.
      [n] counts transient re-executions (the retry budget); failover
      re-dispatches after a fail-stop are free — the work was lost to
      the fleet, not to a flaky kernel.  A window's linearization is
      never redone on a retry: the forest (or delta view) is already
      built, and a failover on a cached shape re-uses the same numbering
      (that is the shape cache's contract).  [price dev] returns what
-     actually runs on [dev] (the plan-tuned artifact for regular
-     windows) and its backend report.  [sxs] pins a session window (or
+     actually runs on [dev] (the plan-tuned artifact when the window
+     tunes) and its backend report.  [sxs] pins a session window (or
      a packed window's members) to its device; when the pinned device
      died, every member session re-pins and re-binds its materialized
      layout through the shape cache onto the survivor — a payload
@@ -1842,70 +1823,11 @@ let drain t =
     in
     attempt 0 ready0
   in
-  let record_window ~i ~size ~nodes ~hit ~session ?(packed = []) ~dev ~dispatch
-      ~completion ~report ~attempts () =
-    (match obs with
-     | None -> ()
-     | Some _ ->
-       Obs.sim_span obs ~track:(device_track dev.Dispatch.dev_index)
-         ~name:"window"
-         ~args:
-           ([ ("index", CT.Int i); ("size", CT.Int size);
-              ("nodes", CT.Int nodes); ("hit", CT.Bool hit);
-              ("attempts", CT.Int attempts) ]
-           @ (match session with
-              | Some s -> [ ("session", CT.Str s) ]
-              | None -> [])
-           @
-           match packed with
-           | [] -> []
-           | names -> [ ("packed", CT.Str (String.concat "," names)) ])
-         ~start_us:dispatch ~end_us:completion ());
-    wreports :=
-      {
-        wr_index = i;
-        wr_size = size;
-        wr_nodes = nodes;
-        wr_device = dev.Dispatch.dev_index;
-        wr_cache_hit = hit;
-        wr_attempts = attempts;
-        wr_dispatch_us = dispatch;
-        wr_report = report;
-        wr_session = session;
-        wr_packed = packed;
-      }
-      :: !wreports
-  in
-  let record_request ~i ~size ~lin_us ~dev ~dispatch ~completion ~device_us p =
-    bump_clock t completion;
-    rreports :=
-      {
-        rr_id = p.p_id;
-        rr_nodes = p.p_nodes;
-        rr_window = i;
-        rr_window_size = size;
-        rr_device = dev.Dispatch.dev_index;
-        rr_arrival_us = p.p_arrival;
-        rr_deadline_us = p.p_deadline;
-        rr_queue_us = dispatch -. p.p_arrival;
-        rr_linearize_us = lin_us;
-        rr_device_us = device_us;
-        rr_total_us = completion -. p.p_arrival;
-        rr_on_time = completion <= p.p_deadline;
-      }
-      :: !rreports;
-    (* A missed deadline hurts the SLO the instant the deadline passes
-       without a completion, not when the late answer finally lands. *)
-    if completion > p.p_deadline then note_damage p.p_deadline
-  in
   let packed_windows = ref 0 and packed_tokens = ref 0 in
-  (* ---- session serving helpers (shared by size-1 and packed windows) ----
-     [serve_token] does one token's inspector work (restore if spilled,
-     then the delta/cold decision), mutating the session's scratch
-     tables — a packed window's members are all served, in pack order,
-     before any of them plays.  [play_session_single] is the PR 7
-     size-1 path; [play_session_packed] merges the members' delta views
-     into one packed forest window and splits the results back out. *)
+  (* [serve_token] does one session token's inspector work (restore if
+     spilled, then the delta/cold decision), mutating the session's
+     scratch tables — a pack's members are all served, in pack order,
+     before any of them plays. *)
   let serve_token p =
     let name = Option.get p.p_session in
     let s = p.p_structure in
@@ -1948,13 +1870,13 @@ let drain t =
           let compat = Lower.delta_compatible t.eng_compiled.Lower.options in
           let dv = if compat then session_delta_view sx s else None in
           match dv with
-          | Some (view, news, base) ->
+          | Some d ->
             sx.sx_structure <- Some s;
             sx.sx_restored_base <- None;
             sx.sx_extends <- sx.sx_extends + 1;
-            sx.sx_delta_nodes <- sx.sx_delta_nodes + Array.length news;
+            sx.sx_delta_nodes <- sx.sx_delta_nodes + Array.length d.d_news;
             session_materialize ?obs t sx s;
-            S_delta { sd_view = view; sd_news = news; sd_base = base }
+            S_delta d
           | None ->
             (* Not pure growth of the pinned conversation (or the
                compiled options cannot serve deltas): full
@@ -1991,7 +1913,12 @@ let drain t =
             S_cold (fl, hit))
     in
     sx.sx_windows <- sx.sx_windows + 1;
-    (p, name, sx, serve, lin_wall, restore_us)
+    {
+      tk_p = p;
+      tk_sx = sx;
+      tk_lin_us = (if chaos then 0.0 else lin_wall) +. restore_us;
+      tk_serve = serve;
+    }
   in
   (* Bounded-table bookkeeping for a token just served: learn the
      model's per-node state-row bytes from the rows actually stored
@@ -2017,142 +1944,42 @@ let drain t =
       ~bytes:(session_accounted_bytes t sx) ~now_us:t.eng_clock_us;
     enforce_sessions ?obs t
   in
-  let play_session_single ~ready (p, name, sx, serve, lin_wall, restore_us) =
-    let s = p.p_structure in
-    let n = Structure.num_nodes s in
-    let lin_us = (if chaos then 0.0 else lin_wall) +. restore_us in
-    let nodes, hit, run_lin =
-      match serve with
-      | S_delta { sd_view; sd_news; _ } ->
-        (Array.length sd_news, false, sd_view)
-      | S_cold (fl, hit) -> (n, hit, fl.Linearizer.lin)
+  (* Play one window: [lin] is what runs, [members] the requests it
+     serves.  The window's kind follows from its members — none in a
+     session: a regular batch; one session token: a size-1 window; several:
+     a packed window — and so does its plan-cache key space.  Regular and
+     packed windows tune (packed in their own key space: level-merged
+     session batches are shaped nothing like a regular forest of the same
+     size class).  Size-1 session windows run untuned: they are
+     deliberately tiny, a token's delta, not the size classes the tuner
+     buckets, and the pinned device would make the tuned artifact churn
+     on every failover.  Plans preserve semantics bitwise, so retries and
+     failovers across differently-tuned devices cannot change results. *)
+  let play_window ~ready ~lin ~nodes ~hit ~lin_us members =
+    let size = List.length members in
+    let sxs =
+      List.filter_map (fun m -> Option.map (fun sm -> sm.sm_sx) m.m_session) members
     in
-    let size = 1 in
-    (* Size-1 session windows skip plan tuning: they are deliberately
-       tiny (a token's delta), not the size-classes the tuner buckets,
-       and the pinned device would make the tuned artifact churn on
-       every failover. *)
-    let price dev =
-      ( t.eng_compiled,
-        Runtime.simulate_lin ~lock_free:t.lock_free ~linearize_us:lin_us
-          t.eng_compiled ~backend:dev.Dispatch.dev_backend run_lin )
-    in
-    (match play ~sxs:[ sx ] ~size ~nodes ~lin_us ~price ready with
-     | Lost_window at ->
-       lost := !lost + size;
-       note_damage at;
-       bump_clock t at
-     | Completed { ao_dev = dev; ao_dispatch = dispatch;
-                   ao_completion = completion; ao_report = report;
-                   ao_attempts = attempts; ao_compiled = _ } ->
-       let i = !windex in
-       incr windex;
-       let device_us = report.Runtime.latency.Backend.total_us in
-       record_window ~i ~size ~nodes ~hit ~session:(Some name) ~dev
-         ~dispatch ~completion ~report ~attempts ();
-       (* Numeric serving: a delta run pre-seeds the boundary rows (the
-          old children of appended nodes) from the session's persisted
-          states, executes only the delta batches, and persists the
-          appended nodes' states — bitwise identical to re-running the
-          whole conversation, which is what the cold path does. *)
-       (match t.eng_params with
-        | Some params ->
-          let st_names = List.map fst t.eng_compiled.Lower.state_tensors in
-          let store_states ex (nd : Node.t) sid =
-            List.iter
-              (fun st ->
-                Hashtbl.replace sx.sx_states (st, nd.Node.id)
-                  (Lower.state_value_lin ex.Runtime.exec_bound
-                     ex.Runtime.exec_compiled st sid))
-              st_names
-          in
-          (match serve with
-           | S_delta { sd_view; sd_news; sd_base } ->
-             let preload bound =
-               Array.iter
-                 (fun (nd : Node.t) ->
-                   Array.iter
-                     (fun (c : Node.t) ->
-                       if c.Node.id < sd_base then
-                         List.iter
-                           (fun st ->
-                             match
-                               Hashtbl.find_opt sx.sx_states (st, c.Node.id)
-                             with
-                             | Some v ->
-                               Lower.set_state_lin bound t.eng_compiled st
-                                 sx.sc_sid.(c.Node.id) v
-                             | None ->
-                               failwith
-                                 "Engine: missing persisted state at the \
-                                  session's delta boundary")
-                           st_names)
-                     nd.Node.children)
-                 sd_news
-             in
-             let ex =
-               Runtime.execute_lin ~preload t.eng_compiled ~params sd_view
-             in
-             Array.iter
-               (fun nd -> store_states ex nd sx.sc_sid.(nd.Node.id))
-               sd_news
-           | S_cold (fl, _) ->
-             let ex =
-               Runtime.execute_lin t.eng_compiled ~params fl.Linearizer.lin
-             in
-             let span = fl.Linearizer.spans.(0) in
-             Array.iter
-               (fun (nd : Node.t) ->
-                 store_states ex nd span.Linearizer.span_ids.(nd.Node.id))
-               s.Structure.nodes);
-          let out = List.hd t.model.Ra.outputs in
-          (match s.Structure.roots with
-           | [] -> ()
-           | root :: _ -> (
-             match Hashtbl.find_opt sx.sx_states (out, root.Node.id) with
-             | Some v -> results := (p.p_id, v) :: !results
-             | None -> ()))
-        | None -> ());
-       record_request ~i ~size ~lin_us ~dev ~dispatch ~completion ~device_us
-         p;
-       if completion > p.p_deadline then
-         sx.sx_deadline_misses <- sx.sx_deadline_misses + 1);
-    account_session p sx
-  in
-  let play_session_packed ~ready toks pk =
-    let size = List.length toks in
-    let names = List.map (fun (_, name, _, _, _, _) -> name) toks in
-    let sxs = List.map (fun (_, _, sx, _, _, _) -> sx) toks in
-    let view = pk.Linearizer.pk_view in
-    (* The window's work is its delta nodes; the old-prefix rows below
-       [pk_base] exist only to receive pre-seeded boundary states and
-       are never iterated by a batch. *)
-    let nodes = view.Linearizer.num_nodes - pk.Linearizer.pk_base in
-    let lin_us =
-      List.fold_left
-        (fun acc (_, _, _, _, lw, ru) ->
-          acc +. (if chaos then 0.0 else lw) +. ru)
-        0.0 toks
+    let tuning = match sxs with [] -> Some false | [ _ ] -> None | _ -> Some true in
+    let session, packed =
+      match sxs with
+      | [ sx ] -> (Some sx.sx_name, [])
+      | _ -> (None, List.map (fun sx -> sx.sx_name) sxs)
     in
     let price dev =
-      (* Packed windows are real batch work, so under autotune they do
-         consult the plan cache — in the packed key space, so a plan
-         tuned for regular windows of the same size class is never
-         silently reused for level-merged session batches. *)
       let compiled =
-        match t.eng_plans with
-        | None -> t.eng_compiled
-        | Some pc ->
+        match (tuning, t.eng_plans) with
+        | Some packed, Some pc ->
           let entry, _hit =
-            Plan_cache.find_or_tune ?obs:t.eng_obs pc ~packed:true
-              ~compiled:t.eng_compiled ~backend:dev.Dispatch.dev_backend
-              ~lin:view ~nodes
+            Plan_cache.find_or_tune ?obs pc ~packed ~compiled:t.eng_compiled
+              ~backend:dev.Dispatch.dev_backend ~lin ~nodes
           in
           entry.Plan_cache.pe_compiled
+        | _ -> t.eng_compiled
       in
       ( compiled,
-        Runtime.simulate_lin ~lock_free:t.lock_free ~linearize_us:lin_us
-          compiled ~backend:dev.Dispatch.dev_backend view )
+        Runtime.simulate_lin ~lock_free:t.lock_free ~linearize_us:lin_us compiled
+          ~backend:dev.Dispatch.dev_backend lin )
     in
     (match play ~sxs ~size ~nodes ~lin_us ~price ready with
      | Lost_window at ->
@@ -2161,91 +1988,209 @@ let drain t =
        bump_clock t at
      | Completed { ao_dev = dev; ao_dispatch = dispatch;
                    ao_completion = completion; ao_report = report;
-                   ao_attempts = attempts; ao_compiled = ran_compiled } ->
+                   ao_attempts = attempts; ao_compiled = ran } ->
        let i = !windex in
        incr windex;
-       incr packed_windows;
-       packed_tokens := !packed_tokens + size;
-       Obs.incr obs "sessions.packed_windows";
-       Obs.incr obs ~by:size "sessions.packed_tokens";
-       let device_us = report.Runtime.latency.Backend.total_us in
-       record_window ~i ~size ~nodes ~hit:false ~session:None ~packed:names
-         ~dev ~dispatch ~completion ~report ~attempts ();
+       if packed <> [] then begin
+         incr packed_windows;
+         packed_tokens := !packed_tokens + size;
+         Obs.incr obs "sessions.packed_windows";
+         Obs.incr obs ~by:size "sessions.packed_tokens"
+       end;
+       (match obs with
+        | None -> ()
+        | Some _ ->
+          Obs.sim_span obs ~track:(device_track dev.Dispatch.dev_index)
+            ~name:"window"
+            ~args:
+              ([ ("index", CT.Int i); ("size", CT.Int size);
+                 ("nodes", CT.Int nodes); ("hit", CT.Bool hit);
+                 ("attempts", CT.Int attempts) ]
+              @ (match session with
+                 | Some s -> [ ("session", CT.Str s) ]
+                 | None -> [])
+              @
+              match packed with
+              | [] -> []
+              | names -> [ ("packed", CT.Str (String.concat "," names)) ])
+            ~start_us:dispatch ~end_us:completion ());
+       wreports :=
+         {
+           wr_index = i;
+           wr_size = size;
+           wr_nodes = nodes;
+           wr_device = dev.Dispatch.dev_index;
+           wr_cache_hit = hit;
+           wr_attempts = attempts;
+           wr_dispatch_us = dispatch;
+           wr_report = report;
+           wr_session = session;
+           wr_packed = packed;
+         }
+         :: !wreports;
        (* Numeric serving, one launch for every member: pre-seed each
-          member's boundary rows at their packed ids, execute the merged
-          batches once, then split the appended nodes' states and the
-          per-request results back out per member — bitwise identical
-          to serving the members as size-1 windows. *)
+          session member's boundary rows from its persisted states,
+          execute the window once (retries and failovers re-dispatch the
+          same linearization, so the numbers cannot depend on the fault
+          history — the property the chaos tests pin bitwise), then
+          persist session members' stored nodes and read every result
+          back — bitwise identical to running each request cold. *)
        (match t.eng_params with
         | Some params ->
           let st_names = List.map fst t.eng_compiled.Lower.state_tensors in
           let preload bound =
-            List.iteri
-              (fun mi (_, _, sx, serve, _, _) ->
-                match serve with
-                | S_cold _ -> assert false
-                | S_delta { sd_news; sd_base; _ } ->
+            List.iter
+              (fun m ->
+                match m.m_session with
+                | None -> ()
+                | Some { sm_sx = sx; sm_nodes; sm_base } ->
                   Array.iter
                     (fun (nd : Node.t) ->
                       Array.iter
                         (fun (c : Node.t) ->
-                          if c.Node.id < sd_base then
+                          if c.Node.id < sm_base then
                             List.iter
                               (fun st ->
                                 match
                                   Hashtbl.find_opt sx.sx_states (st, c.Node.id)
                                 with
                                 | Some v ->
-                                  Lower.set_state_lin bound ran_compiled st
-                                    (Linearizer.pack_id pk ~member:mi
-                                       sx.sc_sid.(c.Node.id))
-                                    v
+                                  Lower.set_state_lin bound ran st
+                                    (m.m_id c.Node.id) v
                                 | None ->
                                   failwith
                                     "Engine: missing persisted state at a \
-                                     packed window's delta boundary")
+                                     session's delta boundary")
                               st_names)
                         nd.Node.children)
-                    sd_news)
-              toks
+                    sm_nodes)
+              members
           in
-          let ex = Runtime.execute_lin ~preload ran_compiled ~params view in
+          let ex = Runtime.execute_lin ~preload ran ~params lin in
+          let value st wid =
+            Lower.state_value_lin ex.Runtime.exec_bound ex.Runtime.exec_compiled st
+              wid
+          in
           let out = List.hd t.model.Ra.outputs in
-          List.iteri
-            (fun mi (p, _, sx, serve, _, _) ->
-              match serve with
-              | S_cold _ -> assert false
-              | S_delta { sd_news; _ } ->
-                Array.iter
-                  (fun (nd : Node.t) ->
-                    let pid =
-                      Linearizer.pack_id pk ~member:mi sx.sc_sid.(nd.Node.id)
-                    in
-                    List.iter
-                      (fun st ->
-                        Hashtbl.replace sx.sx_states (st, nd.Node.id)
-                          (Lower.state_value_lin ex.Runtime.exec_bound
-                             ex.Runtime.exec_compiled st pid))
-                      st_names)
-                  sd_news;
-                (match p.p_structure.Structure.roots with
-                 | [] -> ()
-                 | root :: _ -> (
-                   match Hashtbl.find_opt sx.sx_states (out, root.Node.id) with
-                   | Some v -> results := (p.p_id, v) :: !results
-                   | None -> ())))
-            toks
+          List.iter
+            (fun m ->
+              let result =
+                match m.m_session with
+                | None ->
+                  fun (root : Node.t) -> Some (value out (m.m_id root.Node.id))
+                | Some { sm_sx = sx; sm_nodes; _ } ->
+                  Array.iter
+                    (fun (nd : Node.t) ->
+                      let wid = m.m_id nd.Node.id in
+                      List.iter
+                        (fun st ->
+                          Hashtbl.replace sx.sx_states (st, nd.Node.id)
+                            (value st wid))
+                        st_names)
+                    sm_nodes;
+                  (* A session's result is its persisted row. *)
+                  fun root -> Hashtbl.find_opt sx.sx_states (out, root.Node.id)
+              in
+              match m.m_p.p_structure.Structure.roots with
+              | [] -> ()
+              | root :: _ ->
+                Option.iter
+                  (fun v -> results := (m.m_p.p_id, v) :: !results)
+                  (result root))
+            members
         | None -> ());
        List.iter
-         (fun (p, _, sx, _, lw, ru) ->
-           let tok_lin = (if chaos then 0.0 else lw) +. ru in
-           record_request ~i ~size ~lin_us:tok_lin ~dev ~dispatch ~completion
-             ~device_us p;
-           sx.sx_packed <- sx.sx_packed + 1;
-           if completion > p.p_deadline then
-             sx.sx_deadline_misses <- sx.sx_deadline_misses + 1)
-         toks);
-    List.iter (fun (p, _, sx, _, _, _) -> account_session p sx) toks
+         (fun m ->
+           let p = m.m_p in
+           bump_clock t completion;
+           rreports :=
+             {
+               rr_id = p.p_id;
+               rr_nodes = p.p_nodes;
+               rr_window = i;
+               rr_window_size = size;
+               rr_device = dev.Dispatch.dev_index;
+               rr_arrival_us = p.p_arrival;
+               rr_deadline_us = p.p_deadline;
+               rr_queue_us = dispatch -. p.p_arrival;
+               rr_linearize_us = m.m_lin_us;
+               rr_device_us = report.Runtime.latency.Backend.total_us;
+               rr_total_us = completion -. p.p_arrival;
+               rr_on_time = completion <= p.p_deadline;
+             }
+             :: !rreports;
+           (* A missed deadline hurts the SLO the instant the deadline
+              passes without a completion, not when the late answer
+              finally lands. *)
+           if completion > p.p_deadline then note_damage p.p_deadline;
+           Option.iter
+             (fun { sm_sx = sx; _ } ->
+               if packed <> [] then sx.sx_packed <- sx.sx_packed + 1;
+               if completion > p.p_deadline then
+                 sx.sx_deadline_misses <- sx.sx_deadline_misses + 1)
+             m.m_session)
+         members);
+    List.iter
+      (fun m -> Option.iter (fun sm -> account_session m.m_p sm.sm_sx) m.m_session)
+      members
+  in
+  (* Play a pack of served session tokens at the pack's ready time.
+     Members that came out cold play first, each as its own size-1
+     window over its forest.  The deltas then merge into one packed
+     window; a lone delta runs its own view directly (no merge, so
+     size-1 serving stays O(delta)), and deltas whose views refuse to
+     merge each play alone. *)
+  let play_tokens ~ready toks =
+    let member tk ~ids nodes base =
+      {
+        m_p = tk.tk_p;
+        m_lin_us = tk.tk_lin_us;
+        m_id = ids;
+        m_session = Some { sm_sx = tk.tk_sx; sm_nodes = nodes; sm_base = base };
+      }
+    in
+    let play_delta (tk, d) =
+      play_window ~ready ~lin:d.d_view ~nodes:(Array.length d.d_news) ~hit:false
+        ~lin_us:tk.tk_lin_us
+        [ member tk ~ids:(fun id -> tk.tk_sx.sc_sid.(id)) d.d_news d.d_base ]
+    in
+    let colds, deltas =
+      List.partition_map
+        (fun tk ->
+          match tk.tk_serve with
+          | S_cold (fl, hit) -> Either.Left (tk, fl, hit)
+          | S_delta d -> Either.Right (tk, d))
+        toks
+    in
+    List.iter
+      (fun (tk, fl, hit) ->
+        let ids id = fl.Linearizer.spans.(0).Linearizer.span_ids.(id) in
+        play_window ~ready ~lin:fl.Linearizer.lin ~nodes:tk.tk_p.p_nodes ~hit
+          ~lin_us:tk.tk_lin_us
+          [ member tk ~ids tk.tk_p.p_structure.Structure.nodes 0 ])
+      colds;
+    match deltas with
+    | [] -> ()
+    | [ one ] -> play_delta one
+    | _ -> (
+      match Linearizer.pack_views (List.map (fun (_, d) -> d.d_view) deltas) with
+      | exception Linearizer.Rejected _ -> List.iter play_delta deltas
+      | pk ->
+        let view = pk.Linearizer.pk_view in
+        (* The window's work is its delta nodes; the old-prefix rows
+           below [pk_base] only receive pre-seeded boundary states and
+           are never iterated by a batch. *)
+        play_window ~ready ~lin:view
+          ~nodes:(view.Linearizer.num_nodes - pk.Linearizer.pk_base)
+          ~hit:false
+          ~lin_us:
+            (List.fold_left (fun acc (tk, _) -> acc +. tk.tk_lin_us) 0.0 deltas)
+          (List.mapi
+             (fun i (tk, d) ->
+               member tk
+                 ~ids:(fun id -> Linearizer.pack_id pk ~member:i tk.tk_sx.sc_sid.(id))
+                 d.d_news d.d_base)
+             deltas))
   in
   List.iter
     (fun (ready, item) ->
@@ -2268,103 +2213,19 @@ let drain t =
                 ~max_children:t.model.Ra.max_children structures)
         in
         let lin_us = if chaos then 0.0 else lin_wall in
-        let nodes = fl.Linearizer.lin.Linearizer.num_nodes in
-        let size = List.length members in
-        let price dev =
-          (* With autotune on, the window runs the plan tuned for this
-             device's (backend, size-class); the first window of a
-             class pays the (host-side) search.  The plan preserves
-             semantics bitwise, so retries and failovers across
-             differently-tuned devices cannot change results. *)
-          let compiled =
-            match t.eng_plans with
-            | None -> t.eng_compiled
-            | Some pc ->
-              let entry, _hit =
-                Plan_cache.find_or_tune ?obs:t.eng_obs pc
-                  ~compiled:t.eng_compiled ~backend:dev.Dispatch.dev_backend
-                  ~lin:fl.Linearizer.lin ~nodes
-              in
-              entry.Plan_cache.pe_compiled
-          in
-          let report =
-            Runtime.simulate_lin ~lock_free:t.lock_free ~linearize_us:lin_us
-              compiled ~backend:dev.Dispatch.dev_backend fl.Linearizer.lin
-          in
-          (compiled, report)
-        in
-        (match play ~sxs:[] ~size ~nodes ~lin_us ~price ready with
-         | Lost_window at ->
-           lost := !lost + size;
-           note_damage at;
-           bump_clock t at
-         | Completed { ao_dev = dev; ao_dispatch = dispatch;
-                       ao_completion = completion; ao_report = report;
-                       ao_attempts = attempts; ao_compiled = ran_compiled } ->
-           let i = !windex in
-           incr windex;
-           let device_us = report.Runtime.latency.Backend.total_us in
-           record_window ~i ~size ~nodes ~hit ~session:None ~dev ~dispatch
-             ~completion ~report ~attempts ();
-           (* Numeric serving: with a parameter resolver installed, run
-              the window's forest through the compiled kernels once
-              (retries and failovers re-dispatch the same
-              linearization, so the numbers cannot depend on the fault
-              history — the property the chaos tests pin bitwise). *)
-           (match t.eng_params with
-            | Some params ->
-              let ex = Runtime.execute_lin ran_compiled ~params fl.Linearizer.lin in
-              let out = List.hd t.model.Ra.outputs in
-              List.iteri
-                (fun k p ->
-                  match p.p_structure.Structure.roots with
-                  | [] -> ()
-                  | root :: _ ->
-                    let span = fl.Linearizer.spans.(k) in
-                    let v =
-                      Lower.state_value_lin ex.Runtime.exec_bound
-                        ex.Runtime.exec_compiled out
-                        span.Linearizer.span_ids.(root.Node.id)
-                    in
-                    results := (p.p_id, v) :: !results)
-                members
-            | None -> ());
-           List.iter
-             (record_request ~i ~size ~lin_us ~dev ~dispatch ~completion
-                ~device_us)
+        play_window ~ready ~lin:fl.Linearizer.lin
+          ~nodes:fl.Linearizer.lin.Linearizer.num_nodes ~hit ~lin_us
+          (List.mapi
+             (fun k p ->
+               let span = fl.Linearizer.spans.(k) in
+               {
+                 m_p = p;
+                 m_lin_us = lin_us;
+                 m_id = (fun id -> span.Linearizer.span_ids.(id));
+                 m_session = None;
+               })
              members)
-      | I_session p -> play_session_single ~ready (serve_token p)
-      | I_pack members ->
-        (* Serve every member's inspector work first, in pack order
-           (scratch appends are per-session, so order across sessions
-           only matters for determinism, which pack order provides);
-           members that came out cold — or whose delta views refuse to
-           merge — fall back to the size-1 path, still at this pack's
-           ready time. *)
-        let served = List.map serve_token members in
-        let deltas, colds =
-          List.partition
-            (fun (_, _, _, serve, _, _) ->
-              match serve with S_delta _ -> true | S_cold _ -> false)
-            served
-        in
-        List.iter (play_session_single ~ready) colds;
-        (match deltas with
-         | [] -> ()
-         | [ one ] -> play_session_single ~ready one
-         | toks -> (
-           let views =
-             List.map
-               (fun (_, _, _, serve, _, _) ->
-                 match serve with
-                 | S_delta d -> d.sd_view
-                 | S_cold _ -> assert false)
-               toks
-           in
-           match Linearizer.pack_views views with
-           | pk -> play_session_packed ~ready toks pk
-           | exception Linearizer.Rejected _ ->
-             List.iter (play_session_single ~ready) toks)))
+      | I_session members -> play_tokens ~ready (List.map serve_token members))
     windows;
   (* End-of-drain eviction pass at the drain's high-water simulated
      clock: TTL expiries age out here even when their session saw no

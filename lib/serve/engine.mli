@@ -245,33 +245,6 @@ val create :
     [max_batch], negative caps, empty device list, a fault spec that
     does not fit the fleet). *)
 
-val create_legacy :
-  ?policy:policy ->
-  ?options:Cortex_lower.Lower.options ->
-  ?lock_free:bool ->
-  ?dispatch:Dispatch.policy ->
-  ?devices:Cortex_backend.Backend.t list ->
-  ?cache_capacity:int ->
-  ?queue_cap:int ->
-  ?degrade_watermark:int ->
-  ?faults:Fault.spec ->
-  ?seed:int ->
-  ?retry:Fault.retry ->
-  ?params:(string -> Cortex_tensor.Tensor.t) ->
-  ?obs:Cortex_obs.Obs.t ->
-  ?autotune:bool ->
-  ?tune_budget:int ->
-  model:Cortex_ra.Ra.t ->
-  backend:Cortex_backend.Backend.t ->
-  unit ->
-  t
-[@@ocaml.deprecated
-  "Engine.create_legacy is the pre-Config entry point; use Engine.create \
-   ?config (Config.make carries the same labels)."]
-(** The old 15-argument entry point, kept as a thin wrapper over
-    {!Config.make} + {!create} for out-of-tree callers.
-    @deprecated use {!create} with a {!Config.t}. *)
-
 val of_spec :
   ?config:Config.t ->
   M.t ->
@@ -350,7 +323,8 @@ val submit :
     shed invalid request counts as shed, not rejected.
 
     [session] pins the request to a named growing conversation: it is
-    served in its own window on the session's pinned device, and when
+    served on the session's pinned device, in its own window or packed
+    with other sessions' delta tokens ([sessions.pack_window]), and when
     the structure is the session's previous structure plus appended
     nodes (same [Node.t] values, new nodes on top) the engine serves
     only the delta — {!Linearizer.extend}-style numbering reuse on the
@@ -379,9 +353,9 @@ type request_report = {
   rr_deadline_us : float;  (** absolute; [infinity] when none was set *)
   rr_queue_us : float;  (** arrival -> window dispatch *)
   rr_linearize_us : float;
-      (** the window's measured linearization wall clock (a cache hit's
-          payload re-bind, or a miss's full inspector pass; 0 in chaos
-          mode) *)
+      (** measured inspector wall clock (0 in chaos mode): the window's
+          linearization for a regular request, its own token's for a
+          session token, plus the priced restore of a spilled session *)
   rr_device_us : float;  (** simulated device latency of the window *)
   rr_total_us : float;  (** arrival -> completion *)
   rr_on_time : bool;  (** completed at or before its deadline *)
@@ -544,20 +518,28 @@ type summary = {
 }
 
 val drain : t -> summary
-(** Form windows over everything queued (per the engine's {!policy},
-    degraded past the watermark), linearize each window's forest exactly
-    once through the shape cache (timing that one run — a hit re-binds
-    payloads, a miss runs the inspector), and play the windows through
-    the engine's simulated devices in ready order: the
-    {!Dispatch.policy} picks a live device, the window occupies it from
-    [max(device free, ready)] to completion, priced on that device's
-    backend through the fault model (stragglers scale the price,
+(** Form windows over everything queued and play them through the
+    engine's simulated devices in ready order.  Regular requests batch
+    per the engine's {!policy} (degraded past the watermark), each
+    window's forest linearized exactly once through the shape cache
+    (timing that one run — a hit re-binds payloads, a miss runs the
+    inspector).  Session tokens play alone, or packed with other
+    sessions' delta tokens ([sessions.pack_window] > 1).  Every window
+    takes one path: a linearization plus a member list, each member
+    carrying its request, its inspector charge, its ids in the window
+    and, for a session token, the boundary states to preload and the
+    nodes whose states to persist.  The {!Dispatch.policy} picks a live
+    device (a session's pinned one while it survives); the window
+    occupies it from [max(device free, ready)] to completion, priced on
+    its backend through the fault model (stragglers scale the price,
     transients abort-and-retry with backoff, fail-stops abort in flight
-    and fail over).  Device clocks and fault streams are fresh per
-    drain; the shape cache persists across drains.  An explicit drain
-    is a flush: the trailing partial window is ready at its last
-    member's arrival, not after the batching timer.  Empties the queue
-    and resets the shed/rejected counters into the summary. *)
+    and fail over).  Under [autotune], regular and packed windows run
+    plans tuned in separate key spaces; size-1 session windows run
+    untuned.  Device clocks and fault streams are fresh per drain; the
+    shape cache and session table persist.  An explicit drain is a
+    flush: the trailing partial window is ready at its last member's
+    arrival.  Empties the queue and resets the shed/rejected counters
+    into the summary. *)
 
 val run_trace : t -> Trace.t -> summary
 (** {!submit} every event of the trace at its arrival time (with its
