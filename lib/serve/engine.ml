@@ -862,75 +862,77 @@ let session_delta_view sx (s : Structure.t) =
   match growth_base ~prev:sx.sx_structure ~restored:sx.sx_restored_base s with
   | None -> None
   | Some b ->
-    let mc = Array.length sx.sc_child in
-    let ok = ref true in
-    for i = b to n - 1 do
-      let nd = nodes.(i) in
-      if nd.Node.id <> i || Array.length nd.Node.children > mc then ok := false
-      else
-        Array.iter
-          (fun (c : Node.t) ->
-            if c.Node.id >= i || not (nodes.(c.Node.id) == c) then ok := false)
-          nd.Node.children
-    done;
-    if not !ok then None
-    else begin
-      ensure_session_capacity sx n;
-      let d = n - b in
-      (* Levels of the appended nodes (children precede parents by id). *)
-      let dlv = Array.make d 0 in
-      for i = 0 to d - 1 do
-        let nd = nodes.(b + i) in
-        Array.iter
-          (fun (c : Node.t) ->
-            let cl =
-              if c.Node.id < b then sx.sc_level.(sx.sc_sid.(c.Node.id))
-              else dlv.(c.Node.id - b)
-            in
-            if cl + 1 > dlv.(i) then dlv.(i) <- cl + 1)
-          nd.Node.children
+    begin
+      let mc = Array.length sx.sc_child in
+      let ok = ref true in
+      for i = b to n - 1 do
+        let nd = nodes.(i) in
+        if nd.Node.id <> i || Array.length nd.Node.children > mc then ok := false
+        else
+          Array.iter
+            (fun (c : Node.t) ->
+              if c.Node.id >= i || not (nodes.(c.Node.id) == c) then ok := false)
+            nd.Node.children
       done;
-      (* Level-sort the delta (stable), so every view batch is a
-         contiguous session-id run and children come first. *)
-      let order = Array.init d (fun i -> i) in
-      Array.stable_sort (fun i j -> compare (dlv.(i), i) (dlv.(j), j)) order;
-      let sid_base = sx.sc_used in
-      let news = Array.map (fun i -> nodes.(b + i)) order in
-      Array.iter (fun nd -> push_node sx nd) news;
-      let leaves = ref 0 in
-      Array.iter (fun i -> if dlv.(i) = 0 then incr leaves) order;
-      let batches = ref [] in
-      let i = ref !leaves in
-      while !i < d do
-        let l = dlv.(order.(!i)) in
-        let j = ref !i in
-        while !j < d && dlv.(order.(!j)) = l do
-          incr j
+      if not !ok then None
+      else begin
+        ensure_session_capacity sx n;
+        let d = n - b in
+        (* Levels of the appended nodes (children precede parents by id). *)
+        let dlv = Array.make d 0 in
+        for i = 0 to d - 1 do
+          let nd = nodes.(b + i) in
+          Array.iter
+            (fun (c : Node.t) ->
+              let cl =
+                if c.Node.id < b then sx.sc_level.(sx.sc_sid.(c.Node.id))
+                else dlv.(c.Node.id - b)
+              in
+              if cl + 1 > dlv.(i) then dlv.(i) <- cl + 1)
+            nd.Node.children
         done;
-        batches := (sid_base + !i, !j - !i) :: !batches;
-        i := !j
-      done;
-      let batches = Array.of_list ((sid_base, !leaves) :: List.rev !batches) in
-      let view =
-        {
-          Linearizer.structure = s;
-          num_nodes = sx.sc_used;
-          num_leaves = !leaves;
-          max_children = mc;
-          (* Host-side inspector state the executor never resolves;
-             left empty so the view costs O(delta) to build. *)
-          new_of_old = [||];
-          old_of_new = [||];
-          leaf_begin = sid_base;
-          child = sx.sc_child;
-          num_children = sx.sc_num_children;
-          payload = sx.sc_payload;
-          level_of = sx.sc_level;
-          batches;
-          postorder = [||];
-        }
-      in
-      Some { d_view = view; d_news = news; d_base = b }
+        (* Level-sort the delta (stable), so every view batch is a
+           contiguous session-id run and children come first. *)
+        let order = Array.init d (fun i -> i) in
+        Array.stable_sort (fun i j -> compare (dlv.(i), i) (dlv.(j), j)) order;
+        let sid_base = sx.sc_used in
+        let news = Array.map (fun i -> nodes.(b + i)) order in
+        Array.iter (fun nd -> push_node sx nd) news;
+        let leaves = ref 0 in
+        Array.iter (fun i -> if dlv.(i) = 0 then incr leaves) order;
+        let batches = ref [] in
+        let i = ref !leaves in
+        while !i < d do
+          let l = dlv.(order.(!i)) in
+          let j = ref !i in
+          while !j < d && dlv.(order.(!j)) = l do
+            incr j
+          done;
+          batches := (sid_base + !i, !j - !i) :: !batches;
+          i := !j
+        done;
+        let batches = Array.of_list ((sid_base, !leaves) :: List.rev !batches) in
+        let view =
+          {
+            Linearizer.structure = s;
+            num_nodes = sx.sc_used;
+            num_leaves = !leaves;
+            max_children = mc;
+            (* Host-side inspector state the executor never resolves;
+               left empty so the view costs O(delta) to build. *)
+            new_of_old = [||];
+            old_of_new = [||];
+            leaf_begin = sid_base;
+            child = sx.sc_child;
+            num_children = sx.sc_num_children;
+            payload = sx.sc_payload;
+            level_of = sx.sc_level;
+            batches;
+            postorder = [||];
+          }
+        in
+        Some { d_view = view; d_news = news; d_base = b }
+      end
     end
 
 (* Geometric materialization: once the conversation has doubled since
