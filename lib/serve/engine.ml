@@ -2143,22 +2143,21 @@ let drain t =
      size-1 serving stays O(delta)), and deltas whose views refuse to
      merge each play alone. *)
   let play_tokens ~ready toks =
+    (* [ids] is given the session, not the token: id maps that kept the
+       tokens reachable while the window records raised the packed
+       benchmark's peak heap by about 1 MB (a tenth). *)
     let member tk ~ids nodes base =
       {
         m_p = tk.tk_p;
         m_lin_us = tk.tk_lin_us;
-        m_id = ids;
+        m_id = ids tk.tk_sx;
         m_session = Some { sm_sx = tk.tk_sx; sm_nodes = nodes; sm_base = base };
       }
     in
-    (* The id maps capture the session, not the token: maps that kept
-       the tokens reachable while the window records raised the packed
-       benchmark's peak heap by about 1 MB (a tenth). *)
     let play_delta (tk, d) =
-      let sx = tk.tk_sx in
       play_window ~ready ~lin:d.d_view ~nodes:(Array.length d.d_news) ~hit:false
         ~lin_us:tk.tk_lin_us
-        [ member tk ~ids:(fun id -> sx.sc_sid.(id)) d.d_news d.d_base ]
+        [ member tk ~ids:(fun sx id -> sx.sc_sid.(id)) d.d_news d.d_base ]
     in
     let colds, deltas =
       List.partition_map
@@ -2170,7 +2169,7 @@ let drain t =
     in
     List.iter
       (fun (tk, fl, hit) ->
-        let ids id = fl.Linearizer.spans.(0).Linearizer.span_ids.(id) in
+        let ids _ id = fl.Linearizer.spans.(0).Linearizer.span_ids.(id) in
         play_window ~ready ~lin:fl.Linearizer.lin ~nodes:tk.tk_p.p_nodes ~hit
           ~lin_us:tk.tk_lin_us
           [ member tk ~ids tk.tk_p.p_structure.Structure.nodes 0 ])
@@ -2193,9 +2192,8 @@ let drain t =
             (List.fold_left (fun acc (tk, _) -> acc +. tk.tk_lin_us) 0.0 deltas)
           (List.mapi
              (fun i (tk, d) ->
-               let sx = tk.tk_sx in
                member tk
-                 ~ids:(fun id -> Linearizer.pack_id pk ~member:i sx.sc_sid.(id))
+                 ~ids:(fun sx id -> Linearizer.pack_id pk ~member:i sx.sc_sid.(id))
                  d.d_news d.d_base)
              deltas))
   in
