@@ -633,12 +633,15 @@ let test_device_scaling () =
   in
   let throughput n =
     let policy = { Engine.max_batch = 8; max_wait_us = 100.0; bucketing = Engine.Fifo } in
+    (* Chaos mode (an empty fault spec): measured linearizer wall clock
+       would otherwise enter the simulated clock, and on a busy host it
+       can cap the 4-device run below the bound. *)
     let engine =
       Engine.of_spec
         ~config:
           (Engine.Config.make ~policy ~dispatch:Dispatch.Least_loaded
              ~devices:(List.init n (fun _ -> Backend.gpu))
-             ())
+             ~faults:[] ())
         spec ~backend:gpu
     in
     (Engine.run_trace engine trace).Engine.aggregate.Engine.throughput_rps

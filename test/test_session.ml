@@ -621,10 +621,12 @@ let prop_accounting_matches_linearizer =
    after every drain:
      (b) accounted bytes never exceed the budget in force;
      (c) live + spilled exactly partition the sessions that started;
+   the moment each conversation reaches its full length:
+     (a) through whatever evictions the trace forced, it is bitwise a
+         never-evicted cold execution (checked then, because a session
+         that finishes early may idle past the TTL while the others
+         fill);
    and at the end of the trace:
-     (a) every conversation, grown to its full length through whatever
-         evictions the trace forced, is bitwise a never-evicted cold
-         execution;
      (d) the whole lifecycle (chaos mode, eviction enabled) replays
          byte-identically under the same seed. *)
 type life_op = Grow of int | Evict_now of int | Budget of int option
@@ -660,6 +662,9 @@ let prop_session_lifecycle =
       let convs =
         Array.init 3 (fun i ->
             conversation (300 + i) ~vocab:15 ~kind:Structure.Tree ~tokens)
+      in
+      let compiled =
+        Runtime.compile ~options:(Runtime.options_for spec) spec.M.program
       in
       let run () =
         (* Chaos mode (empty fault spec): every drain below is a pure
@@ -705,7 +710,11 @@ let prop_session_lifecycle =
               (Engine.submit_exn eng
                  ~arrival_us:(900.0 *. float_of_int !step)
                  ~session:names.(i) s);
-            ignore (Engine.drain eng)
+            ignore (Engine.drain eng);
+            (* (a): evict/restore churn included, the full conversation
+               is bitwise a never-evicted cold execution. *)
+            if next.(i) > tokens then
+              check_states_bitwise spec eng ~session:names.(i) compiled params s
           end
         in
         List.iter
@@ -720,28 +729,18 @@ let prop_session_lifecycle =
                ignore (Engine.drain eng));
             observe ())
           ops;
-        (* Unbind the budget and finish every conversation, round-robin
-           so no session idles past the TTL while the others fill. *)
+        (* Unbind the budget and finish every conversation,
+           round-robin. *)
         Engine.set_session_budget eng None;
         let remaining () = Array.exists (fun n -> n <= tokens) next in
         while remaining () do
           Array.iteri (fun i _ -> grow i) names
         done;
-        (eng, Buffer.contents log)
+        Buffer.contents log
       in
-      let eng, log1 = run () in
-      (* (a): evict/restore churn included, the end state is bitwise a
-         never-evicted cold execution of each full conversation. *)
-      let compiled =
-        Runtime.compile ~options:(Runtime.options_for spec) spec.M.program
-      in
-      Array.iteri
-        (fun i name ->
-          check_states_bitwise spec eng ~session:name compiled params
-            (List.nth convs.(i) tokens))
-        names;
+      let log1 = run () in
       (* (d): the whole lifecycle replays byte-identically. *)
-      let _, log2 = run () in
+      let log2 = run () in
       if log1 <> log2 then
         Q.Test.fail_report "lifecycle trace not reproducible under its seed";
       true)
