@@ -1296,7 +1296,7 @@ let () =
           Alcotest.test_case "deadline-misses" `Quick test_pack_deadline_misses;
           QCheck_alcotest.to_alcotest prop_pack_bitwise;
         ] );
-      ( "characterization",
+      ( "snapshot",
         [ Alcotest.test_case "summary-digest" `Quick test_characterization ] );
       ( "shape-cache",
         [
