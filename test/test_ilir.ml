@@ -529,6 +529,278 @@ let test_emit_c_structure () =
   (* deterministic *)
   Alcotest.(check string) "deterministic" out (Cortex_ilir.Emit_c.program prog)
 
+(* ---------- interpreter: error and value semantics ---------- *)
+
+(* Every check the interpreter makes fires when execution reaches it,
+   with a fixed message; these pin the messages and the order in which
+   sub-expressions are evaluated before a check fires. *)
+
+let runtime_error f =
+  match f () with
+  | _ -> Alcotest.fail "expected Interp.Runtime_error"
+  | exception Interp.Runtime_error msg -> msg
+
+let check_error label want f = Alcotest.(check string) label want (runtime_error f)
+
+let fresh_ctx () = Interp.create ~num_internal_batches:0 ()
+
+let run_fresh ?(setup = fun _ -> ()) body =
+  let ctx = fresh_ctx () in
+  setup ctx;
+  Interp.run_stmt ctx [] body;
+  ctx
+
+let eval_fresh ?(setup = fun _ -> ()) env e =
+  let ctx = fresh_ctx () in
+  setup ctx;
+  Interp.eval_expr ctx env e
+
+let value_string = function
+  | Interp.Vi n -> Printf.sprintf "Vi %d" n
+  | Interp.Vf v -> Printf.sprintf "Vf %h" v
+
+let check_value label want got = Alcotest.(check string) label (value_string want) (value_string got)
+
+let test_interp_bounds () =
+  let d = Ir.Dim.fresh "d" and e = Ir.Dim.fresh "e" in
+  let src = Ir.tensor "src" [ d ] [ Ir.Int 4 ] in
+  let grid = Ir.tensor "grid" [ d; e ] [ Ir.Int 3; Ir.Int 5 ] in
+  let dst = Ir.tensor "dst" [ d ] [ Ir.Int 2 ] in
+  let load t idx = Ir.Store (dst, [ Ir.Int 0 ], Ir.Load (t, idx)) in
+  check_error "load past the end" "load src: Shape.flatten_index: index 4 out of [0,4) at dim 0"
+    (fun () -> run_fresh (load src [ Ir.Int 4 ]));
+  check_error "negative load" "load src: Shape.flatten_index: index -1 out of [0,4) at dim 0"
+    (fun () -> run_fresh (load src [ Ir.Int (-1) ]));
+  check_error "second dimension" "load grid: Shape.flatten_index: index 5 out of [0,5) at dim 1"
+    (fun () -> run_fresh (load grid [ Ir.Int 1; Ir.Int 5 ]));
+  check_error "first bad dimension wins"
+    "load grid: Shape.flatten_index: index 3 out of [0,3) at dim 0" (fun () ->
+      run_fresh (load grid [ Ir.Int 3; Ir.Int 9 ]));
+  check_error "store past the end" "store dst: Shape.flatten_index: index 2 out of [0,2) at dim 0"
+    (fun () -> run_fresh (Ir.Store (dst, [ Ir.Int 2 ], Ir.Flt 1.0)));
+  check_error "load rank" "load src: Shape.flatten_index: rank 2 vs 1" (fun () ->
+      run_fresh (load src [ Ir.Int 0; Ir.Int 0 ]));
+  check_error "store rank" "store dst: Shape.flatten_index: rank 0 vs 1" (fun () ->
+      run_fresh (Ir.Store (dst, [], Ir.Flt 1.0)));
+  (* The rank that counts is the bound storage's, not the declaration's. *)
+  check_error "bound storage rank" "load src: Shape.flatten_index: rank 1 vs 2" (fun () ->
+      run_fresh
+        ~setup:(fun ctx -> Interp.bind_tensor ctx src (Tensor.zeros [| 2; 2 |]))
+        (load src [ Ir.Int 0 ]));
+  (* Every index is evaluated before the bounds are checked, and the
+     stored value before the store's bounds. *)
+  check_error "indices before bounds" "division by zero" (fun () ->
+      run_fresh (load grid [ Ir.Int 7; Ir.Binop (Ir.Div, Ir.Int 1, Ir.Int 0) ]));
+  check_error "value before store bounds" "load src: Shape.flatten_index: index 9 out of [0,4) at dim 0"
+    (fun () -> run_fresh (Ir.Store (dst, [ Ir.Int 5 ], Ir.Load (src, [ Ir.Int 9 ]))))
+
+let test_interp_arith_errors () =
+  check_error "div" "division by zero" (fun () ->
+      eval_fresh [] (Ir.Binop (Ir.Div, Ir.Int 1, Ir.Int 0)));
+  check_error "mod" "mod by zero" (fun () -> eval_fresh [] (Ir.Binop (Ir.Mod, Ir.Int 7, Ir.Int 0)));
+  (* Float division by zero is IEEE, not an error. *)
+  check_value "float div" (Interp.Vf infinity)
+    (eval_fresh [] (Ir.Binop (Ir.Div, Ir.Flt 1.0, Ir.Int 0)));
+  check_value "float mod" (Interp.Vf (Float.rem 7.5 2.0))
+    (eval_fresh [] (Ir.Binop (Ir.Mod, Ir.Flt 7.5, Ir.Int 2)));
+  check_value "int div truncates" (Interp.Vi (-3))
+    (eval_fresh [] (Ir.Binop (Ir.Div, Ir.Int (-7), Ir.Int 2)))
+
+let test_interp_unbound () =
+  let x = Ir.Var.fresh "x" in
+  let u = Ir.Uf.fresh "child" ~arity:1 in
+  check_error "variable" "unbound variable x" (fun () -> eval_fresh [] (Ir.Var x));
+  check_error "uf" "unbound uninterpreted function child" (fun () ->
+      eval_fresh [] (Ir.UfCall (u, [ Ir.Int 0 ])));
+  (* The UF is looked up before its arguments are evaluated. *)
+  check_error "uf before args" "unbound uninterpreted function child" (fun () ->
+      eval_fresh [] (Ir.UfCall (u, [ Ir.Binop (Ir.Div, Ir.Int 1, Ir.Int 0) ])));
+  (* A variable is in scope only inside its binder. *)
+  let d = Ir.Dim.fresh "d" in
+  let t = Ir.tensor "t" [ d ] [ Ir.Int 2 ] in
+  check_error "out of scope" "unbound variable x" (fun () ->
+      run_fresh
+        (Ir.Seq
+           [
+             Ir.Let (x, Ir.Int 1, Ir.Store (t, [ Ir.Var x ], Ir.Flt 1.0));
+             Ir.Store (t, [ Ir.Var x ], Ir.Flt 2.0);
+           ]));
+  (* The innermost binding of a variable shadows the outer one. *)
+  let ctx =
+    run_fresh
+      (Ir.Let (x, Ir.Int 0, Ir.Let (x, Ir.Int 1, Ir.Store (t, [ Ir.Var x ], Ir.Flt 5.0))))
+  in
+  Alcotest.(check (float 0.0)) "shadowed" 5.0 (Tensor.get (Interp.get_tensor ctx t) [| 1 |]);
+  check_value "env shadowing" (Interp.Vi 3)
+    (Interp.eval_expr (fresh_ctx ()) [ (x.Ir.Var.vid, Interp.Vi 3); (x.Ir.Var.vid, Interp.Vi 4) ]
+       (Ir.Var x))
+
+let test_interp_float_as_int () =
+  let i = Ir.Var.fresh "i" in
+  let d = Ir.Dim.fresh "d" in
+  let t = Ir.tensor "t" [ d ] [ Ir.Int 4 ] in
+  check_error "loop extent" "expected int, got float 2.5" (fun () ->
+      run_fresh (Ir.for_ i (Ir.Flt 2.5) (Ir.Store (t, [ Ir.Var i ], Ir.Flt 1.0))));
+  check_error "index" "expected int, got float 1" (fun () ->
+      run_fresh (Ir.Store (t, [ Ir.Flt 1.0 ], Ir.Flt 1.0)));
+  check_error "condition" "expected int, got float 0.25" (fun () ->
+      run_fresh (Ir.If (Ir.Flt 0.25, Ir.Nop, None)));
+  check_error "not" "expected int, got float 3" (fun () -> eval_fresh [] (Ir.Not (Ir.Flt 3.0)));
+  let u = Ir.Uf.fresh "f" ~arity:1 in
+  check_error "uf argument" "expected int, got float 0.5" (fun () ->
+      eval_fresh ~setup:(fun ctx -> Interp.bind_uf ctx u (fun a -> a.(0)))
+        [] (Ir.UfCall (u, [ Ir.Flt 0.5 ])))
+
+let test_interp_untaken () =
+  let d = Ir.Dim.fresh "d" in
+  let src = Ir.tensor "src" [ d ] [ Ir.Int 2 ] in
+  let dst = Ir.tensor "dst" [ d ] [ Ir.Int 2 ] in
+  let x = Ir.Var.fresh "never_bound" in
+  let bad_load = Ir.Load (src, [ Ir.Int 99 ]) in
+  let ctx =
+    run_fresh
+      (Ir.Seq
+         [
+           Ir.If
+             ( Ir.Int 0,
+               Ir.Store (dst, [ Ir.Int 99 ], Ir.Var x),
+               Some (Ir.Store (dst, [ Ir.Int 0 ], Ir.Flt 2.0)) );
+           Ir.Store (dst, [ Ir.Int 1 ], Ir.Select (Ir.Int 1, Ir.Flt 3.0, bad_load));
+           Ir.If (Ir.Int 1, Ir.Nop, Some (Ir.Store (dst, [ Ir.Int 7 ], bad_load)));
+         ])
+  in
+  let out = Interp.get_tensor ctx dst in
+  Alcotest.(check (list (float 0.0))) "stores" [ 2.0; 3.0 ]
+    [ Tensor.get out [| 0 |]; Tensor.get out [| 1 |] ];
+  (* And / Or short-circuit. *)
+  let boom = Ir.Binop (Ir.Div, Ir.Int 1, Ir.Int 0) in
+  check_value "and" (Interp.Vi 0) (eval_fresh [] (Ir.And (Ir.Int 0, boom)));
+  check_value "or" (Interp.Vi 1) (eval_fresh [] (Ir.Or (Ir.Int 2, boom)));
+  (* A loop with no iterations never evaluates its body. *)
+  let i = Ir.Var.fresh "i" in
+  ignore (run_fresh (Ir.for_ i (Ir.Int 0) (Ir.Store (dst, [ Ir.Int 99 ], bad_load))))
+
+let test_interp_uf_error () =
+  let u = Ir.Uf.fresh "payload" ~arity:1 in
+  let d = Ir.Dim.fresh "d" in
+  let t = Ir.tensor "t" [ d ] [ Ir.Int 4 ] in
+  let setup ctx =
+    Interp.bind_uf ctx u (fun a ->
+        if a.(0) = 2 then raise (Interp.Runtime_error "node 2 has no payload") else a.(0))
+  in
+  let i = Ir.Var.fresh "i" in
+  check_error "propagates" "node 2 has no payload" (fun () ->
+      run_fresh ~setup
+        (Ir.for_ i (Ir.Int 4)
+           (Ir.Store (t, [ Ir.UfCall (u, [ Ir.Var i ]) ], Ir.Flt 1.0))));
+  (* Rows written before the failing iteration stay written. *)
+  let ctx = fresh_ctx () in
+  setup ctx;
+  (try
+     Interp.run_stmt ctx []
+       (Ir.for_ i (Ir.Int 4) (Ir.Store (t, [ Ir.UfCall (u, [ Ir.Var i ]) ], Ir.Flt 1.0)))
+   with Interp.Runtime_error _ -> ());
+  Alcotest.(check (list (float 0.0))) "partial" [ 1.0; 1.0; 0.0; 0.0 ]
+    (List.init 4 (fun k -> Tensor.get (Interp.get_tensor ctx t) [| k |]))
+
+let test_interp_lazy_temporary () =
+  let n = Ir.Uf.fresh "num_nodes" ~arity:0 in
+  let d = Ir.Dim.fresh "d" and e = Ir.Dim.fresh "e" in
+  let tmp = Ir.tensor "tmp" [ d; e ] [ Ir.UfCall (n, []); Ir.Int 3 ] in
+  let out = Ir.tensor "out" [ d ] [ Ir.Int 2 ] in
+  let setup ctx = Interp.bind_uf0 ctx n 5 in
+  let ctx =
+    run_fresh ~setup
+      (Ir.Seq
+         [
+           Ir.Store (out, [ Ir.Int 0 ], Ir.Binop (Ir.Add, Ir.Load (tmp, [ Ir.Int 4; Ir.Int 2 ]), Ir.Flt 1.5));
+           Ir.Store (tmp, [ Ir.Int 0; Ir.Int 0 ], Ir.Flt 7.0);
+           Ir.Store (out, [ Ir.Int 1 ], Ir.Load (tmp, [ Ir.Int 0; Ir.Int 0 ]));
+         ])
+  in
+  let storage = Interp.get_tensor ctx tmp in
+  Alcotest.(check (array int)) "extents from the UF" [| 5; 3 |] storage.Tensor.shape;
+  Alcotest.(check (float 0.0)) "zero-filled" 0.0 (Tensor.sum storage -. 7.0);
+  Alcotest.(check (list (float 0.0))) "read back" [ 1.5; 7.0 ]
+    [ Tensor.get (Interp.get_tensor ctx out) [| 0 |]; Tensor.get (Interp.get_tensor ctx out) [| 1 |] ];
+  (* The extents are evaluated when the tensor is first touched, with
+     the UF bindings of that moment. *)
+  check_error "unbound extent" "unbound uninterpreted function num_nodes" (fun () ->
+      run_fresh (Ir.Store (out, [ Ir.Int 0 ], Ir.Load (tmp, [ Ir.Int 0; Ir.Int 0 ]))));
+  let ctx = fresh_ctx () in
+  Interp.bind_uf0 ctx n 2;
+  Alcotest.(check (array int)) "get_tensor allocates" [| 2; 3 |]
+    (Interp.get_tensor ctx tmp).Tensor.shape
+
+let test_interp_values () =
+  let c = Ir.Var.fresh "c" in
+  let mixed = Ir.Select (Ir.Var c, Ir.Int 1, Ir.Flt 2.5) in
+  let with_c v e = Interp.eval_expr (fresh_ctx ()) [ (c.Ir.Var.vid, Interp.Vi v) ] e in
+  check_value "select int" (Interp.Vi 1) (with_c 1 mixed);
+  check_value "select float" (Interp.Vf 2.5) (with_c 0 mixed);
+  check_value "add int" (Interp.Vi 2) (with_c 1 (Ir.Binop (Ir.Add, mixed, Ir.Int 1)));
+  check_value "add float" (Interp.Vf 3.5) (with_c 0 (Ir.Binop (Ir.Add, mixed, Ir.Int 1)));
+  check_value "max int" (Interp.Vi 4) (with_c 0 (Ir.Binop (Ir.Max, Ir.Int 4, Ir.Int (-2))));
+  check_value "min mixed" (Interp.Vf (-2.0)) (with_c 0 (Ir.Binop (Ir.Min, Ir.Int 4, Ir.Flt (-2.0))));
+  check_value "cmp mixed" (Interp.Vi 1) (with_c 0 (Ir.Cmp (Ir.Lt, Ir.Int 2, Ir.Flt 2.5)));
+  check_value "cmp int" (Interp.Vi 0) (with_c 0 (Ir.Cmp (Ir.Ne, Ir.Int 2, Ir.Int 2)));
+  check_value "math" (Interp.Vf (Cortex_tensor.Nonlinear.tanh_rational 0.5))
+    (with_c 0 (Ir.Math (Cortex_tensor.Nonlinear.Tanh, Ir.Flt 0.5)));
+  check_value "math of int" (Interp.Vf 3.0)
+    (with_c 0 (Ir.Math (Cortex_tensor.Nonlinear.Relu, Ir.Int 3)));
+  (* A float environment value stays a float through a Let. *)
+  let y = Ir.Var.fresh "y" in
+  check_value "let float" (Interp.Vf 0.75)
+    (Interp.eval_expr (fresh_ctx ()) [ (y.Ir.Var.vid, Interp.Vf 0.5) ]
+       (Ir.Binop (Ir.Add, Ir.Var y, Ir.Flt 0.25)));
+  (* A Let-bound mixed Select keeps its run-time type. *)
+  let d = Ir.Dim.fresh "d" in
+  let t = Ir.tensor "t" [ d ] [ Ir.Int 4 ] in
+  let v = Ir.Var.fresh "v" and i = Ir.Var.fresh "i" in
+  let ctx =
+    run_fresh
+      (Ir.for_ i (Ir.Int 4)
+         (Ir.Let
+            ( v,
+              Ir.Select (Ir.Cmp (Ir.Lt, Ir.Var i, Ir.Int 2), Ir.Var i, Ir.Flt 0.5),
+              Ir.Store (t, [ Ir.Var i ], Ir.Binop (Ir.Div, Ir.Var v, Ir.Int 2)) )))
+  in
+  Alcotest.(check (list (float 0.0))) "mixed let" [ 0.0; 0.0; 0.25; 0.25 ]
+    (List.init 4 (fun k -> Tensor.get (Interp.get_tensor ctx t) [| k |]))
+
+let test_interp_counters () =
+  let d = Ir.Dim.fresh "d" in
+  let w = Ir.tensor ~space:Ir.Param "w" [ d ] [ Ir.Int 3 ] in
+  let s = Ir.tensor ~space:Ir.Shared "s" [ d ] [ Ir.Int 3 ] in
+  let out = Ir.tensor "out" [ d ] [ Ir.Int 3 ] in
+  let i = Ir.Var.fresh "i" in
+  let body =
+    Ir.for_ i (Ir.Int 3)
+      (Ir.Seq
+         [
+           Ir.Store (s, [ Ir.Var i ], Ir.Binop (Ir.Mul, Ir.Load (w, [ Ir.Var i ]), Ir.Flt 2.0));
+           Ir.Store
+             ( out,
+               [ Ir.Var i ],
+               Ir.Math
+                 ( Cortex_tensor.Nonlinear.Sigmoid,
+                   Ir.Binop (Ir.Add, Ir.Load (s, [ Ir.Var i ]), Ir.Var i) ) );
+         ])
+  in
+  let run count =
+    let ctx = Interp.create ~count ~num_internal_batches:0 () in
+    Interp.bind_tensor ctx w (Tensor.of_array [| 3 |] [| 0.5; -1.0; 2.0 |]);
+    Interp.run_stmt ctx [] body;
+    (Interp.counters ctx, Interp.get_tensor ctx out)
+  in
+  let c, out = run true in
+  Alcotest.(check (list int)) "totals" [ 6; 6; 3 * (1 + 1 + 17) ] [ c.Interp.loads; c.stores; c.flops ];
+  Alcotest.(check (array int)) "loads by space" [| 3; 0; 3; 0 |] c.loads_by_space;
+  Alcotest.(check (array int)) "stores by space" [| 0; 3; 3; 0 |] c.stores_by_space;
+  let c0, out0 = run false in
+  Alcotest.(check (list int)) "off" [ 0; 0; 0 ] [ c0.Interp.loads; c0.stores; c0.flops ];
+  Alcotest.(check bool) "same values" true (out.Tensor.data = out0.Tensor.data)
+
 let () =
   Alcotest.run "ilir"
     [
@@ -570,4 +842,16 @@ let () =
           Alcotest.test_case "named-dims" `Quick test_named_dims_arity;
         ] );
       ("emit-c", [ Alcotest.test_case "structure" `Quick test_emit_c_structure ]);
+      ( "interp",
+        [
+          Alcotest.test_case "bounds" `Quick test_interp_bounds;
+          Alcotest.test_case "arith-errors" `Quick test_interp_arith_errors;
+          Alcotest.test_case "unbound" `Quick test_interp_unbound;
+          Alcotest.test_case "float-as-int" `Quick test_interp_float_as_int;
+          Alcotest.test_case "untaken" `Quick test_interp_untaken;
+          Alcotest.test_case "uf-error" `Quick test_interp_uf_error;
+          Alcotest.test_case "lazy-temporary" `Quick test_interp_lazy_temporary;
+          Alcotest.test_case "values" `Quick test_interp_values;
+          Alcotest.test_case "counters" `Quick test_interp_counters;
+        ] );
     ]

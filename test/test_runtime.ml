@@ -478,6 +478,154 @@ let test_linearization_overhead_share () =
   let share = r.Runtime.linearize_us /. (r.Runtime.latency.Backend.total_us +. r.Runtime.linearize_us) in
   Alcotest.(check bool) (Printf.sprintf "share %.1f%% < 35%%" (share *. 100.)) true (share < 0.35)
 
+(* ---------- snapshot: bit-exact execution across the zoo ---------- *)
+
+(* The nine models `cortex list` prints, built at hidden 4 the way
+   `cortex run --hidden 4` builds them, under every option set that
+   lowers for the model, plus one loop plan from the tuner.  Each run
+   is digested as MD5 over the bits of every state row and the
+   interpreter's counters; the constants pin the executor's numerics
+   and counting bit for bit. *)
+
+let zoo_at_hidden_4 =
+  let h = 4 in
+  [
+    ("TreeFC", Models.Tree_fc.spec ~vocab:200 ~hidden:h ());
+    ("DAG-RNN", Models.Dag_rnn.spec ~hidden:h ());
+    ("TreeGRU", Models.Tree_gru.spec ~vocab:200 ~hidden:h ());
+    ("TreeLSTM", Models.Tree_lstm.spec ~vocab:200 ~hidden:h ());
+    ("MV-RNN", Models.Mv_rnn.spec ~vocab:50 ~hidden:h ());
+    ("TreeRNN", Models.Tree_rnn.spec ~vocab:200 ~hidden:h ());
+    ("SimpleTreeGRU", Models.Tree_gru.spec ~vocab:200 ~simple:true ~hidden:h ());
+    ("LSTM", Models.Tree_lstm.spec ~vocab:200 ~sequence:true ~hidden:h ());
+    ("GRU", Models.Tree_gru.spec ~vocab:200 ~sequence:true ~hidden:h ());
+  ]
+
+let zoo_option_sets =
+  [
+    ("default", Lower.default);
+    ("no-fuse", { Lower.default with Lower.fuse = false });
+    ("no-specialize", { Lower.default with Lower.specialize = false });
+    ("no-dynamic-batch", { Lower.default with Lower.dynamic_batch = false });
+    ("unroll", { Lower.default with Lower.unroll = true });
+    ("refactor", { Lower.default with Lower.refactor = true });
+  ]
+
+let execution_digest (spec : M.t) compiled lin =
+  let params = spec.M.init_params (Rng.create 2022) in
+  let bound = Lower.bind ~count:true compiled lin in
+  List.iter
+    (fun (name, t) -> Interp.bind_tensor bound.Lower.ctx t (params name))
+    compiled.Lower.param_tensors;
+  Interp.run_program bound.Lower.ctx compiled.Lower.prog;
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (st, _) ->
+      for id = 0 to lin.Linearizer.num_nodes - 1 do
+        let row = Lower.state_value_lin bound compiled st id in
+        for i = 0 to Tensor.numel row - 1 do
+          Buffer.add_int64_le buf (Int64.bits_of_float (Tensor.get_flat row i))
+        done
+      done)
+    compiled.Lower.state_tensors;
+  let c = Interp.counters bound.Lower.ctx in
+  List.iter
+    (fun n -> Buffer.add_int64_le buf (Int64.of_int n))
+    ([ c.Interp.loads; c.stores; c.flops ]
+    @ Array.to_list c.loads_by_space
+    @ Array.to_list c.stores_by_space);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let zoo_digests () =
+  List.concat_map
+    (fun (name, (spec : M.t)) ->
+      let lin = Linearizer.run (spec.M.dataset (Rng.create 2021) ~batch:2) in
+      let runs =
+        List.filter_map
+          (fun (label, base) ->
+            match Runtime.compile ~options:(Runtime.options_for ~base spec) spec.M.program with
+            | compiled ->
+              Some (name ^ "/" ^ label, execution_digest spec compiled lin)
+            | exception Lower.Lowering_error _ -> None)
+          zoo_option_sets
+      in
+      (* The tuner's best plan that stages a tensor on chip, so the
+         digest also covers a lazily allocated staging temporary. *)
+      let plan =
+        if name <> "TreeLSTM" then []
+        else
+          let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+          let stages p = List.exists (function Schedule.Stage _ -> true | _ -> false) p in
+          match
+            List.find_opt (fun (p, _) -> stages p)
+              (Tuner.tune_loops ~budget:16 compiled ~backend:gpu lin)
+          with
+          | None -> Alcotest.fail "the tuner ranked no staging plan"
+          | Some (p, _) ->
+            [ (name ^ "/plan", execution_digest spec (Lower.apply_plan p compiled) lin) ]
+      in
+      runs @ plan)
+    zoo_at_hidden_4
+
+(* Recorded with the tree-walking interpreter; every executor must reproduce them. *)
+let expected_zoo_digests =
+  [
+    ("TreeFC/default", "2bb5f6a7c144d09291e6c2f40c7af4f8");
+    ("TreeFC/no-fuse", "ca3da65166643aa7428b6d2fee26d4fb");
+    ("TreeFC/no-specialize", "e819147c00379180d529626cf062c1f1");
+    ("TreeFC/no-dynamic-batch", "2bb5f6a7c144d09291e6c2f40c7af4f8");
+    ("TreeFC/unroll", "c92e1e709933e69fa8ce7a12f0165401");
+    ("DAG-RNN/default", "63de5d05150bc3a4f93982c89f0d4c54");
+    ("DAG-RNN/no-fuse", "e541234085f7f09c565d5484089fbc95");
+    ("DAG-RNN/no-specialize", "3734cd5209fbc9d5eef48d0c89612554");
+    ("DAG-RNN/no-dynamic-batch", "63de5d05150bc3a4f93982c89f0d4c54");
+    ("TreeGRU/default", "28b0d1ae3a29fec4871cfc660a330ba6");
+    ("TreeGRU/no-fuse", "de12708ea25129affa3c57b817fad255");
+    ("TreeGRU/no-specialize", "820a341f2352eafe3d8f4c7277270bbd");
+    ("TreeGRU/no-dynamic-batch", "28b0d1ae3a29fec4871cfc660a330ba6");
+    ("TreeGRU/unroll", "a2f7fff05dfc48d1f5e0b8f96b290fd2");
+    ("TreeGRU/refactor", "d7e383cdfbb9e5dc6542c296ac4eae91");
+    ("TreeLSTM/default", "13d1da6bc5f52d470342a726c1d2f4ca");
+    ("TreeLSTM/no-fuse", "4421a933fb03693927761358959c1909");
+    ("TreeLSTM/no-specialize", "f40ae9b90ac632e6a0cd65b07a16f5f7");
+    ("TreeLSTM/no-dynamic-batch", "13d1da6bc5f52d470342a726c1d2f4ca");
+    ("TreeLSTM/unroll", "29fee42c7191986ae4dae93b4cade31e");
+    ("TreeLSTM/plan", "37fb6404233137ae2653818291f05f9c");
+    ("MV-RNN/default", "ad945921e6b4a4639159fe1cf256551c");
+    ("MV-RNN/no-fuse", "5cbcb2ba55e92f95a21a08efaef4fedf");
+    ("MV-RNN/no-specialize", "fa92e1d168701b74541876b4939225d3");
+    ("MV-RNN/no-dynamic-batch", "ad945921e6b4a4639159fe1cf256551c");
+    ("MV-RNN/unroll", "7d39475f262b6b201786b2a28dba9411");
+    ("MV-RNN/refactor", "ad945921e6b4a4639159fe1cf256551c");
+    ("TreeRNN/default", "3ffd09647db3bd5cd9dcbdd4e9aadd34");
+    ("TreeRNN/no-fuse", "a02044a565dae8c37e8bd1c894650657");
+    ("TreeRNN/no-specialize", "3b8bbb7623def0e7c4c19676d1bdee06");
+    ("TreeRNN/no-dynamic-batch", "3ffd09647db3bd5cd9dcbdd4e9aadd34");
+    ("TreeRNN/unroll", "616ce8444a7141155c0382fdd097860c");
+    ("SimpleTreeGRU/default", "2a632be4dacfb1ff53d3f3d260bb64fa");
+    ("SimpleTreeGRU/no-fuse", "14cd1a0e3dc5e88dd344b9e1b341d0e3");
+    ("SimpleTreeGRU/no-specialize", "b11367441b5f8c46d146eec7e4d6e655");
+    ("SimpleTreeGRU/no-dynamic-batch", "2a632be4dacfb1ff53d3f3d260bb64fa");
+    ("SimpleTreeGRU/unroll", "d77f6f000c85ce7801bf490383f0cdc0");
+    ("SimpleTreeGRU/refactor", "dd9b6dbc2d209371608656b2b8928e46");
+    ("LSTM/default", "01e0f5d77c3b0049c019449194117adc");
+    ("LSTM/no-fuse", "e71cedf50eaeb05d162872fe51f93677");
+    ("LSTM/no-specialize", "a42fe378509988b987a34abc28ee0088");
+    ("LSTM/no-dynamic-batch", "01e0f5d77c3b0049c019449194117adc");
+    ("LSTM/unroll", "4a3b151367506d224733a2c5127484df");
+    ("GRU/default", "f728083df00b8e86b638d530cab807f5");
+    ("GRU/no-fuse", "e63c29157debb073519ade0075f78c27");
+    ("GRU/no-specialize", "c552a8747e7183d35373b5b5438ace94");
+    ("GRU/no-dynamic-batch", "f728083df00b8e86b638d530cab807f5");
+    ("GRU/unroll", "d7b09baad44db485e2dda1a7c110458d");
+    ("GRU/refactor", "36121108adf94eb066129659c3985c33");
+  ]
+
+let test_zoo_digest () =
+  let row (label, digest) = Printf.sprintf "(%S, %S);" label digest in
+  Alcotest.(check (list string)) "digests" (List.map row expected_zoo_digests)
+    (List.map row (zoo_digests ()))
+
 let () =
   Alcotest.run "runtime"
     [
@@ -507,4 +655,5 @@ let () =
           Alcotest.test_case "grnn" `Quick test_grnn_comparison;
           Alcotest.test_case "linearization-share" `Quick test_linearization_overhead_share;
         ] );
+      ("snapshot", [ Alcotest.test_case "zoo-digest" `Quick test_zoo_digest ]);
     ]
