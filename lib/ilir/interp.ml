@@ -1,5 +1,6 @@
 open Ir
 module Tensor = Cortex_tensor.Tensor
+module Shape = Cortex_tensor.Shape
 module Nonlinear = Cortex_tensor.Nonlinear
 
 exception Runtime_error of string
@@ -56,152 +57,496 @@ let as_int = function
 
 let as_float = function Vf v -> v | Vi n -> float_of_int n
 
-let rec eval ctx env e =
-  match e with
-  | Int n -> Vi n
-  | Flt v -> Vf v
-  | Var v ->
-    (try List.assoc v.Var.vid env with Not_found -> fail "unbound variable %s" v.Var.vname)
-  | Binop (op, a, b) ->
-    let va = eval ctx env a and vb = eval ctx env b in
-    (match (va, vb) with
-     | Vi x, Vi y ->
-       Vi
-         (match op with
-          | Add -> x + y
-          | Sub -> x - y
-          | Mul -> x * y
-          | Div -> if y = 0 then fail "division by zero" else x / y
-          | Mod -> if y = 0 then fail "mod by zero" else x mod y
-          | Min -> min x y
-          | Max -> max x y)
-     | _ ->
-       if ctx.count then ctx.ctrs.flops <- ctx.ctrs.flops + 1;
-       let x = as_float va and y = as_float vb in
-       Vf
-         (match op with
-          | Add -> x +. y
-          | Sub -> x -. y
-          | Mul -> x *. y
-          | Div -> x /. y
-          | Mod -> Float.rem x y
-          | Min -> Float.min x y
-          | Max -> Float.max x y))
-  | Cmp (op, a, b) ->
-    let x = eval ctx env a and y = eval ctx env b in
-    let r =
-      match (x, y) with
-      | Vi x, Vi y -> (
-        match op with
-        | Lt -> x < y
-        | Le -> x <= y
-        | Gt -> x > y
-        | Ge -> x >= y
-        | Eq -> x = y
-        | Ne -> x <> y)
-      | _ ->
-        let x = as_float x and y = as_float y in
-        (match op with
-         | Lt -> x < y
-         | Le -> x <= y
-         | Gt -> x > y
-         | Ge -> x >= y
-         | Eq -> x = y
-         | Ne -> x <> y)
-    in
-    Vi (if r then 1 else 0)
-  | And (a, b) -> Vi (if as_int (eval ctx env a) <> 0 && as_int (eval ctx env b) <> 0 then 1 else 0)
-  | Or (a, b) -> Vi (if as_int (eval ctx env a) <> 0 || as_int (eval ctx env b) <> 0 then 1 else 0)
-  | Not a -> Vi (if as_int (eval ctx env a) = 0 then 1 else 0)
-  | Select (c, a, b) -> if as_int (eval ctx env c) <> 0 then eval ctx env a else eval ctx env b
-  | Load (t, idx) ->
-    let storage = get_tensor_ ctx t in
-    let offsets = Array.of_list (List.map (fun i -> as_int (eval ctx env i)) idx) in
-    if ctx.count then begin
-      ctx.ctrs.loads <- ctx.ctrs.loads + 1;
-      let s = space_index t.space in
-      ctx.ctrs.loads_by_space.(s) <- ctx.ctrs.loads_by_space.(s) + 1
-    end;
-    (try Vf (Tensor.get storage offsets)
-     with Invalid_argument msg -> fail "load %s: %s" t.tname msg)
-  | UfCall (u, args) ->
-    let f =
-      match Hashtbl.find_opt ctx.ufs u.Uf.uid with
-      | Some f -> f
-      | None -> fail "unbound uninterpreted function %s" u.Uf.uname
-    in
-    let args = Array.of_list (List.map (fun a -> as_int (eval ctx env a)) args) in
-    Vi (f args)
-  | Math (k, a) ->
-    if ctx.count then ctx.ctrs.flops <- ctx.ctrs.flops + Nonlinear.flops k;
-    Vf (Nonlinear.apply k (as_float (eval ctx env a)))
+(* ---------- compilation to closures ---------- *)
 
-and get_tensor_ ctx (t : tensor) =
+(* A compiled expression, typed by the value it always produces: int
+   unless a [Flt], [Load] or [Math] is involved.  [V] is the run-time
+   typed case, needed only below a [Select] whose branches differ in
+   type. *)
+type code = I of (unit -> int) | F of (unit -> float) | V of (unit -> value)
+
+(* Where a bound variable lives in the frame. *)
+type slot = Si of int | Sf of int | Sv of int
+
+module Scope = Map.Make (Int)
+
+(* A tensor as the compiled code sees it: resolved to its storage on
+   first access, so unbound temporaries are still allocated lazily. *)
+type cell = {
+  tensor : tensor;
+  mutable ready : bool;
+  mutable data : float array;
+  mutable shape : int array;
+  mutable strides : int array;
+}
+
+(* One compilation: the variable slots of every binder it compiles and
+   the tensor cells its loads and stores share. *)
+type frame = {
+  ctx : context;
+  ints : int array;
+  floats : float array;
+  values : value array;
+  mutable next_slot : int;
+  cells : (int, cell) Hashtbl.t;
+}
+
+let binders s =
+  fold_stmt ~expr:(fun n _ -> n) ~stmt:(fun n s -> match s with For _ | Let _ -> n + 1 | _ -> n) 0 s
+
+let new_frame ctx ~slots =
+  {
+    ctx;
+    ints = Array.make slots 0;
+    floats = Array.make slots 0.0;
+    values = Array.make slots (Vi 0);
+    next_slot = 0;
+    cells = Hashtbl.create 8;
+  }
+
+let fresh_slot fr =
+  let k = fr.next_slot in
+  fr.next_slot <- k + 1;
+  k
+
+let int_code = function
+  | I f -> f
+  | F f -> fun () -> as_int (Vf (f ()))
+  | V f -> fun () -> as_int (f ())
+
+let float_code = function
+  | I f -> fun () -> float_of_int (f ())
+  | F f -> f
+  | V f -> fun () -> as_float (f ())
+
+let value_code = function
+  | I f -> fun () -> Vi (f ())
+  | F f -> fun () -> Vf (f ())
+  | V f -> f
+
+let int_op op x y =
+  match op with
+  | Add -> x + y
+  | Sub -> x - y
+  | Mul -> x * y
+  | Div -> if y = 0 then fail "division by zero" else x / y
+  | Mod -> if y = 0 then fail "mod by zero" else x mod y
+  | Min -> min x y
+  | Max -> max x y
+
+let float_op op x y =
+  match op with
+  | Add -> x +. y
+  | Sub -> x -. y
+  | Mul -> x *. y
+  | Div -> x /. y
+  | Mod -> Float.rem x y
+  | Min -> Float.min x y
+  | Max -> Float.max x y
+
+let int_cmp op (x : int) y =
+  match op with Lt -> x < y | Le -> x <= y | Gt -> x > y | Ge -> x >= y | Eq -> x = y | Ne -> x <> y
+
+let float_cmp op (x : float) y =
+  match op with Lt -> x < y | Le -> x <= y | Gt -> x > y | Ge -> x >= y | Eq -> x = y | Ne -> x <> y
+
+(* Operands are evaluated left to right, as every check below relies
+   on: a later operand's error never pre-empts an earlier one's. *)
+let int_binop op a b =
+  match op with
+  | Add -> fun () -> let x = a () in x + b ()
+  | Sub -> fun () -> let x = a () in x - b ()
+  | Mul -> fun () -> let x = a () in x * b ()
+  | _ -> fun () -> let x = a () in int_op op x (b ())
+
+let float_binop op a b =
+  match op with
+  | Add -> fun () -> let x = a () in x +. b ()
+  | Sub -> fun () -> let x = a () in x -. b ()
+  | Mul -> fun () -> let x = a () in x *. b ()
+  | Div -> fun () -> let x = a () in x /. b ()
+  | _ -> fun () -> let x = a () in float_op op x (b ())
+
+let tick_flops ctrs n = fun () -> ctrs.flops <- ctrs.flops + n
+
+let tick_space bump space =
+  let s = space_index space in
+  fun () -> bump s
+
+(* The per-dimension checks and messages of [Shape.flatten_index]. *)
+let bad_rank what cell got =
+  fail "%s %s: Shape.flatten_index: rank %d vs %d" what cell.tensor.tname got
+    (Array.length cell.shape)
+
+let dim what cell d i =
+  if i < 0 || i >= cell.shape.(d) then
+    fail "%s %s: Shape.flatten_index: index %d out of [0,%d) at dim %d" what cell.tensor.tname i
+      cell.shape.(d) d;
+  i * cell.strides.(d)
+
+let offset1 what cell a =
+  if Array.length cell.shape <> 1 then bad_rank what cell 1;
+  dim what cell 0 a
+
+let offset2 what cell a b =
+  if Array.length cell.shape <> 2 then bad_rank what cell 2;
+  let o = dim what cell 0 a in
+  o + dim what cell 1 b
+
+let offset3 what cell a b c =
+  if Array.length cell.shape <> 3 then bad_rank what cell 3;
+  let o = dim what cell 0 a in
+  let o = o + dim what cell 1 b in
+  o + dim what cell 2 c
+
+let offset_n what cell idx =
+  if Array.length cell.shape <> Array.length idx then bad_rank what cell (Array.length idx);
+  let o = ref 0 in
+  Array.iteri (fun d i -> o := !o + dim what cell d i) idx;
+  !o
+
+(* An access site's index evaluation followed by its bounds checks,
+   returning the flat offset.  [tick] runs between the two, where the
+   counters are bumped. *)
+let address what cell ~tick (idx : (unit -> int) list) : unit -> int =
+  match idx with
+  | [] ->
+    fun () ->
+      tick ();
+      offset_n what cell [||]
+  | [ i0 ] ->
+    fun () ->
+      let a = i0 () in
+      tick ();
+      offset1 what cell a
+  | [ i0; i1 ] ->
+    fun () ->
+      let a = i0 () in
+      let b = i1 () in
+      tick ();
+      offset2 what cell a b
+  | [ i0; i1; i2 ] ->
+    fun () ->
+      let a = i0 () in
+      let b = i1 () in
+      let c = i2 () in
+      tick ();
+      offset3 what cell a b c
+  | idx ->
+    let idx = Array.of_list idx in
+    fun () ->
+      let v = Array.map (fun i -> i ()) idx in
+      tick ();
+      offset_n what cell v
+
+(* Without counters, an address whose indices are all int variables
+   reads their slots directly. *)
+let slot_address what cell ints scope idx =
+  let slot = function
+    | Var v -> (match Scope.find_opt v.Var.vid scope with Some (Si k) -> Some k | _ -> None)
+    | _ -> None
+  in
+  match List.map slot idx with
+  | [ Some k0 ] -> Some (fun () -> offset1 what cell ints.(k0))
+  | [ Some k0; Some k1 ] -> Some (fun () -> offset2 what cell ints.(k0) ints.(k1))
+  | [ Some k0; Some k1; Some k2 ] ->
+    Some (fun () -> offset3 what cell ints.(k0) ints.(k1) ints.(k2))
+  | _ -> None
+
+let nop () = ()
+
+let rec compile_expr fr scope e =
+  match e with
+  | Int n -> I (fun () -> n)
+  | Flt v -> F (fun () -> v)
+  | Var v -> (
+    match Scope.find_opt v.Var.vid scope with
+    | Some (Si k) ->
+      let ints = fr.ints in
+      I (fun () -> ints.(k))
+    | Some (Sf k) ->
+      let floats = fr.floats in
+      F (fun () -> floats.(k))
+    | Some (Sv k) ->
+      let values = fr.values in
+      V (fun () -> values.(k))
+    | None ->
+      let name = v.Var.vname in
+      I (fun () -> fail "unbound variable %s" name))
+  | Binop (op, a, b) -> (
+    let a = compile_expr fr scope a and b = compile_expr fr scope b in
+    let ctrs = fr.ctx.ctrs and count = fr.ctx.count in
+    match (a, b) with
+    | I a, I b -> I (int_binop op a b)
+    | (I _ | F _), (I _ | F _) ->
+      let b = float_code b in
+      let b =
+        if count then fun () ->
+          let y = b () in
+          ctrs.flops <- ctrs.flops + 1;
+          y
+        else b
+      in
+      F (float_binop op (float_code a) b)
+    | a, b ->
+      let a = value_code a and b = value_code b in
+      V
+        (fun () ->
+          let va = a () in
+          match (va, b ()) with
+          | Vi x, Vi y -> Vi (int_op op x y)
+          | _, vb ->
+            if count then ctrs.flops <- ctrs.flops + 1;
+            Vf (float_op op (as_float va) (as_float vb))))
+  | Cmp (op, a, b) -> (
+    let a = compile_expr fr scope a and b = compile_expr fr scope b in
+    let bit r = if r then 1 else 0 in
+    match (a, b) with
+    | I a, I b -> I (fun () -> let x = a () in bit (int_cmp op x (b ())))
+    | (I _ | F _), (I _ | F _) ->
+      let a = float_code a and b = float_code b in
+      I (fun () -> let x = a () in bit (float_cmp op x (b ())))
+    | a, b ->
+      let a = value_code a and b = value_code b in
+      I
+        (fun () ->
+          let va = a () in
+          match (va, b ()) with
+          | Vi x, Vi y -> bit (int_cmp op x y)
+          | _, vb -> bit (float_cmp op (as_float va) (as_float vb))))
+  | And (a, b) ->
+    let a = int_code (compile_expr fr scope a) and b = int_code (compile_expr fr scope b) in
+    I (fun () -> if a () <> 0 && b () <> 0 then 1 else 0)
+  | Or (a, b) ->
+    let a = int_code (compile_expr fr scope a) and b = int_code (compile_expr fr scope b) in
+    I (fun () -> if a () <> 0 || b () <> 0 then 1 else 0)
+  | Not a ->
+    let a = int_code (compile_expr fr scope a) in
+    I (fun () -> if a () = 0 then 1 else 0)
+  | Select (c, a, b) -> (
+    let c = int_code (compile_expr fr scope c) in
+    match (compile_expr fr scope a, compile_expr fr scope b) with
+    | I a, I b -> I (fun () -> if c () <> 0 then a () else b ())
+    | F a, F b -> F (fun () -> if c () <> 0 then a () else b ())
+    | a, b ->
+      let a = value_code a and b = value_code b in
+      V (fun () -> if c () <> 0 then a () else b ()))
+  | Load (t, idx) ->
+    let cell = cell_of fr t in
+    let ctrs = fr.ctx.ctrs in
+    let addr =
+      match (fr.ctx.count, slot_address "load" cell fr.ints scope idx) with
+      | false, Some addr -> addr
+      | count, _ ->
+        let tick =
+          if count then
+            tick_space
+              (fun s ->
+                ctrs.loads <- ctrs.loads + 1;
+                ctrs.loads_by_space.(s) <- ctrs.loads_by_space.(s) + 1)
+              t.space
+          else nop
+        in
+        address "load" cell ~tick (List.map (fun i -> int_code (compile_expr fr scope i)) idx)
+    in
+    F
+      (fun () ->
+        if not cell.ready then resolve fr cell;
+        let off = addr () in
+        cell.data.(off))
+  | UfCall (u, args) -> (
+    match Hashtbl.find_opt fr.ctx.ufs u.Uf.uid with
+    | None ->
+      let name = u.Uf.uname in
+      I (fun () -> fail "unbound uninterpreted function %s" name)
+    | Some f -> (
+      match List.map (fun a -> int_code (compile_expr fr scope a)) args with
+      | [] -> I (fun () -> f [||])
+      | [ a0 ] -> I (fun () -> f [| a0 () |])
+      | [ a0; a1 ] ->
+        I
+          (fun () ->
+            let x = a0 () in
+            f [| x; a1 () |])
+      | args ->
+        let args = Array.of_list args in
+        I (fun () -> f (Array.map (fun a -> a ()) args))))
+  | Math (k, a) ->
+    let g = Nonlinear.apply k and a = float_code (compile_expr fr scope a) in
+    if fr.ctx.count then
+      let tick = tick_flops fr.ctx.ctrs (Nonlinear.flops k) in
+      F
+        (fun () ->
+          tick ();
+          g (a ()))
+    else F (fun () -> g (a ()))
+
+and cell_of fr (t : tensor) =
+  match Hashtbl.find_opt fr.cells t.tid with
+  | Some c -> c
+  | None ->
+    let c = { tensor = t; ready = false; data = [||]; shape = [||]; strides = [||] } in
+    Hashtbl.replace fr.cells t.tid c;
+    c
+
+and resolve fr cell =
+  let s = get_tensor fr.ctx cell.tensor in
+  cell.data <- s.Tensor.data;
+  cell.shape <- s.Tensor.shape;
+  cell.strides <- Shape.strides s.Tensor.shape;
+  cell.ready <- true
+
+and get_tensor ctx (t : tensor) =
   match Hashtbl.find_opt ctx.storage t.tid with
   | Some s -> s
   | None ->
-    let extents =
-      Array.of_list (List.map (fun e -> as_int (eval ctx [] e)) t.extents)
-    in
+    let extents = Array.of_list (List.map (fun e -> as_int (eval_expr ctx [] e)) t.extents) in
     let storage = Tensor.zeros extents in
     bind_tensor ctx t storage;
     storage
 
-let eval_expr = eval
-let get_tensor ctx t = get_tensor_ ctx t
+and eval_expr ctx env e =
+  let fr = new_frame ctx ~slots:(List.length env) in
+  match compile_expr fr (bind_env fr env) e with
+  | I f -> Vi (f ())
+  | F f -> Vf (f ())
+  | V f -> f ()
 
-let rec run_stmt ctx env s =
+(* The first binding of a vid in [env] wins, as with [List.assoc]. *)
+and bind_env fr env =
+  List.fold_right
+    (fun (vid, v) scope ->
+      let k = fresh_slot fr in
+      match v with
+      | Vi n ->
+        fr.ints.(k) <- n;
+        Scope.add vid (Si k) scope
+      | Vf x ->
+        fr.floats.(k) <- x;
+        Scope.add vid (Sf k) scope)
+    env Scope.empty
+
+let rec compile_stmt fr scope s =
   match s with
   | For { v; extent; body; _ } ->
-    let n = as_int (eval ctx env extent) in
-    for i = 0 to n - 1 do
-      run_stmt ctx ((v.Var.vid, Vi i) :: env) body
-    done
-  | Let (v, e, body) -> run_stmt ctx ((v.Var.vid, eval ctx env e) :: env) body
+    let n = int_code (compile_expr fr scope extent) in
+    let k = fresh_slot fr in
+    let body = compile_stmt fr (Scope.add v.Var.vid (Si k) scope) body in
+    let ints = fr.ints in
+    fun () ->
+      for i = 0 to n () - 1 do
+        ints.(k) <- i;
+        body ()
+      done
+  | Let (v, e, body) -> (
+    let k = fresh_slot fr in
+    let bind slot = compile_stmt fr (Scope.add v.Var.vid slot scope) body in
+    match compile_expr fr scope e with
+    | I f ->
+      let body = bind (Si k) and ints = fr.ints in
+      fun () ->
+        ints.(k) <- f ();
+        body ()
+    | F f ->
+      let body = bind (Sf k) and floats = fr.floats in
+      fun () ->
+        floats.(k) <- f ();
+        body ()
+    | V f ->
+      let body = bind (Sv k) and values = fr.values in
+      fun () ->
+        values.(k) <- f ();
+        body ())
   | Store (t, idx, value) ->
-    let storage = get_tensor_ ctx t in
-    let offsets = Array.of_list (List.map (fun i -> as_int (eval ctx env i)) idx) in
-    let v = as_float (eval ctx env value) in
-    if ctx.count then begin
-      ctx.ctrs.stores <- ctx.ctrs.stores + 1;
-      let si = space_index t.space in
-      ctx.ctrs.stores_by_space.(si) <- ctx.ctrs.stores_by_space.(si) + 1
-    end;
-    (try Tensor.set storage offsets v
-     with Invalid_argument msg -> fail "store %s: %s" t.tname msg)
-  | If (c, a, b) ->
-    if as_int (eval ctx env c) <> 0 then run_stmt ctx env a
-    else (match b with Some b -> run_stmt ctx env b | None -> ())
-  | Seq ss -> List.iter (run_stmt ctx env) ss
-  | Barrier | Nop -> ()
+    let cell = cell_of fr t in
+    let ctrs = fr.ctx.ctrs in
+    let addr =
+      if fr.ctx.count then None else slot_address "store" cell fr.ints scope idx
+    in
+    let idx =
+      match addr with
+      | Some _ -> []
+      | None -> List.map (fun i -> int_code (compile_expr fr scope i)) idx
+    in
+    let value = float_code (compile_expr fr scope value) in
+    (match addr with
+     | Some addr ->
+       (* Slot reads cannot fail or change, so reading them after the
+          value keeps the tree walker's order of effects. *)
+       fun () ->
+         if not cell.ready then resolve fr cell;
+         let v = value () in
+         cell.data.(addr ()) <- v
+     | None ->
+       (* The stored value is evaluated after the indices and before
+          the counters and bounds checks. *)
+       let v = ref 0.0 in
+       let tick =
+         if fr.ctx.count then
+           tick_space
+             (fun s ->
+               v := value ();
+               ctrs.stores <- ctrs.stores + 1;
+               ctrs.stores_by_space.(s) <- ctrs.stores_by_space.(s) + 1)
+             t.space
+         else fun () -> v := value ()
+       in
+       let addr = address "store" cell ~tick idx in
+       fun () ->
+         if not cell.ready then resolve fr cell;
+         let off = addr () in
+         cell.data.(off) <- !v)
+  | If (c, a, b) -> (
+    let c = int_code (compile_expr fr scope c) in
+    let a = compile_stmt fr scope a in
+    match b with
+    | None -> fun () -> if c () <> 0 then a ()
+    | Some b ->
+      let b = compile_stmt fr scope b in
+      fun () -> if c () <> 0 then a () else b ())
+  | Seq ss -> (
+    match Array.of_list (List.map (compile_stmt fr scope) ss) with
+    | [||] -> nop
+    | [| a |] -> a
+    | [| a; b |] ->
+      fun () ->
+        a ();
+        b ()
+    | fs -> fun () -> Array.iter (fun f -> f ()) fs)
+  | Barrier | Nop -> nop
 
-(* Consecutive per-batch kernels execute batch-major — for each batch,
-   every kernel of the run is launched — matching how an unfused
-   framework interleaves operator launches with the dependence-carrying
-   batch sequence. *)
+let run_stmt ctx env s =
+  let fr = new_frame ctx ~slots:(List.length env + binders s) in
+  compile_stmt fr (bind_env fr env) s ()
+
 let run_program ctx (p : program) =
-  let rec go = function
-    | [] -> ()
-    | { launch = Once; body; _ } :: rest ->
-      run_stmt ctx [] body;
-      go rest
-    | ({ launch = PerInternalBatch _; _ } :: _) as kernels ->
-      let is_per_batch k =
-        match k.launch with PerInternalBatch _ -> true | Once -> false
-      in
-      let rec take_prefix acc = function
-        | k :: tl when is_per_batch k -> take_prefix (k :: acc) tl
-        | tl -> (List.rev acc, tl)
-      in
-      let group, rest = take_prefix [] kernels in
-      for b = 0 to ctx.num_internal_batches - 1 do
-        List.iter
-          (fun k ->
-            match k.launch with
-            | PerInternalBatch bvar -> run_stmt ctx [ (bvar.Var.vid, Vi b) ] k.body
-            | Once -> assert false)
-          group
-      done;
-      go rest
+  let groups = launch_groups p in
+  let slots =
+    List.fold_left
+      (fun n -> function
+        | Single k -> n + binders k.body
+        | Batch_run run -> List.fold_left (fun n (_, k) -> n + 1 + binders k.body) n run)
+      0 groups
   in
-  go p.kernels
+  let fr = new_frame ctx ~slots in
+  let launch = function
+    | Single k -> compile_stmt fr Scope.empty k.body
+    | Batch_run run ->
+      let run =
+        List.map
+          (fun (b, k) ->
+            let slot = fresh_slot fr in
+            (slot, compile_stmt fr (Scope.singleton b.Var.vid (Si slot)) k.body))
+          run
+      in
+      let ints = fr.ints in
+      fun () ->
+        for b = 0 to ctx.num_internal_batches - 1 do
+          List.iter
+            (fun (slot, body) ->
+              ints.(slot) <- b;
+              body ())
+            run
+        done
+  in
+  List.iter (fun f -> f ()) (List.map launch groups)

@@ -128,6 +128,21 @@ type program = {
   kernels : kernel list;
 }
 
+type launch_group = Single of kernel | Batch_run of (Var.t * kernel) list
+
+(* A maximal run of consecutive per-batch kernels executes batch-major:
+   for each batch, every kernel of the run. *)
+let launch_groups (p : program) =
+  let rec go = function
+    | [] -> []
+    | ({ launch = Once; _ } as k) :: rest -> Single k :: go rest
+    | ({ launch = PerInternalBatch b; _ } as k) :: rest -> (
+      match go rest with
+      | Batch_run run :: groups -> Batch_run ((b, k) :: run) :: groups
+      | groups -> Batch_run [ (b, k) ] :: groups)
+  in
+  go p.kernels
+
 (* ---------- constructors ---------- *)
 
 let tensor_counter = ref 0

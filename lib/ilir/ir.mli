@@ -103,6 +103,18 @@ type program = {
   kernels : kernel list;
 }
 
+(** How a program's kernels are launched, in order. *)
+type launch_group =
+  | Single of kernel  (** a [Once] kernel *)
+  | Batch_run of (Var.t * kernel) list
+      (** a maximal run of consecutive [PerInternalBatch] kernels, each
+          with its batch variable; it executes batch-major — for each
+          batch in order, every kernel of the run — the launch
+          interleaving an unfused framework performs along the
+          dependence-carrying batch sequence *)
+
+val launch_groups : program -> launch_group list
+
 (** {2 Constructors} *)
 
 val tensor : ?space:space -> string -> Dim.t list -> expr list -> tensor

@@ -160,32 +160,19 @@ let live_ranges ~spaces (p : program) =
     | Seq ss -> List.iter walk_stmt ss
     | Barrier | Nop -> ()
   in
-  (* Mirror [Interp.run_program]: a maximal run of consecutive
-     per-batch kernels executes batch-major — for each batch, every
-     kernel of the run — so the whole run is one enclosing loop.
-     Tensors touched by different kernels of the same run are
-     simultaneously live across batch iterations; widening per kernel
-     instead of per run would let the packer alias them. *)
-  let is_per_batch (k : kernel) =
-    match k.launch with PerInternalBatch _ -> true | Once -> false
-  in
-  let rec go = function
-    | [] -> ()
-    | ({ launch = Once; body; _ } : kernel) :: rest ->
-      walk_stmt body;
-      go rest
-    | kernels ->
-      let rec take_prefix acc = function
-        | k :: tl when is_per_batch k -> take_prefix (k :: acc) tl
-        | tl -> (List.rev acc, tl)
-      in
-      let group, rest = take_prefix [] kernels in
-      let lo_evt = !clock in
-      List.iter (fun (k : kernel) -> walk_stmt k.body) group;
-      widen_since lo_evt;
-      go rest
-  in
-  go p.kernels;
+  (* A batch-major run of per-batch kernels is one enclosing loop
+     (see [Ir.launch_groups]).  Tensors touched by different kernels of
+     the same run are simultaneously live across batch iterations;
+     widening per kernel instead of per run would let the packer alias
+     them. *)
+  List.iter
+    (function
+      | Single (k : kernel) -> walk_stmt k.body
+      | Batch_run run ->
+        let lo_evt = !clock in
+        List.iter (fun (_, (k : kernel)) -> walk_stmt k.body) run;
+        widen_since lo_evt)
+    (launch_groups p);
   List.rev_map
     (fun tid ->
       let t, lo, hi = Hashtbl.find acc.table tid in

@@ -118,36 +118,21 @@ let rec run st env ~task s =
       run st ((v.Var.vid, Interp.Vi i) :: env) ~task:task' body
     done
 
-(* Mirrors [Interp.run_program]'s batch-major grouping of consecutive
-   per-batch kernels so the replay produces the same final state; every
-   kernel launch starts a fresh epoch (launches synchronize the
-   device). *)
+(* Replays kernels in [Interp.run_program]'s launch order so the replay
+   produces the same final state; every kernel launch starts a fresh
+   epoch (launches synchronize the device). *)
 let check_program ~ctx (p : program) =
   let st = { ctx; writes = Hashtbl.create 1024; epoch = 0; races = []; race_count = 0 } in
-  let launches = Interp.num_internal_batches ctx in
-  let is_per_batch k = match k.launch with PerInternalBatch _ -> true | Once -> false in
-  let rec go = function
-    | [] -> ()
-    | ({ launch = Once; body; _ } : kernel) :: rest ->
-      st.epoch <- st.epoch + 1;
-      run st [] ~task:"t" body;
-      go rest
-    | kernels ->
-      let rec take_prefix acc = function
-        | k :: tl when is_per_batch k -> take_prefix (k :: acc) tl
-        | tl -> (List.rev acc, tl)
-      in
-      let group, rest = take_prefix [] kernels in
-      for b = 0 to launches - 1 do
-        List.iter
-          (fun k ->
-            st.epoch <- st.epoch + 1;
-            match k.launch with
-            | PerInternalBatch bvar -> run st [ (bvar.Var.vid, Interp.Vi b) ] ~task:"t" k.body
-            | Once -> assert false)
-          group
-      done;
-      go rest
+  let launch env (k : kernel) =
+    st.epoch <- st.epoch + 1;
+    run st env ~task:"t" k.body
   in
-  go p.kernels;
+  List.iter
+    (function
+      | Single k -> launch [] k
+      | Batch_run run ->
+        for b = 0 to Interp.num_internal_batches ctx - 1 do
+          List.iter (fun (bvar, k) -> launch [ (bvar.Var.vid, Interp.Vi b) ] k) run
+        done)
+    (launch_groups p);
   List.rev st.races
