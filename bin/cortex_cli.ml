@@ -76,9 +76,17 @@ let list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc:"List the model zoo") Term.(const run $ const ())
 
+(* User errors (an unknown model, an option set the model cannot lower)
+   are reported as [cortex: <message>] with exit 1, not as an uncaught
+   exception. *)
+let die msg =
+  prerr_endline ("cortex: " ^ msg);
+  exit 1
+
 let get_spec ?hidden name size =
   match hidden with
-  | None -> Models.Catalog.get name size
+  | None -> (
+    try Models.Catalog.get name size with Invalid_argument _ -> die ("unknown model " ^ name))
   | Some h ->
     (match name with
      | "TreeFC" -> Models.Tree_fc.spec ~vocab:200 ~hidden:h ()
@@ -90,7 +98,11 @@ let get_spec ?hidden name size =
      | "DAG-RNN" -> Models.Dag_rnn.spec ~hidden:h ()
      | "LSTM" -> Models.Tree_lstm.spec ~vocab:200 ~sequence:true ~hidden:h ()
      | "GRU" -> Models.Tree_gru.spec ~vocab:200 ~sequence:true ~hidden:h ()
-     | other -> invalid_arg ("unknown model " ^ other))
+     | other -> die ("unknown model " ^ other))
+
+let compile ~options (spec : M.t) =
+  try Runtime.compile ~options:(Runtime.options_for ~base:options spec) spec.M.program
+  with Lower.Lowering_error msg -> die msg
 
 let hidden_arg =
   Arg.(value & opt (some int) None & info [ "hidden" ] ~doc:"Override the hidden size")
@@ -136,7 +148,7 @@ let size_name = function Models.Catalog.Small -> "small" | Models.Catalog.Large 
 let dump_ir_cmd =
   let run name size hidden options =
     let spec = get_spec ?hidden name size in
-    let compiled = Runtime.compile ~options:(Runtime.options_for ~base:options spec) spec.M.program in
+    let compiled = compile ~options spec in
     print_string (Ir.program_to_string compiled.Lower.prog)
   in
   Cmd.v
@@ -146,7 +158,7 @@ let dump_ir_cmd =
 let dump_c_cmd =
   let run name size hidden options =
     let spec = get_spec ?hidden name size in
-    let compiled = Runtime.compile ~options:(Runtime.options_for ~base:options spec) spec.M.program in
+    let compiled = compile ~options spec in
     print_string (Emit_c.program compiled.Lower.prog)
   in
   Cmd.v
@@ -157,7 +169,7 @@ let simulate_cmd =
   let run name size batch seed backend options =
     let spec = get_spec name size in
     let structure = spec.M.dataset (Rng.create seed) ~batch in
-    let compiled = Runtime.compile ~options:(Runtime.options_for ~base:options spec) spec.M.program in
+    let compiled = compile ~options spec in
     let r = Runtime.simulate compiled ~backend structure in
     let l = r.Runtime.latency in
     Printf.printf "%s on %s, batch %d (%d nodes): %.3f ms\n" name backend.Backend.short batch
@@ -175,27 +187,49 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Compile a model and cost it on a simulated backend")
     Term.(const run $ model_arg $ size_arg $ batch_arg $ seed_arg $ backend_arg $ options_flags)
 
+(* The benchmark's correctness tolerance; a NaN where recursion has a
+   number (or the reverse) never agrees. *)
+let agrees ~want got =
+  Tensor.approx_equal ~tol:1e-9 want got
+  && Array.for_all2 (fun w g -> Float.is_nan w = Float.is_nan g) want.Tensor.data got.Tensor.data
+
 let run_cmd =
   let run name size batch seed hidden options =
     let hidden = Option.value hidden ~default:8 in
     let spec = get_spec ~hidden name size in
     let structure = spec.M.dataset (Rng.create seed) ~batch in
     let params = spec.M.init_params (Rng.create (seed + 1)) in
-    let compiled = Runtime.compile ~options:(Runtime.options_for ~base:options spec) spec.M.program in
+    let compiled = compile ~options spec in
     let execution = Runtime.execute compiled ~params structure in
     let reference = Ra_eval.run spec.M.program ~params structure in
-    List.iteri
-      (fun i root ->
-        let out = List.hd spec.M.program.Ra.outputs in
-        let got = Runtime.state execution out root in
-        let want = Ra_eval.state reference out root in
-        Printf.printf "root %d: %s = %s (max |diff| vs recursion %g)\n" i out
-          (Tensor.to_string ~max_elems:6 got)
-          (Tensor.max_abs_diff got want))
-      structure.Structure.roots
+    let out = List.hd spec.M.program.Ra.outputs in
+    let differing =
+      List.filteri
+        (fun i root ->
+          let got = Runtime.state execution out root in
+          let want = Ra_eval.state reference out root in
+          Printf.printf "root %d: %s = %s (max |diff| vs recursion %g)\n" i out
+            (Tensor.to_string ~max_elems:6 got)
+            (Tensor.max_abs_diff got want);
+          not (agrees ~want got))
+        structure.Structure.roots
+    in
+    if differing <> [] then begin
+      Printf.eprintf "cortex: %d of %d roots differ from recursion beyond tolerance 1e-9\n"
+        (List.length differing)
+        (List.length structure.Structure.roots);
+      exit 6
+    end
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Execute a model numerically (small hidden sizes) and check it against recursion")
+    (Cmd.info "run"
+       ~doc:"Execute a model numerically (small hidden sizes) and check it against recursion"
+       ~exits:
+         (Cmd.Exit.info 1 ~doc:"on an unknown model or an option set the model cannot lower."
+         :: Cmd.Exit.info 6
+              ~doc:"when any root's result differs from direct recursion by more than the \
+                    1e-9 tolerance."
+         :: Cmd.Exit.defaults))
     Term.(const run $ model_arg $ size_arg $ batch_arg $ seed_arg $ hidden_arg $ options_flags)
 
 let linearize_cmd =
@@ -297,7 +331,9 @@ let build_cmd =
   let run name size batch seed hidden backend options out tune tune_budget config_file =
     let spec = get_spec ?hidden name size in
     let options = Runtime.options_for ~base:options spec in
-    let compiled = Runtime.compile ~options spec.M.program in
+    let compiled =
+      try Runtime.compile ~options spec.M.program with Lower.Lowering_error msg -> die msg
+    in
     let structure = spec.M.dataset (Rng.create seed) ~batch in
     let lin = Linearizer.run structure in
     let plans =
