@@ -167,11 +167,30 @@ let float_binop op a b =
   | Div -> fun () -> let x = a () in x /. b ()
   | _ -> fun () -> let x = a () in float_op op x (b ())
 
-let tick_flops ctrs n = fun () -> ctrs.flops <- ctrs.flops + n
+let nop () = ()
 
-let tick_space bump space =
-  let s = space_index space in
-  fun () -> bump s
+(* Counter updates, compiled in only under [~count:true]. *)
+let flop_counter ctx n =
+  if not ctx.count then nop
+  else
+    let c = ctx.ctrs in
+    fun () -> c.flops <- c.flops + n
+
+let load_counter ctx space =
+  if not ctx.count then nop
+  else
+    let c = ctx.ctrs and s = space_index space in
+    fun () ->
+      c.loads <- c.loads + 1;
+      c.loads_by_space.(s) <- c.loads_by_space.(s) + 1
+
+let store_counter ctx space =
+  if not ctx.count then nop
+  else
+    let c = ctx.ctrs and s = space_index space in
+    fun () ->
+      c.stores <- c.stores + 1;
+      c.stores_by_space.(s) <- c.stores_by_space.(s) + 1
 
 (* The per-dimension checks and messages of [Shape.flatten_index]. *)
 let bad_rank what cell got =
@@ -205,42 +224,42 @@ let offset_n what cell idx =
   Array.iteri (fun d i -> o := !o + dim what cell d i) idx;
   !o
 
-(* An access site's index evaluation followed by its bounds checks,
-   returning the flat offset.  [tick] runs between the two, where the
-   counters are bumped. *)
-let address what cell ~tick (idx : (unit -> int) list) : unit -> int =
+(* An access site's flat offset: its indices evaluated left to right,
+   then [between] (the counters, and a store's value), then the bounds
+   checks. *)
+let address what cell ~between (idx : (unit -> int) list) : unit -> int =
   match idx with
   | [] ->
     fun () ->
-      tick ();
+      between ();
       offset_n what cell [||]
   | [ i0 ] ->
     fun () ->
       let a = i0 () in
-      tick ();
+      between ();
       offset1 what cell a
   | [ i0; i1 ] ->
     fun () ->
       let a = i0 () in
       let b = i1 () in
-      tick ();
+      between ();
       offset2 what cell a b
   | [ i0; i1; i2 ] ->
     fun () ->
       let a = i0 () in
       let b = i1 () in
       let c = i2 () in
-      tick ();
+      between ();
       offset3 what cell a b c
   | idx ->
     let idx = Array.of_list idx in
     fun () ->
       let v = Array.map (fun i -> i ()) idx in
-      tick ();
+      between ();
       offset_n what cell v
 
-(* Without counters, an address whose indices are all int variables
-   reads their slots directly. *)
+(* Without counters, indices that are all int variables are read
+   straight from their slots. *)
 let slot_address what cell ints scope idx =
   let slot = function
     | Var v -> (match Scope.find_opt v.Var.vid scope with Some (Si k) -> Some k | _ -> None)
@@ -252,8 +271,6 @@ let slot_address what cell ints scope idx =
   | [ Some k0; Some k1; Some k2 ] ->
     Some (fun () -> offset3 what cell ints.(k0) ints.(k1) ints.(k2))
   | _ -> None
-
-let nop () = ()
 
 let rec compile_expr fr scope e =
   match e with
@@ -275,15 +292,16 @@ let rec compile_expr fr scope e =
       I (fun () -> fail "unbound variable %s" name))
   | Binop (op, a, b) -> (
     let a = compile_expr fr scope a and b = compile_expr fr scope b in
-    let ctrs = fr.ctx.ctrs and count = fr.ctx.count in
+    let flop = flop_counter fr.ctx 1 in
     match (a, b) with
     | I a, I b -> I (int_binop op a b)
     | (I _ | F _), (I _ | F _) ->
+      (* A float operation is counted once both operands are evaluated. *)
       let b = float_code b in
       let b =
-        if count then fun () ->
+        if fr.ctx.count then fun () ->
           let y = b () in
-          ctrs.flops <- ctrs.flops + 1;
+          flop ();
           y
         else b
       in
@@ -296,7 +314,7 @@ let rec compile_expr fr scope e =
           match (va, b ()) with
           | Vi x, Vi y -> Vi (int_op op x y)
           | _, vb ->
-            if count then ctrs.flops <- ctrs.flops + 1;
+            flop ();
             Vf (float_op op (as_float va) (as_float vb))))
   | Cmp (op, a, b) -> (
     let a = compile_expr fr scope a and b = compile_expr fr scope b in
@@ -333,21 +351,12 @@ let rec compile_expr fr scope e =
       V (fun () -> if c () <> 0 then a () else b ()))
   | Load (t, idx) ->
     let cell = cell_of fr t in
-    let ctrs = fr.ctx.ctrs in
     let addr =
-      match (fr.ctx.count, slot_address "load" cell fr.ints scope idx) with
-      | false, Some addr -> addr
-      | count, _ ->
-        let tick =
-          if count then
-            tick_space
-              (fun s ->
-                ctrs.loads <- ctrs.loads + 1;
-                ctrs.loads_by_space.(s) <- ctrs.loads_by_space.(s) + 1)
-              t.space
-          else nop
-        in
-        address "load" cell ~tick (List.map (fun i -> int_code (compile_expr fr scope i)) idx)
+      match if fr.ctx.count then None else slot_address "load" cell fr.ints scope idx with
+      | Some addr -> addr
+      | None ->
+        address "load" cell ~between:(load_counter fr.ctx t.space)
+          (List.map (fun i -> int_code (compile_expr fr scope i)) idx)
     in
     F
       (fun () ->
@@ -372,12 +381,13 @@ let rec compile_expr fr scope e =
         let args = Array.of_list args in
         I (fun () -> f (Array.map (fun a -> a ()) args))))
   | Math (k, a) ->
+    (* Counted before its operand is evaluated. *)
     let g = Nonlinear.apply k and a = float_code (compile_expr fr scope a) in
     if fr.ctx.count then
-      let tick = tick_flops fr.ctx.ctrs (Nonlinear.flops k) in
+      let flops = flop_counter fr.ctx (Nonlinear.flops k) in
       F
         (fun () ->
-          tick ();
+          flops ();
           g (a ()))
     else F (fun () -> g (a ()))
 
@@ -457,45 +467,29 @@ let rec compile_stmt fr scope s =
       fun () ->
         values.(k) <- f ();
         body ())
-  | Store (t, idx, value) ->
+  | Store (t, idx, value) -> (
     let cell = cell_of fr t in
-    let ctrs = fr.ctx.ctrs in
-    let addr =
-      if fr.ctx.count then None else slot_address "store" cell fr.ints scope idx
-    in
-    let idx =
-      match addr with
-      | Some _ -> []
-      | None -> List.map (fun i -> int_code (compile_expr fr scope i)) idx
-    in
     let value = float_code (compile_expr fr scope value) in
-    (match addr with
-     | Some addr ->
-       (* Slot reads cannot fail or change, so reading them after the
-          value keeps the tree walker's order of effects. *)
-       fun () ->
-         if not cell.ready then resolve fr cell;
-         let v = value () in
-         cell.data.(addr ()) <- v
-     | None ->
-       (* The stored value is evaluated after the indices and before
-          the counters and bounds checks. *)
-       let v = ref 0.0 in
-       let tick =
-         if fr.ctx.count then
-           tick_space
-             (fun s ->
-               v := value ();
-               ctrs.stores <- ctrs.stores + 1;
-               ctrs.stores_by_space.(s) <- ctrs.stores_by_space.(s) + 1)
-             t.space
-         else fun () -> v := value ()
-       in
-       let addr = address "store" cell ~tick idx in
-       fun () ->
-         if not cell.ready then resolve fr cell;
-         let off = addr () in
-         cell.data.(off) <- !v)
+    match if fr.ctx.count then None else slot_address "store" cell fr.ints scope idx with
+    | Some addr ->
+      (* Slot reads cannot fail, so reading them after the value keeps
+         every order of effects. *)
+      fun () ->
+        if not cell.ready then resolve fr cell;
+        let v = value () in
+        cell.data.(addr ()) <- v
+    | None ->
+      let v = [| 0.0 |] and count = store_counter fr.ctx t.space in
+      let addr =
+        address "store" cell ~between:(fun () ->
+            v.(0) <- value ();
+            count ())
+          (List.map (fun i -> int_code (compile_expr fr scope i)) idx)
+      in
+      fun () ->
+        if not cell.ready then resolve fr cell;
+        let off = addr () in
+        cell.data.(off) <- v.(0))
   | If (c, a, b) -> (
     let c = int_code (compile_expr fr scope c) in
     let a = compile_stmt fr scope a in
