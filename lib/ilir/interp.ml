@@ -229,10 +229,6 @@ let offset_n what cell idx =
    checks. *)
 let address what cell ~between (idx : (unit -> int) list) : unit -> int =
   match idx with
-  | [] ->
-    fun () ->
-      between ();
-      offset_n what cell [||]
   | [ i0 ] ->
     fun () ->
       let a = i0 () in
