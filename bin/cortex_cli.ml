@@ -330,10 +330,7 @@ let build_cmd =
   in
   let run name size batch seed hidden backend options out tune tune_budget config_file =
     let spec = get_spec ?hidden name size in
-    let options = Runtime.options_for ~base:options spec in
-    let compiled =
-      try Runtime.compile ~options spec.M.program with Lower.Lowering_error msg -> die msg
-    in
+    let compiled = compile ~options spec in
     let structure = spec.M.dataset (Rng.create seed) ~batch in
     let lin = Linearizer.run structure in
     let plans =

@@ -91,17 +91,22 @@ type frame = {
   cells : (int, cell) Hashtbl.t;
 }
 
+(* Every [For] and [Let] gets its own slot, so a frame is sized by
+   counting them before compiling. *)
 let binders s =
   fold_stmt ~expr:(fun n _ -> n) ~stmt:(fun n s -> match s with For _ | Let _ -> n + 1 | _ -> n) 0 s
 
+(* Most frames are [get_tensor]'s, for an unbound tensor's extents:
+   no slots and no tensor accesses, so they allocate next to nothing. *)
 let new_frame ctx ~slots =
+  let make init = if slots = 0 then [||] else Array.make slots init in
   {
     ctx;
-    ints = Array.make slots 0;
-    floats = Array.make slots 0.0;
-    values = Array.make slots (Vi 0);
+    ints = make 0;
+    floats = make 0.0;
+    values = make (Vi 0);
     next_slot = 0;
-    cells = Hashtbl.create 8;
+    cells = Hashtbl.create 1;
   }
 
 let fresh_slot fr =
@@ -406,20 +411,14 @@ and get_tensor ctx (t : tensor) =
   match Hashtbl.find_opt ctx.storage t.tid with
   | Some s -> s
   | None ->
-    let extents = Array.of_list (List.map (fun e -> as_int (eval_expr ctx [] e)) t.extents) in
-    let storage = Tensor.zeros extents in
+    let fr = new_frame ctx ~slots:0 in
+    let extent e = int_code (compile_expr fr Scope.empty e) () in
+    let storage = Tensor.zeros (Array.of_list (List.map extent t.extents)) in
     bind_tensor ctx t storage;
     storage
 
-and eval_expr ctx env e =
-  let fr = new_frame ctx ~slots:(List.length env) in
-  match compile_expr fr (bind_env fr env) e with
-  | I f -> Vi (f ())
-  | F f -> Vf (f ())
-  | V f -> f ()
-
 (* The first binding of a vid in [env] wins, as with [List.assoc]. *)
-and bind_env fr env =
+let bind_env fr env =
   List.fold_right
     (fun (vid, v) scope ->
       let k = fresh_slot fr in
@@ -431,6 +430,13 @@ and bind_env fr env =
         fr.floats.(k) <- x;
         Scope.add vid (Sf k) scope)
     env Scope.empty
+
+let eval_expr ctx env e =
+  let fr = new_frame ctx ~slots:(List.length env) in
+  match compile_expr fr (bind_env fr env) e with
+  | I f -> Vi (f ())
+  | F f -> Vf (f ())
+  | V f -> f ()
 
 let rec compile_stmt fr scope s =
   match s with
