@@ -1,9 +1,9 @@
 #!/bin/sh
 # Run a command twice and fail unless the two stdouts are byte-identical.
 #
-# Every seeded smoke in CI has the same shape: a chaos-mode serve (or
-# campaign) must be a pure function of its inputs, so running it twice
-# and diffing is the whole check.  This script is that shape, once.
+# Every seeded smoke in CI has the same shape: a serve (or campaign)
+# must be a pure function of its inputs, so running it twice and
+# diffing is the whole check.  This script is that shape, once.
 #
 # Usage: seeded_diff.sh [-p PREP] <command> [args...]
 #   -p PREP   shell fragment run before EACH of the two runs — e.g.

@@ -357,22 +357,21 @@ let fig10c () =
 (* ---------- §7.5: linearization overheads ---------- *)
 
 let table_linearize () =
-  let header = [ "Dataset"; "batch 1 (us)"; "batch 10 (us)"; "paper (1/10)" ] in
-  let time spec batch =
-    let s = dataset spec ~batch in
-    Stats.min_time_us ~repeats:10 (fun () -> Linearizer.run s)
+  let header =
+    [ "Dataset"; "measured 1/10 (us)"; "priced 1/10 (us)"; "paper 1/10 (us)" ]
   in
+  let pair a b = Printf.sprintf "%.2f/%.2f" a b in
   let rows =
     List.map
       (fun (label, spec, paper_key) ->
-        let t1 = time spec 1 and t10 = time spec 10 in
-        let p1, p10 = List.assoc paper_key Paper.linearization in
-        [
-          label;
-          Printf.sprintf "%.2f" t1;
-          Printf.sprintf "%.2f" t10;
-          Printf.sprintf "%.4g/%.4g" p1 p10;
-        ])
+        let measure batch =
+          let s = dataset spec ~batch in
+          ( Stats.min_time_us ~repeats:10 (fun () -> Linearizer.run s),
+            Linearizer.priced_us (Linearizer.run s) )
+        in
+        let m1, p1 = measure 1 and m10, p10 = measure 10 in
+        let paper1, paper10 = List.assoc paper_key Paper.linearization in
+        [ label; pair m1 m10; pair p1 p10; Printf.sprintf "%.4g/%.4g" paper1 paper10 ])
       [
         ( "TreeLSTM/TreeGRU/MV-RNN (SST)",
           Models.Catalog.get "TreeLSTM" Models.Catalog.Small,
@@ -381,9 +380,11 @@ let table_linearize () =
         ("TreeFC (perfect h7)", Models.Catalog.get "TreeFC" Models.Catalog.Small, "TreeFC");
       ]
   in
-  Table.print ~title:"§7.5 — Data structure linearization time (measured on this host)" ~header rows;
+  Table.print ~title:"§7.5 — Data structure linearization time, batch 1/10" ~header rows;
   print_endline
-    "Note: measured wall-clock of the real linearizer on this machine; the paper's numbers are for their Intel host.\n"
+    "Note: measured = best-of-10 host wall clock of the real linearizer on this machine;\n\
+     priced = Linearizer.priced_us, the deterministic charge in the paper tables' simulated\n\
+     latencies, calibrated per node to the paper's figures (from their Intel host).\n"
 
 (* ---------- Fig. 12: peak memory ---------- *)
 
@@ -612,9 +613,8 @@ let autotune () =
                 let s = dataset spec ~batch in
                 let base = Tuner.best spec ~backend s in
                 let tuned = Tuner.best2 spec ~backend s in
-                (* Simulated device latency only: the measured host
-                   linearization wall clock is identical work on both
-                   sides and its jitter would swamp small wins. *)
+                (* Simulated device latency only: the priced
+                   linearization is the same charge on both sides. *)
                 let default_ms =
                   base.Tuner.report.Runtime.latency.Backend.total_us /. 1000.0
                 in
@@ -876,7 +876,8 @@ let serving () =
     "Throughput scales near-linearly until the offered load is no longer the bottleneck;\nleast-loaded keeps the per-device utilization spread tightest.\n";
   (* Shape-cache sweep: a repeated-shape workload (perfect trees of a few
      heights) with the cache off vs on.  Hits skip the inspector, so the
-     linearize column collapses while latency/throughput stay honest. *)
+     host linearize column drops; the simulated latency/throughput
+     columns charge no inspector time and do not move. *)
   let ctrace =
     Trace.poisson (Rng.create (seed + 3)) ~rate_rps:4000.0 ~duration_ms:30.0
       ~gen:(fun rng ->
@@ -884,24 +885,24 @@ let serving () =
         Gen.perfect_tree rng ~height ~vocab:200 ())
   in
   let header =
-    [ "Cache"; "hits"; "misses"; "hit rate"; "mean lin us"; "req/s"; "p99 us" ]
+    [ "Cache"; "hits"; "misses"; "hit rate"; "mean lin us (host)"; "req/s"; "p99 us" ]
   in
   let rows =
     List.map
       (fun (label, cache_capacity) ->
         let policy = { Engine.max_batch = 1; max_wait_us = 0.0; bucketing = Engine.Fifo } in
+        let obs = Obs.create () in
         let engine =
-          Engine.of_spec ~config:(Engine.Config.make ~policy ~cache_capacity ()) spec ~backend:Backend.gpu
+          Engine.of_spec ~config:(Engine.Config.make ~policy ~cache_capacity ~obs ()) spec
+            ~backend:Backend.gpu
         in
         let s = Engine.run_trace engine ctrace in
         let a = s.Engine.aggregate in
         let c = s.Engine.cache in
         let mean_lin =
-          let lins =
-            List.map (fun (w : Engine.window_report) -> w.Engine.wr_report.Runtime.linearize_us)
-              s.Engine.windows
-          in
-          Stats.mean lins
+          (Obs.wall_us obs ~track:"inspector" ~name:"linearize"
+          +. Obs.wall_us obs ~track:"inspector" ~name:"rebind")
+          /. float_of_int (List.length s.Engine.windows)
         in
         [
           label;
@@ -919,15 +920,15 @@ let serving () =
       "Serving — shape-keyed linearization cache, repeated perfect-tree shapes (heights 3-5), max_batch 1"
     ~header rows;
   print_endline
-    "With a handful of hot shapes the cache converges to ~100% hits: a hit re-binds payloads\nin O(nodes) instead of re-running the inspector, collapsing the linearization column.\n"
+    "With a handful of hot shapes the cache converges to ~100% hits: a hit re-binds payloads\nin O(nodes) instead of re-running the inspector, cutting the host linearization column;\nthe simulated columns charge no inspector time, so they match.\n"
 
 (* ---------- extra: chaos sweep (fault-tolerant serving) ---------- *)
 
 (* Availability under injected faults: the same open-loop trace played
    against fleets of 1/2/4 devices with increasing transient-abort
-   rates, plus a fail-stop column sweep.  Every run installs a fault
-   spec (possibly empty), so the whole table is deterministic in the
-   seed — chaos mode charges no measured linearization wall clock. *)
+   rates, plus a fail-stop column sweep.  Faults are drawn from the
+   seed and no simulated number reads the host clock, so the whole
+   table is deterministic in the seed. *)
 let chaos () =
   let spec = Models.Catalog.get "TreeLSTM" Models.Catalog.Small in
   let trace ?deadline_us ?(rate_rps = 20000.0) () =
@@ -1147,12 +1148,13 @@ let observability () =
    served token-by-token through a pinned session (delta views +
    geometric [Linearizer.extend] materialization) versus a session-less
    server that re-linearizes the whole conversation on every token.
-   Both sides are the engine's own measured host inspector wall clock
-   (summed [rr_linearize_us]); the cold engine runs size-1 windows with
-   the shape cache disabled, since every growing prefix is a new shape
-   anyway.  Also checks the tentpole's exactness claim: the forest
-   grown by repeated [extend] is bitwise identical to a cold
-   [run_forest] of the final conversation.  Writes
+   Both sides are the engine's own host inspector wall clock, read off
+   its Obs ["inspector"] track: the session's per-token ["token"] spans
+   against the cold engine's ["linearize"] spans.  The cold engine runs
+   size-1 windows with the shape cache disabled, since every growing
+   prefix is a new shape anyway.  Also checks the tentpole's exactness
+   claim: the forest grown by repeated [extend] is bitwise identical to
+   a cold [run_forest] of the final conversation.  Writes
    BENCH_incremental.json. *)
 let incremental () =
   let spec = Models.Catalog.get "TreeLSTM" Models.Catalog.Small in
@@ -1183,11 +1185,6 @@ let incremental () =
     let first = Gen.growth_structure g in
     first :: List.init tokens (fun _ -> Gen.grow_one rng g)
   in
-  let inspector_total (s : Engine.summary) =
-    List.fold_left
-      (fun acc (r : Engine.request_report) -> acc +. r.Engine.rr_linearize_us)
-      0.0 s.Engine.requests
-  in
   let records = ref [] in
   let header =
     [ "Nodes"; "Tokens"; "session us/tok"; "cold us/tok"; "speedup";
@@ -1209,19 +1206,23 @@ let incremental () =
             structs;
           Engine.drain eng
         in
-        let eng_s = Engine.of_spec spec ~backend:Backend.gpu in
+        let obs_s = Obs.create () and obs_c = Obs.create () in
+        let eng_s =
+          Engine.of_spec ~config:(Engine.Config.make ~obs:obs_s ()) spec ~backend:Backend.gpu
+        in
         let ss = submit_all eng_s ~session:"bench" () in
-        let session_total = inspector_total ss in
+        let session_total = Obs.wall_us obs_s ~track:"inspector" ~name:"token" in
         let sn = List.hd ss.Engine.sessions in
         let eng_c =
           Engine.of_spec
             ~config:
               (Engine.Config.make
                  ~policy:{ Engine.max_batch = 1; max_wait_us = 0.0; bucketing = Engine.Fifo }
-                 ~cache_capacity:0 ())
+                 ~cache_capacity:0 ~obs:obs_c ())
             spec ~backend:Backend.gpu
         in
-        let cold_total = inspector_total (submit_all eng_c ()) in
+        ignore (submit_all eng_c ());
+        let cold_total = Obs.wall_us obs_c ~track:"inspector" ~name:"linearize" in
         (* Exactness: grow the forest by repeated extension and compare
            it bitwise with a cold linearization of the final structure. *)
         let grown =
@@ -1283,20 +1284,19 @@ let incremental () =
 (* ---------- Bounded session table: goodput vs budget ---------- *)
 
 (* Growing conversations under a shrinking session-table budget: every
-   row is one chaos-mode drain (empty fault spec installed, so device
-   times are priced and the artifact is byte-reproducible), reporting
-   goodput and per-token latency as evictions force spill/restore
-   churn.  The budget points are fractions of the unbounded run's
-   final accounted bytes, so the sweep tracks the model instead of
-   hard-coding sizes.  Writes BENCH_sessions.json — committed, and
-   re-generated/diffed by CI like the chaos and FMECA artifacts. *)
+   row is one drain (device times are priced, so the artifact is
+   byte-reproducible), reporting goodput and per-token latency as
+   evictions force spill/restore churn.  The budget points are
+   fractions of the unbounded run's final accounted bytes, so the sweep
+   tracks the model instead of hard-coding sizes.  Writes
+   BENCH_sessions.json — committed, and re-generated/diffed by CI like
+   the chaos and FMECA artifacts. *)
 let sessions_bench () =
   (* A deliberately small hidden size: numeric serving runs through the
      reference interpreter, and the sweep's subject is the session
      table (eviction counts, priced costs), not tensor throughput. *)
   let spec = Models.Tree_lstm.spec ~vocab:50 ~hidden:8 () in
   let params = spec.M.init_params (Rng.create (seed + 1)) in
-  let chaos = match Fault.parse "" with Ok f -> f | Error e -> failwith e in
   let num_sessions = 6 and tokens = 24 in
   (* One growth trace per session, generated once and replayed under
      every budget so the rows differ only in the table's policy.  The
@@ -1314,7 +1314,7 @@ let sessions_bench () =
     let engine =
       Engine.of_spec
         ~config:
-          (Engine.Config.make ~faults:chaos ~seed ~params ?session_budget_bytes
+          (Engine.Config.make ~seed ~params ?session_budget_bytes
              ?session_ttl_us ())
         spec ~backend:Backend.gpu
     in
@@ -1421,16 +1421,15 @@ let sessions_bench () =
 
 (* Concurrent conversations growing in lock step, served one window per
    token (pack off) versus merged into shared forest windows (pack on).
-   Chaos mode pins the device clock to the priced simulation, so every
-   number below is a pure function of (seed, spec, trace) and the
-   committed BENCH_packing.json re-generates byte-identically in CI.
+   The device clock is the priced simulation, so every number below is
+   a pure function of (seed, spec, trace) and the committed
+   BENCH_packing.json re-generates byte-identically in CI.
    The bench also replays both configurations numerically and asserts
    the packed results bitwise equal the size-1 path — the artifact can
    never show a speedup bought with drift. *)
 let packing () =
   let spec = Models.Tree_lstm.spec ~vocab:50 ~hidden:8 () in
   let params = spec.M.init_params (Rng.create (seed + 1)) in
-  let chaos = match Fault.parse "" with Ok f -> f | Error e -> failwith e in
   let tokens = 8 in
   let traces sessions =
     List.init sessions (fun i ->
@@ -1447,7 +1446,7 @@ let packing () =
     let engine =
       Engine.of_spec
         ~config:
-          (Engine.Config.make ~faults:chaos ~seed ~params
+          (Engine.Config.make ~seed ~params
              ~session_pack_window:(if pack then 64 else 1)
              ~session_pack_wait_us:(if pack then 500.0 else 0.0) ())
         spec ~backend:Backend.gpu

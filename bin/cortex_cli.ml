@@ -467,7 +467,7 @@ let serve_cmd =
     Arg.(value & opt (some (conv (parse, print))) None
          & info [ "faults" ]
              ~doc:"Fault spec, e.g. 'failstop@1:5000;transient@*:0.05,0,1e6;straggler@0:3,2000,8000'. \
-                   Installing one (even an empty string) makes the run deterministic in --seed")
+                   Faults are drawn from --seed, so the run stays deterministic")
   in
   let deadline_arg =
     Arg.(value & opt (some float) None

@@ -40,9 +40,9 @@ type result = { res_seed : int; res_rows : score list }
 (* ---------- the mode grid ---------- *)
 
 (* One grid entry: the mode's identity plus the engine knobs that
-   realize it.  Every entry runs in chaos mode (a fault spec is always
-   installed, [] for pure configuration pressure) on a 2-device fleet
-   over the same workload, so severity deltas are apples-to-apples. *)
+   realize it.  Every entry installs a fault spec ([] for pure
+   configuration pressure) on a 2-device fleet over the same workload,
+   so severity deltas are apples-to-apples. *)
 type setup = {
   su_mode : mode;
   su_faults : Fault.spec;

@@ -9,7 +9,7 @@
     spanning every component family of the stack (device fail-stops,
     transient kernel-abort rates, straggler magnitudes, queue-cap
     pressure, degrade watermarks, shape-cache pressure, session
-    re-pins), one seeded chaos-mode {!Cortex_serve.Engine} run per
+    re-pins), one seeded fault-injected {!Cortex_serve.Engine} run per
     mode, and a ranked criticality table scored by the textbook
     product:
 
@@ -28,11 +28,11 @@
       damage-time metrics snapshot when no span ever fired.
 
     [RPN = S * O * D], ranked descending with a deterministic
-    tie-break.  Every run is in chaos mode (a fault spec installed,
-    [Obs.Logical] clock), so the whole campaign is a pure function of
-    its seed: two same-seed runs render byte-identical tables — the
-    property CI diffs, and the reason a rank change is a reviewable
-    regression rather than noise. *)
+    tie-break.  No simulated number reads the host clock and every run
+    records on an [Obs.Logical] clock, so the whole campaign is a pure
+    function of its seed: two same-seed runs render byte-identical
+    tables — the property CI diffs, and the reason a rank change is a
+    reviewable regression rather than noise. *)
 
 module Engine = Cortex_serve.Engine
 module Scan = Cortex_obs.Scan
@@ -45,8 +45,7 @@ type mode = {
   fm_desc : string;  (** one-line human description *)
   fm_grammar : string;
       (** the {!Cortex_serve.Fault} grammar injected ([""] for pure
-          configuration-pressure modes, which still run in chaos mode
-          under an empty spec) *)
+          configuration-pressure modes, which run under an empty spec) *)
   fm_rate : float;  (** declared occurrence rate in [0, 1] *)
 }
 
@@ -82,7 +81,7 @@ val modes : ?families:string list -> unit -> mode list
     names simply match nothing).  Grid order, not rank order. *)
 
 val run : ?families:string list -> seed:int -> unit -> result
-(** Run the campaign: one chaos-mode engine drain per mode over a
+(** Run the campaign: one fault-injected engine drain per mode over a
     shared seeded workload (Poisson SST arrivals with deadlines;
     session modes add growing pinned conversations), plus one
     fault-free baseline per workload variant for the severity deltas.

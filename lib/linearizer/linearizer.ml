@@ -761,6 +761,17 @@ let memory_bytes t =
   layout_bytes ~num_nodes:t.num_nodes ~num_batches:(Array.length t.batches)
     ~max_children:t.max_children
 
+(* The minimax fit of the paper's six §7.5 cells (SST 1.31/9.64 us,
+   TreeFC 3.04/30.36, DAG-RNN 8.2/95.14 at batch 1/10) over our
+   datasets of 73/446, 127/1270 and 100/1000 nodes: each within 15%. *)
+let priced_us t =
+  let per_node =
+    match t.structure.Structure.kind with
+    | Structure.Tree | Structure.Sequence -> 0.0205
+    | Structure.Dag -> 0.0881
+  in
+  per_node *. float_of_int t.num_nodes
+
 (* ---------- packed delta merge (multi-session batching) ---------- *)
 
 type packed = {

@@ -194,6 +194,11 @@ val memory_bytes : t -> int
     Equal to [layout_bytes] over this linearization's node count, batch
     count and child-table width. *)
 
+val priced_us : t -> float
+(** The simulated host cost of producing this layout, in µs: [num_nodes]
+    times a per-node constant for its structure kind (trees and
+    sequences share one), calibrated to the paper's §7.5 figures. *)
+
 val layout_bytes : num_nodes:int -> num_batches:int -> max_children:int -> int
 (** The closed form behind {!memory_bytes}: the device bytes of the four
     resolved tables for a layout of [num_nodes] nodes in [num_batches]

@@ -117,6 +117,13 @@ let sim_bounds t =
 
 let snapshot obs = Option.map (fun t -> Metrics.snapshot t.m) obs
 
+let wall_us t ~track ~name =
+  List.fold_left
+    (fun acc sp ->
+      if sp.sp_track = track && sp.sp_name = name then acc +. (sp.sp_end -. sp.sp_start)
+      else acc)
+    0.0 t.spans
+
 (* ---------- export ---------- *)
 
 let wall_pid = 1

@@ -21,10 +21,10 @@
     same drain without it (pinned by the zero-interference property
     test).
 
-    {b Determinism.}  Simulated-clock spans are deterministic whenever
-    the drain is (chaos mode).  Wall-clock spans measure the real host
-    by default ({!Measured}); for byte-diffable traces, create the
-    handle with the {!Logical} clock — every clock read then returns
+    {b Determinism.}  Simulated-clock spans are deterministic: the
+    simulated clock never reads the host.  Wall-clock spans measure the
+    real host by default ({!Measured}); for byte-diffable traces, create
+    the handle with the {!Logical} clock — every clock read then returns
     the next tick of a monotone counter, so span {e ordering} survives
     but two identical runs serialize identically (what CI diffs).
 
@@ -102,6 +102,9 @@ val sim_bounds : t -> (float * float) option
 
 val snapshot : t option -> Metrics.snapshot option
 (** [Metrics.snapshot] of the registry, [None] on [None]. *)
+
+val wall_us : t -> track:string -> name:string -> float
+(** Summed duration of the wall spans named [name] on [track] (0 if none). *)
 
 (** {2 Export} *)
 

@@ -3,7 +3,6 @@ module Lower = Cortex_lower.Lower
 module Linearizer = Cortex_linearizer.Linearizer
 module Backend = Cortex_backend.Backend
 module Tensor = Cortex_tensor.Tensor
-module Stats = Cortex_util.Stats
 module M = Cortex_models.Models_common
 
 type compiled = Lower.compiled
@@ -89,10 +88,8 @@ let simulate_lin ?(lock_free = false) ?(linearize_us = 0.0) compiled ~backend li
   }
 
 let simulate ?lock_free compiled ~backend structure =
-  let linearize_us =
-    Stats.min_time_us ~repeats:5 (fun () -> Linearizer.run structure)
-  in
-  simulate_lin ?lock_free ~linearize_us compiled ~backend (Linearizer.run structure)
+  let lin = Linearizer.run structure in
+  simulate_lin ?lock_free ~linearize_us:(Linearizer.priced_us lin) compiled ~backend lin
 
 let total_ms r = (r.latency.Backend.total_us +. r.linearize_us) /. 1000.0
 

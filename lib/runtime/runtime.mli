@@ -66,7 +66,7 @@ val state :
 type report = {
   latency : Cortex_backend.Backend.latency;
   cost : Cost.t;
-  linearize_us : float;  (** measured wall clock of the real linearizer *)
+  linearize_us : float;  (** simulated host charge before the kernels *)
   device_memory_bytes : float;
       (** peak device footprint: parameters + global tensors + the
           linearizer's arrays *)
@@ -87,8 +87,8 @@ val simulate_lin :
 (** Statically cost the compiled kernels against an already-linearized
     input and price them on [backend] — the engine-reusable core of
     {!simulate}.  [linearize_us] (default 0) is recorded verbatim in the
-    report; the serving engine passes the wall clock it measured for the
-    whole forest. *)
+    report; the serving engine passes a session token's priced restore
+    and 0 otherwise. *)
 
 val simulate :
   ?lock_free:bool ->
@@ -96,17 +96,19 @@ val simulate :
   backend:Cortex_backend.Backend.t ->
   Cortex_ds.Structure.t ->
   report
-(** Linearize (timed), statically cost the compiled kernels against the
-    concrete structure and price them on [backend].  [lock_free]
+(** Linearize, statically cost the compiled kernels against the
+    concrete structure and price them on [backend], charging the
+    linearization its {!Cortex_linearizer.Linearizer.priced_us} — so the
+    report is a pure function of its inputs.  [lock_free]
     selects the faster global-barrier implementation (default false:
     the paper's Cortex uses the lock-based one, §7.2).  Thin wrapper
     around {!simulate_lin}; for streams of requests, use
     [Cortex.Engine]. *)
 
 val total_ms : report -> float
-(** Simulated end-to-end inference latency in milliseconds, including
-    the measured linearization time (§7.5: linearization runs on the
-    host before any tensor computation). *)
+(** Simulated end-to-end inference latency in milliseconds: device
+    time plus the report's [linearize_us] (§7.5: linearization runs on
+    the host before any tensor computation). *)
 
 val scale_report : report -> float -> report
 (** The report with its device-side latency scaled by a factor

@@ -8,7 +8,6 @@ module Schedule = Cortex_ilir.Schedule
 module Cost = Cortex_ilir.Cost
 module Roofline = Cortex_roofline.Roofline
 module Linearizer = Cortex_linearizer.Linearizer
-module Stats = Cortex_util.Stats
 
 type candidate = { options : Lower.options; label : string; report : Runtime.report }
 
@@ -330,7 +329,8 @@ let pc_full_label c =
 let tune2 ?(plan_budget = 16) (spec : M.t) ~backend structure =
   let hidden = hidden_of_ra spec.M.program in
   let states = List.length spec.M.program.Ra.states in
-  let lin, linearize_us = Stats.time_us (fun () -> Linearizer.run structure) in
+  let lin = Linearizer.run structure in
+  let linearize_us = Linearizer.priced_us lin in
   let eff =
     Float.max backend.Backend.roofline_efficiency backend.Backend.gemm_efficiency
   in

@@ -623,16 +623,8 @@ let of_bundle ?config ?expect_model (b : Bundle.t) ~backend =
 
 let compiled t = t.eng_compiled
 let backend t = t.eng_backend
-let policy t = t.eng_policy
-let dispatch_policy t = t.eng_dispatch
-let devices t = t.eng_devices
-let num_devices t = List.length t.eng_devices
 let cache_stats t = Shape_cache.stats t.eng_cache
 let pending t = t.queued
-let fault_spec t = t.eng_faults
-let seed t = t.eng_seed
-let obs t = t.eng_obs
-let autotune t = t.eng_plans <> None
 let plan_cache_stats t = Option.map Plan_cache.stats t.eng_plans
 let config t = t.eng_config
 
@@ -1439,9 +1431,8 @@ type session_member = { sm_sx : session; sm_nodes : Node.t array; sm_base : int 
 (* One request inside a window.  [m_id] maps its request-local node ids
    into the window's numbering: a cold forest span's [span_ids], a
    session's scratch ids, or those composed with [Linearizer.pack_id]
-   in a packed window.  [m_lin_us] is its [rr_linearize_us] charge —
-   the whole window's inspector run for a regular member, its own
-   token's (plus any restore) for a session member. *)
+   in a packed window.  [m_lin_us] is its [rr_linearize_us] charge: 0
+   for a regular member, its token's priced restore for a session one. *)
 type member = {
   m_p : pending;
   m_lin_us : float;
@@ -1453,7 +1444,7 @@ type member = {
 type token = {
   tk_p : pending;
   tk_sx : session;
-  tk_lin_us : float;  (* its inspector charge (0 in chaos mode) plus restore *)
+  tk_lin_us : float;  (* its priced restore, 0 unless it was spilled *)
   tk_serve : session_serve;
 }
 
@@ -1620,13 +1611,6 @@ let drain t =
            ~ts_us:p.p_arrival ())
        pendings);
   let disp = Dispatch.create ~policy:t.eng_dispatch t.eng_devices in
-  (* Chaos mode: with a fault spec installed (even an empty one), the
-     simulated clock charges a zero linearization cost instead of the
-     measured host wall clock, so every fault decision — and therefore
-     the whole summary — is a pure function of (seed, spec, trace).
-     The measured wall clock would leak nondeterminism into dispatch
-     times and flip marginal fault draws between identical runs. *)
-  let chaos = t.eng_faults <> None in
   let inj =
     Option.map
       (fun spec ->
@@ -1837,9 +1821,8 @@ let drain t =
     let n = Structure.num_nodes s in
     (* Re-admission: a spilled conversation coming back under its name
        restores its scratch numbering and persisted rows before the
-       token is served; the priced restore cost is charged into this
-       token's linearization charge (it is deterministic, so chaos mode
-       stays byte-reproducible). *)
+       token is served; the priced restore cost is this token's whole
+       linearization charge. *)
     let restore_us =
       if
         sx.sx_structure = None
@@ -1864,11 +1847,14 @@ let drain t =
     in
     (* All inspector work for the token — delta validation, scratch
        append, view construction, geometric materialization, or the
-       cold fallback through the cache — under one timer: that is the
-       per-token cost BENCH_incremental compares against a cold
-       re-linearization. *)
-    let serve, lin_wall =
-      Stats.time_us (fun () ->
+       cold fallback through the cache — in one wall-clock span: that is
+       the per-token cost BENCH_incremental compares against a cold
+       re-linearization.  It is host time, so the simulated clock never
+       reads it. *)
+    let serve =
+      Obs.wall_span obs ~track:"inspector" "token"
+        ~args:[ ("session", CT.Str name); ("nodes", CT.Int n) ]
+        (fun () ->
           let compat = Lower.delta_compatible t.eng_compiled.Lower.options in
           let dv = if compat then session_delta_view sx s else None in
           match dv with
@@ -1915,12 +1901,7 @@ let drain t =
             S_cold (fl, hit))
     in
     sx.sx_windows <- sx.sx_windows + 1;
-    {
-      tk_p = p;
-      tk_sx = sx;
-      tk_lin_us = (if chaos then 0.0 else lin_wall) +. restore_us;
-      tk_serve = serve;
-    }
+    { tk_p = p; tk_sx = sx; tk_lin_us = restore_us; tk_serve = serve }
   in
   (* Bounded-table bookkeeping for a token just served: learn the
      model's per-node state-row bytes from the rows actually stored
@@ -1956,9 +1937,11 @@ let drain t =
      deliberately tiny, a token's delta, not the size classes the tuner
      buckets, and the pinned device would make the tuned artifact churn
      on every failover.  Plans preserve semantics bitwise, so retries and
-     failovers across differently-tuned devices cannot change results. *)
-  let play_window ~ready ~lin ~nodes ~hit ~lin_us members =
+     failovers across differently-tuned devices cannot change results.
+     The window's host charge is its members' charges summed. *)
+  let play_window ~ready ~lin ~nodes ~hit members =
     let size = List.length members in
+    let lin_us = List.fold_left (fun acc m -> acc +. m.m_lin_us) 0.0 members in
     let sxs =
       List.filter_map (fun m -> Option.map (fun sm -> sm.sm_sx) m.m_session) members
     in
@@ -2156,7 +2139,6 @@ let drain t =
     in
     let play_delta (tk, d) =
       play_window ~ready ~lin:d.d_view ~nodes:(Array.length d.d_news) ~hit:false
-        ~lin_us:tk.tk_lin_us
         [ member tk ~ids:(fun sx id -> sx.sc_sid.(id)) d.d_news d.d_base ]
     in
     let colds, deltas =
@@ -2171,7 +2153,6 @@ let drain t =
       (fun (tk, fl, hit) ->
         let ids _ id = fl.Linearizer.spans.(0).Linearizer.span_ids.(id) in
         play_window ~ready ~lin:fl.Linearizer.lin ~nodes:tk.tk_p.p_nodes ~hit
-          ~lin_us:tk.tk_lin_us
           [ member tk ~ids tk.tk_p.p_structure.Structure.nodes 0 ])
       colds;
     match deltas with
@@ -2188,8 +2169,6 @@ let drain t =
         play_window ~ready ~lin:view
           ~nodes:(view.Linearizer.num_nodes - pk.Linearizer.pk_base)
           ~hit:false
-          ~lin_us:
-            (List.fold_left (fun acc (tk, _) -> acc +. tk.tk_lin_us) 0.0 deltas)
           (List.mapi
              (fun i (tk, d) ->
                member tk
@@ -2208,24 +2187,21 @@ let drain t =
       match item with
       | I_regular members ->
         let structures = List.map (fun p -> p.p_structure) members in
-        (* Linearize exactly once and reuse the result, timing that one
-           run: a cache hit is a payload re-bind, a miss the full
-           inspector pass — either way the wall clock measured is the
-           wall clock charged (chaos mode charges zero; see above). *)
-        let (fl, hit), lin_wall =
-          Stats.time_us (fun () ->
-              Shape_cache.find_or_linearize ?obs t.eng_cache
-                ~max_children:t.model.Ra.max_children structures)
+        (* Linearize exactly once and reuse the result: a cache hit is a
+           payload re-bind, a miss the full inspector pass.  Neither is
+           charged to the simulated clock. *)
+        let fl, hit =
+          Shape_cache.find_or_linearize ?obs t.eng_cache
+            ~max_children:t.model.Ra.max_children structures
         in
-        let lin_us = if chaos then 0.0 else lin_wall in
         play_window ~ready ~lin:fl.Linearizer.lin
-          ~nodes:fl.Linearizer.lin.Linearizer.num_nodes ~hit ~lin_us
+          ~nodes:fl.Linearizer.lin.Linearizer.num_nodes ~hit
           (List.mapi
              (fun k p ->
                let span = fl.Linearizer.spans.(k) in
                {
                  m_p = p;
-                 m_lin_us = lin_us;
+                 m_lin_us = 0.0;
                  m_id = (fun id -> span.Linearizer.span_ids.(id));
                  m_session = None;
                })
@@ -2266,7 +2242,7 @@ let drain t =
   let slo =
     {
       slo_seed = t.eng_seed;
-      slo_chaos = chaos;
+      slo_chaos = t.eng_faults <> None;
       slo_degraded = degraded;
       slo_completed = aggregate.num_requests;
       slo_lost = !lost;
@@ -2406,14 +2382,9 @@ let run_trace t trace =
 
 let run_one t structure =
   validate_exn t structure;
-  let mc = t.model.Ra.max_children in
-  (* One timed run, reused — not a timing loop whose results are thrown
-     away followed by an untimed live run. *)
-  let lin, linearize_us =
-    Stats.time_us (fun () -> Linearizer.run ~max_children:mc structure)
-  in
-  Runtime.simulate_lin ~lock_free:t.lock_free ~linearize_us t.eng_compiled
-    ~backend:t.eng_backend lin
+  let lin = Linearizer.run ~max_children:t.model.Ra.max_children structure in
+  Runtime.simulate_lin ~lock_free:t.lock_free ~linearize_us:(Linearizer.priced_us lin)
+    t.eng_compiled ~backend:t.eng_backend lin
 
 (* ---------- numeric execution ---------- *)
 

@@ -21,8 +21,8 @@
     - {b serving simulation}: {!submit} requests with arrival times (or
       {!run_trace} a whole {!Trace.t}), then {!drain}; windows form
       according to the {!policy}, each window's forest is linearized for
-      real (measured wall clock, through a shape-keyed cache — repeated
-      shapes skip the inspector and are payload-rebound instead), a
+      real (through a shape-keyed cache — repeated shapes skip the
+      inspector and are payload-rebound instead), a
       {!Dispatch.policy} spreads the windows across the engine's
       simulated devices (possibly heterogeneous), and you get
       per-request reports plus throughput/p50/p99 aggregates,
@@ -45,11 +45,11 @@
     the summary: on-time counts, deadline misses and goodput (on-time
     completions per second) next to raw throughput.
 
-    Installing a fault spec — even an empty one — puts the drain in
-    {e chaos mode}: the simulated clock charges zero linearization cost
-    instead of the measured host wall clock, making the whole summary a
-    pure function of (seed, spec, trace) so runs can be diffed
-    byte-for-byte in CI. *)
+    No simulated number reads the host clock: a drain charges no
+    inspector time (only a spilled session's priced restore), so every
+    summary is a pure function of (config, seed, trace) and runs can be
+    diffed byte-for-byte in CI.  The inspector's host time goes to
+    [obs] wall spans on the ["inspector"] track. *)
 
 module Linearizer = Cortex_linearizer.Linearizer
 module Runtime = Cortex_runtime.Runtime
@@ -139,8 +139,8 @@ module Config : sig
         (** a drain finding more than this many queued requests halves
             [max_batch] and forces [By_size] for that drain *)
     faults : Fault.spec option;
-        (** install a fault model — switches drains into deterministic
-            chaos mode (see the module docs) *)
+        (** install a fault model; drains inject its faults from
+            [seed] *)
     seed : int;  (** fault-injector rng seed *)
     retry : Fault.retry;  (** transient retry budget and backoff *)
   }
@@ -281,10 +281,6 @@ val of_bundle :
 
 val compiled : t -> Cortex_lower.Lower.compiled
 val backend : t -> Cortex_backend.Backend.t
-val policy : t -> policy
-val dispatch_policy : t -> Dispatch.policy
-val devices : t -> Cortex_backend.Backend.t list
-val num_devices : t -> int
 val cache_stats : t -> Shape_cache.stats
 (** Cumulative shape-cache counters (both the drain and the numeric
     {!execute} path go through the cache). *)
@@ -292,13 +288,6 @@ val cache_stats : t -> Shape_cache.stats
 val pending : t -> int
 (** Requests queued and not yet drained. *)
 
-val fault_spec : t -> Fault.spec option
-val seed : t -> int
-
-val obs : t -> Cortex_obs.Obs.t option
-(** The observability handle installed at {!create}, if any. *)
-
-val autotune : t -> bool
 val plan_cache_stats : t -> Plan_cache.stats option
 (** Cumulative plan-cache counters when [autotune] is on. *)
 
@@ -353,9 +342,10 @@ type request_report = {
   rr_deadline_us : float;  (** absolute; [infinity] when none was set *)
   rr_queue_us : float;  (** arrival -> window dispatch *)
   rr_linearize_us : float;
-      (** measured inspector wall clock (0 in chaos mode): the window's
-          linearization for a regular request, its own token's for a
-          session token, plus the priced restore of a spilled session *)
+      (** simulated host charge before dispatch: the priced restore of a
+          spilled session's token, 0 otherwise (the inspector's host
+          time is on the [obs] ["inspector"] track, not the simulated
+          clock) *)
   rr_device_us : float;  (** simulated device latency of the window *)
   rr_total_us : float;  (** arrival -> completion *)
   rr_on_time : bool;  (** completed at or before its deadline *)
@@ -413,7 +403,7 @@ type aggregate = {
 (** SLO accounting for one drain. *)
 type slo = {
   slo_seed : int;  (** the engine's fault-injection seed, for the report *)
-  slo_chaos : bool;  (** a fault spec was installed (deterministic mode) *)
+  slo_chaos : bool;  (** a fault spec was installed, even an empty one *)
   slo_degraded : bool;  (** the drain ran with the degraded policy *)
   slo_completed : int;
   slo_lost : int;
@@ -599,8 +589,9 @@ val evict_session : t -> string -> bool
     hook.  [false] when the name is not live. *)
 
 val run_one : t -> Cortex_ds.Structure.t -> Runtime.report
-(** Single-request convenience: validate, linearize (timed) and price
-    one structure on the engine's backend — what
+(** Single-request convenience: validate, linearize and price one
+    structure on the engine's backend, charging the linearization its
+    {!Cortex_linearizer.Linearizer.priced_us} — what
     [Runtime.compile] + [Runtime.simulate] used to spell per call
     site, minus the recompilation. *)
 

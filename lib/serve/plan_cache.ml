@@ -19,8 +19,7 @@ module Obs = Cortex_obs.Obs
    artifact.  The tuning wall clock is host time spent once per class at
    first contact — the moral equivalent of a JIT warmup — and is
    recorded in the stats and through Obs, never charged to the
-   simulated device clock (which must stay a pure function of the trace
-   for the chaos tests' determinism). *)
+   simulated device clock (which never reads the host clock). *)
 
 type entry = {
   pe_backend : string;  (* Backend.short *)

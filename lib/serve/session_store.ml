@@ -112,8 +112,8 @@ let session_bytes t name =
 (* Deterministic cost models, in the spirit of the backend latency
    tables: a fixed submission overhead plus a bytes-over-bandwidth
    term (~2 GB/s out, ~4 GB/s back — restores read sequentially from
-   a warm page cache).  Priced, never measured, so chaos-mode drains
-   that evict stay byte-reproducible. *)
+   a warm page cache).  Priced, never measured, so drains that evict
+   stay byte-reproducible. *)
 let spill_cost_us ~bytes = 20.0 +. (float_of_int bytes /. 2048.0)
 let restore_cost_us ~bytes = 15.0 +. (float_of_int bytes /. 4096.0)
 

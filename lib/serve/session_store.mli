@@ -21,7 +21,7 @@
     Spill and restore costs are {e priced}, not measured: a
     deterministic function of the byte count (fixed overhead plus a
     bytes-over-bandwidth term, like the backend latency models), so
-    chaos-mode drains that evict stay byte-reproducible. *)
+    drains that evict stay byte-reproducible. *)
 
 type policy =
   | Lru  (** Budget evicts the least-recently-used session first. *)

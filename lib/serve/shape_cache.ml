@@ -19,10 +19,9 @@ let create ?(capacity = 1024) () =
 let find_or_linearize ?obs t ~max_children structures =
   (* The inspector track: a hit's payload re-bind and a miss's full
      linearizer pass both appear as wall-clock spans, with the request
-     count and node total as args.  Recording only reads values — the
-     measured charge the engine bills stays its own [Stats.time_us]
-     measurement, so the observed and unobserved drains price
-     identically (chaos mode charges zero either way). *)
+     count as an arg.  The spans are host time only: the engine charges
+     the simulated clock nothing for them, so observed and unobserved
+     drains price identically. *)
   let span name f =
     Obs.wall_span obs ~track:"inspector"
       ~args:[ ("requests", Chrome_trace.Int (List.length structures)) ]

@@ -368,8 +368,8 @@ let test_deadline_boundary () =
     tight.Engine.slo.Engine.slo_goodput_rps
 
 let test_deadline_shorter_than_linearization () =
-  (* Outside chaos mode the measured linearization wall clock is > 0, so
-     an impossible deadline (arrival + epsilon) must always miss. *)
+  (* Device time is > 0, so an impossible deadline (arrival + epsilon)
+     must always miss. *)
   let engine = Engine.of_spec small_spec ~backend:gpu in
   ignore
     (Engine.submit_exn engine ~arrival_us:100.0 ~deadline_us:100.001

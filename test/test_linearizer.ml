@@ -7,6 +7,7 @@
 
 module Rng = Cortex_util.Rng
 module Structure = Cortex_ds.Structure
+module Node = Cortex_ds.Node
 module Gen = Cortex_ds.Gen
 module Linearizer = Cortex_linearizer.Linearizer
 module Unrolling = Cortex_linearizer.Unrolling
@@ -23,6 +24,31 @@ let random_dag rng = Gen.random_dag rng ~max_nodes:40 ~max_children:3
 let random_seq rng = Gen.sequence rng ~len:(1 + Rng.int rng 40) ()
 let random_forest rng =
   Structure.merge (List.init (1 + Rng.int rng 5) (fun _ -> random_tree rng))
+
+(* The inspector's priced charge is linear in the layout: one per-node
+   constant per structure kind, shared by trees and sequences, so a
+   layout of n nodes costs exactly n one-node layouts of its kind. *)
+let prop_priced_proportional =
+  let one_node kind =
+    let b = Node.builder () in
+    Linearizer.priced_us
+      (Linearizer.run (Structure.create ~kind ~max_children:1 [ Node.make b [] ]))
+  in
+  QCheck.Test.make ~name:"priced_us proportional to nodes" ~count:100 QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create seed in
+      one_node Structure.Tree = one_node Structure.Sequence
+      && List.for_all
+           (fun (kind, s) ->
+             let lin = Linearizer.run s in
+             Linearizer.priced_us lin
+             = one_node kind *. float_of_int lin.Linearizer.num_nodes)
+           [
+             (Structure.Tree, random_tree rng);
+             (Structure.Tree, random_forest rng);
+             (Structure.Sequence, random_seq rng);
+             (Structure.Dag, random_dag rng);
+           ])
 
 let test_batches_are_levels () =
   let rng = Rng.create 9 in
@@ -469,6 +495,7 @@ let () =
           Alcotest.test_case "leaf-check" `Quick test_leaf_check_is_single_comparison;
           Alcotest.test_case "grid-batches" `Quick test_grid_dag_batches;
           Alcotest.test_case "memory" `Quick test_memory_accounting;
+          QCheck_alcotest.to_alcotest prop_priced_proportional;
           Alcotest.test_case "checker-rejects-corruption" `Quick test_check_catches_corruption;
         ] );
       ( "shape-cache",

@@ -374,19 +374,7 @@ let test_specialization_dag_vs_tree () =
   (* §7.3: specialization helps TreeLSTM a lot and DAG-RNN not at all. *)
   let gain name =
     let spec = Models.Catalog.get name Models.Catalog.Small in
-    let structure = spec.M.dataset (Rng.create 21) ~batch:10 in
-    (* Specialization leaves the linearizer untouched, so both sides share
-       one host measurement of it: two separate measurements let host
-       noise alone move the ratio. *)
-    let linearize_us =
-      Stats.min_time_us ~repeats:5 (fun () -> Linearizer.run structure)
-    in
-    let total base =
-      let compiled =
-        Runtime.compile ~options:(Runtime.options_for ~base spec) spec.M.program
-      in
-      ms (Runtime.simulate_lin ~linearize_us compiled ~backend:gpu (Linearizer.run structure))
-    in
+    let total base = ms (sim ~base spec ~batch:10) in
     total { Lower.default with Lower.specialize = false } /. total Lower.default
   in
   let tree = gain "TreeLSTM" and dag = gain "DAG-RNN" in
@@ -477,6 +465,39 @@ let test_linearization_overhead_share () =
   let r = sim spec ~batch:10 in
   let share = r.Runtime.linearize_us /. (r.Runtime.latency.Backend.total_us +. r.Runtime.linearize_us) in
   Alcotest.(check bool) (Printf.sprintf "share %.1f%% < 35%%" (share *. 100.)) true (share < 0.35)
+
+(* §7.5's six cells (us, batch 1 / batch 10): the priced inspector
+   charge lands within 25% of each on the datasets the §7.5 table uses
+   (the bench harness's seed 2021, offset by the batch size). *)
+let test_linearization_calibrated () =
+  List.iter
+    (fun (name, (paper1, paper10)) ->
+      let spec = Models.Catalog.get name Models.Catalog.Small in
+      List.iter
+        (fun (batch, paper) ->
+          let s = spec.M.dataset (Rng.create (2021 + batch)) ~batch in
+          let priced = Linearizer.priced_us (Linearizer.run s) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s batch %d: priced %.2f us vs paper %.2f" name batch priced
+               paper)
+            true
+            (Float.abs (priced -. paper) <= 0.25 *. paper))
+        [ (1, paper1); (10, paper10) ])
+    [ ("TreeLSTM", (1.31, 9.64)); ("DAG-RNN", (8.2, 95.14)); ("TreeFC", (3.04, 30.36)) ]
+
+(* §7.5: the inspector touches structure, never tensors, so its charge
+   does not depend on the hidden size. *)
+let test_linearization_hidden_independent () =
+  let s =
+    (Models.Catalog.get "TreeLSTM" Models.Catalog.Small).M.dataset (Rng.create 21) ~batch:10
+  in
+  let charge size =
+    let spec = Models.Catalog.get "TreeLSTM" size in
+    let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+    (Runtime.simulate compiled ~backend:gpu s).Runtime.linearize_us
+  in
+  Alcotest.(check (float 0.0)) "h_s and h_l charge alike"
+    (charge Models.Catalog.Small) (charge Models.Catalog.Large)
 
 (* ---------- snapshot: bit-exact execution across the zoo ---------- *)
 
@@ -654,6 +675,9 @@ let () =
           Alcotest.test_case "barrier-modes" `Quick test_barrier_modes;
           Alcotest.test_case "grnn" `Quick test_grnn_comparison;
           Alcotest.test_case "linearization-share" `Quick test_linearization_overhead_share;
+          Alcotest.test_case "linearization-calibrated" `Quick test_linearization_calibrated;
+          Alcotest.test_case "linearization-hidden-independent" `Quick
+            test_linearization_hidden_independent;
         ] );
       ("snapshot", [ Alcotest.test_case "zoo-digest" `Quick test_zoo_digest ]);
     ]

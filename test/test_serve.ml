@@ -284,11 +284,13 @@ let test_run_one_matches_runtime () =
   let via_engine = Engine.run_one engine structure in
   let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
   let via_runtime = Runtime.simulate compiled ~backend:gpu structure in
-  (* The device-side pricing is deterministic; only the measured host
-     linearization wall clock may differ. *)
+  (* Both price the same linearization the same way, inspector charge
+     included, so the end-to-end figure agrees exactly too. *)
   Alcotest.(check (float 1e-9)) "same device latency"
     via_runtime.Runtime.latency.Backend.total_us
     via_engine.Runtime.latency.Backend.total_us;
+  Alcotest.(check (float 0.0)) "same total_ms" (Runtime.total_ms via_runtime)
+    (Runtime.total_ms via_engine);
   Alcotest.(check int) "same nodes" via_runtime.Runtime.num_nodes
     via_engine.Runtime.num_nodes
 
@@ -633,15 +635,11 @@ let test_device_scaling () =
   in
   let throughput n =
     let policy = { Engine.max_batch = 8; max_wait_us = 100.0; bucketing = Engine.Fifo } in
-    (* Chaos mode (an empty fault spec): measured linearizer wall clock
-       would otherwise enter the simulated clock, and on a busy host it
-       can cap the 4-device run below the bound. *)
     let engine =
       Engine.of_spec
         ~config:
           (Engine.Config.make ~policy ~dispatch:Dispatch.Least_loaded
-             ~devices:(List.init n (fun _ -> Backend.gpu))
-             ~faults:[] ())
+             ~devices:(List.init n (fun _ -> Backend.gpu)) ())
         spec ~backend:gpu
     in
     (Engine.run_trace engine trace).Engine.aggregate.Engine.throughput_rps

@@ -1173,6 +1173,55 @@ let test_characterization () =
       (1, "69bead32fcc21ad09587668136259393");
     ]
 
+(* ---------- one simulated clock ---------- *)
+
+(* No fault spec and an empty one drive the very same drain: nothing on
+   the simulated clock reads the host, with or without faults.  Over
+   random seeds, packing on or off and a byte budget that forces
+   evict/restore churn, the two summaries agree bit for bit apart from
+   the flag that records an installed spec. *)
+let prop_no_spec_equals_empty_spec =
+  QCheck.Test.make ~name:"no fault spec == empty spec bitwise" ~count:10
+    QCheck.(triple (int_range 0 999) bool bool)
+    (fun (seed, pack, budget) ->
+      let spec = Models.Tree_lstm.spec ~vocab:20 ~hidden:4 () in
+      let params = spec.M.init_params (Rng.create 5) in
+      let drain ?faults () =
+        let eng =
+          Engine.of_spec
+            ~config:
+              (Engine.Config.make ~devices:[ gpu; gpu ] ?faults ~seed
+                 ~dispatch:Dispatch.Least_loaded ~params
+                 ?session_budget_bytes:(if budget then Some 2000 else None)
+                 ~session_pack_window:(if pack then 8 else 1)
+                 ~session_pack_wait_us:100.0 ())
+            spec ~backend:gpu
+        in
+        let rng = Rng.create (seed + 1) in
+        List.iteri
+          (fun i c ->
+            List.iteri
+              (fun j s ->
+                let at = (1000.0 *. float_of_int j) +. (3.0 *. float_of_int i) in
+                ignore
+                  (Engine.submit_exn eng ~arrival_us:at
+                     ~session:(Printf.sprintf "chat-%d" i) s);
+                ignore
+                  (Engine.submit_exn eng ~arrival_us:(at +. 200.0)
+                     (Gen.sst_tree rng ~vocab:20 ())))
+              c)
+          (List.init 3 (fun i ->
+               conversation (seed + (17 * i)) ~vocab:20 ~kind:Structure.Tree ~tokens:6));
+        Engine.drain eng
+      in
+      let bare = drain () and empty = drain ~faults:[] () in
+      let unflagged (s : Engine.summary) =
+        render_summary { s with Engine.slo = { s.Engine.slo with Engine.slo_chaos = false } }
+      in
+      (not bare.Engine.slo.Engine.slo_chaos)
+      && empty.Engine.slo.Engine.slo_chaos
+      && unflagged bare = unflagged empty)
+
 (* ---------- shape-cache accounting ---------- *)
 
 let test_cache_rejection_moves_no_counter () =
@@ -1298,6 +1347,7 @@ let () =
         ] );
       ( "snapshot",
         [ Alcotest.test_case "summary-digest" `Quick test_characterization ] );
+      ("one-clock", [ QCheck_alcotest.to_alcotest prop_no_spec_equals_empty_spec ]);
       ( "shape-cache",
         [
           Alcotest.test_case "rejection" `Quick test_cache_rejection_moves_no_counter;
