@@ -579,6 +579,26 @@ let tuning () =
     "The tuner re-derives the paper's default configuration (fuse+spec+batch+persist) for every model.
 "
 
+(* ---------- BENCH records ---------- *)
+
+let json_escape s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+(* A BENCH file: a JSON array with one record per line. *)
+let write_bench file records =
+  let oc = open_out file in
+  output_string oc ("[\n" ^ String.concat ",\n" records ^ "\n]\n");
+  close_out oc
+
 (* ---------- extra: loop-schedule autotuning (level-2 search) ---------- *)
 
 (* Not a paper table: the paper's prototype grid-searches hand-written
@@ -588,18 +608,6 @@ let tuning () =
    writes BENCH_autotune.json so CI and the docs can consume the
    numbers without scraping stdout. *)
 let autotune () =
-  let json_escape s =
-    let b = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  in
   let records = ref [] in
   let header = [ "Model"; "Backend"; "Batch"; "default ms"; "tuned ms"; "speedup" ] in
   let rows =
@@ -647,11 +655,7 @@ let autotune () =
     ~title:
       "Loop-schedule autotuning — default schedule vs two-level search (h_s)"
     ~header rows;
-  let oc = open_out "BENCH_autotune.json" in
-  output_string oc "[\n";
-  output_string oc (String.concat ",\n" (List.rev !records));
-  output_string oc "\n]\n";
-  close_out oc;
+  write_bench "BENCH_autotune.json" (List.rev !records);
   print_endline
     "Lane-binding the serial reduction loops is the consistent win: the fused cell's\n\
      FMA chains run at the backend's serial issue rate until bound.  Wrote BENCH_autotune.json.\n"
@@ -667,18 +671,6 @@ let autotune () =
    way — so the bundles here carry no weights section.  Writes
    BENCH_bundle.json. *)
 let bundle () =
-  let json_escape s =
-    let b = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  in
   let records = ref [] in
   let header =
     [ "Model"; "compile ms"; "load ms"; "cold-start"; "planned KB"; "worst KB"; "arena saving" ]
@@ -739,11 +731,7 @@ let bundle () =
     ~title:
       "AOT bundles — cold start (compile vs load) and the liveness planner's arena (h_s, batch 10)"
     ~header rows;
-  let oc = open_out "BENCH_bundle.json" in
-  output_string oc "[\n";
-  output_string oc (String.concat ",\n" (List.rev !records));
-  output_string oc "\n]\n";
-  close_out oc;
+  write_bench "BENCH_bundle.json" (List.rev !records);
   print_endline
     "Serving from a bundle replaces the lowering pipeline with one validated read, and\n\
      liveness packing shares arena space between the cell's phase-disjoint staging\n\
@@ -1271,11 +1259,7 @@ let incremental () =
     ~title:
       "Incremental serving — per-token host inspector cost, sessions vs full re-linearization"
     ~header rows;
-  let oc = open_out "BENCH_incremental.json" in
-  output_string oc "[\n";
-  output_string oc (String.concat ",\n" (List.rev !records));
-  output_string oc "\n]\n";
-  close_out oc;
+  write_bench "BENCH_incremental.json" (List.rev !records);
   print_endline
     "A pinned session pays O(delta) host work per token (delta views, with geometric\n\
      extend materializations amortizing to O(1) per node); the session-less server's\n\
@@ -1407,11 +1391,7 @@ let sessions_bench () =
           (Session_store.restore_cost_us ~bytes)
         :: !records)
     [ 1024; 16384; 262144; 1048576 ];
-  let oc = open_out "BENCH_sessions.json" in
-  output_string oc "[\n";
-  output_string oc (String.concat ",\n" (List.rev !records));
-  output_string oc "\n]\n";
-  close_out oc;
+  write_bench "BENCH_sessions.json" (List.rev !records);
   print_endline
     "Shrinking the budget trades accounted bytes for spill/restore churn: goodput\n\
      degrades smoothly (restores are priced delta windows, not cold replays) and\n\
@@ -1540,11 +1520,7 @@ let packing () =
           device latency)"
          tokens)
     ~header rows;
-  let oc = open_out "BENCH_packing.json" in
-  output_string oc "[\n";
-  output_string oc (String.concat ",\n" (List.rev !records));
-  output_string oc "\n]\n";
-  close_out oc;
+  write_bench "BENCH_packing.json" (List.rev !records);
   print_endline
     "Per-level launch overhead amortizes across the pack: per-token device\n\
      latency drops as concurrency grows while every result stays bitwise equal\n\

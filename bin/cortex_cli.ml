@@ -129,20 +129,6 @@ let load_config = function
        prerr_endline ("config " ^ path ^ ": " ^ e);
        exit 1)
 
-(* Does the config text explicitly bind [key]?  Mirrors [of_string]'s
-   lexing: newline- or tab-separated [k=v] lines, [#] comments. *)
-let config_text_sets ~key text =
-  String.split_on_char '\n' text
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.exists (fun line ->
-         let line = String.trim line in
-         line <> ""
-         && line.[0] <> '#'
-         &&
-         match String.index_opt line '=' with
-         | Some i -> String.trim (String.sub line 0 i) = key
-         | None -> false)
-
 let size_name = function Models.Catalog.Small -> "small" | Models.Catalog.Large -> "large"
 
 let dump_ir_cmd =
@@ -536,16 +522,6 @@ let serve_cmd =
          & info [ "session-ttl-us" ]
              ~doc:"Expire sessions idle past this many simulated microseconds (default never)")
   in
-  let session_policy_arg =
-    let parse s =
-      match Session_store.policy_of_string s with
-      | Some p -> Ok p
-      | None -> Error (`Msg ("unknown session policy " ^ s))
-    in
-    let print fmt p = Format.pp_print_string fmt (Session_store.policy_to_string p) in
-    Arg.(value & opt (some (conv (parse, print))) None
-         & info [ "session-policy" ] ~doc:"lru | ttl victim order for the budget pass (default lru)")
-  in
   let session_spill_dir_arg =
     Arg.(value & opt (some string) None
          & info [ "session-spill-dir" ] ~docv:"DIR"
@@ -578,7 +554,7 @@ let serve_cmd =
   let run name size seed backend options rps duration_ms max_batch max_wait_us bucketed
       num_devices device_list dispatch faults deadline_us queue_cap degrade_watermark
       profile metrics logical_clock autotune tune_budget bundle sessions session_tokens
-      session_budget session_ttl_us session_policy session_spill_dir session_pack
+      session_budget session_ttl_us session_spill_dir session_pack
       session_pack_wait config_file slo_miss_budget =
     let spec = get_spec name size in
     let bundle_loaded =
@@ -631,7 +607,7 @@ let serve_cmd =
       | Some s -> s
       | None ->
         (match cfg_src with
-         | Some (text, c) when config_text_sets ~key:"seed" text ->
+         | Some (text, c) when Engine.Config.sets ~key:"seed" text ->
            c.Engine.Config.reliability.Engine.Config.seed
          | _ -> 2021)
     in
@@ -662,7 +638,7 @@ let serve_cmd =
         ?degrade_watermark ?faults ~seed ?obs
         ~autotune:(autotune || base.Engine.Config.tuning.Engine.Config.autotune)
         ?tune_budget ?session_budget_bytes:session_budget ?session_ttl_us
-        ?session_policy ?session_spill_dir ?session_pack_window:session_pack
+        ?session_spill_dir ?session_pack_window:session_pack
         ?session_pack_wait_us:session_pack_wait ()
     in
     let engine =
@@ -871,7 +847,7 @@ let serve_cmd =
       $ device_list_arg $ dispatch_arg $ faults_arg $ deadline_arg $ queue_cap_arg
       $ watermark_arg $ profile_arg $ metrics_arg $ logical_clock_arg $ autotune_arg
       $ tune_budget_arg $ bundle_arg $ sessions_arg $ session_tokens_arg
-      $ session_budget_arg $ session_ttl_arg $ session_policy_arg $ session_spill_dir_arg
+      $ session_budget_arg $ session_ttl_arg $ session_spill_dir_arg
       $ session_pack_arg $ session_pack_wait_arg $ config_file_arg $ slo_miss_budget_arg)
 
 let validate_trace_cmd =

@@ -244,10 +244,3 @@ let merge structures =
        rest
    | [] -> ());
   fst (merge_mapped structures)
-
-let describe t =
-  let kind =
-    match t.kind with Sequence -> "sequence" | Tree -> "tree" | Dag -> "dag"
-  in
-  Printf.sprintf "%s: %d nodes (%d leaves), %d roots, height %d" kind (num_nodes t)
-    (num_leaves t) (List.length t.roots) (height t)

@@ -65,5 +65,3 @@ val merge_mapped : t list -> t * int array array
     batched forest.  Inputs may disagree on [max_children]; the merged
     structure declares the maximum.  Each input's nodes occupy a
     contiguous id range of the merged structure, in input order. *)
-
-val describe : t -> string

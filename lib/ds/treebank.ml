@@ -2,8 +2,8 @@ type vocab = { table : (string, int) Hashtbl.t; mutable next : int }
 
 (* Word id 0 is reserved for the null word internal nodes carry, so the
    vocabulary can keep growing while structures are being built. *)
-let vocab ?(size_hint = 1024) () =
-  let v = { table = Hashtbl.create size_hint; next = 0 } in
+let vocab () =
+  let v = { table = Hashtbl.create 1024; next = 0 } in
   Hashtbl.add v.table "<null>" 0;
   v.next <- 1;
   v

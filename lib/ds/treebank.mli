@@ -15,7 +15,7 @@
 type vocab
 (** Mutable token -> word-id mapping. *)
 
-val vocab : ?size_hint:int -> unit -> vocab
+val vocab : unit -> vocab
 val vocab_size : vocab -> int
 
 val word_id : vocab -> string -> int

@@ -1,6 +1,5 @@
 open Ir
 module Nonlinear = Cortex_tensor.Nonlinear
-module IntSet = Set.Make (Int)
 
 let bytes_per_elem = 4
 
@@ -14,7 +13,6 @@ type segment = {
   reads : float array;
   writes : float array;
   lanes : float;
-  param_footprint : float;
   param_raw : (int * float) list;
       (* per Param-tensor raw read bytes in this segment, by tensor id *)
 }
@@ -37,7 +35,6 @@ type acc = {
   a_reads : float array;
   a_writes : float array;
   mutable a_lanes : float;
-  mutable a_params : IntSet.t;
   a_param_raw : (int, float) Hashtbl.t;
 }
 
@@ -48,7 +45,6 @@ let fresh_acc () =
     a_reads = Array.make 4 0.0;
     a_writes = Array.make 4 0.0;
     a_lanes = 1.0;
-    a_params = IntSet.empty;
     a_param_raw = Hashtbl.create 4;
   }
 
@@ -59,7 +55,6 @@ let is_empty_acc a =
 
 type state = {
   uf : Uf.t -> int array -> int;
-  param_sizes : (int, float) Hashtbl.t;  (* tid -> bytes *)
   mutable current : acc;
   mutable segs_rev : segment list;
   mutable barriers : int;
@@ -68,11 +63,6 @@ type state = {
 let close_segment st =
   if not (is_empty_acc st.current) then begin
     let a = st.current in
-    let footprint =
-      IntSet.fold
-        (fun tid sum -> sum +. (try Hashtbl.find st.param_sizes tid with Not_found -> 0.0))
-        a.a_params 0.0
-    in
     let param_raw = Hashtbl.fold (fun tid b acc -> (tid, b) :: acc) a.a_param_raw [] in
     st.segs_rev <-
       {
@@ -81,7 +71,6 @@ let close_segment st =
         reads = Array.copy a.a_reads;
         writes = Array.copy a.a_writes;
         lanes = a.a_lanes;
-        param_footprint = footprint;
         param_raw;
       }
       :: st.segs_rev
@@ -157,7 +146,6 @@ let rec count_expr st mult lanes e =
     st.current.a_reads.(s) <-
       st.current.a_reads.(s) +. (mult *. float_of_int bytes_per_elem);
     if t.space = Param then begin
-      st.current.a_params <- IntSet.add t.tid st.current.a_params;
       let prev = try Hashtbl.find st.current.a_param_raw t.tid with Not_found -> 0.0 in
       Hashtbl.replace st.current.a_param_raw t.tid
         (prev +. (mult *. float_of_int bytes_per_elem))
@@ -241,9 +229,7 @@ let rec count_stmt st env mult (par, vec) ser s =
 
 let analyze ~uf ~num_internal_batches (p : program) =
   let param_sizes = Hashtbl.create 8 in
-  let dummy_state =
-    { uf; param_sizes; current = fresh_acc (); segs_rev = []; barriers = 0 }
-  in
+  let dummy_state = { uf; current = fresh_acc (); segs_rev = []; barriers = 0 } in
   let total_params = ref 0.0 in
   List.iter
     (fun t ->
@@ -257,7 +243,7 @@ let analyze ~uf ~num_internal_batches (p : program) =
   let kernels =
     List.map
       (fun k ->
-        let st = { uf; param_sizes; current = fresh_acc (); segs_rev = []; barriers = 0 } in
+        let st = { uf; current = fresh_acc (); segs_rev = []; barriers = 0 } in
         let launches =
           match k.launch with
           | Once ->

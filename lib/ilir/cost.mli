@@ -26,7 +26,6 @@ type segment = {
   reads : float array;  (** bytes read per [Interp.space_index] *)
   writes : float array;  (** bytes written per space *)
   lanes : float;  (** max concurrent lanes while this segment ran *)
-  param_footprint : float;  (** bytes of distinct Param tensors touched *)
   param_raw : (int * float) list;
       (** raw bytes read per Param tensor (by id): the demand stream
           before any caching; gather-style accesses (embedding rows)

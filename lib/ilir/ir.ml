@@ -153,8 +153,6 @@ let tensor ?(space = Global) tname dims extents =
   incr tensor_counter;
   { tname; tid = !tensor_counter; dims; extents; space }
 
-let tensor_equal a b = a.tid = b.tid
-
 let int n = Int n
 let flt v = Flt v
 let var v = Var v
@@ -224,9 +222,6 @@ let rec map_stmt ?(expr = fun _ -> None) ?(stmt = fun _ -> None) s =
        If (map_expr expr c, map_stmt ~expr ~stmt a, Option.map (map_stmt ~expr ~stmt) b)
      | Seq ss -> Seq (List.map (map_stmt ~expr ~stmt) ss)
      | Barrier | Nop -> s)
-
-let subst_var v replacement =
-  map_expr (function Var v' when Var.equal v v' -> Some replacement | _ -> None)
 
 let subst_var_stmt v replacement s =
   map_stmt ~expr:(function Var v' when Var.equal v v' -> Some replacement | _ -> None) s

@@ -121,8 +121,6 @@ val tensor : ?space:space -> string -> Dim.t list -> expr list -> tensor
 (** Fresh tensor; raises [Invalid_argument] when [dims] and [extents]
     disagree in length. *)
 
-val tensor_equal : tensor -> tensor -> bool
-
 val int : int -> expr
 val flt : float -> expr
 val var : Var.t -> expr
@@ -156,7 +154,6 @@ val map_expr : (expr -> expr option) -> expr -> expr
 val map_stmt :
   ?expr:(expr -> expr option) -> ?stmt:(stmt -> stmt option) -> stmt -> stmt
 
-val subst_var : Var.t -> expr -> expr -> expr
 val subst_var_stmt : Var.t -> expr -> stmt -> stmt
 
 val claim_ids : program -> unit

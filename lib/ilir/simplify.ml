@@ -305,7 +305,6 @@ and simp_binop op a b =
   | _ -> Binop (op, a, b)
 
 let expr e = simp empty_env e
-let expr_in env e = simp env e
 
 let rec simp_stmt env s =
   match s with
@@ -350,6 +349,4 @@ let rec simp_stmt env s =
     (match ss with [] -> Nop | [ s ] -> s | ss -> Seq ss)
   | Barrier | Nop -> s
 
-let stmt ?(env = empty_env) s = simp_stmt env s
-
-let is_zero_f e = match expr e with Flt 0.0 -> true | Int 0 -> true | _ -> false
+let stmt s = simp_stmt empty_env s

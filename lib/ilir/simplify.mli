@@ -31,15 +31,8 @@ val expr : Ir.expr -> Ir.expr
     [select] with constant condition, nested add/mul flattening via the
     linear normal form, [min]/[max] with equal arguments. *)
 
-val expr_in : env -> Ir.expr -> Ir.expr
-(** Like [expr] but also resolves comparisons provable under [env]. *)
-
-val stmt : ?env:env -> Ir.stmt -> Ir.stmt
+val stmt : Ir.stmt -> Ir.stmt
 (** Simplifies every contained expression; prunes [If] branches whose
     condition is decided (possibly using ranges of enclosing loop
     variables, which it accumulates while descending); removes empty
     loops and flattens [Seq]s. *)
-
-val is_zero_f : Ir.expr -> bool
-(** True when the expression is the float constant 0 (after
-    simplification).  Used by constant propagation in the lowerer. *)

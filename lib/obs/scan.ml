@@ -17,16 +17,6 @@ let first_sim ~name events =
       else acc)
     None events
 
-let sim_names events =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (e : CT.event) ->
-      if sim_occurrence e then
-        Hashtbl.replace tbl e.CT.ev_name
-          (1 + Option.value ~default:0 (Hashtbl.find_opt tbl e.CT.ev_name)))
-    events;
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-
 type detection = No_damage | Undetected | Lead of float | Lagged of float
 
 let detect ~signals ~damage events =

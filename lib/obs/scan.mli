@@ -16,12 +16,6 @@ val first_sim : name:string -> Chrome_trace.event list -> float option
     [Begin] span opening or an [Instant]; [None] when the name never
     appears on the sim clock. *)
 
-val sim_names : Chrome_trace.event list -> (string * int) list
-(** Inventory of the sim clock: each distinct [Begin]/[Instant] event
-    name with its occurrence count, sorted by name.  What a campaign
-    prints when asked {e which signals does this failure mode emit at
-    all}. *)
-
 type detection =
   | No_damage  (** the run hurt nothing; detectability is moot *)
   | Undetected

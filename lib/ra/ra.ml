@@ -67,26 +67,6 @@ let state_by_name t name =
 
 let num_phases ops = Stdlib.( + ) 1 (List.fold_left (fun m o -> max m o.op_phase) 0 ops)
 
-let rec expr_uses_children e =
-  match e with
-  | ChildState _ | ChildSum _ -> true
-  | Const _ | Param _ | Temp _ -> false
-  | Binop (_, a, b) -> expr_uses_children a || expr_uses_children b
-  | Math (_, a) -> expr_uses_children a
-  | Sum (_, _, b) -> expr_uses_children b
-
-let op_uses_children o = expr_uses_children o.op_body
-
-let rec expr_uses_fixed_child e =
-  match e with
-  | ChildState (_, Child _, _) -> true
-  | ChildState (_, Current, _) | Const _ | Param _ | Temp _ -> false
-  | Binop (_, a, b) -> expr_uses_fixed_child a || expr_uses_fixed_child b
-  | Math (_, a) | Sum (_, _, a) | ChildSum a -> expr_uses_fixed_child a
-
-let uses_fixed_children t =
-  List.exists (fun o -> expr_uses_fixed_child o.op_body) t.rec_ops
-
 (* ---------- validation ---------- *)
 
 let validate_case t ~is_leaf ops =

@@ -98,10 +98,8 @@ val validate : t -> unit
     Raises [Invalid_program] otherwise. *)
 
 val op_dims : op -> int list
-val op_uses_children : op -> bool
 val find_op : op list -> string -> op
 val state_by_name : t -> string -> state
 val num_phases : op list -> int
-val uses_fixed_children : t -> bool
 val rexpr_to_string : rexpr -> string
 val to_string : t -> string

@@ -125,9 +125,3 @@ let op_value t name (node : Node.t) =
 let state t st_name node =
   let st = state_by_name t.program st_name in
   op_value t st.st_op node
-
-let root_outputs t =
-  List.map
-    (fun out ->
-      (out, List.map (fun root -> state t out root) t.structure.Structure.roots))
-    t.program.outputs

@@ -26,6 +26,3 @@ val state : t -> string -> Cortex_ds.Node.t -> Cortex_tensor.Tensor.t
 val op_value : t -> string -> Cortex_ds.Node.t -> Cortex_tensor.Tensor.t
 (** Value of any operator at a node (leaf nodes expose their leaf-case
     operators). *)
-
-val root_outputs : t -> (string * Cortex_tensor.Tensor.t list) list
-(** For each output state, the values at the structure's roots. *)

@@ -23,8 +23,6 @@ val node_dependent : ops:Ra.op list -> Ra.rexpr -> bool
     in [ops]) is node-dependent.  Hoisting applies to leaf operators
     that are not node-dependent after substitution and folding. *)
 
-val is_const_zero : Ra.rexpr -> bool
-
 val subst_const_temps : (string -> float option) -> Ra.rexpr -> Ra.rexpr
 (** Replace temp references whose defining operator folded to a
     constant. *)

@@ -194,13 +194,11 @@ let stage_targets (prog : Ir.program) =
 (* The loop-parameter lattice for one compiled artifact, most promising
    first (the tuning budget truncates the tail): lane bindings, staged
    parameter regions, power-of-two tile sizes, and their combinations. *)
-let loop_plans ?(max_binds = 12) ?(max_stages = 3) ?(stage_cap_bytes = 8.0e6)
-    (compiled : Lower.compiled) =
+let loop_plans (compiled : Lower.compiled) =
   let prog = compiled.Lower.prog in
-  let binds = take max_binds (bind_targets prog) in
+  let binds = take 12 (bind_targets prog) in
   let stages =
-    take max_stages
-      (List.filter (fun (_, _, b) -> b <= stage_cap_bytes) (stage_targets prog))
+    take 3 (List.filter (fun (_, _, b) -> b <= 8.0e6) (stage_targets prog))
   in
   let tiles = take 1 (tile_targets prog) in
   let bind_all =

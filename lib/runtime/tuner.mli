@@ -54,17 +54,13 @@ val stage_targets : Cortex_ilir.Ir.program -> (string * string * float) list
 (** [(outermost loop, parameter tensor, on-chip bytes)] staging
     candidates. *)
 
-val loop_plans :
-  ?max_binds:int ->
-  ?max_stages:int ->
-  ?stage_cap_bytes:float ->
-  Cortex_lower.Lower.compiled ->
-  Cortex_ilir.Schedule.plan list
+val loop_plans : Cortex_lower.Lower.compiled -> Cortex_ilir.Schedule.plan list
 (** The plan lattice for one compiled artifact, most promising first
     and starting with the empty plan; a tuning budget truncates the
-    tail.  Staging candidates above [stage_cap_bytes] (default 8 MB)
-    are dropped up front — they cannot fit any backend's on-chip
-    storage next to the persisted weights. *)
+    tail.  It binds at most 12 loops and stages at most 3 parameter
+    regions; staging candidates above 8 MB are dropped up front — they
+    cannot fit any backend's on-chip storage next to the persisted
+    weights. *)
 
 val tune_loops :
   ?budget:int ->

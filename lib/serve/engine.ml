@@ -52,11 +52,10 @@ let error_to_string = function
 (* ---------- configuration ---------- *)
 
 module Config = struct
-  (* One record for everything [create] used to take as fifteen
-     labelled optional arguments, grouped by concern.  [default] is the
-     old all-defaults engine; [make] is the migration bridge with the
-     old labels.  Runtime objects ([obs], [params]) live in the record
-     but are not serialized. *)
+  (* Everything [create] is configured by, grouped by concern.
+     [default] is the all-defaults engine; [make] overrides a base
+     record field by field.  Runtime objects ([obs], [params]) live in
+     the record but are not serialized. *)
 
   type compile = {
     options : Lower.options option;  (* None = Lower.default *)
@@ -76,7 +75,6 @@ module Config = struct
     degrade_watermark : int option;
     faults : Fault.spec option;
     seed : int;
-    retry : Fault.retry;
   }
 
   type observability = { obs : Obs.t option }
@@ -101,24 +99,16 @@ module Config = struct
           devices = None;
           cache_capacity = None;
         };
-      reliability =
-        {
-          queue_cap = None;
-          degrade_watermark = None;
-          faults = None;
-          seed = 0;
-          retry = Fault.default_retry;
-        };
+      reliability = { queue_cap = None; degrade_watermark = None; faults = None; seed = 0 };
       observability = { obs = None };
       tuning = { autotune = false; tune_budget = None };
       sessions = Session_store.default_config;
     }
 
   let make ?(base = default) ?policy ?options ?lock_free ?dispatch ?devices
-      ?cache_capacity ?queue_cap ?degrade_watermark ?faults ?seed ?retry ?params
-      ?obs ?autotune ?tune_budget ?session_budget_bytes ?session_ttl_us
-      ?session_policy ?session_spill_dir ?session_pack_window
-      ?session_pack_wait_us () =
+      ?cache_capacity ?queue_cap ?degrade_watermark ?faults ?seed ?params ?obs
+      ?autotune ?tune_budget ?session_budget_bytes ?session_ttl_us
+      ?session_spill_dir ?session_pack_window ?session_pack_wait_us () =
     let keep opt prev = match opt with Some _ -> opt | None -> prev in
     {
       compile =
@@ -140,7 +130,6 @@ module Config = struct
           degrade_watermark = keep degrade_watermark base.reliability.degrade_watermark;
           faults = keep faults base.reliability.faults;
           seed = Option.value seed ~default:base.reliability.seed;
-          retry = Option.value retry ~default:base.reliability.retry;
         };
       observability = { obs = keep obs base.observability.obs };
       tuning =
@@ -153,8 +142,6 @@ module Config = struct
           Session_store.budget_bytes =
             keep session_budget_bytes base.sessions.Session_store.budget_bytes;
           ttl_us = keep session_ttl_us base.sessions.Session_store.ttl_us;
-          policy =
-            Option.value session_policy ~default:base.sessions.Session_store.policy;
           spill_dir = keep session_spill_dir base.sessions.Session_store.spill_dir;
           pack_window =
             Option.value session_pack_window
@@ -165,233 +152,190 @@ module Config = struct
         };
     }
 
-  (* Textual form: key=value lines, deterministic order, omitting unset
-     optionals.  [obs] and [params] are runtime objects and are not
-     serialized; parsing never sets them.  Bundles store this text on a
-     single manifest line with tabs for newlines — [of_string] accepts
-     both separators (no legitimate value contains a tab; fault specs
-     contain ';' and publication lists '|', so neither of those can
-     separate). *)
+  (* Textual form: key=value lines in [keys] order, each key declared
+     once below with its printer and its parser.  [obs] and [params]
+     are runtime objects and are not serialized; parsing never sets
+     them.  Bundles store this text on a single manifest line with tabs
+     for newlines — [of_string] accepts both separators (no legitimate
+     value contains a tab; fault specs contain ';' and publication
+     lists '|', so neither of those can separate). *)
 
-  let bucketing_to_string = function Fifo -> "fifo" | By_size -> "by_size"
+  let err fmt = Printf.ksprintf (fun s -> Stdlib.Error s) fmt
+
+  (* How one type of value prints and parses; [read] names [key] in its
+     error message. *)
+  type 'a codec = { show : 'a -> string; read : key:string -> string -> ('a, string) result }
+
+  let scalar wants of_string show =
+    {
+      show;
+      read =
+        (fun ~key v ->
+          match of_string v with
+          | Some x -> Ok x
+          | None -> err "config: %s wants %s, got %S" key wants v);
+    }
+
+  let integer = scalar "an integer" int_of_string_opt string_of_int
+  let number = scalar "a number" float_of_string_opt (Printf.sprintf "%g")
+  let boolean = scalar "true/false" bool_of_string_opt string_of_bool
+
+  (* A value whose error message names what was wrong, not the key. *)
+  let named what of_string show =
+    {
+      show;
+      read =
+        (fun ~key:_ v ->
+          match of_string v with Some x -> Ok x | None -> err "config: %s %S" what v);
+    }
+
+  let bucketing =
+    named "unknown bucketing"
+      (function "fifo" -> Some Fifo | "by_size" -> Some By_size | _ -> None)
+      (function Fifo -> "fifo" | By_size -> "by_size")
+
+  let devices =
+    named "unknown backend in devices"
+      (fun v ->
+        let shorts =
+          String.split_on_char ',' v |> List.map String.trim
+          |> List.filter (fun s -> s <> "")
+        in
+        let resolved =
+          List.filter_map
+            (fun s ->
+              List.find_opt
+                (fun (b : Backend.t) ->
+                  String.lowercase_ascii b.Backend.short = String.lowercase_ascii s)
+                Backend.all)
+            shorts
+        in
+        if List.length resolved = List.length shorts then Some resolved else None)
+      (fun ds -> String.concat "," (List.map (fun (b : Backend.t) -> b.Backend.short) ds))
+
+  let faults =
+    {
+      show = Fault.to_string;
+      read = (fun ~key:_ v -> Result.map_error (fun e -> "config: " ^ e) (Fault.parse v));
+    }
+
+  type key = {
+    name : string;
+    print : t -> string option;  (* None = the line is omitted *)
+    parse : t -> string -> (t, string) result;
+  }
+
+  (* [get] is [None] where the key's line is omitted. *)
+  let key name codec get set =
+    {
+      name;
+      print = (fun c -> Option.map codec.show (get c));
+      parse = (fun c v -> Result.map (set c) (codec.read ~key:name v));
+    }
+
+  let keys =
+    let batching c = c.dispatch.batching in
+    let unless_at d x = if x = d then None else Some x in
+    [
+      key "max_batch" integer
+        (fun c -> Some (batching c).max_batch)
+        (fun c n -> make ~base:c ~policy:{ (batching c) with max_batch = n } ());
+      key "max_wait_us" number
+        (fun c -> Some (batching c).max_wait_us)
+        (fun c x -> make ~base:c ~policy:{ (batching c) with max_wait_us = x } ());
+      key "bucketing" bucketing
+        (fun c -> Some (batching c).bucketing)
+        (fun c b -> make ~base:c ~policy:{ (batching c) with bucketing = b } ());
+      key "selection"
+        (named "unknown selection policy" Dispatch.policy_of_string
+           Dispatch.policy_to_string)
+        (fun c -> Some c.dispatch.selection)
+        (fun c p -> make ~base:c ~dispatch:p ());
+      key "devices" devices
+        (fun c -> c.dispatch.devices)
+        (fun c ds -> make ~base:c ~devices:ds ());
+      key "cache_capacity" integer
+        (fun c -> c.dispatch.cache_capacity)
+        (fun c n -> make ~base:c ~cache_capacity:n ());
+      key "lock_free" boolean
+        (fun c -> Some c.compile.lock_free)
+        (fun c b -> make ~base:c ~lock_free:b ());
+      key "options"
+        (named "malformed options" Lower.options_of_string Lower.options_to_string)
+        (fun c -> c.compile.options)
+        (fun c o -> make ~base:c ~options:o ());
+      key "queue_cap" integer
+        (fun c -> c.reliability.queue_cap)
+        (fun c n -> make ~base:c ~queue_cap:n ());
+      key "degrade_watermark" integer
+        (fun c -> c.reliability.degrade_watermark)
+        (fun c n -> make ~base:c ~degrade_watermark:n ());
+      key "faults" faults
+        (fun c -> c.reliability.faults)
+        (fun c f -> make ~base:c ~faults:f ());
+      key "seed" integer
+        (fun c -> Some c.reliability.seed)
+        (fun c n -> make ~base:c ~seed:n ());
+      key "autotune" boolean
+        (fun c -> Some c.tuning.autotune)
+        (fun c b -> make ~base:c ~autotune:b ());
+      key "tune_budget" integer
+        (fun c -> c.tuning.tune_budget)
+        (fun c n -> make ~base:c ~tune_budget:n ());
+      key "sessions.budget_bytes" integer
+        (fun c -> c.sessions.Session_store.budget_bytes)
+        (fun c n -> make ~base:c ~session_budget_bytes:n ());
+      key "sessions.ttl_us" number
+        (fun c -> c.sessions.Session_store.ttl_us)
+        (fun c x -> make ~base:c ~session_ttl_us:x ());
+      key "sessions.spill_dir"
+        { show = Fun.id; read = (fun ~key:_ v -> Ok v) }
+        (fun c -> c.sessions.Session_store.spill_dir)
+        (fun c d -> make ~base:c ~session_spill_dir:d ());
+      (* Printed only when set, so pre-packing bundles stay byte-identical. *)
+      key "sessions.pack_window" integer
+        (fun c -> unless_at 1 c.sessions.Session_store.pack_window)
+        (fun c n -> make ~base:c ~session_pack_window:n ());
+      key "sessions.pack_wait_us" number
+        (fun c -> unless_at 0.0 c.sessions.Session_store.pack_wait_us)
+        (fun c x -> make ~base:c ~session_pack_wait_us:x ());
+    ]
 
   let to_string c =
-    let buf = Buffer.create 256 in
-    let line k v = Buffer.add_string buf (k ^ "=" ^ v ^ "\n") in
-    let p = c.dispatch.batching in
-    line "max_batch" (string_of_int p.max_batch);
-    line "max_wait_us" (Printf.sprintf "%g" p.max_wait_us);
-    line "bucketing" (bucketing_to_string p.bucketing);
-    line "selection" (Dispatch.policy_to_string c.dispatch.selection);
-    (match c.dispatch.devices with
-     | Some ds ->
-       line "devices"
-         (String.concat "," (List.map (fun (b : Backend.t) -> b.Backend.short) ds))
-     | None -> ());
-    (match c.dispatch.cache_capacity with
-     | Some n -> line "cache_capacity" (string_of_int n)
-     | None -> ());
-    line "lock_free" (string_of_bool c.compile.lock_free);
-    (match c.compile.options with
-     | Some o -> line "options" (Lower.options_to_string o)
-     | None -> ());
-    (match c.reliability.queue_cap with
-     | Some n -> line "queue_cap" (string_of_int n)
-     | None -> ());
-    (match c.reliability.degrade_watermark with
-     | Some n -> line "degrade_watermark" (string_of_int n)
-     | None -> ());
-    (match c.reliability.faults with
-     | Some spec -> line "faults" (Fault.to_string spec)
-     | None -> ());
-    line "seed" (string_of_int c.reliability.seed);
-    line "max_retries" (string_of_int c.reliability.retry.Fault.max_retries);
-    line "backoff_base_us" (Printf.sprintf "%g" c.reliability.retry.Fault.backoff_base_us);
-    line "backoff_cap_us" (Printf.sprintf "%g" c.reliability.retry.Fault.backoff_cap_us);
-    line "autotune" (string_of_bool c.tuning.autotune);
-    (match c.tuning.tune_budget with
-     | Some n -> line "tune_budget" (string_of_int n)
-     | None -> ());
-    (match c.sessions.Session_store.budget_bytes with
-     | Some n -> line "sessions.budget_bytes" (string_of_int n)
-     | None -> ());
-    (match c.sessions.Session_store.ttl_us with
-     | Some x -> line "sessions.ttl_us" (Printf.sprintf "%g" x)
-     | None -> ());
-    if c.sessions.Session_store.policy <> Session_store.default_config.Session_store.policy
-    then
-      line "sessions.policy"
-        (Session_store.policy_to_string c.sessions.Session_store.policy);
-    (match c.sessions.Session_store.spill_dir with
-     | Some d -> line "sessions.spill_dir" d
-     | None -> ());
-    (* Printed only when set, so pre-packing bundles stay byte-identical. *)
-    if c.sessions.Session_store.pack_window <> 1 then
-      line "sessions.pack_window"
-        (string_of_int c.sessions.Session_store.pack_window);
-    if c.sessions.Session_store.pack_wait_us <> 0.0 then
-      line "sessions.pack_wait_us"
-        (Printf.sprintf "%g" c.sessions.Session_store.pack_wait_us);
-    Buffer.contents buf
+    List.filter_map
+      (fun k -> Option.map (fun v -> k.name ^ "=" ^ v ^ "\n") (k.print c))
+      keys
+    |> String.concat ""
 
-  let backend_of_short s =
-    List.find_opt
-      (fun (b : Backend.t) ->
-        String.lowercase_ascii b.Backend.short = String.lowercase_ascii s)
-      Backend.all
+  (* The lines of [text] that bind a key: newline- or tab-separated,
+     trimmed, [#] comments and blank lines dropped. *)
+  let lines text =
+    String.split_on_char '\n' text
+    |> List.concat_map (String.split_on_char '\t')
+    |> List.map String.trim
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+
+  (* One line's key, looked up in [keys], and its unparsed value. *)
+  let binding line =
+    match String.index_opt line '=' with
+    | None -> err "config: missing '=' in %S" line
+    | Some i -> (
+      let name = String.trim (String.sub line 0 i) in
+      let v = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
+      match List.find_opt (fun k -> k.name = name) keys with
+      | Some k -> Ok (k, v)
+      | None -> err "config: unknown key %S" name)
 
   let of_string text =
-    let lines =
-      String.split_on_char '\n' text
-      |> List.concat_map (String.split_on_char '\t')
-      |> List.map String.trim
-      |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-    in
-    let err fmt = Printf.ksprintf (fun s -> Stdlib.Error s) fmt in
-    let rec go c = function
-      | [] -> Ok c
-      | line :: rest -> (
-        match String.index_opt line '=' with
-        | None -> err "config: missing '=' in %S" line
-        | Some i -> (
-          let key = String.trim (String.sub line 0 i) in
-          let v = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
-          let int_field f =
-            match int_of_string_opt v with
-            | Some n -> go (f n) rest
-            | None -> err "config: %s wants an integer, got %S" key v
-          in
-          let float_field f =
-            match float_of_string_opt v with
-            | Some x -> go (f x) rest
-            | None -> err "config: %s wants a number, got %S" key v
-          in
-          let bool_field f =
-            match bool_of_string_opt v with
-            | Some b -> go (f b) rest
-            | None -> err "config: %s wants true/false, got %S" key v
-          in
-          match key with
-          | "max_batch" ->
-            int_field (fun n ->
-                { c with
-                  dispatch =
-                    { c.dispatch with
-                      batching = { c.dispatch.batching with max_batch = n } } })
-          | "max_wait_us" ->
-            float_field (fun x ->
-                { c with
-                  dispatch =
-                    { c.dispatch with
-                      batching = { c.dispatch.batching with max_wait_us = x } } })
-          | "bucketing" -> (
-            match v with
-            | "fifo" ->
-              go
-                { c with
-                  dispatch =
-                    { c.dispatch with
-                      batching = { c.dispatch.batching with bucketing = Fifo } } }
-                rest
-            | "by_size" ->
-              go
-                { c with
-                  dispatch =
-                    { c.dispatch with
-                      batching = { c.dispatch.batching with bucketing = By_size } } }
-                rest
-            | _ -> err "config: unknown bucketing %S" v)
-          | "selection" -> (
-            match Dispatch.policy_of_string v with
-            | Some p -> go { c with dispatch = { c.dispatch with selection = p } } rest
-            | None -> err "config: unknown selection policy %S" v)
-          | "devices" -> (
-            let shorts =
-              String.split_on_char ',' v |> List.map String.trim
-              |> List.filter (fun s -> s <> "")
-            in
-            let resolved = List.map backend_of_short shorts in
-            if List.exists Option.is_none resolved then
-              err "config: unknown backend in devices %S" v
-            else
-              go
-                { c with
-                  dispatch =
-                    { c.dispatch with
-                      devices = Some (List.filter_map Fun.id resolved) } }
-                rest)
-          | "cache_capacity" ->
-            int_field (fun n ->
-                { c with dispatch = { c.dispatch with cache_capacity = Some n } })
-          | "lock_free" ->
-            bool_field (fun b -> { c with compile = { c.compile with lock_free = b } })
-          | "options" -> (
-            match Lower.options_of_string v with
-            | Some o -> go { c with compile = { c.compile with options = Some o } } rest
-            | None -> err "config: malformed options %S" v)
-          | "queue_cap" ->
-            int_field (fun n ->
-                { c with reliability = { c.reliability with queue_cap = Some n } })
-          | "degrade_watermark" ->
-            int_field (fun n ->
-                { c with
-                  reliability = { c.reliability with degrade_watermark = Some n } })
-          | "faults" -> (
-            match Fault.parse v with
-            | Ok spec ->
-              go { c with reliability = { c.reliability with faults = Some spec } } rest
-            | Stdlib.Error e -> err "config: %s" e)
-          | "seed" ->
-            int_field (fun n -> { c with reliability = { c.reliability with seed = n } })
-          | "max_retries" ->
-            int_field (fun n ->
-                { c with
-                  reliability =
-                    { c.reliability with
-                      retry = { c.reliability.retry with Fault.max_retries = n } } })
-          | "backoff_base_us" ->
-            float_field (fun x ->
-                { c with
-                  reliability =
-                    { c.reliability with
-                      retry = { c.reliability.retry with Fault.backoff_base_us = x } } })
-          | "backoff_cap_us" ->
-            float_field (fun x ->
-                { c with
-                  reliability =
-                    { c.reliability with
-                      retry = { c.reliability.retry with Fault.backoff_cap_us = x } } })
-          | "autotune" ->
-            bool_field (fun b -> { c with tuning = { c.tuning with autotune = b } })
-          | "tune_budget" ->
-            int_field (fun n -> { c with tuning = { c.tuning with tune_budget = Some n } })
-          | "sessions.budget_bytes" ->
-            int_field (fun n ->
-                { c with
-                  sessions =
-                    { c.sessions with Session_store.budget_bytes = Some n } })
-          | "sessions.ttl_us" ->
-            float_field (fun x ->
-                { c with
-                  sessions = { c.sessions with Session_store.ttl_us = Some x } })
-          | "sessions.policy" -> (
-            match Session_store.policy_of_string v with
-            | Some p ->
-              go { c with sessions = { c.sessions with Session_store.policy = p } } rest
-            | None -> err "config: unknown sessions.policy %S" v)
-          | "sessions.spill_dir" ->
-            go { c with sessions = { c.sessions with Session_store.spill_dir = Some v } } rest
-          | "sessions.pack_window" ->
-            int_field (fun n ->
-                { c with
-                  sessions = { c.sessions with Session_store.pack_window = n } })
-          | "sessions.pack_wait_us" ->
-            float_field (fun x ->
-                { c with
-                  sessions = { c.sessions with Session_store.pack_wait_us = x } })
-          | _ -> err "config: unknown key %S" key))
-    in
-    go default lines
+    List.fold_left
+      (fun acc line ->
+        Result.bind acc (fun c -> Result.bind (binding line) (fun (k, v) -> k.parse c v)))
+      (Ok default) (lines text)
+
+  let sets ~key text =
+    List.exists
+      (fun line -> match binding line with Ok (k, _) -> k.name = key | Error _ -> false)
+      (lines text)
 end
 
 (* ---------- engine state ---------- *)
@@ -460,7 +404,6 @@ type t = {
   eng_watermark : int option;
   eng_faults : Fault.spec option;
   eng_seed : int;
-  eng_retry : Fault.retry;
   eng_params : (string -> Tensor.t) option;
   eng_obs : Obs.t option;
   eng_plans : Plan_cache.t option;  (* Some = plan cache active *)
@@ -496,8 +439,6 @@ let build ~(config : Config.t) ~model ~backend ~compiled =
   (match config.Config.reliability.Config.degrade_watermark with
    | Some w when w < 0 -> invalid_arg "Engine.create: degrade_watermark must be >= 0"
    | _ -> ());
-  if config.Config.reliability.Config.retry.Fault.max_retries < 0 then
-    invalid_arg "Engine.create: max_retries must be >= 0";
   if config.Config.sessions.Session_store.pack_window < 1 then
     invalid_arg "Engine.create: sessions.pack_window must be >= 1";
   if config.Config.sessions.Session_store.pack_wait_us < 0.0 then
@@ -526,7 +467,6 @@ let build ~(config : Config.t) ~model ~backend ~compiled =
     eng_watermark = config.Config.reliability.Config.degrade_watermark;
     eng_faults = config.Config.reliability.Config.faults;
     eng_seed = seed;
-    eng_retry = config.Config.reliability.Config.retry;
     eng_params = config.Config.compile.Config.params;
     eng_obs = config.Config.observability.Config.obs;
     eng_plans =
@@ -1779,13 +1719,13 @@ let drain t =
                    ~args:[ ("attempt", CT.Int (n + 1)); ("size", CT.Int size);
                            ("nodes", CT.Int nodes) ]
                    ~start_us:dispatch ~end_us:completion ());
-              if n >= t.eng_retry.Fault.max_retries then Lost_window completion
+              if n >= Fault.default_retry.Fault.max_retries then Lost_window completion
               else begin
                 incr retries;
                 Obs.incr obs "faults.retries";
                 let delay =
-                  Fault.backoff_us (Option.get inj) ~retry:t.eng_retry
-                    ~device:dev.Dispatch.dev_index ~attempt:n
+                  Fault.backoff_us (Option.get inj) ~device:dev.Dispatch.dev_index
+                    ~attempt:n
                 in
                 attempt (n + 1) (completion +. delay)
               end

@@ -97,10 +97,9 @@ val error_to_string : error -> string
 
 (** {2 Configuration} *)
 
-(** Everything {!create} is configured by, grouped by concern.  The
-    record replaces the fifteen labelled optional arguments the old
-    entry point took; {!Config.make} is the migration bridge carrying
-    those labels, {!Config.default} the old all-defaults engine.
+(** Everything {!create} is configured by, grouped by concern.
+    {!Config.default} is the all-defaults engine; {!Config.make}
+    overrides a base record field by field.
 
     {!Config.to_string}/{!Config.of_string} give the record a stable
     [key=value] textual form (what [cortex serve --config FILE] reads
@@ -141,8 +140,9 @@ module Config : sig
     faults : Fault.spec option;
         (** install a fault model; drains inject its faults from
             [seed] *)
-    seed : int;  (** fault-injector rng seed *)
-    retry : Fault.retry;  (** transient retry budget and backoff *)
+    seed : int;
+        (** fault-injector rng seed; transients retry with
+            {!Fault.default_retry}'s budget and backoff *)
   }
 
   type observability = {
@@ -169,13 +169,13 @@ module Config : sig
     tuning : tuning;
     sessions : Session_store.config;
         (** the bounded session table: accounted-bytes budget, idle
-            TTL, eviction policy and spill directory
+            TTL, spill directory and packing
             ({!Session_store.config}; the default is unbounded with
             in-memory spills — the PR 7 behaviour) *)
   }
 
   val default : t
-  (** The old all-defaults engine: FIFO windows of 8 / 200 us,
+  (** The all-defaults engine: FIFO windows of 8 / 200 us,
       round-robin over [[ backend ]], unbounded queue and cache, no
       faults, no observability, no tuning, unbounded sessions. *)
 
@@ -191,39 +191,48 @@ module Config : sig
     ?degrade_watermark:int ->
     ?faults:Fault.spec ->
     ?seed:int ->
-    ?retry:Fault.retry ->
     ?params:(string -> Cortex_tensor.Tensor.t) ->
     ?obs:Cortex_obs.Obs.t ->
     ?autotune:bool ->
     ?tune_budget:int ->
     ?session_budget_bytes:int ->
     ?session_ttl_us:float ->
-    ?session_policy:Session_store.policy ->
     ?session_spill_dir:string ->
     ?session_pack_window:int ->
     ?session_pack_wait_us:float ->
     unit ->
     t
-  (** [base] (default {!default}) overridden by whichever of the old
-      labelled arguments are passed — the migration bridge from the
-      15-argument [create].  [session_pack_window] > 1 turns on
+  (** [base] (default {!default}) with each passed argument's field
+      replaced; [policy] is [dispatch.batching], [dispatch] is
+      [dispatch.selection] and the [session_*] arguments set
+      [sessions].  [session_pack_window] > 1 turns on
       multi-session delta packing (see {!summary}); the default of 1
       keeps every session token its own size-1 window. *)
 
   val to_string : t -> string
-  (** Deterministic [key=value] lines, unset optionals omitted; [obs]
-      and [params] are not serialized.  Session-table keys serialize
-      as [sessions.budget_bytes], [sessions.ttl_us], [sessions.policy]
-      ([lru]|[ttl]) and [sessions.spill_dir];
+  (** Deterministic [key=value] lines, in this order: [max_batch],
+      [max_wait_us], [bucketing] ([fifo]|[by_size]), [selection],
+      [devices] (comma-separated backend names), [cache_capacity],
+      [lock_free], [options] ({!Cortex_lower.Lower.options_to_string}),
+      [queue_cap], [degrade_watermark], [faults] ({!Fault.to_string}),
+      [seed], [autotune], [tune_budget], [sessions.budget_bytes],
+      [sessions.ttl_us], [sessions.spill_dir], [sessions.pack_window]
+      and [sessions.pack_wait_us].  Unset optionals are omitted;
       [sessions.pack_window] / [sessions.pack_wait_us] print only when
       set away from their defaults, so bundles built before packing
-      existed stay byte-identical. *)
+      existed stay byte-identical.  [obs] and [params] are not
+      serialized. *)
 
   val of_string : string -> (t, string) result
   (** Parse {!to_string}'s form (newline- or tab-separated lines; [#]
       comments and blank lines ignored) over {!default}.  [Error]
       carries a human-readable reason (unknown key, malformed value,
       unknown backend name…). *)
+
+  val sets : key:string -> string -> bool
+  (** [sets ~key text]: a line of [text], read as {!of_string} reads
+      it, binds [key].  The parsed record cannot tell an explicit
+      [seed=0] from the default. *)
 end
 
 (** {2 Engine lifecycle} *)

@@ -203,7 +203,8 @@ let draw_transient t ~device ~at_us =
       | _ -> aborted)
     false t.spec
 
-let backoff_us t ~retry ~device ~attempt =
+let backoff_us t ~device ~attempt =
+  let retry = default_retry in
   let expo = retry.backoff_base_us *. (2.0 ** float_of_int attempt) in
   Float.min retry.backoff_cap_us expo
   +. Rng.float t.streams.(device) retry.backoff_base_us

@@ -90,8 +90,8 @@ val draw_transient : t -> device:int -> at_us:float -> bool
     covering {!Transient}; consumes no randomness when none covers, so
     fault-free devices stay deterministic regardless of spec order. *)
 
-val backoff_us : t -> retry:retry -> device:int -> attempt:int -> float
+val backoff_us : t -> device:int -> attempt:int -> float
 (** Capped exponential backoff with jitter for re-dispatching after the
     [attempt]-th transient abort:
     [min cap (base * 2^attempt) + uniform [0, base)] drawn from the
-    device's stream. *)
+    device's stream, with {!default_retry}'s base and cap. *)

@@ -1,16 +1,6 @@
-type policy = Lru | Ttl
-
-let policy_to_string = function Lru -> "lru" | Ttl -> "ttl"
-
-let policy_of_string = function
-  | "lru" -> Some Lru
-  | "ttl" -> Some Ttl
-  | _ -> None
-
 type config = {
   budget_bytes : int option;
   ttl_us : float option;
-  policy : policy;
   spill_dir : string option;
   pack_window : int;
   pack_wait_us : float;
@@ -20,7 +10,6 @@ let default_config =
   {
     budget_bytes = None;
     ttl_us = None;
-    policy = Lru;
     spill_dir = None;
     pack_window = 1;
     pack_wait_us = 0.0;
@@ -104,9 +93,6 @@ let touch t name ~bytes ~now_us =
 
 let bytes t = t.total_bytes
 
-let session_bytes t name =
-  Option.map (fun e -> e.e_bytes) (Hashtbl.find_opt t.live name)
-
 (* ---------- priced spill/restore costs ---------- *)
 
 (* Deterministic cost models, in the spirit of the backend latency
@@ -135,10 +121,8 @@ let victims t ~now_us =
     match t.cfg.budget_bytes with
     | None -> []
     | Some budget ->
-      (* [alive] is already least-recent-first, which is also
-         nearest-expiry-first under the uniform TTL both policies
-         share today — [Ttl] diverges from [Lru] only if per-session
-         TTLs ever appear. *)
+      (* [alive] is least-recent-first, which under the one uniform
+         TTL is also nearest-expiry-first. *)
       let remaining =
         List.fold_left (fun acc (_, e) -> acc + e.e_bytes) 0 alive
       in

@@ -1,5 +1,5 @@
-(** Bounded session-table accounting: budgets, LRU/TTL eviction policy
-    and spill/restore bookkeeping for the engine's pinned sessions.
+(** Bounded session-table accounting: budgets, LRU/TTL eviction and
+    spill/restore bookkeeping for the engine's pinned sessions.
 
     PR 7's sessions hold per-node hidden states on their device forever
     — a million-user fleet cannot.  This module is the pure bookkeeping
@@ -8,10 +8,9 @@
     {!Cortex_linearizer.Linearizer.layout_bytes} and
     [state_rows_bytes]) and its last-use simulated timestamp, decides
     {e which} sessions a drain must evict ({!victims}: TTL expiries
-    first, then least-recently-used — or nearest-expiry under the [Ttl]
-    policy — until the table fits the budget), and holds the spilled
-    {!Cortex_runtime.Checkpoint} session sections until the
-    conversation is re-admitted.  The engine keeps the sessions
+    first, then least-recently-used until the table fits the budget),
+    and holds the spilled {!Cortex_runtime.Checkpoint} session sections
+    until the conversation is re-admitted.  The engine keeps the sessions
     themselves; the store never touches tensors or devices.
 
     Spills live in memory by default, or as one [.csx] file per session
@@ -23,22 +22,11 @@
     bytes-over-bandwidth term, like the backend latency models), so
     drains that evict stay byte-reproducible. *)
 
-type policy =
-  | Lru  (** Budget evicts the least-recently-used session first. *)
-  | Ttl
-      (** Budget evicts the session nearest its TTL expiry first —
-          with a uniform [ttl_us] this coincides with LRU order; the
-          policies differ only under per-session TTLs. *)
-
-val policy_to_string : policy -> string
-val policy_of_string : string -> policy option
-
 type config = {
   budget_bytes : int option;
       (** Accounted-bytes ceiling across live sessions; [None] = unbounded. *)
   ttl_us : float option;
       (** Idle time after which a session expires; [None] = never. *)
-  policy : policy;  (** Victim order for the budget pass. *)
   spill_dir : string option;
       (** Directory for spill files; [None] keeps spills in memory. *)
   pack_window : int;
@@ -51,7 +39,7 @@ type config = {
 }
 
 val default_config : config
-(** Unbounded, no TTL, [Lru], in-memory spills, packing off — the PR 7
+(** Unbounded, no TTL, in-memory spills, packing off — the PR 7
     behaviour. *)
 
 type stats = {
@@ -88,14 +76,11 @@ val touch : t -> string -> bytes:int -> now_us:float -> unit
 val bytes : t -> int
 (** Accounted bytes across live sessions. *)
 
-val session_bytes : t -> string -> int option
-(** Accounted bytes of one live session. *)
-
 val victims : t -> now_us:float -> (string * [ `Ttl | `Budget ]) list
 (** The sessions an eviction pass at [now_us] must remove, in eviction
     order: every live session idle past [ttl_us] first, then — if the
-    survivors still exceed [budget_bytes] — sessions in policy order
-    until the table fits.  Deterministic: ties break on the session
+    survivors still exceed [budget_bytes] — least-recently-used
+    sessions until the table fits.  Deterministic: ties break on the session
     name.  Empty when neither bound is configured or the table fits. *)
 
 val spill : t -> string -> data:string -> now_us:float -> expired:bool -> float

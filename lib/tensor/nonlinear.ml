@@ -1,6 +1,3 @@
-let tanh_exact = tanh
-let sigmoid_exact x = 1.0 /. (1.0 +. exp (-.x))
-
 (* Padé(5,4)-like odd rational approximation:
    tanh x ~= x * (135135 + 17325 x^2 + 378 x^4 + x^6)
            / (135135 + 62370 x^2 + 3150 x^4 + 28 x^6)
@@ -25,12 +22,6 @@ type kind = Tanh | Sigmoid | Relu | Identity
 let apply = function
   | Tanh -> tanh_rational
   | Sigmoid -> sigmoid_rational
-  | Relu -> relu
-  | Identity -> Fun.id
-
-let apply_exact = function
-  | Tanh -> tanh_exact
-  | Sigmoid -> sigmoid_exact
   | Relu -> relu
   | Identity -> Fun.id
 

@@ -2,13 +2,10 @@
 
     §A.5 of the paper: Cortex uses rational approximations of [tanh] and
     [sigmoid] so the generated loops vectorize on CPUs.  We provide the
-    same approximations alongside the exact functions, and the test
-    suite bounds the approximation error.  The Cortex execution path
-    uses the rational forms; the reference implementations may use
-    either (the correctness oracle compares like with like). *)
-
-val tanh_exact : float -> float
-val sigmoid_exact : float -> float
+    same approximations, and the test suite bounds their error against
+    [Stdlib.tanh].  Every execution path — the compiled loops, the RA
+    evaluator and constant folding — uses the rational forms, so the
+    correctness oracle compares like with like. *)
 
 val tanh_rational : float -> float
 (** Padé-style rational approximation of tanh, clamped to [-1, 1];
@@ -24,7 +21,6 @@ type kind = Tanh | Sigmoid | Relu | Identity
 val apply : kind -> float -> float
 (** Dispatch using the rational forms for tanh/sigmoid. *)
 
-val apply_exact : kind -> float -> float
 val name : kind -> string
 val flops : kind -> int
 (** FLOP charge used by the cost model for one application. *)

@@ -142,9 +142,6 @@ let dot a b =
 let rand_uniform rng shape ~lo ~hi =
   init shape (fun _ -> lo +. Cortex_util.Rng.float rng (hi -. lo))
 
-let rand_gaussian rng shape ~mean ~std =
-  init shape (fun _ -> Cortex_util.Rng.gaussian rng ~mean ~std)
-
 let max_abs_diff a b =
   if not (Shape.equal a.shape b.shape) then invalid_arg "Tensor.max_abs_diff";
   let worst = ref 0.0 in

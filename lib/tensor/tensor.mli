@@ -71,7 +71,6 @@ val sum : t -> float
 val dot : t -> t -> float
 
 val rand_uniform : Cortex_util.Rng.t -> Shape.t -> lo:float -> hi:float -> t
-val rand_gaussian : Cortex_util.Rng.t -> Shape.t -> mean:float -> std:float -> t
 
 val approx_equal : ?tol:float -> t -> t -> bool
 (** Same shape and all elements within an absolute+relative tolerance. *)

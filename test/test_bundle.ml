@@ -239,26 +239,33 @@ let test_preloaded_plans_hit () =
 
 (* ---------- Engine.Config text form ---------- *)
 
+(* A config that sets every key away from its default. *)
+let every_key =
+  lazy
+    (let faults =
+       match Fault.parse "transient@*:0.05,0,1e6;straggler@0:3,2000,8000" with
+       | Ok s -> s
+       | Error e -> Alcotest.fail e
+     in
+     Engine.Config.make
+       ~policy:{ Engine.max_batch = 4; max_wait_us = 150.5; bucketing = Engine.By_size }
+       ~options:{ Lower.default with Lower.unroll = true; persist = false }
+       ~lock_free:true ~dispatch:Dispatch.Size_affinity
+       ~devices:[ Backend.gpu; Backend.arm; Backend.intel ]
+       ~cache_capacity:32 ~queue_cap:64 ~degrade_watermark:48 ~faults ~seed:7
+       ~autotune:true ~tune_budget:9 ~session_budget_bytes:4096 ~session_ttl_us:1500.5
+       ~session_spill_dir:"spills" ~session_pack_window:4 ~session_pack_wait_us:25.0 ())
+
 let test_config_roundtrip () =
-  let faults =
-    match Fault.parse "transient@*:0.05,0,1e6;straggler@0:3,2000,8000" with
-    | Ok s -> s
-    | Error e -> Alcotest.fail e
-  in
-  let c =
-    Engine.Config.make
-      ~policy:{ Engine.max_batch = 4; max_wait_us = 150.0; bucketing = Engine.By_size }
-      ~dispatch:Dispatch.Least_loaded
-      ~devices:[ Backend.gpu; Backend.arm ]
-      ~cache_capacity:32 ~queue_cap:64 ~degrade_watermark:48 ~faults ~seed:7
-      ~autotune:true ~tune_budget:9 ()
-  in
-  let text = Engine.Config.to_string c in
+  let text = Engine.Config.to_string (Lazy.force every_key) in
   (match Engine.Config.of_string text with
    | Error e -> Alcotest.fail e
    | Ok c2 ->
      Alcotest.(check string) "to_string . of_string is a fixed point" text
        (Engine.Config.to_string c2));
+  Alcotest.(check bool) "the text sets seed" true (Engine.Config.sets ~key:"seed" text);
+  Alcotest.(check bool) "a comment does not set seed" false
+    (Engine.Config.sets ~key:"seed" "# seed=7\nmax_batch=3");
   (* The tab-joined single-line form a bundle manifest embeds parses
      identically. *)
   let one_line = String.concat "\t" (String.split_on_char '\n' text) in
@@ -268,16 +275,44 @@ let test_config_roundtrip () =
     Alcotest.(check string) "tab-joined form parses the same" text
       (Engine.Config.to_string c3)
 
+(* The exact text pins the codec: key names, order, number formats and
+   which keys are omitted at their defaults.  Bundles embed this text,
+   so any change here changes every bundle built with a config. *)
+let test_config_to_string_exact () =
+  Alcotest.(check string) "default"
+    "max_batch=8\nmax_wait_us=200\nbucketing=fifo\nselection=round-robin\n\
+     lock_free=false\nseed=0\nautotune=false\n"
+    (Engine.Config.to_string Engine.Config.default);
+  Alcotest.(check string) "every key set"
+    "max_batch=4\nmax_wait_us=150.5\nbucketing=by_size\nselection=size-affinity\n\
+     devices=GPU,ARM,Intel\ncache_capacity=32\nlock_free=true\n\
+     options=dynamic_batch,specialize,fuse,unroll\nqueue_cap=64\n\
+     degrade_watermark=48\nfaults=transient@*:0.05,0,1e+06;straggler@0:3,2000,8000\n\
+     seed=7\nautotune=true\ntune_budget=9\nsessions.budget_bytes=4096\n\
+     sessions.ttl_us=1500.5\nsessions.spill_dir=spills\n\
+     sessions.pack_window=4\nsessions.pack_wait_us=25\n"
+    (Engine.Config.to_string (Lazy.force every_key))
+
 let test_config_of_string_errors () =
-  let bad s =
+  let bad s want =
     match Engine.Config.of_string s with
     | Ok _ -> Alcotest.failf "accepted %S" s
-    | Error _ -> ()
+    | Error e -> Alcotest.(check string) s want e
   in
-  bad "no_such_key=1";
-  bad "max_batch=frog";
-  bad "devices=GPU,Q36";
-  bad "bucketing=diagonal";
+  bad "no_such_key=1" {|config: unknown key "no_such_key"|};
+  bad "max_batch=frog" {|config: max_batch wants an integer, got "frog"|};
+  bad "devices=GPU,Q36" {|config: unknown backend in devices "GPU,Q36"|};
+  bad "bucketing=diagonal" {|config: unknown bucketing "diagonal"|};
+  bad "max_wait_us=soon" {|config: max_wait_us wants a number, got "soon"|};
+  bad "lock_free=yes" {|config: lock_free wants true/false, got "yes"|};
+  bad "selection=random" {|config: unknown selection policy "random"|};
+  bad "options=warp" {|config: malformed options "warp"|};
+  bad "seed=1\nmax_batch" {|config: missing '=' in "max_batch"|};
+  bad "faults=bogus" {|config: fault clause 1 ("bogus"): missing @device|};
+  (* Neither the retry budget nor the eviction order is configurable:
+     their keys are unknown, not silently ignored. *)
+  bad "sessions.policy=lru" {|config: unknown key "sessions.policy"|};
+  bad "max_retries=4" {|config: unknown key "max_retries"|};
   (match Engine.Config.of_string "# comment\n\nmax_batch=3" with
    | Error e -> Alcotest.fail e
    | Ok c ->
@@ -361,6 +396,7 @@ let () =
       ( "config",
         [
           Alcotest.test_case "roundtrip" `Quick test_config_roundtrip;
+          Alcotest.test_case "exact-text" `Quick test_config_to_string_exact;
           Alcotest.test_case "errors" `Quick test_config_of_string_errors;
         ] );
       ( "checkpoint",
