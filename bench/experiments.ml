@@ -559,16 +559,16 @@ let tuning () =
       (fun name ->
         let spec = Models.Catalog.get name Models.Catalog.Small in
         let s = dataset spec ~batch:10 in
-        let ranked = Tuner.tune spec ~backend:Backend.gpu s in
+        let ranked = Tuner.tune2 ~plan_budget:0 spec ~backend:Backend.gpu s in
         let best = List.hd ranked in
         let worst = List.nth ranked (List.length ranked - 1) in
         let default_ms = cortex_ms spec Backend.gpu s in
         [
           name;
-          best.Tuner.label;
-          Table.fms (Runtime.total_ms best.Tuner.report);
+          best.Tuner.pc_label;
+          Table.fms (Runtime.total_ms best.Tuner.pc_report);
           Table.fms default_ms;
-          Table.fms (Runtime.total_ms worst.Tuner.report);
+          Table.fms (Runtime.total_ms worst.Tuner.pc_report);
         ])
       Models.Catalog.evaluated
   in
@@ -619,12 +619,12 @@ let autotune () =
             List.map
               (fun batch ->
                 let s = dataset spec ~batch in
-                let base = Tuner.best spec ~backend s in
+                let base = Tuner.best2 ~plan_budget:0 spec ~backend s in
                 let tuned = Tuner.best2 spec ~backend s in
                 (* Simulated device latency only: the priced
                    linearization is the same charge on both sides. *)
                 let default_ms =
-                  base.Tuner.report.Runtime.latency.Backend.total_us /. 1000.0
+                  base.Tuner.pc_report.Runtime.latency.Backend.total_us /. 1000.0
                 in
                 let tuned_ms =
                   tuned.Tuner.pc_report.Runtime.latency.Backend.total_us /. 1000.0

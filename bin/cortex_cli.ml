@@ -113,10 +113,9 @@ let config_file_arg =
            ~doc:"Engine configuration file: Engine.Config key=value lines \
                  (# comments and blank lines ignored)")
 
-(* Returns the raw text alongside the parsed config: [of_string]
-   parses over [default], so only the text can tell whether a key was
-   explicitly set (the seed's historical CLI default differs from the
-   record default). *)
+(* Returns the raw text alongside the parsed config: [serve] appends
+   its flag lines to the text, [build] embeds the config's canonical
+   text. *)
 let load_config = function
   | None -> None
   | Some path ->
@@ -405,68 +404,78 @@ let inspect_cmd =
              sections, tuned plans and weight shapes — without unmarshalling the program")
     Term.(const run $ file_arg)
 
+(* The serve flags whose text is an [Engine.Config] key's value: each
+   given flag becomes the line [key=TEXT], parsed by the key table.
+   (flag, key, docv, doc) *)
+let setting_flags =
+  [
+    ("max-batch", "max_batch", "N", "Close a batch window at this many requests (default 8)");
+    ("max-wait-us", "max_wait_us", "US", "Close a partial window after this wait (default 200)");
+    ("dispatch", "selection", "POLICY",
+     "round-robin | least-loaded | size-affinity (default round-robin)");
+    ("device-list", "devices", "LIST",
+     "Comma-separated heterogeneous device list (e.g. gpu,gpu,intel); overrides --devices");
+    ("faults", "faults", "SPEC",
+     "Fault spec, e.g. 'failstop@1:5000;transient@*:0.05,0,1e6;straggler@0:3,2000,8000'. \
+      Faults are drawn from --seed, so the run stays deterministic");
+    ("queue-cap", "queue_cap", "N", "Shed submissions past this queue depth");
+    ("degrade-watermark", "degrade_watermark", "N",
+     "Degrade the batching policy (halve max-batch, force by-size) past this queue depth");
+    ("seed", "seed", "N", "Trace/fault/parameter seed (default 2021)");
+    ("tune-budget", "tune_budget", "N",
+     "Candidate plans evaluated per size-class (a count, not wall time; default 16)");
+    ("session-budget", "sessions.budget_bytes", "BYTES",
+     "Bound the session table at this many accounted bytes (layout plus pinned state \
+      rows); least-recently-used sessions past it are evicted, their state spilled for \
+      re-admission (default unbounded)");
+    ("session-ttl-us", "sessions.ttl_us", "US",
+     "Expire sessions idle past this many simulated microseconds (default never)");
+    ("session-spill-dir", "sessions.spill_dir", "DIR",
+     "Write evicted session state as one .csx file per session under DIR (created on \
+      first spill) instead of holding spills in memory — lets a conversation survive an \
+      engine restart");
+    ("session-pack", "sessions.pack_window", "N",
+     "Merge up to N concurrent sessions' delta tokens into one packed forest window per \
+      drain tick (same pinned device, level batches unioned, one kernel-launch sequence \
+      for the whole pack); results stay bitwise identical to unpacked serving (default 1 \
+      = off)");
+    ("session-pack-wait-us", "sessions.pack_wait_us", "US",
+     "How far past a pack's first token arrival a later session token may land and \
+      still join the pack (default 0 = same-instant tokens only)");
+  ]
+
+(* The given setting flags as (key, text) pairs, in [setting_flags]
+   order. *)
+let settings_term =
+  List.fold_right
+    (fun (name, key, docv, doc) rest ->
+      let arg =
+        Arg.(value & opt (some string) None
+             & info [ name ] ~docv ~doc:(Printf.sprintf "%s; key $(b,%s)" doc key))
+      in
+      Term.(
+        const (fun v rest -> match v with Some v -> (key, v) :: rest | None -> rest)
+        $ arg $ rest))
+    setting_flags (Term.const [])
+
 let serve_cmd =
   let rps_arg = Arg.(value & opt float 2000.0 & info [ "rps" ] ~doc:"Offered load, requests per second") in
   let duration_arg = Arg.(value & opt float 50.0 & info [ "duration-ms" ] ~doc:"Simulated trace duration") in
-  let max_batch_arg =
-    Arg.(value & opt (some int) None
-         & info [ "max-batch" ] ~doc:"Close a batch window at this many requests (default 8)")
+  let bucketed_arg =
+    Arg.(value & flag
+         & info [ "bucketed" ]
+             ~doc:"Bucket windows by request size (power-of-two node counts) instead of FIFO; \
+                   the line $(b,bucketing=by_size)")
   in
-  let max_wait_arg =
-    Arg.(value & opt (some float) None
-         & info [ "max-wait-us" ] ~doc:"Close a partial window after this wait (default 200)")
-  in
-  let bucketed_arg = Arg.(value & flag & info [ "bucketed" ] ~doc:"Bucket windows by request size (power-of-two node counts) instead of FIFO") in
   let devices_arg =
     Arg.(value & opt (some int) None
-         & info [ "devices" ] ~doc:"Shard the engine across this many copies of --backend (default 1)")
-  in
-  let serve_seed_arg =
-    Arg.(value & opt (some int) None
-         & info [ "seed" ] ~doc:"Trace/fault/parameter seed (default 2021)")
-  in
-  let device_list_arg =
-    Arg.(value & opt (some string) None
-         & info [ "device-list" ]
-             ~doc:"Comma-separated heterogeneous device list (e.g. gpu,gpu,intel); overrides --devices")
-  in
-  let dispatch_arg =
-    let parse s =
-      match Dispatch.policy_of_string s with
-      | Some p -> Ok p
-      | None -> Error (`Msg ("unknown dispatch policy " ^ s))
-    in
-    let print fmt p = Format.pp_print_string fmt (Dispatch.policy_to_string p) in
-    Arg.(value & opt (some (conv (parse, print))) None
-         & info [ "dispatch" ] ~doc:"round-robin | least-loaded | size-affinity (default round-robin)")
-  in
-  let backend_of_name s =
-    match String.lowercase_ascii (String.trim s) with
-    | "gpu" -> Backend.gpu
-    | "intel" -> Backend.intel
-    | "arm" -> Backend.arm
-    | other -> invalid_arg ("unknown backend " ^ other)
-  in
-  let faults_arg =
-    let parse s = match Fault.parse s with Ok spec -> Ok spec | Error e -> Error (`Msg e) in
-    let print fmt spec = Format.pp_print_string fmt (Fault.to_string spec) in
-    Arg.(value & opt (some (conv (parse, print))) None
-         & info [ "faults" ]
-             ~doc:"Fault spec, e.g. 'failstop@1:5000;transient@*:0.05,0,1e6;straggler@0:3,2000,8000'. \
-                   Faults are drawn from --seed, so the run stays deterministic")
+         & info [ "devices" ] ~docv:"N"
+             ~doc:"Shard the engine across N copies of --backend (default 1); the line \
+                   $(b,devices=) with N backend names, which --device-list overrides")
   in
   let deadline_arg =
     Arg.(value & opt (some float) None
          & info [ "deadline-us" ] ~doc:"Per-request completion deadline, relative to arrival")
-  in
-  let queue_cap_arg =
-    Arg.(value & opt (some int) None
-         & info [ "queue-cap" ] ~doc:"Shed submissions past this queue depth")
-  in
-  let watermark_arg =
-    Arg.(value & opt (some int) None
-         & info [ "degrade-watermark" ]
-             ~doc:"Degrade the batching policy (halve max-batch, force by-size) past this queue depth")
   in
   let profile_arg =
     Arg.(value & opt (some string) None
@@ -486,12 +495,8 @@ let serve_cmd =
     Arg.(value & flag
          & info [ "autotune" ]
              ~doc:"Tune a loop-schedule plan per (device backend, size-class) on first contact and reuse it; \
-                   the plan report below is a pure function of (seed, trace)")
-  in
-  let tune_budget_arg =
-    Arg.(value & opt (some int) None
-         & info [ "tune-budget" ]
-             ~doc:"Candidate plans evaluated per size-class (a count, not wall time; default 16)")
+                   the plan report below is a pure function of (seed, trace); the line \
+                   $(b,autotune=true)")
   in
   let bundle_arg =
     Arg.(value & opt (some file) None
@@ -510,39 +515,6 @@ let serve_cmd =
     Arg.(value & opt int 16
          & info [ "session-tokens" ] ~doc:"Tokens each session grows by over the trace (default 16)")
   in
-  let session_budget_arg =
-    Arg.(value & opt (some int) None
-         & info [ "session-budget" ]
-             ~doc:"Bound the session table at this many accounted bytes (layout plus pinned \
-                   state rows); least-recently-used sessions past it are evicted, their state \
-                   spilled for re-admission (default unbounded)")
-  in
-  let session_ttl_arg =
-    Arg.(value & opt (some float) None
-         & info [ "session-ttl-us" ]
-             ~doc:"Expire sessions idle past this many simulated microseconds (default never)")
-  in
-  let session_spill_dir_arg =
-    Arg.(value & opt (some string) None
-         & info [ "session-spill-dir" ] ~docv:"DIR"
-             ~doc:"Write evicted session state as one .csx file per session under DIR \
-                   (created on first spill) instead of holding spills in memory — lets a \
-                   conversation survive an engine restart")
-  in
-  let session_pack_arg =
-    Arg.(value & opt (some int) None
-         & info [ "session-pack" ] ~docv:"N"
-             ~doc:"Merge up to N concurrent sessions' delta tokens into one packed forest \
-                   window per drain tick (same pinned device, level batches unioned, one \
-                   kernel-launch sequence for the whole pack); results stay bitwise \
-                   identical to unpacked serving (default 1 = off)")
-  in
-  let session_pack_wait_arg =
-    Arg.(value & opt (some float) None
-         & info [ "session-pack-wait-us" ]
-             ~doc:"How far past a pack's first token arrival a later session token may land \
-                   and still join the pack (default 0 = same-instant tokens only)")
-  in
   let slo_miss_budget_arg =
     Arg.(value & opt (some float) None
          & info [ "slo-miss-budget" ]
@@ -551,11 +523,9 @@ let serve_cmd =
                    this budget — so CI chaos steps fail on regressions instead of \
                    only diffing stdout")
   in
-  let run name size seed backend options rps duration_ms max_batch max_wait_us bucketed
-      num_devices device_list dispatch faults deadline_us queue_cap degrade_watermark
-      profile metrics logical_clock autotune tune_budget bundle sessions session_tokens
-      session_budget session_ttl_us session_spill_dir session_pack
-      session_pack_wait config_file slo_miss_budget =
+  let run name size backend options rps duration_ms num_devices bucketed autotune
+      settings deadline_us profile metrics logical_clock bundle sessions session_tokens
+      config_file slo_miss_budget =
     let spec = get_spec name size in
     let bundle_loaded =
       match bundle with
@@ -566,93 +536,74 @@ let serve_cmd =
           prerr_endline ("bundle: " ^ Bundle.error_to_string e);
           exit 1)
     in
-    (* Precedence: an explicit CLI flag > the --config file > the
-       bundle's embedded config (when serving --bundle) > the built-in
-       default.  Flags that used to carry eager defaults are optional
-       here so leaving them off genuinely defers to the file or bundle
-       (with neither, [Config.default] restores the historical
-       behaviour). *)
-    let cfg_src =
-      match load_config config_file with
-      | Some _ as src -> src
-      | None -> (
-        match bundle_loaded with
-        | Some b when String.trim b.Bundle.b_config <> "" -> (
-          match Engine.Config.of_string b.Bundle.b_config with
-          | Ok c -> Some (b.Bundle.b_config, c)
-          | Error reason ->
-            prerr_endline
-              ("bundle: "
-              ^ Bundle.error_to_string
-                  (Bundle.Corrupt_section { section = "config"; reason }));
-            exit 1)
-        | _ -> None)
+    (* The engine settings are one config text: serve's historical seed,
+       then the source (the --config file, else the bundle's embedded
+       config), then one line per engine flag given.  [of_string] lets a
+       later line win, so a flag beats the file, the file (or bundle)
+       beats seed=2021, and every key left unset keeps its default. *)
+    let source =
+      match (load_config config_file, bundle_loaded) with
+      | Some (text, _), _ -> text
+      | None, Some b -> (
+        match Engine.Config.of_string b.Bundle.b_config with
+        | Ok _ -> b.Bundle.b_config
+        | Error reason ->
+          prerr_endline
+            ("bundle: "
+            ^ Bundle.error_to_string (Bundle.Corrupt_section { section = "config"; reason }));
+          exit 1)
+      | None, None -> ""
     in
-    let base =
-      match cfg_src with Some (_, c) -> c | None -> Engine.Config.default
+    (* --devices N is N copies of --backend; its line goes before
+       --device-list's, so the list wins. *)
+    let copies n = String.concat "," (List.init (max 0 n) (fun _ -> backend.Backend.short)) in
+    let flag_lines =
+      List.concat
+        [
+          (match num_devices with Some n -> [ ("devices", copies n) ] | None -> []);
+          (if bucketed then [ ("bucketing", "by_size") ] else []);
+          (if options <> Lower.default then [ ("options", Lower.options_to_string options) ]
+           else []);
+          (if autotune then [ ("autotune", "true") ] else []);
+          settings;
+        ]
+      |> List.map (fun (key, v) ->
+             (* A newline or tab would start another key's line. *)
+             if String.exists (fun c -> c = '\n' || c = '\t') v then
+               die (Printf.sprintf "config: %s wants one line, got %S" key v);
+             key ^ "=" ^ v)
     in
-    let base_batching = base.Engine.Config.dispatch.Engine.Config.batching in
-    let policy =
-      {
-        Engine.max_batch = Option.value max_batch ~default:base_batching.Engine.max_batch;
-        max_wait_us = Option.value max_wait_us ~default:base_batching.Engine.max_wait_us;
-        bucketing = (if bucketed then Engine.By_size else base_batching.Engine.bucketing);
-      }
-    in
-    (* The historical serve default (2021) survives a config source
-       that never mentions seed — only an explicit [seed=] line (or
-       --seed) may change the generated trace, faults, and params. *)
-    let seed =
-      match seed with
-      | Some s -> s
-      | None ->
-        (match cfg_src with
-         | Some (text, c) when Engine.Config.sets ~key:"seed" text ->
-           c.Engine.Config.reliability.Engine.Config.seed
-         | _ -> 2021)
-    in
-    let dispatch =
-      Option.value dispatch ~default:base.Engine.Config.dispatch.Engine.Config.selection
-    in
-    let devices =
-      match (device_list, num_devices) with
-      | Some list, _ -> List.map backend_of_name (String.split_on_char ',' list)
-      | None, Some n ->
-        if n < 1 then invalid_arg "--devices must be >= 1";
-        List.init n (fun _ -> backend)
-      | None, None ->
-        (match base.Engine.Config.dispatch.Engine.Config.devices with
-         | Some ds -> ds
-         | None -> [ backend ])
-    in
-    (* The option flags build a record from [Lower.default]; if none was
-       given, defer to the file's [compile.options]. *)
-    let options = if options = Lower.default then None else Some options in
     let obs =
       if profile <> None || metrics then
         Some (Obs.create ~clock:(if logical_clock then Obs.Logical else Obs.Measured) ())
       else None
     in
     let config =
-      Engine.Config.make ~base ~policy ?options ~dispatch ~devices ?queue_cap
-        ?degrade_watermark ?faults ~seed ?obs
-        ~autotune:(autotune || base.Engine.Config.tuning.Engine.Config.autotune)
-        ?tune_budget ?session_budget_bytes:session_budget ?session_ttl_us
-        ?session_spill_dir ?session_pack_window:session_pack
-        ?session_pack_wait_us:session_pack_wait ()
+      match Engine.Config.of_string (String.concat "\n" ("seed=2021" :: source :: flag_lines)) with
+      | Ok c -> Engine.Config.make ~base:c ?obs ()
+      | Error e -> die e
     in
     let engine =
       try
         match bundle_loaded with
         | Some b -> Engine.of_bundle ~config ~expect_model:name b ~backend
         | None -> Engine.of_spec ~config spec ~backend
-      with Bundle.Error e ->
+      with
+      | Bundle.Error e ->
         prerr_endline ("bundle: " ^ Bundle.error_to_string e);
         exit 1
+      | Invalid_argument msg | Lower.Lowering_error msg -> die msg
     in
+    let policy = config.Engine.Config.dispatch.Engine.Config.batching in
+    let devices =
+      Option.value config.Engine.Config.dispatch.Engine.Config.devices ~default:[ backend ]
+    in
+    let seed = config.Engine.Config.reliability.Engine.Config.seed in
     let trace =
-      Trace.poisson ?deadline_us (Rng.create seed) ~rate_rps:rps ~duration_ms
-        ~gen:(fun rng -> spec.M.dataset rng ~batch:1)
+      try
+        Trace.poisson ?deadline_us (Rng.create seed) ~rate_rps:rps ~duration_ms
+          ~gen:(fun rng -> spec.M.dataset rng ~batch:1)
+      with Invalid_argument msg -> die msg
     in
     (* Growing conversations ride along with the trace: their tokens are
        queued up front (the drain plays everything in arrival order),
@@ -704,7 +655,7 @@ let serve_cmd =
       (match policy.Engine.bucketing with Engine.By_size -> "by-size" | Engine.Fifo -> "fifo");
     Printf.printf "  %d windows (mean %.1f req/window), throughput %.0f req/s, dispatch %s\n"
       a.Engine.num_windows a.Engine.mean_window a.Engine.throughput_rps
-      (Dispatch.policy_to_string dispatch);
+      (Dispatch.policy_to_string config.Engine.Config.dispatch.Engine.Config.selection);
     Printf.printf "  latency mean %.1f us, p50 %.1f us, p99 %.1f us, makespan %.2f ms\n"
       a.Engine.mean_us a.Engine.p50_us a.Engine.p99_us (a.Engine.makespan_us /. 1000.0);
     let c = s.Engine.cache in
@@ -838,17 +789,30 @@ let serve_cmd =
           budget;
         exit 4)
   in
+  let man =
+    [
+      `S "ENGINE SETTINGS";
+      `P "Each engine flag given becomes one $(b,key=value) line of Engine.Config's text \
+          form: the key is named in the flag's doc, --devices N lists N backend names, \
+          and the schedule flags become one $(b,options) line when they differ from the \
+          default.  The text parsed is $(b,seed=2021), then the --config file (else the \
+          bundle's embedded config), then the flag lines.  A later line wins, so a flag \
+          beats the file or bundle, and they beat serve's seed and the defaults.";
+      `P "A malformed flag value is reported by its key's parser, as in \
+          $(b,cortex: config: max_batch wants an integer, got \"x\").  A value the \
+          engine rejects (an empty device list, $(b,max_batch=0), a fault on a missing \
+          device), options the model cannot lower and a bad trace argument \
+          ($(b,--rps 0)) print $(b,cortex:) and the reason.  Each exits 1.";
+    ]
+  in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info "serve" ~man
        ~doc:"Replay a synthetic Poisson trace through the (optionally sharded) serving engine and report latency/throughput")
     Term.(
-      const run $ model_arg $ size_arg $ serve_seed_arg $ backend_arg $ options_flags $ rps_arg
-      $ duration_arg $ max_batch_arg $ max_wait_arg $ bucketed_arg $ devices_arg
-      $ device_list_arg $ dispatch_arg $ faults_arg $ deadline_arg $ queue_cap_arg
-      $ watermark_arg $ profile_arg $ metrics_arg $ logical_clock_arg $ autotune_arg
-      $ tune_budget_arg $ bundle_arg $ sessions_arg $ session_tokens_arg
-      $ session_budget_arg $ session_ttl_arg $ session_spill_dir_arg
-      $ session_pack_arg $ session_pack_wait_arg $ config_file_arg $ slo_miss_budget_arg)
+      const run $ model_arg $ size_arg $ backend_arg $ options_flags $ rps_arg $ duration_arg
+      $ devices_arg $ bucketed_arg $ autotune_arg $ settings_term $ deadline_arg
+      $ profile_arg $ metrics_arg $ logical_clock_arg $ bundle_arg $ sessions_arg
+      $ session_tokens_arg $ config_file_arg $ slo_miss_budget_arg)
 
 let validate_trace_cmd =
   let file_arg =

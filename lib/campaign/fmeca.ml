@@ -8,7 +8,6 @@ module Fault = Cortex_serve.Fault
 module Dispatch = Cortex_serve.Dispatch
 module Trace = Cortex_serve.Trace
 module Obs = Cortex_obs.Obs
-module Metrics = Cortex_obs.Metrics
 module Scan = Cortex_obs.Scan
 module CT = Cortex_obs.Chrome_trace
 
@@ -273,25 +272,13 @@ let severity ~(baseline : Engine.summary) (s : Engine.summary) =
 
 let occurrence rate = scale10 (sqrt (clamp01 rate))
 
-let detectability detection (at_damage : Metrics.snapshot option) =
-  match detection with
+let detectability = function
   | Scan.No_damage -> 1
   | Scan.Lead us when us >= 1000.0 -> 2
   | Scan.Lead us when us >= 100.0 -> 3
   | Scan.Lead _ -> 4
   | Scan.Lagged _ -> 7
-  | Scan.Undetected -> (
-    (* No span fired before the damage — but if a fault counter had
-       already moved by damage time, a metrics scraper could still
-       have seen it coming: score 8 instead of a blind 10. *)
-    match at_damage with
-    | Some snap
-      when List.exists
-             (fun (name, v) ->
-               v > 0 && String.length name > 7 && String.sub name 0 7 = "faults.")
-             snap.Metrics.counters ->
-      8
-    | _ -> 10)
+  | Scan.Undetected -> 10
 
 let score_of ~baseline su (summary : Engine.summary) events =
   let slo = summary.Engine.slo in
@@ -300,7 +287,7 @@ let score_of ~baseline su (summary : Engine.summary) events =
     Scan.detect ~signals:warning_signals
       ~damage:slo.Engine.slo_first_damage_us events
   in
-  let det = detectability detection summary.Engine.metrics_at_damage in
+  let det = detectability detection in
   let occ = occurrence su.su_mode.fm_rate in
   {
     sc_mode = su.su_mode;

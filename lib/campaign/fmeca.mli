@@ -24,8 +24,10 @@
     - {b detectability} (1..10, {e higher = worse}) — scanned from the
       run's Chrome trace ({!Cortex_obs.Scan}): how many simulated
       microseconds of warning the fault spans gave before the first
-      SLO-visible damage ([slo_first_damage_us]), falling back to the
-      damage-time metrics snapshot when no span ever fired.
+      SLO-visible damage ([slo_first_damage_us]); 10 when no warning
+      span ever fired.  (The engine moves its [faults.*] counters only
+      where it records an abort or transient span, so a counter never
+      moves on an undetected run.)
 
     [RPN = S * O * D], ranked descending with a deterministic
     tie-break.  No simulated number reads the host clock and every run

@@ -9,8 +9,6 @@ module Cost = Cortex_ilir.Cost
 module Roofline = Cortex_roofline.Roofline
 module Linearizer = Cortex_linearizer.Linearizer
 
-type candidate = { options : Lower.options; label : string; report : Runtime.report }
-
 let label_of (o : Lower.options) =
   let tag cond name = if cond then [ name ] else [] in
   let tags =
@@ -68,27 +66,6 @@ let hidden_of_ra (ra : Ra.t) =
       let o = Ra.find_op ra.Ra.rec_ops st.Ra.st_op in
       List.fold_left max acc (Ra.op_dims o))
     1 ra.Ra.states
-
-let tune (spec : M.t) ~backend structure =
-  let hidden = hidden_of_ra spec.M.program in
-  let states = List.length spec.M.program.Ra.states in
-  candidates spec
-  |> List.filter_map (fun (label, options) ->
-         let compiled = Runtime.compile ~options spec.M.program in
-         let report = Runtime.simulate compiled ~backend structure in
-         match
-           Runtime.Schedule_check.check ~backend ~hidden ~states options
-             ~cost:report.Runtime.cost
-         with
-         | Runtime.Schedule_check.Invalid _ -> None
-         | Runtime.Schedule_check.Valid -> Some { options; label; report })
-  |> List.sort (fun a b ->
-         compare (Runtime.total_ms a.report) (Runtime.total_ms b.report))
-
-let best spec ~backend structure =
-  match tune spec ~backend structure with
-  | [] -> invalid_arg "Tuner.best: no valid schedule"
-  | c :: _ -> c
 
 (* ---------- level 2: loop-schedule plans ---------- *)
 

@@ -7,30 +7,13 @@
     block-local flag), recursive refactoring — filters out combinations
     that are invalid for the model's structure kind or rejected by the
     Appendix-D register-pressure check, costs each candidate on the
-    target backend, and returns them ranked. *)
-
-type candidate = {
-  options : Cortex_lower.Lower.options;
-  label : string;  (** e.g. "fuse+spec+persist" *)
-  report : Runtime.report;
-}
+    target backend, and returns them ranked.  {!tune2} is the one
+    search: with [~plan_budget:0] it is that options-only grid search,
+    and with a budget it also sweeps loop plans per options point. *)
 
 val candidates : Cortex_models.Models_common.t -> (string * Cortex_lower.Lower.options) list
 (** The valid schedule lattice for this model (structurally valid; the
-    App. D check is applied during {!tune} because it needs the cost). *)
-
-val tune :
-  Cortex_models.Models_common.t ->
-  backend:Cortex_backend.Backend.t ->
-  Cortex_ds.Structure.t ->
-  candidate list
-(** All valid candidates costed on [backend], fastest first. *)
-
-val best :
-  Cortex_models.Models_common.t ->
-  backend:Cortex_backend.Backend.t ->
-  Cortex_ds.Structure.t ->
-  candidate
+    App. D check is applied during {!tune2} because it needs the cost). *)
 
 (** {2 Level 2: loop-schedule parameters}
 
@@ -94,9 +77,11 @@ val tune2 :
   Cortex_ds.Structure.t ->
   plan_candidate list
 (** Two-level search: every structurally valid options point crossed
-    with up to [plan_budget] loop plans, pruned by the App. D register
-    check, the on-chip capacity check and the roofline bound; all
-    feasible candidates ranked fastest first. *)
+    with up to [plan_budget] (default 16) loop plans, pruned by the
+    App. D register check, the on-chip capacity check and the roofline
+    bound; all feasible candidates ranked fastest first.  With
+    [~plan_budget:0] every candidate carries the empty plan: the
+    options lattice alone, one candidate per feasible options point. *)
 
 val best2 :
   ?plan_budget:int ->
@@ -104,6 +89,8 @@ val best2 :
   backend:Cortex_backend.Backend.t ->
   Cortex_ds.Structure.t ->
   plan_candidate
+(** The head of {!tune2}; raises [Invalid_argument] when no candidate
+    is feasible. *)
 
 val plan_feasible :
   backend:Cortex_backend.Backend.t ->

@@ -331,11 +331,6 @@ module Config = struct
       (fun acc line ->
         Result.bind acc (fun c -> Result.bind (binding line) (fun (k, v) -> k.parse c v)))
       (Ok default) (lines text)
-
-  let sets ~key text =
-    List.exists
-      (fun line -> match binding line with Ok (k, _) -> k.name = key | Error _ -> false)
-      (lines text)
 end
 
 (* ---------- engine state ---------- *)
@@ -1207,9 +1202,6 @@ type summary = {
   packed_windows : int;  (* multi-session packed windows this drain *)
   packed_tokens : int;  (* session tokens those windows carried *)
   metrics : Metrics.snapshot option;
-  metrics_at_damage : Metrics.snapshot option;
-      (* the registry at the first observed SLO damage (with [obs]):
-         which counters had already moved before anything was hurt *)
   plans : plan_report list;  (* per (backend, size-class), autotune only *)
   plan_cache : Plan_cache.stats option;
 }
@@ -1563,19 +1555,11 @@ let drain t =
   let transients = ref 0 and retries = ref 0 and failovers = ref 0 in
   let lost = ref 0 in
   (* First SLO-visible damage on the simulated clock — the earliest
-     shed arrival, lost window, or missed deadline — and the metrics
-     registry as it stood when damage was first observed in processing
-     order.  These are the FMECA campaign's detectability inputs: how
-     long before anything was hurt, and which counters had already
-     moved by then. *)
+     shed arrival, lost window, or missed deadline.  This is the FMECA
+     campaign's detectability input: how long before anything was
+     hurt. *)
   let first_damage = ref infinity in
-  let damage_metrics = ref None in
-  let note_damage at =
-    (match !damage_metrics with
-     | None -> damage_metrics := Obs.snapshot obs
-     | Some _ -> ());
-    if at < !first_damage then first_damage := at
-  in
+  let note_damage at = if at < !first_damage then first_damage := at in
   if shed > 0 then note_damage shed_at;
   let wreports = ref [] in
   let rreports = ref [] in
@@ -2289,7 +2273,6 @@ let drain t =
     packed_windows = !packed_windows;
     packed_tokens = !packed_tokens;
     metrics = Obs.snapshot obs;
-    metrics_at_damage = !damage_metrics;
     plans;
     plan_cache;
   }

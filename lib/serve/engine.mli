@@ -102,8 +102,10 @@ val error_to_string : error -> string
     overrides a base record field by field.
 
     {!Config.to_string}/{!Config.of_string} give the record a stable
-    [key=value] textual form (what [cortex serve --config FILE] reads
-    and a bundle's manifest embeds).  The two runtime objects — the
+    [key=value] textual form: what [cortex serve --config FILE] reads,
+    what a bundle's manifest embeds, and what [cortex serve] turns each
+    engine flag into (one key line appended after the file's or the
+    bundle's text, so the flag wins).  The two runtime objects — the
     [obs] handle and the [params] resolver — are carried by the record
     but never serialized. *)
 module Config : sig
@@ -225,14 +227,11 @@ module Config : sig
 
   val of_string : string -> (t, string) result
   (** Parse {!to_string}'s form (newline- or tab-separated lines; [#]
-      comments and blank lines ignored) over {!default}.  [Error]
-      carries a human-readable reason (unknown key, malformed value,
-      unknown backend name…). *)
-
-  val sets : key:string -> string -> bool
-  (** [sets ~key text]: a line of [text], read as {!of_string} reads
-      it, binds [key].  The parsed record cannot tell an explicit
-      [seed=0] from the default. *)
+      comments and blank lines ignored) over {!default}, one line at a
+      time in order: a key bound twice takes its last line's value, so
+      appending lines to a text overrides it.  [Error] carries a
+      human-readable reason (unknown key, malformed value, unknown
+      backend name…). *)
 end
 
 (** {2 Engine lifecycle} *)
@@ -503,11 +502,6 @@ type summary = {
           request/fault counters, queue and utilization gauges, latency
           and window-size histograms; [None] when no handle is
           installed *)
-  metrics_at_damage : Cortex_obs.Metrics.snapshot option;
-      (** with [obs]: the registry as it stood when the first
-          SLO-visible damage was observed — which counters had already
-          moved before anything was hurt.  [None] without [obs] or when
-          [slo.slo_first_damage_us] is [None]. *)
   plans : plan_report list;
       (** with [autotune]: one line per tuned (backend, size-class),
           sorted, with default-vs-tuned simulated latency *)

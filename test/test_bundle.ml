@@ -263,9 +263,24 @@ let test_config_roundtrip () =
    | Ok c2 ->
      Alcotest.(check string) "to_string . of_string is a fixed point" text
        (Engine.Config.to_string c2));
-  Alcotest.(check bool) "the text sets seed" true (Engine.Config.sets ~key:"seed" text);
-  Alcotest.(check bool) "a comment does not set seed" false
-    (Engine.Config.sets ~key:"seed" "# seed=7\nmax_batch=3");
+  (* [cortex serve] builds its config by appending key lines to a
+     text: a later line must win, and a bad line must name its key. *)
+  let parsed text =
+    match Engine.Config.of_string text with Ok c -> c | Error e -> Alcotest.fail e
+  in
+  let max_batch c = c.Engine.Config.dispatch.Engine.Config.batching.Engine.max_batch in
+  let seed c = c.Engine.Config.reliability.Engine.Config.seed in
+  Alcotest.(check int) "a later line wins" 6 (max_batch (parsed "max_batch=4\nmax_batch=6"));
+  let bundle_text = String.concat "\t" (String.split_on_char '\n' text) in
+  Alcotest.(check int) "a seed line after a bundle's text overrides its seed" 11
+    (seed (parsed (bundle_text ^ "\nseed=11")));
+  Alcotest.(check int) "a file's seed overrides a leading seed=2021" 7
+    (seed (parsed ("seed=2021\n" ^ text)));
+  (match Engine.Config.of_string (text ^ "\nmax_batch=x") with
+   | Ok _ -> Alcotest.fail "accepted max_batch=x"
+   | Error e ->
+     Alcotest.(check string) "a malformed line names its key"
+       {|config: max_batch wants an integer, got "x"|} e);
   (* The tab-joined single-line form a bundle manifest embeds parses
      identically. *)
   let one_line = String.concat "\t" (String.split_on_char '\n' text) in

@@ -332,9 +332,8 @@ let test_corrupted_profiles_rejected () =
    (its [param_sizes] are keyed by tensor id) differs between ANY two
    engines in one process, observed or not.  We therefore compare the
    cost through its id-independent derived quantities and everything
-   else bitwise.  The two metrics snapshots exist only on the observed
-   side; the property checks [metrics_at_damage]'s presence against the
-   bare run's first damage before [canon_summary] clears it. *)
+   else bitwise.  The metrics snapshot exists only on the observed
+   side; [canon_summary] clears it. *)
 let canon_summary (s : Engine.summary) =
   let canon_cost (c : Cost.t) =
     ( Cost.total_flops c,
@@ -366,7 +365,7 @@ let canon_summary (s : Engine.summary) =
           canon_report w.Engine.wr_report ))
       s.Engine.windows
   in
-  ({ s with Engine.windows = []; metrics = None; metrics_at_damage = None }, windows)
+  ({ s with Engine.windows = []; metrics = None }, windows)
 
 let test_zero_interference =
   QCheck.Test.make ~name:"obs-on equals obs-off bitwise" ~count:10
@@ -409,10 +408,7 @@ let test_zero_interference =
       in
       let observed = run ~obs:(Obs.create ~clock:Obs.Logical ()) () in
       let bare = run () in
-      observed.Engine.metrics <> None
-      && (observed.Engine.metrics_at_damage <> None)
-         = (bare.Engine.slo.Engine.slo_first_damage_us <> None)
-      && canon_summary observed = canon_summary bare)
+      observed.Engine.metrics <> None && canon_summary observed = canon_summary bare)
 
 (* ---------- determinism of profiled runs ---------- *)
 

@@ -60,17 +60,17 @@ let test_schedule_check_appd () =
 let test_tuner () =
   let spec = Models.Catalog.get "TreeLSTM" Models.Catalog.Small in
   let structure = spec.M.dataset (Rng.create 9) ~batch:4 in
-  let ranked = Tuner.tune spec ~backend:gpu structure in
+  let ranked = Tuner.tune2 ~plan_budget:0 spec ~backend:gpu structure in
   Alcotest.(check bool) "several valid schedules" true (List.length ranked >= 8);
   let best = List.hd ranked in
   (* The winner must include the paper's core optimizations. *)
-  Alcotest.(check bool) "best fuses" true best.Tuner.options.Lower.fuse;
-  Alcotest.(check bool) "best batches" true best.Tuner.options.Lower.dynamic_batch;
-  Alcotest.(check bool) "best specializes" true best.Tuner.options.Lower.specialize;
+  Alcotest.(check bool) "best fuses" true best.Tuner.pc_options.Lower.fuse;
+  Alcotest.(check bool) "best batches" true best.Tuner.pc_options.Lower.dynamic_batch;
+  Alcotest.(check bool) "best specializes" true best.Tuner.pc_options.Lower.specialize;
   (* Ranking is sorted. *)
   let rec sorted = function
     | a :: (b :: _ as tl) ->
-      Runtime.total_ms a.Tuner.report <= Runtime.total_ms b.Tuner.report && sorted tl
+      Runtime.total_ms a.Tuner.pc_report <= Runtime.total_ms b.Tuner.pc_report && sorted tl
     | _ -> true
   in
   Alcotest.(check bool) "sorted" true (sorted ranked);
@@ -79,7 +79,7 @@ let test_tuner () =
   List.iter
     (fun c ->
       Alcotest.(check bool) "no persist+unroll survivor" false
-        (c.Tuner.options.Lower.persist && c.Tuner.options.Lower.unroll))
+        (c.Tuner.pc_options.Lower.persist && c.Tuner.pc_options.Lower.unroll))
     ranked
 
 let test_checkpoint_roundtrip () =
