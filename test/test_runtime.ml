@@ -647,6 +647,192 @@ let test_zoo_digest () =
   Alcotest.(check (list string)) "digests" (List.map row expected_zoo_digests)
     (List.map row (zoo_digests ()))
 
+(* ---------- snapshot: bit-exact pricing ---------- *)
+
+(* Every field of the static cost ([Cost.t]), the latency each backend
+   prices it at, and [simulate_lin]'s device memory and occupancy,
+   digested as MD5 over the bits.  Param tensor ids are process-global,
+   so each is replaced by its index in [prog.params], and the per-param
+   lists are sorted by that index: [Backend.simulate] sums them exactly,
+   so their order cannot move a latency. *)
+let cost_digest compiled lins =
+  let prog = compiled.Lower.prog in
+  let index tid =
+    let rec go i = function
+      | [] -> Alcotest.failf "tensor %d is not a param of %s" tid prog.Ir.pname
+      | (t : Ir.tensor) :: rest -> if t.Ir.tid = tid then i else go (i + 1) rest
+    in
+    go 0 prog.Ir.params
+  in
+  let buf = Buffer.create 4096 in
+  let int n = Buffer.add_int64_le buf (Int64.of_int n) in
+  let float x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
+  let per_param l =
+    int (List.length l);
+    List.map (fun (tid, b) -> (index tid, b)) l
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.iter (fun (i, b) ->
+           int i;
+           float b)
+  in
+  let cost (c : Cost.t) =
+    List.iter
+      (fun (k : Cost.kernel_cost) ->
+        Buffer.add_string buf k.Cost.kname;
+        int k.Cost.launches;
+        int (List.length k.Cost.segments);
+        List.iter
+          (fun (s : Cost.segment) ->
+            float s.Cost.flops;
+            float s.Cost.dep_flops;
+            Array.iter float s.Cost.reads;
+            Array.iter float s.Cost.writes;
+            float s.Cost.lanes;
+            per_param s.Cost.param_raw)
+          k.Cost.segments)
+      c.Cost.kernels;
+    float c.Cost.param_total_bytes;
+    per_param c.Cost.param_sizes;
+    int c.Cost.barrier_count;
+    float c.Cost.onchip_peak_bytes;
+    float c.Cost.onchip_planned_bytes
+  in
+  List.iter
+    (fun lin ->
+      List.iteri
+        (fun i backend ->
+          let r = Runtime.simulate_lin compiled ~backend lin in
+          if i = 0 then cost r.Runtime.cost;
+          let l = r.Runtime.latency in
+          List.iter float
+            Backend.
+              [
+                l.total_us;
+                l.compute_us;
+                l.barrier_us;
+                l.launch_us;
+                l.param_traffic_bytes;
+                l.global_traffic_bytes;
+                l.onchip_traffic_bytes;
+              ];
+          int l.Backend.kernel_launches;
+          int l.Backend.barriers;
+          float r.Runtime.device_memory_bytes;
+          float r.Runtime.occupancy)
+        [ Backend.gpu; Backend.intel; Backend.arm ])
+    lins;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let cost_digests () =
+  let zoo =
+    List.concat_map
+      (fun (name, (spec : M.t)) ->
+        let lins =
+          List.map (fun seed -> Linearizer.run (spec.M.dataset (Rng.create seed) ~batch:2)) [ 2021; 7 ]
+        in
+        let runs =
+          List.filter_map
+            (fun (label, base) ->
+              match Runtime.compile ~options:(Runtime.options_for ~base spec) spec.M.program with
+              | compiled -> Some (name ^ "/" ^ label, cost_digest compiled lins)
+              | exception Lower.Lowering_error _ -> None)
+            zoo_option_sets
+        in
+        let plan =
+          if name <> "TreeLSTM" then []
+          else
+            let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+            let stages p = List.exists (function Schedule.Stage _ -> true | _ -> false) p in
+            match
+              List.find_opt (fun (p, _) -> stages p)
+                (Tuner.tune_loops ~budget:16 compiled ~backend:gpu (List.hd lins))
+            with
+            | None -> Alcotest.fail "the tuner ranked no staging plan"
+            | Some (p, _) -> [ (name ^ "/plan", cost_digest (Lower.apply_plan p compiled) lins) ]
+        in
+        runs @ plan)
+      zoo_at_hidden_4
+  in
+  (* TreeLSTM at hidden 256 on 8-tree SST windows, as the repository
+     benchmark's sst-priced workload serves it: the default schedule and
+     the plan its bundle carries (tuned on the seed-42 window). *)
+  let spec = Models.Catalog.get "TreeLSTM" Models.Catalog.Small in
+  let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+  let lins =
+    List.map (fun seed -> Linearizer.run (spec.M.dataset (Rng.create seed) ~batch:8)) [ 42; 7 ]
+  in
+  let tuned =
+    match Tuner.tune_loops ~budget:16 compiled ~backend:gpu (List.hd lins) with
+    | (plan, _) :: _ -> plan
+    | [] -> Alcotest.fail "the tuner ranked no plan"
+  in
+  zoo
+  @ [
+      ("SST/default", cost_digest compiled lins);
+      ("SST/tuned", cost_digest (Lower.apply_plan tuned compiled) lins);
+    ]
+
+(* Recorded with the tree-walking cost analyzer; the compiled walk must reproduce them. *)
+let expected_cost_digests =
+  [
+    ("TreeFC/default", "48c1a675e9a68c571f8ad8b8131655cc");
+    ("TreeFC/no-fuse", "19f34f64445037348c64dacc396a5789");
+    ("TreeFC/no-specialize", "abb5d154b224fee80ea494e7ad96e470");
+    ("TreeFC/no-dynamic-batch", "de137f794d9fa25539b2f244e8bd89d0");
+    ("TreeFC/unroll", "76181944177debd3fe8cf415db6352c1");
+    ("DAG-RNN/default", "9ed04a57d99abe6d02b04d07eca79008");
+    ("DAG-RNN/no-fuse", "8c6d637324847a6160531771cdf8f6c1");
+    ("DAG-RNN/no-specialize", "f7f6660f5502a33efb2900ca3e4278df");
+    ("DAG-RNN/no-dynamic-batch", "b408796de862890f1774574ab4b1682f");
+    ("TreeGRU/default", "11a39142e620aa5f7b5be6ed7c3d7463");
+    ("TreeGRU/no-fuse", "504d102915bf022e643675e9cb6c2550");
+    ("TreeGRU/no-specialize", "13bc9cbffcd389d1b48291d886e46b56");
+    ("TreeGRU/no-dynamic-batch", "61fe5f99baabff33f3f9c2327274bc63");
+    ("TreeGRU/unroll", "19fb0d2bd34c2149fbc478196a876574");
+    ("TreeGRU/refactor", "6a2360936ad6272d3a8299b758354832");
+    ("TreeLSTM/default", "2ccc8580cc74cf8a65fffff5b535a711");
+    ("TreeLSTM/no-fuse", "1da77cd6f4251ec5113ec631842f6acb");
+    ("TreeLSTM/no-specialize", "915ff83fab8b99714fa7fcdc7f8377eb");
+    ("TreeLSTM/no-dynamic-batch", "f1ca8780c2ade9fd84e9eb3a8e05daa6");
+    ("TreeLSTM/unroll", "5f4e87ad4a1a7a20c912e2bfecd4198e");
+    ("TreeLSTM/plan", "6128ae0f42b49b339da8ba93b864eb4b");
+    ("MV-RNN/default", "ddbbbdd07b2086d686088441e8acf7c8");
+    ("MV-RNN/no-fuse", "badf9a6a77fbca26a9b7d12f128ffb73");
+    ("MV-RNN/no-specialize", "f93f3483a5e37d1ae8999a2f3cc10f36");
+    ("MV-RNN/no-dynamic-batch", "634eda678c7376f06da0b15185a7af99");
+    ("MV-RNN/unroll", "5d38ef399b9f6f6452226ffa7e943bb6");
+    ("MV-RNN/refactor", "3a421f6e70873ba29e9dbcaadb61bc6c");
+    ("TreeRNN/default", "a9ab39081af75ea4a7a1993e7be43eba");
+    ("TreeRNN/no-fuse", "f59172c7c88e5f5c099f517f078cbe2c");
+    ("TreeRNN/no-specialize", "21786428f156ad645eb5aa5376bad94b");
+    ("TreeRNN/no-dynamic-batch", "211309a69108b8d47f44e07ce5dd1af1");
+    ("TreeRNN/unroll", "7db78e303d0c5e661ab28ad922a667b3");
+    ("SimpleTreeGRU/default", "03734a7a1f7268263d1418d06afdac05");
+    ("SimpleTreeGRU/no-fuse", "f0edd1ec209172e0b464ad0bd4ed3533");
+    ("SimpleTreeGRU/no-specialize", "3d16bbcd7c2d3b45b77e1564b314dddb");
+    ("SimpleTreeGRU/no-dynamic-batch", "54933d43f25c4beb7fa09f2ea74b97bc");
+    ("SimpleTreeGRU/unroll", "67c7870730f87743965bbf127fd62f9c");
+    ("SimpleTreeGRU/refactor", "1fc455ac4d9073f89068511835bd3ba2");
+    ("LSTM/default", "3b55a74f91fe5af0782fd9840c78fac9");
+    ("LSTM/no-fuse", "04ff9bf414f8fdb5b8f1aa832ce8b8dc");
+    ("LSTM/no-specialize", "ff39e34d7b69af77d4e73cdb477f9a1e");
+    ("LSTM/no-dynamic-batch", "b36ff6f571596e82a8dcb55596479561");
+    ("LSTM/unroll", "f84d5799cf261f8e588afcd4a11578d9");
+    ("GRU/default", "184551465fa30c3c63e4ee4e3853984c");
+    ("GRU/no-fuse", "7d1f8dbc9eb09e687945c5acc11ce3dd");
+    ("GRU/no-specialize", "293ea0fa3437ea5077b4b5f1698da1c3");
+    ("GRU/no-dynamic-batch", "33665927d6858895a70e3cd18335589c");
+    ("GRU/unroll", "7b8ad639366699ddd1f9386c64eea966");
+    ("GRU/refactor", "4eaa58f1e7854e875af43b5d4b60c68d");
+    ("SST/default", "83003199f186fcaffffb4859b28bea13");
+    ("SST/tuned", "091495a443473d5650c8febe65774b73");
+  ]
+
+let test_cost_digest () =
+  let row (label, digest) = Printf.sprintf "(%S, %S);" label digest in
+  Alcotest.(check (list string)) "digests" (List.map row expected_cost_digests)
+    (List.map row (cost_digests ()))
+
 let () =
   Alcotest.run "runtime"
     [
@@ -679,5 +865,9 @@ let () =
           Alcotest.test_case "linearization-hidden-independent" `Quick
             test_linearization_hidden_independent;
         ] );
-      ("snapshot", [ Alcotest.test_case "zoo-digest" `Quick test_zoo_digest ]);
+      ( "snapshot",
+        [
+          Alcotest.test_case "zoo-digest" `Quick test_zoo_digest;
+          Alcotest.test_case "cost-digest" `Quick test_cost_digest;
+        ] );
     ]
