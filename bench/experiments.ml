@@ -697,9 +697,9 @@ let bundle () =
         Sys.remove path;
         (* The planner's concrete numbers need UF extents resolved
            against a linearized input (batch sizes, node counts). *)
-        let bound = Lower.bind compiled (Linearizer.run (dataset spec ~batch:10)) in
+        let ufs = Lower.bind_ufs compiled (Linearizer.run (dataset spec ~batch:10)) in
         let mp =
-          Mem_plan.plan ~uf:bound.Lower.uf_resolver
+          Mem_plan.plan ~uf:ufs.Lower.uf_resolver
             ~spaces:[ Ir.Shared; Ir.Register ] compiled.Lower.prog
         in
         let planned = mp.Mem_plan.arena_bytes and worst = mp.Mem_plan.worst_bytes in

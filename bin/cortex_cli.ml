@@ -76,14 +76,18 @@ let list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc:"List the model zoo") Term.(const run $ const ())
 
-(* User errors (an unknown model, an option set the model cannot lower)
+(* User errors (an unknown model, an option set the model cannot lower,
+   a count that is not positive, an output path that cannot be written)
    are reported as [cortex: <message>] with exit 1, not as an uncaught
-   exception. *)
+   exception.  Every model command reports through [die]. *)
 let die msg =
   prerr_endline ("cortex: " ^ msg);
   exit 1
 
+let positive flag n = if n < 1 then die (Printf.sprintf "%s must be at least 1, got %d" flag n)
+
 let get_spec ?hidden name size =
+  Option.iter (positive "--hidden") hidden;
   match hidden with
   | None -> (
     try Models.Catalog.get name size with Invalid_argument _ -> die ("unknown model " ^ name))
@@ -103,6 +107,10 @@ let get_spec ?hidden name size =
 let compile ~options (spec : M.t) =
   try Runtime.compile ~options:(Runtime.options_for ~base:options spec) spec.M.program
   with Lower.Lowering_error msg -> die msg
+
+let dataset (spec : M.t) ~seed ~batch =
+  positive "--batch" batch;
+  spec.M.dataset (Rng.create seed) ~batch
 
 let hidden_arg =
   Arg.(value & opt (some int) None & info [ "hidden" ] ~doc:"Override the hidden size")
@@ -153,7 +161,7 @@ let dump_c_cmd =
 let simulate_cmd =
   let run name size batch seed backend options =
     let spec = get_spec name size in
-    let structure = spec.M.dataset (Rng.create seed) ~batch in
+    let structure = dataset spec ~seed ~batch in
     let compiled = compile ~options spec in
     let r = Runtime.simulate compiled ~backend structure in
     let l = r.Runtime.latency in
@@ -182,7 +190,7 @@ let run_cmd =
   let run name size batch seed hidden options =
     let hidden = Option.value hidden ~default:8 in
     let spec = get_spec ~hidden name size in
-    let structure = spec.M.dataset (Rng.create seed) ~batch in
+    let structure = dataset spec ~seed ~batch in
     let params = spec.M.init_params (Rng.create (seed + 1)) in
     let compiled = compile ~options spec in
     let execution = Runtime.execute compiled ~params structure in
@@ -219,6 +227,7 @@ let run_cmd =
 
 let linearize_cmd =
   let run batch seed =
+    positive "--batch" batch;
     let rng = Rng.create seed in
     let datasets =
       [
@@ -251,7 +260,7 @@ let tune_cmd =
   let top_arg = Arg.(value & opt int 8 & info [ "top" ] ~doc:"How many ranked candidates to print") in
   let run name size batch seed backend budget top =
     let spec = get_spec name size in
-    let structure = spec.M.dataset (Rng.create seed) ~batch in
+    let structure = dataset spec ~seed ~batch in
     let ranked, wall_us =
       Stats.time_us (fun () -> Tuner.tune2 ~plan_budget:budget spec ~backend structure)
     in
@@ -316,7 +325,7 @@ let build_cmd =
   let run name size batch seed hidden backend options out tune tune_budget config_file =
     let spec = get_spec ?hidden name size in
     let compiled = compile ~options spec in
-    let structure = spec.M.dataset (Rng.create seed) ~batch in
+    let structure = dataset spec ~seed ~batch in
     let lin = Linearizer.run structure in
     let plans =
       if not tune then []
@@ -354,9 +363,9 @@ let build_cmd =
        constant extents only); the sample linearization's UF resolver
        also gives the concrete planned-vs-worst footprint, recorded as
        extra manifest entries. *)
-    let bound = Lower.bind compiled lin in
+    let ufs = Lower.bind_ufs compiled lin in
     let mp =
-      Mem_plan.plan ~uf:bound.Lower.uf_resolver
+      Mem_plan.plan ~uf:ufs.Lower.uf_resolver
         ~spaces:[ Ir.Shared; Ir.Register ] compiled.Lower.prog
     in
     let b =
@@ -367,7 +376,7 @@ let build_cmd =
           ("resolved_worst_onchip_bytes", string_of_int mp.Mem_plan.worst_bytes);
         ]
     in
-    Bundle.save out b;
+    (try Bundle.save out b with Sys_error msg -> die msg);
     Printf.printf "%s: %s/%s for %s, %d bytes, digest %s\n" out name (size_name size)
       backend.Backend.short
       (String.length (Bundle.encode b))
@@ -526,6 +535,11 @@ let serve_cmd =
   let run name size backend options rps duration_ms num_devices bucketed autotune
       settings deadline_us profile metrics logical_clock bundle sessions session_tokens
       config_file slo_miss_budget =
+    Option.iter
+      (fun b ->
+        if not (b >= 0.0 && b <= 1.0) then
+          die (Printf.sprintf "--slo-miss-budget must be in [0, 1], got %g" b))
+      slo_miss_budget;
     let spec = get_spec name size in
     let bundle_loaded =
       match bundle with

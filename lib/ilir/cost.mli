@@ -3,11 +3,31 @@
     Walks a program against a *concrete* linearized input (the
     uninterpreted functions are bound to the linearizer's arrays) and
     produces exact FLOP and byte counts per memory space, split into
-    *segments* — the regions between global barriers.  Loops with
-    constant extents and branch-free bodies are counted
-    multiplicatively, so the walk costs O(nodes), not O(nodes * H^2).
+    *segments* — the regions between global barriers.
 
-    The backend model (lib/backend) converts these counts into simulated
+    The walk is compiled once per program, on the first [analyze] of
+    it, and kept while the program lives (a weak table keyed by the
+    program's physical identity; one domain prices at a time).
+    Per program, once: loop variables and [Let]s become int slots;
+    float-valuedness and multipliability are decided; every
+    {e multipliable} subtree — no branch, no barrier, only
+    constant-extent loops — folds into a constant summary (its counts,
+    raw Param bytes and lane factors); and the parameter sizes, the
+    on-chip footprint and the {!Mem_plan} arena are computed.
+    Per window: the UFs are resolved once, then the walk iterates only
+    the loops a summary cannot cover (UF-valued extents over non-
+    multipliable bodies, such as a node's child loop), adding each
+    summary scaled by its multiplier in O(1).  So a window costs
+    O(batches + nodes x non-multipliable statements) and allocates its
+    segments and little else; no multipliable loop nest is re-walked
+    per node.  On 8-tree SST windows of TreeLSTM at hidden 256 (~300
+    nodes) a whole [Runtime.simulate_lin] takes ~0.1 ms and allocates
+    ~5 KB on a 2-vCPU Xeon host; compiling a program's walk adds
+    ~0.4 ms to its first window.
+
+    Every count is a sum of integer-valued floats far below 2^53, so
+    pre-summing a subtree gives the same bits as walking it.  The
+    backend model (lib/backend) converts these counts into simulated
     latency.  Segments carry the maximum concurrent lane count so the
     backend can model occupancy, and the set of parameter tensors they
     touch so it can model model persistence (persistent weights are
@@ -64,6 +84,12 @@ val analyze :
   num_internal_batches:int ->
   Ir.program ->
   t
+(** [uf] is applied once per UF the program's control flow calls
+    ([Lower.bind_ufs]'s resolver looks the UF up then).
+    Raises [Failure] on control flow that depends on tensor data or an
+    unbound loop variable, and whatever [uf] raises (an unbound UF's
+    [Interp.Runtime_error]).  A [Let] whose value does not evaluate
+    binds 0. *)
 
 val total_flops : t -> float
 val global_traffic : t -> float

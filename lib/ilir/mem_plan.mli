@@ -44,6 +44,15 @@ val ranges_overlap : placement -> placement -> bool
 val offsets_overlap : placement -> placement -> bool
 (** Arena-interval intersection ([[offset, offset + bytes)]). *)
 
+val static_bytes :
+  ?uf:(Ir.Uf.t -> int array -> int) -> bytes_per_elem:int -> Ir.tensor -> int option
+(** A tensor's size in bytes when its extents evaluate: compile-time
+    constants (and integer arithmetic over them) always, UF calls when
+    [uf] — a linearization's [Lower.uf_resolver] — is supplied.  [None]
+    when an extent names a loop variable or tensor data, divides by
+    zero, or its UF raises.  The one tensor sizer: the planner, the cost
+    analysis and the runtime's device-memory footprint all use it. *)
+
 val live_ranges :
   spaces:Ir.space list -> Ir.program -> (Ir.tensor * (int * int)) list
 (** Per-tensor [(first, last)] access-event ranges over a program-order

@@ -1171,21 +1171,21 @@ let apply_plan (plan : Schedule.plan) compiled =
 
 (* ---------- runtime binding ---------- *)
 
-type bound = {
-  ctx : Interp.context;
-  lin : Linearizer.t;
+type uf_table = {
   uf_resolver : Ir.Uf.t -> int array -> int;
   num_batch_launches : int;
 }
 
-let bind ?(count = false) compiled (lin : Linearizer.t) =
+(* The batch-table length, and the program's uninterpreted functions
+   over the linearizer's arrays. *)
+let uf_bindings compiled (lin : Linearizer.t) =
   let opts = compiled.options in
-  let internal = Linearizer.internal_batches lin in
   let internal_postorder =
-    Array.of_list
-      (List.filter
-         (fun id -> not (Linearizer.is_leaf lin id))
-         (Array.to_list lin.postorder))
+    lazy
+      (Array.of_list
+         (List.filter
+            (fun id -> not (Linearizer.is_leaf lin id))
+            (Array.to_list lin.postorder)))
   in
   (* The batch table the compiled batch loop iterates over. *)
   let batch_table, sched_nodes, roles =
@@ -1202,59 +1202,86 @@ let bind ?(count = false) compiled (lin : Linearizer.t) =
       (table, Some sched, Some u.Unrolling.roles)
     end
     else if not opts.fuse then
-      if opts.dynamic_batch then (internal, None, None)
+      if opts.dynamic_batch then (Linearizer.internal_batches lin, None, None)
       else
-        ( Array.map (fun id -> (id, 1)) internal_postorder,
+        ( Array.map (fun id -> (id, 1)) (Lazy.force internal_postorder),
           None,
           None )
     else if not opts.dynamic_batch then ([||], None, None)
-    else if opts.specialize then (internal, None, None)
+    else if opts.specialize then (Linearizer.internal_batches lin, None, None)
     else (lin.batches, None, None)
   in
   let nb = Array.length batch_table in
   let max_batch_len =
     Array.fold_left (fun m (_, len) -> max m len) lin.num_leaves batch_table
   in
-  let ctx = Interp.create ~count ~num_internal_batches:nb () in
   let u = compiled.ufs in
-  let resolver = Hashtbl.create 16 in
-  let bind1 (uf : Ir.Uf.t) f =
-    Hashtbl.replace resolver uf.Ir.Uf.uid f;
-    Interp.bind_uf ctx uf f
-  in
-  bind1 u.u_num_nodes (fun _ -> lin.num_nodes);
-  bind1 u.u_num_leaves (fun _ -> lin.num_leaves);
-  bind1 u.u_leaf_begin (fun _ -> lin.leaf_begin);
-  bind1 u.u_num_internal (fun _ -> lin.num_nodes - lin.num_leaves);
-  bind1 u.u_num_batches (fun _ -> nb);
-  bind1 u.u_batch_begin (fun a -> fst batch_table.(a.(0)));
-  bind1 u.u_batch_len (fun a -> snd batch_table.(a.(0)));
-  bind1 u.u_max_batch_len (fun _ -> max_batch_len);
-  bind1 u.u_child (fun a -> lin.child.(a.(0)).(a.(1)));
-  bind1 u.u_num_children (fun a -> lin.num_children.(a.(0)));
-  bind1 u.u_payload (fun a ->
-      let p = lin.payload.(a.(0)) in
-      if p < 0 then
-        raise (Interp.Runtime_error (Printf.sprintf "node %d has no payload" a.(0)))
-      else p);
-  bind1 u.u_order (fun a ->
-      if opts.specialize then internal_postorder.(a.(0)) else lin.postorder.(a.(0)));
-  bind1 u.u_sched_node (fun a ->
-      match sched_nodes with
-      | Some s -> s.(a.(0))
-      | None -> raise (Interp.Runtime_error "sched_node unbound (no unrolling)"));
-  bind1 u.u_role (fun a ->
-      match roles with
-      | Some r ->
-        (match r.(a.(0)) with Unrolling.Parent_phase -> 1 | Unrolling.Child_phase -> 0)
-      | None -> 0);
-  bind1 u.u_needs_sync (fun a ->
-      match roles with
-      | Some r ->
-        (match r.(a.(0)) with
-         | Unrolling.Child_phase -> 1
-         | Unrolling.Parent_phase -> if opts.block_local_unroll then 0 else 1)
-      | None -> 1);
+  ( nb,
+    [
+      (u.u_num_nodes, fun _ -> lin.num_nodes);
+      (u.u_num_leaves, fun _ -> lin.num_leaves);
+      (u.u_leaf_begin, fun _ -> lin.leaf_begin);
+      (u.u_num_internal, fun _ -> lin.num_nodes - lin.num_leaves);
+      (u.u_num_batches, fun _ -> nb);
+      (u.u_batch_begin, fun a -> fst batch_table.(a.(0)));
+      (u.u_batch_len, fun a -> snd batch_table.(a.(0)));
+      (u.u_max_batch_len, fun _ -> max_batch_len);
+      (u.u_child, fun a -> lin.child.(a.(0)).(a.(1)));
+      (u.u_num_children, fun a -> lin.num_children.(a.(0)));
+      ( u.u_payload,
+        fun a ->
+          let p = lin.payload.(a.(0)) in
+          if p < 0 then
+            raise (Interp.Runtime_error (Printf.sprintf "node %d has no payload" a.(0)))
+          else p );
+      ( u.u_order,
+        fun a ->
+          if opts.specialize then (Lazy.force internal_postorder).(a.(0))
+          else lin.postorder.(a.(0)) );
+      ( u.u_sched_node,
+        fun a ->
+          match sched_nodes with
+          | Some s -> s.(a.(0))
+          | None -> raise (Interp.Runtime_error "sched_node unbound (no unrolling)") );
+      ( u.u_role,
+        fun a ->
+          match roles with
+          | Some r ->
+            (match r.(a.(0)) with Unrolling.Parent_phase -> 1 | Unrolling.Child_phase -> 0)
+          | None -> 0 );
+      ( u.u_needs_sync,
+        fun a ->
+          match roles with
+          | Some r ->
+            (match r.(a.(0)) with
+             | Unrolling.Child_phase -> 1
+             | Unrolling.Parent_phase -> if opts.block_local_unroll then 0 else 1)
+          | None -> 1 );
+    ] )
+
+(* Looks the UF up on partial application, so a caller that resolves a
+   UF once calls its function directly. *)
+let resolver bindings (uf : Ir.Uf.t) =
+  match List.find_opt (fun ((v : Ir.Uf.t), _) -> v.Ir.Uf.uid = uf.Ir.Uf.uid) bindings with
+  | Some (_, f) -> f
+  | None ->
+    fun _ -> raise (Interp.Runtime_error ("unbound uninterpreted function " ^ uf.Ir.Uf.uname))
+
+let bind_ufs compiled lin =
+  let nb, bindings = uf_bindings compiled lin in
+  { uf_resolver = resolver bindings; num_batch_launches = nb }
+
+type bound = {
+  ctx : Interp.context;
+  lin : Linearizer.t;
+  uf_resolver : Ir.Uf.t -> int array -> int;
+  num_batch_launches : int;
+}
+
+let bind ?(count = false) compiled (lin : Linearizer.t) =
+  let nb, bindings = uf_bindings compiled lin in
+  let ctx = Interp.create ~count ~num_internal_batches:nb () in
+  List.iter (fun (uf, f) -> Interp.bind_uf ctx uf f) bindings;
   (* Allocate states and wire on-chip mirrors to the same storage. *)
   List.iter
     (fun (_, t) -> ignore (Interp.get_tensor ctx t))
@@ -1262,13 +1289,7 @@ let bind ?(count = false) compiled (lin : Linearizer.t) =
   List.iter
     (fun (glob, mirror) -> Interp.bind_tensor ctx mirror (Interp.get_tensor ctx glob))
     compiled.aliases;
-  let uf_resolver (uf : Ir.Uf.t) args =
-    match Hashtbl.find_opt resolver uf.Ir.Uf.uid with
-    | Some f -> f args
-    | None ->
-      raise (Interp.Runtime_error ("unbound uninterpreted function " ^ uf.Ir.Uf.uname))
-  in
-  { ctx; lin; uf_resolver; num_batch_launches = nb }
+  { ctx; lin; uf_resolver = resolver bindings; num_batch_launches = nb }
 
 let state_value_lin bound compiled st_name lin_id =
   let tensor =

@@ -131,11 +131,34 @@ val apply_plan : Schedule.plan -> compiled -> compiled
     loop is missing/ambiguous or its legality checks fail — the tuner
     treats that as an infeasible candidate. *)
 
+type uf_table = {
+  uf_resolver : Ir.Uf.t -> int array -> int;
+  num_batch_launches : int;
+      (** launches of each [PerInternalBatch] kernel: the batch table's
+          length *)
+}
+(** Pricing's binding of a linearized input: the batch table the
+    compiled batch loop iterates over ([Unrolling]'s schedule when the
+    compilation unrolled), [max_batch_len], and the program's
+    uninterpreted functions over the linearizer's arrays.
+
+    [uf_resolver u] looks [u] up on partial application, so a caller
+    that resolves a UF once (the compiled cost walk, once per window)
+    calls the linearizer's array directly.  Calling a UF the artifact
+    does not define raises [Interp.Runtime_error "unbound uninterpreted
+    function <name>"]. *)
+
+val bind_ufs : compiled -> Cortex_linearizer.Linearizer.t -> uf_table
+(** Builds the UF table and nothing else: no interpreter context and no
+    state tensors, so pricing a window ({!Cortex_ilir.Cost.analyze},
+    [Runtime.simulate_lin]) allocates O(batches), not O(nodes x
+    hidden). *)
+
 type bound = {
   ctx : Cortex_ilir.Interp.context;
   lin : Cortex_linearizer.Linearizer.t;
-  uf_resolver : Ir.Uf.t -> int array -> int;
-  num_batch_launches : int;
+  uf_resolver : Ir.Uf.t -> int array -> int;  (** the UF table's *)
+  num_batch_launches : int;  (** the UF table's *)
 }
 
 val bind :
@@ -143,11 +166,12 @@ val bind :
   compiled ->
   Cortex_linearizer.Linearizer.t ->
   bound
-(** Builds an interpreter context with every uninterpreted function
-    bound against the linearized structure (and the unrolled schedule
-    when the compilation unrolled), state tensors allocated, and aliases
-    wired to shared storage.  Parameters still need [Interp.bind_tensor]
-    before running. *)
+(** For execution: builds an interpreter context on top of
+    {!bind_ufs}'s table, with every uninterpreted function bound,
+    state tensors allocated and zero-filled, and aliases wired to
+    shared storage.  Parameters still need [Interp.bind_tensor] before
+    running.  [count] turns on the interpreter's load/store/flop
+    counters. *)
 
 val state_value :
   bound -> compiled -> string -> Cortex_ds.Node.t -> Cortex_tensor.Tensor.t

@@ -49,16 +49,11 @@ type report = {
 (* Bytes of the device-resident tensors: parameters, plus every
    Global-space tensor of the program (states and, without fusion,
    materialized temporaries), plus the linearizer's arrays. *)
-let device_memory compiled (bound : Lower.bound) =
-  let eval_extent e =
-    match e with
-    | Ir.Int n -> n
-    | Ir.UfCall (u, []) -> bound.Lower.uf_resolver u [||]
-    | _ -> failwith "Runtime.device_memory: unexpected extent"
-  in
+let device_memory compiled (ufs : Lower.uf_table) lin =
   let tensor_bytes (t : Ir.tensor) =
-    let elems = List.fold_left (fun acc e -> acc * eval_extent e) 1 t.Ir.extents in
-    float_of_int (elems * Cost.bytes_per_elem)
+    match Mem_plan.static_bytes ~uf:ufs.Lower.uf_resolver ~bytes_per_elem:Cost.bytes_per_elem t with
+    | Some b -> float_of_int b
+    | None -> failwith "Runtime.device_memory: unexpected extent"
   in
   let prog = compiled.Lower.prog in
   let globals =
@@ -67,13 +62,13 @@ let device_memory compiled (bound : Lower.bound) =
   List.fold_left (fun acc t -> acc +. tensor_bytes t) 0.0 prog.Ir.params
   +. List.fold_left (fun acc t -> acc +. tensor_bytes t) 0.0 prog.Ir.outputs
   +. List.fold_left (fun acc t -> acc +. tensor_bytes t) 0.0 globals
-  +. float_of_int (Linearizer.memory_bytes bound.Lower.lin)
+  +. float_of_int (Linearizer.memory_bytes lin)
 
 let simulate_lin ?(lock_free = false) ?(linearize_us = 0.0) compiled ~backend lin =
-  let bound = Lower.bind compiled lin in
+  let ufs = Lower.bind_ufs compiled lin in
   let cost =
-    Cost.analyze ~uf:bound.Lower.uf_resolver
-      ~num_internal_batches:bound.Lower.num_batch_launches compiled.Lower.prog
+    Cost.analyze ~uf:ufs.Lower.uf_resolver ~num_internal_batches:ufs.Lower.num_batch_launches
+      compiled.Lower.prog
   in
   let latency =
     Backend.simulate backend ~persist:compiled.Lower.options.Lower.persist ~lock_free cost
@@ -82,7 +77,7 @@ let simulate_lin ?(lock_free = false) ?(linearize_us = 0.0) compiled ~backend li
     latency;
     cost;
     linearize_us;
-    device_memory_bytes = device_memory compiled bound;
+    device_memory_bytes = device_memory compiled ufs lin;
     num_nodes = lin.Linearizer.num_nodes;
     occupancy = Backend.mean_occupancy backend cost;
   }

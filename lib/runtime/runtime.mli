@@ -4,8 +4,8 @@
     This is the layer the examples and the benchmark harness talk to.
     [execute] runs the compiled kernels through the ILIR interpreter
     (real numbers, used at small hidden sizes and in every test);
-    [simulate] walks the same compiled kernels with the static cost
-    analyzer and prices the counts on a backend model (used at the
+    [simulate] costs the same compiled kernels with the static cost
+    analysis and prices the counts on a backend model (used at the
     paper's hidden sizes). *)
 
 open Cortex_ilir
@@ -86,9 +86,14 @@ val simulate_lin :
   report
 (** Statically cost the compiled kernels against an already-linearized
     input and price them on [backend] — the engine-reusable core of
-    {!simulate}.  [linearize_us] (default 0) is recorded verbatim in the
-    report; the serving engine passes a session token's priced restore
-    and 0 otherwise. *)
+    {!simulate}, and the one pricing call of the engine, the plan
+    cache's tuner, the paper tables and the benchmark.  It binds only
+    the UF table ({!Cortex_lower.Lower.bind_ufs}): no interpreter
+    context and no state tensors are allocated, and the cost walk is
+    compiled once per program ({!Cortex_ilir.Cost.analyze}).
+    [linearize_us] (default 0) is recorded verbatim in the report; the
+    serving engine passes a session token's priced restore and 0
+    otherwise. *)
 
 val simulate :
   ?lock_free:bool ->

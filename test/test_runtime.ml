@@ -329,6 +329,22 @@ let test_device_memory_positive () =
   let r = sim spec ~batch:10 in
   Alcotest.(check bool) "device memory accounted" true (r.Runtime.device_memory_bytes > 1.0e6)
 
+(* Pricing a window allocates the counts it returns and little else: no
+   state tensors and no per-node re-walk of the loop bodies.  The
+   allocation sequence is fixed, so the number is deterministic. *)
+let test_pricing_alloc () =
+  let spec = Models.Catalog.get "TreeLSTM" Models.Catalog.Small in
+  let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+  let lin = Linearizer.run (spec.M.dataset (Rng.create 42) ~batch:8) in
+  let price () = ignore (Runtime.simulate_lin compiled ~backend:gpu lin) in
+  price ();
+  let before = Gc.allocated_bytes () in
+  price ();
+  let bytes = Gc.allocated_bytes () -. before in
+  if bytes > 320_000.0 then
+    Alcotest.failf "pricing a %d-node window allocated %.0f bytes (budget 320000)"
+      lin.Linearizer.num_nodes bytes
+
 (* ---------- the paper's qualitative claims ---------- *)
 
 let test_cortex_beats_frameworks () =
@@ -849,6 +865,7 @@ let () =
             test_session_section_adversarial;
           Alcotest.test_case "bounds-clean" `Quick test_bounds_clean;
           Alcotest.test_case "device-memory" `Quick test_device_memory_positive;
+          Alcotest.test_case "pricing-alloc" `Quick test_pricing_alloc;
         ] );
       ( "paper-claims",
         [
