@@ -77,14 +77,18 @@ let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List the model zoo") Term.(const run $ const ())
 
 (* User errors (an unknown model, an option set the model cannot lower,
-   a count that is not positive, an output path that cannot be written)
+   a count below its minimum, an output path that cannot be written)
    are reported as [cortex: <message>] with exit 1, not as an uncaught
    exception.  Every model command reports through [die]. *)
 let die msg =
   prerr_endline ("cortex: " ^ msg);
   exit 1
 
-let positive flag n = if n < 1 then die (Printf.sprintf "%s must be at least 1, got %d" flag n)
+let at_least least flag n =
+  if n < least then die (Printf.sprintf "%s must be at least %d, got %d" flag least n)
+
+let positive = at_least 1
+let non_negative = at_least 0
 
 let get_spec ?hidden name size =
   Option.iter (positive "--hidden") hidden;
@@ -259,6 +263,8 @@ let tune_cmd =
   in
   let top_arg = Arg.(value & opt int 8 & info [ "top" ] ~doc:"How many ranked candidates to print") in
   let run name size batch seed backend budget top =
+    positive "--budget" budget;
+    non_negative "--top" top;
     let spec = get_spec name size in
     let structure = dataset spec ~seed ~batch in
     let ranked, wall_us =
@@ -323,6 +329,7 @@ let build_cmd =
                    reproducible)")
   in
   let run name size batch seed hidden backend options out tune tune_budget config_file =
+    positive "--tune-budget" tune_budget;
     let spec = get_spec ?hidden name size in
     let compiled = compile ~options spec in
     let structure = dataset spec ~seed ~batch in
@@ -535,6 +542,7 @@ let serve_cmd =
   let run name size backend options rps duration_ms num_devices bucketed autotune
       settings deadline_us profile metrics logical_clock bundle sessions session_tokens
       config_file slo_miss_budget =
+    non_negative "--sessions" sessions;
     Option.iter
       (fun b ->
         if not (b >= 0.0 && b <= 1.0) then
@@ -886,6 +894,7 @@ let fmeca_cmd =
                    any rank change prints the moves and exits 5.")
   in
   let run seed families_opt top trace_out out baseline =
+    non_negative "--top" top;
     let families =
       Option.map
         (fun s ->

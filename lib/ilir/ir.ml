@@ -162,8 +162,6 @@ let ( *: ) a b = Binop (Mul, a, b)
 let ( /: ) a b = Binop (Div, a, b)
 let ( <: ) a b = Cmp (Lt, a, b)
 let ( >=: ) a b = Cmp (Ge, a, b)
-let min_ a b = Binop (Min, a, b)
-let max_ a b = Binop (Max, a, b)
 
 let for_ ?(kind = Serial) ?dim v extent body = For { v; extent; kind; dim; body }
 let seq stmts = match stmts with [ s ] -> s | stmts -> Seq stmts

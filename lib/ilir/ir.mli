@@ -130,8 +130,6 @@ val ( *: ) : expr -> expr -> expr
 val ( /: ) : expr -> expr -> expr
 val ( <: ) : expr -> expr -> expr
 val ( >=: ) : expr -> expr -> expr
-val min_ : expr -> expr -> expr
-val max_ : expr -> expr -> expr
 
 val for_ : ?kind:loop_kind -> ?dim:Dim.t -> Var.t -> expr -> stmt -> stmt
 val seq : stmt list -> stmt

@@ -98,6 +98,9 @@ type range_acc = {
   table : (int, tensor * int ref * int ref) Hashtbl.t;
 }
 
+(* Per-tensor [(first, last)] access-event ranges over a program-order
+   walk of all kernels, in first-touch order, restricted to tensors of
+   the given memory spaces. *)
 let live_ranges ~spaces (p : program) =
   let clock = ref 0 in
   let acc = { order = []; table = Hashtbl.create 16 } in

@@ -53,12 +53,6 @@ val static_bytes :
     zero, or its UF raises.  The one tensor sizer: the planner, the cost
     analysis and the runtime's device-memory footprint all use it. *)
 
-val live_ranges :
-  spaces:Ir.space list -> Ir.program -> (Ir.tensor * (int * int)) list
-(** Per-tensor [(first, last)] access-event ranges over a program-order
-    walk of all kernels, in first-touch order, restricted to tensors of
-    the given memory spaces. *)
-
 val plan :
   ?bytes_per_elem:int ->
   ?align:int ->

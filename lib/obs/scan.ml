@@ -7,6 +7,8 @@ let sim_occurrence (e : CT.event) =
   e.CT.ev_cat = "sim"
   && match e.CT.ev_ph with CT.Begin | CT.Instant -> true | CT.End | CT.Metadata -> false
 
+(* The earliest simulated timestamp of an event named [name]; [None]
+   when the name never appears on the sim clock. *)
 let first_sim ~name events =
   List.fold_left
     (fun acc (e : CT.event) ->

@@ -11,11 +11,6 @@
     Only [sim]-clock events count: wall-clock spans are host-dependent
     and would make detectability nondeterministic. *)
 
-val first_sim : name:string -> Chrome_trace.event list -> float option
-(** The earliest simulated timestamp of an event named [name] — a
-    [Begin] span opening or an [Instant]; [None] when the name never
-    appears on the sim clock. *)
-
 type detection =
   | No_damage  (** the run hurt nothing; detectability is moot *)
   | Undetected

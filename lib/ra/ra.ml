@@ -46,7 +46,6 @@ let ( + ) a b = Binop (Add, a, b)
 let ( - ) a b = Binop (Sub, a, b)
 let ( * ) a b = Binop (Mul, a, b)
 let tanh_ a = Math (Nonlinear.Tanh, a)
-let sigmoid_ a = Math (Nonlinear.Sigmoid, a)
 let relu_ a = Math (Nonlinear.Relu, a)
 
 exception Invalid_program of string

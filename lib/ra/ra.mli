@@ -82,7 +82,6 @@ val ( + ) : rexpr -> rexpr -> rexpr
 val ( - ) : rexpr -> rexpr -> rexpr
 val ( * ) : rexpr -> rexpr -> rexpr
 val tanh_ : rexpr -> rexpr
-val sigmoid_ : rexpr -> rexpr
 val relu_ : rexpr -> rexpr
 
 exception Invalid_program of string

@@ -69,15 +69,11 @@ type session_state = {
 }
 
 val session_to_string : session_state -> string
-val write_session : out_channel -> session_state -> unit
 
 val session_of_string : ?expect_model:string -> string -> session_state
 (** Parse a session section from in-memory bytes.  With [expect_model],
     a payload written for a different model raises {!Corrupt} before
     any tensor is materialized. *)
-
-val read_session : ?expect_model:string -> in_channel -> session_state
-(** {!session_of_string} over a channel. *)
 
 val save_session : string -> session_state -> unit
 (** Write a session section to a file path. *)

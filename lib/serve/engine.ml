@@ -359,7 +359,6 @@ type session = {
   mutable sx_forest : Linearizer.forest option;  (* materialized layout *)
   mutable sx_mat_nodes : int;  (* size at the last materialization *)
   mutable sx_device : int option;  (* pinned device index *)
-  mutable sx_windows : int;
   mutable sx_extends : int;  (* windows served from a delta view *)
   mutable sx_cold : int;  (* windows served by full (re)linearization *)
   mutable sx_materializations : int;  (* geometric [extend] rebuilds *)
@@ -445,9 +444,9 @@ let build ~(config : Config.t) ~model ~backend ~compiled =
   let seed = config.Config.reliability.Config.seed in
   (* Validate the fault spec against the device count up front, not at
      the first drain. *)
-  (match config.Config.reliability.Config.faults with
-   | Some spec -> ignore (Fault.create ~seed ~devices:(List.length devices) spec)
-   | None -> ());
+  let faults = config.Config.reliability.Config.faults in
+  ignore
+    (Fault.create ~seed ~devices:(List.length devices) (Option.value faults ~default:[]));
   {
     model;
     eng_backend = backend;
@@ -460,7 +459,7 @@ let build ~(config : Config.t) ~model ~backend ~compiled =
       Shape_cache.create ?capacity:config.Config.dispatch.Config.cache_capacity ();
     eng_queue_cap = config.Config.reliability.Config.queue_cap;
     eng_watermark = config.Config.reliability.Config.degrade_watermark;
-    eng_faults = config.Config.reliability.Config.faults;
+    eng_faults = faults;
     eng_seed = seed;
     eng_params = config.Config.compile.Config.params;
     eng_obs = config.Config.observability.Config.obs;
@@ -660,7 +659,6 @@ let session_of t name =
         sx_forest = None;
         sx_mat_nodes = 0;
         sx_device = None;
-        sx_windows = 0;
         sx_extends = 0;
         sx_cold = 0;
         sx_materializations = 0;
@@ -1211,7 +1209,7 @@ let session_report_of t sx =
     sn_name = sx.sx_name;
     sn_nodes =
       (match sx.sx_structure with Some s -> Structure.num_nodes s | None -> 0);
-    sn_windows = sx.sx_windows;
+    sn_windows = sx.sx_extends + sx.sx_cold;
     sn_delta_nodes = sx.sx_delta_nodes;
     sn_extends = sx.sx_extends;
     sn_cold = sx.sx_cold;
@@ -1336,18 +1334,6 @@ let aggregate_of requests ~num_windows =
       makespan_us;
     }
 
-(* The outcome of playing one window through the fault model. *)
-type attempt_outcome =
-  | Completed of {
-      ao_dev : Dispatch.device;
-      ao_dispatch : float;
-      ao_completion : float;
-      ao_report : Runtime.report;
-      ao_attempts : int;
-      ao_compiled : Lower.compiled;  (* what actually ran (tuned or not) *)
-    }
-  | Lost_window of float  (* the sim instant the window was declared lost *)
-
 (* One playable drain item: a batched window of stranger requests, or a
    pack of session tokens — a single token, or several sessions' ready
    tokens to merge into one forest launch. *)
@@ -1380,28 +1366,194 @@ type token = {
   tk_serve : session_serve;
 }
 
-let drain t =
+(* A window that ran to completion. *)
+type completion = {
+  ao_dev : Dispatch.device;
+  ao_dispatch : float;
+  ao_completion : float;
+  ao_report : Runtime.report;
+  ao_attempts : int;
+  ao_compiled : Lower.compiled;  (* what actually ran (tuned or not) *)
+}
+
+(* The outcome of playing one window through the fault model. *)
+type attempt_outcome =
+  | Completed of completion
+  | Lost_window of float  (* the sim instant the window was declared lost *)
+
+(* What one drain plays with and what its windows accumulate: fresh
+   device clocks and fault streams, the constants its summary reports,
+   the fault counters and the reports.  It holds no window, token or id
+   map, so nothing in it keeps a request's structure reachable. *)
+type drain_state = {
+  ds_disp : Dispatch.t;
+  ds_faults : Fault.t;  (* an empty spec fails, slows and draws nothing *)
+  ds_delta_ok : bool;  (* the compiled options can serve session deltas *)
+  ds_depth : int;  (* requests queued at the drain *)
+  ds_degraded : bool;
+  ds_shed : int;
+  ds_rejected : int;
+  mutable ds_transients : int;
+  mutable ds_retries : int;
+  mutable ds_failovers : int;
+  mutable ds_lost : int;
+  mutable ds_first_damage : float;
+      (* the earliest shed arrival, lost window or missed deadline on the
+         simulated clock ([infinity] while nothing was hurt): the FMECA
+         campaign's detectability input *)
+  mutable ds_windows : window_report list;  (* completed, newest first *)
+  mutable ds_requests : request_report list;
+  mutable ds_results : (int * Tensor.t) list;
+}
+
+let note_damage ds at = if at < ds.ds_first_damage then ds.ds_first_damage <- at
+let device_track d = Printf.sprintf "device %d" d
+
+(* Take the queue, in arrival order, and open the drain's state: the
+   shed/rejected counters move into it, and an engine without a fault
+   spec plays the empty one.  Past the watermark the drain degrades. *)
+let open_drain t =
   let pendings =
     List.stable_sort
       (fun a b -> compare (a.p_arrival, a.p_id) (b.p_arrival, b.p_id))
       (List.rev t.queue)
   in
+  let depth = List.length pendings in
+  let ds =
+    {
+      ds_disp = Dispatch.create ~policy:t.eng_dispatch t.eng_devices;
+      ds_faults =
+        Fault.create ~seed:t.eng_seed ~devices:(List.length t.eng_devices)
+          (Option.value t.eng_faults ~default:[]);
+      ds_delta_ok = Lower.delta_compatible t.eng_compiled.Lower.options;
+      ds_depth = depth;
+      ds_degraded = (match t.eng_watermark with Some w -> depth > w | None -> false);
+      ds_shed = t.n_shed;
+      ds_rejected = t.n_rejected;
+      ds_transients = 0;
+      ds_retries = 0;
+      ds_failovers = 0;
+      ds_lost = 0;
+      ds_first_damage = infinity;
+      ds_windows = [];
+      ds_requests = [];
+      ds_results = [];
+    }
+  in
+  if ds.ds_shed > 0 then note_damage ds t.first_shed_us;
   t.queue <- [];
   t.queued <- 0;
-  let shed = t.n_shed and rejected = t.n_rejected in
-  let shed_at = t.first_shed_us in
   t.n_shed <- 0;
   t.n_rejected <- 0;
   t.first_shed_us <- infinity;
-  let depth = List.length pendings in
-  (* Degrade under overload: past the watermark, halve the batch window
-     and force size bucketing — smaller, shape-homogeneous windows
-     dispatch sooner, trading peak throughput for bounded latency. *)
-  let degraded =
-    match t.eng_watermark with Some w -> depth > w | None -> false
+  (pendings, ds)
+
+(* ---------- forming packs ---------- *)
+
+(* A session item while packs form; [o_members] newest first. *)
+type forming = {
+  o_seq : int;  (* creation order *)
+  o_dev : int;  (* predicted device; -1 = not yet pinned *)
+  o_first : float;  (* its first member's arrival *)
+  mutable o_members : pending list;
+}
+
+(* Multi-session packing: group ready session tokens by pinned device
+   into packs of up to [pack_window] members, admitting a token only
+   within [pack_wait_us] of the pack's first arrival (at a pack window
+   of 1 every token is its own item, ready at arrival).  Only tokens
+   predicted to serve as deltas pack (the authoritative delta check at
+   serve time falls any mispredicted member back to its own size-1
+   window); the prediction replays each session's structure evolution
+   across the drain, so a conversation's second token can pack even
+   when its first token of the same drain is what pins the session.
+   Sessions not yet pinned group under a sentinel device (-1): playing
+   their pack selects one device and pins every member to it, exactly
+   as a size-1 window would pin its one session.  Two rules keep a
+   session's own tokens in submission order: a token may only join a
+   pack opened after the session's previous item, and an item's ready
+   time is bumped to at least the ready time of every member session's
+   previous item. *)
+let form_packs t ~delta_ok sessionp =
+  let pack_w = t.eng_config.Config.sessions.Session_store.pack_window in
+  let pack_wait = t.eng_config.Config.sessions.Session_store.pack_wait_us in
+  let last_item = Hashtbl.create 16 in
+  (* name -> (pinned device, structure as of the session's last token
+     below, restored prefix) — the grouping-time mirror of what
+     [session_delta_view] will see when the token is served. *)
+  let pred = Hashtbl.create 16 in
+  let predicted p =
+    let name = Option.get p.p_session in
+    let dev, prev, restored =
+      match (Hashtbl.find_opt pred name, Hashtbl.find_opt t.eng_sessions name) with
+      | Some st, _ -> st
+      | None, Some sx -> (sx.sx_device, sx.sx_structure, sx.sx_restored_base)
+      | None, None -> (None, None, None)
+    in
+    let s = p.p_structure in
+    let ok = delta_ok && growth_base ~prev ~restored s <> None in
+    Hashtbl.replace pred name (dev, Some s, None);
+    if ok then Some (Option.value dev ~default:(-1)) else None
   in
+  (* [items] newest first; [opened] the joinable packs, oldest first and
+     never full. *)
+  let _, items, _ =
+    List.fold_left
+      (fun (seq, items, opened) p ->
+        let name = Option.get p.p_session in
+        let open_item dev =
+          Hashtbl.replace last_item name (seq + 1);
+          { o_seq = seq + 1; o_dev = dev; o_first = p.p_arrival; o_members = [ p ] }
+        in
+        match predicted p with
+        | None -> (seq + 1, open_item (-1) :: items, opened)
+        | Some d -> (
+          let last = Option.value (Hashtbl.find_opt last_item name) ~default:0 in
+          let joinable o =
+            o.o_dev = d && p.p_arrival <= o.o_first +. pack_wait && o.o_seq > last
+          in
+          match List.find_opt joinable opened with
+          | Some o ->
+            o.o_members <- p :: o.o_members;
+            Hashtbl.replace last_item name o.o_seq;
+            let full = List.length o.o_members >= pack_w in
+            (seq, items, if full then List.filter (fun x -> x != o) opened else opened)
+          | None ->
+            let o = open_item d in
+            (seq + 1, o :: items, if pack_w > 1 then opened @ [ o ] else opened)))
+      (0, [], []) sessionp
+  in
+  (* Materialize in creation order; a pack is ready when its last member
+     arrives, and every item waits for its member sessions' previous
+     items so no session's tokens can reorder. *)
+  let prev_ready = Hashtbl.create 16 in
+  List.rev_map
+    (fun o ->
+      let members = List.rev o.o_members in
+      let names = List.map (fun p -> Option.get p.p_session) members in
+      let ready =
+        List.fold_left2
+          (fun r p nm ->
+            match Hashtbl.find_opt prev_ready nm with
+            | Some pr -> Float.max (Float.max r p.p_arrival) pr
+            | None -> Float.max r p.p_arrival)
+          Float.neg_infinity members names
+      in
+      List.iter (fun nm -> Hashtbl.replace prev_ready nm ready) names;
+      (ready, I_session members))
+    (List.rev items)
+  |> List.rev
+
+(* Every item of the drain, in ready order.  Regular requests batch per
+   the engine's policy — degraded, half the batch window and forced size
+   bucketing: smaller, shape-homogeneous windows dispatch sooner,
+   trading peak throughput for bounded latency.  Session submissions
+   bypass batching: a token of a pinned conversation cannot share a
+   forest with strangers — its layout and device are pinned — so
+   session tokens form their own items. *)
+let ready_items t ds pendings =
   let policy =
-    if degraded then
+    if ds.ds_degraded then
       {
         t.eng_policy with
         max_batch = max 1 (t.eng_policy.max_batch / 2);
@@ -1409,873 +1561,718 @@ let drain t =
       }
     else t.eng_policy
   in
-  (* Session submissions bypass batching: a token of a pinned
-     conversation cannot share a forest with strangers — its layout and
-     device are pinned — so session tokens form their own items. *)
   let sessionp, regular = List.partition (fun p -> p.p_session <> None) pendings in
   let windows =
     match policy.bucketing with
     | Fifo -> form_windows policy regular
     | By_size -> form_windows_bucketed policy regular
   in
-  let pack_w = t.eng_config.Config.sessions.Session_store.pack_window in
-  let pack_wait = t.eng_config.Config.sessions.Session_store.pack_wait_us in
-  let session_items =
-    (* Multi-session packing: group ready session tokens by pinned
-       device into packs of up to [pack_window] members, admitting a
-       token only within [pack_wait_us] of the pack's first arrival (at
-       a pack window of 1 every token is its own item, ready at
-       arrival).  Only tokens predicted to serve as deltas pack (the
-       authoritative delta check at play time falls any mispredicted
-       member back to its own size-1 window); the prediction replays
-       each session's structure evolution across the drain, so a
-       conversation's second token can pack even when its first token
-       of the same drain is what pins the session.  Sessions not yet
-       pinned group under a sentinel device (-1): playing their pack
-       selects one device and pins every member to it, exactly as a
-       size-1 window would pin its one session.  Two rules keep a
-       session's own tokens in submission order: a token may only join
-       a pack opened after the session's previous item, and an item's
-       ready time is bumped to at least the ready time of every member
-       session's previous item below. *)
-    let last_item = Hashtbl.create 16 in
-    let seq = ref 0 in
-    let items = ref [] in  (* member lists, newest first *)
-    let open_packs = ref [] in  (* joinable packs, oldest first; never full *)
-    (* name -> (pinned device, structure as of the session's last token
-       below, restored prefix) — the grouping-time mirror of what
-       [session_delta_view] will see when the token plays. *)
-    let pred = Hashtbl.create 16 in
-    let predicted p =
-      let name = Option.get p.p_session in
-      let dev, prev, restored =
-        match (Hashtbl.find_opt pred name, Hashtbl.find_opt t.eng_sessions name) with
-        | Some st, _ -> st
-        | None, Some sx -> (sx.sx_device, sx.sx_structure, sx.sx_restored_base)
-        | None, None -> (None, None, None)
+  let packs = form_packs t ~delta_ok:ds.ds_delta_ok sessionp in
+  List.stable_sort
+    (fun (ra, _) (rb, _) -> compare ra rb)
+    (List.map (fun (r, ms) -> (r, I_regular ms)) windows @ packs)
+
+(* ---------- serving a token ---------- *)
+
+(* Re-admission: a spilled conversation coming back under its name
+   restores its scratch numbering and persisted rows before the token is
+   served; the priced restore cost is the token's whole linearization
+   charge (0 when nothing was restored). *)
+let restore_spilled t sx (s : Structure.t) =
+  let spilled =
+    sx.sx_structure = None && sx.sx_restored_base = None
+    && Session_store.has_spill t.eng_store sx.sx_name
+  in
+  match if spilled then try_restore t sx s else None with
+  | None -> 0.0
+  | Some cost ->
+    Obs.incr t.eng_obs "sessions.restores";
+    (match t.eng_obs with
+     | None -> ()
+     | Some _ ->
+       Obs.sim_instant t.eng_obs ~track:"sessions" ~name:"restore"
+         ~args:
+           [ ("session", CT.Str sx.sx_name); ("nodes", CT.Int (Structure.num_nodes s));
+             ("restore_us", CT.Float cost) ]
+         ~ts_us:t.eng_clock_us ());
+    cost
+
+(* Not pure growth of the pinned conversation (or the compiled options
+   cannot serve deltas): full (re)linearization through the shape cache.
+   A different conversation under the same name drops the persisted
+   state — its node identities no longer mean the same thing. *)
+let serve_cold t ~delta_ok sx (s : Structure.t) =
+  let n = Structure.num_nodes s in
+  let fresh =
+    match sx.sx_structure with
+    | Some prev ->
+      Structure.num_nodes prev = 0 || n = 0
+      || not (s.Structure.nodes.(0) == prev.Structure.nodes.(0))
+    | None -> false
+  in
+  if fresh then reset_session sx;
+  let fl, hit =
+    Shape_cache.find_or_linearize ?obs:t.eng_obs t.eng_cache
+      ~max_children:t.model.Ra.max_children [ s ]
+  in
+  sx.sx_structure <- Some s;
+  sx.sx_restored_base <- None;
+  sx.sx_forest <- Some fl;
+  sx.sx_mat_nodes <- n;
+  sx.sx_cold <- sx.sx_cold + 1;
+  sx.sx_height <- Array.length fl.Linearizer.lin.Linearizer.batches - 1;
+  if delta_ok then begin
+    (* Re-seed the scratch numbering so the next token can be served as
+       a delta. *)
+    sx.sc_used <- 0;
+    ensure_session_capacity sx n;
+    Array.iter (fun nd -> push_node sx nd) s.Structure.nodes
+  end;
+  S_cold (fl, hit)
+
+(* One session token's inspector work: restore if spilled, then the
+   delta/cold decision, mutating the session's scratch tables — a pack's
+   members are all served, in pack order, before any of them plays.
+   The delta/cold work runs in one wall-clock span: that is the
+   per-token cost BENCH_incremental compares against a cold
+   re-linearization.  It is host time, so the simulated clock never
+   reads it. *)
+let serve_token t ~delta_ok p =
+  let name = Option.get p.p_session in
+  let s = p.p_structure in
+  let sx = session_of t name in
+  let restore_us = restore_spilled t sx s in
+  let serve =
+    Obs.wall_span t.eng_obs ~track:"inspector" "token"
+      ~args:[ ("session", CT.Str name); ("nodes", CT.Int (Structure.num_nodes s)) ]
+      (fun () ->
+        match if delta_ok then session_delta_view sx s else None with
+        | Some d ->
+          sx.sx_structure <- Some s;
+          sx.sx_restored_base <- None;
+          sx.sx_extends <- sx.sx_extends + 1;
+          sx.sx_delta_nodes <- sx.sx_delta_nodes + Array.length d.d_news;
+          session_materialize ?obs:t.eng_obs t sx s;
+          S_delta d
+        | None -> serve_cold t ~delta_ok sx s)
+  in
+  { tk_p = p; tk_sx = sx; tk_lin_us = restore_us; tk_serve = serve }
+
+(* ---------- pricing and dispatch ---------- *)
+
+(* Price a window on [dev]: what actually runs there — the plan-tuned
+   artifact when the window tunes ([tuning] = [Some packed], the plan
+   cache's key space) — and its backend report. *)
+let price_window t ~tuning ~lin ~nodes ~lin_us (dev : Dispatch.device) =
+  let compiled =
+    match (tuning, t.eng_plans) with
+    | Some packed, Some pc ->
+      let entry, _hit =
+        Plan_cache.find_or_tune ?obs:t.eng_obs pc ~packed ~compiled:t.eng_compiled
+          ~backend:dev.Dispatch.dev_backend ~lin ~nodes
       in
-      let s = p.p_structure in
-      let ok =
-        Lower.delta_compatible t.eng_compiled.Lower.options
-        && growth_base ~prev ~restored s <> None
-      in
-      Hashtbl.replace pred name (dev, Some s, None);
-      if ok then Some (Option.value dev ~default:(-1)) else None
-    in
-    let new_item name oms =
-      incr seq;
-      Hashtbl.replace last_item name !seq;
-      items := oms :: !items;
-      !seq
-    in
-    List.iter
-      (fun p ->
-        let name = Option.get p.p_session in
-        let after_last oseq =
-          match Hashtbl.find_opt last_item name with
-          | Some ls -> oseq > ls
-          | None -> true
-        in
-        match predicted p with
-        | None -> ignore (new_item name (ref [ p ]))
-        | Some d -> (
-          let joinable (oseq, odev, ofirst, _, _) =
-            odev = d && p.p_arrival <= ofirst +. pack_wait && after_last oseq
-          in
-          match List.find_opt joinable !open_packs with
-          | Some ((oseq, _, _, oms, ocount) as op) ->
-            oms := p :: !oms;
-            incr ocount;
-            Hashtbl.replace last_item name oseq;
-            if !ocount >= pack_w then
-              open_packs := List.filter (fun o -> o != op) !open_packs
-          | None ->
-            let oms = ref [ p ] in
-            let oseq = new_item name oms in
-            if pack_w > 1 then
-              open_packs := !open_packs @ [ (oseq, d, p.p_arrival, oms, ref 1) ]))
-      sessionp;
-    (* Materialize in creation order; a pack is ready when its last
-       member arrives, and every item waits for its member sessions'
-       previous items so no session's tokens can reorder. *)
-    let prev_ready = Hashtbl.create 16 in
-    List.rev_map
-      (fun oms ->
-        let members = List.rev !oms in
-        let names = List.map (fun p -> Option.get p.p_session) members in
-        let ready =
-          List.fold_left2
-            (fun r p nm ->
-              match Hashtbl.find_opt prev_ready nm with
-              | Some pr -> Float.max (Float.max r p.p_arrival) pr
-              | None -> Float.max r p.p_arrival)
-            Float.neg_infinity members names
-        in
-        List.iter (fun nm -> Hashtbl.replace prev_ready nm ready) names;
-        (ready, I_session members))
-      (List.rev !items)
-    |> List.rev
+      entry.Plan_cache.pe_compiled
+    | _ -> t.eng_compiled
   in
-  let windows =
-    List.map (fun (r, ms) -> (r, I_regular ms)) windows @ session_items
-  in
-  (* Play the windows through the simulated devices in ready order: the
-     dispatch policy picks a device per window, the window occupies it
-     from max(device free, window ready) until completion, priced on
-     that device's own backend model.  Device clocks are fresh per
-     drain (the simulation's origin is the trace's arrival clock); the
-     shape cache persists across drains. *)
-  let windows =
-    List.stable_sort (fun (ra, _) (rb, _) -> compare ra rb) windows
-  in
-  (* Observability is read-only: every span and metric below copies a
-     value the simulation already computed.  The [None] path allocates
-     nothing (the guards keep even the args lists unbuilt). *)
-  let obs = t.eng_obs in
-  let device_track d = Printf.sprintf "device %d" d in
-  (match obs with
-   | None -> ()
-   | Some _ ->
-     List.iter
-       (fun p ->
-         Obs.sim_instant obs ~track:"requests" ~name:"arrival"
-           ~args:[ ("id", CT.Int p.p_id); ("nodes", CT.Int p.p_nodes) ]
-           ~ts_us:p.p_arrival ())
-       pendings);
-  let disp = Dispatch.create ~policy:t.eng_dispatch t.eng_devices in
-  let inj =
-    Option.map
-      (fun spec ->
-        Fault.create ~seed:t.eng_seed ~devices:(List.length t.eng_devices) spec)
-      t.eng_faults
-  in
-  let fail_at d =
-    match inj with Some i -> Fault.fail_at i d | None -> infinity
-  in
-  let transients = ref 0 and retries = ref 0 and failovers = ref 0 in
-  let lost = ref 0 in
-  (* First SLO-visible damage on the simulated clock — the earliest
-     shed arrival, lost window, or missed deadline.  This is the FMECA
-     campaign's detectability input: how long before anything was
-     hurt. *)
-  let first_damage = ref infinity in
-  let note_damage at = if at < !first_damage then first_damage := at in
-  if shed > 0 then note_damage shed_at;
-  let wreports = ref [] in
-  let rreports = ref [] in
-  let results = ref [] in
-  let windex = ref 0 in
-  (* Mark fail-stopped devices whose time has come, so dispatch avoids
-     them; an in-flight abort is detected separately below. *)
-  let mark_dead now =
-    Array.iter
-      (fun (d : Dispatch.device) ->
-        if (not d.Dispatch.dev_failed) && fail_at d.Dispatch.dev_index <= now then
-          Dispatch.fail d)
-      (Dispatch.devices disp)
-  in
-  (* The retry/failover loop of [play_window] below.
-     [n] counts transient re-executions (the retry budget); failover
-     re-dispatches after a fail-stop are free — the work was lost to
-     the fleet, not to a flaky kernel.  A window's linearization is
-     never redone on a retry: the forest (or delta view) is already
-     built, and a failover on a cached shape re-uses the same numbering
-     (that is the shape cache's contract).  [price dev] returns what
-     actually runs on [dev] (the plan-tuned artifact when the window
-     tunes) and its backend report.  [sxs] pins a session window (or
-     a packed window's members) to its device; when the pinned device
-     died, every member session re-pins and re-binds its materialized
-     layout through the shape cache onto the survivor — a payload
-     re-bind, never a fresh linearization. *)
-  let play ~sxs ~size ~nodes ~lin_us ~price ready0 =
-    let rec attempt n ready =
-      mark_dead ready;
-      if Dispatch.alive disp = 0 then Lost_window ready
-      else begin
-        let dev =
-          match sxs with
-          | [] -> Dispatch.select disp ~nodes
-          | _ ->
-            let devs = Dispatch.devices disp in
-            (* The window's pinned device: the first member's, if it
-               survives (a packed window's members share a pin by
-               construction; they can only diverge when an earlier
-               failover this drain re-pinned some of them). *)
-            let dev =
-              match
-                List.find_map
-                  (fun sx ->
-                    match sx.sx_device with
-                    | Some di when not devs.(di).Dispatch.dev_failed ->
-                      Some devs.(di)
-                    | _ -> None)
-                  sxs
-              with
-              | Some d -> d
-              | None -> Dispatch.select disp ~nodes
-            in
-            List.iter
-              (fun sx ->
-                match sx.sx_device with
-                | Some di when di = dev.Dispatch.dev_index -> ()
-                | prev ->
-                  (match (prev, sx.sx_forest) with
-                   | Some _, Some f ->
-                     sx.sx_rebinds <- sx.sx_rebinds + 1;
-                     let ss =
-                       Array.to_list
-                         (Array.map
-                            (fun sp -> sp.Linearizer.span_structure)
-                            f.Linearizer.spans)
-                     in
-                     ignore
-                       (Shape_cache.find_or_linearize ?obs t.eng_cache
-                          ~max_children:t.model.Ra.max_children ss)
-                   | _ -> ());
-                  sx.sx_device <- Some dev.Dispatch.dev_index)
-              sxs;
-            dev
-        in
-        let dispatch = Float.max dev.Dispatch.dev_free_us ready in
-        let ft = fail_at dev.Dispatch.dev_index in
-        if ft <= dispatch then begin
-          (* The device dies while the window waits in its queue slot:
-             nothing was in flight, just pick another device. *)
-          Dispatch.fail dev;
-          attempt n ready
-        end
-        else begin
-          let compiled, report = price dev in
-          let factor =
-            match inj with
-            | Some i ->
-              Fault.latency_factor i ~device:dev.Dispatch.dev_index ~at_us:dispatch
-            | None -> 1.0
-          in
-          let report =
-            if factor = 1.0 then report else Runtime.scale_report report factor
-          in
-          let device_us = report.Runtime.latency.Backend.total_us in
-          (* The host-side linearization is charged once, on the first
-             execution; a retry re-launches kernels, not the
-             inspector. *)
-          let lin_charge = if n = 0 then lin_us else 0.0 in
-          let completion = dispatch +. lin_charge +. device_us in
-          if ft < completion then begin
-            (* In-flight fail-stop: the window aborts at the instant
-               the device dies and fails over to a survivor. *)
-            Dispatch.commit dev ~dispatch_us:dispatch ~completion_us:ft
-              ~requests:0 ~nodes:0 ~occupancy:report.Runtime.occupancy;
-            Dispatch.fail dev;
-            incr failovers;
-            Obs.incr obs "faults.failovers";
-            (match obs with
-             | None -> ()
-             | Some _ ->
-               Obs.sim_span obs ~track:(device_track dev.Dispatch.dev_index)
-                 ~name:"abort"
-                 ~args:[ ("fault", CT.Str "failstop"); ("size", CT.Int size);
-                         ("nodes", CT.Int nodes) ]
-                 ~start_us:dispatch ~end_us:ft ());
-            attempt n ft
-          end
-          else begin
-            let aborted =
-              match inj with
-              | Some i ->
-                Fault.draw_transient i ~device:dev.Dispatch.dev_index
-                  ~at_us:dispatch
-              | None -> false
-            in
-            if aborted then begin
-              (* The kernel ran and the fault was detected at
-                 completion: the wasted execution still occupied the
-                 device. *)
-              incr transients;
-              Obs.incr obs "faults.transients";
-              Dispatch.commit dev ~dispatch_us:dispatch ~completion_us:completion
-                ~requests:0 ~nodes ~occupancy:report.Runtime.occupancy;
-              (match obs with
-               | None -> ()
-               | Some _ ->
-                 Obs.sim_span obs ~track:(device_track dev.Dispatch.dev_index)
-                   ~name:"transient"
-                   ~args:[ ("attempt", CT.Int (n + 1)); ("size", CT.Int size);
-                           ("nodes", CT.Int nodes) ]
-                   ~start_us:dispatch ~end_us:completion ());
-              if n >= Fault.default_retry.Fault.max_retries then Lost_window completion
-              else begin
-                incr retries;
-                Obs.incr obs "faults.retries";
-                let delay =
-                  Fault.backoff_us (Option.get inj) ~device:dev.Dispatch.dev_index
-                    ~attempt:n
-                in
-                attempt (n + 1) (completion +. delay)
-              end
-            end
-            else begin
-              Dispatch.commit dev ~dispatch_us:dispatch ~completion_us:completion
-                ~requests:size ~nodes ~occupancy:report.Runtime.occupancy;
-              Completed
-                {
-                  ao_dev = dev;
-                  ao_dispatch = dispatch;
-                  ao_completion = completion;
-                  ao_report = report;
-                  ao_attempts = n + 1;
-                  ao_compiled = compiled;
-                }
-            end
-          end
-        end
-      end
-    in
-    attempt 0 ready0
-  in
-  let packed_windows = ref 0 and packed_tokens = ref 0 in
-  (* [serve_token] does one session token's inspector work (restore if
-     spilled, then the delta/cold decision), mutating the session's
-     scratch tables — a pack's members are all served, in pack order,
-     before any of them plays. *)
-  let serve_token p =
-    let name = Option.get p.p_session in
-    let s = p.p_structure in
-    let sx = session_of t name in
-    let n = Structure.num_nodes s in
-    (* Re-admission: a spilled conversation coming back under its name
-       restores its scratch numbering and persisted rows before the
-       token is served; the priced restore cost is this token's whole
-       linearization charge. *)
-    let restore_us =
+  ( compiled,
+    Runtime.simulate_lin ~lock_free:t.lock_free ~linearize_us:lin_us compiled
+      ~backend:dev.Dispatch.dev_backend lin )
+
+(* Mark fail-stopped devices whose time has come, so dispatch avoids
+   them; an in-flight abort is detected separately. *)
+let mark_dead ds now =
+  Array.iter
+    (fun (d : Dispatch.device) ->
       if
-        sx.sx_structure = None
-        && sx.sx_restored_base = None
-        && Session_store.has_spill t.eng_store name
-      then begin
-        match try_restore t sx s with
-        | Some cost ->
-          Obs.incr obs "sessions.restores";
+        (not d.Dispatch.dev_failed)
+        && Fault.fail_at ds.ds_faults d.Dispatch.dev_index <= now
+      then Dispatch.fail d)
+    (Dispatch.devices ds.ds_disp)
+
+(* The device a window lands on: the first member session's pinned
+   device, if it survives (a packed window's members share a pin by
+   construction; they can only diverge when an earlier failover this
+   drain re-pinned some of them), else — and for a regular window — the
+   dispatch policy's pick.  Every member session pins to it; one whose
+   pinned device died re-binds its materialized layout through the shape
+   cache onto the survivor — a payload re-bind, never a fresh
+   linearization. *)
+let pick_device t ds ~sxs ~nodes =
+  let devs = Dispatch.devices ds.ds_disp in
+  let dev =
+    match
+      List.find_map
+        (fun sx ->
+          match sx.sx_device with
+          | Some di when not devs.(di).Dispatch.dev_failed -> Some devs.(di)
+          | _ -> None)
+        sxs
+    with
+    | Some d -> d
+    | None -> Dispatch.select ds.ds_disp ~nodes
+  in
+  List.iter
+    (fun sx ->
+      match sx.sx_device with
+      | Some di when di = dev.Dispatch.dev_index -> ()
+      | prev ->
+        (match (prev, sx.sx_forest) with
+         | Some _, Some f ->
+           sx.sx_rebinds <- sx.sx_rebinds + 1;
+           let ss =
+             Array.to_list
+               (Array.map (fun sp -> sp.Linearizer.span_structure) f.Linearizer.spans)
+           in
+           ignore
+             (Shape_cache.find_or_linearize ?obs:t.eng_obs t.eng_cache
+                ~max_children:t.model.Ra.max_children ss)
+         | _ -> ());
+        sx.sx_device <- Some dev.Dispatch.dev_index)
+    sxs;
+  dev
+
+(* Dispatch a window with attempts and retries.  [n] counts transient
+   re-executions (the retry budget); failover re-dispatches after a
+   fail-stop are free — the work was lost to the fleet, not to a flaky
+   kernel.  A window's linearization is never redone on a retry: the
+   forest (or delta view) is already built, and a failover on a cached
+   shape re-uses the same numbering (that is the shape cache's
+   contract).  [price dev] returns what runs on [dev] and its report. *)
+let dispatch_window t ds ~sxs ~size ~nodes ~lin_us ~price ready0 =
+  let obs = t.eng_obs in
+  let rec attempt n ready =
+    mark_dead ds ready;
+    if Dispatch.alive ds.ds_disp = 0 then Lost_window ready
+    else
+      let dev = pick_device t ds ~sxs ~nodes in
+      let di = dev.Dispatch.dev_index in
+      let dispatch = Float.max dev.Dispatch.dev_free_us ready in
+      let ft = Fault.fail_at ds.ds_faults di in
+      if ft <= dispatch then begin
+        (* The device dies while the window waits in its queue slot:
+           nothing was in flight, just pick another device. *)
+        Dispatch.fail dev;
+        attempt n ready
+      end
+      else
+        let compiled, report = price dev in
+        let factor = Fault.latency_factor ds.ds_faults ~device:di ~at_us:dispatch in
+        let report =
+          if factor = 1.0 then report else Runtime.scale_report report factor
+        in
+        let occupancy = report.Runtime.occupancy in
+        (* The host-side linearization is charged once, on the first
+           execution; a retry re-launches kernels, not the inspector. *)
+        let lin_charge = if n = 0 then lin_us else 0.0 in
+        let device_us = report.Runtime.latency.Backend.total_us in
+        let completion = dispatch +. lin_charge +. device_us in
+        if ft < completion then begin
+          (* In-flight fail-stop: the window aborts at the instant the
+             device dies and fails over to a survivor. *)
+          Dispatch.commit dev ~dispatch_us:dispatch ~completion_us:ft ~requests:0 ~nodes:0
+            ~occupancy;
+          Dispatch.fail dev;
+          ds.ds_failovers <- ds.ds_failovers + 1;
+          Obs.incr obs "faults.failovers";
           (match obs with
            | None -> ()
            | Some _ ->
-             Obs.sim_instant obs ~track:"sessions" ~name:"restore"
-               ~args:
-                 [ ("session", CT.Str name); ("nodes", CT.Int n);
-                   ("restore_us", CT.Float cost) ]
-               ~ts_us:t.eng_clock_us ());
-          cost
-        | None -> 0.0
-      end
-      else 0.0
-    in
-    (* All inspector work for the token — delta validation, scratch
-       append, view construction, geometric materialization, or the
-       cold fallback through the cache — in one wall-clock span: that is
-       the per-token cost BENCH_incremental compares against a cold
-       re-linearization.  It is host time, so the simulated clock never
-       reads it. *)
-    let serve =
-      Obs.wall_span obs ~track:"inspector" "token"
-        ~args:[ ("session", CT.Str name); ("nodes", CT.Int n) ]
-        (fun () ->
-          let compat = Lower.delta_compatible t.eng_compiled.Lower.options in
-          let dv = if compat then session_delta_view sx s else None in
-          match dv with
-          | Some d ->
-            sx.sx_structure <- Some s;
-            sx.sx_restored_base <- None;
-            sx.sx_extends <- sx.sx_extends + 1;
-            sx.sx_delta_nodes <- sx.sx_delta_nodes + Array.length d.d_news;
-            session_materialize ?obs t sx s;
-            S_delta d
-          | None ->
-            (* Not pure growth of the pinned conversation (or the
-               compiled options cannot serve deltas): full
-               (re)linearization through the shape cache.  A different
-               conversation under the same name drops the persisted
-               state — its node identities no longer mean the same
-               thing. *)
-            let fresh =
-              match sx.sx_structure with
-              | Some prev ->
-                Structure.num_nodes prev = 0 || n = 0
-                || not (s.Structure.nodes.(0) == prev.Structure.nodes.(0))
-              | None -> false
-            in
-            if fresh then reset_session sx;
-            let fl, hit =
-              Shape_cache.find_or_linearize ?obs t.eng_cache
-                ~max_children:t.model.Ra.max_children [ s ]
-            in
-            sx.sx_structure <- Some s;
-            sx.sx_restored_base <- None;
-            sx.sx_forest <- Some fl;
-            sx.sx_mat_nodes <- n;
-            sx.sx_cold <- sx.sx_cold + 1;
-            sx.sx_height <-
-              Array.length fl.Linearizer.lin.Linearizer.batches - 1;
-            if Lower.delta_compatible t.eng_compiled.Lower.options then begin
-              (* Re-seed the scratch numbering so the next token can be
-                 served as a delta. *)
-              sx.sc_used <- 0;
-              ensure_session_capacity sx n;
-              Array.iter (fun nd -> push_node sx nd) s.Structure.nodes
-            end;
-            S_cold (fl, hit))
-    in
-    sx.sx_windows <- sx.sx_windows + 1;
-    { tk_p = p; tk_sx = sx; tk_lin_us = restore_us; tk_serve = serve }
+             Obs.sim_span obs ~track:(device_track di) ~name:"abort"
+               ~args:[ ("fault", CT.Str "failstop"); ("size", CT.Int size);
+                       ("nodes", CT.Int nodes) ]
+               ~start_us:dispatch ~end_us:ft ());
+          attempt n ft
+        end
+        else if Fault.draw_transient ds.ds_faults ~device:di ~at_us:dispatch then begin
+          (* The kernel ran and the fault was detected at completion: the
+             wasted execution still occupied the device. *)
+          ds.ds_transients <- ds.ds_transients + 1;
+          Obs.incr obs "faults.transients";
+          Dispatch.commit dev ~dispatch_us:dispatch ~completion_us:completion ~requests:0
+            ~nodes ~occupancy;
+          (match obs with
+           | None -> ()
+           | Some _ ->
+             Obs.sim_span obs ~track:(device_track di) ~name:"transient"
+               ~args:[ ("attempt", CT.Int (n + 1)); ("size", CT.Int size);
+                       ("nodes", CT.Int nodes) ]
+               ~start_us:dispatch ~end_us:completion ());
+          if n >= Fault.default_retry.Fault.max_retries then Lost_window completion
+          else begin
+            ds.ds_retries <- ds.ds_retries + 1;
+            Obs.incr obs "faults.retries";
+            let delay = Fault.backoff_us ds.ds_faults ~device:di ~attempt:n in
+            attempt (n + 1) (completion +. delay)
+          end
+        end
+        else begin
+          Dispatch.commit dev ~dispatch_us:dispatch ~completion_us:completion
+            ~requests:size ~nodes ~occupancy;
+          Completed
+            { ao_dev = dev; ao_dispatch = dispatch; ao_completion = completion;
+              ao_report = report; ao_attempts = n + 1; ao_compiled = compiled }
+        end
   in
-  (* Bounded-table bookkeeping for a token just served: learn the
-     model's per-node state-row bytes from the rows actually stored
-     (hidden sizes are not knowable at build time), re-account the
-     session at its new size, then run the eviction pass — the budget
-     invariant holds after every session window, not just at drain end,
-     which is also what makes evict/restore churn observable inside a
-     single drain. *)
-  let account_session p sx =
-    let s = p.p_structure in
-    (if sx.sx_row_bytes = 0 && t.eng_params <> None then
-       match s.Structure.roots with
-       | root :: _ ->
-         sx.sx_row_bytes <-
-           List.fold_left
-             (fun acc (st, _) ->
-               match Hashtbl.find_opt sx.sx_states (st, root.Node.id) with
-               | Some v -> acc + (8 * Tensor.numel v)
-               | None -> acc)
-             0 t.eng_compiled.Lower.state_tensors
-       | [] -> ());
-    Session_store.touch t.eng_store sx.sx_name
-      ~bytes:(session_accounted_bytes t sx) ~now_us:t.eng_clock_us;
-    enforce_sessions ?obs t
-  in
-  (* Play one window: [lin] is what runs, [members] the requests it
-     serves.  The window's kind follows from its members — none in a
-     session: a regular batch; one session token: a size-1 window; several:
-     a packed window — and so does its plan-cache key space.  Regular and
-     packed windows tune (packed in their own key space: level-merged
-     session batches are shaped nothing like a regular forest of the same
-     size class).  Size-1 session windows run untuned: they are
-     deliberately tiny, a token's delta, not the size classes the tuner
-     buckets, and the pinned device would make the tuned artifact churn
-     on every failover.  Plans preserve semantics bitwise, so retries and
-     failovers across differently-tuned devices cannot change results.
-     The window's host charge is its members' charges summed. *)
-  let play_window ~ready ~lin ~nodes ~hit members =
-    let size = List.length members in
-    let lin_us = List.fold_left (fun acc m -> acc +. m.m_lin_us) 0.0 members in
-    let sxs =
-      List.filter_map (fun m -> Option.map (fun sm -> sm.sm_sx) m.m_session) members
-    in
-    let tuning = match sxs with [] -> Some false | [ _ ] -> None | _ -> Some true in
-    let session, packed =
-      match sxs with
-      | [ sx ] -> (Some sx.sx_name, [])
-      | _ -> (None, List.map (fun sx -> sx.sx_name) sxs)
-    in
-    let price dev =
-      let compiled =
-        match (tuning, t.eng_plans) with
-        | Some packed, Some pc ->
-          let entry, _hit =
-            Plan_cache.find_or_tune ?obs pc ~packed ~compiled:t.eng_compiled
-              ~backend:dev.Dispatch.dev_backend ~lin ~nodes
-          in
-          entry.Plan_cache.pe_compiled
-        | _ -> t.eng_compiled
-      in
-      ( compiled,
-        Runtime.simulate_lin ~lock_free:t.lock_free ~linearize_us:lin_us compiled
-          ~backend:dev.Dispatch.dev_backend lin )
-    in
-    (match play ~sxs ~size ~nodes ~lin_us ~price ready with
-     | Lost_window at ->
-       lost := !lost + size;
-       note_damage at;
-       bump_clock t at
-     | Completed { ao_dev = dev; ao_dispatch = dispatch;
-                   ao_completion = completion; ao_report = report;
-                   ao_attempts = attempts; ao_compiled = ran } ->
-       let i = !windex in
-       incr windex;
-       if packed <> [] then begin
-         incr packed_windows;
-         packed_tokens := !packed_tokens + size;
-         Obs.incr obs "sessions.packed_windows";
-         Obs.incr obs ~by:size "sessions.packed_tokens"
-       end;
-       (match obs with
-        | None -> ()
-        | Some _ ->
-          Obs.sim_span obs ~track:(device_track dev.Dispatch.dev_index)
-            ~name:"window"
-            ~args:
-              ([ ("index", CT.Int i); ("size", CT.Int size);
-                 ("nodes", CT.Int nodes); ("hit", CT.Bool hit);
-                 ("attempts", CT.Int attempts) ]
-              @ (match session with
-                 | Some s -> [ ("session", CT.Str s) ]
-                 | None -> [])
-              @
-              match packed with
-              | [] -> []
-              | names -> [ ("packed", CT.Str (String.concat "," names)) ])
-            ~start_us:dispatch ~end_us:completion ());
-       wreports :=
-         {
-           wr_index = i;
-           wr_size = size;
-           wr_nodes = nodes;
-           wr_device = dev.Dispatch.dev_index;
-           wr_cache_hit = hit;
-           wr_attempts = attempts;
-           wr_dispatch_us = dispatch;
-           wr_report = report;
-           wr_session = session;
-           wr_packed = packed;
-         }
-         :: !wreports;
-       (* Numeric serving, one launch for every member: pre-seed each
-          session member's boundary rows from its persisted states,
-          execute the window once (retries and failovers re-dispatch the
-          same linearization, so the numbers cannot depend on the fault
-          history — the property the chaos tests pin bitwise), then
-          persist session members' stored nodes and read every result
-          back — bitwise identical to running each request cold. *)
-       (match t.eng_params with
-        | Some params ->
-          let st_names = List.map fst t.eng_compiled.Lower.state_tensors in
-          let preload bound =
-            List.iter
-              (fun m ->
-                match m.m_session with
-                | None -> ()
-                | Some { sm_sx = sx; sm_nodes; sm_base } ->
-                  Array.iter
-                    (fun (nd : Node.t) ->
-                      Array.iter
-                        (fun (c : Node.t) ->
-                          if c.Node.id < sm_base then
-                            List.iter
-                              (fun st ->
-                                match
-                                  Hashtbl.find_opt sx.sx_states (st, c.Node.id)
-                                with
-                                | Some v ->
-                                  Lower.set_state_lin bound ran st
-                                    (m.m_id c.Node.id) v
-                                | None ->
-                                  failwith
-                                    "Engine: missing persisted state at a \
-                                     session's delta boundary")
-                              st_names)
-                        nd.Node.children)
-                    sm_nodes)
-              members
-          in
-          let ex = Runtime.execute_lin ~preload ran ~params lin in
-          let value st wid =
-            Lower.state_value_lin ex.Runtime.exec_bound ex.Runtime.exec_compiled st
-              wid
-          in
-          let out = List.hd t.model.Ra.outputs in
-          List.iter
-            (fun m ->
-              let result =
-                match m.m_session with
+  attempt 0 ready0
+
+(* ---------- accounting a result ---------- *)
+
+(* Numeric serving, one launch for every member: pre-seed each session
+   member's boundary rows from its persisted states, execute the window
+   once (retries and failovers re-dispatch the same linearization, so
+   the numbers cannot depend on the fault history — the property the
+   chaos tests pin bitwise), then persist session members' stored nodes
+   and read every result back — bitwise identical to running each
+   request cold. *)
+let execute_window t ds ~lin ~ran members =
+  match t.eng_params with
+  | None -> ()
+  | Some params ->
+    let st_names = List.map fst t.eng_compiled.Lower.state_tensors in
+    let preload bound =
+      List.iter
+        (fun m ->
+          Option.iter
+            (fun { sm_sx = sx; sm_nodes; sm_base } ->
+              let seed (c : Node.t) st =
+                match Hashtbl.find_opt sx.sx_states (st, c.Node.id) with
+                | Some v -> Lower.set_state_lin bound ran st (m.m_id c.Node.id) v
                 | None ->
-                  fun (root : Node.t) -> Some (value out (m.m_id root.Node.id))
-                | Some { sm_sx = sx; sm_nodes; _ } ->
-                  Array.iter
-                    (fun (nd : Node.t) ->
-                      let wid = m.m_id nd.Node.id in
-                      List.iter
-                        (fun st ->
-                          Hashtbl.replace sx.sx_states (st, nd.Node.id)
-                            (value st wid))
-                        st_names)
-                    sm_nodes;
-                  (* A session's result is its persisted row. *)
-                  fun root -> Hashtbl.find_opt sx.sx_states (out, root.Node.id)
+                  failwith "Engine: missing persisted state at a session's delta boundary"
               in
-              match m.m_p.p_structure.Structure.roots with
-              | [] -> ()
-              | root :: _ ->
-                Option.iter
-                  (fun v -> results := (m.m_p.p_id, v) :: !results)
-                  (result root))
-            members
-        | None -> ());
-       List.iter
-         (fun m ->
-           let p = m.m_p in
-           bump_clock t completion;
-           rreports :=
-             {
-               rr_id = p.p_id;
-               rr_nodes = p.p_nodes;
-               rr_window = i;
-               rr_window_size = size;
-               rr_device = dev.Dispatch.dev_index;
-               rr_arrival_us = p.p_arrival;
-               rr_deadline_us = p.p_deadline;
-               rr_queue_us = dispatch -. p.p_arrival;
-               rr_linearize_us = m.m_lin_us;
-               rr_device_us = report.Runtime.latency.Backend.total_us;
-               rr_total_us = completion -. p.p_arrival;
-               rr_on_time = completion <= p.p_deadline;
-             }
-             :: !rreports;
-           (* A missed deadline hurts the SLO the instant the deadline
-              passes without a completion, not when the late answer
-              finally lands. *)
-           if completion > p.p_deadline then note_damage p.p_deadline;
-           Option.iter
-             (fun { sm_sx = sx; _ } ->
-               if packed <> [] then sx.sx_packed <- sx.sx_packed + 1;
-               if completion > p.p_deadline then
-                 sx.sx_deadline_misses <- sx.sx_deadline_misses + 1)
-             m.m_session)
-         members);
+              Array.iter
+                (fun (nd : Node.t) ->
+                  Array.iter
+                    (fun (c : Node.t) ->
+                      if c.Node.id < sm_base then List.iter (seed c) st_names)
+                    nd.Node.children)
+                sm_nodes)
+            m.m_session)
+        members
+    in
+    let ex = Runtime.execute_lin ~preload ran ~params lin in
+    let value st wid =
+      Lower.state_value_lin ex.Runtime.exec_bound ex.Runtime.exec_compiled st wid
+    in
+    let out = List.hd t.model.Ra.outputs in
     List.iter
-      (fun m -> Option.iter (fun sm -> account_session m.m_p sm.sm_sx) m.m_session)
-      members
-  in
-  (* Play a pack of served session tokens at the pack's ready time.
-     Members that came out cold play first, each as its own size-1
-     window over its forest.  The deltas then merge into one packed
-     window; a lone delta runs its own view directly (no merge, so
-     size-1 serving stays O(delta)), and deltas whose views refuse to
-     merge each play alone. *)
-  let play_tokens ~ready toks =
-    (* [ids] is given the session, not the token: id maps that kept the
-       tokens reachable while the window records raised the packed
-       benchmark's peak heap by about 1 MB (a tenth). *)
-    let member tk ~ids nodes base =
-      {
-        m_p = tk.tk_p;
-        m_lin_us = tk.tk_lin_us;
-        m_id = ids tk.tk_sx;
-        m_session = Some { sm_sx = tk.tk_sx; sm_nodes = nodes; sm_base = base };
-      }
-    in
-    let play_delta (tk, d) =
-      play_window ~ready ~lin:d.d_view ~nodes:(Array.length d.d_news) ~hit:false
-        [ member tk ~ids:(fun sx id -> sx.sc_sid.(id)) d.d_news d.d_base ]
-    in
-    let colds, deltas =
-      List.partition_map
-        (fun tk ->
-          match tk.tk_serve with
-          | S_cold (fl, hit) -> Either.Left (tk, fl, hit)
-          | S_delta d -> Either.Right (tk, d))
-        toks
-    in
-    List.iter
-      (fun (tk, fl, hit) ->
-        let ids _ id = fl.Linearizer.spans.(0).Linearizer.span_ids.(id) in
-        play_window ~ready ~lin:fl.Linearizer.lin ~nodes:tk.tk_p.p_nodes ~hit
-          [ member tk ~ids tk.tk_p.p_structure.Structure.nodes 0 ])
-      colds;
-    match deltas with
-    | [] -> ()
-    | [ one ] -> play_delta one
-    | _ -> (
-      match Linearizer.pack_views (List.map (fun (_, d) -> d.d_view) deltas) with
-      | exception Linearizer.Rejected _ -> List.iter play_delta deltas
-      | pk ->
-        let view = pk.Linearizer.pk_view in
-        (* The window's work is its delta nodes; the old-prefix rows
-           below [pk_base] only receive pre-seeded boundary states and
-           are never iterated by a batch. *)
-        play_window ~ready ~lin:view
-          ~nodes:(view.Linearizer.num_nodes - pk.Linearizer.pk_base)
-          ~hit:false
-          (List.mapi
-             (fun i (tk, d) ->
-               member tk
-                 ~ids:(fun sx id -> Linearizer.pack_id pk ~member:i sx.sc_sid.(id))
-                 d.d_news d.d_base)
-             deltas))
-  in
-  List.iter
-    (fun (ready, item) ->
-      (* Advance the monotone engine clock window by window (windows
-         play in ready order): sessions age against the simulated time
-         the drain has actually reached, so a conversation that went
-         quiet early shows real idle time to the TTL pass instead of
-         being backdated to the drain's newest arrival. *)
-      bump_clock t ready;
-      match item with
-      | I_regular members ->
-        let structures = List.map (fun p -> p.p_structure) members in
-        (* Linearize exactly once and reuse the result: a cache hit is a
-           payload re-bind, a miss the full inspector pass.  Neither is
-           charged to the simulated clock. *)
-        let fl, hit =
-          Shape_cache.find_or_linearize ?obs t.eng_cache
-            ~max_children:t.model.Ra.max_children structures
+      (fun m ->
+        let result =
+          match m.m_session with
+          | None -> fun (root : Node.t) -> Some (value out (m.m_id root.Node.id))
+          | Some { sm_sx = sx; sm_nodes; _ } ->
+            Array.iter
+              (fun (nd : Node.t) ->
+                let wid = m.m_id nd.Node.id in
+                List.iter
+                  (fun st -> Hashtbl.replace sx.sx_states (st, nd.Node.id) (value st wid))
+                  st_names)
+              sm_nodes;
+            (* A session's result is its persisted row. *)
+            fun root -> Hashtbl.find_opt sx.sx_states (out, root.Node.id)
         in
-        play_window ~ready ~lin:fl.Linearizer.lin
-          ~nodes:fl.Linearizer.lin.Linearizer.num_nodes ~hit
-          (List.mapi
-             (fun k p ->
-               let span = fl.Linearizer.spans.(k) in
-               {
-                 m_p = p;
-                 m_lin_us = 0.0;
-                 m_id = (fun id -> span.Linearizer.span_ids.(id));
-                 m_session = None;
-               })
-             members)
-      | I_session members -> play_tokens ~ready (List.map serve_token members))
-    windows;
-  (* End-of-drain eviction pass at the drain's high-water simulated
-     clock: TTL expiries age out here even when their session saw no
-     traffic, and a mid-drain budget change (set_session_budget) takes
-     effect.  Runs before the trace bounds are read so the eviction
-     instants land inside the drain span. *)
-  enforce_sessions ?obs t;
-  let session_table = Session_store.stats t.eng_store in
-  let requests = List.sort (fun a b -> compare a.rr_id b.rr_id) !rreports in
-  let windows = List.rev !wreports in
-  let aggregate = aggregate_of requests ~num_windows:(List.length windows) in
-  let device_reports =
-    Array.to_list
-      (Array.map
-         (fun (d : Dispatch.device) ->
-           {
-             dr_index = d.Dispatch.dev_index;
-             dr_backend = d.Dispatch.dev_backend;
-             dr_failed = d.Dispatch.dev_failed;
-             dr_windows = d.Dispatch.dev_windows;
-             dr_requests = d.Dispatch.dev_requests;
-             dr_nodes = d.Dispatch.dev_nodes;
-             dr_busy_us = d.Dispatch.dev_busy_us;
-             dr_utilization =
-               (if aggregate.makespan_us > 0.0 then
-                  d.Dispatch.dev_busy_us /. aggregate.makespan_us
-                else 0.0);
-             dr_occupancy = Dispatch.mean_occupancy d;
-           })
-         (Dispatch.devices disp))
+        match m.m_p.p_structure.Structure.roots with
+        | [] -> ()
+        | root :: _ ->
+          Option.iter
+            (fun v -> ds.ds_results <- (m.m_p.p_id, v) :: ds.ds_results)
+            (result root))
+      members
+
+(* Each member's request report.  A missed deadline hurts the SLO the
+   instant the deadline passes without a completion, not when the late
+   answer finally lands. *)
+let record_requests t ds ~index ~size ~packed members c =
+  let completion = c.ao_completion in
+  bump_clock t completion;
+  List.iter
+    (fun m ->
+      let p = m.m_p in
+      ds.ds_requests <-
+        {
+          rr_id = p.p_id;
+          rr_nodes = p.p_nodes;
+          rr_window = index;
+          rr_window_size = size;
+          rr_device = c.ao_dev.Dispatch.dev_index;
+          rr_arrival_us = p.p_arrival;
+          rr_deadline_us = p.p_deadline;
+          rr_queue_us = c.ao_dispatch -. p.p_arrival;
+          rr_linearize_us = m.m_lin_us;
+          rr_device_us = c.ao_report.Runtime.latency.Backend.total_us;
+          rr_total_us = completion -. p.p_arrival;
+          rr_on_time = completion <= p.p_deadline;
+        }
+        :: ds.ds_requests;
+      if completion > p.p_deadline then note_damage ds p.p_deadline;
+      Option.iter
+        (fun { sm_sx = sx; _ } ->
+          if packed then sx.sx_packed <- sx.sx_packed + 1;
+          if completion > p.p_deadline then
+            sx.sx_deadline_misses <- sx.sx_deadline_misses + 1)
+        m.m_session)
+    members
+
+(* A completed window: its report and "window" span, its numbers, its
+   requests' reports. *)
+let account_completed t ds ~lin ~nodes ~hit ~sxs ~size members c =
+  let obs = t.eng_obs in
+  let session, packed =
+    match sxs with
+    | [ sx ] -> (Some sx.sx_name, [])
+    | _ -> (None, List.map (fun sx -> sx.sx_name) sxs)
   in
-  let on_time = List.length (List.filter (fun r -> r.rr_on_time) requests) in
-  let slo =
-    {
-      slo_seed = t.eng_seed;
-      slo_chaos = t.eng_faults <> None;
-      slo_degraded = degraded;
-      slo_completed = aggregate.num_requests;
-      slo_lost = !lost;
-      slo_shed = shed;
-      slo_rejected = rejected;
-      slo_transients = !transients;
-      slo_retries = !retries;
-      slo_failovers = !failovers;
-      slo_deadline_misses = aggregate.num_requests - on_time;
-      slo_on_time = on_time;
-      slo_goodput_rps =
-        (if aggregate.makespan_us > 0.0 then
-           float_of_int on_time /. aggregate.makespan_us *. 1.0e6
-         else 0.0);
-      slo_first_damage_us =
-        (if !first_damage < infinity then Some !first_damage else None);
-    }
-  in
-  (* Metrics and the enclosing drain span, recorded last so the span
-     covers everything (lost-window activity included — [sim_bounds] is
-     the recorded extent, not the completed makespan). *)
+  let index = match ds.ds_windows with w :: _ -> w.wr_index + 1 | [] -> 0 in
+  if packed <> [] then begin
+    Obs.incr obs "sessions.packed_windows";
+    Obs.incr obs ~by:size "sessions.packed_tokens"
+  end;
   (match obs with
    | None -> ()
-   | Some o ->
-     Obs.incr obs ~by:aggregate.num_requests "requests.completed";
-     Obs.incr obs ~by:!lost "requests.lost";
-     Obs.incr obs ~by:shed "requests.shed";
-     Obs.incr obs ~by:rejected "requests.rejected";
-     Obs.incr obs ~by:(List.length windows) "windows.formed";
-     Obs.set_gauge obs "queue.depth" (float_of_int depth);
-     Obs.set_gauge obs "drain.degraded" (if degraded then 1.0 else 0.0);
-     Obs.set_gauge obs "cache.hit_rate"
-       (Shape_cache.hit_rate (Shape_cache.stats t.eng_cache));
-     if
-       session_table.Session_store.st_live > 0
-       || session_table.Session_store.st_spilled > 0
-       || session_table.Session_store.st_evictions > 0
-     then begin
-       Obs.set_gauge obs "sessions.live"
-         (float_of_int session_table.Session_store.st_live);
-       Obs.set_gauge obs "sessions.bytes"
-         (float_of_int session_table.Session_store.st_bytes)
-     end;
-     List.iter
-       (fun d ->
-         Obs.set_gauge obs
-           (Printf.sprintf "device%d.utilization" d.dr_index)
-           d.dr_utilization)
-       device_reports;
-     List.iter
-       (fun r ->
-         Obs.observe obs "latency.total_us" r.rr_total_us;
-         Obs.observe obs "latency.queue_us" r.rr_queue_us)
-       requests;
-     List.iter
-       (fun w -> Obs.observe obs "window.size" (float_of_int w.wr_size))
-       windows;
-     (* Stamped before the drain span so [sim_bounds] covers it: a
-        trace scanner measuring detectability reads this instant as
-        "the SLO was first hurt here". *)
-     if !first_damage < infinity then
-       Obs.sim_instant obs ~track:"slo" ~name:"slo_damage"
-         ~args:[ ("at_us", CT.Float !first_damage) ]
-         ~ts_us:!first_damage ();
-     (match Obs.sim_bounds o with
-      | Some (lo, hi) ->
-        Obs.sim_span obs ~track:"engine" ~name:"drain"
-          ~args:[ ("requests", CT.Int aggregate.num_requests);
-                  ("windows", CT.Int (List.length windows));
-                  ("lost", CT.Int !lost) ]
-          ~start_us:lo ~end_us:hi ()
-      | None -> ()));
-  let plans =
-    match t.eng_plans with
-    | None -> []
-    | Some pc ->
-      List.map
-        (fun (e : Plan_cache.entry) ->
-          {
-            pr_backend = e.Plan_cache.pe_backend;
-            pr_bucket = e.Plan_cache.pe_bucket;
-            pr_plan = Cortex_ilir.Schedule.plan_to_string e.Plan_cache.pe_plan;
-            pr_default_us = e.Plan_cache.pe_default_us;
-            pr_tuned_us = e.Plan_cache.pe_tuned_us;
-          })
-        (Plan_cache.entries pc)
+   | Some _ ->
+     Obs.sim_span obs ~track:(device_track c.ao_dev.Dispatch.dev_index) ~name:"window"
+       ~args:
+         ([ ("index", CT.Int index); ("size", CT.Int size); ("nodes", CT.Int nodes);
+            ("hit", CT.Bool hit); ("attempts", CT.Int c.ao_attempts) ]
+         @ (match session with Some s -> [ ("session", CT.Str s) ] | None -> [])
+         @ if packed = [] then [] else [ ("packed", CT.Str (String.concat "," packed)) ])
+       ~start_us:c.ao_dispatch ~end_us:c.ao_completion ());
+  ds.ds_windows <-
+    {
+      wr_index = index;
+      wr_size = size;
+      wr_nodes = nodes;
+      wr_device = c.ao_dev.Dispatch.dev_index;
+      wr_cache_hit = hit;
+      wr_attempts = c.ao_attempts;
+      wr_dispatch_us = c.ao_dispatch;
+      wr_report = c.ao_report;
+      wr_session = session;
+      wr_packed = packed;
+    }
+    :: ds.ds_windows;
+  execute_window t ds ~lin ~ran:c.ao_compiled members;
+  record_requests t ds ~index ~size ~packed:(packed <> []) members c
+
+(* Bounded-table bookkeeping for a token just served: learn the model's
+   per-node state-row bytes from the rows actually stored (hidden sizes
+   are not knowable at build time), re-account the session at its new
+   size, then run the eviction pass — the budget invariant holds after
+   every session window, not just at drain end, which is also what makes
+   evict/restore churn observable inside a single drain. *)
+let account_session t p sx =
+  let s = p.p_structure in
+  (if sx.sx_row_bytes = 0 && t.eng_params <> None then
+     match s.Structure.roots with
+     | root :: _ ->
+       sx.sx_row_bytes <-
+         List.fold_left
+           (fun acc (st, _) ->
+             match Hashtbl.find_opt sx.sx_states (st, root.Node.id) with
+             | Some v -> acc + (8 * Tensor.numel v)
+             | None -> acc)
+           0 t.eng_compiled.Lower.state_tensors
+     | [] -> ());
+  Session_store.touch t.eng_store sx.sx_name
+    ~bytes:(session_accounted_bytes t sx) ~now_us:t.eng_clock_us;
+  enforce_sessions ?obs:t.eng_obs t
+
+(* Account one window's outcome, then its member sessions.  A lost
+   window stored no state row of its tokens' new nodes, so its member
+   sessions reset: their next tokens are served cold. *)
+let account_result t ds ~lin ~nodes ~hit ~sxs members outcome =
+  let size = List.length members in
+  (match outcome with
+   | Lost_window at ->
+     ds.ds_lost <- ds.ds_lost + size;
+     note_damage ds at;
+     bump_clock t at;
+     List.iter reset_session sxs
+   | Completed c -> account_completed t ds ~lin ~nodes ~hit ~sxs ~size members c);
+  List.iter
+    (fun m -> Option.iter (fun sm -> account_session t m.m_p sm.sm_sx) m.m_session)
+    members
+
+(* ---------- playing windows ---------- *)
+
+(* Play one window: [lin] is what runs, [members] the requests it
+   serves.  The window's kind follows from its members — none in a
+   session: a regular batch; one session token: a size-1 window;
+   several: a packed window — and so does its plan-cache key space.
+   Regular and packed windows tune (packed in their own key space:
+   level-merged session batches are shaped nothing like a regular forest
+   of the same size class).  Size-1 session windows run untuned: they are
+   deliberately tiny, a token's delta, not the size classes the tuner
+   buckets, and the pinned device would make the tuned artifact churn on
+   every failover.  Plans preserve semantics bitwise, so retries and
+   failovers across differently-tuned devices cannot change results.
+   The window's host charge is its members' charges summed. *)
+let play_window t ds ~ready ~lin ~nodes ~hit members =
+  let lin_us = List.fold_left (fun acc m -> acc +. m.m_lin_us) 0.0 members in
+  let sxs =
+    List.filter_map (fun m -> Option.map (fun sm -> sm.sm_sx) m.m_session) members
   in
+  let tuning = match sxs with [] -> Some false | [ _ ] -> None | _ -> Some true in
+  let price = price_window t ~tuning ~lin ~nodes ~lin_us in
+  dispatch_window t ds ~sxs ~size:(List.length members) ~nodes ~lin_us ~price ready
+  |> account_result t ds ~lin ~nodes ~hit ~sxs members
+
+(* A regular window: linearize exactly once and reuse the result — a
+   cache hit is a payload re-bind, a miss the full inspector pass.
+   Neither is charged to the simulated clock. *)
+let play_regular t ds ~ready members =
+  let fl, hit =
+    Shape_cache.find_or_linearize ?obs:t.eng_obs t.eng_cache
+      ~max_children:t.model.Ra.max_children
+      (List.map (fun p -> p.p_structure) members)
+  in
+  play_window t ds ~ready ~lin:fl.Linearizer.lin
+    ~nodes:fl.Linearizer.lin.Linearizer.num_nodes ~hit
+    (List.mapi
+       (fun k p ->
+         let ids = fl.Linearizer.spans.(k).Linearizer.span_ids in
+         { m_p = p; m_lin_us = 0.0; m_id = (fun id -> ids.(id)); m_session = None })
+       members)
+
+(* Play a pack of served session tokens at the pack's ready time.
+   Members that came out cold play first, each as its own size-1 window
+   over its forest.  The deltas then merge into one packed window; a
+   lone delta runs its own view directly (no merge, so size-1 serving
+   stays O(delta)), and deltas whose views refuse to merge each play
+   alone. *)
+let play_tokens t ds ~ready toks =
+  (* [ids] is given the session, not the token: id maps that kept the
+     tokens reachable while the window records raised the packed
+     benchmark's peak heap by about 1 MB (a tenth). *)
+  let member tk ~ids nodes base =
+    {
+      m_p = tk.tk_p;
+      m_lin_us = tk.tk_lin_us;
+      m_id = ids tk.tk_sx;
+      m_session = Some { sm_sx = tk.tk_sx; sm_nodes = nodes; sm_base = base };
+    }
+  in
+  let play_delta (tk, d) =
+    play_window t ds ~ready ~lin:d.d_view ~nodes:(Array.length d.d_news) ~hit:false
+      [ member tk ~ids:(fun sx id -> sx.sc_sid.(id)) d.d_news d.d_base ]
+  in
+  let colds, deltas =
+    List.partition_map
+      (fun tk ->
+        match tk.tk_serve with
+        | S_cold (fl, hit) -> Either.Left (tk, fl, hit)
+        | S_delta d -> Either.Right (tk, d))
+      toks
+  in
+  List.iter
+    (fun (tk, fl, hit) ->
+      let ids _ id = fl.Linearizer.spans.(0).Linearizer.span_ids.(id) in
+      play_window t ds ~ready ~lin:fl.Linearizer.lin ~nodes:tk.tk_p.p_nodes ~hit
+        [ member tk ~ids tk.tk_p.p_structure.Structure.nodes 0 ])
+    colds;
+  match deltas with
+  | [] -> ()
+  | [ one ] -> play_delta one
+  | _ -> (
+    match Linearizer.pack_views (List.map (fun (_, d) -> d.d_view) deltas) with
+    | exception Linearizer.Rejected _ -> List.iter play_delta deltas
+    | pk ->
+      let view = pk.Linearizer.pk_view in
+      (* The window's work is its delta nodes; the old-prefix rows below
+         [pk_base] only receive pre-seeded boundary states and are never
+         iterated by a batch. *)
+      play_window t ds ~ready ~lin:view
+        ~nodes:(view.Linearizer.num_nodes - pk.Linearizer.pk_base)
+        ~hit:false
+        (List.mapi
+           (fun i (tk, d) ->
+             member tk
+               ~ids:(fun sx id -> Linearizer.pack_id pk ~member:i sx.sc_sid.(id))
+               d.d_news d.d_base)
+           deltas))
+
+(* Play one item at its ready time, advancing the monotone engine clock
+   item by item (items play in ready order): sessions age against the
+   simulated time the drain has actually reached, so a conversation
+   that went quiet early shows real idle time to the TTL pass instead of
+   being backdated to the drain's newest arrival. *)
+let play_item t ds (ready, item) =
+  bump_clock t ready;
+  match item with
+  | I_regular members -> play_regular t ds ~ready members
+  | I_session members ->
+    play_tokens t ds ~ready (List.map (serve_token t ~delta_ok:ds.ds_delta_ok) members)
+
+(* ---------- the summary ---------- *)
+
+let device_reports_of ds ~makespan_us =
+  Array.to_list
+    (Array.map
+       (fun (d : Dispatch.device) ->
+         {
+           dr_index = d.Dispatch.dev_index;
+           dr_backend = d.Dispatch.dev_backend;
+           dr_failed = d.Dispatch.dev_failed;
+           dr_windows = d.Dispatch.dev_windows;
+           dr_requests = d.Dispatch.dev_requests;
+           dr_nodes = d.Dispatch.dev_nodes;
+           dr_busy_us = d.Dispatch.dev_busy_us;
+           dr_utilization =
+             (if makespan_us > 0.0 then d.Dispatch.dev_busy_us /. makespan_us else 0.0);
+           dr_occupancy = Dispatch.mean_occupancy d;
+         })
+       (Dispatch.devices ds.ds_disp))
+
+(* The drain's metrics and its enclosing span, recorded last so the span
+   covers everything (lost-window activity included — [sim_bounds] is
+   the recorded extent, not the completed makespan). *)
+let record_drain t ds ~aggregate ~requests ~windows ~device_reports ~session_table =
+  let obs = t.eng_obs in
+  match obs with
+  | None -> ()
+  | Some o ->
+    Obs.incr obs ~by:aggregate.num_requests "requests.completed";
+    Obs.incr obs ~by:ds.ds_lost "requests.lost";
+    Obs.incr obs ~by:ds.ds_shed "requests.shed";
+    Obs.incr obs ~by:ds.ds_rejected "requests.rejected";
+    Obs.incr obs ~by:(List.length windows) "windows.formed";
+    Obs.set_gauge obs "queue.depth" (float_of_int ds.ds_depth);
+    Obs.set_gauge obs "drain.degraded" (if ds.ds_degraded then 1.0 else 0.0);
+    Obs.set_gauge obs "cache.hit_rate"
+      (Shape_cache.hit_rate (Shape_cache.stats t.eng_cache));
+    if
+      session_table.Session_store.st_live > 0
+      || session_table.Session_store.st_spilled > 0
+      || session_table.Session_store.st_evictions > 0
+    then begin
+      Obs.set_gauge obs "sessions.live"
+        (float_of_int session_table.Session_store.st_live);
+      Obs.set_gauge obs "sessions.bytes"
+        (float_of_int session_table.Session_store.st_bytes)
+    end;
+    List.iter
+      (fun d ->
+        Obs.set_gauge obs
+          (Printf.sprintf "device%d.utilization" d.dr_index)
+          d.dr_utilization)
+      device_reports;
+    List.iter
+      (fun r ->
+        Obs.observe obs "latency.total_us" r.rr_total_us;
+        Obs.observe obs "latency.queue_us" r.rr_queue_us)
+      requests;
+    List.iter (fun w -> Obs.observe obs "window.size" (float_of_int w.wr_size)) windows;
+    (* Stamped before the drain span so [sim_bounds] covers it: a trace
+       scanner measuring detectability reads this instant as "the SLO was
+       first hurt here". *)
+    if ds.ds_first_damage < infinity then
+      Obs.sim_instant obs ~track:"slo" ~name:"slo_damage"
+        ~args:[ ("at_us", CT.Float ds.ds_first_damage) ]
+        ~ts_us:ds.ds_first_damage ();
+    (match Obs.sim_bounds o with
+     | Some (lo, hi) ->
+       Obs.sim_span obs ~track:"engine" ~name:"drain"
+         ~args:[ ("requests", CT.Int aggregate.num_requests);
+                 ("windows", CT.Int (List.length windows)); ("lost", CT.Int ds.ds_lost) ]
+         ~start_us:lo ~end_us:hi ()
+     | None -> ())
+
+let plan_reports t =
+  match t.eng_plans with
+  | None -> []
+  | Some pc ->
+    List.map
+      (fun (e : Plan_cache.entry) ->
+        {
+          pr_backend = e.Plan_cache.pe_backend;
+          pr_bucket = e.Plan_cache.pe_bucket;
+          pr_plan = Cortex_ilir.Schedule.plan_to_string e.Plan_cache.pe_plan;
+          pr_default_us = e.Plan_cache.pe_default_us;
+          pr_tuned_us = e.Plan_cache.pe_tuned_us;
+        })
+      (Plan_cache.entries pc)
+
+(* The summary is a function of the drain's state and of the engine's
+   cumulative caches and session table. *)
+let summarize t ds =
+  let requests = List.sort (fun a b -> compare a.rr_id b.rr_id) ds.ds_requests in
+  let windows = List.rev ds.ds_windows in
+  let aggregate = aggregate_of requests ~num_windows:(List.length windows) in
+  let device_reports = device_reports_of ds ~makespan_us:aggregate.makespan_us in
+  let session_table = Session_store.stats t.eng_store in
+  record_drain t ds ~aggregate ~requests ~windows ~device_reports ~session_table;
   let plan_cache = Option.map Plan_cache.stats t.eng_plans in
-  (match plan_cache with
-   | None -> ()
-   | Some s ->
-     Obs.set_gauge obs "plan_cache.hit_rate" (Plan_cache.hit_rate s);
-     Obs.set_gauge obs "plan_cache.entries" (float_of_int s.Plan_cache.pc_entries));
+  Option.iter
+    (fun pc ->
+      Obs.set_gauge t.eng_obs "plan_cache.hit_rate" (Plan_cache.hit_rate pc);
+      Obs.set_gauge t.eng_obs "plan_cache.entries"
+        (float_of_int pc.Plan_cache.pc_entries))
+    plan_cache;
+  let on_time = List.length (List.filter (fun r -> r.rr_on_time) requests) in
+  let packed = List.filter (fun w -> w.wr_packed <> []) windows in
   {
     aggregate;
     requests;
     windows;
     device_reports;
     cache = Shape_cache.stats t.eng_cache;
-    slo;
-    results = List.sort (fun (a, _) (b, _) -> compare a b) !results;
+    slo =
+      {
+        slo_seed = t.eng_seed;
+        slo_chaos = t.eng_faults <> None;
+        slo_degraded = ds.ds_degraded;
+        slo_completed = aggregate.num_requests;
+        slo_lost = ds.ds_lost;
+        slo_shed = ds.ds_shed;
+        slo_rejected = ds.ds_rejected;
+        slo_transients = ds.ds_transients;
+        slo_retries = ds.ds_retries;
+        slo_failovers = ds.ds_failovers;
+        slo_deadline_misses = aggregate.num_requests - on_time;
+        slo_on_time = on_time;
+        slo_goodput_rps =
+          (if aggregate.makespan_us > 0.0 then
+             float_of_int on_time /. aggregate.makespan_us *. 1.0e6
+           else 0.0);
+        slo_first_damage_us =
+          (if ds.ds_first_damage < infinity then Some ds.ds_first_damage else None);
+      };
+    results = List.sort (fun (a, _) (b, _) -> compare a b) ds.ds_results;
     sessions = sessions t;
     session_table;
-    packed_windows = !packed_windows;
-    packed_tokens = !packed_tokens;
-    metrics = Obs.snapshot obs;
-    plans;
+    packed_windows = List.length packed;
+    packed_tokens = List.fold_left (fun acc w -> acc + w.wr_size) 0 packed;
+    metrics = Obs.snapshot t.eng_obs;
+    plans = plan_reports t;
     plan_cache;
   }
+
+(* Form the drain's items, play them in ready order, and summarize.
+   Device clocks are fresh per drain (the simulation's origin is the
+   trace's arrival clock); the shape cache persists across drains.
+   Observability is read-only: every span and metric copies a value the
+   simulation already computed, and the [None] path allocates nothing
+   (the guards keep even the args lists unbuilt). *)
+let drain t =
+  let pendings, ds = open_drain t in
+  let items = ready_items t ds pendings in
+  (match t.eng_obs with
+   | None -> ()
+   | Some _ ->
+     List.iter
+       (fun p ->
+         Obs.sim_instant t.eng_obs ~track:"requests" ~name:"arrival"
+           ~args:[ ("id", CT.Int p.p_id); ("nodes", CT.Int p.p_nodes) ]
+           ~ts_us:p.p_arrival ())
+       pendings);
+  List.iter (play_item t ds) items;
+  (* End-of-drain eviction pass at the drain's high-water simulated
+     clock: TTL expiries age out here even when their session saw no
+     traffic, and a mid-drain budget change (set_session_budget) takes
+     effect.  Runs before the trace bounds are read so the eviction
+     instants land inside the drain span. *)
+  enforce_sessions ?obs:t.eng_obs t;
+  summarize t ds
 
 let run_trace t trace =
   (* The trace contract says sorted by arrival; silently windowing an

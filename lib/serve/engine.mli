@@ -438,7 +438,7 @@ type slo = {
 type session_report = {
   sn_name : string;
   sn_nodes : int;  (** nodes of the session's current structure *)
-  sn_windows : int;  (** tokens served (each its own window) *)
+  sn_windows : int;  (** tokens served: [sn_extends + sn_cold] *)
   sn_delta_nodes : int;  (** nodes served through delta views *)
   sn_extends : int;  (** windows served as deltas *)
   sn_cold : int;  (** windows that re-linearized the whole conversation *)
@@ -491,12 +491,10 @@ type summary = {
           sessions and bytes against the budget, spills/restores and
           their cumulative priced costs *)
   packed_windows : int;
-      (** packed multi-session windows this drain played — windows
-          whose level batches merged several sessions' delta views
-          ([sessions.pack_window] > 1); each saved its members' worth
-          of per-level kernel launches minus one *)
-  packed_tokens : int;
-      (** session tokens served inside those packed windows *)
+      (** the [windows] with [wr_packed <> []]: their level batches
+          merged several sessions' delta views, each saving its members'
+          worth of per-level kernel launches minus one *)
+  packed_tokens : int;  (** the [wr_size] sum of those windows *)
   metrics : Cortex_obs.Metrics.snapshot option;
       (** with [obs]: the metrics registry at the end of this drain —
           request/fault counters, queue and utilization gauges, latency
@@ -511,28 +509,26 @@ type summary = {
 }
 
 val drain : t -> summary
-(** Form windows over everything queued and play them through the
-    engine's simulated devices in ready order.  Regular requests batch
-    per the engine's {!policy} (degraded past the watermark), each
-    window's forest linearized exactly once through the shape cache
-    (timing that one run — a hit re-binds payloads, a miss runs the
-    inspector).  Session tokens play alone, or packed with other
-    sessions' delta tokens ([sessions.pack_window] > 1).  Every window
-    takes one path: a linearization plus a member list, each member
-    carrying its request, its inspector charge, its ids in the window
-    and, for a session token, the boundary states to preload and the
-    nodes whose states to persist.  The {!Dispatch.policy} picks a live
-    device (a session's pinned one while it survives); the window
-    occupies it from [max(device free, ready)] to completion, priced on
-    its backend through the fault model (stragglers scale the price,
+(** Play everything queued through the engine's simulated devices, in
+    named stages over one drain state.  {e Form windows} of regular
+    requests per the engine's {!policy} (degraded past the watermark)
+    and {e form packs} of session tokens (several sessions' delta tokens
+    share a window when [sessions.pack_window] > 1).  Then, item by item
+    in ready order: {e serve} each session token (restore a spill, then
+    a delta view or a cold linearization — a regular window's forest is
+    linearized once through the shape cache instead); {e price} the
+    window on a device (under [autotune], regular and packed windows
+    run plans tuned in separate key spaces, size-1 session windows
+    untuned); {e dispatch} it with attempts and retries on a live device
+    (a session's pinned one while it survives) from [max(device free,
+    ready)], through the fault model: stragglers scale the price,
     transients abort-and-retry with backoff, fail-stops abort in flight
-    and fail over).  Under [autotune], regular and packed windows run
-    plans tuned in separate key spaces; size-1 session windows run
-    untuned.  Device clocks and fault streams are fresh per drain; the
-    shape cache and session table persist.  An explicit drain is a
-    flush: the trailing partial window is ready at its last member's
-    arrival.  Empties the queue and resets the shed/rejected counters
-    into the summary. *)
+    and fail over; and {e account} the result — a lost window's sessions
+    serve their next token cold.  Last, {e summarize}.  Device clocks
+    and fault streams are fresh per drain; the shape cache and session
+    table persist.  An explicit drain is a flush: the trailing partial
+    window is ready at its last member's arrival.  Empties the queue and
+    resets the shed/rejected counters into the summary. *)
 
 val run_trace : t -> Trace.t -> summary
 (** {!submit} every event of the trace at its arrival time (with its

@@ -51,8 +51,6 @@ val parse : string -> (spec, string) result
 val to_string : spec -> string
 (** Inverse of {!parse} (up to float formatting). *)
 
-val fault_to_string : fault -> string
-
 (** {2 Retry policy} *)
 
 type retry = {

@@ -4,13 +4,18 @@ module Structure = Cortex_ds.Structure
 type event = { at_us : float; deadline_us : float option; structure : Structure.t }
 type t = event list
 
+(* [not (d > 0.0)] so that nan is rejected too. *)
 let check_deadline = function
-  | Some d when d <= 0.0 -> invalid_arg "Trace: deadline must be positive"
+  | Some d when not (d > 0.0) -> invalid_arg "Trace: deadline must be positive"
   | _ -> ()
 
+let finite_positive x = Float.is_finite x && x > 0.0
+
 let poisson ?deadline_us rng ~rate_rps ~duration_ms ~gen =
-  if rate_rps <= 0.0 then invalid_arg "Trace.poisson: rate must be positive";
-  if duration_ms <= 0.0 then invalid_arg "Trace.poisson: duration must be positive";
+  if not (finite_positive rate_rps) then
+    invalid_arg "Trace.poisson: rate must be finite and positive";
+  if not (finite_positive duration_ms) then
+    invalid_arg "Trace.poisson: duration must be finite and positive";
   check_deadline deadline_us;
   let rate_per_us = rate_rps /. 1.0e6 in
   let horizon_us = duration_ms *. 1000.0 in
@@ -25,7 +30,8 @@ let poisson ?deadline_us rng ~rate_rps ~duration_ms ~gen =
   go [] 0.0
 
 let of_structures ?(spacing_us = 0.0) ?deadline_us structures =
-  if spacing_us < 0.0 then invalid_arg "Trace.of_structures: spacing must be >= 0";
+  if not (Float.is_finite spacing_us && spacing_us >= 0.0) then
+    invalid_arg "Trace.of_structures: spacing must be finite and >= 0";
   check_deadline deadline_us;
   List.mapi
     (fun i s ->

@@ -30,7 +30,8 @@ val poisson :
     from [gen] (e.g. an SST-length parse tree, a grid DAG).
     [deadline_us] is {e relative}: each event's absolute deadline is its
     arrival plus [deadline_us].  Deterministic in the rng seed.  Raises
-    [Invalid_argument] on a non-positive rate, duration or deadline. *)
+    [Invalid_argument] unless the rate and duration are finite and
+    positive and the deadline is positive (a [nan] fails each check). *)
 
 val of_structures :
   ?spacing_us:float -> ?deadline_us:float -> Cortex_ds.Structure.t list -> t
@@ -38,8 +39,8 @@ val of_structures :
     [i * spacing_us] (default 0 — everything arrives at once, the
     offered-load-saturated case used by the batching-policy sweeps),
     with absolute deadline [arrival + deadline_us] when given.  Raises
-    [Invalid_argument] on a negative spacing or non-positive
-    deadline. *)
+    [Invalid_argument] unless the spacing is finite and non-negative and
+    the deadline is positive (a [nan] fails each check). *)
 
 val length : t -> int
 val num_nodes : t -> int

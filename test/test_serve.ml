@@ -672,6 +672,16 @@ let test_poisson_validates () =
       Trace.poisson (Rng.create 1) ~rate_rps:100.0 ~duration_ms:0.0 ~gen);
   expect_invalid "non-positive deadline" (fun () ->
       Trace.poisson ~deadline_us:0.0 (Rng.create 1) ~rate_rps:100.0 ~duration_ms:10.0 ~gen);
+  (* Non-finite arguments: an infinite rate or duration (or a nan one)
+     would never reach the horizon. *)
+  List.iter
+    (fun (label, rate_rps, duration_ms) ->
+      expect_invalid label (fun () ->
+          Trace.poisson (Rng.create 1) ~rate_rps ~duration_ms ~gen))
+    [ ("infinite rate", infinity, 10.0); ("nan rate", nan, 10.0);
+      ("nan duration", 100.0, nan); ("infinite duration", 100.0, infinity) ];
+  expect_invalid "nan deadline" (fun () ->
+      Trace.poisson ~deadline_us:nan (Rng.create 1) ~rate_rps:100.0 ~duration_ms:10.0 ~gen);
   (* and a valid call stamps absolute deadlines *)
   let t = Trace.poisson ~deadline_us:500.0 (Rng.create 1) ~rate_rps:5000.0 ~duration_ms:10.0 ~gen in
   List.iter
@@ -691,6 +701,14 @@ let test_of_structures_validates () =
   (try
      ignore (Trace.of_structures ~deadline_us:(-10.0) trees);
      Alcotest.fail "negative deadline accepted"
+   with Invalid_argument _ -> ());
+  (try
+     ignore (Trace.of_structures ~spacing_us:nan trees);
+     Alcotest.fail "nan spacing accepted"
+   with Invalid_argument _ -> ());
+  (try
+     ignore (Trace.of_structures ~deadline_us:nan trees);
+     Alcotest.fail "nan deadline accepted"
    with Invalid_argument _ -> ());
   let t = Trace.of_structures ~spacing_us:10.0 ~deadline_us:100.0 trees in
   Alcotest.(check (list (float 1e-9))) "arrivals spaced" [ 0.0; 10.0 ]

@@ -956,6 +956,49 @@ let test_pack_failover () =
         (List.nth structs 6))
     convs
 
+(* A lost window leaves no state row of its token's new nodes, so the
+   session's next token must be served cold, not as a delta whose
+   boundary rows are missing.  Every attempt of the first token's window
+   aborts; the next token arrives after the transient interval — in the
+   same drain and in a second one, at pack window 1 and 8. *)
+let test_lost_window_next_token_cold () =
+  let spec = failover_spec in
+  let params = spec.M.init_params (Rng.create 9) in
+  let compiled =
+    Runtime.compile ~options:(Runtime.options_for spec) spec.M.program
+  in
+  let faults =
+    [ Fault.Transient { device = -1; prob = 1.0; from_us = 0.0; until_us = 4000.0 } ]
+  in
+  List.iter
+    (fun (pack, split) ->
+      let label =
+        Printf.sprintf "pack %d, %s" pack (if split then "two drains" else "one drain")
+      in
+      let eng = engine_packed spec ~faults ~pack params in
+      let first, next =
+        match conversation 43 ~vocab:20 ~kind:Structure.Tree ~tokens:1 with
+        | [ a; b ] -> (a, b)
+        | _ -> assert false
+      in
+      ignore (Engine.submit_exn eng ~arrival_us:0.0 ~session:"chat" first);
+      let lost_before =
+        if split then (Engine.drain eng).Engine.slo.Engine.slo_lost else 0
+      in
+      let id = Engine.submit_exn eng ~arrival_us:10000.0 ~session:"chat" next in
+      let s = Engine.drain eng in
+      Alcotest.(check int) (label ^ ": the first token was lost") 1
+        (lost_before + s.Engine.slo.Engine.slo_lost);
+      let solo = Runtime.execute compiled ~params next in
+      let out = List.hd spec.M.program.Ra.outputs in
+      match List.assoc_opt id s.Engine.results with
+      | None -> Alcotest.failf "%s: the next token has no result" label
+      | Some v ->
+        let cold = Runtime.state solo out (List.hd next.Structure.roots) in
+        Alcotest.(check bool) (label ^ ": the next token's result is the cold run's") true
+          (Tensor.max_abs_diff v cold = 0.0))
+    [ (1, false); (1, true); (8, false); (8, true) ]
+
 (* Chaos mode with packing on stays byte-reproducible. *)
 let test_pack_chaos_determinism () =
   let faults = [ Fault.Fail_stop { device = 0; at_us = 2500.0 } ] in
@@ -1319,6 +1362,8 @@ let () =
         [
           Alcotest.test_case "failstop" `Quick test_session_failover;
           Alcotest.test_case "determinism" `Quick test_session_chaos_determinism;
+          Alcotest.test_case "lost-window-next-token-cold" `Quick
+            test_lost_window_next_token_cold;
         ] );
       ( "table",
         [
