@@ -69,6 +69,46 @@ let test_roundtrip () =
      CLI prints is stable across builds. *)
   Alcotest.(check bool) "re-encode is stable" true (Bundle.encode d = Bundle.encode b)
 
+(* Bundled weights round-trip bit for bit, compared as
+   [Int64.bits_of_float]: a quiet nan with a non-default payload, -0.0,
+   both infinities, the smallest subnormal and [max_float]. *)
+let test_weights_bitwise () =
+  let specials =
+    [|
+      Int64.float_of_bits 0x7FF8_0000_0000_BEEFL;
+      -0.0;
+      infinity;
+      neg_infinity;
+      Int64.float_of_bits 1L;
+      max_float;
+    |]
+  in
+  let table =
+    [
+      ("specials", Tensor.of_array [| Array.length specials |] (Array.copy specials));
+      ("scalar", Tensor.scalar (-0.0));
+    ]
+  in
+  let check label (b : Bundle.t) =
+    Alcotest.(check (list string)) (label ^ ": names") (List.map fst table)
+      (List.map fst b.Bundle.b_weights);
+    List.iter2
+      (fun (name, (x : Tensor.t)) (_, (y : Tensor.t)) ->
+        let bits (t : Tensor.t) = Array.map Int64.bits_of_float t.Tensor.data in
+        Alcotest.(check (array int)) (label ^ ": shape of " ^ name) x.Tensor.shape
+          y.Tensor.shape;
+        Alcotest.(check (array int64)) (label ^ ": bits of " ^ name) (bits x) (bits y))
+      table b.Bundle.b_weights
+  in
+  let b = make_bundle ~weights:table () in
+  check "decode" (Bundle.decode (Bundle.encode b));
+  let path = Filename.temp_file "cortex_bundle" ".cbz" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Bundle.save path b;
+      check "load" (Bundle.load path))
+
 let name_gen =
   Q.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c'; 'w'; 'x' ]) (1 -- 6))
 
@@ -394,7 +434,12 @@ let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "bundle"
     [
-      ("roundtrip", [ Alcotest.test_case "fields" `Quick test_roundtrip; q prop_roundtrip ]);
+      ( "roundtrip",
+        [
+          Alcotest.test_case "fields" `Quick test_roundtrip;
+          Alcotest.test_case "weights-bitwise" `Quick test_weights_bitwise;
+          q prop_roundtrip;
+        ] );
       ( "adversarial",
         [
           Alcotest.test_case "truncation" `Quick test_truncation;

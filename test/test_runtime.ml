@@ -297,6 +297,64 @@ let test_session_section_adversarial () =
         Alcotest.fail "wrong expect_model accepted from file"
       with Checkpoint.Corrupt _ -> ())
 
+(* Float64 payloads round-trip bit for bit, compared as
+   [Int64.bits_of_float] per element ([max_abs_diff] cannot tell -0.0
+   from 0.0 and does not see nan): a quiet nan with a non-default
+   payload, -0.0, both infinities, the smallest subnormal and
+   [max_float]. *)
+let special_floats =
+  [|
+    Int64.float_of_bits 0x7FF8_0000_0000_BEEFL;
+    -0.0;
+    0.0;
+    infinity;
+    neg_infinity;
+    Int64.float_of_bits 1L;
+    max_float;
+    -1.5;
+  |]
+
+let special_table : Checkpoint.t =
+  [
+    ("specials", Tensor.of_array [| Array.length special_floats |] (Array.copy special_floats));
+    ( "grid",
+      Tensor.init [| 4; 5 |] (fun i -> float_of_int (((i.(0) * 5) + i.(1)) * 7 mod 13) /. 8.0)
+    );
+    ("scalar", Tensor.scalar (-0.0));
+  ]
+
+let check_bitwise label (a : Checkpoint.t) (b : Checkpoint.t) =
+  Alcotest.(check (list string)) (label ^ ": names") (List.map fst a) (List.map fst b);
+  List.iter2
+    (fun (name, (x : Tensor.t)) (_, (y : Tensor.t)) ->
+      let bits (t : Tensor.t) = Array.map Int64.bits_of_float t.Tensor.data in
+      Alcotest.(check (array int)) (label ^ ": shape of " ^ name) x.Tensor.shape y.Tensor.shape;
+      Alcotest.(check (array int64)) (label ^ ": bits of " ^ name) (bits x) (bits y))
+    a b
+
+let special_session =
+  {
+    Checkpoint.ss_model = "TreeGRU";
+    ss_nodes = 7;
+    ss_digest = String.make 32 'a';
+    ss_states = special_table;
+  }
+
+let test_checkpoint_bitwise () =
+  check_bitwise "of_string" special_table
+    (Checkpoint.of_string (Checkpoint.to_string special_table));
+  let back = Checkpoint.session_of_string (Checkpoint.session_to_string special_session) in
+  check_bitwise "session_of_string" special_table back.Checkpoint.ss_states;
+  let path = Filename.temp_file "cortex" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Checkpoint.save path special_table;
+      check_bitwise "load" special_table (Checkpoint.load path);
+      Checkpoint.save_session path special_session;
+      check_bitwise "load_session" special_table
+        (Checkpoint.load_session path).Checkpoint.ss_states)
+
 let test_bounds_clean () =
   (* The §A.2 bounds checker proves every access of the compiled
      programs in bounds for the concrete inputs. *)
@@ -849,6 +907,19 @@ let test_cost_digest () =
   Alcotest.(check (list string)) "digests" (List.map row expected_cost_digests)
     (List.map row (cost_digests ()))
 
+(* ---------- snapshot: checkpoint bytes ---------- *)
+
+(* The bytes the writers emit for fixed tables.  Bundles embed the
+   parameter format, and priced spill and restore costs are functions
+   of a session spill's length, so a changed byte would move both. *)
+let test_codec_digest () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "Checkpoint.to_string" "5489d31c961cae99a8a7bca748c15120"
+    (md5 (Checkpoint.to_string special_table));
+  Alcotest.(check string) "session_to_string" "83638a85365633f473fb77b15e8e6753"
+    (md5 (Checkpoint.session_to_string special_session));
+  Alcotest.(check string) "empty table" "ebf02d5b92363d77d10f2cc5d3a3c967" (md5 (Checkpoint.to_string []))
+
 let () =
   Alcotest.run "runtime"
     [
@@ -863,6 +934,7 @@ let () =
             test_checkpoint_adversarial_headers;
           Alcotest.test_case "session-section-adversarial" `Quick
             test_session_section_adversarial;
+          Alcotest.test_case "checkpoint-bitwise" `Quick test_checkpoint_bitwise;
           Alcotest.test_case "bounds-clean" `Quick test_bounds_clean;
           Alcotest.test_case "device-memory" `Quick test_device_memory_positive;
           Alcotest.test_case "pricing-alloc" `Quick test_pricing_alloc;
@@ -886,5 +958,6 @@ let () =
         [
           Alcotest.test_case "zoo-digest" `Quick test_zoo_digest;
           Alcotest.test_case "cost-digest" `Quick test_cost_digest;
+          Alcotest.test_case "codec-digest" `Quick test_codec_digest;
         ] );
     ]
