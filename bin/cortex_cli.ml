@@ -362,10 +362,6 @@ let build_cmd =
       | None -> ""
       | Some (_, c) -> Engine.Config.to_string c
     in
-    let b =
-      Bundle.create ~config ~plans ~weights ~model:name ~size:(size_name size)
-        ~backend:backend.Backend.short compiled
-    in
     (* The bundle's own manifest numbers are static (compile-time
        constant extents only); the sample linearization's UF resolver
        also gives the concrete planned-vs-worst footprint, recorded as
@@ -376,18 +372,23 @@ let build_cmd =
         ~spaces:[ Ir.Shared; Ir.Register ] compiled.Lower.prog
     in
     let b =
-      Bundle.with_manifest b
-        [
-          ("sample_nodes", string_of_int lin.Linearizer.num_nodes);
-          ("resolved_planned_onchip_bytes", string_of_int mp.Mem_plan.arena_bytes);
-          ("resolved_worst_onchip_bytes", string_of_int mp.Mem_plan.worst_bytes);
-        ]
+      Bundle.create ~config ~plans ~weights
+        ~extra_manifest:
+          [
+            ("sample_nodes", string_of_int lin.Linearizer.num_nodes);
+            ("resolved_planned_onchip_bytes", string_of_int mp.Mem_plan.arena_bytes);
+            ("resolved_worst_onchip_bytes", string_of_int mp.Mem_plan.worst_bytes);
+          ]
+        ~model:name ~size:(size_name size) ~backend:backend.Backend.short compiled
     in
-    (try Bundle.save out b with Sys_error msg -> die msg);
-    Printf.printf "%s: %s/%s for %s, %d bytes, digest %s\n" out name (size_name size)
-      backend.Backend.short
-      (String.length (Bundle.encode b))
-      b.Bundle.b_digest;
+    let bytes =
+      try
+        Bundle.save out b;
+        In_channel.with_open_bin out In_channel.length
+      with Sys_error msg -> die msg
+    in
+    Printf.printf "%s: %s/%s for %s, %Ld bytes, digest %s\n" out name (size_name size)
+      backend.Backend.short bytes b.Bundle.b_digest;
     Printf.printf "  plans: %d, weights: %d tensors\n" (List.length plans)
       (List.length weights);
     Printf.printf
@@ -529,7 +530,8 @@ let serve_cmd =
   in
   let session_tokens_arg =
     Arg.(value & opt int 16
-         & info [ "session-tokens" ] ~doc:"Tokens each session grows by over the trace (default 16)")
+         & info [ "session-tokens" ]
+             ~doc:"Tokens each session grows by over the trace, at least 1 (default 16)")
   in
   let slo_miss_budget_arg =
     Arg.(value & opt (some float) None
@@ -543,6 +545,7 @@ let serve_cmd =
       settings deadline_us profile metrics logical_clock bundle sessions session_tokens
       config_file slo_miss_budget =
     non_negative "--sessions" sessions;
+    positive "--session-tokens" session_tokens;
     Option.iter
       (fun b ->
         if not (b >= 0.0 && b <= 1.0) then
@@ -644,13 +647,12 @@ let serve_cmd =
       in
       let kind = spec.M.program.Ra.kind in
       let span_us = duration_ms *. 1000.0 in
-      let tokens = max 1 session_tokens in
       for i = 0 to sessions - 1 do
         let rng = Rng.create (seed + (31 * i) + 1) in
         let g = Gen.growth_start rng ~vocab ~kind () in
         let submit j s =
           let arrival =
-            (span_us *. float_of_int j /. float_of_int tokens)
+            (span_us *. float_of_int j /. float_of_int session_tokens)
             +. (7.0 *. float_of_int i)
           in
           match
@@ -662,7 +664,7 @@ let serve_cmd =
           | Error e -> raise (Engine.Error e)
         in
         submit 0 (Gen.growth_structure g);
-        for j = 1 to tokens do
+        for j = 1 to session_tokens do
           submit j (Gen.grow_one rng g)
         done
       done

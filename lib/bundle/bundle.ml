@@ -88,11 +88,6 @@ let fail e = raise (Error e)
 
 (* ---------- encoding ---------- *)
 
-let buf_i64 buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int v);
-  Buffer.add_bytes buf b
-
 let plan_line e =
   (* The plan string goes last: directives contain commas, the first
      four fields never do. *)
@@ -105,43 +100,70 @@ let plans_text plans = String.concat "\n" (List.map plan_line plans)
 let manifest_text manifest =
   String.concat "\n" (List.map (fun (k, v) -> k ^ "=" ^ v) manifest)
 
+(* A section is its name, its payload length and a writer that fills
+   the payload in place, so the weights are encoded straight into the
+   file's buffer. *)
 let sections_of_bundle b =
+  let text name s =
+    (name, String.length s, fun buf pos -> Bytes.blit_string s 0 buf pos (String.length s))
+  in
   [
-    ("manifest", manifest_text b.b_manifest);
-    ("compiled", Marshal.to_string b.b_compiled []);
-    ("plans", plans_text b.b_plans);
-    ("weights", Checkpoint.to_string b.b_weights);
+    text "manifest" (manifest_text b.b_manifest);
+    text "compiled" (Marshal.to_string b.b_compiled []);
+    text "plans" (plans_text b.b_plans);
+    ("weights", Checkpoint.byte_size b.b_weights, Checkpoint.blit b.b_weights);
   ]
 
-let digest_of_sections sections =
-  Digest.to_hex (Digest.string (String.concat "" (List.map snd sections)))
-
-let encode_sections sections =
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf magic;
-  buf_i64 buf version;
-  Buffer.add_string buf (Digest.string (String.concat "" (List.map snd sections)));
-  buf_i64 buf (List.length sections);
+(* The whole file in one buffer sized up front: the payloads first,
+   then the header with their digest.  Returns the buffer and the
+   digest in hex. *)
+let encode_bytes b =
+  let sections = sections_of_bundle b in
+  let header =
+    List.fold_left
+      (fun acc (name, _, _) -> acc + 16 + String.length name)
+      (String.length magic + 32) sections
+  in
+  let size = List.fold_left (fun acc (_, len, _) -> acc + len) header sections in
+  let buf = Bytes.create size in
+  let pos = ref header in
   List.iter
-    (fun (name, payload) ->
-      buf_i64 buf (String.length name);
-      Buffer.add_string buf name;
-      buf_i64 buf (String.length payload))
+    (fun (_, len, fill) ->
+      fill buf !pos;
+      pos := !pos + len)
     sections;
-  List.iter (fun (_, payload) -> Buffer.add_string buf payload) sections;
-  Buffer.contents buf
+  let digest = Digest.subbytes buf header (size - header) in
+  pos := 0;
+  let i64 v =
+    Bytes.set_int64_le buf !pos (Int64.of_int v);
+    pos := !pos + 8
+  in
+  let str s =
+    Bytes.blit_string s 0 buf !pos (String.length s);
+    pos := !pos + String.length s
+  in
+  str magic;
+  i64 version;
+  str digest;
+  i64 (List.length sections);
+  List.iter
+    (fun (name, len, _) ->
+      i64 (String.length name);
+      str name;
+      i64 len)
+    sections;
+  (buf, Digest.to_hex digest)
 
-let encode b = encode_sections (sections_of_bundle b)
+let encode b = Bytes.unsafe_to_string (fst (encode_bytes b))
 
 (* ---------- creation ---------- *)
 
-let create ?(config = "") ?(plans = []) ?(weights = []) ~model ~size ~backend
-    (compiled : Lower.compiled) =
+let create ?(config = "") ?(plans = []) ?(weights = []) ?(extra_manifest = []) ~model
+    ~size ~backend (compiled : Lower.compiled) =
   (* The concrete planned-vs-worst numbers want resolved UF extents,
      but a bundle is built before any input exists — record the
-     static-extent plan here; `cortex build` adds the resolved numbers
-     from its sample linearization to the manifest via
-     [with_manifest]. *)
+     static-extent plan here; `cortex build` passes the resolved
+     numbers from its sample linearization as [extra_manifest]. *)
   let mp = Mem_plan.plan ~spaces:[ Ir.Shared; Ir.Register ] compiled.Lower.prog in
   let planned = mp.Mem_plan.arena_bytes in
   let worst = mp.Mem_plan.worst_bytes in
@@ -162,6 +184,7 @@ let create ?(config = "") ?(plans = []) ?(weights = []) ~model ~size ~backend
       ("planned_onchip_bytes", string_of_int planned);
       ("worst_onchip_bytes", string_of_int worst);
     ]
+    @ extra_manifest
   in
   let b =
     {
@@ -180,11 +203,7 @@ let create ?(config = "") ?(plans = []) ?(weights = []) ~model ~size ~backend
       b_manifest = manifest;
     }
   in
-  { b with b_digest = digest_of_sections (sections_of_bundle b) }
-
-let with_manifest b extra =
-  let b = { b with b_manifest = b.b_manifest @ extra } in
-  { b with b_digest = digest_of_sections (sections_of_bundle b) }
+  { b with b_digest = snd (encode_bytes b) }
 
 (* ---------- decoding ---------- *)
 
@@ -192,21 +211,22 @@ type reader = { data : string; mutable pos : int }
 
 let left r = String.length r.data - r.pos
 
+(* Claim the next [n] bytes; returns where they start. *)
 let take r ~what n =
   if n < 0 || n > left r then fail (Truncated { what; need = n; left = left r });
-  let s = String.sub r.data r.pos n in
-  r.pos <- r.pos + n;
-  s
+  let p = r.pos in
+  r.pos <- p + n;
+  p
 
-let take_i64 r ~what =
-  Int64.to_int (Bytes.get_int64_le (Bytes.of_string (take r ~what 8)) 0)
+let take_string r ~what n = String.sub r.data (take r ~what n) n
+let take_i64 r ~what = Int64.to_int (String.get_int64_le r.data (take r ~what 8))
 
 let read_header r =
-  let m = take r ~what:"magic" (String.length magic) in
+  let m = take_string r ~what:"magic" (String.length magic) in
   if m <> magic then fail (Bad_magic m);
   let v = take_i64 r ~what:"version" in
   if v <> version then fail (Unsupported_version v);
-  let digest = take r ~what:"digest" 16 in
+  let digest = take_string r ~what:"digest" 16 in
   let nsections = take_i64 r ~what:"section count" in
   if nsections < 0 || nsections > 64 then
     fail (Corrupt_section { section = "(table)"; reason = "implausible section count" });
@@ -216,7 +236,7 @@ let read_header r =
         if name_len < 0 || name_len > 256 then
           fail
             (Corrupt_section { section = "(table)"; reason = "implausible name length" });
-        let name = take r ~what:"section name" name_len in
+        let name = take_string r ~what:"section name" name_len in
         let payload_len = take_i64 r ~what:"payload length" in
         if payload_len < 0 then
           fail (Corrupt_section { section = name; reason = "negative payload length" });
@@ -224,20 +244,20 @@ let read_header r =
   in
   (digest, table)
 
+(* Sections stay ranges [(name, (pos, len))] into [data]; the digest is
+   verified over the payload range in place, before any parse. *)
 let decode_sections data =
   let r = { data; pos = 0 } in
   let digest, table = read_header r in
   let payload_start = r.pos in
   let sections =
-    List.map (fun (name, len) -> (name, take r ~what:("section " ^ name) len)) table
+    List.map (fun (name, len) -> (name, (take r ~what:("section " ^ name) len, len))) table
   in
   if left r <> 0 then
     fail
       (Corrupt_section
          { section = "(file)"; reason = Printf.sprintf "%d trailing bytes" (left r) });
-  let got =
-    Digest.string (String.sub data payload_start (String.length data - payload_start))
-  in
+  let got = Digest.substring data payload_start (String.length data - payload_start) in
   if got <> digest then
     fail
       (Digest_mismatch
@@ -246,8 +266,18 @@ let decode_sections data =
 
 let section sections name =
   match List.assoc_opt name sections with
-  | Some payload -> payload
+  | Some range -> range
   | None -> fail (Missing_section name)
+
+let section_string data sections name =
+  let pos, len = section sections name in
+  String.sub data pos len
+
+(* The weights section's range goes to the checkpoint cursor as is. *)
+let section_weights (parse : ?pos:int -> ?len:int -> string -> 'a) data sections =
+  let pos, len = section sections "weights" in
+  try parse ~pos ~len data
+  with Checkpoint.Corrupt reason -> fail (Corrupt_section { section = "weights"; reason })
 
 let parse_manifest text =
   List.filter_map
@@ -288,8 +318,8 @@ let parse_plans text =
 
 let decode data =
   let digest, sections = decode_sections data in
-  let manifest = parse_manifest (section sections "manifest") in
-  let compiled_bytes = section sections "compiled" in
+  let manifest = parse_manifest (section_string data sections "manifest") in
+  let compiled_bytes = section_string data sections "compiled" in
   let compiled : Lower.compiled =
     try Marshal.from_string compiled_bytes 0
     with Failure reason | Invalid_argument reason ->
@@ -299,12 +329,8 @@ let decode data =
      reserve them so later fresh ids (plan staging tensors, split-loop
      vars) cannot alias them. *)
   Ir.claim_ids compiled.Lower.prog;
-  let plans = parse_plans (section sections "plans") in
-  let weights =
-    try Checkpoint.of_string (section sections "weights")
-    with Checkpoint.Corrupt reason ->
-      fail (Corrupt_section { section = "weights"; reason })
-  in
+  let plans = parse_plans (section_string data sections "plans") in
+  let weights = section_weights Checkpoint.of_string data sections in
   let int_key key =
     try int_of_string (manifest_get manifest key)
     with Failure _ ->
@@ -328,15 +354,11 @@ let decode data =
 
 (* ---------- files ---------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let save path b =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (encode b))
+  let buf, _ = encode_bytes b in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc buf)
 
 let load path = decode (read_file path)
 
@@ -355,18 +377,15 @@ type info = {
    unmarshals the compiled program, so inspection is cheap and safe on
    files that would fail to load. *)
 let inspect path =
-  let digest, sections = decode_sections (read_file path) in
-  let manifest = parse_manifest (section sections "manifest") in
-  let plans = parse_plans (section sections "plans") in
-  let weights =
-    try Checkpoint.manifest_of_string (section sections "weights")
-    with Checkpoint.Corrupt reason ->
-      fail (Corrupt_section { section = "weights"; reason })
-  in
+  let data = read_file path in
+  let digest, sections = decode_sections data in
+  let manifest = parse_manifest (section_string data sections "manifest") in
+  let plans = parse_plans (section_string data sections "plans") in
+  let weights = section_weights Checkpoint.manifest_of_string data sections in
   {
     i_digest = digest;
     i_manifest = manifest;
-    i_sections = List.map (fun (name, payload) -> (name, String.length payload)) sections;
+    i_sections = List.map (fun (name, (_, len)) -> (name, len)) sections;
     i_weights = weights;
     i_plans =
       List.map

@@ -65,25 +65,26 @@ val create :
   ?config:string ->
   ?plans:plan_entry list ->
   ?weights:Checkpoint.t ->
+  ?extra_manifest:(string * string) list ->
   model:string ->
   size:string ->
   backend:string ->
   Lower.compiled ->
   t
 (** Build a bundle in memory; the manifest (including the static
-    planned/worst on-chip footprint from {!Cortex_ilir.Mem_plan}) and
-    the content digest are computed here, deterministically. *)
-
-val with_manifest : t -> (string * string) list -> t
-(** The bundle with extra manifest entries appended (e.g. the
-    UF-resolved planned footprint [cortex build] measures on its sample
-    linearization) and the digest recomputed. *)
+    planned/worst on-chip footprint from {!Cortex_ilir.Mem_plan}, then
+    [extra_manifest] — e.g. the UF-resolved footprint [cortex build]
+    measures on its sample linearization) and the content digest are
+    computed here, deterministically, by one encode. *)
 
 val encode : t -> string
-(** The serialized bytes {!save} writes. *)
+(** The serialized bytes {!save} writes: one buffer sized up front,
+    the weights encoded straight into it. *)
 
 val decode : string -> t
-(** Parse and validate serialized bytes; raises {!Error}. *)
+(** Parse and validate serialized bytes; raises {!Error}.  Sections are
+    ranges into the string, and the weights decode straight into their
+    tensors, so the payload is never copied. *)
 
 val save : string -> t -> unit
 val load : string -> t

@@ -10,144 +10,129 @@ let magic = "CORTEXP1"
 
 (* ---------- writing ---------- *)
 
-let buf_i64 buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int v);
-  Buffer.add_bytes buf b
+(* Every writer fills one buffer sized up front: the byte length of a
+   table is a function of its names and shapes, so nothing is grown,
+   copied or boxed per value. *)
 
-let buf_f64 buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.bits_of_float v);
-  Buffer.add_bytes buf b
+let byte_size (table : t) =
+  List.fold_left
+    (fun acc (name, (tensor : Tensor.t)) ->
+      acc + 16 + String.length name
+      + (8 * Array.length tensor.Tensor.shape)
+      + (8 * Tensor.numel tensor))
+    (String.length magic + 8) table
 
-let add_to_buffer buf (table : t) =
-  Buffer.add_string buf magic;
-  buf_i64 buf (List.length table);
-  List.iter
-    (fun (name, tensor) ->
-      buf_i64 buf (String.length name);
-      Buffer.add_string buf name;
-      let shape = (tensor : Tensor.t).Tensor.shape in
-      buf_i64 buf (Array.length shape);
-      Array.iter (buf_i64 buf) shape;
-      for i = 0 to Tensor.numel tensor - 1 do
-        buf_f64 buf (Tensor.get_flat tensor i)
-      done)
-    table
+let put_i64 b pos v =
+  Bytes.set_int64_le b pos (Int64.of_int v);
+  pos + 8
+
+let put_string b pos s =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+let blit (table : t) b pos =
+  let pos = put_string b pos magic in
+  let pos = put_i64 b pos (List.length table) in
+  ignore
+    (List.fold_left
+       (fun pos (name, (tensor : Tensor.t)) ->
+         let pos = put_i64 b pos (String.length name) in
+         let pos = put_string b pos name in
+         let shape = tensor.Tensor.shape in
+         let pos = Array.fold_left (put_i64 b) (put_i64 b pos (Array.length shape)) shape in
+         let data = tensor.Tensor.data in
+         for i = 0 to Array.length data - 1 do
+           Bytes.set_int64_le b (pos + (8 * i)) (Int64.bits_of_float data.(i))
+         done;
+         pos + (8 * Array.length data))
+       pos table)
 
 let to_string table =
-  let buf = Buffer.create 4096 in
-  add_to_buffer buf table;
-  Buffer.contents buf
+  let b = Bytes.create (byte_size table) in
+  blit table b 0;
+  Bytes.unsafe_to_string b
 
-let write oc (table : t) =
-  let buf = Buffer.create 4096 in
-  add_to_buffer buf table;
-  Buffer.output_buffer oc buf
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path data =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+
+let save path table = write_file path (to_string table)
 
 (* ---------- reading ---------- *)
 
-(* One reader over two byte sources (a channel and an in-memory string
-   — bundles embed checkpoints as a section).  [src_remaining] is the
-   hardening hook: every count read from the header is bounded against
-   the bytes actually left before any allocation, so a bit-flipped
-   count or extent fails fast with {!Corrupt} instead of driving a
-   gigabyte [Tensor.zeros] or a 10^6-iteration loop over a 100-byte
-   file.  A non-seekable channel reports [None] and falls back to the
-   static caps plus [read_exactly]'s truncation check. *)
-type src = {
-  src_read : int -> Bytes.t;
-  src_remaining : unit -> int option;
-  src_skip : int -> unit;
-}
+(* One bounded cursor over an immutable string: [data.[pos, stop)] is
+   what is left to parse, so a file, a whole string and a bundle's
+   weights section are parsed in place, with no copy of the payloads.
+   Every count read from a header is bounded against [stop - pos]
+   before any allocation, so a bit-flipped count or extent fails fast
+   with {!Corrupt} instead of driving a gigabyte allocation or a
+   10^6-iteration loop over a 100-byte file. *)
+type cursor = { data : string; mutable pos : int; stop : int }
 
-let src_of_channel ic =
-  let read n =
-    let b = Bytes.create n in
-    (try really_input ic b 0 n
-     with End_of_file -> raise (Corrupt "truncated checkpoint"));
-    b
-  in
-  {
-    src_read = read;
-    src_remaining =
-      (fun () -> try Some (in_channel_length ic - pos_in ic) with Sys_error _ -> None);
-    src_skip =
-      (fun n ->
-        try seek_in ic (pos_in ic + n)
-        with Sys_error _ -> ignore (read n));
-  }
+let cursor ?(pos = 0) ?len data =
+  let len = Option.value len ~default:(String.length data - pos) in
+  if pos < 0 || len < 0 || pos > String.length data - len then
+    invalid_arg "Checkpoint: range outside the string";
+  { data; pos; stop = pos + len }
 
-let src_of_string s =
-  let pos = ref 0 in
-  let need n =
-    if n < 0 || !pos + n > String.length s then raise (Corrupt "truncated checkpoint")
-  in
-  {
-    src_read =
-      (fun n ->
-        need n;
-        let b = Bytes.of_string (String.sub s !pos n) in
-        pos := !pos + n;
-        b);
-    src_remaining = (fun () -> Some (String.length s - !pos));
-    src_skip =
-      (fun n ->
-        need n;
-        pos := !pos + n);
-  }
+let left c = c.stop - c.pos
 
-let read_i64 src = Int64.to_int (Bytes.get_int64_le (src.src_read 8) 0)
-let read_f64 src = Int64.float_of_bits (Bytes.get_int64_le (src.src_read 8) 0)
+(* Claim the next [n] bytes; returns where they start. *)
+let take c n =
+  if n < 0 || n > left c then raise (Corrupt "truncated checkpoint");
+  let p = c.pos in
+  c.pos <- p + n;
+  p
 
-let check_remaining src ~need what =
-  match src.src_remaining () with
-  | Some left when need > left ->
+let read_i64 c = Int64.to_int (String.get_int64_le c.data (take c 8))
+let read_string c n = String.sub c.data (take c n) n
+
+let check_remaining c ~need what =
+  if need > left c then
     raise
-      (Corrupt
-         (Printf.sprintf "%s: %d bytes claimed, %d left in the file" what need left))
-  | _ -> ()
+      (Corrupt (Printf.sprintf "%s: %d bytes claimed, %d left in the file" what need (left c)))
 
 (* The shared walk.  [payload] decides whether the float data is
-   materialized ([read]) or skipped in place ([read_manifest] — names
-   and shapes only, no copy of the tensor payloads). *)
-let parse ~payload src =
-  let m = Bytes.to_string (src.src_read (String.length magic)) in
+   materialized (one loop straight into tensor storage) or skipped in
+   place (manifests: names and shapes only). *)
+let parse ~payload c =
+  let m = read_string c (String.length magic) in
   if m <> magic then raise (Corrupt ("bad magic " ^ m));
-  let count = read_i64 src in
+  let count = read_i64 c in
   if count < 0 || count > 1_000_000 then raise (Corrupt "implausible tensor count");
   (* Each tensor needs at least name_len + rank + one payload word. *)
-  check_remaining src ~need:(count * 24) "tensor count";
+  check_remaining c ~need:(count * 24) "tensor count";
   List.init count (fun _ ->
-      let name_len = read_i64 src in
+      let name_len = read_i64 c in
       if name_len < 0 || name_len > 4096 then raise (Corrupt "implausible name length");
-      check_remaining src ~need:name_len "name length";
-      let name = Bytes.to_string (src.src_read name_len) in
-      let rank = read_i64 src in
+      check_remaining c ~need:name_len "name length";
+      let name = read_string c name_len in
+      let rank = read_i64 c in
       if rank < 0 || rank > 8 then raise (Corrupt "implausible rank");
-      let shape = Array.init rank (fun _ -> read_i64 src) in
+      let shape = Array.init rank (fun _ -> read_i64 c) in
       Array.iter
         (fun d -> if d <= 0 || d > 100_000_000 then raise (Corrupt "bad extent"))
         shape;
-      let numel =
+      (* The payload's byte count, overflow-checked as it is formed. *)
+      let bytes =
         Array.fold_left
           (fun acc d ->
             if acc > max_int / d then raise (Corrupt "extent product overflows");
             acc * d)
-          1 shape
+          8 shape
       in
-      check_remaining src ~need:(numel * 8) "tensor payload";
+      check_remaining c ~need:bytes "tensor payload";
+      let p = take c bytes in
       if payload then begin
-        let tensor = Tensor.zeros shape in
+        let numel = bytes / 8 in
+        let data = Array.create_float numel in
         for i = 0 to numel - 1 do
-          Tensor.set_flat tensor i (read_f64 src)
+          data.(i) <- Int64.float_of_bits (String.get_int64_le c.data (p + (8 * i)))
         done;
-        (name, shape, Some tensor)
+        (name, shape, Some (Tensor.of_array shape data))
       end
-      else begin
-        src.src_skip (numel * 8);
-        (name, shape, None)
-      end)
+      else (name, shape, None))
 
 let table_of_parse entries =
   List.map
@@ -158,21 +143,13 @@ let table_of_parse entries =
     entries
 
 let manifest_of_parse entries = List.map (fun (name, shape, _) -> (name, shape)) entries
+let of_string ?pos ?len s = table_of_parse (parse ~payload:true (cursor ?pos ?len s))
 
-let read ic = table_of_parse (parse ~payload:true (src_of_channel ic))
-let read_manifest ic = manifest_of_parse (parse ~payload:false (src_of_channel ic))
-let of_string s = table_of_parse (parse ~payload:true (src_of_string s))
+let manifest_of_string ?pos ?len s =
+  manifest_of_parse (parse ~payload:false (cursor ?pos ?len s))
 
-let manifest_of_string s =
-  manifest_of_parse (parse ~payload:false (src_of_string s))
-
-let save path table =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc table)
-
-let load path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read ic)
+let read_manifest ic = manifest_of_string (In_channel.input_all ic)
+let load path = of_string (read_file path)
 
 (* ---------- session-state sections ---------- *)
 
@@ -181,7 +158,7 @@ let load path =
    states, names encoding (state, node)).  Same byte discipline as the
    parameter format — counts and lengths little-endian i64, payloads
    float64 bits — so restore is bitwise exact, and the same hardened
-   [src] walk, so a truncated or bit-flipped spill file fails with
+   cursor walk, so a truncated or bit-flipped spill file fails with
    {!Corrupt}, never a [Marshal] or allocation failure. *)
 
 let session_magic = "CORTEXS1"
@@ -193,36 +170,35 @@ type session_state = {
   ss_states : t;
 }
 
-let add_session_to_buffer buf ss =
-  Buffer.add_string buf session_magic;
-  buf_i64 buf (String.length ss.ss_model);
-  Buffer.add_string buf ss.ss_model;
-  buf_i64 buf ss.ss_nodes;
-  buf_i64 buf (String.length ss.ss_digest);
-  Buffer.add_string buf ss.ss_digest;
-  add_to_buffer buf ss.ss_states
-
 let session_to_string ss =
-  let buf = Buffer.create 4096 in
-  add_session_to_buffer buf ss;
-  Buffer.contents buf
+  (* The magic, three i64 fields (model length, node count, digest
+     length), the two strings, then the table. *)
+  let b =
+    Bytes.create
+      (String.length session_magic + 24 + String.length ss.ss_model
+     + String.length ss.ss_digest + byte_size ss.ss_states)
+  in
+  let pos = put_string b 0 session_magic in
+  let pos = put_i64 b pos (String.length ss.ss_model) in
+  let pos = put_string b pos ss.ss_model in
+  let pos = put_i64 b pos ss.ss_nodes in
+  let pos = put_i64 b pos (String.length ss.ss_digest) in
+  let pos = put_string b pos ss.ss_digest in
+  blit ss.ss_states b pos;
+  Bytes.unsafe_to_string b
 
-let write_session oc ss =
-  let buf = Buffer.create 4096 in
-  add_session_to_buffer buf ss;
-  Buffer.output_buffer oc buf
-
-let read_string_field src ~what =
-  let len = read_i64 src in
+let read_string_field c ~what =
+  let len = read_i64 c in
   if len < 0 || len > 4096 then
     raise (Corrupt (Printf.sprintf "implausible %s length" what));
-  check_remaining src ~need:len (what ^ " length");
-  Bytes.to_string (src.src_read len)
+  check_remaining c ~need:len (what ^ " length");
+  read_string c len
 
-let parse_session ?expect_model src =
-  let m = Bytes.to_string (src.src_read (String.length session_magic)) in
+let session_of_string ?expect_model s =
+  let c = cursor s in
+  let m = read_string c (String.length session_magic) in
   if m <> session_magic then raise (Corrupt ("bad session magic " ^ m));
-  let model = read_string_field src ~what:"model name" in
+  let model = read_string_field c ~what:"model name" in
   (match expect_model with
   | Some want when want <> model ->
     raise
@@ -230,23 +206,17 @@ let parse_session ?expect_model src =
          (Printf.sprintf "session checkpoint is for model %S, engine serves %S" model
             want))
   | _ -> ());
-  let nodes = read_i64 src in
+  let nodes = read_i64 c in
   if nodes < 0 || nodes > 1_000_000_000 then
     raise (Corrupt "implausible session node count");
-  let digest = read_string_field src ~what:"digest" in
-  let states = table_of_parse (parse ~payload:true src) in
+  let digest = read_string_field c ~what:"digest" in
+  let states = table_of_parse (parse ~payload:true c) in
   { ss_model = model; ss_nodes = nodes; ss_digest = digest; ss_states = states }
 
-let session_of_string ?expect_model s = parse_session ?expect_model (src_of_string s)
-let read_session ?expect_model ic = parse_session ?expect_model (src_of_channel ic)
-
-let save_session path ss =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_session oc ss)
+let save_session path ss = write_file path (session_to_string ss)
 
 let load_session ?expect_model path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_session ?expect_model ic)
+  session_of_string ?expect_model (read_file path)
 
 let resolver table name =
   match List.assoc_opt name table with

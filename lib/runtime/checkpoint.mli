@@ -9,9 +9,13 @@
     payload, all little-endian.  The format is independent of the host's
     OCaml version (no [Marshal]).
 
-    One hardened reader serves both byte sources: files ({!read},
-    {!read_manifest}) and in-memory strings ({!of_string},
-    {!manifest_of_string} — bundles embed a checkpoint as a section). *)
+    One hardened reader parses every byte source in place: a bounded
+    cursor over an immutable string and a [\[pos, stop)] range.  Files
+    ({!load}, {!load_session}, {!read_manifest}) are read once into a
+    string; bundles hand their weights section's range to
+    {!of_string}.  Each tensor's payload is decoded in one loop straight
+    into its storage, and every writer fills one buffer sized up front,
+    so neither direction allocates per value. *)
 
 type t = (string * Cortex_tensor.Tensor.t) list
 
@@ -20,34 +24,38 @@ type manifest = (string * int array) list
 
 exception Corrupt of string
 
-val write : out_channel -> t -> unit
+val byte_size : t -> int
+(** [String.length (to_string t)], computed from names and shapes. *)
+
+val blit : t -> bytes -> int -> unit
+(** [blit t b pos] writes the bytes of [to_string t] into [b] at [pos]
+    (a bundle writes its weights section in place this way). *)
 
 val to_string : t -> string
-(** The serialized bytes as a string (what {!write} would emit). *)
+(** The serialized bytes. *)
 
-val read : in_channel -> t
-(** Raises {!Corrupt} on bad magic or truncated data.  Hardened against
-    adversarial headers: tensor counts, name lengths and payload sizes
-    are bounded against the bytes actually remaining in the channel
-    (when it is seekable) {e before} any allocation, and the extent
-    product is overflow-checked — a bit-flipped header fails fast with
-    {!Corrupt} instead of attempting a huge allocation. *)
+val of_string : ?pos:int -> ?len:int -> string -> t
+(** Parse the table held in [s.[pos, pos + len)] (the whole string by
+    default).  Raises {!Corrupt} on bad magic or truncated data.
+    Hardened against adversarial headers: tensor counts, name lengths
+    and payload sizes are bounded against the bytes left in the range
+    {e before} any allocation, and the payload's byte count is
+    overflow-checked — a bit-flipped header fails fast with {!Corrupt}
+    instead of attempting a huge allocation.  Raises [Invalid_argument]
+    when the range is not inside [s]. *)
+
+val manifest_of_string : ?pos:int -> ?len:int -> string -> manifest
+(** Names and shapes only — payloads are skipped in place, never
+    decoded.  Same hardening and {!Corrupt} behaviour as {!of_string}. *)
 
 val read_manifest : in_channel -> manifest
-(** Names and shapes only — payloads are seek-skipped, never copied.
-    Same hardening and {!Corrupt} behaviour as {!read}. *)
-
-val of_string : string -> t
-(** {!read} from in-memory bytes. *)
-
-val manifest_of_string : string -> manifest
-(** {!read_manifest} from in-memory bytes. *)
+(** {!manifest_of_string} over the rest of the channel. *)
 
 val save : string -> t -> unit
 (** Write to a file path. *)
 
 val load : string -> t
-(** Read from a file path. *)
+(** Read a file path once and parse it with {!of_string}. *)
 
 (** {2 Session-state sections}
 
@@ -57,7 +65,7 @@ val load : string -> t
     different conversation), and the per-node hidden states as a plain
     tensor table.  Float64 payloads round-trip bitwise, so an evicted
     conversation restores exactly.  The reader shares the hardened
-    [src] walk with the parameter format: truncation, implausible
+    cursor walk with the parameter format: truncation, implausible
     lengths, overflow extents and wrong-model payloads all raise
     {!Corrupt} — never [Marshal] failures. *)
 
@@ -79,7 +87,7 @@ val save_session : string -> session_state -> unit
 (** Write a session section to a file path. *)
 
 val load_session : ?expect_model:string -> string -> session_state
-(** Read a session section from a file path. *)
+(** Read a file path once and parse it with {!session_of_string}. *)
 
 val resolver : t -> string -> Cortex_tensor.Tensor.t
 (** Lookup function in the shape model specs expect; raises

@@ -426,7 +426,7 @@ type t = {
 let build ~(config : Config.t) ~model ~backend ~compiled =
   let policy = config.Config.dispatch.Config.batching in
   if policy.max_batch < 1 then invalid_arg "Engine.create: max_batch must be >= 1";
-  if policy.max_wait_us < 0.0 then invalid_arg "Engine.create: max_wait_us must be >= 0";
+  if not (policy.max_wait_us >= 0.0) then invalid_arg "Engine.create: max_wait_us must be >= 0";
   (match config.Config.reliability.Config.queue_cap with
    | Some c when c < 0 -> invalid_arg "Engine.create: queue_cap must be >= 0"
    | _ -> ());
@@ -435,7 +435,7 @@ let build ~(config : Config.t) ~model ~backend ~compiled =
    | _ -> ());
   if config.Config.sessions.Session_store.pack_window < 1 then
     invalid_arg "Engine.create: sessions.pack_window must be >= 1";
-  if config.Config.sessions.Session_store.pack_wait_us < 0.0 then
+  if not (config.Config.sessions.Session_store.pack_wait_us >= 0.0) then
     invalid_arg "Engine.create: sessions.pack_wait_us must be >= 0";
   let devices =
     Option.value config.Config.dispatch.Config.devices ~default:[ backend ]

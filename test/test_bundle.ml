@@ -391,7 +391,7 @@ let test_checkpoint_manifest () =
       Alcotest.(check string) "name" n mn;
       Alcotest.(check (array int)) ("shape of " ^ n) t.Tensor.shape dims)
     w m;
-  (* And the file-channel reader, payloads seek-skipped. *)
+  (* And the channel reader, over the file the table was saved to. *)
   let path = Filename.temp_file "cortex_ckpt" ".bin" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)

@@ -355,6 +355,24 @@ let test_checkpoint_bitwise () =
       check_bitwise "load_session" special_table
         (Checkpoint.load_session path).Checkpoint.ss_states)
 
+(* Extents under the per-extent cap whose product fits an int but whose
+   payload byte count does not: the remaining-bytes bound is taken on
+   the byte count, so it must be overflow-checked too, or a negative
+   need passes it and the reader attempts the allocation. *)
+let test_checkpoint_payload_overflow () =
+  let b = Buffer.create 128 in
+  let i64 v = Buffer.add_int64_le b (Int64.of_int v) in
+  Buffer.add_string b "CORTEXP1";
+  i64 1 (* count *);
+  i64 1 (* name_len *);
+  Buffer.add_char b 'w';
+  i64 3 (* rank *);
+  List.iter i64 [ 100_000_000; 100_000_000; 200 ];
+  Buffer.add_string b (String.make 64 '\000');
+  match Checkpoint.of_string (Buffer.contents b) with
+  | (_ : Checkpoint.t) -> Alcotest.fail "an overflowing payload was accepted"
+  | exception Checkpoint.Corrupt _ -> ()
+
 let test_bounds_clean () =
   (* The §A.2 bounds checker proves every access of the compiled
      programs in bounds for the concrete inputs. *)
@@ -402,6 +420,42 @@ let test_pricing_alloc () =
   if bytes > 320_000.0 then
     Alcotest.failf "pricing a %d-node window allocated %.0f bytes (budget 320000)"
       lin.Linearizer.num_nodes bytes
+
+(* The codec pays per byte, not per value: decoding a bundle allocates
+   its tensors' storage and little else (no copy of the payload for
+   the digest or per section, nothing boxed per float), and encoding a
+   table allocates its output once.  The allocation sequence is fixed,
+   so the numbers are deterministic. *)
+let test_codec_alloc () =
+  let weights =
+    [
+      ("W", Tensor.init [| 1024; 1024 |] (fun i -> float_of_int (i.(0) - i.(1)) /. 64.0));
+      ("b", Tensor.create [| 1024 |] (-0.5));
+    ]
+  in
+  let weight_bytes = float_of_int (8 * (1024 * 1024 + 1024)) in
+  let spec = Models.Tree_fc.spec ~vocab:12 ~hidden:4 () in
+  let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+  let encoded =
+    Bundle.encode
+      (Bundle.create ~weights ~model:"TreeFC" ~size:"small" ~backend:gpu.Backend.short
+         compiled)
+  in
+  let allocated f =
+    let before = Gc.allocated_bytes () in
+    f ();
+    Gc.allocated_bytes () -. before
+  in
+  let decode = allocated (fun () -> ignore (Bundle.decode encoded)) in
+  let budget = (1.1 *. weight_bytes) +. 1e6 in
+  if decode > budget then
+    Alcotest.failf "decoding %.0f weight bytes allocated %.0f bytes (budget %.0f)"
+      weight_bytes decode budget;
+  let out = float_of_int (String.length (Checkpoint.to_string weights)) in
+  let encode = allocated (fun () -> ignore (Checkpoint.to_string weights)) in
+  if encode > 2.0 *. out then
+    Alcotest.failf "encoding a %.0f-byte table allocated %.0f bytes (budget %.0f)" out
+      encode (2.0 *. out)
 
 (* ---------- the paper's qualitative claims ---------- *)
 
@@ -935,9 +989,11 @@ let () =
           Alcotest.test_case "session-section-adversarial" `Quick
             test_session_section_adversarial;
           Alcotest.test_case "checkpoint-bitwise" `Quick test_checkpoint_bitwise;
+          Alcotest.test_case "checkpoint-overflow" `Quick test_checkpoint_payload_overflow;
           Alcotest.test_case "bounds-clean" `Quick test_bounds_clean;
           Alcotest.test_case "device-memory" `Quick test_device_memory_positive;
           Alcotest.test_case "pricing-alloc" `Quick test_pricing_alloc;
+          Alcotest.test_case "codec-alloc" `Quick test_codec_alloc;
         ] );
       ( "paper-claims",
         [

@@ -316,6 +316,21 @@ let test_arrival_exactly_at_deadline_joins () =
   let s = Engine.drain engine in
   Alcotest.(check int) "past-deadline splits" 2 s.Engine.aggregate.Engine.num_windows
 
+(* A nan wait passes a [< 0.0] check; each must be refused with the
+   same message a negative one gets. *)
+let test_nan_waits_refused () =
+  let refused label want config =
+    match Engine.of_spec ~config small_spec ~backend:gpu with
+    | (_ : Engine.t) -> Alcotest.failf "%s accepted" label
+    | exception Invalid_argument msg -> Alcotest.(check string) label want msg
+  in
+  refused "max_wait_us=nan" "Engine.create: max_wait_us must be >= 0"
+    (Engine.Config.make
+       ~policy:{ Engine.max_batch = 4; max_wait_us = nan; bucketing = Engine.Fifo }
+       ());
+  refused "sessions.pack_wait_us=nan" "Engine.create: sessions.pack_wait_us must be >= 0"
+    (Engine.Config.make ~session_pack_wait_us:nan ())
+
 let test_max_batch_one () =
   let policy = { Engine.max_batch = 1; max_wait_us = 1.0e9; bucketing = Engine.Fifo } in
   let engine = Engine.of_spec ~config:(Engine.Config.make ~policy ()) small_spec ~backend:gpu in
@@ -767,6 +782,7 @@ let () =
         [
           Alcotest.test_case "max-batch" `Quick test_policy_max_batch;
           Alcotest.test_case "max-wait" `Quick test_policy_max_wait;
+          Alcotest.test_case "nan-waits" `Quick test_nan_waits_refused;
           Alcotest.test_case "bucketing" `Quick test_policy_bucketing;
           Alcotest.test_case "empty-drain" `Quick test_empty_drain;
           Alcotest.test_case "run-one" `Quick test_run_one_matches_runtime;
