@@ -5,6 +5,7 @@
 open Cortex
 module M = Models.Common
 module L = Lower
+module Json = Cortex_util.Json
 
 let seed = 2021
 
@@ -581,23 +582,9 @@ let tuning () =
 
 (* ---------- BENCH records ---------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* A BENCH file: a JSON array with one record per line. *)
 let write_bench file records =
-  let oc = open_out file in
-  output_string oc ("[\n" ^ String.concat ",\n" records ^ "\n]\n");
-  close_out oc
+  Out_channel.with_open_bin file (fun oc -> output_string oc (Json.lines records))
 
 (* ---------- extra: loop-schedule autotuning (level-2 search) ---------- *)
 
@@ -631,13 +618,13 @@ let autotune () =
                 in
                 records :=
                   Printf.sprintf
-                    "  {\"model\": \"%s\", \"backend\": \"%s\", \"batch\": %d, \
+                    "{\"model\": \"%s\", \"backend\": \"%s\", \"batch\": %d, \
                      \"default_ms\": %.4f, \"tuned_ms\": %.4f, \"speedup\": %.3f, \
                      \"options\": \"%s\", \"plan\": \"%s\"}"
-                    (json_escape name) (json_escape backend.Backend.short) batch
+                    (Json.escape name) (Json.escape backend.Backend.short) batch
                     default_ms tuned_ms (default_ms /. tuned_ms)
-                    (json_escape tuned.Tuner.pc_label)
-                    (json_escape (Schedule.plan_to_string tuned.Tuner.pc_plan))
+                    (Json.escape tuned.Tuner.pc_label)
+                    (Json.escape (Schedule.plan_to_string tuned.Tuner.pc_plan))
                   :: !records;
                 [
                   name;
@@ -735,10 +722,10 @@ let bundle () =
         in
         records :=
           Printf.sprintf
-            "  {\"model\": \"%s\", \"compile_us\": %.1f, \"bundle_load_us\": %.1f, \
+            "{\"model\": \"%s\", \"compile_us\": %.1f, \"bundle_load_us\": %.1f, \
              \"cold_start_speedup\": %.2f, \"planned_onchip_bytes\": %d, \
              \"worst_onchip_bytes\": %d, \"arena_saving_pct\": %.1f%s}"
-            (json_escape label) compile_us load_us
+            (Json.escape label) compile_us load_us
             (compile_us /. Float.max load_us 1e-9)
             planned worst saving split
           :: !records;
@@ -1268,7 +1255,7 @@ let incremental () =
         let per_tok t = t /. float_of_int (tokens + 1) in
         records :=
           Printf.sprintf
-            "  {\"kind\": \"tree\", \"nodes\": %d, \"tokens\": %d, \
+            "{\"kind\": \"tree\", \"nodes\": %d, \"tokens\": %d, \
              \"session_total_us\": %.2f, \"session_per_token_us\": %.3f, \
              \"cold_total_us\": %.2f, \"cold_per_token_us\": %.3f, \
              \"speedup\": %.2f, \"extends\": %d, \"cold_windows\": %d, \
@@ -1367,7 +1354,7 @@ let sessions_bench () =
     let slo = s.Engine.slo in
     records :=
       Printf.sprintf
-        "  {\"kind\": \"sweep\", \"budget_bytes\": %s, \"ttl_us\": %s, \
+        "{\"kind\": \"sweep\", \"budget_bytes\": %s, \"ttl_us\": %s, \
          \"sessions\": %d, \"tokens\": %d, \"goodput_rps\": %.0f, \
          \"per_token_us\": %.2f, \"p99_us\": %.1f, \"evictions\": %d, \
          \"expired\": %d, \"spills\": %d, \"restores\": %d, \
@@ -1420,7 +1407,7 @@ let sessions_bench () =
     (fun bytes ->
       records :=
         Printf.sprintf
-          "  {\"kind\": \"cost\", \"bytes\": %d, \"spill_us\": %.2f, \"restore_us\": %.2f}"
+          "{\"kind\": \"cost\", \"bytes\": %d, \"spill_us\": %.2f, \"restore_us\": %.2f}"
           bytes
           (Session_store.spill_cost_us ~bytes)
           (Session_store.restore_cost_us ~bytes)
@@ -1525,7 +1512,7 @@ let packing () =
         end;
         records :=
           Printf.sprintf
-            "  {\"sessions\": %d, \"tokens_per_session\": %d, \
+            "{\"sessions\": %d, \"tokens_per_session\": %d, \
              \"pack_window\": 64, \"packed_windows\": %d, \
              \"packed_tokens\": %d, \"device_us_per_token\": %.3f, \
              \"unpacked_device_us_per_token\": %.3f, \"kernel_launches\": %d, \

@@ -19,9 +19,6 @@
 module Lower = Cortex_lower.Lower
 module Checkpoint = Cortex_runtime.Checkpoint
 
-val magic : string
-val version : int
-
 type plan_entry = {
   bp_backend : string;  (** [Backend.short] of the backend tuned for *)
   bp_bucket : int;  (** [Dispatch.size_bucket] of the tuned shape class *)

@@ -1,5 +1,6 @@
 module Rng = Cortex_util.Rng
 module Table = Cortex_util.Table
+module Json = Cortex_util.Json
 module Gen = Cortex_ds.Gen
 module Structure = Cortex_ds.Structure
 module Backend = Cortex_backend.Backend
@@ -376,88 +377,52 @@ let table r =
     rows
 
 let json_lines r =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i sc ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  {\"rank\": %d, \"mode\": %S, \"family\": %S, \"sev\": %d, \
+  Json.lines
+    (List.mapi
+       (fun i sc ->
+         Printf.sprintf
+           "{\"rank\": %d, \"mode\": \"%s\", \"family\": \"%s\", \"sev\": %d, \
             \"occ\": %d, \"det\": %d, \"rpn\": %d, \"completed\": %d, \
             \"lost\": %d, \"shed\": %d, \"miss_delta\": %.4f, \
-            \"goodput_loss\": %.4f, \"damage_us\": %s, \"detect\": %S, \
-            \"rate\": %g, \"grammar\": %S}"
-           (i + 1) sc.sc_mode.fm_id sc.sc_mode.fm_family sc.sc_severity
-           sc.sc_occurrence sc.sc_detectability sc.sc_rpn sc.sc_completed
+            \"goodput_loss\": %.4f, \"damage_us\": %s, \"detect\": \"%s\", \
+            \"rate\": %g, \"grammar\": \"%s\"}"
+           (i + 1) (Json.escape sc.sc_mode.fm_id) (Json.escape sc.sc_mode.fm_family)
+           sc.sc_severity sc.sc_occurrence sc.sc_detectability sc.sc_rpn sc.sc_completed
            sc.sc_lost sc.sc_shed sc.sc_miss_delta sc.sc_goodput_loss
            (damage_cell sc.sc_damage_us
            |> fun s -> if s = "-" then "null" else s)
-           (Scan.detection_to_string sc.sc_detection)
-           sc.sc_mode.fm_rate sc.sc_mode.fm_grammar))
-    r.res_rows;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+           (Json.escape (Scan.detection_to_string sc.sc_detection))
+           sc.sc_mode.fm_rate (Json.escape sc.sc_mode.fm_grammar))
+       r.res_rows)
 
 (* ---------- ranking persistence (the --baseline-diff side) ---------- *)
 
-(* A minimal field scanner for the fixed format [json_lines] writes:
-   good enough to read back our own artifact, refusing anything that
-   does not look like it. *)
-let find_field line key =
-  let pat = Printf.sprintf "\"%s\": " key in
-  let plen = String.length pat and llen = String.length line in
-  let rec search i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then Some (i + plen)
-    else search (i + 1)
-  in
-  search 0
-
-let field_int line key =
-  match find_field line key with
-  | None -> None
-  | Some start ->
-    let rec stop i =
-      if i < String.length line && (line.[i] = '-' || (line.[i] >= '0' && line.[i] <= '9'))
-      then stop (i + 1)
-      else i
-    in
-    int_of_string_opt (String.sub line start (stop start - start))
-
-let field_str line key =
-  match find_field line key with
-  | None -> None
-  | Some start ->
-    if start >= String.length line || line.[start] <> '"' then None
-    else
-      let rec stop i =
-        if i >= String.length line then None
-        else if line.[i] = '"' && line.[i - 1] <> '\\' then Some i
-        else stop (i + 1)
-      in
-      Option.map
-        (fun e -> Scanf.unescaped (String.sub line (start + 1) (e - start - 1)))
-        (stop (start + 1))
+(* Each row must be an object with a string [mode] and a positive
+   integer [rank]; every other member is ignored. *)
+let ranking_row i = function
+  | Json.Obj fields -> (
+    match (List.assoc_opt "mode" fields, List.assoc_opt "rank" fields) with
+    | Some (Json.Str id), Some (Json.Num r)
+      when Float.is_integer r && r >= 1.0 && r <= 1e15 ->
+      Ok (id, int_of_float r)
+    | Some (Json.Str _), _ ->
+      Error (Printf.sprintf "row %d: \"rank\" is not a positive integer" i)
+    | _ -> Error (Printf.sprintf "row %d: no \"mode\" string" i))
+  | _ -> Error (Printf.sprintf "row %d: not an object" i)
 
 let load_ranking text =
-  let lines = String.split_on_char '\n' text in
-  let rec go acc n = function
+  let rec rows acc i = function
     | [] -> Ok (List.rev acc)
-    | line :: rest ->
-      let t = String.trim line in
-      if t = "" || t = "[" || t = "]" then go acc (n + 1) rest
-      else (
-        match (field_str t "mode", field_int t "rank") with
-        | Some id, Some rank -> go ((id, rank) :: acc) (n + 1) rest
-        | _ ->
-          Error
-            (Printf.sprintf "line %d: not a criticality row: %s" n
-               (if String.length t > 60 then String.sub t 0 60 ^ "..." else t)))
+    | row :: rest -> (
+      match ranking_row i row with
+      | Ok entry -> rows (entry :: acc) (i + 1) rest
+      | Error e -> Error e)
   in
-  match go [] 1 lines with
-  | Ok [] -> Error "no criticality rows found"
-  | r -> r
+  match Json.of_string text with
+  | exception Json.Parse_error reason -> Error reason
+  | Json.Arr [] -> Error "no criticality rows found"
+  | Json.Arr items -> rows [] 1 items
+  | _ -> Error "not a JSON array of criticality rows"
 
 let diff_ranking ~baseline r =
   let changes = ref [] in

@@ -107,7 +107,10 @@ val json_lines : result -> string
 
 val load_ranking : string -> ((string * int) list, string) Stdlib.result
 (** Parse a {!json_lines} document back to [(mode id, rank)] pairs —
-    what [--baseline-diff] reads from the committed artifact. *)
+    what [--baseline-diff] reads from the committed artifact.  The text
+    must be a non-empty JSON array of objects, each with a string
+    [mode] and a positive integer [rank]; anything else is an [Error]
+    naming the offset or the row, never an exception. *)
 
 val diff_ranking : baseline:(string * int) list -> result -> string list
 (** Rank changes of [result] against a previously saved ranking: one

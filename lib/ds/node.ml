@@ -13,13 +13,9 @@ let make b ?(payload = -1) children =
   b.next_id <- id + 1;
   { id; payload; children = Array.of_list children }
 
-let count b = b.next_id
-
 let is_leaf n = Array.length n.children = 0
 let num_children n = Array.length n.children
 
 let child n i =
   if i < 0 || i >= Array.length n.children then invalid_arg "Node.child";
   n.children.(i)
-
-let equal a b = a.id = b.id

@@ -24,12 +24,6 @@ val make : builder -> ?payload:int -> t list -> t
 (** [make b children] allocates a fresh node.  In a DAG the same node
     value may appear in several child lists. *)
 
-val count : builder -> int
-(** Number of nodes allocated so far. *)
-
 val is_leaf : t -> bool
 val num_children : t -> int
 val child : t -> int -> t
-
-val equal : t -> t -> bool
-(** Physical node identity (by id). *)

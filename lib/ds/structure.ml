@@ -166,8 +166,6 @@ let append base ~roots ~(added : Node.t array) =
 let num_leaves t =
   Array.fold_left (fun acc n -> if Node.is_leaf n then acc + 1 else acc) 0 t.nodes
 
-let num_internal t = num_nodes t - num_leaves t
-
 let level t =
   let n = num_nodes t in
   let lvl = Array.make n (-1) in

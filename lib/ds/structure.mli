@@ -36,7 +36,6 @@ val append : t -> roots:Node.t list -> added:Node.t array -> t
 
 val num_nodes : t -> int
 val num_leaves : t -> int
-val num_internal : t -> int
 
 val height : t -> int
 (** Length in edges of the longest root-to-leaf path (0 for a single

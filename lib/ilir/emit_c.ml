@@ -116,6 +116,7 @@ let tensor_decl (t : tensor) =
   Printf.sprintf "  %s %s;  /* %s */" qualifier t.tname
     ("[" ^ String.concat "][" (List.map expr_to_string t.extents) ^ "]")
 
+(* Emit a single kernel body. *)
 let kernel k =
   let buf = Buffer.create 1024 in
   let args =

@@ -20,6 +20,3 @@
 val program : Ir.program -> string
 (** Emit every kernel of the program, preceded by the buffer/lookup
     signature derived from its tensors and uninterpreted functions. *)
-
-val kernel : Ir.kernel -> string
-(** Emit a single kernel body. *)

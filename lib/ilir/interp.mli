@@ -41,7 +41,6 @@ type counters = {
 }
 
 val space_index : Ir.space -> int
-val fresh_counters : unit -> counters
 
 type context
 

@@ -19,7 +19,6 @@ module Dim = struct
     incr counter;
     { dname; did = !counter }
 
-  let equal a b = a.did = b.did
   let name d = d.dname
 end
 
@@ -38,8 +37,6 @@ module Uf = struct
   let fresh ?range uname ~arity =
     incr counter;
     { uname; uid = !counter; arity; range }
-
-  let equal a b = a.uid = b.uid
 end
 
 (* ---------- variables ---------- *)
@@ -155,13 +152,6 @@ let tensor ?(space = Global) tname dims extents =
 
 let int n = Int n
 let flt v = Flt v
-let var v = Var v
-let ( +: ) a b = Binop (Add, a, b)
-let ( -: ) a b = Binop (Sub, a, b)
-let ( *: ) a b = Binop (Mul, a, b)
-let ( /: ) a b = Binop (Div, a, b)
-let ( <: ) a b = Cmp (Lt, a, b)
-let ( >=: ) a b = Cmp (Ge, a, b)
 
 let for_ ?(kind = Serial) ?dim v extent body = For { v; extent; kind; dim; body }
 let seq stmts = match stmts with [ s ] -> s | stmts -> Seq stmts

@@ -16,8 +16,6 @@ module Dim : sig
   type t = { dname : string; did : int }
 
   val fresh : string -> t
-  val equal : t -> t -> bool
-  val name : t -> string
 end
 
 (** Uninterpreted integer functions (§5.1): the compile-time handle on
@@ -29,7 +27,6 @@ module Uf : sig
   type t = { uname : string; uid : int; arity : int; range : (int * int) option }
 
   val fresh : ?range:int * int -> string -> arity:int -> t
-  val equal : t -> t -> bool
 end
 
 module Var : sig
@@ -123,13 +120,6 @@ val tensor : ?space:space -> string -> Dim.t list -> expr list -> tensor
 
 val int : int -> expr
 val flt : float -> expr
-val var : Var.t -> expr
-val ( +: ) : expr -> expr -> expr
-val ( -: ) : expr -> expr -> expr
-val ( *: ) : expr -> expr -> expr
-val ( /: ) : expr -> expr -> expr
-val ( <: ) : expr -> expr -> expr
-val ( >=: ) : expr -> expr -> expr
 
 val for_ : ?kind:loop_kind -> ?dim:Dim.t -> Var.t -> expr -> stmt -> stmt
 val seq : stmt list -> stmt
@@ -163,9 +153,7 @@ val claim_ids : program -> unit
 
 (** {2 Printing} *)
 
-val binop_name : binop -> string
 val cmpop_name : cmpop -> string
-val loop_kind_name : loop_kind -> string
 val expr_to_string : expr -> string
 val stmt_to_string : stmt -> string
 val program_to_string : program -> string

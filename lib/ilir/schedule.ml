@@ -122,6 +122,7 @@ let unroll ~name s =
       | _ -> fail "unroll: loop %s has a non-constant extent" name)
     s
 
+(* Mark a loop parallel / vectorized / serial / unrolled. *)
 let set_kind ~name kind s =
   on_loop ~name (fun ~v ~extent ~kind:_ ~dim ~body -> For { v; extent; kind; dim; body }) s
 

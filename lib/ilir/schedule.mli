@@ -22,9 +22,6 @@ val split_peeled : name:string -> factor:int -> Ir.stmt -> Ir.stmt
 val unroll : name:string -> Ir.stmt -> Ir.stmt
 (** Fully unroll a constant-extent loop into a [Seq] of instances. *)
 
-val set_kind : name:string -> Ir.loop_kind -> Ir.stmt -> Ir.stmt
-(** Mark a loop parallel / vectorized / serial / unrolled. *)
-
 val reorder : outer:string -> inner:string -> Ir.stmt -> Ir.stmt
 (** Interchange two perfectly nested loops ([inner] directly inside
     [outer], no intervening statements).  Raises [Schedule_error] when
@@ -102,8 +99,6 @@ val directive_loops : directive -> string list
 val apply_directive : directive -> Ir.stmt -> Ir.stmt * Ir.tensor list
 (** Apply one directive; the tensor list holds any staging tensors the
     directive introduced (to be appended to the program temporaries). *)
-
-val directive_to_string : directive -> string
 
 val plan_to_string : plan -> string
 (** ["default"] for the empty plan, else [;]-joined directives, e.g.

@@ -79,6 +79,8 @@ let delinearize l =
 
 (* ---------- interval arithmetic ---------- *)
 
+(* Inclusive interval of an integer expression, when derivable.  UF
+   calls fall back to their declared ranges. *)
 let rec interval env e =
   match e with
   | Int n -> Some (n, n)

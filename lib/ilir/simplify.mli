@@ -17,10 +17,6 @@ val bind_range : env -> Ir.Var.t -> lo:Ir.expr -> hi:Ir.expr -> env
     may be symbolic (e.g. [hi = batch_len(b) - 1]), which is what lets
     the prover cancel UF terms the way the paper leans on Z3. *)
 
-val interval : env -> Ir.expr -> (int * int) option
-(** Inclusive interval of an integer expression, when derivable.
-    UF calls fall back to their declared ranges. *)
-
 val prove : env -> Ir.expr -> bool option
 (** [prove env cond] is [Some true]/[Some false] when the boolean
     expression is decided by linear normalization + intervals, [None]

@@ -1,3 +1,5 @@
+module Json = Cortex_util.Json
+
 type phase = Begin | End | Instant | Metadata
 
 type value = Int of int | Float of float | Str of string | Bool of bool
@@ -32,22 +34,6 @@ let phase_to_string = function
   | Instant -> "i"
   | Metadata -> "M"
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* One fixed float format for every float in the file: plain decimal
    (JSON has no infinities, and %h-style hex floats are not JSON), with
    enough digits to round-trip the sub-microsecond part. *)
@@ -59,7 +45,7 @@ let float_to_json v =
 let value_to_json = function
   | Int i -> string_of_int i
   | Float f -> float_to_json f
-  | Str s -> "\"" ^ escape s ^ "\""
+  | Str s -> "\"" ^ Json.escape s ^ "\""
   | Bool b -> if b then "true" else "false"
 
 let event_to_json e =
@@ -69,11 +55,11 @@ let event_to_json e =
     | args ->
       Printf.sprintf ",\"args\":{%s}"
         (String.concat ","
-           (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (escape k) (value_to_json v)) args))
+           (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (Json.escape k) (value_to_json v)) args))
   in
   Printf.sprintf
     "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%s,\"pid\":%d,\"tid\":%d%s}"
-    (escape e.ev_name) (escape e.ev_cat) (phase_to_string e.ev_ph)
+    (Json.escape e.ev_name) (Json.escape e.ev_cat) (phase_to_string e.ev_ph)
     (float_to_json e.ev_ts_us) e.ev_pid e.ev_tid args
 
 let to_json events =
@@ -89,147 +75,6 @@ let to_json events =
 
 (* ---------- parsing ---------- *)
 
-(* A minimal recursive-descent JSON parser — just enough for trace-event
-   documents, so `cortex validate-trace` needs no external dependency. *)
-
-type json =
-  | J_null
-  | J_bool of bool
-  | J_num of float
-  | J_str of string
-  | J_arr of json list
-  | J_obj of (string * json) list
-
-exception Parse_error of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_literal lit v =
-    if !pos + String.length lit <= n && String.sub s !pos (String.length lit) = lit
-    then begin
-      pos := !pos + String.length lit;
-      v
-    end
-    else fail ("expected " ^ lit)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      if c = '"' then Buffer.contents buf
-      else if c = '\\' then begin
-        if !pos >= n then fail "unterminated escape";
-        let e = s.[!pos] in
-        advance ();
-        (match e with
-         | '"' -> Buffer.add_char buf '"'
-         | '\\' -> Buffer.add_char buf '\\'
-         | '/' -> Buffer.add_char buf '/'
-         | 'n' -> Buffer.add_char buf '\n'
-         | 't' -> Buffer.add_char buf '\t'
-         | 'r' -> Buffer.add_char buf '\r'
-         | 'b' -> Buffer.add_char buf '\b'
-         | 'f' -> Buffer.add_char buf '\012'
-         | 'u' ->
-           if !pos + 4 > n then fail "truncated \\u escape";
-           let hex = String.sub s !pos 4 in
-           pos := !pos + 4;
-           let code =
-             try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-           in
-           (* Keep it simple: non-ASCII escapes round-trip as '?'. *)
-           Buffer.add_char buf (if code < 0x80 then Char.chr code else '?')
-         | _ -> fail "unknown escape");
-        go ()
-      end
-      else begin
-        Buffer.add_char buf c;
-        go ()
-      end
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    let text = String.sub s start (!pos - start) in
-    match float_of_string_opt text with
-    | Some f -> f
-    | None -> fail ("bad number " ^ text)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin advance (); J_obj [] end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); members ((k, v) :: acc)
-          | Some '}' -> advance (); J_obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected ',' or '}'"
-        in
-        members []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin advance (); J_arr [] end
-      else begin
-        let rec elems acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); elems (v :: acc)
-          | Some ']' -> advance (); J_arr (List.rev (v :: acc))
-          | _ -> fail "expected ',' or ']'"
-        in
-        elems []
-      end
-    | Some '"' -> J_str (parse_string ())
-    | Some 't' -> parse_literal "true" (J_bool true)
-    | Some 'f' -> parse_literal "false" (J_bool false)
-    | Some 'n' -> parse_literal "null" J_null
-    | Some _ -> J_num (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
 let phase_of_string = function
   | "B" -> Some Begin
   | "E" -> Some End
@@ -239,9 +84,9 @@ let phase_of_string = function
 
 let event_of_json j =
   match j with
-  | J_obj fields ->
-    let str k = match List.assoc_opt k fields with Some (J_str s) -> Some s | _ -> None in
-    let num k = match List.assoc_opt k fields with Some (J_num f) -> Some f | _ -> None in
+  | Json.Obj fields ->
+    let str k = match List.assoc_opt k fields with Some (Json.Str s) -> Some s | _ -> None in
+    let num k = match List.assoc_opt k fields with Some (Json.Num f) -> Some f | _ -> None in
     let ph =
       match str "ph" with
       | None -> Error "event missing \"ph\""
@@ -257,13 +102,13 @@ let event_of_json j =
         | Some name, Some ts ->
           let args =
             match List.assoc_opt "args" fields with
-            | Some (J_obj kvs) ->
+            | Some (Json.Obj kvs) ->
               List.filter_map
                 (fun (k, v) ->
                   match v with
-                  | J_str s -> Some (k, Str s)
-                  | J_bool b -> Some (k, Bool b)
-                  | J_num f ->
+                  | Json.Str s -> Some (k, Str s)
+                  | Json.Bool b -> Some (k, Bool b)
+                  | Json.Num f ->
                     if Float.is_integer f && Float.abs f <= 1e15 then
                       Some (k, Int (int_of_float f))
                     else Some (k, Float f)
@@ -296,11 +141,11 @@ let parse text =
     in
     go [] items
   in
-  match parse_json text with
-  | exception Parse_error msg -> Error msg
-  | J_arr items -> events_of items
-  | J_obj fields -> (
+  match Json.of_string text with
+  | exception Json.Parse_error msg -> Error msg
+  | Json.Arr items -> events_of items
+  | Json.Obj fields -> (
     match List.assoc_opt "traceEvents" fields with
-    | Some (J_arr items) -> events_of items
+    | Some (Json.Arr items) -> events_of items
     | _ -> Error "no \"traceEvents\" array in trace object")
   | _ -> Error "trace document is neither an array nor an object"

@@ -1,5 +1,5 @@
 (** Chrome trace-event JSON: the event model, a canonical serializer and
-    a small parser.
+    a parser, both over the shared codec {!Cortex_util.Json}.
 
     The {{:https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU}
     trace-event format} is the de-facto interchange for span profiles:

@@ -50,9 +50,6 @@ let create ?(clock = Measured) () =
     m = Metrics.create ();
   }
 
-let clock t = t.clk
-let metrics t = t.m
-
 let now_us t =
   match t.clk with
   | Measured -> (Unix.gettimeofday () -. t.t0) *. 1e6

@@ -45,9 +45,6 @@ type t
 val create : ?clock:clock -> unit -> t
 (** A fresh handle (default {!Measured}). *)
 
-val clock : t -> clock
-val metrics : t -> Metrics.t
-
 (** {2 Recording}
 
     [track] names the horizontal lane the event lands on (["compile"],

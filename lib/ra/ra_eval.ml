@@ -117,6 +117,8 @@ let run program ~params structure =
   List.iter eval_node structure.Structure.roots;
   { program; structure; values }
 
+(* Value of any operator at a node (leaf nodes expose their leaf-case
+   operators). *)
 let op_value t name (node : Node.t) =
   match Hashtbl.find_opt t.values.(node.id) name with
   | Some v -> v

@@ -22,7 +22,3 @@ val run :
 
 val state : t -> string -> Cortex_ds.Node.t -> Cortex_tensor.Tensor.t
 (** Value of a state at a node. *)
-
-val op_value : t -> string -> Cortex_ds.Node.t -> Cortex_tensor.Tensor.t
-(** Value of any operator at a node (leaf nodes expose their leaf-case
-    operators). *)

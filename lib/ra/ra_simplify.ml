@@ -73,6 +73,8 @@ let rec node_dependent ~ops e =
   | Binop (_, a, b) -> node_dependent ~ops a || node_dependent ~ops b
   | Math (_, a) | Sum (_, _, a) -> node_dependent ~ops a
 
+(* Replace temp references whose defining operator folded to a
+   constant. *)
 let rec subst_const_temps lookup e =
   match e with
   | Temp (name, _) -> (match lookup name with Some v -> Const v | None -> e)

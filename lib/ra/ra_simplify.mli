@@ -23,10 +23,6 @@ val node_dependent : ops:Ra.op list -> Ra.rexpr -> bool
     in [ops]) is node-dependent.  Hoisting applies to leaf operators
     that are not node-dependent after substitution and folding. *)
 
-val subst_const_temps : (string -> float option) -> Ra.rexpr -> Ra.rexpr
-(** Replace temp references whose defining operator folded to a
-    constant. *)
-
 val const_propagate : Ra.op list -> Ra.op list
 (** Fold each operator's body, propagating operators that become
     constants into their consumers (in definition order).  This is the

@@ -12,8 +12,6 @@ type quantities = {
   intensity : float;  (** O = F / B *)
 }
 
-val flops : n:int -> b:int -> h:int -> float
-
 val cortex : n:int -> b:int -> h:int -> quantities
 (** Weights and bias read once (persisted); hidden states touched once
     per edge. *)

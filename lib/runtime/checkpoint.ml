@@ -93,6 +93,11 @@ let check_remaining c ~need what =
     raise
       (Corrupt (Printf.sprintf "%s: %d bytes claimed, %d left in the file" what need (left c)))
 
+(* The last tensor ends the range: appended bytes are corruption too. *)
+let at_end c entries =
+  if left c > 0 then raise (Corrupt (Printf.sprintf "%d trailing bytes" (left c)));
+  entries
+
 (* The shared walk.  [payload] decides whether the float data is
    materialized (one loop straight into tensor storage) or skipped in
    place (manifests: names and shapes only). *)
@@ -133,6 +138,7 @@ let parse ~payload c =
         (name, shape, Some (Tensor.of_array shape data))
       end
       else (name, shape, None))
+  |> at_end c
 
 let table_of_parse entries =
   List.map

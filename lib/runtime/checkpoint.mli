@@ -36,7 +36,8 @@ val to_string : t -> string
 
 val of_string : ?pos:int -> ?len:int -> string -> t
 (** Parse the table held in [s.[pos, pos + len)] (the whole string by
-    default).  Raises {!Corrupt} on bad magic or truncated data.
+    default).  Raises {!Corrupt} on bad magic, truncated data or bytes
+    left in the range after the last tensor.
     Hardened against adversarial headers: tensor counts, name lengths
     and payload sizes are bounded against the bytes left in the range
     {e before} any allocation, and the payload's byte count is

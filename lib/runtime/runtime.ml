@@ -93,6 +93,8 @@ let scale_report r factor = { r with latency = Backend.scale_latency r.latency f
 module Schedule_check = struct
   type verdict = Valid | Invalid of string
 
+  (* Whether the schedule's variable-bound loops are peeled (we peel by
+     default whenever dynamic batching is on). *)
   let peeling (options : Lower.options) = options.Lower.dynamic_batch
 
   let check ~backend ~hidden ~states (options : Lower.options) ~(cost : Cost.t) =

@@ -138,10 +138,6 @@ module Schedule_check : sig
       whose persisted weights already nearly fill the budget (the
       TreeLSTM case the appendix describes). *)
 
-  val peeling : Cortex_lower.Lower.options -> bool
-  (** Whether the schedule's variable-bound loops are peeled (we peel by
-      default whenever dynamic batching is on). *)
-
   val check_capacity :
     backend:Cortex_backend.Backend.t ->
     Cortex_lower.Lower.options ->

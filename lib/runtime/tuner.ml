@@ -19,6 +19,8 @@ let label_of (o : Lower.options) =
   in
   if tags = [] then "plain" else String.concat "+" tags
 
+(* The valid schedule lattice for this model (structurally valid; the
+   App. D check is applied during [tune2] because it needs the cost). *)
 let candidates (spec : M.t) =
   let program = spec.M.program in
   let tree_like = program.Ra.kind <> Structure.Dag in

@@ -11,10 +11,6 @@
     search: with [~plan_budget:0] it is that options-only grid search,
     and with a budget it also sweeps loop plans per options point. *)
 
-val candidates : Cortex_models.Models_common.t -> (string * Cortex_lower.Lower.options) list
-(** The valid schedule lattice for this model (structurally valid; the
-    App. D check is applied during {!tune2} because it needs the cost). *)
-
 (** {2 Level 2: loop-schedule parameters}
 
     The second search level sweeps loop-level schedule parameters —

@@ -50,7 +50,6 @@ let create ~policy backends =
   in
   { policy; devices; cursor = 0 }
 
-let num_devices t = Array.length t.devices
 let devices t = t.devices
 let policy t = t.policy
 

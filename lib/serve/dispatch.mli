@@ -51,7 +51,6 @@ val create : policy:policy -> Backend.t list -> t
 (** Fresh idle devices, one per backend, in list order.  Raises
     [Invalid_argument] on an empty list. *)
 
-val num_devices : t -> int
 val devices : t -> device array
 val policy : t -> policy
 

@@ -167,8 +167,6 @@ let create ~seed ~devices spec =
   done;
   { spec; inj_seed = seed; streams }
 
-let seed t = t.inj_seed
-
 let matches device fault_dev = fault_dev < 0 || fault_dev = device
 
 let fail_at t device =

@@ -72,8 +72,6 @@ val create : seed:int -> devices:int -> spec -> t
 (** Raises [Invalid_argument] if the spec names a device index
     [>= devices]. *)
 
-val seed : t -> int
-
 val fail_at : t -> int -> float
 (** When the device fail-stops ([infinity] if never): the earliest
     matching {!Fail_stop}. *)

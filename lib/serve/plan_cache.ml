@@ -51,8 +51,6 @@ let create ?(budget = 16) () =
   if budget < 1 then invalid_arg "Plan_cache.create: budget must be >= 1";
   { budget; table = Hashtbl.create 8; hits = 0; misses = 0; tune_ms = 0.0 }
 
-let budget t = t.budget
-
 let find_or_tune ?obs ?(packed = false) t ~(compiled : Lower.compiled)
     ~(backend : Backend.t) ~(lin : Linearizer.t) ~nodes =
   (* Packed multi-session windows tune in their own key space: their
@@ -139,9 +137,3 @@ let entries t =
         (a.pe_backend, a.pe_bucket, a.pe_packed)
         (b.pe_backend, b.pe_bucket, b.pe_packed))
     (Hashtbl.fold (fun _ e acc -> e :: acc) t.table [])
-
-let clear t =
-  Hashtbl.reset t.table;
-  t.hits <- 0;
-  t.misses <- 0;
-  t.tune_ms <- 0.0

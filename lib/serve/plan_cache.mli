@@ -45,8 +45,6 @@ val create : ?budget:int -> unit -> t
     it counts plans, not wall time, so a given artifact and
     linearization always tune to the same winner. *)
 
-val budget : t -> int
-
 val find_or_tune :
   ?obs:Cortex_obs.Obs.t ->
   ?packed:bool ->
@@ -80,5 +78,3 @@ val hit_rate : stats -> float
 val entries : t -> entry list
 (** All entries, sorted by (backend, bucket, packed) for deterministic
     reporting. *)
-
-val clear : t -> unit

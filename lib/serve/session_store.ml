@@ -91,8 +91,6 @@ let touch t name ~bytes ~now_us =
     Hashtbl.replace t.live name { e_bytes = bytes; e_last_us = now_us };
     t.total_bytes <- t.total_bytes + bytes
 
-let bytes t = t.total_bytes
-
 (* ---------- priced spill/restore costs ---------- *)
 
 (* Deterministic cost models, in the spirit of the backend latency

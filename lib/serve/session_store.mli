@@ -73,9 +73,6 @@ val touch : t -> string -> bytes:int -> now_us:float -> unit
     Creates the entry on first touch (admission and re-admission both
     land here). *)
 
-val bytes : t -> int
-(** Accounted bytes across live sessions. *)
-
 val victims : t -> now_us:float -> (string * [ `Ttl | `Budget ]) list
 (** The sessions an eviction pass at [now_us] must remove, in eviction
     order: every live session idle past [ttl_us] first, then — if the

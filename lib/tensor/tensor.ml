@@ -5,7 +5,6 @@ let create shape v =
   { shape; data = Array.make (Shape.numel shape) v }
 
 let zeros shape = create shape 0.0
-let ones shape = create shape 1.0
 
 let init shape f =
   Shape.validate shape;
@@ -39,7 +38,6 @@ let dim t i =
   t.shape.(i)
 
 let copy t = { shape = t.shape; data = Array.copy t.data }
-let fill t v = Array.fill t.data 0 (Array.length t.data) v
 
 let reshape t shape =
   Shape.validate shape;

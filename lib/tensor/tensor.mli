@@ -12,7 +12,6 @@ val create : Shape.t -> float -> t
 (** Filled with a constant. *)
 
 val zeros : Shape.t -> t
-val ones : Shape.t -> t
 
 val init : Shape.t -> (int array -> float) -> t
 (** [init shape f] fills each cell from its multi-index. *)
@@ -29,12 +28,10 @@ val get_flat : t -> int -> float
 val set_flat : t -> int -> float -> unit
 
 val numel : t -> int
-val rank : t -> int
 val dim : t -> int -> int
 (** Extent of one dimension. *)
 
 val copy : t -> t
-val fill : t -> float -> unit
 
 val reshape : t -> Shape.t -> t
 (** Shares data; element counts must match. *)

@@ -1,0 +1,163 @@
+type t =
+  | Null
+  | Bool of bool
+  | Num of float
+  | Str of string
+  | Arr of t list
+  | Obj of (string * t) list
+
+exception Parse_error of string
+
+(* ---------- writing ---------- *)
+
+let escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let lines records =
+  "[\n" ^ String.concat ",\n" (List.map (fun r -> "  " ^ r) records) ^ "\n]\n"
+
+(* ---------- parsing ---------- *)
+
+(* A minimal recursive-descent JSON parser — just enough for trace-event
+   documents and the record arrays above, so no reader needs an external
+   dependency. *)
+let of_string (s : string) : t =
+  let n = String.length s in
+  let pos = ref 0 in
+  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let advance () = incr pos in
+  let rec skip_ws () =
+    match peek () with
+    | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
+    | _ -> ()
+  in
+  let expect c =
+    match peek () with
+    | Some c' when c' = c -> advance ()
+    | _ -> fail (Printf.sprintf "expected '%c'" c)
+  in
+  let parse_literal lit v =
+    if !pos + String.length lit <= n && String.sub s !pos (String.length lit) = lit
+    then begin
+      pos := !pos + String.length lit;
+      v
+    end
+    else fail ("expected " ^ lit)
+  in
+  let parse_string () =
+    expect '"';
+    let buf = Buffer.create 16 in
+    let rec go () =
+      if !pos >= n then fail "unterminated string";
+      let c = s.[!pos] in
+      advance ();
+      if c = '"' then Buffer.contents buf
+      else if c = '\\' then begin
+        if !pos >= n then fail "unterminated escape";
+        let e = s.[!pos] in
+        advance ();
+        (match e with
+         | '"' -> Buffer.add_char buf '"'
+         | '\\' -> Buffer.add_char buf '\\'
+         | '/' -> Buffer.add_char buf '/'
+         | 'n' -> Buffer.add_char buf '\n'
+         | 't' -> Buffer.add_char buf '\t'
+         | 'r' -> Buffer.add_char buf '\r'
+         | 'b' -> Buffer.add_char buf '\b'
+         | 'f' -> Buffer.add_char buf '\012'
+         | 'u' ->
+           if !pos + 4 > n then fail "truncated \\u escape";
+           let hex = String.sub s !pos 4 in
+           pos := !pos + 4;
+           let code =
+             try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
+           in
+           (* Keep it simple: non-ASCII escapes round-trip as '?'. *)
+           Buffer.add_char buf (if code < 0x80 then Char.chr code else '?')
+         | _ -> fail "unknown escape");
+        go ()
+      end
+      else begin
+        Buffer.add_char buf c;
+        go ()
+      end
+    in
+    go ()
+  in
+  let parse_number () =
+    let start = !pos in
+    let is_num_char c =
+      match c with
+      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+      | _ -> false
+    in
+    while (match peek () with Some c when is_num_char c -> true | _ -> false) do
+      advance ()
+    done;
+    let text = String.sub s start (!pos - start) in
+    match float_of_string_opt text with
+    | Some f -> f
+    | None -> fail ("bad number " ^ text)
+  in
+  let rec parse_value () =
+    skip_ws ();
+    match peek () with
+    | Some '{' ->
+      advance ();
+      skip_ws ();
+      if peek () = Some '}' then begin advance (); Obj [] end
+      else begin
+        let rec members acc =
+          skip_ws ();
+          let k = parse_string () in
+          skip_ws ();
+          expect ':';
+          let v = parse_value () in
+          skip_ws ();
+          match peek () with
+          | Some ',' -> advance (); members ((k, v) :: acc)
+          | Some '}' -> advance (); Obj (List.rev ((k, v) :: acc))
+          | _ -> fail "expected ',' or '}'"
+        in
+        members []
+      end
+    | Some '[' ->
+      advance ();
+      skip_ws ();
+      if peek () = Some ']' then begin advance (); Arr [] end
+      else begin
+        let rec elems acc =
+          let v = parse_value () in
+          skip_ws ();
+          match peek () with
+          | Some ',' -> advance (); elems (v :: acc)
+          | Some ']' -> advance (); Arr (List.rev (v :: acc))
+          | _ -> fail "expected ',' or ']'"
+        in
+        elems []
+      end
+    | Some '"' -> Str (parse_string ())
+    | Some 't' -> parse_literal "true" (Bool true)
+    | Some 'f' -> parse_literal "false" (Bool false)
+    | Some 'n' -> parse_literal "null" Null
+    | Some _ -> Num (parse_number ())
+    | None -> fail "unexpected end of input"
+  in
+  let v = parse_value () in
+  skip_ws ();
+  if !pos <> n then fail "trailing garbage";
+  v

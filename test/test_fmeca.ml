@@ -189,12 +189,26 @@ let test_json_roundtrip () =
          (Fmeca.diff_ranking ~baseline:(List.tl ranking) res))
 
 let test_load_ranking_rejects_garbage () =
-  (match Fmeca.load_ranking "" with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "empty document accepted");
-  match Fmeca.load_ranking "[\n]\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "empty array accepted"
+  let row = {|{"rank": 1, "mode": "queue-cap-4", "family": "queue"}|} in
+  List.iter
+    (fun (label, doc) ->
+      match Fmeca.load_ranking doc with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s accepted" label
+      | exception e -> Alcotest.failf "%s raised %s" label (Printexc.to_string e))
+    [
+      ("empty document", "");
+      ("empty array", "[\n]\n");
+      ("illegal escape", "[\n  {\"rank\": 1, \"mode\": \"a\\q\"}\n]\n");
+      ("non-JSON line", {|garbage "rank": 3 "mode": "queue-cap-4"|});
+      ("truncated document", "[\n  " ^ row ^ ",\n  {\"rank\": 2, \"mo");
+      ("zero rank", {|[{"rank": 0, "mode": "queue-cap-4"}]|});
+      ("negative rank", {|[{"rank": -3, "mode": "queue-cap-4"}]|});
+      ("fractional rank", {|[{"rank": 1.5, "mode": "queue-cap-4"}]|});
+      ("string rank", {|[{"rank": "1", "mode": "queue-cap-4"}]|});
+      ("row with no mode", "[\n  " ^ row ^ ",\n  {\"rank\": 2, \"family\": \"queue\"}\n]\n");
+      ("row that is not an object", "[\n  " ^ row ^ ",\n  [2, \"queue-cap-4\"]\n]\n");
+    ]
 
 let () =
   Alcotest.run "fmeca"

@@ -187,6 +187,21 @@ let test_checkpoint_adversarial_headers () =
     Buffer.contents buf
   in
   load_bytes "overflowing extent product" overflow;
+  (* bytes appended after the last tensor, through every reader *)
+  let appended = Checkpoint.to_string table ^ "GARBAGE-APPENDED" in
+  load_bytes "appended bytes" appended;
+  List.iter
+    (fun (label, read) ->
+      match read () with
+      | () -> Alcotest.failf "%s accepted appended bytes" label
+      | exception Checkpoint.Corrupt _ -> ())
+    [
+      ("of_string", fun () -> ignore (Checkpoint.of_string appended));
+      ("manifest_of_string", fun () -> ignore (Checkpoint.manifest_of_string appended));
+      ( "a range one byte past the table",
+        fun () ->
+          ignore (Checkpoint.of_string ~pos:0 ~len:(String.length good + 1) appended) );
+    ];
   (* and the pristine bytes still load *)
   let path = Filename.temp_file "cortex" ".ok" in
   Fun.protect
@@ -282,6 +297,17 @@ let test_session_section_adversarial () =
     Buffer.contents buf
   in
   reject "overflowing state extent product" overflow_table;
+  reject "appended bytes" (good ^ "GARBAGE-APPENDED");
+  reject "one appended byte" (good ^ "\000");
+  let appended = Filename.temp_file "cortex" ".csx" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove appended)
+    (fun () ->
+      Out_channel.with_open_bin appended (fun oc ->
+          output_string oc (good ^ "GARBAGE-APPENDED"));
+      match Checkpoint.load_session ~expect_model:"TreeGRU" appended with
+      | _ -> Alcotest.fail "appended bytes accepted from file"
+      | exception Checkpoint.Corrupt _ -> ());
   (* And file round-trips use the same parser: save/load_session. *)
   let path = Filename.temp_file "cortex" ".csx" in
   Fun.protect
