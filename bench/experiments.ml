@@ -1030,7 +1030,7 @@ let chaos () =
     ~title:"Chaos — fail-stop of device 0 at t=2 ms, survivors absorb the load"
     ~header rows;
   print_endline
-    "No request is lost to a fail-stop while any device survives: in-flight windows abort at the\ninstant of death and fail over (re-bound through the shape cache, never re-linearized).\n";
+    "No request is lost to a fail-stop while any device survives: in-flight windows abort at the\ninstant of death and fail over with the layout they already have (never re-linearized).\n";
   (* Load shedding: 2x overload with and without a queue cap. *)
   let header =
     [ "queue cap"; "completed"; "shed"; "p99 us"; "req/s"; "goodput r/s" ]
@@ -1155,17 +1155,18 @@ let observability () =
 (* ---------- sessions: delta linearization vs cold re-linearization ---------- *)
 
 (* The serving tentpole's payoff, measured: a growing conversation
-   served token-by-token through a pinned session (delta views +
-   geometric [Linearizer.extend] materialization) versus a session-less
-   server that re-linearizes the whole conversation on every token.
-   Both sides are the engine's own host inspector wall clock, read off
-   its Obs ["inspector"] track: the session's per-token ["token"] spans
-   against the cold engine's ["linearize"] spans.  The cold engine runs
-   size-1 windows with the shape cache disabled, since every growing
-   prefix is a new shape anyway.  Also checks the tentpole's exactness
-   claim: the forest grown by repeated [extend] is bitwise identical to
-   a cold [run_forest] of the final conversation.  Writes
-   BENCH_incremental.json. *)
+   served token-by-token through a pinned session (delta views over the
+   session's scratch tables, which double as the conversation outgrows
+   them) versus a session-less server that re-linearizes the whole
+   conversation on every token.  Both sides are the engine's own host
+   inspector wall clock, read off its Obs ["inspector"] track: the
+   session's per-token ["token"] spans against the cold engine's
+   ["linearize"] spans.  The cold engine runs size-1 windows with the
+   shape cache disabled, since every growing prefix is a new shape
+   anyway.  Also checks the inspector's exactness claim: the forest
+   grown by repeated [Linearizer.extend] is bitwise identical to a cold
+   [run_forest] of the final conversation.  [materializations] counts
+   the session's table regrowths.  Writes BENCH_incremental.json. *)
 let incremental () =
   let spec = Models.Catalog.get "TreeLSTM" Models.Catalog.Small in
   let forest_equal (a : Linearizer.forest) (b : Linearizer.forest) =
@@ -1283,9 +1284,9 @@ let incremental () =
     ~header rows;
   write_bench "BENCH_incremental.json" (List.rev !records);
   print_endline
-    "A pinned session pays O(delta) host work per token (delta views, with geometric\n\
-     extend materializations amortizing to O(1) per node); the session-less server's\n\
-     per-token cost grows with the conversation.  Wrote BENCH_incremental.json.\n"
+    "A pinned session pays O(delta) host work per token (delta views over scratch tables\n\
+     that double as the conversation grows, O(1) amortized per node); the session-less\n\
+     server's per-token cost grows with the conversation.  Wrote BENCH_incremental.json.\n"
 
 (* ---------- Bounded session table: goodput vs budget ---------- *)
 

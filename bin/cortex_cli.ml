@@ -707,9 +707,8 @@ let serve_cmd =
              p.Engine.pr_plan)
          s.Engine.plans);
     let slo = s.Engine.slo in
-    Printf.printf "  slo: seed %d%s%s, completed %d, lost %d, shed %d, rejected %d\n"
+    Printf.printf "  slo: seed %d%s, completed %d, lost %d, shed %d, rejected %d\n"
       slo.Engine.slo_seed
-      (if slo.Engine.slo_chaos then " (chaos mode)" else "")
       (if slo.Engine.slo_degraded then " (degraded)" else "")
       slo.Engine.slo_completed slo.Engine.slo_lost slo.Engine.slo_shed
       slo.Engine.slo_rejected;

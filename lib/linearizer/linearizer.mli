@@ -147,8 +147,9 @@ val rebind_forest : forest -> Cortex_ds.Structure.t list -> forest
     only pick up a block offset, numbering decisions are made per delta
     node, and the arrays are rebuilt by tight mapping passes (the
     numbering scheme's descending level blocks force the id shift, but
-    not a re-traversal).  The serving engine amortizes even the mapping
-    passes by materializing geometrically (see [Engine]). *)
+    not a re-traversal).  The serving engine does not call it: a
+    session numbers each token's delta onto its own scratch tables and
+    keeps no forest of the conversation (see [Engine]). *)
 
 type delta = {
   d_request : int;  (** which request of the forest grows *)

@@ -1307,6 +1307,12 @@ let state_value bound compiled st_name (node : Cortex_ds.Node.t) =
   state_value_lin bound compiled st_name
     bound.lin.Linearizer.new_of_old.(node.Cortex_ds.Node.id)
 
+let state_row_bytes (compiled : compiled) =
+  List.fold_left
+    (fun acc (st_name, _) ->
+      acc + (8 * List.fold_left Stdlib.( * ) 1 (state_feat_dims compiled.ra st_name)))
+    0 compiled.state_tensors
+
 let set_state_lin bound compiled st_name lin_id value =
   let tensor =
     match List.assoc_opt st_name compiled.state_tensors with

@@ -185,6 +185,11 @@ val state_value_lin :
     tables, where the original nodes belong to a different (pre-merge)
     structure. *)
 
+val state_row_bytes : compiled -> int
+(** The bytes of one node's rows across every state tensor, as
+    {!state_value_lin} reads them out (8 per element): what a serving
+    session persists per node. *)
+
 val set_state_lin :
   bound -> compiled -> string -> int -> Cortex_tensor.Tensor.t -> unit
 (** Write one node's row of a state tensor before running — the

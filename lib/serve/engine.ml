@@ -344,33 +344,26 @@ type pending = {
   p_session : string option;  (* pinned-conversation serving *)
 }
 
-(* A session pins a growing conversation: its device, its layout (the
-   materialized forest, refreshed geometrically through
-   [Linearizer.extend]), its persistent hidden states (host-side ground
-   truth, keyed by stable request-local node identity), and the scratch
-   tables the per-token delta views window over.  The scratch arrays
-   are capacity-doubling: each appended node is assigned a {e session
-   id} (stable until the session resets) and its child/payload/level
-   rows live at that id, so building a token's delta view is O(delta)
-   — no per-token re-traversal of the conversation. *)
+(* A session pins a growing conversation: its device, its persistent
+   hidden states (host-side ground truth, keyed by stable request-local
+   node identity), and its one layout, the scratch tables every delta
+   view and every pack windows over.  The scratch arrays are
+   capacity-doubling: each appended node is assigned a {e session id}
+   (stable until the session resets) and its child/payload/level rows
+   live at that id, so building a token's delta view is O(delta) — no
+   per-token re-traversal of the conversation. *)
 type session = {
   sx_name : string;
   mutable sx_structure : Structure.t option;  (* last structure served *)
-  mutable sx_forest : Linearizer.forest option;  (* materialized layout *)
-  mutable sx_mat_nodes : int;  (* size at the last materialization *)
   mutable sx_device : int option;  (* pinned device index *)
   mutable sx_extends : int;  (* windows served from a delta view *)
   mutable sx_cold : int;  (* windows served by full (re)linearization *)
-  mutable sx_materializations : int;  (* geometric [extend] rebuilds *)
-  mutable sx_rebinds : int;  (* failover re-binds through the cache *)
+  mutable sx_materializations : int;  (* doubling regrowths of the scratch tables *)
+  mutable sx_rebinds : int;  (* re-pins of a previously pinned session *)
   mutable sx_delta_nodes : int;  (* nodes served via delta views *)
   mutable sx_packed : int;  (* windows served inside a packed window *)
   mutable sx_deadline_misses : int;  (* tokens completed past deadline *)
   mutable sx_height : int;  (* max scratch level: prices the layout *)
-  mutable sx_row_bytes : int;  (* one node's state-row bytes (0 = shapes only) *)
-  mutable sx_put_keys : string list;
-      (* shape-cache keys this session's [put]s inserted, freed on
-         close/evict instead of waiting out the epoch flush *)
   mutable sx_restored_base : int option;
       (* Some b: the first b nodes were just restored from a spill —
          the next token's delta view trusts the content digest instead
@@ -396,9 +389,10 @@ type t = {
   eng_cache : Shape_cache.t;
   eng_queue_cap : int option;
   eng_watermark : int option;
-  eng_faults : Fault.spec option;
+  eng_faults : Fault.spec;  (* no spec plays the empty one *)
   eng_seed : int;
   eng_params : (string -> Tensor.t) option;
+  eng_row_bytes : int;  (* one node's persisted state rows; 0 without params *)
   eng_obs : Obs.t option;
   eng_plans : Plan_cache.t option;  (* Some = plan cache active *)
   eng_sessions : (string, session) Hashtbl.t;
@@ -444,15 +438,16 @@ let build ~(config : Config.t) ~model ~backend ~compiled =
   let seed = config.Config.reliability.Config.seed in
   (* Validate the fault spec against the device count up front, not at
      the first drain. *)
-  let faults = config.Config.reliability.Config.faults in
-  ignore
-    (Fault.create ~seed ~devices:(List.length devices) (Option.value faults ~default:[]));
+  let faults = Option.value config.Config.reliability.Config.faults ~default:[] in
+  ignore (Fault.create ~seed ~devices:(List.length devices) faults);
+  let compiled = compiled () in
+  let params = config.Config.compile.Config.params in
   {
     model;
     eng_backend = backend;
     eng_policy = policy;
     lock_free = config.Config.compile.Config.lock_free;
-    eng_compiled = compiled ();
+    eng_compiled = compiled;
     eng_dispatch = config.Config.dispatch.Config.selection;
     eng_devices = devices;
     eng_cache =
@@ -461,7 +456,8 @@ let build ~(config : Config.t) ~model ~backend ~compiled =
     eng_watermark = config.Config.reliability.Config.degrade_watermark;
     eng_faults = faults;
     eng_seed = seed;
-    eng_params = config.Config.compile.Config.params;
+    eng_params = params;
+    eng_row_bytes = (if params = None then 0 else Lower.state_row_bytes compiled);
     eng_obs = config.Config.observability.Config.obs;
     eng_plans =
       (if config.Config.tuning.Config.autotune then
@@ -656,8 +652,6 @@ let session_of t name =
       {
         sx_name = name;
         sx_structure = None;
-        sx_forest = None;
-        sx_mat_nodes = 0;
         sx_device = None;
         sx_extends = 0;
         sx_cold = 0;
@@ -667,8 +661,6 @@ let session_of t name =
         sx_packed = 0;
         sx_deadline_misses = 0;
         sx_height = 0;
-        sx_row_bytes = 0;
-        sx_put_keys = [];
         sx_restored_base = None;
         sx_states = Hashtbl.create 64;
         sc_used = 0;
@@ -682,10 +674,13 @@ let session_of t name =
     Hashtbl.add t.eng_sessions name sx;
     sx
 
-(* Doubling growth, so n appended nodes cost O(n) total copying. *)
+(* Doubling growth, so n appended nodes cost O(n) total copying.  A
+   regrowth of an allocated table is the session's only O(n) layout
+   rebuild; [sn_materializations] counts them. *)
 let ensure_session_capacity sx n =
   let cap = Array.length sx.sc_num_children in
   if n > cap then begin
+    if cap > 0 then sx.sx_materializations <- sx.sx_materializations + 1;
     let cap' = max n (max 16 (2 * cap)) in
     let grow a =
       let a' = Array.make cap' (-1) in
@@ -728,8 +723,6 @@ let push_node sx (node : Node.t) =
    are dropped (the counters stay — they are cumulative). *)
 let reset_session sx =
   sx.sx_structure <- None;
-  sx.sx_forest <- None;
-  sx.sx_mat_nodes <- 0;
   sx.sx_height <- 0;
   sx.sx_restored_base <- None;
   sx.sc_used <- 0;
@@ -860,50 +853,14 @@ let session_delta_view sx (s : Structure.t) =
       end
     end
 
-(* Geometric materialization: once the conversation has doubled since
-   the last full layout, [Linearizer.extend] rebuilds an exact
-   invariant-true forest from the cached one (O(n) mapping passes,
-   amortized O(1) per appended node) and publishes it to the shape
-   cache so a failover can re-bind the session's layout as a hit. *)
-let session_materialize ?obs t sx (s : Structure.t) =
-  let n = Structure.num_nodes s in
-  let mc = t.model.Ra.max_children in
-  if n >= 2 * sx.sx_mat_nodes then begin
-    let f' =
-      match sx.sx_forest with
-      | Some f -> (
-        try
-          let dl =
-            {
-              Linearizer.d_request = 0;
-              d_roots = s.Structure.roots;
-              d_nodes =
-                Array.sub s.Structure.nodes sx.sx_mat_nodes (n - sx.sx_mat_nodes);
-            }
-          in
-          let f' = Linearizer.extend f dl in
-          (match Shape_cache.put t.eng_cache ~max_children:mc [ s ] f' with
-           | Some key -> sx.sx_put_keys <- key :: sx.sx_put_keys
-           | None -> ());
-          f'
-        with Linearizer.Rejected _ ->
-          fst (Shape_cache.find_or_linearize ?obs t.eng_cache ~max_children:mc [ s ]))
-      | None ->
-        fst (Shape_cache.find_or_linearize ?obs t.eng_cache ~max_children:mc [ s ])
-    in
-    sx.sx_forest <- Some f';
-    sx.sx_mat_nodes <- n;
-    sx.sx_materializations <- sx.sx_materializations + 1
-  end
-
 (* ---------- bounded session table ---------- *)
 
 (* What a live session costs its device, in closed form: the four
    resolved layout tables of the current conversation (a structure of
    height h lays out as h + 1 level batches — [sx_height] tracks the
    max scratch level, so no re-traversal) plus the per-node state rows
-   it pins.  The QCheck accounting property holds this equal to
-   [Linearizer.memory_bytes] of the session's own forest. *)
+   it pins.  The QCheck accounting property holds this equal to the
+   linearizer's price of a cold linearization of the conversation. *)
 let session_accounted_bytes t sx =
   let n =
     match sx.sx_structure with Some s -> Structure.num_nodes s | None -> 0
@@ -912,7 +869,7 @@ let session_accounted_bytes t sx =
   else
     Linearizer.layout_bytes ~num_nodes:n ~num_batches:(sx.sx_height + 1)
       ~max_children:t.model.Ra.max_children
-    + Linearizer.state_rows_bytes ~num_nodes:n ~bytes_per_node:sx.sx_row_bytes
+    + Linearizer.state_rows_bytes ~num_nodes:n ~bytes_per_node:t.eng_row_bytes
 
 (* Content digest of a conversation prefix: payloads and child ids of
    nodes [0, n).  This is what lets spilled state survive eviction and
@@ -1020,8 +977,6 @@ let try_restore t sx (s : Structure.t) =
            | None -> ());
           sx.sx_restored_base <- Some b;
           sx.sx_structure <- None;
-          sx.sx_forest <- None;
-          sx.sx_mat_nodes <- 0;
           true
         end
       with
@@ -1037,10 +992,9 @@ let try_restore t sx (s : Structure.t) =
 
 let bump_clock t at = if at > t.eng_clock_us then t.eng_clock_us <- at
 
-(* Evict one session now: spill its restorable state, free the shape
-   cache entries it published, drop it from the live table.  The trace
-   instant stamps the monotone engine clock so the "sessions" track
-   validates. *)
+(* Evict one session now: spill its restorable state and drop it from
+   the live table.  The trace instant stamps the monotone engine clock
+   so the "sessions" track validates. *)
 let evict_session_now ?obs t name ~reason =
   match Hashtbl.find_opt t.eng_sessions name with
   | None -> false
@@ -1055,7 +1009,6 @@ let evict_session_now ?obs t name ~reason =
         Session_store.drop t.eng_store name;
         0.0
     in
-    List.iter (Shape_cache.remove t.eng_cache) sx.sx_put_keys;
     Hashtbl.remove t.eng_sessions name;
     Obs.incr obs "sessions.evictions";
     (match obs with
@@ -1144,7 +1097,6 @@ type aggregate = {
 
 type slo = {
   slo_seed : int;
-  slo_chaos : bool;
   slo_degraded : bool;
   slo_completed : int;
   slo_lost : int;
@@ -1177,8 +1129,8 @@ type session_report = {
   sn_delta_nodes : int;  (* nodes served via delta views *)
   sn_extends : int;  (* delta-view windows *)
   sn_cold : int;  (* full (re)linearizations *)
-  sn_materializations : int;  (* geometric extend rebuilds *)
-  sn_rebinds : int;  (* failover re-binds through the cache *)
+  sn_materializations : int;  (* doubling regrowths of the scratch tables *)
+  sn_rebinds : int;  (* re-pins of a previously pinned session *)
   sn_packed : int;  (* tokens served inside packed multi-session windows *)
   sn_deadline_misses : int;  (* tokens completed past their deadline *)
   sn_device : int;  (* pinned device; -1 before the first window *)
@@ -1233,12 +1185,6 @@ let session_state t name st (node : Node.t) =
   | Some sx -> Hashtbl.find_opt sx.sx_states (st, node.Node.id)
 
 let close_session t name =
-  (* Free the shape-cache entries the session's materializations
-     published: before this, closed conversations parked their layouts
-     in the cache until the next epoch flush. *)
-  (match Hashtbl.find_opt t.eng_sessions name with
-   | Some sx -> List.iter (Shape_cache.remove t.eng_cache) sx.sx_put_keys
-   | None -> ());
   Session_store.forget t.eng_store name;
   Hashtbl.remove t.eng_sessions name
 
@@ -1423,8 +1369,7 @@ let open_drain t =
     {
       ds_disp = Dispatch.create ~policy:t.eng_dispatch t.eng_devices;
       ds_faults =
-        Fault.create ~seed:t.eng_seed ~devices:(List.length t.eng_devices)
-          (Option.value t.eng_faults ~default:[]);
+        Fault.create ~seed:t.eng_seed ~devices:(List.length t.eng_devices) t.eng_faults;
       ds_delta_ok = Lower.delta_compatible t.eng_compiled.Lower.options;
       ds_depth = depth;
       ds_degraded = (match t.eng_watermark with Some w -> depth > w | None -> false);
@@ -1617,8 +1562,6 @@ let serve_cold t ~delta_ok sx (s : Structure.t) =
   in
   sx.sx_structure <- Some s;
   sx.sx_restored_base <- None;
-  sx.sx_forest <- Some fl;
-  sx.sx_mat_nodes <- n;
   sx.sx_cold <- sx.sx_cold + 1;
   sx.sx_height <- Array.length fl.Linearizer.lin.Linearizer.batches - 1;
   if delta_ok then begin
@@ -1652,7 +1595,6 @@ let serve_token t ~delta_ok p =
           sx.sx_restored_base <- None;
           sx.sx_extends <- sx.sx_extends + 1;
           sx.sx_delta_nodes <- sx.sx_delta_nodes + Array.length d.d_news;
-          session_materialize ?obs:t.eng_obs t sx s;
           S_delta d
         | None -> serve_cold t ~delta_ok sx s)
   in
@@ -1694,10 +1636,10 @@ let mark_dead ds now =
    construction; they can only diverge when an earlier failover this
    drain re-pinned some of them), else — and for a regular window — the
    dispatch policy's pick.  Every member session pins to it; one whose
-   pinned device died re-binds its materialized layout through the shape
-   cache onto the survivor — a payload re-bind, never a fresh
-   linearization. *)
-let pick_device t ds ~sxs ~nodes =
+   pinned device died re-pins to the survivor.  Its layout is the
+   session's scratch tables, so a re-pin rebuilds nothing: the next
+   token's delta view windows over the same tables. *)
+let pick_device ds ~sxs ~nodes =
   let devs = Dispatch.devices ds.ds_disp in
   let dev =
     match
@@ -1716,17 +1658,7 @@ let pick_device t ds ~sxs ~nodes =
       match sx.sx_device with
       | Some di when di = dev.Dispatch.dev_index -> ()
       | prev ->
-        (match (prev, sx.sx_forest) with
-         | Some _, Some f ->
-           sx.sx_rebinds <- sx.sx_rebinds + 1;
-           let ss =
-             Array.to_list
-               (Array.map (fun sp -> sp.Linearizer.span_structure) f.Linearizer.spans)
-           in
-           ignore
-             (Shape_cache.find_or_linearize ?obs:t.eng_obs t.eng_cache
-                ~max_children:t.model.Ra.max_children ss)
-         | _ -> ());
+        if prev <> None then sx.sx_rebinds <- sx.sx_rebinds + 1;
         sx.sx_device <- Some dev.Dispatch.dev_index)
     sxs;
   dev
@@ -1734,17 +1666,17 @@ let pick_device t ds ~sxs ~nodes =
 (* Dispatch a window with attempts and retries.  [n] counts transient
    re-executions (the retry budget); failover re-dispatches after a
    fail-stop are free — the work was lost to the fleet, not to a flaky
-   kernel.  A window's linearization is never redone on a retry: the
-   forest (or delta view) is already built, and a failover on a cached
-   shape re-uses the same numbering (that is the shape cache's
-   contract).  [price dev] returns what runs on [dev] and its report. *)
+   kernel.  A window's linearization is never redone on a retry or a
+   failover: the forest (or delta view) is already built and is
+   re-dispatched as it is.  [price dev] returns what runs on [dev] and
+   its report. *)
 let dispatch_window t ds ~sxs ~size ~nodes ~lin_us ~price ready0 =
   let obs = t.eng_obs in
   let rec attempt n ready =
     mark_dead ds ready;
     if Dispatch.alive ds.ds_disp = 0 then Lost_window ready
     else
-      let dev = pick_device t ds ~sxs ~nodes in
+      let dev = pick_device ds ~sxs ~nodes in
       let di = dev.Dispatch.dev_index in
       let dispatch = Float.max dev.Dispatch.dev_free_us ready in
       let ft = Fault.fail_at ds.ds_faults di in
@@ -1954,25 +1886,12 @@ let account_completed t ds ~lin ~nodes ~hit ~sxs ~size members c =
   execute_window t ds ~lin ~ran:c.ao_compiled members;
   record_requests t ds ~index ~size ~packed:(packed <> []) members c
 
-(* Bounded-table bookkeeping for a token just served: learn the model's
-   per-node state-row bytes from the rows actually stored (hidden sizes
-   are not knowable at build time), re-account the session at its new
-   size, then run the eviction pass — the budget invariant holds after
-   every session window, not just at drain end, which is also what makes
-   evict/restore churn observable inside a single drain. *)
-let account_session t p sx =
-  let s = p.p_structure in
-  (if sx.sx_row_bytes = 0 && t.eng_params <> None then
-     match s.Structure.roots with
-     | root :: _ ->
-       sx.sx_row_bytes <-
-         List.fold_left
-           (fun acc (st, _) ->
-             match Hashtbl.find_opt sx.sx_states (st, root.Node.id) with
-             | Some v -> acc + (8 * Tensor.numel v)
-             | None -> acc)
-           0 t.eng_compiled.Lower.state_tensors
-     | [] -> ());
+(* Bounded-table bookkeeping for a token just served: re-account the
+   session at its new size, then run the eviction pass — the budget
+   invariant holds after every session window, not just at drain end,
+   which is also what makes evict/restore churn observable inside a
+   single drain. *)
+let account_session t sx =
   Session_store.touch t.eng_store sx.sx_name
     ~bytes:(session_accounted_bytes t sx) ~now_us:t.eng_clock_us;
   enforce_sessions ?obs:t.eng_obs t
@@ -1990,7 +1909,7 @@ let account_result t ds ~lin ~nodes ~hit ~sxs members outcome =
      List.iter reset_session sxs
    | Completed c -> account_completed t ds ~lin ~nodes ~hit ~sxs ~size members c);
   List.iter
-    (fun m -> Option.iter (fun sm -> account_session t m.m_p sm.sm_sx) m.m_session)
+    (fun m -> Option.iter (fun sm -> account_session t sm.sm_sx) m.m_session)
     members
 
 (* ---------- playing windows ---------- *)
@@ -2219,7 +2138,6 @@ let summarize t ds =
     slo =
       {
         slo_seed = t.eng_seed;
-        slo_chaos = t.eng_faults <> None;
         slo_degraded = ds.ds_degraded;
         slo_completed = aggregate.num_requests;
         slo_lost = ds.ds_lost;

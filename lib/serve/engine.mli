@@ -34,8 +34,9 @@
     {b Fault tolerance.}  With a {!Fault.spec} installed the drain plays
     its windows against an imperfect fleet: fail-stopped devices leave
     the dispatch pool (in-flight windows abort at the instant of death
-    and {e fail over} to a survivor, re-binding through the shape cache
-    — never re-linearizing), transient kernel aborts are {e retried}
+    and {e fail over} to a survivor, re-dispatching the layout they
+    already have — never re-linearizing, and a session re-pins with its
+    scratch tables as they are), transient kernel aborts are {e retried}
     with capped exponential backoff until the retry budget runs out, and
     stragglers are priced through
     {!Cortex_backend.Backend.scale_latency}.  Under overload the engine
@@ -324,12 +325,12 @@ val submit :
     with other sessions' delta tokens ([sessions.pack_window]), and when
     the structure is the session's previous structure plus appended
     nodes (same [Node.t] values, new nodes on top) the engine serves
-    only the delta — {!Linearizer.extend}-style numbering reuse on the
-    host, pre-seeded persistent hidden states on the device — instead
-    of re-linearizing and re-executing the whole conversation.  Any
-    other structure under the same name re-linearizes cold and (if it
-    is not a pure prefix-growth of the previous one) drops the
-    persisted state. *)
+    only the delta — the appended nodes numbered onto the session's
+    scratch tables on the host, pre-seeded persistent hidden states on
+    the device — instead of re-linearizing and re-executing the whole
+    conversation.  Any other structure under the same name
+    re-linearizes cold and (if it is not a pure prefix-growth of the
+    previous one) drops the persisted state. *)
 
 val submit_exn :
   t ->
@@ -411,7 +412,6 @@ type aggregate = {
 (** SLO accounting for one drain. *)
 type slo = {
   slo_seed : int;  (** the engine's fault-injection seed, for the report *)
-  slo_chaos : bool;  (** a fault spec was installed, even an empty one *)
   slo_degraded : bool;  (** the drain ran with the degraded policy *)
   slo_completed : int;
   slo_lost : int;
@@ -443,11 +443,15 @@ type session_report = {
   sn_extends : int;  (** windows served as deltas *)
   sn_cold : int;  (** windows that re-linearized the whole conversation *)
   sn_materializations : int;
-      (** geometric {!Linearizer.extend} materializations — the
-          amortization making per-token host cost O(delta) *)
+      (** doubling regrowths of the session's scratch tables: a
+          conversation that outgrows their capacity is copied into
+          tables twice as large.  That copy is the session's only O(n)
+          layout rebuild, and doubling keeps a token's host cost
+          amortized O(delta). *)
   sn_rebinds : int;
-      (** failovers that re-bound the session's layout through the
-          shape cache onto a surviving device *)
+      (** re-pins of a previously pinned session to another device: its
+          pinned device failed, or a packed window it joined runs on
+          another member's device *)
   sn_packed : int;
       (** tokens of this session served inside packed multi-session
           windows (a subset of [sn_extends]) *)
@@ -550,11 +554,11 @@ val session_state :
     state is unknown, or the engine serves without [params]. *)
 
 val close_session : t -> string -> unit
-(** Drop a session for good: its layout pin and persisted states are
-    released, the shape-cache entries its materializations published
-    are freed (not merely parked until the next epoch flush), and any
-    held spill — record and file — is discarded.  Unknown names are
-    ignored. *)
+(** Drop a session for good: its scratch tables, device pin and
+    persisted states are released, and any held spill — record and
+    file — is discarded.  The shape cache holds nothing of a session's
+    beyond the cold linearizations it ran through it.  Unknown names
+    are ignored. *)
 
 (** {2 Bounded session table}
 

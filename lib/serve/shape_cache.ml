@@ -31,9 +31,6 @@ let find_or_linearize ?obs t ~max_children structures =
   match Hashtbl.find_opt t.table key with
   | Some cached ->
     let f = span "rebind" (fun () -> Linearizer.rebind_forest cached structures) in
-    (* Count the hit only after a successful rebind, mirroring the miss
-       accounting below: a raising rebind served nothing, and counting
-       it would overstate the hit rate the reports print. *)
     t.hits <- t.hits + 1;
     Obs.incr obs "cache.hits";
     (f, true)
@@ -53,30 +50,6 @@ let find_or_linearize ?obs t ~max_children structures =
       Hashtbl.add t.table key f
     end;
     (f, false)
-
-(* Insert a forest produced outside the cache (delta extension): the
-   inspector work already happened, so neither counter moves, but the
-   layout becomes available for hits — a session failover re-binds its
-   conversation through here.  Same capacity policy as a miss. *)
-let put t ~max_children structures forest =
-  if t.capacity > 0 then begin
-    let key = Linearizer.shape_key ~max_children structures in
-    if Hashtbl.mem t.table key then None
-    else begin
-      if Hashtbl.length t.table >= t.capacity then Hashtbl.reset t.table;
-      Hashtbl.add t.table key forest;
-      Some key
-    end
-  end
-  else None
-
-(* Drop one entry by key.  Sessions record the keys their [put]s
-   actually inserted so closing or evicting a conversation frees its
-   published layouts instead of leaving them parked until the next
-   epoch flush.  Missing keys (already flushed) are a no-op, and the
-   hit/miss counters never move — removal is bookkeeping, not
-   inspector work. *)
-let remove t key = Hashtbl.remove t.table key
 
 let stats t = { hits = t.hits; misses = t.misses; entries = Hashtbl.length t.table }
 

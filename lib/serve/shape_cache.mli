@@ -41,34 +41,14 @@ val find_or_linearize :
     {!Linearizer.run_forest}[ ~max_children] and caches the result; on a
     hit, re-binds the requests' payloads into the cached numbering.
     Raises {!Linearizer.Rejected} exactly as [run_forest] would (a
-    rejection counts as neither hit nor miss), and a raising rebind
-    counts as neither too — both counters move only after the work the
-    cache accounts for actually succeeded.
+    rejection counts as neither hit nor miss): both counters move only
+    after the work the cache accounts for actually succeeded.  Every
+    entry is a forest this function linearized itself, so a hit's key
+    always matches its forest.
 
     [obs] records the inspector work as a wall-clock span on the
     ["inspector"] track ([linearize] for a miss, [rebind] for a hit)
     and bumps the [cache.hits]/[cache.misses] counters. *)
-
-val put :
-  t ->
-  max_children:int ->
-  Cortex_ds.Structure.t list ->
-  Linearizer.forest ->
-  string option
-(** Insert a forest produced outside the cache — a delta extension —
-    under [structures]' shape key, making it available for hits (a
-    session failover re-binds its pinned conversation through the
-    cache).  Moves neither counter; respects capacity and epoch
-    eviction; keeps an existing entry for the same key; no-op when
-    caching is disabled.  Returns the key when this call actually
-    inserted an entry ([None] for an existing key or a disabled cache)
-    so the publisher can later {!remove} exactly what it added. *)
-
-val remove : t -> string -> unit
-(** Drop the entry under [key] if present.  Counters never move; a key
-    already gone (epoch flush) is a no-op.  Closing or evicting a
-    session frees its published layouts through here instead of
-    leaving them parked until the next flush. *)
 
 val stats : t -> stats
 (** Cumulative hit/miss counters and current entry count. *)

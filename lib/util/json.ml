@@ -98,20 +98,38 @@ let of_string (s : string) : t =
     in
     go ()
   in
+  (* RFC 8259 numbers only: an optional [-], [0] or digits not led by
+     [0], an optional [.] and digits, an optional exponent ([e] or [E],
+     an optional sign, digits); and the value must be finite.  So [+1],
+     [01], [1.] and [1e400] are errors. *)
   let parse_number () =
     let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
+    let digit () = match peek () with Some '0' .. '9' -> true | _ -> false in
+    let digits () =
+      if not (digit ()) then fail "expected a digit";
+      while digit () do
+        advance ()
+      done
     in
-    while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-      advance ()
-    done;
+    if peek () = Some '-' then advance ();
+    if peek () = Some '0' then begin
+      advance ();
+      if digit () then fail "leading zero"
+    end
+    else digits ();
+    if peek () = Some '.' then begin advance (); digits () end;
+    (match peek () with
+     | Some ('e' | 'E') ->
+       advance ();
+       (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+       digits ()
+     | _ -> ());
     let text = String.sub s start (!pos - start) in
     match float_of_string_opt text with
-    | Some f -> f
-    | None -> fail ("bad number " ^ text)
+    | Some f when Float.is_finite f -> f
+    | _ ->
+      pos := start;
+      fail ("number out of range " ^ text)
   in
   let rec parse_value () =
     skip_ws ();

@@ -32,5 +32,7 @@ val lines : string list -> string
     Each record is one object's text, without indentation. *)
 
 val of_string : string -> t
-(** Parse one JSON document; only whitespace may follow it.  A [\u]
-    escape above 0x7f decodes as ['?'].  Raises {!Parse_error}. *)
+(** Parse one JSON document; only whitespace may follow it.  Numbers
+    follow RFC 8259 exactly (no [+], no leading zero, digits on both
+    sides of a [.]) and must be finite as floats.  A [\u] escape above
+    0x7f decodes as ['?'].  Raises {!Parse_error}. *)

@@ -96,6 +96,43 @@ let test_pristine () =
   | Ok rows -> Alcotest.(check bool) "ranking has rows" true (rows <> [])
   | Error e -> Alcotest.failf "BENCH_fmeca.json rejected: %s" e
 
+(* Numbers are RFC 8259's and finite.  Each malformed number is a
+   [Parse_error] at the byte offset named here, and a trace holding one
+   is rejected by [Chrome_trace.parse]. *)
+let span ~ph ~ts ~pid ~tid =
+  Printf.sprintf {|{"name":"drain","cat":"sim","ph":"%s","ts":%s,"pid":%s,"tid":%s}|} ph ts
+    pid tid
+
+let test_strict_numbers () =
+  List.iter
+    (fun (doc, offset) ->
+      match Json.of_string doc with
+      | _ -> Alcotest.failf "accepted %s" doc
+      | exception Json.Parse_error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s names offset %d" doc e offset)
+          true
+          (String.ends_with ~suffix:(Printf.sprintf " at offset %d" offset) e))
+    [
+      ("[1e400]", 1); ("[-1e400]", 1); ("[+1]", 1); ("[02]", 2); ("[1.]", 3);
+      ("[-]", 2); ("[.5]", 1); ("[1e]", 3); ("[1e+]", 4); ("[-01]", 3);
+    ];
+  List.iter
+    (fun (ts, pid, tid) ->
+      let doc =
+        Printf.sprintf "[%s,%s]" (span ~ph:"B" ~ts ~pid ~tid) (span ~ph:"E" ~ts ~pid ~tid)
+      in
+      match Chrome_trace.parse doc with
+      | Ok _ -> Alcotest.failf "trace accepted: %s" doc
+      | Error _ -> ())
+    [ ("1e400", "2", "1"); ("-1e400", "2", "1"); ("+1", "02", "1.") ];
+  match Json.of_string "[0, -0, 1.5, 2e3, 1E-2, -12.25e+1, 1e308]" with
+  | Json.Arr vs ->
+    Alcotest.(check (list (float 0.0))) "RFC numbers read back"
+      [ 0.0; -0.0; 1.5; 2000.0; 0.01; -122.5; 1e308 ]
+      (List.map (function Json.Num f -> f | _ -> nan) vs)
+  | _ -> Alcotest.fail "not an array"
+
 (* Every JSON file the bench writes is an array of objects.  Their
    records are hand-formatted, so only a parse shows they are JSON. *)
 let test_bench_files () =
@@ -118,6 +155,7 @@ let () =
     [
       ( "codec",
         Alcotest.test_case "pristine" `Quick test_pristine
+        :: Alcotest.test_case "strict-numbers" `Quick test_strict_numbers
         :: List.map QCheck_alcotest.to_alcotest
              [
                test_random_bytes;
