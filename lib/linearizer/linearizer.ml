@@ -24,7 +24,6 @@ type rejection =
   | Empty_structure
   | Empty_delta
   | Bad_delta of string
-  | Pack_incompatible of { member : int; reason : string }
 
 exception Rejected of rejection
 
@@ -43,8 +42,6 @@ let rejection_to_string = function
   | Empty_structure -> "empty structure"
   | Empty_delta -> "empty delta"
   | Bad_delta msg -> "bad delta: " ^ msg
-  | Pack_incompatible { member; reason } ->
-    Printf.sprintf "pack member %d incompatible: %s" member reason
 
 let run ?max_children structure =
   let n = Structure.num_nodes structure in
@@ -390,347 +387,31 @@ type delta = {
   d_nodes : Node.t array;
 }
 
-(* Grow request [d_request] of an already-linearized forest without a
-   cold [run_forest] of the whole thing.  The numbering scheme forces a
-   global renumbering in the worst case — level blocks are laid out in
-   descending level order, so grafting a new root shifts every id — but
-   all the numbering *decisions* are made per delta node and per level:
-   untouched levels keep their cached internal order and only pick up a
-   block offset, and the rebuild is a handful of tight O(n) mapping
-   passes instead of a cold run's graph merge, level DFS and span
-   construction.  The result is *identical* (array for array) to
-   [run_forest] of the grown structures, so it shares their shape key,
-   satisfies [check_forest], and can be cached and rebound like any
-   cold forest. *)
+(* Grow request [d_request] of a linearized forest: validate the delta,
+   append it to the request and linearize the grown forest cold.  The
+   result is therefore [run_forest] of the grown structures, array for
+   array, at a cold run's cost. *)
 let extend f (dl : delta) =
-  let lin = f.lin in
   let spans = f.spans in
   let r = Array.length spans in
   let k = dl.d_request in
   if k < 0 || k >= r then
     raise (Rejected (Bad_delta (Printf.sprintf "no request %d in a %d-request forest" k r)));
-  let d = Array.length dl.d_nodes in
-  if d = 0 then raise (Rejected Empty_delta);
-  let span = spans.(k) in
-  let base = span.span_structure in
-  let bsize = Structure.num_nodes base in
-  let n = lin.num_nodes in
-  let n' = n + d in
-  let mc = lin.max_children in
+  if Array.length dl.d_nodes = 0 then raise (Rejected Empty_delta);
   (* The model's fanout bound applies to the new nodes too. *)
+  let max_children = f.lin.max_children in
   Array.iter
     (fun (node : Node.t) ->
       let arity = Array.length node.children in
-      if arity > mc then
-        raise (Rejected (Fanout_exceeded { node = node.id; arity; max_children = mc })))
+      if arity > max_children then
+        raise (Rejected (Fanout_exceeded { node = node.id; arity; max_children })))
     dl.d_nodes;
   let grown =
-    try Structure.append base ~roots:dl.d_roots ~added:dl.d_nodes
+    try Structure.append spans.(k).span_structure ~roots:dl.d_roots ~added:dl.d_nodes
     with Structure.Invalid msg -> raise (Rejected (Bad_delta msg))
   in
-  (* Request-local creation order of the grown structure: the order
-     [Structure.merge_mapped] would copy it in (children-first DFS from
-     the roots).  The cold numbering hands out per-level ids in creation
-     order, so this ranking decides where each delta node lands in its
-     level slice. *)
-  let rank = Array.make (bsize + d) (-1) in
-  let next = ref 0 in
-  let rec visit (node : Node.t) =
-    if rank.(node.id) = -1 then begin
-      rank.(node.id) <- -2;
-      Array.iter visit node.children;
-      rank.(node.id) <- !next;
-      incr next
-    end
-  in
-  List.iter visit grown.Structure.roots;
-  let order = Array.make (bsize + d) (-1) in
-  Array.iteri (fun local rk -> order.(rk) <- local) rank;
-  (* Merged creation-id block of request [k], and each old node's rank
-     within it under the *base* roots. *)
-  let off_k = ref 0 in
-  for j = 0 to k - 1 do
-    off_k := !off_k + Array.length spans.(j).span_ids
-  done;
-  let off_k = !off_k in
-  let base_rank local = lin.old_of_new.(span.span_ids.(local)) - off_k in
-  (* The cached numbering is only reusable if the delta preserves the
-     old nodes' relative creation order (it appends; it does not
-     reshuffle).  [tail_append] additionally means every delta node
-     ranks after every old node — the only case a grow-by-one session
-     produces, and the one that keeps delta batches contiguous. *)
-  let tail_append = ref true in
-  let prev = ref (-1) in
-  Array.iter
-    (fun local ->
-      if local < bsize then begin
-        let br = base_rank local in
-        if br < !prev then
-          raise (Rejected (Bad_delta "delta reorders existing nodes"));
-        prev := br;
-        if rank.(local) <> br then tail_append := false
-      end)
-    order;
-  let tail_append = !tail_append in
-  (* Levels of the delta nodes (children have smaller ids, so new
-     children are already computed when their parent is). *)
-  let new_level = Array.make d 0 in
-  Array.iteri
-    (fun i (node : Node.t) ->
-      let lv =
-        Array.fold_left
-          (fun m (c : Node.t) ->
-            let cl =
-              if c.id < bsize then lin.level_of.(span.span_ids.(c.id))
-              else new_level.(c.id - bsize)
-            in
-            max m cl)
-          (-1) node.children
-      in
-      new_level.(i) <- lv + 1)
-    dl.d_nodes;
-  let old_height = Array.length lin.batches - 1 in
-  let height' = Array.fold_left max old_height new_level in
-  let ins = Array.make (height' + 1) 0 in
-  Array.iter (fun lv -> ins.(lv) <- ins.(lv) + 1) new_level;
-  let old_width l = if l <= old_height then snd lin.batches.(l) else 0 in
-  let old_first l = fst lin.batches.(l) in
-  let width' = Array.init (height' + 1) (fun l -> old_width l + ins.(l)) in
-  let first' = Array.make (height' + 1) 0 in
-  let running = ref 0 in
-  for l = height' downto 0 do
-    first'.(l) <- !running;
-    running := !running + width'.(l)
-  done;
-  (* Where request [k]'s slice starts within each level, relative to the
-     level's first id: unchanged where the request already has nodes;
-     the sum of earlier requests' widths where it does not (requests
-     occupy level slices in request order). *)
-  let span_height = Array.length span.span_levels - 1 in
-  let old_count l = if l <= span_height then snd span.span_levels.(l) else 0 in
-  let rel_start l =
-    if old_count l > 0 then fst span.span_levels.(l) - old_first l
-    else begin
-      let acc = ref 0 in
-      for j = 0 to k - 1 do
-        let sl = spans.(j).span_levels in
-        if l < Array.length sl then acc := !acc + snd sl.(l)
-      done;
-      !acc
-    end
-  in
-  (* Slice position of every request-[k] node (old and new) in its
-     level, by grown creation rank — old relative order is preserved,
-     delta nodes interleave where their rank puts them. *)
-  let slice_pos = Array.make (bsize + d) 0 in
-  let counters = Array.make (height' + 1) 0 in
-  Array.iter
-    (fun local ->
-      let lv =
-        if local < bsize then lin.level_of.(span.span_ids.(local))
-        else new_level.(local - bsize)
-      in
-      slice_pos.(local) <- counters.(lv);
-      counters.(lv) <- counters.(lv) + 1)
-    order;
-  (* New forest ids: [fmap] for survivors, [new_fid] for delta nodes. *)
-  let fmap = Array.make n (-1) in
-  Array.iteri
-    (fun j sp ->
-      if j <> k then
-        Array.iter
-          (fun x ->
-            let l = lin.level_of.(x) in
-            fmap.(x) <- x + (first'.(l) - old_first l) + (if j > k then ins.(l) else 0))
-          sp.span_ids)
-    spans;
-  for local = 0 to bsize - 1 do
-    let x = span.span_ids.(local) in
-    let l = lin.level_of.(x) in
-    fmap.(x) <- first'.(l) + rel_start l + slice_pos.(local)
-  done;
-  let new_fid =
-    Array.init d (fun i ->
-        let l = new_level.(i) in
-        first'.(l) + rel_start l + slice_pos.(bsize + i))
-  in
-  (* Rebuild the tables by mapping passes. *)
-  let child' = Array.init mc (fun _ -> Array.make n' (-1)) in
-  let num_children' = Array.make n' 0 in
-  let payload' = Array.make n' (-1) in
-  let level_of' = Array.make n' (-1) in
-  for x = 0 to n - 1 do
-    let y = fmap.(x) in
-    num_children'.(y) <- lin.num_children.(x);
-    payload'.(y) <- lin.payload.(x);
-    level_of'.(y) <- lin.level_of.(x);
-    for c = 0 to mc - 1 do
-      let ch = lin.child.(c).(x) in
-      if ch >= 0 then child'.(c).(y) <- fmap.(ch)
-    done
-  done;
-  let local_fid local =
-    if local < bsize then fmap.(span.span_ids.(local)) else new_fid.(local - bsize)
-  in
-  Array.iteri
-    (fun i (node : Node.t) ->
-      let y = new_fid.(i) in
-      num_children'.(y) <- Array.length node.children;
-      payload'.(y) <- node.payload;
-      level_of'.(y) <- new_level.(i);
-      Array.iteri (fun c (ch : Node.t) -> child'.(c).(y) <- local_fid ch.id) node.children)
-    dl.d_nodes;
-  (* The grown merged structure.  When the grown request is last and the
-     delta is a pure tail append, graft copies of the delta nodes onto
-     the cached merged structure directly; otherwise fall back to a
-     re-merge (creation ids come out the same either way). *)
-  let structure' =
-    if k = r - 1 && tail_append then begin
-      let bld = Node.builder_from n in
-      let copies = Array.make d None in
-      let merged_of_local local =
-        if local < bsize then lin.structure.Structure.nodes.(off_k + base_rank local)
-        else
-          match copies.(local - bsize) with
-          | Some node -> node
-          | None -> assert false
-      in
-      for rk = bsize to bsize + d - 1 do
-        let local = order.(rk) in
-        let node = dl.d_nodes.(local - bsize) in
-        let children =
-          Array.to_list (Array.map (fun (c : Node.t) -> merged_of_local c.id) node.children)
-        in
-        copies.(local - bsize) <- Some (Node.make bld ~payload:node.payload children)
-      done;
-      let added =
-        Array.map (function Some node -> node | None -> assert false) copies
-      in
-      (* Re-sort into creation-id order (copies were made in rank order). *)
-      Array.sort (fun (a : Node.t) (b : Node.t) -> compare a.id b.id) added;
-      let prefix_roots = ref [] in
-      let rest = ref lin.structure.Structure.roots in
-      for j = 0 to k - 1 do
-        List.iter
-          (fun _ ->
-            match !rest with
-            | root :: tl ->
-              prefix_roots := root :: !prefix_roots;
-              rest := tl
-            | [] -> assert false)
-          spans.(j).span_structure.Structure.roots
-      done;
-      let new_roots = List.map (fun (rt : Node.t) -> merged_of_local rt.id) grown.Structure.roots in
-      let roots = List.rev_append !prefix_roots new_roots in
-      (try Structure.append lin.structure ~roots ~added
-       with Structure.Invalid msg -> raise (Rejected (Bad_delta msg)))
-    end
-    else begin
-      let structures =
-        List.mapi
-          (fun j sp -> if j = k then grown else sp.span_structure)
-          (Array.to_list spans)
-      in
-      fst (Structure.merge_mapped structures)
-    end
-  in
-  assert (Structure.num_nodes structure' = n');
-  (* Creation-id maps: requests before [k] keep their block, request
-     [k]'s block reorders by grown rank and absorbs the delta, requests
-     after shift by [d]. *)
-  let base_order = Array.make bsize (-1) in
-  for local = 0 to bsize - 1 do
-    base_order.(base_rank local) <- local
-  done;
-  let new_of_old' = Array.make n' (-1) in
-  for m = 0 to n - 1 do
-    let m' =
-      if m < off_k then m
-      else if m < off_k + bsize then off_k + rank.(base_order.(m - off_k))
-      else m + d
-    in
-    new_of_old'.(m') <- fmap.(lin.new_of_old.(m))
-  done;
-  for i = 0 to d - 1 do
-    new_of_old'.(off_k + rank.(bsize + i)) <- new_fid.(i)
-  done;
-  let old_of_new' = Array.make n' (-1) in
-  Array.iteri (fun m y -> old_of_new'.(y) <- m) new_of_old';
-  (* Children-first DFS over the new tables, in merged-root order —
-     exactly the traversal a cold [run] performs. *)
-  let root_fids =
-    List.concat
-      (List.mapi
-         (fun j sp ->
-           if j = k then List.map (fun (rt : Node.t) -> local_fid rt.id) grown.Structure.roots
-           else
-             List.map
-               (fun (rt : Node.t) -> fmap.(sp.span_ids.(rt.id)))
-               sp.span_structure.Structure.roots)
-         (Array.to_list spans))
-  in
-  let postorder' = Array.make n' (-1) in
-  let filled = ref 0 in
-  let seen = Array.make n' false in
-  let rec dfs y =
-    if not seen.(y) then begin
-      seen.(y) <- true;
-      for c = 0 to num_children'.(y) - 1 do
-        dfs child'.(c).(y)
-      done;
-      postorder'.(!filled) <- y;
-      incr filled
-    end
-  in
-  List.iter dfs root_fids;
-  assert (!filled = n');
-  let batches' = Array.init (height' + 1) (fun l -> (first'.(l), width'.(l))) in
-  let lin' =
-    {
-      structure = structure';
-      num_nodes = n';
-      num_leaves = width'.(0);
-      max_children = mc;
-      new_of_old = new_of_old';
-      old_of_new = old_of_new';
-      leaf_begin = first'.(0);
-      child = child';
-      num_children = num_children';
-      payload = payload';
-      level_of = level_of';
-      batches = batches';
-      postorder = postorder';
-    }
-  in
-  (* Rebuild the spans: untouched requests shift wholesale, the grown
-     request extends. *)
-  let height_k' =
-    let h = ref 0 in
-    for local = 0 to bsize - 1 do
-      h := max !h lin.level_of.(span.span_ids.(local))
-    done;
-    Array.fold_left max !h new_level
-  in
-  let spans' =
-    Array.mapi
-      (fun j sp ->
-        if j <> k then
-          {
-            sp with
-            span_ids = Array.map (fun x -> fmap.(x)) sp.span_ids;
-            span_levels = Array.map (fun (lo, c) -> (fmap.(lo), c)) sp.span_levels;
-          }
-        else begin
-          let span_ids = Array.init (bsize + d) local_fid in
-          let span_levels =
-            Array.init (height_k' + 1) (fun l ->
-                (first'.(l) + rel_start l, old_count l + ins.(l)))
-          in
-          { span_structure = grown; span_ids; span_levels }
-        end)
-      spans
-  in
-  { lin = lin'; spans = spans' }
+  run_forest ~max_children
+    (List.mapi (fun j sp -> if j = k then grown else sp.span_structure) (Array.to_list spans))
 
 let layout_bytes ~num_nodes ~num_batches ~max_children =
   (* ints are 8 bytes on this platform.  The dynamic-batching executor
@@ -772,7 +453,168 @@ let priced_us t =
   in
   per_node *. float_of_int t.num_nodes
 
-(* ---------- packed delta merge (multi-session batching) ---------- *)
+(* ---------- growing layouts (pinned sessions) ---------- *)
+
+(* A pinned conversation's one layout: child, payload and level rows at
+   per-session layout ids, handed out in push order, in tables that
+   double when they fill up.  [g_id] maps a request-local node id to its
+   layout id. *)
+type growing = {
+  mutable g_used : int;  (* layout ids in use *)
+  mutable g_child : int array array;  (* child.(k).(lid), k < max_children *)
+  mutable g_num_children : int array;
+  mutable g_payload : int array;
+  mutable g_level : int array;
+  mutable g_id : int array;
+  mutable g_height : int;  (* max level laid out since the last reseed *)
+  mutable g_regrowths : int;
+}
+
+type step = { step_view : t; step_nodes : Node.t array; step_base : int }
+
+let empty_layout ~max_children =
+  {
+    g_used = 0;
+    g_child = Array.make max_children [||];
+    g_num_children = [||];
+    g_payload = [||];
+    g_level = [||];
+    g_id = [||];
+    g_height = 0;
+    g_regrowths = 0;
+  }
+
+let layout_id g id = g.g_id.(id)
+let layout_height g = g.g_height
+let regrowths g = g.g_regrowths
+
+(* Doubling growth, so n laid-out nodes cost O(n) total copying.  A
+   regrowth of an allocated table is the layout's only O(n) rebuild. *)
+let reserve g n =
+  let cap = Array.length g.g_num_children in
+  if n > cap then begin
+    if cap > 0 then g.g_regrowths <- g.g_regrowths + 1;
+    let cap' = max n (max 16 (2 * cap)) in
+    let grow a =
+      let a' = Array.make cap' (-1) in
+      Array.blit a 0 a' 0 (Array.length a);
+      a'
+    in
+    g.g_child <- Array.map grow g.g_child;
+    g.g_num_children <- grow g.g_num_children;
+    g.g_payload <- grow g.g_payload;
+    g.g_level <- grow g.g_level;
+    g.g_id <- grow g.g_id
+  end
+
+(* Lay [node] out at the next layout id.  Its children must already be
+   laid out (callers push children first). *)
+let push g (node : Node.t) =
+  let lid = g.g_used in
+  g.g_used <- lid + 1;
+  g.g_id.(node.Node.id) <- lid;
+  let ch = node.Node.children in
+  let arity = Array.length ch in
+  g.g_num_children.(lid) <- arity;
+  g.g_payload.(lid) <- node.Node.payload;
+  let lv = ref 0 in
+  Array.iteri
+    (fun k col ->
+      if k < arity then begin
+        let c = g.g_id.(ch.(k).Node.id) in
+        col.(lid) <- c;
+        if g.g_level.(c) + 1 > !lv then lv := g.g_level.(c) + 1
+      end
+      else col.(lid) <- -1)
+    g.g_child;
+  g.g_level.(lid) <- !lv;
+  if !lv > g.g_height then g.g_height <- !lv
+
+(* Node ids are creation-ordered (children precede parents), so laying
+   a prefix out in node-id order pushes children first, and its layout
+   ids are its node ids. *)
+let reseed g (s : Structure.t) ~prefix =
+  g.g_used <- 0;
+  g.g_height <- 0;
+  reserve g (Structure.num_nodes s);
+  for i = 0 to prefix - 1 do
+    push g s.Structure.nodes.(i)
+  done
+
+(* O(delta): the appended nodes are validated in full, level-sorted
+   (stably, so each level run keeps node-id order) and pushed; the view
+   windows over the live tables, so its batches cover only the step
+   while its node-id space covers the whole conversation. *)
+let grow g (s : Structure.t) =
+  let b = g.g_used in
+  let n = Structure.num_nodes s in
+  let nodes = s.Structure.nodes in
+  let mc = Array.length g.g_child in
+  let appended i =
+    let nd = nodes.(i) in
+    nd.Node.id = i
+    && Array.length nd.Node.children <= mc
+    && Array.for_all
+         (fun (c : Node.t) -> c.Node.id >= 0 && c.Node.id < i && nodes.(c.Node.id) == c)
+         nd.Node.children
+  in
+  let rec valid i = i >= n || (appended i && valid (i + 1)) in
+  if n <= b || not (valid b) then None
+  else begin
+    reserve g n;
+    let d = n - b in
+    let dlv = Array.make d 0 in
+    for i = 0 to d - 1 do
+      Array.iter
+        (fun (c : Node.t) ->
+          let cl =
+            if c.Node.id < b then g.g_level.(g.g_id.(c.Node.id)) else dlv.(c.Node.id - b)
+          in
+          if cl + 1 > dlv.(i) then dlv.(i) <- cl + 1)
+        nodes.(b + i).Node.children
+    done;
+    let order = Array.init d Fun.id in
+    Array.stable_sort (fun i j -> compare dlv.(i) dlv.(j)) order;
+    let news = Array.map (fun i -> nodes.(b + i)) order in
+    Array.iter (push g) news;
+    (* The leaf run first (possibly empty: a sequence token appends no
+       leaf), then one batch per level run. *)
+    let leaves = ref 0 in
+    Array.iter (fun i -> if dlv.(i) = 0 then incr leaves) order;
+    let batches = ref [ (b, !leaves) ] in
+    let i = ref !leaves in
+    while !i < d do
+      let l = dlv.(order.(!i)) in
+      let j = ref !i in
+      while !j < d && dlv.(order.(!j)) = l do
+        incr j
+      done;
+      batches := (b + !i, !j - !i) :: !batches;
+      i := !j
+    done;
+    let view =
+      {
+        structure = s;
+        num_nodes = g.g_used;
+        num_leaves = !leaves;
+        max_children = mc;
+        (* Host-side inspector state the executor never resolves; left
+           empty so a step costs O(delta). *)
+        new_of_old = [||];
+        old_of_new = [||];
+        leaf_begin = b;
+        child = g.g_child;
+        num_children = g.g_num_children;
+        payload = g.g_payload;
+        level_of = g.g_level;
+        batches = Array.of_list (List.rev !batches);
+        postorder = [||];
+      }
+    in
+    Some { step_view = view; step_nodes = news; step_base = b }
+  end
+
+(* ---------- packed steps (multi-session batching) ---------- *)
 
 type packed = {
   pk_view : t;
@@ -783,63 +625,40 @@ type packed = {
   pk_delta_of : int array array;
 }
 
-let pack_id p ~member sid =
-  if sid < p.pk_delta_base.(member) then p.pk_old_off.(member) + sid
-  else p.pk_delta_of.(member).(sid - p.pk_delta_base.(member))
+let pack_id p ~member lid =
+  if lid < p.pk_delta_base.(member) then p.pk_old_off.(member) + lid
+  else p.pk_delta_of.(member).(lid - p.pk_delta_base.(member))
 
-let pack_views views =
-  let reject member reason =
-    raise (Rejected (Pack_incompatible { member; reason }))
-  in
-  if views = [] then reject 0 "empty member list";
-  let views = Array.of_list views in
-  let m = Array.length views in
-  let first = views.(0) in
-  let mc = first.max_children in
-  (* Per member: validate the delta-view shape (a leaf batch at the
-     delta base, then contiguous strictly-ascending level runs covering
-     the whole tail) and collect its batch levels. *)
-  let delta_base = Array.make m 0 in
-  let member_batches = Array.make m [||] in
-  let max_level = ref 0 in
-  Array.iteri
-    (fun i v ->
-      if v.max_children <> mc then
-        reject i
-          (Printf.sprintf "child-table width %d, pack is %d" v.max_children mc);
-      if v.structure.Structure.kind <> first.structure.Structure.kind then
-        reject i "structure kind differs from the pack's";
-      let nb = Array.length v.batches in
-      if nb = 0 then reject i "no batches";
-      let db = fst v.batches.(0) in
-      if v.leaf_begin <> db then reject i "leaf batch not at the delta base";
-      if v.num_nodes <= db then reject i "no delta nodes";
-      (* The runs must tile [db, num_nodes) in order: that is what lets
-         member blocks concatenate into contiguous packed batches. *)
-      let cursor = ref db in
-      let levels =
+(* Every member is a step [grow] built over its own layout, so nothing
+   needs re-checking: a step's batches tile [step_base, num_nodes) as a
+   leaf run then strictly ascending level runs, and one engine gives
+   every layout the same child-table width. *)
+let pack first rest =
+  let members = Array.of_list (first :: rest) in
+  let m = Array.length members in
+  let mc = Array.length (fst first).g_child in
+  let delta_base = Array.map (fun (_, st) -> st.step_base) members in
+  let extent i = (snd members.(i)).step_view.num_nodes in
+  (* Each member's batches with their levels: the leaf run is level 0. *)
+  let member_batches =
+    Array.map
+      (fun (g, st) ->
         Array.mapi
-          (fun k (b, len) ->
-            if b <> !cursor || len < 0 then reject i "non-contiguous delta batches";
-            cursor := b + len;
-            let l = if k = 0 then 0 else v.level_of.(b) in
-            if k = 1 && l < 1 then reject i "internal batch at leaf level";
-            if k > 1 && l <= v.level_of.(fst v.batches.(k - 1)) then
-              reject i "batch levels not ascending";
-            if l > !max_level then max_level := l;
-            (l, b, len))
-          v.batches
-      in
-      if !cursor <> v.num_nodes then reject i "batches do not cover the delta";
-      delta_base.(i) <- db;
-      member_batches.(i) <- levels)
-    views;
+          (fun k (b, len) -> ((if k = 0 then 0 else g.g_level.(b)), b, len))
+          st.step_view.batches)
+      members
+  in
+  let max_level =
+    Array.fold_left
+      (fun acc runs -> Array.fold_left (fun acc (l, _, _) -> max acc l) acc runs)
+      0 member_batches
+  in
   (* Region A: each member's old prefix, concatenated.  No batch covers
      these rows, but they are not inert: boundary state rows are
      pre-seeded here, and the setup kernels' precompute loops run over
      the whole id space [0, num_nodes), so the rows must carry the
-     member's real payload/child data (like a single-session delta view,
-     whose arrays cover the whole conversation). *)
+     member's real payload/child data (like a single step's view, whose
+     arrays cover the whole conversation). *)
   let old_off = Array.make m 0 in
   let base = ref 0 in
   Array.iteri
@@ -850,12 +669,10 @@ let pack_views views =
   let base = !base in
   (* Region B: delta nodes grouped by level, members in pack order
      within each level, so every packed batch is one contiguous run. *)
-  let delta_of =
-    Array.init m (fun i -> Array.make (views.(i).num_nodes - delta_base.(i)) (-1))
-  in
+  let delta_of = Array.init m (fun i -> Array.make (extent i - delta_base.(i)) (-1)) in
   let cursor = ref base in
   let batches = ref [] in
-  for l = 0 to !max_level do
+  for l = 0 to max_level do
     let level_begin = !cursor in
     for i = 0 to m - 1 do
       Array.iter
@@ -869,54 +686,42 @@ let pack_views views =
         member_batches.(i)
     done;
     let width = !cursor - level_begin in
-    (* The leaf batch is always present (possibly empty, like the member
-       views'); higher levels only when some member reaches them. *)
+    (* The leaf batch is always present (possibly empty, like a step's);
+       higher levels only when some member reaches them. *)
     if l = 0 || width > 0 then batches := (level_begin, width) :: !batches
   done;
   let num_nodes = !cursor in
-  let num_leaves =
-    match List.rev !batches with (_, w) :: _ -> w | [] -> 0
-  in
+  let num_leaves = match List.rev !batches with (_, w) :: _ -> w | [] -> 0 in
   let child = Array.init mc (fun _ -> Array.make num_nodes (-1)) in
   let num_children = Array.make num_nodes 0 in
   let payload = Array.make num_nodes (-1) in
   let level_of = Array.make num_nodes 0 in
-  for i = 0 to m - 1 do
-    let v = views.(i) in
-    let db = delta_base.(i) in
-    let remap c =
-      if c < 0 then -1
-      else if c < db then old_off.(i) + c
-      else delta_of.(i).(c - db)
-    in
-    for s = 0 to db - 1 do
-      let y = old_off.(i) + s in
-      num_children.(y) <- v.num_children.(s);
-      payload.(y) <- v.payload.(s);
-      level_of.(y) <- v.level_of.(s);
-      for k = 0 to mc - 1 do
-        child.(k).(y) <- remap v.child.(k).(s)
-      done
-    done;
-    for s = db to v.num_nodes - 1 do
-      let y = delta_of.(i).(s - db) in
-      num_children.(y) <- v.num_children.(s);
-      payload.(y) <- v.payload.(s);
-      level_of.(y) <- v.level_of.(s);
-      for k = 0 to mc - 1 do
-        child.(k).(y) <- remap v.child.(k).(s)
-      done
-    done
-  done;
+  Array.iteri
+    (fun i (g, _) ->
+      let db = delta_base.(i) in
+      let row lid =
+        if lid < db then old_off.(i) + lid else delta_of.(i).(lid - db)
+      in
+      for lid = 0 to extent i - 1 do
+        let y = row lid in
+        num_children.(y) <- g.g_num_children.(lid);
+        payload.(y) <- g.g_payload.(lid);
+        level_of.(y) <- g.g_level.(lid);
+        for k = 0 to mc - 1 do
+          let c = g.g_child.(k).(lid) in
+          child.(k).(y) <- (if c < 0 then -1 else row c)
+        done
+      done)
+    members;
   let view =
     {
-      structure = first.structure;
+      structure = (snd first).step_view.structure;
       num_nodes;
       num_leaves;
       max_children = mc;
       (* Host-side inspector state the executor never resolves — left
-         empty like the member delta views.  Region A above still makes
-         a pack O(max_children * sum of conversation sizes). *)
+         empty like a step's view.  Region A above still makes a pack
+         O(max_children * sum of conversation sizes). *)
       new_of_old = [||];
       old_of_new = [||];
       leaf_begin = base;

@@ -53,16 +53,9 @@ type rejection =
           phantom [(0, 0)] batch (one kernel launch over nothing). *)
   | Empty_delta  (** A {!delta} with no nodes. *)
   | Bad_delta of string
-      (** A {!delta} that does not describe pure growth of the cached
-          forest — bad ids, foreign nodes, unreachable nodes, or a
-          reordering of existing nodes.  The caller should fall back to
-          a cold {!run_forest}. *)
-  | Pack_incompatible of { member : int; reason : string }
-      (** A member delta view cannot join a {!pack_views} merge — wrong
-          child-table width, mixed structure kinds, no delta nodes, or a
-          batch table that is not the contiguous ascending level tiling
-          delta views guarantee.  The caller serves that member as its
-          own size-1 window. *)
+      (** A {!delta} that does not describe growth of its request — bad
+          ids, foreign nodes or unreachable nodes.  The caller should
+          fall back to a cold {!run_forest}. *)
 
 exception Rejected of rejection
 (** Typed input-validation failure, raised by {!run} and {!run_forest}
@@ -141,15 +134,13 @@ val rebind_forest : forest -> Cortex_ds.Structure.t list -> forest
 (** {2 Delta linearization (incremental growth)}
 
     Interactive workloads grow structures incrementally — token by
-    token for sequences, node by node for trees.  A cold {!run_forest}
-    per token is O(tree) inspector work; {!extend} reuses the cached
-    numbering instead: untouched levels keep their internal order and
-    only pick up a block offset, numbering decisions are made per delta
-    node, and the arrays are rebuilt by tight mapping passes (the
-    numbering scheme's descending level blocks force the id shift, but
-    not a re-traversal).  The serving engine does not call it: a
-    session numbers each token's delta onto its own scratch tables and
-    keeps no forest of the conversation (see [Engine]). *)
+    token for sequences, node by node for trees.  {!extend} states that
+    growth as a {!delta} against a linearized forest and returns the
+    grown forest.  It validates the delta, appends it and runs a cold
+    {!run_forest}, so it costs what a cold run costs; it stays for the
+    repository benchmark's replay.  What serving grows is a
+    {{!growing}growing layout}: a session's per-token work there is
+    O(delta). *)
 
 type delta = {
   d_request : int;  (** which request of the forest grows *)
@@ -164,11 +155,10 @@ type delta = {
 
 val extend : forest -> delta -> forest
 (** [extend f delta] returns the forest of the grown requests —
-    identical, array for array, to a cold {!run_forest} of them (same
-    shape key, same numbering, satisfies {!check_forest}, cacheable and
-    rebindable like any cold forest).  Raises {!Rejected}
+    identical, array for array, to a cold {!run_forest} of them at the
+    forest's child-table width (it is one).  Raises {!Rejected}
     ([Empty_delta], [Bad_delta], [Fanout_exceeded]) when the delta is
-    not pure growth; the caller falls back to a cold run. *)
+    not growth of its request. *)
 
 val check_forest : forest -> unit
 (** {!check} on the merged linearization, plus the span invariants:
@@ -214,45 +204,110 @@ val state_rows_bytes : num_nodes:int -> bytes_per_node:int -> int
     conversation.  [bytes_per_node] is the sum over the model's state
     tensors of one node's row bytes. *)
 
-(** {2 Packed delta merge (multi-session batching)}
+(** {2 Growing layouts (pinned sessions)}
+
+    A pinned conversation keeps one layout for its whole life and the
+    serving engine never re-linearizes it: each token {e grows} it.  A
+    growing layout is child, payload and level rows at per-session
+    {e layout ids}, handed out in push order and stable until the next
+    {!reseed}, in tables that double when they fill up (so n nodes cost
+    O(n) copying in total).  A token's {!step} is a [t] whose batch
+    table covers only the nodes it appended — the leaf run first,
+    possibly empty, then one batch per level run, children first —
+    while its node-id space, and so the state tensors bound over it,
+    covers the whole conversation, so the boundary rows can be
+    pre-seeded.  The step's arrays are the layout's live tables: no
+    per-token copy and no re-traversal.  Layout ids are not the
+    Appendix-B numbering — children precede their parents — so a
+    step's level runs, not the id order, carry the dependence order. *)
+
+type growing
+(** A mutable growing layout. *)
+
+type step = private {
+  step_view : t;
+      (** The step's view.  [leaf_begin] is [step_base];
+          [new_of_old], [old_of_new] and [postorder] are empty: the
+          executor never reads them. *)
+  step_nodes : Cortex_ds.Node.t array;  (** the appended nodes, in view batch order *)
+  step_base : int;
+      (** the layout's size before the step: node ids and layout ids
+          below it were laid out earlier *)
+}
+(** One token's growth, as {!grow} laid it out. *)
+
+val empty_layout : max_children:int -> growing
+(** A layout with nothing laid out, whose child tables are
+    [max_children] wide. *)
+
+val reseed : growing -> Cortex_ds.Structure.t -> prefix:int -> unit
+(** [reseed g s ~prefix] drops what [g] held and lays out nodes
+    [0, prefix) of [s] at layout ids [0, prefix), in node-id order, with
+    room for all of [s].  A cold serve reseeds the whole structure; a
+    restore reseeds the spilled prefix, whose content the caller has
+    checked. *)
+
+val grow : growing -> Cortex_ds.Structure.t -> step option
+(** [grow g s] lays out the nodes of [s] past the layout's size and
+    returns their {!step}.  O(delta): the prefix is the caller's
+    promise (the engine checks it by physical identity or by a content
+    digest); every appended node is checked in full — dense ids, arity
+    within the child-table width, children earlier members of [s].
+    [None], with [g] unchanged, when [s] does not grow the layout by at
+    least one such node. *)
+
+val layout_id : growing -> int -> int
+(** [layout_id g id] is the layout id of request-local node [id]. *)
+
+val layout_height : growing -> int
+(** The highest level laid out since the last {!reseed}: a layout of
+    height [h] prices as [h + 1] level batches. *)
+
+val regrowths : growing -> int
+(** How many times the layout's allocated tables doubled — its only
+    O(n) rebuild. *)
+
+(** {2 Packed steps (multi-session batching)}
 
     When several pinned conversations grow during the same drain tick,
-    their per-token delta views (see [Engine]) can merge into one packed
-    window: per level, the members' batch runs concatenate into a single
-    contiguous packed batch, so the level launches once for the whole
-    pack instead of once per session.  Ids below [pk_base] are the
-    members' old prefixes laid end to end — never iterated by any batch,
-    present only so each member's boundary state rows have a row to be
-    pre-seeded into; ids at and above [pk_base] are the delta nodes
-    grouped by level.  {!pack_id} translates a member's session id into
+    their steps can merge into one packed window: per level, the
+    members' batch runs concatenate into a single contiguous packed
+    batch, so the level launches once for the whole pack instead of
+    once per session.  Ids below [pk_base] are the members' old
+    prefixes laid end to end — never iterated by any batch, present
+    only so each member's boundary state rows have a row to be
+    pre-seeded into; ids at and above [pk_base] are the step nodes
+    grouped by level.  {!pack_id} translates a member's layout id into
     the packed numbering on both sides of that boundary. *)
 
 type packed = {
   pk_view : t;
-      (** the merged window: batch table over the packed delta nodes,
+      (** the merged window: batch table over the packed step nodes,
           node-id space covering every member's whole conversation *)
-  pk_members : int;  (** how many delta views were merged *)
+  pk_members : int;  (** how many steps were merged *)
   pk_base : int;  (** packed ids below this are old-prefix rows *)
   pk_old_off : int array;
       (** member -> offset of its old prefix in the packed numbering *)
   pk_delta_base : int array;
-      (** member -> its first delta session id (= its old prefix size) *)
+      (** member -> its step's first layout id (= its old prefix size) *)
   pk_delta_of : int array array;
-      (** member -> (session id - delta base) -> packed id *)
+      (** member -> (layout id - delta base) -> packed id *)
 }
 
-val pack_views : t list -> packed
-(** Merge member delta views into one packed window.  Members keep
-    their pack-order position within every level batch, so the merge —
-    and everything priced or executed from it — is deterministic in the
-    member order.  O(max_children * sum of member conversation sizes):
-    Region A copies every member's whole old prefix, and the child
-    tables are allocated over it, so a pack costs its conversations'
-    size, not only their deltas.  Raises {!Rejected} ([Pack_incompatible]) when a member's view is
-    not a delta-view-shaped tiling, names the member so the caller can
-    serve it solo. *)
+val pack : growing * step -> (growing * step) list -> packed
+(** [pack first rest] merges the members' steps, each over its own
+    layout and each the layout's latest step, into one packed window.
+    Members keep their pack-order position within every level batch,
+    so the merge — and everything priced or executed from it — is
+    deterministic in the member order.  It raises nothing: a step
+    {!grow} built tiles its nodes by construction, and the members
+    share a child-table width and a structure kind because one engine
+    creates all of them.  O(max_children * sum of member conversation
+    sizes): Region A copies every member's whole old prefix, and the
+    child tables are allocated over it, so a pack costs its
+    conversations' size, not only their steps. *)
 
 val pack_id : packed -> member:int -> int -> int
-(** [pack_id p ~member sid] is the packed id of [member]'s session id
-    [sid] — an old-prefix row below the member's delta base, a delta
+(** [pack_id p ~member lid] is the packed id of [member]'s layout id
+    [lid] — an old-prefix row below the member's delta base, a step
     node at or above it. *)

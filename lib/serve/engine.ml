@@ -346,36 +346,27 @@ type pending = {
 
 (* A session pins a growing conversation: its device, its persistent
    hidden states (host-side ground truth, keyed by stable request-local
-   node identity), and its one layout, the scratch tables every delta
-   view and every pack windows over.  The scratch arrays are
-   capacity-doubling: each appended node is assigned a {e session id}
-   (stable until the session resets) and its child/payload/level rows
-   live at that id, so building a token's delta view is O(delta) — no
-   per-token re-traversal of the conversation. *)
+   node identity), and its one layout, a [Linearizer.growing] that every
+   token's step and every pack windows over — no per-token
+   re-traversal of the conversation. *)
 type session = {
   sx_name : string;
   mutable sx_structure : Structure.t option;  (* last structure served *)
   mutable sx_device : int option;  (* pinned device index *)
-  mutable sx_extends : int;  (* windows served from a delta view *)
+  mutable sx_extends : int;  (* windows served from a layout step *)
   mutable sx_cold : int;  (* windows served by full (re)linearization *)
-  mutable sx_materializations : int;  (* doubling regrowths of the scratch tables *)
   mutable sx_rebinds : int;  (* re-pins of a previously pinned session *)
-  mutable sx_delta_nodes : int;  (* nodes served via delta views *)
+  mutable sx_delta_nodes : int;  (* nodes served via layout steps *)
   mutable sx_packed : int;  (* windows served inside a packed window *)
   mutable sx_deadline_misses : int;  (* tokens completed past deadline *)
-  mutable sx_height : int;  (* max scratch level: prices the layout *)
+  mutable sx_height : int;  (* max layout level: prices the layout *)
   mutable sx_restored_base : int option;
       (* Some b: the first b nodes were just restored from a spill —
-         the next token's delta view trusts the content digest instead
-         of physical prefix identity (meaningless across an eviction) *)
+         the next token's step trusts the content digest instead of
+         physical prefix identity (meaningless across an eviction) *)
   sx_states : (string * int, Tensor.t) Hashtbl.t;
       (* (state name, request-local node id) -> persisted row *)
-  mutable sc_used : int;  (* session ids in use *)
-  mutable sc_child : int array array;  (* child.(k).(sid), k < max_children *)
-  mutable sc_num_children : int array;
-  mutable sc_payload : int array;
-  mutable sc_level : int array;
-  mutable sc_sid : int array;  (* request-local node id -> session id *)
+  sx_layout : Linearizer.growing;
 }
 
 type t = {
@@ -647,7 +638,6 @@ let session_of t name =
   match Hashtbl.find_opt t.eng_sessions name with
   | Some sx -> sx
   | None ->
-    let mc = max 1 t.model.Ra.max_children in
     let sx =
       {
         sx_name = name;
@@ -655,7 +645,6 @@ let session_of t name =
         sx_device = None;
         sx_extends = 0;
         sx_cold = 0;
-        sx_materializations = 0;
         sx_rebinds = 0;
         sx_delta_nodes = 0;
         sx_packed = 0;
@@ -663,81 +652,25 @@ let session_of t name =
         sx_height = 0;
         sx_restored_base = None;
         sx_states = Hashtbl.create 64;
-        sc_used = 0;
-        sc_child = Array.make mc [||];
-        sc_num_children = [||];
-        sc_payload = [||];
-        sc_level = [||];
-        sc_sid = [||];
+        sx_layout = Linearizer.empty_layout ~max_children:(max 1 t.model.Ra.max_children);
       }
     in
     Hashtbl.add t.eng_sessions name sx;
     sx
 
-(* Doubling growth, so n appended nodes cost O(n) total copying.  A
-   regrowth of an allocated table is the session's only O(n) layout
-   rebuild; [sn_materializations] counts them. *)
-let ensure_session_capacity sx n =
-  let cap = Array.length sx.sc_num_children in
-  if n > cap then begin
-    if cap > 0 then sx.sx_materializations <- sx.sx_materializations + 1;
-    let cap' = max n (max 16 (2 * cap)) in
-    let grow a =
-      let a' = Array.make cap' (-1) in
-      Array.blit a 0 a' 0 (Array.length a);
-      a'
-    in
-    sx.sc_child <- Array.map grow sx.sc_child;
-    sx.sc_num_children <- grow sx.sc_num_children;
-    sx.sc_payload <- grow sx.sc_payload;
-    sx.sc_level <- grow sx.sc_level;
-    sx.sc_sid <- grow sx.sc_sid
-  end
-
-(* Assign the next session id to [node] and fill its scratch rows.
-   Children must already hold session ids (callers push children
-   first). *)
-let push_node sx (node : Node.t) =
-  let sid = sx.sc_used in
-  sx.sc_used <- sid + 1;
-  sx.sc_sid.(node.Node.id) <- sid;
-  let ch = node.Node.children in
-  let arity = Array.length ch in
-  sx.sc_num_children.(sid) <- arity;
-  sx.sc_payload.(sid) <- node.Node.payload;
-  let lv = ref 0 in
-  let mc = Array.length sx.sc_child in
-  for k = 0 to mc - 1 do
-    if k < arity then begin
-      let csid = sx.sc_sid.(ch.(k).Node.id) in
-      sx.sc_child.(k).(sid) <- csid;
-      if sx.sc_level.(csid) + 1 > !lv then lv := sx.sc_level.(csid) + 1
-    end
-    else sx.sc_child.(k).(sid) <- -1
-  done;
-  sx.sc_level.(sid) <- !lv;
-  if !lv > sx.sx_height then sx.sx_height <- !lv
-
 (* A different conversation took over the name: its node identities
-   mean something else, so the persisted rows and the scratch numbering
-   are dropped (the counters stay — they are cumulative). *)
+   mean something else, so the persisted rows are dropped (the counters
+   stay — they are cumulative).  With no structure and no restored
+   prefix the layout is never grown again before a reseed. *)
 let reset_session sx =
   sx.sx_structure <- None;
   sx.sx_height <- 0;
   sx.sx_restored_base <- None;
-  sx.sc_used <- 0;
   Hashtbl.reset sx.sx_states
-
-(* A session token served from its delta view. *)
-type delta = {
-  d_view : Linearizer.t;  (* delta view over the grown tail *)
-  d_news : Node.t array;  (* the appended nodes, in view batch order *)
-  d_base : int;  (* node-id boundary: ids < d_base are old *)
-}
 
 (* How one session submission is served this window. *)
 type session_serve =
-  | S_delta of delta
+  | S_delta of Linearizer.step
   | S_cold of Linearizer.forest * bool  (* full (re)linearization, cache hit *)
 
 (* The prefix size [s] grows from, when it is a pure-growth candidate
@@ -745,10 +678,10 @@ type session_serve =
    physically sharing the prefix at both endpoints.  A restored session
    has no [prev]; its spilled prefix was validated against [s] by
    content digest (physical identity cannot survive an eviction, let
-   alone an engine restart) and the scratch tables were rebuilt over
-   nodes [0, restored).  Both the drain's grouping-time prediction and
-   the play-time delta check ask this one question, so they cannot
-   drift apart. *)
+   alone an engine restart) and the layout was reseeded over nodes
+   [0, restored).  Both the drain's grouping-time prediction and the
+   play-time delta check ask this one question, so they cannot drift
+   apart. *)
 let growth_base ~prev ~restored (s : Structure.t) =
   let n = Structure.num_nodes s in
   match prev with
@@ -764,101 +697,21 @@ let growth_base ~prev ~restored (s : Structure.t) =
   | None -> (
     match restored with Some b when n > b && b > 0 -> Some b | _ -> None)
 
-(* Validate that [s] purely grows the session's pinned conversation and
-   build the token's delta view: a [Linearizer.t] whose batch table
-   covers only the appended nodes (the leaf run first — possibly empty,
-   a sequence token appends no leaf — then one batch per level run,
-   children-first), while its node-id space, and therefore the bound
-   state tensors, covers the whole conversation so the boundary rows
-   can be pre-seeded.  O(delta) work: the prefix is checked by physical
-   identity at its endpoints ([growth_base]) and every appended node is
-   validated in full.  Returns [None] when [s] is not pure growth — the
-   caller falls back to a cold run. *)
-let session_delta_view sx (s : Structure.t) =
-  let n = Structure.num_nodes s in
-  let nodes = s.Structure.nodes in
+(* Grow the session's layout by the token, when [s] purely grows the
+   pinned conversation: the prefix is checked here by physical identity
+   at its endpoints ([growth_base]), every appended node by
+   [Linearizer.grow].  [None] falls back to a cold run. *)
+let session_step sx (s : Structure.t) =
   match growth_base ~prev:sx.sx_structure ~restored:sx.sx_restored_base s with
   | None -> None
-  | Some b ->
-    begin
-      let mc = Array.length sx.sc_child in
-      let ok = ref true in
-      for i = b to n - 1 do
-        let nd = nodes.(i) in
-        if nd.Node.id <> i || Array.length nd.Node.children > mc then ok := false
-        else
-          Array.iter
-            (fun (c : Node.t) ->
-              if c.Node.id >= i || not (nodes.(c.Node.id) == c) then ok := false)
-            nd.Node.children
-      done;
-      if not !ok then None
-      else begin
-        ensure_session_capacity sx n;
-        let d = n - b in
-        (* Levels of the appended nodes (children precede parents by id). *)
-        let dlv = Array.make d 0 in
-        for i = 0 to d - 1 do
-          let nd = nodes.(b + i) in
-          Array.iter
-            (fun (c : Node.t) ->
-              let cl =
-                if c.Node.id < b then sx.sc_level.(sx.sc_sid.(c.Node.id))
-                else dlv.(c.Node.id - b)
-              in
-              if cl + 1 > dlv.(i) then dlv.(i) <- cl + 1)
-            nd.Node.children
-        done;
-        (* Level-sort the delta (stable), so every view batch is a
-           contiguous session-id run and children come first. *)
-        let order = Array.init d (fun i -> i) in
-        Array.stable_sort (fun i j -> compare (dlv.(i), i) (dlv.(j), j)) order;
-        let sid_base = sx.sc_used in
-        let news = Array.map (fun i -> nodes.(b + i)) order in
-        Array.iter (fun nd -> push_node sx nd) news;
-        let leaves = ref 0 in
-        Array.iter (fun i -> if dlv.(i) = 0 then incr leaves) order;
-        let batches = ref [] in
-        let i = ref !leaves in
-        while !i < d do
-          let l = dlv.(order.(!i)) in
-          let j = ref !i in
-          while !j < d && dlv.(order.(!j)) = l do
-            incr j
-          done;
-          batches := (sid_base + !i, !j - !i) :: !batches;
-          i := !j
-        done;
-        let batches = Array.of_list ((sid_base, !leaves) :: List.rev !batches) in
-        let view =
-          {
-            Linearizer.structure = s;
-            num_nodes = sx.sc_used;
-            num_leaves = !leaves;
-            max_children = mc;
-            (* Host-side inspector state the executor never resolves;
-               left empty so the view costs O(delta) to build. *)
-            new_of_old = [||];
-            old_of_new = [||];
-            leaf_begin = sid_base;
-            child = sx.sc_child;
-            num_children = sx.sc_num_children;
-            payload = sx.sc_payload;
-            level_of = sx.sc_level;
-            batches;
-            postorder = [||];
-          }
-        in
-        Some { d_view = view; d_news = news; d_base = b }
-      end
-    end
+  | Some _ -> Linearizer.grow sx.sx_layout s
 
 (* ---------- bounded session table ---------- *)
 
 (* What a live session costs its device, in closed form: the four
    resolved layout tables of the current conversation (a structure of
    height h lays out as h + 1 level batches — [sx_height] tracks the
-   max scratch level, so no re-traversal) plus the per-node state rows
+   max layout level, so no re-traversal) plus the per-node state rows
    it pins.  The QCheck accounting property holds this equal to the
    linearizer's price of a cold linearization of the conversation. *)
 let session_accounted_bytes t sx =
@@ -922,10 +775,8 @@ let spill_payload t sx =
            })
 
 (* Re-admit a spilled conversation: validate the spill against the
-   incoming structure (model, prefix digest, strict growth), rebuild
-   the scratch numbering over the prefix in node-id order (children
-   link strictly smaller ids, the same invariant the cold re-seed
-   relies on) and repopulate the persisted rows.  On success the next
+   incoming structure (model, prefix digest, strict growth), reseed the
+   layout over the prefix and repopulate the persisted rows.  On success the next
    token serves as a delta with its boundary states preloaded — the
    restored run is bitwise the never-evicted run.  Any mismatch or
    corruption falls back to a fresh cold serve, which is always
@@ -944,12 +795,8 @@ let try_restore t sx (s : Structure.t) =
         if b <= 0 || n <= b || prefix_digest s b <> ss.Checkpoint.ss_digest then
           false
         else begin
-          sx.sc_used <- 0;
-          sx.sx_height <- 0;
-          ensure_session_capacity sx n;
-          for i = 0 to b - 1 do
-            push_node sx s.Structure.nodes.(i)
-          done;
+          Linearizer.reseed sx.sx_layout s ~prefix:b;
+          sx.sx_height <- Linearizer.layout_height sx.sx_layout;
           Hashtbl.reset sx.sx_states;
           List.iter
             (fun (name, v) ->
@@ -1126,10 +973,10 @@ type session_report = {
   sn_name : string;
   sn_nodes : int;  (* current conversation size *)
   sn_windows : int;
-  sn_delta_nodes : int;  (* nodes served via delta views *)
-  sn_extends : int;  (* delta-view windows *)
+  sn_delta_nodes : int;  (* nodes served via layout steps *)
+  sn_extends : int;  (* windows served from a layout step *)
   sn_cold : int;  (* full (re)linearizations *)
-  sn_materializations : int;  (* doubling regrowths of the scratch tables *)
+  sn_materializations : int;  (* doubling regrowths of the session's layout *)
   sn_rebinds : int;  (* re-pins of a previously pinned session *)
   sn_packed : int;  (* tokens served inside packed multi-session windows *)
   sn_deadline_misses : int;  (* tokens completed past their deadline *)
@@ -1165,7 +1012,7 @@ let session_report_of t sx =
     sn_delta_nodes = sx.sx_delta_nodes;
     sn_extends = sx.sx_extends;
     sn_cold = sx.sx_cold;
-    sn_materializations = sx.sx_materializations;
+    sn_materializations = Linearizer.regrowths sx.sx_layout;
     sn_rebinds = sx.sx_rebinds;
     sn_packed = sx.sx_packed;
     sn_deadline_misses = sx.sx_deadline_misses;
@@ -1294,7 +1141,7 @@ type session_member = { sm_sx : session; sm_nodes : Node.t array; sm_base : int 
 
 (* One request inside a window.  [m_id] maps its request-local node ids
    into the window's numbering: a cold forest span's [span_ids], a
-   session's scratch ids, or those composed with [Linearizer.pack_id]
+   session's layout ids, or those composed with [Linearizer.pack_id]
    in a packed window.  [m_lin_us] is its [rr_linearize_us] charge: 0
    for a regular member, its token's priced restore for a session one. *)
 type member = {
@@ -1425,7 +1272,7 @@ let form_packs t ~delta_ok sessionp =
   let last_item = Hashtbl.create 16 in
   (* name -> (pinned device, structure as of the session's last token
      below, restored prefix) — the grouping-time mirror of what
-     [session_delta_view] will see when the token is served. *)
+     [session_step] will see when the token is served. *)
   let pred = Hashtbl.create 16 in
   let predicted p =
     let name = Option.get p.p_session in
@@ -1520,7 +1367,7 @@ let ready_items t ds pendings =
 (* ---------- serving a token ---------- *)
 
 (* Re-admission: a spilled conversation coming back under its name
-   restores its scratch numbering and persisted rows before the token is
+   restores its layout and persisted rows before the token is
    served; the priced restore cost is the token's whole linearization
    charge (0 when nothing was restored). *)
 let restore_spilled t sx (s : Structure.t) =
@@ -1564,17 +1411,12 @@ let serve_cold t ~delta_ok sx (s : Structure.t) =
   sx.sx_restored_base <- None;
   sx.sx_cold <- sx.sx_cold + 1;
   sx.sx_height <- Array.length fl.Linearizer.lin.Linearizer.batches - 1;
-  if delta_ok then begin
-    (* Re-seed the scratch numbering so the next token can be served as
-       a delta. *)
-    sx.sc_used <- 0;
-    ensure_session_capacity sx n;
-    Array.iter (fun nd -> push_node sx nd) s.Structure.nodes
-  end;
+  (* Reseed the layout so the next token can grow it. *)
+  if delta_ok then Linearizer.reseed sx.sx_layout s ~prefix:n;
   S_cold (fl, hit)
 
 (* One session token's inspector work: restore if spilled, then the
-   delta/cold decision, mutating the session's scratch tables — a pack's
+   delta/cold decision, growing the session's layout — a pack's
    members are all served, in pack order, before any of them plays.
    The delta/cold work runs in one wall-clock span: that is the
    per-token cost BENCH_incremental compares against a cold
@@ -1589,13 +1431,14 @@ let serve_token t ~delta_ok p =
     Obs.wall_span t.eng_obs ~track:"inspector" "token"
       ~args:[ ("session", CT.Str name); ("nodes", CT.Int (Structure.num_nodes s)) ]
       (fun () ->
-        match if delta_ok then session_delta_view sx s else None with
-        | Some d ->
+        match if delta_ok then session_step sx s else None with
+        | Some st ->
           sx.sx_structure <- Some s;
           sx.sx_restored_base <- None;
+          sx.sx_height <- Linearizer.layout_height sx.sx_layout;
           sx.sx_extends <- sx.sx_extends + 1;
-          sx.sx_delta_nodes <- sx.sx_delta_nodes + Array.length d.d_news;
-          S_delta d
+          sx.sx_delta_nodes <- sx.sx_delta_nodes + Array.length st.Linearizer.step_nodes;
+          S_delta st
         | None -> serve_cold t ~delta_ok sx s)
   in
   { tk_p = p; tk_sx = sx; tk_lin_us = restore_us; tk_serve = serve }
@@ -1636,9 +1479,9 @@ let mark_dead ds now =
    construction; they can only diverge when an earlier failover this
    drain re-pinned some of them), else — and for a regular window — the
    dispatch policy's pick.  Every member session pins to it; one whose
-   pinned device died re-pins to the survivor.  Its layout is the
-   session's scratch tables, so a re-pin rebuilds nothing: the next
-   token's delta view windows over the same tables. *)
+   pinned device died re-pins to the survivor.  A session's layout
+   lives on the host, so a re-pin rebuilds nothing: the next token
+   grows the same layout. *)
 let pick_device ds ~sxs ~nodes =
   let devs = Dispatch.devices ds.ds_disp in
   let dev =
@@ -1971,16 +1814,18 @@ let play_tokens t ds ~ready toks =
       m_session = Some { sm_sx = tk.tk_sx; sm_nodes = nodes; sm_base = base };
     }
   in
-  let play_delta (tk, d) =
-    play_window t ds ~ready ~lin:d.d_view ~nodes:(Array.length d.d_news) ~hit:false
-      [ member tk ~ids:(fun sx id -> sx.sc_sid.(id)) d.d_news d.d_base ]
+  let layout_id sx id = Linearizer.layout_id sx.sx_layout id in
+  let play_step (tk, st) =
+    play_window t ds ~ready ~lin:st.Linearizer.step_view
+      ~nodes:(Array.length st.Linearizer.step_nodes) ~hit:false
+      [ member tk ~ids:layout_id st.Linearizer.step_nodes st.Linearizer.step_base ]
   in
   let colds, deltas =
     List.partition_map
       (fun tk ->
         match tk.tk_serve with
         | S_cold (fl, hit) -> Either.Left (tk, fl, hit)
-        | S_delta d -> Either.Right (tk, d))
+        | S_delta st -> Either.Right (tk, st))
       toks
   in
   List.iter
@@ -1991,24 +1836,23 @@ let play_tokens t ds ~ready toks =
     colds;
   match deltas with
   | [] -> ()
-  | [ one ] -> play_delta one
-  | _ -> (
-    match Linearizer.pack_views (List.map (fun (_, d) -> d.d_view) deltas) with
-    | exception Linearizer.Rejected _ -> List.iter play_delta deltas
-    | pk ->
-      let view = pk.Linearizer.pk_view in
-      (* The window's work is its delta nodes; the old-prefix rows below
-         [pk_base] only receive pre-seeded boundary states and are never
-         iterated by a batch. *)
-      play_window t ds ~ready ~lin:view
-        ~nodes:(view.Linearizer.num_nodes - pk.Linearizer.pk_base)
-        ~hit:false
-        (List.mapi
-           (fun i (tk, d) ->
-             member tk
-               ~ids:(fun sx id -> Linearizer.pack_id pk ~member:i sx.sc_sid.(id))
-               d.d_news d.d_base)
-           deltas))
+  | [ one ] -> play_step one
+  | first :: rest ->
+    let on_layout (tk, st) = (tk.tk_sx.sx_layout, st) in
+    let pk = Linearizer.pack (on_layout first) (List.map on_layout rest) in
+    let view = pk.Linearizer.pk_view in
+    (* The window's work is its step nodes; the old-prefix rows below
+       [pk_base] only receive pre-seeded boundary states and are never
+       iterated by a batch. *)
+    play_window t ds ~ready ~lin:view
+      ~nodes:(view.Linearizer.num_nodes - pk.Linearizer.pk_base)
+      ~hit:false
+      (List.mapi
+         (fun i (tk, st) ->
+           member tk
+             ~ids:(fun sx id -> Linearizer.pack_id pk ~member:i (layout_id sx id))
+             st.Linearizer.step_nodes st.Linearizer.step_base)
+         deltas)
 
 (* Play one item at its ready time, advancing the monotone engine clock
    item by item (items play in ready order): sessions age against the
