@@ -1729,19 +1729,15 @@ let account_completed t ds ~lin ~nodes ~hit ~sxs ~size members c =
   execute_window t ds ~lin ~ran:c.ao_compiled members;
   record_requests t ds ~index ~size ~packed:(packed <> []) members c
 
-(* Bounded-table bookkeeping for a token just served: re-account the
-   session at its new size, then run the eviction pass — the budget
-   invariant holds after every session window, not just at drain end,
-   which is also what makes evict/restore churn observable inside a
-   single drain. *)
-let account_session t sx =
-  Session_store.touch t.eng_store sx.sx_name
-    ~bytes:(session_accounted_bytes t sx) ~now_us:t.eng_clock_us;
-  enforce_sessions ?obs:t.eng_obs t
-
-(* Account one window's outcome, then its member sessions.  A lost
-   window stored no state row of its tokens' new nodes, so its member
-   sessions reset: their next tokens are served cold. *)
+(* Account one window's outcome, then its member sessions: re-account
+   every member at its new size, then run one eviction pass — the
+   budget invariant holds after every session window, not just at drain
+   end, which is also what makes evict/restore churn observable inside
+   a single drain.  A pass between two members could evict a later one
+   (its last use dates from its previous token), whose own re-accounting
+   would then put the evicted name back in the store.  A lost window
+   stored no state row of its tokens' new nodes, so its member sessions
+   reset: their next tokens are served cold. *)
 let account_result t ds ~lin ~nodes ~hit ~sxs members outcome =
   let size = List.length members in
   (match outcome with
@@ -1751,9 +1747,14 @@ let account_result t ds ~lin ~nodes ~hit ~sxs members outcome =
      bump_clock t at;
      List.iter reset_session sxs
    | Completed c -> account_completed t ds ~lin ~nodes ~hit ~sxs ~size members c);
-  List.iter
-    (fun m -> Option.iter (fun sm -> account_session t sm.sm_sx) m.m_session)
-    members
+  if sxs <> [] then begin
+    List.iter
+      (fun sx ->
+        Session_store.touch t.eng_store sx.sx_name
+          ~bytes:(session_accounted_bytes t sx) ~now_us:t.eng_clock_us)
+      sxs;
+    enforce_sessions ?obs:t.eng_obs t
+  end
 
 (* ---------- playing windows ---------- *)
 

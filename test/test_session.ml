@@ -5,9 +5,9 @@
    persistent states, and that must be bitwise indistinguishable from
    re-linearizing and re-executing the whole conversation cold — for
    every node's every state, at every step, across failovers and
-   through AOT bundles.  A session's one layout is its scratch tables:
-   failovers and restores leave the shape cache alone, and only a table
-   regrowth counts as a materialization.  The shape-cache tests pin the
+   through AOT bundles.  A session's one layout is its growing layout
+   in the linearizer: failovers and restores leave the shape cache
+   alone, and only a layout regrowth counts as a materialization.  The shape-cache tests pin the
    accounting: counters move only after the work they account for
    succeeded, epoch eviction drops entries but never history. *)
 
@@ -318,11 +318,12 @@ let test_session_through_bundle () =
 (* ---------- bounded session table: evict, spill, restore ---------- *)
 
 let engine_bounded spec ?devices ?faults ?seed ?session_budget_bytes ?session_ttl_us
-    ?session_spill_dir params =
+    ?session_spill_dir ?session_pack_window ?session_pack_wait_us params =
   Engine.of_spec
     ~config:
       (Engine.Config.make ?devices ?faults ?seed ~dispatch:Dispatch.Least_loaded
-         ~params ?session_budget_bytes ?session_ttl_us ?session_spill_dir ())
+         ~params ?session_budget_bytes ?session_ttl_us ?session_spill_dir
+         ?session_pack_window ?session_pack_wait_us ())
     spec ~backend:gpu
 
 (* Submit tokens [from, upto) of a conversation (arrival = absolute
@@ -362,7 +363,7 @@ let test_evict_restore_bitwise () =
   Alcotest.(check bool) "double evict refused" false
     (Engine.evict_session eng "chat");
   (* The conversation resumes: restore, then keep serving deltas over
-     the scratch tables rebuilt from the spill.  No layout goes through
+     the layout reseeded from the spill.  No layout goes through
      the shape cache. *)
   let cache = Engine.cache_stats eng in
   let s2 = serve_slice eng ~from:6 ~upto:11 structs in
@@ -545,7 +546,7 @@ let test_restart_restore_from_disk () =
         (Checkpoint.resolver weights)
         (List.nth structs 9))
 
-(* [sn_materializations] counts regrowths of the scratch tables.  A tree
+(* [sn_materializations] counts regrowths of the session's layout.  A tree
    conversation starts at one node (capacity 16) and each token adds
    two: 7 tokens stay inside the first tables, 8 tokens (17 nodes)
    outgrow them once. *)
@@ -563,6 +564,52 @@ let test_regrowth_counts () =
           regrowths sn.Engine.sn_materializations
       | _ -> Alcotest.fail "expected one session")
     [ (7, 0); (8, 1) ]
+
+(* Four lock-step conversations packed into windows of 4 under a byte
+   budget, drained wave by wave.  The eviction pass runs once per
+   window, after every member is re-accounted: a pass run after the
+   first member alone would evict the members after it (their last use
+   dates from the previous wave) and their own accounting would then
+   put the evicted names back in the store as live entries. *)
+let test_packed_budget_no_ghosts () =
+  let spec = Models.Tree_lstm.spec ~vocab:20 ~hidden:4 () in
+  let budget = 2500 in
+  let eng =
+    Engine.of_spec
+      ~config:
+        (Engine.Config.make ~seed:42 ~session_budget_bytes:budget
+           ~session_pack_window:4 ~session_pack_wait_us:500.0 ())
+      spec ~backend:gpu
+  in
+  let tokens = 12 in
+  let convs =
+    Array.init 4 (fun i ->
+        Array.of_list
+          (conversation (42 + (31 * i) + 1) ~vocab:20 ~kind:Structure.Tree ~tokens))
+  in
+  for j = 0 to tokens do
+    Array.iteri
+      (fun i structs ->
+        ignore
+          (Engine.submit_exn eng
+             ~arrival_us:((1000.0 *. float_of_int j) +. (7.0 *. float_of_int i))
+             ~session:(Printf.sprintf "chat-%d" i)
+             structs.(j)))
+      convs;
+    ignore (Engine.drain eng);
+    let st = Engine.session_table_stats eng in
+    let label what = Printf.sprintf "wave %d: %s" j what in
+    Alcotest.(check int) (label "store live = engine sessions")
+      (List.length (Engine.sessions eng)) st.Session_store.st_live;
+    Alcotest.(check int) (label "live + spilled = started") 4
+      (st.Session_store.st_live + st.Session_store.st_spilled);
+    Alcotest.(check bool)
+      (label (Printf.sprintf "%d bytes within the budget" st.Session_store.st_bytes))
+      true
+      (st.Session_store.st_bytes <= budget)
+  done;
+  Alcotest.(check bool) "the budget evicted" true
+    ((Engine.session_table_stats eng).Session_store.st_evictions > 0)
 
 (* Satellite: the table's accounted bytes are exactly the linearizer's
    price of the session's own forest — layout plus state rows — after
@@ -590,7 +637,7 @@ let prop_accounting_matches_linearizer =
             | [ sn ] -> sn
             | _ -> Alcotest.fail "expected one session"
           in
-          (* Price the same structure cold: the scratch numbering the
+          (* Price the same structure cold: the layout the
              engine accounts with must agree batch-for-batch. *)
           let cold = (Linearizer.run_forest ~max_children:mc [ s ]).Linearizer.lin in
           let row_bytes =
@@ -624,20 +671,23 @@ let prop_accounting_matches_linearizer =
 
 (* ---------- the session-lifecycle property harness ---------- *)
 
-(* Random interleavings of grow / explicit-evict / budget-shrink /
-   budget-unbind over three conversations, one drain per op, asserting
-   after every drain:
+(* Random interleavings of grow / wave / explicit-evict / budget-shrink
+   / budget-unbind over three conversations, one drain per op, under a
+   pack window of 3 (a wave grows every unfinished conversation by one
+   token in the same drain, so its tokens pack), asserting after every
+   drain:
      (b) accounted bytes never exceed the budget in force;
      (c) live + spilled exactly partition the sessions that started;
    the moment each conversation reaches its full length:
      (a) through whatever evictions the trace forced, it is bitwise a
          never-evicted cold execution (checked then, because a session
          that finishes early may idle past the TTL while the others
-         fill);
+         fill): every persisted state of a live session, the final
+         token's result of one the same drain's budget pass evicted;
    and at the end of the trace:
      (d) the whole lifecycle (chaos mode, eviction enabled) replays
          byte-identically under the same seed. *)
-type life_op = Grow of int | Evict_now of int | Budget of int option
+type life_op = Grow of int | Wave | Evict_now of int | Budget of int option
 
 let lifecycle_ops_arb =
   let open Q.Gen in
@@ -645,6 +695,7 @@ let lifecycle_ops_arb =
     frequency
       [
         (6, map (fun i -> Grow i) (int_bound 2));
+        (3, return Wave);
         (2, map (fun i -> Evict_now i) (int_bound 2));
         (1, map (fun k -> Budget (Some (1200 + (500 * k)))) (int_bound 4));
         (1, return (Budget None));
@@ -652,6 +703,7 @@ let lifecycle_ops_arb =
   in
   let print_op = function
     | Grow i -> Printf.sprintf "grow %d" i
+    | Wave -> "wave"
     | Evict_now i -> Printf.sprintf "evict %d" i
     | Budget (Some b) -> Printf.sprintf "budget %d" b
     | Budget None -> "budget none"
@@ -680,7 +732,8 @@ let prop_session_lifecycle =
            equality. The TTL adds background expiry churn on top of
            the explicit ops. *)
         let eng =
-          engine_bounded spec ~faults:[] ~seed:5 ~session_ttl_us:12000.0 params
+          engine_bounded spec ~faults:[] ~seed:5 ~session_ttl_us:12000.0
+            ~session_pack_window:3 ~session_pack_wait_us:100.0 params
         in
         let next = Array.make 3 0 in
         let step = ref 0 in
@@ -709,26 +762,57 @@ let prop_session_lifecycle =
                st.Session_store.st_spilled st.Session_store.st_bytes
                st.Session_store.st_evictions st.Session_store.st_restores)
         in
-        let grow i =
-          if next.(i) <= tokens then begin
+        (* One drain growing each unfinished conversation of [is] by a
+           token, 3 us apart in list order. *)
+        let grow_all is =
+          match List.filter (fun i -> next.(i) <= tokens) is with
+          | [] -> ()
+          | is ->
             incr step;
-            let s = List.nth convs.(i) next.(i) in
-            next.(i) <- next.(i) + 1;
-            ignore
-              (Engine.submit_exn eng
-                 ~arrival_us:(900.0 *. float_of_int !step)
-                 ~session:names.(i) s);
-            ignore (Engine.drain eng);
+            let ids =
+              List.mapi
+                (fun k i ->
+                  let s = List.nth convs.(i) next.(i) in
+                  next.(i) <- next.(i) + 1;
+                  Engine.submit_exn eng
+                    ~arrival_us:((900.0 *. float_of_int !step) +. (3.0 *. float_of_int k))
+                    ~session:names.(i) s)
+                is
+            in
+            let summary = Engine.drain eng in
             (* (a): evict/restore churn included, the full conversation
                is bitwise a never-evicted cold execution. *)
-            if next.(i) > tokens then
-              check_states_bitwise spec eng ~session:names.(i) compiled params s
-          end
+            List.iter2
+              (fun i id ->
+                if next.(i) > tokens then begin
+                  let s = List.nth convs.(i) tokens in
+                  let live =
+                    List.exists
+                      (fun (sn : Engine.session_report) -> sn.Engine.sn_name = names.(i))
+                      (Engine.sessions eng)
+                  in
+                  if live then
+                    check_states_bitwise spec eng ~session:names.(i) compiled params s
+                  else
+                    let out = List.hd spec.M.program.Ra.outputs in
+                    let cold =
+                      Runtime.state (Runtime.execute compiled ~params s) out
+                        (List.hd s.Structure.roots)
+                    in
+                    match List.assoc_opt id summary.Engine.results with
+                    | Some v when Tensor.max_abs_diff v cold = 0.0 -> ()
+                    | _ ->
+                      Q.Test.fail_reportf "%s: final result is not the cold run's"
+                        names.(i)
+                end)
+              is ids
         in
+        let grow i = grow_all [ i ] in
         List.iter
           (fun op ->
             (match op with
              | Grow i -> grow i
+             | Wave -> grow_all [ 0; 1; 2 ]
              | Evict_now i -> ignore (Engine.evict_session eng names.(i))
              | Budget b ->
                Engine.set_session_budget eng b;
@@ -1070,9 +1154,12 @@ let test_pack_deadline_misses () =
    replaced under its name, a byte budget that forces evict/restore
    churn, transient aborts and a mid-drain fail-stop — rendered down to
    the summary's deterministic fields (floats by their bits) and
-   hashed.  The digests were last re-pinned when the summary lost its
-   fault-spec flag and [sn_materializations] came to count scratch-table
-   regrowths; any refactor of the window path must leave them
+   hashed.  The pack-window-8 digest was last re-pinned when the
+   eviction pass came to run once per session window, after every
+   member is re-accounted (before, a packed window's evicted members
+   stayed live in the store); the pack-window-1 digest when the summary
+   lost its fault-spec flag and [sn_materializations] came to count
+   layout regrowths.  Any refactor of the window path must leave them
    unchanged, at pack window 8 (packed, size-1 and regular windows
    interleaved) and at pack window 1 (size-1 and regular only). *)
 let render_summary (s : Engine.summary) =
@@ -1221,7 +1308,7 @@ let test_characterization () =
         expected
         (Digest.to_hex (Digest.string rendered)))
     [
-      (8, "ea809f4fc0012ef7124d9d01768c0831");
+      (8, "8ff3538f7a341eb4ba669b7ea2d26fc0");
       (1, "fe4c89452fa40d81dfa01a1b0b27be33");
     ]
 
@@ -1340,6 +1427,7 @@ let () =
             test_restart_restore_from_disk;
           QCheck_alcotest.to_alcotest prop_accounting_matches_linearizer;
           QCheck_alcotest.to_alcotest prop_session_lifecycle;
+          Alcotest.test_case "packed-budget-no-ghosts" `Quick test_packed_budget_no_ghosts;
         ] );
       ( "packing",
         [
