@@ -849,9 +849,7 @@ let evict_session_now ?obs t name ~reason =
     let now = t.eng_clock_us in
     let spill_us =
       match spill_payload t sx with
-      | Some data ->
-        Session_store.spill t.eng_store name ~data ~now_us:now
-          ~expired:(reason = `Ttl)
+      | Some data -> Session_store.spill t.eng_store name ~data ~expired:(reason = `Ttl)
       | None ->
         Session_store.drop t.eng_store name;
         0.0

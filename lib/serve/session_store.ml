@@ -104,34 +104,41 @@ let restore_cost_us ~bytes = 15.0 +. (float_of_int bytes /. 4096.0)
 (* ---------- victim selection ---------- *)
 
 let victims t ~now_us =
-  let all =
-    Hashtbl.fold (fun name e acc -> (name, e) :: acc) t.live []
-    |> List.sort (fun (na, ea) (nb, eb) ->
-           let c = compare ea.e_last_us eb.e_last_us in
-           if c <> 0 then c else compare na nb)
+  let fits =
+    match t.cfg.budget_bytes with None -> true | Some budget -> t.total_bytes <= budget
   in
-  let expired, alive =
-    match t.cfg.ttl_us with
-    | Some ttl -> List.partition (fun (_, e) -> now_us -. e.e_last_us > ttl) all
-    | None -> ([], all)
-  in
-  let over_budget =
-    match t.cfg.budget_bytes with
-    | None -> []
-    | Some budget ->
-      (* [alive] is least-recent-first, which under the one uniform
-         TTL is also nearest-expiry-first. *)
-      let remaining =
-        List.fold_left (fun acc (_, e) -> acc + e.e_bytes) 0 alive
-      in
-      let rec take acc remaining = function
-        | [] -> List.rev acc
-        | _ when remaining <= budget -> List.rev acc
-        | (name, e) :: rest -> take ((name, `Budget) :: acc) (remaining - e.e_bytes) rest
-      in
-      take [] remaining alive
-  in
-  List.map (fun (name, _) -> (name, `Ttl)) expired @ over_budget
+  (* No TTL and a table within its budget (or unbounded): nothing is
+     due, so skip the fold and sort over every live session. *)
+  if t.cfg.ttl_us = None && fits then []
+  else
+    let all =
+      Hashtbl.fold (fun name e acc -> (name, e) :: acc) t.live []
+      |> List.sort (fun (na, ea) (nb, eb) ->
+             let c = compare ea.e_last_us eb.e_last_us in
+             if c <> 0 then c else compare na nb)
+    in
+    let expired, alive =
+      match t.cfg.ttl_us with
+      | Some ttl -> List.partition (fun (_, e) -> now_us -. e.e_last_us > ttl) all
+      | None -> ([], all)
+    in
+    let over_budget =
+      match t.cfg.budget_bytes with
+      | None -> []
+      | Some budget ->
+        (* [alive] is least-recent-first, which under the one uniform
+           TTL is also nearest-expiry-first. *)
+        let remaining =
+          List.fold_left (fun acc (_, e) -> acc + e.e_bytes) 0 alive
+        in
+        let rec take acc remaining = function
+          | [] -> List.rev acc
+          | _ when remaining <= budget -> List.rev acc
+          | (name, e) :: rest -> take ((name, `Budget) :: acc) (remaining - e.e_bytes) rest
+        in
+        take [] remaining alive
+    in
+    List.map (fun (name, _) -> (name, `Ttl)) expired @ over_budget
 
 (* ---------- spilling ---------- *)
 
@@ -165,7 +172,7 @@ let count_eviction t name ~expired =
   if expired then t.expired <- t.expired + 1;
   (counters_of t name).c_evictions <- (counters_of t name).c_evictions + 1
 
-let spill t name ~data ~now_us:_ ~expired =
+let spill t name ~data ~expired =
   drop_live t name;
   count_eviction t name ~expired;
   let size = String.length data in

@@ -78,9 +78,11 @@ val victims : t -> now_us:float -> (string * [ `Ttl | `Budget ]) list
     order: every live session idle past [ttl_us] first, then — if the
     survivors still exceed [budget_bytes] — least-recently-used
     sessions until the table fits.  Deterministic: ties break on the session
-    name.  Empty when neither bound is configured or the table fits. *)
+    name.  Empty when neither bound is configured or the table fits; with
+    no TTL and the running byte total within the budget it returns at
+    once, without looking at a session. *)
 
-val spill : t -> string -> data:string -> now_us:float -> expired:bool -> float
+val spill : t -> string -> data:string -> expired:bool -> float
 (** Evict [name]: drop its live accounting and hold [data] (a
     serialized checkpoint session section) for re-admission — in
     memory, or as a file under [spill_dir].  Returns the priced spill
