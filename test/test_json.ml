@@ -148,7 +148,10 @@ let test_bench_files () =
           rows
       | _ -> Alcotest.failf "BENCH_%s.json is not a non-empty array" name
       | exception Json.Parse_error e -> Alcotest.failf "BENCH_%s.json: %s" name e)
-    [ "autotune"; "bundle"; "fmeca"; "incremental"; "packing"; "sessions" ]
+    [
+      "autotune"; "bundle"; "fmeca"; "incremental"; "incremental_host"; "packing";
+      "sessions";
+    ]
 
 let () =
   Alcotest.run "json"
