@@ -402,6 +402,199 @@ let test_extend_then_rebind () =
   Alcotest.(check bool) "rebound extended forest = cold run" true
     (forest_equal rebound cold)
 
+(* ---------- growing layouts ---------- *)
+
+(* A random growth step over [s]: one to four appended nodes, each over
+   up to [max_children] children — current roots for trees and
+   sequences (so every node keeps one parent), any earlier nodes for
+   DAGs — with the roots left parentless as the new root list. *)
+let random_step rng (s : Structure.t) =
+  let mc = s.Structure.max_children in
+  let bld = Node.builder_from (Structure.num_nodes s) in
+  let roots = ref s.Structure.roots in
+  let earlier = ref (Array.to_list s.Structure.nodes) in
+  let added = ref [] in
+  for _ = 1 to 1 + Rng.int rng 4 do
+    let pool = match s.Structure.kind with Structure.Dag -> !earlier | _ -> !roots in
+    let pool = Array.of_list pool in
+    Rng.shuffle rng pool;
+    let arity = Rng.int rng (1 + min mc (Array.length pool)) in
+    let children = Array.to_list (Array.sub pool 0 arity) in
+    let node = Node.make bld ~payload:(Rng.int rng 50) children in
+    roots := node :: List.filter (fun r -> not (List.memq r children)) !roots;
+    earlier := node :: !earlier;
+    added := node :: !added
+  done;
+  Structure.append s ~roots:!roots ~added:(Array.of_list (List.rev !added))
+
+let random_start rng kind =
+  match kind with
+  | Structure.Tree -> Gen.random_tree rng ~max_nodes:12 ~max_children:3
+  | Structure.Dag -> Gen.random_dag rng ~max_nodes:12 ~max_children:3
+  | Structure.Sequence -> Gen.sequence rng ~len:(1 + Rng.int rng 8) ()
+
+let random_kind rng =
+  [| Structure.Tree; Structure.Dag; Structure.Sequence |].(Rng.int rng 3)
+
+(* A layout seeded as a cold serve (the whole first structure) or as a
+   restore (a prefix of it, the rest one step), then grown by [steps]
+   random steps: the layout, and each grown structure with its step,
+   oldest first. *)
+let grow_layout rng kind ~steps =
+  let s0 = random_start rng kind in
+  let g = Linearizer.empty_layout ~max_children:s0.Structure.max_children in
+  let n0 = Structure.num_nodes s0 in
+  let prefix = if Rng.int rng 2 = 0 then n0 else 1 + Rng.int rng n0 in
+  Linearizer.reseed g s0 ~prefix;
+  let grow s =
+    match Linearizer.grow g s with
+    | Some st -> st
+    | None -> QCheck.Test.fail_report "grow refused a growth step"
+  in
+  let first = if prefix < n0 then [ (s0, grow s0) ] else [] in
+  let rec go s k acc =
+    if k = 0 then List.rev acc
+    else
+      let s' = random_step rng s in
+      go s' (k - 1) ((s', grow s') :: acc)
+  in
+  (g, first @ go s0 steps [])
+
+(* What the deleted run-time checks of the pack function guarded: each
+   step's batches tile exactly its new layout ids, leaf run first, in
+   strictly ascending level order; every child sits at a lower level
+   than its parent; and the grown layout is a cold [run_forest] of the
+   final structure, node for node. *)
+let check_step (st : Linearizer.step) =
+  let v = st.Linearizer.step_view in
+  let base = st.Linearizer.step_base in
+  if v.Linearizer.num_nodes - base <> Array.length st.Linearizer.step_nodes then
+    QCheck.Test.fail_report "step size is not its appended node count";
+  let cursor = ref base in
+  Array.iteri
+    (fun k (b, len) ->
+      if b <> !cursor || (k > 0 && len <= 0) then
+        QCheck.Test.fail_report "step batches do not tile the new ids";
+      let level = if k = 0 then 0 else v.Linearizer.level_of.(b) in
+      if k > 1 && level <= v.Linearizer.level_of.(fst v.Linearizer.batches.(k - 1)) then
+        QCheck.Test.fail_report "step batch levels not ascending";
+      for l = b to b + len - 1 do
+        if v.Linearizer.level_of.(l) <> level then
+          QCheck.Test.fail_report "a step batch mixes levels"
+      done;
+      cursor := b + len)
+    v.Linearizer.batches;
+  if !cursor <> v.Linearizer.num_nodes then
+    QCheck.Test.fail_report "step batches stop short of the layout";
+  for l = 0 to v.Linearizer.num_nodes - 1 do
+    for k = 0 to v.Linearizer.num_children.(l) - 1 do
+      let c = v.Linearizer.child.(k).(l) in
+      if c < 0 || v.Linearizer.level_of.(c) >= v.Linearizer.level_of.(l) then
+        QCheck.Test.fail_reportf "child %d of %d not at a lower level" c l
+    done
+  done
+
+let check_layout_is_cold g (st : Linearizer.step) (final : Structure.t) =
+  let v = st.Linearizer.step_view in
+  let mc = v.Linearizer.max_children in
+  let cold = Linearizer.run_forest ~max_children:mc [ final ] in
+  let ids = cold.Linearizer.spans.(0).Linearizer.span_ids in
+  let c = cold.Linearizer.lin in
+  Array.iter
+    (fun (nd : Node.t) ->
+      let l = Linearizer.layout_id g nd.Node.id and k = ids.(nd.Node.id) in
+      let arity = Array.length nd.Node.children in
+      let same =
+        v.Linearizer.payload.(l) = c.Linearizer.payload.(k)
+        && v.Linearizer.num_children.(l) = arity
+        && c.Linearizer.num_children.(k) = arity
+        && v.Linearizer.level_of.(l) = c.Linearizer.level_of.(k)
+      in
+      if not same then QCheck.Test.fail_reportf "node %d differs from the cold run" nd.Node.id;
+      for j = 0 to mc - 1 do
+        let ok =
+          if j < arity then
+            let ch = nd.Node.children.(j).Node.id in
+            v.Linearizer.child.(j).(l) = Linearizer.layout_id g ch
+            && c.Linearizer.child.(j).(k) = ids.(ch)
+          else v.Linearizer.child.(j).(l) = -1 && c.Linearizer.child.(j).(k) = -1
+        in
+        if not ok then QCheck.Test.fail_reportf "child %d of node %d differs" j nd.Node.id
+      done)
+    final.Structure.nodes
+
+let prop_growing_layout =
+  QCheck.Test.make ~name:"growing layout steps = cold run" ~count:200 QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create (seed + 901) in
+      let g, steps = grow_layout rng (random_kind rng) ~steps:(1 + Rng.int rng 6) in
+      List.iter (fun (_, st) -> check_step st) steps;
+      let final, last =
+        match List.rev steps with
+        | (s, st) :: _ -> (s, st)
+        | [] -> QCheck.Test.fail_report "no step"
+      in
+      check_layout_is_cold g last final;
+      (* Nothing more to lay out: the same structure is not growth. *)
+      Linearizer.grow g final = None)
+
+(* Packs of 2-4 layouts of one kind, each with its latest step: every
+   member row maps through [pack_id] to a distinct packed row with its
+   payload, arity, level and remapped children, and the packed batches
+   tile the step rows as contiguous, strictly ascending level runs. *)
+let prop_pack =
+  QCheck.Test.make ~name:"pack = members' rows, contiguous level runs" ~count:150
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create (seed + 1901) in
+      let kind = random_kind rng in
+      let members =
+        List.init (2 + Rng.int rng 3) (fun _ ->
+            let g, steps = grow_layout rng kind ~steps:(1 + Rng.int rng 3) in
+            (g, snd (List.nth steps (List.length steps - 1))))
+      in
+      let p = Linearizer.pack (List.hd members) (List.tl members) in
+      let pv = p.Linearizer.pk_view in
+      let seen = Array.make pv.Linearizer.num_nodes false in
+      List.iteri
+        (fun i (_, (st : Linearizer.step)) ->
+          let v = st.Linearizer.step_view in
+          let row lid = Linearizer.pack_id p ~member:i lid in
+          for lid = 0 to v.Linearizer.num_nodes - 1 do
+            let y = row lid in
+            if seen.(y) then QCheck.Test.fail_reportf "packed row %d claimed twice" y;
+            seen.(y) <- true;
+            if
+              pv.Linearizer.payload.(y) <> v.Linearizer.payload.(lid)
+              || pv.Linearizer.num_children.(y) <> v.Linearizer.num_children.(lid)
+              || pv.Linearizer.level_of.(y) <> v.Linearizer.level_of.(lid)
+            then QCheck.Test.fail_reportf "member %d row %d differs in the pack" i lid;
+            for k = 0 to v.Linearizer.max_children - 1 do
+              let c = v.Linearizer.child.(k).(lid) in
+              let want = if c < 0 then -1 else row c in
+              if pv.Linearizer.child.(k).(y) <> want then
+                QCheck.Test.fail_reportf "member %d row %d child %d not remapped" i lid k
+            done;
+            if (lid >= st.Linearizer.step_base) <> (y >= p.Linearizer.pk_base) then
+              QCheck.Test.fail_reportf "member %d row %d on the wrong side of the base" i lid
+          done)
+        members;
+      if Array.exists not seen then QCheck.Test.fail_report "a packed row has no member";
+      let cursor = ref p.Linearizer.pk_base in
+      Array.iteri
+        (fun k (b, len) ->
+          if b <> !cursor || (k > 0 && len <= 0) then
+            QCheck.Test.fail_report "packed batches are not contiguous";
+          let level = if k = 0 then 0 else pv.Linearizer.level_of.(b) in
+          if k > 1 && level <= pv.Linearizer.level_of.(fst pv.Linearizer.batches.(k - 1))
+          then QCheck.Test.fail_report "packed batch levels not ascending";
+          for y = b to b + len - 1 do
+            if pv.Linearizer.level_of.(y) <> level then
+              QCheck.Test.fail_report "a packed batch mixes levels"
+          done;
+          cursor := b + len)
+        pv.Linearizer.batches;
+      !cursor = pv.Linearizer.num_nodes && p.Linearizer.pk_members = List.length members)
+
 (* ---------- empty structures ---------- *)
 
 (* [Structure.create] refuses rootless structures, so a node-free
@@ -514,6 +707,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_memory_bytes_monotone;
           Alcotest.test_case "rejects-bad-deltas" `Quick test_extend_rejects_bad_deltas;
           Alcotest.test_case "extend-then-rebind" `Quick test_extend_then_rebind;
+        ] );
+      ( "growing",
+        [
+          QCheck_alcotest.to_alcotest prop_growing_layout;
+          QCheck_alcotest.to_alcotest prop_pack;
         ] );
       ( "unrolling",
         [
