@@ -46,7 +46,7 @@ val execute_lin :
     seed a conversation's persistent hidden states into the context so
     a delta run over the grown tail continues from them.  One call may
     seed boundary rows for {e several} sessions at once: a packed
-    multi-session window ({!Cortex_linearizer.Linearizer.pack_views})
+    multi-session window ({!Cortex_linearizer.Linearizer.pack})
     lays every member's old prefix out in its id space, and the engine
     preloads each member's rows at their packed ids before the single
     launch sequence. *)

@@ -36,7 +36,7 @@
     the dispatch pool (in-flight windows abort at the instant of death
     and {e fail over} to a survivor, re-dispatching the layout they
     already have — never re-linearizing, and a session re-pins with its
-    scratch tables as they are), transient kernel aborts are {e retried}
+    growing layout as it is), transient kernel aborts are {e retried}
     with capped exponential backoff until the retry budget runs out, and
     stragglers are priced through
     {!Cortex_backend.Backend.scale_latency}.  Under overload the engine
@@ -325,10 +325,10 @@ val submit :
     with other sessions' delta tokens ([sessions.pack_window]), and when
     the structure is the session's previous structure plus appended
     nodes (same [Node.t] values, new nodes on top) the engine serves
-    only the delta — the appended nodes numbered onto the session's
-    scratch tables on the host, pre-seeded persistent hidden states on
-    the device — instead of re-linearizing and re-executing the whole
-    conversation.  Any other structure under the same name
+    only the delta — the appended nodes laid out as one step of the
+    session's {!Cortex_linearizer.Linearizer.growing} layout on the
+    host, pre-seeded persistent hidden states on the device — instead
+    of re-linearizing and re-executing the whole conversation.  Any other structure under the same name
     re-linearizes cold and (if it is not a pure prefix-growth of the
     previous one) drops the persisted state. *)
 
@@ -439,15 +439,16 @@ type session_report = {
   sn_name : string;
   sn_nodes : int;  (** nodes of the session's current structure *)
   sn_windows : int;  (** tokens served: [sn_extends + sn_cold] *)
-  sn_delta_nodes : int;  (** nodes served through delta views *)
-  sn_extends : int;  (** windows served as deltas *)
+  sn_delta_nodes : int;  (** nodes served through layout steps *)
+  sn_extends : int;  (** windows served as deltas (layout steps) *)
   sn_cold : int;  (** windows that re-linearized the whole conversation *)
   sn_materializations : int;
-      (** doubling regrowths of the session's scratch tables: a
-          conversation that outgrows their capacity is copied into
-          tables twice as large.  That copy is the session's only O(n)
-          layout rebuild, and doubling keeps a token's host cost
-          amortized O(delta). *)
+      (** regrowths of the session's growing layout
+          ({!Cortex_linearizer.Linearizer.regrowths}): a conversation
+          that outgrows the layout's capacity is copied into tables
+          twice as large.  That copy is the session's only O(n) layout
+          rebuild, and doubling keeps a token's host cost amortized
+          O(delta). *)
   sn_rebinds : int;
       (** re-pins of a previously pinned session to another device: its
           pinned device failed, or a packed window it joined runs on
@@ -496,7 +497,7 @@ type summary = {
           their cumulative priced costs *)
   packed_windows : int;
       (** the [windows] with [wr_packed <> []]: their level batches
-          merged several sessions' delta views, each saving its members'
+          merged several sessions' layout steps, each saving its members'
           worth of per-level kernel launches minus one *)
   packed_tokens : int;  (** the [wr_size] sum of those windows *)
   metrics : Cortex_obs.Metrics.snapshot option;
@@ -519,7 +520,7 @@ val drain : t -> summary
     and {e form packs} of session tokens (several sessions' delta tokens
     share a window when [sessions.pack_window] > 1).  Then, item by item
     in ready order: {e serve} each session token (restore a spill, then
-    a delta view or a cold linearization — a regular window's forest is
+    a layout step or a cold linearization — a regular window's forest is
     linearized once through the shape cache instead); {e price} the
     window on a device (under [autotune], regular and packed windows
     run plans tuned in separate key spaces, size-1 session windows
@@ -527,8 +528,9 @@ val drain : t -> summary
     (a session's pinned one while it survives) from [max(device free,
     ready)], through the fault model: stragglers scale the price,
     transients abort-and-retry with backoff, fail-stops abort in flight
-    and fail over; and {e account} the result — a lost window's sessions
-    serve their next token cold.  Last, {e summarize}.  Device clocks
+    and fail over; and {e account} the result — re-account every member
+    session, then run one eviction pass; a lost window's sessions serve
+    their next token cold.  Last, {e summarize}.  Device clocks
     and fault streams are fresh per drain; the shape cache and session
     table persist.  An explicit drain is a flush: the trailing partial
     window is ready at its last member's arrival.  Empties the queue and
@@ -554,7 +556,7 @@ val session_state :
     state is unknown, or the engine serves without [params]. *)
 
 val close_session : t -> string -> unit
-(** Drop a session for good: its scratch tables, device pin and
+(** Drop a session for good: its layout, device pin and
     persisted states are released, and any held spill — record and
     file — is discarded.  The shape cache holds nothing of a session's
     beyond the cold linearizations it ran through it.  Unknown names
@@ -564,8 +566,9 @@ val close_session : t -> string -> unit
 
     Sessions are priced ([Linearizer.layout_bytes] of the current
     conversation plus the state rows it pins) and accounted against
-    [Config.sessions]: after every session window and at the end of
-    every drain, sessions idle past [ttl_us] expire and — if the
+    [Config.sessions]: after every session window (once, after all of
+    its member sessions are re-accounted) and at the end of every
+    drain, sessions idle past [ttl_us] expire and — if the
     survivors still exceed [budget_bytes] — sessions are evicted in
     policy order (LRU by default) until the table fits.  An evicted
     session's restorable state is spilled through the
