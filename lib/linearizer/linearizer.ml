@@ -518,15 +518,14 @@ let push g (node : Node.t) =
   g.g_num_children.(lid) <- arity;
   g.g_payload.(lid) <- node.Node.payload;
   let lv = ref 0 in
-  Array.iteri
-    (fun k col ->
-      if k < arity then begin
-        let c = g.g_id.(ch.(k).Node.id) in
-        col.(lid) <- c;
-        if g.g_level.(c) + 1 > !lv then lv := g.g_level.(c) + 1
-      end
-      else col.(lid) <- -1)
-    g.g_child;
+  for k = 0 to Array.length g.g_child - 1 do
+    if k < arity then begin
+      let c = g.g_id.(ch.(k).Node.id) in
+      g.g_child.(k).(lid) <- c;
+      if g.g_level.(c) + 1 > !lv then lv := g.g_level.(c) + 1
+    end
+    else g.g_child.(k).(lid) <- -1
+  done;
   g.g_level.(lid) <- !lv;
   if !lv > g.g_height then g.g_height <- !lv
 
