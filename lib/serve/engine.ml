@@ -776,11 +776,11 @@ let spill_payload t sx =
 
 (* Re-admit a spilled conversation: validate the spill against the
    incoming structure (model, prefix digest, strict growth), reseed the
-   layout over the prefix and repopulate the persisted rows.  On success the next
-   token serves as a delta with its boundary states preloaded — the
-   restored run is bitwise the never-evicted run.  Any mismatch or
-   corruption falls back to a fresh cold serve, which is always
-   correct.  Returns the priced restore cost. *)
+   layout over the prefix and repopulate the persisted rows.  On
+   success the next token serves as a delta with its boundary states
+   preloaded — the restored run is bitwise the never-evicted run.  Any
+   mismatch or corruption falls back to a fresh cold serve, which is
+   always correct.  Returns the priced restore cost. *)
 let try_restore t sx (s : Structure.t) =
   match Session_store.restore t.eng_store sx.sx_name with
   | None -> None

@@ -7,9 +7,10 @@
    every node's every state, at every step, across failovers and
    through AOT bundles.  A session's one layout is its growing layout
    in the linearizer: failovers and restores leave the shape cache
-   alone, and only a layout regrowth counts as a materialization.  The shape-cache tests pin the
-   accounting: counters move only after the work they account for
-   succeeded, epoch eviction drops entries but never history. *)
+   alone, and only a layout regrowth counts as a materialization.  The
+   shape-cache tests pin the accounting: counters move only after the
+   work they account for succeeded, epoch eviction drops entries but
+   never history. *)
 
 open Cortex
 module M = Models.Common
