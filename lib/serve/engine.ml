@@ -1508,7 +1508,7 @@ let pick_device ds ~sxs ~nodes =
    re-executions (the retry budget); failover re-dispatches after a
    fail-stop are free — the work was lost to the fleet, not to a flaky
    kernel.  A window's linearization is never redone on a retry or a
-   failover: the forest (or delta view) is already built and is
+   failover: the forest (or layout step) is already built and is
    re-dispatched as it is.  [price dev] returns what runs on [dev] and
    its report. *)
 let dispatch_window t ds ~sxs ~size ~nodes ~lin_us ~price ready0 =
