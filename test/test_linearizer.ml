@@ -460,11 +460,11 @@ let grow_layout rng kind ~steps =
   in
   (g, first @ go s0 steps [])
 
-(* What the deleted run-time checks of the pack function guarded: each
-   step's batches tile exactly its new layout ids, leaf run first, in
-   strictly ascending level order; every child sits at a lower level
-   than its parent; and the grown layout is a cold [run_forest] of the
-   final structure, node for node. *)
+(* What [Linearizer.pack] relies on without checking it: each step's
+   batches tile exactly its new layout ids, leaf run first, in strictly
+   ascending level order, and every child sits at a lower level than
+   its parent.  And what a session relies on: the grown layout is a
+   cold [run_forest] of the final structure, node for node. *)
 let check_step (st : Linearizer.step) =
   let v = st.Linearizer.step_view in
   let base = st.Linearizer.step_base in
