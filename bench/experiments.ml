@@ -1210,10 +1210,7 @@ let incremental () =
   let mc = spec.M.program.Ra.max_children in
   let repeats = 5 in
   let conversation tokens =
-    let rng = Rng.create (seed + tokens) in
-    let g = Gen.growth_start rng ~vocab:50 ~kind:Structure.Tree () in
-    let first = Gen.growth_structure g in
-    first :: List.init tokens (fun _ -> Gen.grow_one rng g)
+    Gen.conversation (Rng.create (seed + tokens)) ~vocab:50 ~kind:Structure.Tree ~tokens ()
   in
   let serve ~config ?session structs =
     let eng = Engine.of_spec ~config spec ~backend:Backend.gpu in
@@ -1368,11 +1365,10 @@ let sessions_bench () =
      it is the TTL row's expiry victim. *)
   let traces =
     List.init num_sessions (fun i ->
-        let rng = Rng.create (seed + (31 * i)) in
-        let g = Gen.growth_start rng ~vocab:50 ~kind:Structure.Tree () in
         let n = if i = 0 then tokens / 4 else tokens in
         ( Printf.sprintf "chat-%d" i,
-          Gen.growth_structure g :: List.init n (fun _ -> Gen.grow_one rng g) ))
+          Gen.conversation (Rng.create (seed + (31 * i))) ~vocab:50 ~kind:Structure.Tree
+            ~tokens:n () ))
   in
   let run ?session_budget_bytes ?session_ttl_us () =
     let engine =
@@ -1493,14 +1489,9 @@ let packing () =
   let tokens = 8 in
   let traces sessions =
     List.init sessions (fun i ->
-        let rng = Rng.create (seed + (31 * i)) in
-        let g = Gen.growth_start rng ~vocab:50 ~kind:Structure.Tree () in
-        (* Bind the start snapshot before growing: [::] evaluates its
-           tail first, so inlining [growth_structure g] would capture
-           the fully-grown conversation as the head. *)
-        let start = Gen.growth_structure g in
         ( Printf.sprintf "chat-%d" i,
-          start :: List.init tokens (fun _ -> Gen.grow_one rng g) ))
+          Gen.conversation (Rng.create (seed + (31 * i))) ~vocab:50 ~kind:Structure.Tree
+            ~tokens () ))
   in
   let run ~pack traces =
     let engine =

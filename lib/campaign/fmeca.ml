@@ -189,11 +189,8 @@ let submit_workload engine ~seed ~sessions =
     List.iter
       (fun i ->
         let rng = Rng.create (seed + 100 + i) in
-        let g = Gen.growth_start rng ~vocab:50 ~kind:Structure.Tree () in
         let name = Printf.sprintf "conv%d" i in
-        let tokens =
-          Gen.growth_structure g :: List.init 7 (fun _ -> Gen.grow_one rng g)
-        in
+        let tokens = Gen.conversation rng ~vocab:50 ~kind:Structure.Tree ~tokens:7 () in
         List.iteri
           (fun j s ->
             let at = (450.0 *. float_of_int j) +. (130.0 *. float_of_int i) in

@@ -133,6 +133,13 @@ let grow_one rng g =
   g.g_structure <- s';
   s'
 
+let conversation rng ?vocab ~kind ~tokens () =
+  let g = growth_start rng ?vocab ~kind () in
+  (* Bound before growing: [::] evaluates its tail first, so an inline
+     [growth_structure g] would read the fully grown conversation. *)
+  let start = growth_structure g in
+  start :: List.init tokens (fun _ -> grow_one rng g)
+
 let random_tree rng ~max_nodes ~max_children =
   let n = 1 + Rng.int rng (max max_nodes 1) in
   let b = Node.builder () in

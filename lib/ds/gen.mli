@@ -68,6 +68,12 @@ val growth_structure : growth -> Structure.t
 val grow_one : Cortex_util.Rng.t -> growth -> Structure.t
 (** Grow by one token and return the new current structure. *)
 
+val conversation :
+  Cortex_util.Rng.t -> ?vocab:int -> kind:Structure.kind -> tokens:int -> unit ->
+  Structure.t list
+(** A whole conversation in token order: the one-node start, then
+    [tokens] structures each grown by {!grow_one} from the one before. *)
+
 val random_tree : Cortex_util.Rng.t -> max_nodes:int -> max_children:int -> Structure.t
 (** Arbitrary-shape random tree for property tests. *)
 

@@ -22,10 +22,7 @@ let gpu = Backend.gpu
    prefix nodes physically, which is what the session delta path
    keys on. *)
 let conversation seed ~vocab ~kind ~tokens =
-  let rng = Rng.create seed in
-  let g = Gen.growth_start rng ~vocab ~kind () in
-  let first = Gen.growth_structure g in
-  first :: List.init tokens (fun _ -> Gen.grow_one rng g)
+  Gen.conversation (Rng.create seed) ~vocab ~kind ~tokens ()
 
 let engine_of spec ?devices ?faults ?seed params =
   Engine.of_spec
