@@ -874,7 +874,7 @@ let evict_session_now ?obs t name ~reason =
 
 (* The eviction pass: every session idle past its TTL, then — if the
    survivors still bust the budget — sessions in policy order until
-   the table fits.  Runs after every session window and at the end of
+   the table fits.  Runs after every session item and at the end of
    each drain, so the accounted-bytes invariant holds at both points. *)
 let enforce_sessions ?obs t =
   match Session_store.victims t.eng_store ~now_us:t.eng_clock_us with
@@ -1727,15 +1727,10 @@ let account_completed t ds ~lin ~nodes ~hit ~sxs ~size members c =
   execute_window t ds ~lin ~ran:c.ao_compiled members;
   record_requests t ds ~index ~size ~packed:(packed <> []) members c
 
-(* Account one window's outcome, then its member sessions: re-account
-   every member at its new size, then run one eviction pass — the
-   budget invariant holds after every session window, not just at drain
-   end, which is also what makes evict/restore churn observable inside
-   a single drain.  A pass between two members could evict a later one
-   (its last use dates from its previous token), whose own re-accounting
-   would then put the evicted name back in the store.  A lost window
-   stored no state row of its tokens' new nodes, so its member sessions
-   reset: their next tokens are served cold. *)
+(* Account one window's outcome, then re-account its member sessions at
+   their new sizes.  A lost window stored no state row of its tokens'
+   new nodes, so its member sessions reset: their next tokens are
+   served cold. *)
 let account_result t ds ~lin ~nodes ~hit ~sxs members outcome =
   let size = List.length members in
   (match outcome with
@@ -1745,14 +1740,11 @@ let account_result t ds ~lin ~nodes ~hit ~sxs members outcome =
      bump_clock t at;
      List.iter reset_session sxs
    | Completed c -> account_completed t ds ~lin ~nodes ~hit ~sxs ~size members c);
-  if sxs <> [] then begin
-    List.iter
-      (fun sx ->
-        Session_store.touch t.eng_store sx.sx_name
-          ~bytes:(session_accounted_bytes t sx) ~now_us:t.eng_clock_us)
-      sxs;
-    enforce_sessions ?obs:t.eng_obs t
-  end
+  List.iter
+    (fun sx ->
+      Session_store.touch t.eng_store sx.sx_name
+        ~bytes:(session_accounted_bytes t sx) ~now_us:t.eng_clock_us)
+    sxs
 
 (* ---------- playing windows ---------- *)
 
@@ -1857,13 +1849,20 @@ let play_tokens t ds ~ready toks =
    item by item (items play in ready order): sessions age against the
    simulated time the drain has actually reached, so a conversation
    that went quiet early shows real idle time to the TTL pass instead of
-   being backdated to the drain's newest arrival. *)
+   being backdated to the drain's newest arrival.  A session item runs
+   one eviction pass once all its windows have played — the budget
+   holds after every session item, not just at drain end, which is also
+   what makes evict/restore churn observable inside a single drain.  A
+   pass between two of a pack's windows could evict a member whose
+   token is served but whose window has not played yet, and that window
+   would then put the evicted name back in the store. *)
 let play_item t ds (ready, item) =
   bump_clock t ready;
   match item with
   | I_regular members -> play_regular t ds ~ready members
   | I_session members ->
-    play_tokens t ds ~ready (List.map (serve_token t ~delta_ok:ds.ds_delta_ok) members)
+    play_tokens t ds ~ready (List.map (serve_token t ~delta_ok:ds.ds_delta_ok) members);
+    enforce_sessions ?obs:t.eng_obs t
 
 (* ---------- the summary ---------- *)
 

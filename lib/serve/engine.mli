@@ -529,8 +529,9 @@ val drain : t -> summary
     ready)], through the fault model: stragglers scale the price,
     transients abort-and-retry with backoff, fail-stops abort in flight
     and fail over; and {e account} the result — re-account every member
-    session, then run one eviction pass; a lost window's sessions serve
-    their next token cold.  Last, {e summarize}.  Device clocks
+    session; a lost window's sessions serve their next token cold.  A
+    session item runs one eviction pass once all its windows have
+    played.  Last, {e summarize}.  Device clocks
     and fault streams are fresh per drain; the shape cache and session
     table persist.  An explicit drain is a flush: the trailing partial
     window is ready at its last member's arrival.  Empties the queue and
@@ -566,9 +567,9 @@ val close_session : t -> string -> unit
 
     Sessions are priced ([Linearizer.layout_bytes] of the current
     conversation plus the state rows it pins) and accounted against
-    [Config.sessions]: after every session window (once, after all of
-    its member sessions are re-accounted) and at the end of every
-    drain, sessions idle past [ttl_us] expire and — if the
+    [Config.sessions]: after every session item (once, after all of
+    its windows have played and re-accounted their members) and at the
+    end of every drain, sessions idle past [ttl_us] expire and — if the
     survivors still exceed [budget_bytes] — sessions are evicted in
     policy order (LRU by default) until the table fits.  An evicted
     session's restorable state is spilled through the
@@ -586,8 +587,8 @@ val session_table_stats : t -> Session_store.stats
 
 val set_session_budget : t -> int option -> unit
 (** Change the accounted-bytes budget in place ([None] = unbounded).
-    Takes effect at the next eviction pass — the next session window
-    or drain end. *)
+    Takes effect at the next eviction pass — the next session item or
+    drain end. *)
 
 val evict_session : t -> string -> bool
 (** Evict one live session immediately (spilling its restorable
