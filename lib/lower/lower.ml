@@ -1291,42 +1291,25 @@ let bind ?(count = false) compiled (lin : Linearizer.t) =
     compiled.aliases;
   { ctx; lin; uf_resolver = resolver bindings; num_batch_launches = nb }
 
+let state_dims (compiled : compiled) =
+  List.map
+    (fun (st_name, _) -> (st_name, Array.of_list (state_feat_dims compiled.ra st_name)))
+    compiled.state_tensors
+
+let state_rows bound compiled st_name =
+  match List.assoc_opt st_name compiled.state_tensors with
+  | Some t -> (Interp.get_tensor bound.ctx t).Tensor.data
+  | None -> fail "no state named %s" st_name
+
 let state_value_lin bound compiled st_name lin_id =
-  let tensor =
-    match List.assoc_opt st_name compiled.state_tensors with
-    | Some t -> t
-    | None -> fail "no state named %s" st_name
-  in
-  let storage = Interp.get_tensor bound.ctx tensor in
+  let rows = state_rows bound compiled st_name in
   let dims = Array.of_list (state_feat_dims compiled.ra st_name) in
   let elems = Array.fold_left Stdlib.( * ) 1 dims in
-  let data = Array.init elems (fun i -> Tensor.get_flat storage ((lin_id * elems) + i)) in
-  Tensor.of_array dims data
+  Tensor.of_array dims (Array.sub rows (lin_id * elems) elems)
 
 let state_value bound compiled st_name (node : Cortex_ds.Node.t) =
   state_value_lin bound compiled st_name
     bound.lin.Linearizer.new_of_old.(node.Cortex_ds.Node.id)
-
-let state_row_bytes (compiled : compiled) =
-  List.fold_left
-    (fun acc (st_name, _) ->
-      acc + (8 * List.fold_left Stdlib.( * ) 1 (state_feat_dims compiled.ra st_name)))
-    0 compiled.state_tensors
-
-let set_state_lin bound compiled st_name lin_id value =
-  let tensor =
-    match List.assoc_opt st_name compiled.state_tensors with
-    | Some t -> t
-    | None -> fail "no state named %s" st_name
-  in
-  let storage = Interp.get_tensor bound.ctx tensor in
-  let dims = Array.of_list (state_feat_dims compiled.ra st_name) in
-  let elems = Array.fold_left Stdlib.( * ) 1 dims in
-  if Tensor.numel value <> elems then
-    fail "set_state_lin: state %s expects %d elements" st_name elems;
-  for i = 0 to elems - 1 do
-    Tensor.set_flat storage ((lin_id * elems) + i) (Tensor.get_flat value i)
-  done
 
 (* Delta-view serving (sessions) re-runs only the grown tail of a
    structure against a freshly bound context, pre-seeding the old rows

@@ -185,18 +185,15 @@ val state_value_lin :
     tables, where the original nodes belong to a different (pre-merge)
     structure. *)
 
-val state_row_bytes : compiled -> int
-(** The bytes of one node's rows across every state tensor, as
-    {!state_value_lin} reads them out (8 per element): what a serving
-    session persists per node. *)
+val state_dims : compiled -> (string * int array) list
+(** Each state's per-node feature dims, in [state_tensors] order: one
+    node's row of a state is the product of its dims in floats. *)
 
-val set_state_lin :
-  bound -> compiled -> string -> int -> Cortex_tensor.Tensor.t -> unit
-(** Write one node's row of a state tensor before running — the
-    serving engine pre-seeds a session's persistent hidden states into
-    a freshly bound context so a delta run over the grown tail reads
-    the old nodes' values instead of zeros.  Raises [Failure] on an
-    unknown state or an element-count mismatch. *)
+val state_rows : bound -> compiled -> string -> float array
+(** A state's bound storage, node-major: linearized node [i]'s row is
+    the [w] floats at [i * w], [w] the product of its {!state_dims}.
+    The serving engine blits a session's persisted rows into it before
+    a run and out of it after.  Raises [Failure] on an unknown state. *)
 
 val delta_compatible : options -> bool
 (** Whether delta-view serving (re-running only the grown tail with

@@ -42,7 +42,7 @@ val execute_lin :
 (** Bind an already-linearized input (a single structure or a serving
     engine's forest) and run the kernels numerically.  [preload] runs
     after parameter binding and before the kernels — the serving
-    engine's sessions use it ({!Cortex_lower.Lower.set_state_lin}) to
+    engine's sessions use it ({!Cortex_lower.Lower.state_rows}) to
     seed a conversation's persistent hidden states into the context so
     a delta run over the grown tail continues from them.  One call may
     seed boundary rows for {e several} sessions at once: a packed

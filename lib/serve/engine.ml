@@ -344,31 +344,6 @@ type pending = {
   p_session : string option;  (* pinned-conversation serving *)
 }
 
-(* A session pins a growing conversation: its device, its persistent
-   hidden states (host-side ground truth, keyed by stable request-local
-   node identity), and its one layout, a [Linearizer.growing] that every
-   token's step and every pack windows over — no per-token
-   re-traversal of the conversation. *)
-type session = {
-  sx_name : string;
-  mutable sx_structure : Structure.t option;  (* last structure served *)
-  mutable sx_device : int option;  (* pinned device index *)
-  mutable sx_extends : int;  (* windows served from a layout step *)
-  mutable sx_cold : int;  (* windows served by full (re)linearization *)
-  mutable sx_rebinds : int;  (* re-pins of a previously pinned session *)
-  mutable sx_delta_nodes : int;  (* nodes served via layout steps *)
-  mutable sx_packed : int;  (* windows served inside a packed window *)
-  mutable sx_deadline_misses : int;  (* tokens completed past deadline *)
-  mutable sx_height : int;  (* max layout level: prices the layout *)
-  mutable sx_restored_base : int option;
-      (* Some b: the first b nodes were just restored from a spill —
-         the next token's step trusts the content digest instead of
-         physical prefix identity (meaningless across an eviction) *)
-  sx_states : (string * int, Tensor.t) Hashtbl.t;
-      (* (state name, request-local node id) -> persisted row *)
-  sx_layout : Linearizer.growing;
-}
-
 type t = {
   model : Ra.t;
   eng_backend : Backend.t;
@@ -383,11 +358,9 @@ type t = {
   eng_faults : Fault.spec;  (* no spec plays the empty one *)
   eng_seed : int;
   eng_params : (string -> Tensor.t) option;
-  eng_row_bytes : int;  (* one node's persisted state rows; 0 without params *)
   eng_obs : Obs.t option;
   eng_plans : Plan_cache.t option;  (* Some = plan cache active *)
-  eng_sessions : (string, session) Hashtbl.t;
-  eng_store : Session_store.t;  (* bounded-table accounting + spills *)
+  eng_store : Session_store.t;  (* the session table: sessions, rows, spills *)
   eng_config : Config.t;
   mutable eng_clock_us : float;
       (* monotone simulated clock across drains: the LRU/TTL "now",
@@ -448,7 +421,6 @@ let build ~(config : Config.t) ~model ~backend ~compiled =
     eng_faults = faults;
     eng_seed = seed;
     eng_params = params;
-    eng_row_bytes = (if params = None then 0 else Lower.state_row_bytes compiled);
     eng_obs = config.Config.observability.Config.obs;
     eng_plans =
       (if config.Config.tuning.Config.autotune then
@@ -458,8 +430,11 @@ let build ~(config : Config.t) ~model ~backend ~compiled =
        bundle ([of_bundle]) serve sessions exactly like compiled ones —
        and a file-backed store finds the spill files its predecessor
        wrote, which is how a conversation survives a full restart. *)
-    eng_sessions = Hashtbl.create 16;
-    eng_store = Session_store.create ~config:config.Config.sessions ();
+    eng_store =
+      Session_store.create ~config:config.Config.sessions ~model:model.Ra.name
+        ~max_children:model.Ra.max_children
+        ~states:(if params = None then [] else Lower.state_dims compiled)
+        ();
     eng_config = config;
     eng_clock_us = 0.0;
     next_id = 0;
@@ -634,40 +609,6 @@ let submit_exn t ?arrival_us ?deadline_us ?session structure =
 
 (* ---------- sessions ---------- *)
 
-let session_of t name =
-  match Hashtbl.find_opt t.eng_sessions name with
-  | Some sx -> sx
-  | None ->
-    let sx =
-      {
-        sx_name = name;
-        sx_structure = None;
-        sx_device = None;
-        sx_extends = 0;
-        sx_cold = 0;
-        sx_rebinds = 0;
-        sx_delta_nodes = 0;
-        sx_packed = 0;
-        sx_deadline_misses = 0;
-        sx_height = 0;
-        sx_restored_base = None;
-        sx_states = Hashtbl.create 64;
-        sx_layout = Linearizer.empty_layout ~max_children:(max 1 t.model.Ra.max_children);
-      }
-    in
-    Hashtbl.add t.eng_sessions name sx;
-    sx
-
-(* A different conversation took over the name: its node identities
-   mean something else, so the persisted rows are dropped (the counters
-   stay — they are cumulative).  With no structure and no restored
-   prefix the layout is never grown again before a reseed. *)
-let reset_session sx =
-  sx.sx_structure <- None;
-  sx.sx_height <- 0;
-  sx.sx_restored_base <- None;
-  Hashtbl.reset sx.sx_states
-
 (* How one session submission is served this window. *)
 type session_serve =
   | S_delta of Linearizer.step
@@ -701,176 +642,35 @@ let growth_base ~prev ~restored (s : Structure.t) =
    pinned conversation: the prefix is checked here by physical identity
    at its endpoints ([growth_base]), every appended node by
    [Linearizer.grow].  [None] falls back to a cold run. *)
-let session_step sx (s : Structure.t) =
+let session_step (sx : Session_store.session) (s : Structure.t) =
   match growth_base ~prev:sx.sx_structure ~restored:sx.sx_restored_base s with
   | None -> None
   | Some _ -> Linearizer.grow sx.sx_layout s
 
 (* ---------- bounded session table ---------- *)
 
-(* What a live session costs its device, in closed form: the four
-   resolved layout tables of the current conversation (a structure of
-   height h lays out as h + 1 level batches — [sx_height] tracks the
-   max layout level, so no re-traversal) plus the per-node state rows
-   it pins.  The QCheck accounting property holds this equal to the
-   linearizer's price of a cold linearization of the conversation. *)
-let session_accounted_bytes t sx =
-  let n =
-    match sx.sx_structure with Some s -> Structure.num_nodes s | None -> 0
-  in
-  if n = 0 then 0
-  else
-    Linearizer.layout_bytes ~num_nodes:n ~num_batches:(sx.sx_height + 1)
-      ~max_children:t.model.Ra.max_children
-    + Linearizer.state_rows_bytes ~num_nodes:n ~bytes_per_node:t.eng_row_bytes
-
-(* Content digest of a conversation prefix: payloads and child ids of
-   nodes [0, n).  This is what lets spilled state survive eviction and
-   engine restarts — physical node identity (the live-session prefix
-   check) cannot.  Payloads are included deliberately: the shape key
-   excludes them, but grafting states onto a same-shaped conversation
-   with different tokens would be silent corruption. *)
-let prefix_digest (s : Structure.t) n =
-  let buf = Buffer.create (n * 12) in
-  for i = 0 to n - 1 do
-    let nd = s.Structure.nodes.(i) in
-    Buffer.add_string buf (string_of_int nd.Node.payload);
-    Buffer.add_char buf ':';
-    Array.iter
-      (fun (c : Node.t) ->
-        Buffer.add_string buf (string_of_int c.Node.id);
-        Buffer.add_char buf ',')
-      nd.Node.children;
-    Buffer.add_char buf ';'
-  done;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-(* Serialize a session's restorable half as a Checkpoint session
-   section: conversation size, prefix digest, and the persisted state
-   rows under "state@node" names (sorted, so the spill bytes — and
-   therefore the priced costs and CI diffs — are deterministic).
-   Float64 payloads round-trip bitwise, which is what makes
-   evict -> restore ≡ never-evicted an exact statement. *)
-let spill_payload t sx =
-  match sx.sx_structure with
-  | None -> None
-  | Some s ->
-    let n = Structure.num_nodes s in
-    if n = 0 then None
-    else
-      let states =
-        Hashtbl.fold
-          (fun (st, id) v acc ->
-            if id < n then (Printf.sprintf "%s@%d" st id, v) :: acc else acc)
-          sx.sx_states []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      Some
-        (Checkpoint.session_to_string
-           {
-             Checkpoint.ss_model = t.model.Ra.name;
-             ss_nodes = n;
-             ss_digest = prefix_digest s n;
-             ss_states = states;
-           })
-
-(* Re-admit a spilled conversation: validate the spill against the
-   incoming structure (model, prefix digest, strict growth), reseed the
-   layout over the prefix and repopulate the persisted rows.  On
-   success the next token serves as a delta with its boundary states
-   preloaded — the restored run is bitwise the never-evicted run.  Any
-   mismatch or corruption falls back to a fresh cold serve, which is
-   always correct.  Returns the priced restore cost. *)
-let try_restore t sx (s : Structure.t) =
-  match Session_store.restore t.eng_store sx.sx_name with
-  | None -> None
-  | Some (data, cost) ->
-    let ok =
-      try
-        let ss =
-          Checkpoint.session_of_string ~expect_model:t.model.Ra.name data
-        in
-        let b = ss.Checkpoint.ss_nodes in
-        let n = Structure.num_nodes s in
-        if b <= 0 || n <= b || prefix_digest s b <> ss.Checkpoint.ss_digest then
-          false
-        else begin
-          Linearizer.reseed sx.sx_layout s ~prefix:b;
-          sx.sx_height <- Linearizer.layout_height sx.sx_layout;
-          Hashtbl.reset sx.sx_states;
-          List.iter
-            (fun (name, v) ->
-              match String.rindex_opt name '@' with
-              | None -> raise Exit
-              | Some i ->
-                let st = String.sub name 0 i in
-                let id =
-                  int_of_string (String.sub name (i + 1) (String.length name - i - 1))
-                in
-                if id < 0 || id >= b then raise Exit;
-                Hashtbl.replace sx.sx_states (st, id) v)
-            ss.Checkpoint.ss_states;
-          (* Numeric serving needs every prefix row present: a partial
-             spill would fail at the delta boundary mid-execution, so
-             check up front and fall back cold instead. *)
-          (match t.eng_params with
-           | Some _ ->
-             List.iter
-               (fun (st, _) ->
-                 for i = 0 to b - 1 do
-                   if not (Hashtbl.mem sx.sx_states (st, i)) then raise Exit
-                 done)
-               t.eng_compiled.Lower.state_tensors
-           | None -> ());
-          sx.sx_restored_base <- Some b;
-          sx.sx_structure <- None;
-          true
-        end
-      with
-      | Checkpoint.Corrupt _ | Exit | Failure _ | Invalid_argument _ -> false
-    in
-    if ok then Some cost
-    else begin
-      (* The spill belongs to a different conversation (or is damaged):
-         it was consumed above, so the name starts over fresh. *)
-      reset_session sx;
-      None
-    end
-
 let bump_clock t at = if at > t.eng_clock_us then t.eng_clock_us <- at
 
-(* Evict one session now: spill its restorable state and drop it from
-   the live table.  The trace instant stamps the monotone engine clock
-   so the "sessions" track validates. *)
-let evict_session_now ?obs t name ~reason =
-  match Hashtbl.find_opt t.eng_sessions name with
-  | None -> false
-  | Some sx ->
-    let now = t.eng_clock_us in
-    let spill_us =
-      match spill_payload t sx with
-      | Some data -> Session_store.spill t.eng_store name ~data ~expired:(reason = `Ttl)
-      | None ->
-        Session_store.drop t.eng_store name;
-        0.0
-    in
-    Hashtbl.remove t.eng_sessions name;
-    Obs.incr obs "sessions.evictions";
-    (match obs with
-     | None -> ()
-     | Some _ ->
-       Obs.sim_instant obs ~track:"sessions" ~name:"evict"
-         ~args:
-           [ ("session", CT.Str name);
-             ("reason",
-              CT.Str
-                (match reason with
-                 | `Ttl -> "ttl"
-                 | `Budget -> "budget"
-                 | `Explicit -> "explicit"));
-             ("spill_us", CT.Float spill_us) ]
-         ~ts_us:now ());
-    true
+(* Evict one session now: the store spills its rows and takes it out of
+   the table.  The trace instant stamps the monotone engine clock so the
+   "sessions" track validates. *)
+let evict_session_now ?obs t (sx : Session_store.session) ~reason =
+  let spill_us = Session_store.evict t.eng_store sx ~expired:(reason = `Ttl) in
+  Obs.incr obs "sessions.evictions";
+  match obs with
+  | None -> ()
+  | Some _ ->
+    Obs.sim_instant obs ~track:"sessions" ~name:"evict"
+      ~args:
+        [ ("session", CT.Str sx.sx_name);
+          ("reason",
+           CT.Str
+             (match reason with
+              | `Ttl -> "ttl"
+              | `Budget -> "budget"
+              | `Explicit -> "explicit"));
+          ("spill_us", CT.Float spill_us) ]
+      ~ts_us:t.eng_clock_us ()
 
 (* The eviction pass: every session idle past its TTL, then — if the
    survivors still bust the budget — sessions in policy order until
@@ -881,10 +681,9 @@ let enforce_sessions ?obs t =
   | [] -> ()
   | victims ->
     List.iter
-      (fun (name, reason) ->
-        ignore
-          (evict_session_now ?obs t name
-             ~reason:(match reason with `Ttl -> `Ttl | `Budget -> `Budget)))
+      (fun (sx, reason) ->
+        evict_session_now ?obs t sx
+          ~reason:(match reason with `Ttl -> `Ttl | `Budget -> `Budget))
       victims
 
 type request_report = {
@@ -1001,7 +800,7 @@ type summary = {
   plan_cache : Plan_cache.stats option;
 }
 
-let session_report_of t sx =
+let session_report_of t (sx : Session_store.session) =
   {
     sn_name = sx.sx_name;
     sn_nodes =
@@ -1015,29 +814,31 @@ let session_report_of t sx =
     sn_packed = sx.sx_packed;
     sn_deadline_misses = sx.sx_deadline_misses;
     sn_device = Option.value sx.sx_device ~default:(-1);
-    sn_bytes = session_accounted_bytes t sx;
+    sn_bytes = sx.sx_bytes;
     sn_evictions = Session_store.evictions_of t.eng_store sx.sx_name;
     sn_restores = Session_store.restores_of t.eng_store sx.sx_name;
   }
 
 let sessions t =
-  Hashtbl.fold (fun _ sx acc -> session_report_of t sx :: acc) t.eng_sessions []
+  List.map (session_report_of t) (Session_store.sessions t.eng_store)
   |> List.sort (fun a b -> compare a.sn_name b.sn_name)
 
 let session_state t name st (node : Node.t) =
-  match Hashtbl.find_opt t.eng_sessions name with
-  | None -> None
-  | Some sx -> Hashtbl.find_opt sx.sx_states (st, node.Node.id)
+  Option.bind (Session_store.find t.eng_store name) (fun sx ->
+      Session_store.row t.eng_store sx st node.Node.id)
 
-let close_session t name =
-  Session_store.forget t.eng_store name;
-  Hashtbl.remove t.eng_sessions name
+let close_session t name = Session_store.forget t.eng_store name
 
 let session_table_stats t = Session_store.stats t.eng_store
 
 let set_session_budget t budget = Session_store.set_budget t.eng_store budget
 
-let evict_session t name = evict_session_now t name ~reason:`Explicit
+let evict_session t name =
+  match Session_store.find t.eng_store name with
+  | None -> false
+  | Some sx ->
+    evict_session_now t sx ~reason:`Explicit;
+    true
 
 (* Cut an arrival-ordered run of requests into windows: a window closes
    when it reaches [max_batch] members or when the next arrival falls
@@ -1135,7 +936,11 @@ type drain_item = I_regular of pending list | I_session of pending list
    rows of [sm_nodes] are persisted.  A delta token stores its appended
    nodes over its old prefix; a cold token has base 0 (nothing to
    preload) and stores every node. *)
-type session_member = { sm_sx : session; sm_nodes : Node.t array; sm_base : int }
+type session_member = {
+  sm_sx : Session_store.session;
+  sm_nodes : Node.t array;
+  sm_base : int;
+}
 
 (* One request inside a window.  [m_id] maps its request-local node ids
    into the window's numbering: a cold forest span's [span_ids], a
@@ -1152,7 +957,7 @@ type member = {
 (* A session token after its inspector work, before it plays. *)
 type token = {
   tk_p : pending;
-  tk_sx : session;
+  tk_sx : Session_store.session;
   tk_lin_us : float;  (* its priced restore, 0 unless it was spilled *)
   tk_serve : session_serve;
 }
@@ -1275,7 +1080,7 @@ let form_packs t ~delta_ok sessionp =
   let predicted p =
     let name = Option.get p.p_session in
     let dev, prev, restored =
-      match (Hashtbl.find_opt pred name, Hashtbl.find_opt t.eng_sessions name) with
+      match (Hashtbl.find_opt pred name, Session_store.find t.eng_store name) with
       | Some st, _ -> st
       | None, Some sx -> (sx.sx_device, sx.sx_structure, sx.sx_restored_base)
       | None, None -> (None, None, None)
@@ -1368,12 +1173,8 @@ let ready_items t ds pendings =
    restores its layout and persisted rows before the token is
    served; the priced restore cost is the token's whole linearization
    charge (0 when nothing was restored). *)
-let restore_spilled t sx (s : Structure.t) =
-  let spilled =
-    sx.sx_structure = None && sx.sx_restored_base = None
-    && Session_store.has_spill t.eng_store sx.sx_name
-  in
-  match if spilled then try_restore t sx s else None with
+let restore_spilled t (sx : Session_store.session) (s : Structure.t) =
+  match Session_store.restore t.eng_store sx s with
   | None -> 0.0
   | Some cost ->
     Obs.incr t.eng_obs "sessions.restores";
@@ -1391,7 +1192,7 @@ let restore_spilled t sx (s : Structure.t) =
    cannot serve deltas): full (re)linearization through the shape cache.
    A different conversation under the same name drops the persisted
    state — its node identities no longer mean the same thing. *)
-let serve_cold t ~delta_ok sx (s : Structure.t) =
+let serve_cold t ~delta_ok (sx : Session_store.session) (s : Structure.t) =
   let n = Structure.num_nodes s in
   let fresh =
     match sx.sx_structure with
@@ -1400,7 +1201,7 @@ let serve_cold t ~delta_ok sx (s : Structure.t) =
       || not (s.Structure.nodes.(0) == prev.Structure.nodes.(0))
     | None -> false
   in
-  if fresh then reset_session sx;
+  if fresh then Session_store.reset sx;
   let fl, hit =
     Shape_cache.find_or_linearize ?obs:t.eng_obs t.eng_cache
       ~max_children:t.model.Ra.max_children [ s ]
@@ -1423,7 +1224,7 @@ let serve_cold t ~delta_ok sx (s : Structure.t) =
 let serve_token t ~delta_ok p =
   let name = Option.get p.p_session in
   let s = p.p_structure in
-  let sx = session_of t name in
+  let sx = Session_store.session t.eng_store name in
   let restore_us = restore_spilled t sx s in
   let serve =
     Obs.wall_span t.eng_obs ~track:"inspector" "token"
@@ -1486,7 +1287,7 @@ let pick_device ds ~sxs ~nodes =
     match
       List.find_map
         (fun sx ->
-          match sx.sx_device with
+          match sx.Session_store.sx_device with
           | Some di when not devs.(di).Dispatch.dev_failed -> Some devs.(di)
           | _ -> None)
         sxs
@@ -1496,7 +1297,7 @@ let pick_device ds ~sxs ~nodes =
   in
   List.iter
     (fun sx ->
-      match sx.sx_device with
+      match sx.Session_store.sx_device with
       | Some di when di = dev.Dispatch.dev_index -> ()
       | prev ->
         if prev <> None then sx.sx_rebinds <- sx.sx_rebinds + 1;
@@ -1601,48 +1402,48 @@ let execute_window t ds ~lin ~ran members =
   match t.eng_params with
   | None -> ()
   | Some params ->
-    let st_names = List.map fst t.eng_compiled.Lower.state_tensors in
+    let store = t.eng_store in
+    (* Each state's bound storage, in the store's row format. *)
+    let storage bound =
+      Array.of_list
+        (List.map (fun (st, _) -> Lower.state_rows bound ran st) t.eng_compiled.Lower.state_tensors)
+    in
     let preload bound =
+      let into = storage bound in
       List.iter
         (fun m ->
           Option.iter
             (fun { sm_sx = sx; sm_nodes; sm_base } ->
-              let seed (c : Node.t) st =
-                match Hashtbl.find_opt sx.sx_states (st, c.Node.id) with
-                | Some v -> Lower.set_state_lin bound ran st (m.m_id c.Node.id) v
-                | None ->
-                  failwith "Engine: missing persisted state at a session's delta boundary"
-              in
               Array.iter
                 (fun (nd : Node.t) ->
                   Array.iter
                     (fun (c : Node.t) ->
-                      if c.Node.id < sm_base then List.iter (seed c) st_names)
+                      if c.Node.id < sm_base then
+                        Session_store.load_row store sx c.Node.id ~into ~at:(m.m_id c.Node.id))
                     nd.Node.children)
                 sm_nodes)
             m.m_session)
         members
     in
     let ex = Runtime.execute_lin ~preload ran ~params lin in
-    let value st wid =
-      Lower.state_value_lin ex.Runtime.exec_bound ex.Runtime.exec_compiled st wid
-    in
+    let from = storage ex.Runtime.exec_bound in
     let out = List.hd t.model.Ra.outputs in
     List.iter
       (fun m ->
         let result =
           match m.m_session with
-          | None -> fun (root : Node.t) -> Some (value out (m.m_id root.Node.id))
+          | None ->
+            fun (root : Node.t) ->
+              Some
+                (Lower.state_value_lin ex.Runtime.exec_bound ex.Runtime.exec_compiled out
+                   (m.m_id root.Node.id))
           | Some { sm_sx = sx; sm_nodes; _ } ->
             Array.iter
               (fun (nd : Node.t) ->
-                let wid = m.m_id nd.Node.id in
-                List.iter
-                  (fun st -> Hashtbl.replace sx.sx_states (st, nd.Node.id) (value st wid))
-                  st_names)
+                Session_store.save_row store sx nd.Node.id ~from ~at:(m.m_id nd.Node.id))
               sm_nodes;
             (* A session's result is its persisted row. *)
-            fun root -> Hashtbl.find_opt sx.sx_states (out, root.Node.id)
+            fun root -> Session_store.row store sx out root.Node.id
         in
         match m.m_p.p_structure.Structure.roots with
         | [] -> ()
@@ -1692,8 +1493,8 @@ let account_completed t ds ~lin ~nodes ~hit ~sxs ~size members c =
   let obs = t.eng_obs in
   let session, packed =
     match sxs with
-    | [ sx ] -> (Some sx.sx_name, [])
-    | _ -> (None, List.map (fun sx -> sx.sx_name) sxs)
+    | [ sx ] -> (Some sx.Session_store.sx_name, [])
+    | _ -> (None, List.map (fun sx -> sx.Session_store.sx_name) sxs)
   in
   let index = match ds.ds_windows with w :: _ -> w.wr_index + 1 | [] -> 0 in
   if packed <> [] then begin
@@ -1738,13 +1539,9 @@ let account_result t ds ~lin ~nodes ~hit ~sxs members outcome =
      ds.ds_lost <- ds.ds_lost + size;
      note_damage ds at;
      bump_clock t at;
-     List.iter reset_session sxs
+     List.iter Session_store.reset sxs
    | Completed c -> account_completed t ds ~lin ~nodes ~hit ~sxs ~size members c);
-  List.iter
-    (fun sx ->
-      Session_store.touch t.eng_store sx.sx_name
-        ~bytes:(session_accounted_bytes t sx) ~now_us:t.eng_clock_us)
-    sxs
+  List.iter (fun sx -> Session_store.touch t.eng_store sx ~now_us:t.eng_clock_us) sxs
 
 (* ---------- playing windows ---------- *)
 
@@ -1805,7 +1602,7 @@ let play_tokens t ds ~ready toks =
       m_session = Some { sm_sx = tk.tk_sx; sm_nodes = nodes; sm_base = base };
     }
   in
-  let layout_id sx id = Linearizer.layout_id sx.sx_layout id in
+  let layout_id sx id = Linearizer.layout_id sx.Session_store.sx_layout id in
   let play_step (tk, st) =
     play_window t ds ~ready ~lin:st.Linearizer.step_view
       ~nodes:(Array.length st.Linearizer.step_nodes) ~hit:false

@@ -1,3 +1,9 @@
+module Structure = Cortex_ds.Structure
+module Node = Cortex_ds.Node
+module Linearizer = Cortex_linearizer.Linearizer
+module Checkpoint = Cortex_runtime.Checkpoint
+module Tensor = Cortex_tensor.Tensor
+
 type config = {
   budget_bytes : int option;
   ttl_us : float option;
@@ -29,19 +35,41 @@ type stats = {
   st_restore_us : float;
 }
 
-type entry = { mutable e_bytes : int; mutable e_last_us : float }
+type session = {
+  sx_name : string;
+  mutable sx_structure : Structure.t option;
+  mutable sx_device : int option;
+  mutable sx_extends : int;
+  mutable sx_cold : int;
+  mutable sx_rebinds : int;
+  mutable sx_delta_nodes : int;
+  mutable sx_packed : int;
+  mutable sx_deadline_misses : int;
+  mutable sx_height : int;
+  mutable sx_restored_base : int option;
+  sx_layout : Linearizer.growing;
+  mutable sx_rows : float array array;
+  mutable sx_num_rows : int;
+  mutable sx_bytes : int;
+  mutable sx_last_us : float;
+}
 
 (* A held spill: bytes live in memory, or on disk when the store is
    file-backed (the record then only carries the size). *)
 type spill_rec = { sp_data : string option; sp_bytes : int }
 
 (* Per-name lifetime counters, surviving evict/restore cycles (the
-   session record itself is destroyed on eviction). *)
+   session record itself leaves the table on eviction). *)
 type counters = { mutable c_evictions : int; mutable c_restores : int }
 
 type t = {
   mutable cfg : config;
-  live : (string, entry) Hashtbl.t;
+  model : string;
+  max_children : int;
+  states : (string * int array) list;  (* the row format: name, per-node dims *)
+  widths : int array;  (* floats per row, per state *)
+  row_bytes : int;  (* one node's rows across every state *)
+  live : (string, session) Hashtbl.t;
   spilled : (string, spill_rec) Hashtbl.t;
   counts : (string, counters) Hashtbl.t;
   mutable total_bytes : int;
@@ -54,9 +82,15 @@ type t = {
   mutable restore_us : float;
 }
 
-let create ?(config = default_config) () =
+let create ?(config = default_config) ~model ~max_children ~states () =
+  let widths = Array.of_list (List.map (fun (_, dims) -> Array.fold_left ( * ) 1 dims) states) in
   {
     cfg = config;
+    model;
+    max_children;
+    states;
+    widths;
+    row_bytes = 8 * Array.fold_left ( + ) 0 widths;
     live = Hashtbl.create 64;
     spilled = Hashtbl.create 64;
     counts = Hashtbl.create 64;
@@ -81,15 +115,112 @@ let counters_of t name =
     Hashtbl.replace t.counts name c;
     c
 
-let touch t name ~bytes ~now_us =
-  match Hashtbl.find_opt t.live name with
-  | Some e ->
-    t.total_bytes <- t.total_bytes - e.e_bytes + bytes;
-    e.e_bytes <- bytes;
-    e.e_last_us <- Float.max e.e_last_us now_us
+(* ---------- the table ---------- *)
+
+let find t name = Hashtbl.find_opt t.live name
+
+let session t name =
+  match find t name with
+  | Some sx -> sx
   | None ->
-    Hashtbl.replace t.live name { e_bytes = bytes; e_last_us = now_us };
-    t.total_bytes <- t.total_bytes + bytes
+    let sx =
+      {
+        sx_name = name;
+        sx_structure = None;
+        sx_device = None;
+        sx_extends = 0;
+        sx_cold = 0;
+        sx_rebinds = 0;
+        sx_delta_nodes = 0;
+        sx_packed = 0;
+        sx_deadline_misses = 0;
+        sx_height = 0;
+        sx_restored_base = None;
+        sx_layout = Linearizer.empty_layout ~max_children:(max 1 t.max_children);
+        sx_rows = Array.map (fun _ -> [||]) t.widths;
+        sx_num_rows = 0;
+        sx_bytes = 0;
+        sx_last_us = Float.neg_infinity;
+      }
+    in
+    Hashtbl.add t.live name sx;
+    sx
+
+let sessions t = Hashtbl.fold (fun _ sx acc -> sx :: acc) t.live []
+let is_live t sx = match find t sx.sx_name with Some x -> x == sx | None -> false
+
+(* What a live session costs its device, in closed form: the four
+   resolved layout tables of the current conversation (a structure of
+   height h lays out as h + 1 level batches — [sx_height] tracks the
+   max layout level, so no re-traversal) plus the per-node state rows
+   it pins.  The QCheck accounting property holds this equal to the
+   linearizer's price of a cold linearization of the conversation. *)
+let accounted_bytes t sx =
+  let n = match sx.sx_structure with Some s -> Structure.num_nodes s | None -> 0 in
+  if n = 0 then 0
+  else
+    Linearizer.layout_bytes ~num_nodes:n ~num_batches:(sx.sx_height + 1)
+      ~max_children:t.max_children
+    + Linearizer.state_rows_bytes ~num_nodes:n ~bytes_per_node:t.row_bytes
+
+let touch t sx ~now_us =
+  if is_live t sx then begin
+    let bytes = accounted_bytes t sx in
+    t.total_bytes <- t.total_bytes - sx.sx_bytes + bytes;
+    sx.sx_bytes <- bytes;
+    sx.sx_last_us <- Float.max sx.sx_last_us now_us
+  end
+
+(* A different conversation took over the name, or a lost window left
+   its rows behind: node identities mean something else now, so the
+   rows are dropped (the counters stay — they are cumulative).  With no
+   structure and no restored prefix the layout is never grown again
+   before a reseed. *)
+let reset sx =
+  sx.sx_structure <- None;
+  sx.sx_height <- 0;
+  sx.sx_restored_base <- None;
+  sx.sx_num_rows <- 0
+
+(* ---------- rows: one growable matrix per state ---------- *)
+
+(* Room for rows [0, n) in every matrix, doubling like the layout. *)
+let reserve t sx n =
+  Array.iteri
+    (fun k w ->
+      let m = sx.sx_rows.(k) in
+      if Array.length m < n * w then begin
+        let grown = Array.make (w * max n (max 16 (2 * (Array.length m / w)))) 0.0 in
+        Array.blit m 0 grown 0 (Array.length m);
+        sx.sx_rows.(k) <- grown
+      end)
+    t.widths
+
+let load_row t sx node ~into ~at =
+  if node >= sx.sx_num_rows then
+    failwith "Engine: missing persisted state at a session's delta boundary";
+  Array.iteri
+    (fun k w -> Array.blit sx.sx_rows.(k) (node * w) into.(k) (at * w) w)
+    t.widths
+
+let save_row t sx node ~from ~at =
+  reserve t sx (node + 1);
+  Array.iteri
+    (fun k w -> Array.blit from.(k) (at * w) sx.sx_rows.(k) (node * w) w)
+    t.widths;
+  if node >= sx.sx_num_rows then sx.sx_num_rows <- node + 1
+
+let row t sx st node =
+  let rec go k = function
+    | [] -> None
+    | (name, dims) :: rest ->
+      if name <> st then go (k + 1) rest
+      else if node < 0 || node >= sx.sx_num_rows then None
+      else
+        let w = t.widths.(k) in
+        Some (Tensor.of_array (Array.copy dims) (Array.sub sx.sx_rows.(k) (node * w) w))
+  in
+  go 0 t.states
 
 (* ---------- priced spill/restore costs ---------- *)
 
@@ -112,14 +243,15 @@ let victims t ~now_us =
   if t.cfg.ttl_us = None && fits then []
   else
     let all =
-      Hashtbl.fold (fun name e acc -> (name, e) :: acc) t.live []
-      |> List.sort (fun (na, ea) (nb, eb) ->
-             let c = compare ea.e_last_us eb.e_last_us in
-             if c <> 0 then c else compare na nb)
+      List.sort
+        (fun a b ->
+          let c = compare a.sx_last_us b.sx_last_us in
+          if c <> 0 then c else compare a.sx_name b.sx_name)
+        (sessions t)
     in
     let expired, alive =
       match t.cfg.ttl_us with
-      | Some ttl -> List.partition (fun (_, e) -> now_us -. e.e_last_us > ttl) all
+      | Some ttl -> List.partition (fun sx -> now_us -. sx.sx_last_us > ttl) all
       | None -> ([], all)
     in
     let over_budget =
@@ -128,19 +260,126 @@ let victims t ~now_us =
       | Some budget ->
         (* [alive] is least-recent-first, which under the one uniform
            TTL is also nearest-expiry-first. *)
-        let remaining =
-          List.fold_left (fun acc (_, e) -> acc + e.e_bytes) 0 alive
-        in
+        let remaining = List.fold_left (fun acc sx -> acc + sx.sx_bytes) 0 alive in
         let rec take acc remaining = function
           | [] -> List.rev acc
           | _ when remaining <= budget -> List.rev acc
-          | (name, e) :: rest -> take ((name, `Budget) :: acc) (remaining - e.e_bytes) rest
+          | sx :: rest -> take ((sx, `Budget) :: acc) (remaining - sx.sx_bytes) rest
         in
         take [] remaining alive
     in
-    List.map (fun (name, _) -> (name, `Ttl)) expired @ over_budget
+    List.map (fun sx -> (sx, `Ttl)) expired @ over_budget
 
-(* ---------- spilling ---------- *)
+(* ---------- the spill format ---------- *)
+
+(* Content digest of a conversation prefix: payloads and child ids of
+   nodes [0, n).  This is what lets spilled state survive eviction and
+   engine restarts — physical node identity (the live-session prefix
+   check) cannot.  Payloads are included deliberately: the shape key
+   excludes them, but grafting states onto a same-shaped conversation
+   with different tokens would be silent corruption. *)
+let prefix_digest (s : Structure.t) n =
+  let buf = Buffer.create (n * 12) in
+  for i = 0 to n - 1 do
+    let nd = s.Structure.nodes.(i) in
+    Buffer.add_string buf (string_of_int nd.Node.payload);
+    Buffer.add_char buf ':';
+    Array.iter
+      (fun (c : Node.t) ->
+        Buffer.add_string buf (string_of_int c.Node.id);
+        Buffer.add_char buf ',')
+      nd.Node.children;
+    Buffer.add_char buf ';'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* A session's restorable half as a Checkpoint session section:
+   conversation size, prefix digest, and the rows of nodes [0, n) under
+   "state@node" names (sorted, so the spill bytes — and therefore the
+   priced costs and CI diffs — are deterministic).  Float64 payloads
+   round-trip bitwise, which is what makes evict -> restore ≡
+   never-evicted an exact statement.  [None]: nothing worth keeping. *)
+let spill_payload t sx =
+  match sx.sx_structure with
+  | None -> None
+  | Some s ->
+    let n = Structure.num_nodes s in
+    if n = 0 then None
+    else
+      let states =
+        List.concat
+          (List.mapi
+             (fun k (st, dims) ->
+               List.init (min n sx.sx_num_rows) (fun id ->
+                   let w = t.widths.(k) in
+                   ( Printf.sprintf "%s@%d" st id,
+                     Tensor.of_array (Array.copy dims) (Array.sub sx.sx_rows.(k) (id * w) w) )))
+             t.states)
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+      in
+      Some
+        (Checkpoint.session_to_string
+           {
+             Checkpoint.ss_model = t.model;
+             ss_nodes = n;
+             ss_digest = prefix_digest s n;
+             ss_states = states;
+           })
+
+(* Adopt a spill for [s]: check it against the model, the prefix
+   digest and strict growth, reseed the layout over the prefix and
+   refill the rows — every state's rows [0, b) must be present, or the
+   delta boundary would miss them mid-execution. *)
+let adopt t sx (s : Structure.t) data =
+  try
+    let ss = Checkpoint.session_of_string ~expect_model:t.model data in
+    let b = ss.Checkpoint.ss_nodes in
+    if b <= 0 || Structure.num_nodes s <= b || prefix_digest s b <> ss.Checkpoint.ss_digest
+    then false
+    else begin
+      Linearizer.reseed sx.sx_layout s ~prefix:b;
+      sx.sx_height <- Linearizer.layout_height sx.sx_layout;
+      reserve t sx b;
+      let seen = Array.map (fun _ -> Array.make b false) t.widths in
+      let index st =
+        let rec go k = function
+          | [] -> None
+          | (name, _) :: rest -> if name = st then Some k else go (k + 1) rest
+        in
+        go 0 t.states
+      in
+      let ok =
+        List.for_all
+          (fun (name, (v : Tensor.t)) ->
+            match String.rindex_opt name '@' with
+            | None -> false
+            | Some i -> (
+              let id = int_of_string_opt (String.sub name (i + 1) (String.length name - i - 1)) in
+              match (index (String.sub name 0 i), id) with
+              | _, None -> false
+              | _, Some id when id < 0 || id >= b -> false
+              | None, Some _ -> true
+              | Some k, Some id ->
+                let w = t.widths.(k) in
+                Tensor.numel v = w
+                && begin
+                  Array.blit v.Tensor.data 0 sx.sx_rows.(k) (id * w) w;
+                  seen.(k).(id) <- true;
+                  true
+                end))
+          ss.Checkpoint.ss_states
+        && Array.for_all (Array.for_all Fun.id) seen
+      in
+      if ok then begin
+        sx.sx_num_rows <- b;
+        sx.sx_restored_base <- Some b;
+        sx.sx_structure <- None
+      end;
+      ok
+    end
+  with Checkpoint.Corrupt _ | Failure _ | Invalid_argument _ -> false
+
+(* ---------- evict, restore, forget ---------- *)
 
 let spill_path t name =
   match t.cfg.spill_dir with
@@ -161,39 +400,41 @@ let spill_path t name =
 let ensure_dir dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
 let drop_live t name =
-  match Hashtbl.find_opt t.live name with
+  match find t name with
   | None -> ()
-  | Some e ->
-    t.total_bytes <- t.total_bytes - e.e_bytes;
+  | Some sx ->
+    t.total_bytes <- t.total_bytes - sx.sx_bytes;
     Hashtbl.remove t.live name
 
-let count_eviction t name ~expired =
-  t.evictions <- t.evictions + 1;
-  if expired then t.expired <- t.expired + 1;
-  (counters_of t name).c_evictions <- (counters_of t name).c_evictions + 1
-
-let spill t name ~data ~expired =
-  drop_live t name;
-  count_eviction t name ~expired;
-  let size = String.length data in
-  (match spill_path t name with
-  | None -> Hashtbl.replace t.spilled name { sp_data = Some data; sp_bytes = size }
-  | Some path ->
-    Option.iter ensure_dir t.cfg.spill_dir;
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc data);
-    Hashtbl.replace t.spilled name { sp_data = None; sp_bytes = size });
-  t.spills <- t.spills + 1;
-  t.spilled_bytes <- t.spilled_bytes + size;
-  let cost = spill_cost_us ~bytes:size in
-  t.spill_us <- t.spill_us +. cost;
-  cost
-
-let drop t name =
-  drop_live t name;
-  count_eviction t name ~expired:false
+let evict t sx ~expired =
+  if not (is_live t sx) then 0.0
+  else begin
+    let name = sx.sx_name in
+    let data = spill_payload t sx in
+    drop_live t name;
+    t.evictions <- t.evictions + 1;
+    let c = counters_of t name in
+    c.c_evictions <- c.c_evictions + 1;
+    match data with
+    | None -> 0.0
+    | Some data ->
+      if expired then t.expired <- t.expired + 1;
+      let size = String.length data in
+      (match spill_path t name with
+       | None -> Hashtbl.replace t.spilled name { sp_data = Some data; sp_bytes = size }
+       | Some path ->
+         Option.iter ensure_dir t.cfg.spill_dir;
+         let oc = open_out_bin path in
+         Fun.protect
+           ~finally:(fun () -> close_out oc)
+           (fun () -> output_string oc data);
+         Hashtbl.replace t.spilled name { sp_data = None; sp_bytes = size });
+      t.spills <- t.spills + 1;
+      t.spilled_bytes <- t.spilled_bytes + size;
+      let cost = spill_cost_us ~bytes:size in
+      t.spill_us <- t.spill_us +. cost;
+      cost
+  end
 
 let read_file path =
   let ic = open_in_bin path in
@@ -201,38 +442,55 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let has_spill t name =
-  Hashtbl.mem t.spilled name
-  || match spill_path t name with Some p -> Sys.file_exists p | None -> false
-
-let restore t name =
-  let finish data =
-    Hashtbl.remove t.spilled name;
-    (match spill_path t name with
-    | Some p when Sys.file_exists p -> Sys.remove p
-    | _ -> ());
-    t.restores <- t.restores + 1;
-    (counters_of t name).c_restores <- (counters_of t name).c_restores + 1;
-    let cost = restore_cost_us ~bytes:(String.length data) in
-    t.restore_us <- t.restore_us +. cost;
-    Some (data, cost)
+(* Consume the spill held for [name]: its bytes, with the record and
+   the file removed.  File-backed, or a fresh store finding its
+   predecessor's files after an engine restart. *)
+let take_spill t name =
+  let held =
+    match Hashtbl.find_opt t.spilled name with
+    | Some { sp_data = Some data; _ } -> Some data
+    | Some { sp_data = None; _ } | None -> (
+      match spill_path t name with
+      | Some p when Sys.file_exists p -> (
+        match read_file p with data -> Some data | exception Sys_error _ -> None)
+      | _ -> None)
   in
-  match Hashtbl.find_opt t.spilled name with
-  | Some { sp_data = Some data; _ } -> finish data
-  | Some { sp_data = None; _ } | None -> (
-    (* File-backed, or a fresh store finding its predecessor's files
-       after an engine restart. *)
-    match spill_path t name with
-    | Some p when Sys.file_exists p -> (
-      match read_file p with data -> finish data | exception Sys_error _ -> None)
-    | _ -> None)
+  Option.iter
+    (fun _ ->
+      Hashtbl.remove t.spilled name;
+      match spill_path t name with
+      | Some p when Sys.file_exists p -> Sys.remove p
+      | _ -> ())
+    held;
+  held
+
+let restore t sx s =
+  match (sx.sx_structure, sx.sx_restored_base) with
+  | Some _, _ | _, Some _ -> None
+  | None, None -> (
+    match take_spill t sx.sx_name with
+    | None -> None
+    | Some data ->
+      t.restores <- t.restores + 1;
+      let c = counters_of t sx.sx_name in
+      c.c_restores <- c.c_restores + 1;
+      let cost = restore_cost_us ~bytes:(String.length data) in
+      t.restore_us <- t.restore_us +. cost;
+      if adopt t sx s data then Some cost
+      else begin
+        (* The spill belongs to a different conversation (or is
+           damaged): it was consumed above, so the name starts over
+           fresh. *)
+        reset sx;
+        None
+      end)
 
 let forget t name =
   drop_live t name;
   Hashtbl.remove t.spilled name;
   (match spill_path t name with
-  | Some p when Sys.file_exists p -> ( try Sys.remove p with Sys_error _ -> ())
-  | _ -> ());
+   | Some p when Sys.file_exists p -> ( try Sys.remove p with Sys_error _ -> ())
+   | _ -> ());
   Hashtbl.remove t.counts name
 
 let evictions_of t name =
