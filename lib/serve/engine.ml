@@ -654,13 +654,13 @@ let bump_clock t at = if at > t.eng_clock_us then t.eng_clock_us <- at
 (* Evict one session now: the store spills its rows and takes it out of
    the table.  The trace instant stamps the monotone engine clock so the
    "sessions" track validates. *)
-let evict_session_now ?obs t (sx : Session_store.session) ~reason =
+let evict_session_now t (sx : Session_store.session) ~reason =
   let spill_us = Session_store.evict t.eng_store sx ~expired:(reason = `Ttl) in
-  Obs.incr obs "sessions.evictions";
-  match obs with
+  Obs.incr t.eng_obs "sessions.evictions";
+  match t.eng_obs with
   | None -> ()
   | Some _ ->
-    Obs.sim_instant obs ~track:"sessions" ~name:"evict"
+    Obs.sim_instant t.eng_obs ~track:"sessions" ~name:"evict"
       ~args:
         [ ("session", CT.Str sx.sx_name);
           ("reason",
@@ -676,13 +676,13 @@ let evict_session_now ?obs t (sx : Session_store.session) ~reason =
    survivors still bust the budget — sessions in policy order until
    the table fits.  Runs after every session item and at the end of
    each drain, so the accounted-bytes invariant holds at both points. *)
-let enforce_sessions ?obs t =
+let enforce_sessions t =
   match Session_store.victims t.eng_store ~now_us:t.eng_clock_us with
   | [] -> ()
   | victims ->
     List.iter
       (fun (sx, reason) ->
-        evict_session_now ?obs t sx
+        evict_session_now t sx
           ~reason:(match reason with `Ttl -> `Ttl | `Budget -> `Budget))
       victims
 
@@ -1659,7 +1659,7 @@ let play_item t ds (ready, item) =
   | I_regular members -> play_regular t ds ~ready members
   | I_session members ->
     play_tokens t ds ~ready (List.map (serve_token t ~delta_ok:ds.ds_delta_ok) members);
-    enforce_sessions ?obs:t.eng_obs t
+    enforce_sessions t
 
 (* ---------- the summary ---------- *)
 
@@ -1828,7 +1828,7 @@ let drain t =
      traffic, and a mid-drain budget change (set_session_budget) takes
      effect.  Runs before the trace bounds are read so the eviction
      instants land inside the drain span. *)
-  enforce_sessions ?obs:t.eng_obs t;
+  enforce_sessions t;
   summarize t ds
 
 let run_trace t trace =

@@ -464,7 +464,9 @@ type session_report = {
           ({!Cortex_linearizer.Linearizer.layout_bytes}) plus the state
           rows it pins — what the session-table budget prices *)
   sn_evictions : int;  (** times this name was evicted (spilled) *)
-  sn_restores : int;  (** times this name was restored from a spill *)
+  sn_restores : int;
+      (** times a spill of this name was accepted by a restore (a refused
+          spill is consumed and counts nothing) *)
 }
 
 type plan_report = {

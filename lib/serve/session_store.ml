@@ -470,20 +470,19 @@ let restore t sx s =
   | None, None -> (
     match take_spill t sx.sx_name with
     | None -> None
-    | Some data ->
+    | Some data when adopt t sx s data ->
       t.restores <- t.restores + 1;
       let c = counters_of t sx.sx_name in
       c.c_restores <- c.c_restores + 1;
       let cost = restore_cost_us ~bytes:(String.length data) in
       t.restore_us <- t.restore_us +. cost;
-      if adopt t sx s data then Some cost
-      else begin
-        (* The spill belongs to a different conversation (or is
-           damaged): it was consumed above, so the name starts over
-           fresh. *)
-        reset sx;
-        None
-      end)
+      Some cost
+    | Some _ ->
+      (* The spill belongs to a different conversation (or is damaged):
+         it was consumed above, so the name starts over fresh, and
+         nothing counts as restored. *)
+      reset sx;
+      None)
 
 let forget t name =
   drop_live t name;

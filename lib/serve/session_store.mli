@@ -53,10 +53,10 @@ type stats = {
   st_evictions : int;  (** Cumulative evictions (TTL + budget). *)
   st_expired : int;  (** Of which TTL expiries. *)
   st_spills : int;  (** Cumulative spill records written. *)
-  st_restores : int;  (** Cumulative spill records consumed. *)
+  st_restores : int;  (** Cumulative spills accepted by a restore. *)
   st_spilled_bytes : int;  (** Cumulative serialized bytes spilled. *)
   st_spill_us : float;  (** Cumulative priced spill cost. *)
-  st_restore_us : float;  (** Cumulative priced restore cost. *)
+  st_restore_us : float;  (** Cumulative priced cost of those restores. *)
 }
 
 (** A live session.  The engine serves tokens through the fields up to

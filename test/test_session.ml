@@ -485,6 +485,21 @@ let test_evict_failover_restore () =
   check_states_bitwise failover_spec eng ~session:"chat" compiled params
     (List.nth structs 8)
 
+(* A fresh spill directory for [f], removed with its files afterwards. *)
+let with_spill_dir f =
+  let dir = Filename.temp_file "cortex-spill" "" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Sys.rmdir dir
+      end)
+    (fun () -> f dir)
+
+let spill_files dir =
+  List.filter (fun f -> Filename.check_suffix f ".csx") (Array.to_list (Sys.readdir dir))
+
 (* File-backed spills survive a full engine restart: a fresh engine
    (here: serving the same AOT bundle) finds its predecessor's .csx
    and resumes the conversation bitwise. *)
@@ -498,31 +513,18 @@ let test_restart_restore_from_disk () =
     Bundle.create ~weights ~model:"TreeFC" ~size:"small"
       ~backend:gpu.Backend.short compiled
   in
-  let dir = Filename.temp_file "cortex-spill" "" in
-  Sys.remove dir;
-  let mk () =
-    Engine.of_bundle
-      ~config:
-        (Engine.Config.make ~params:(Bundle.resolver b) ~session_spill_dir:dir ())
-      b ~backend:gpu
-  in
   let structs = conversation 91 ~vocab:12 ~kind:Structure.Tree ~tokens:9 in
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter
-          (fun f -> Sys.remove (Filename.concat dir f))
-          (Sys.readdir dir);
-        Sys.rmdir dir
-      end)
-    (fun () ->
+  with_spill_dir (fun dir ->
+      let mk () =
+        Engine.of_bundle
+          ~config:
+            (Engine.Config.make ~params:(Bundle.resolver b) ~session_spill_dir:dir ())
+          b ~backend:gpu
+      in
       let eng1 = mk () in
       ignore (serve_slice eng1 ~from:0 ~upto:6 structs);
       ignore (Engine.evict_session eng1 "chat");
-      Alcotest.(check bool) "spill file written" true
-        (Array.exists
-           (fun f -> Filename.check_suffix f ".csx")
-           (Sys.readdir dir));
+      Alcotest.(check bool) "spill file written" true (spill_files dir <> []);
       (* The first engine is gone; a restarted one picks the file up. *)
       let eng2 = mk () in
       let s2 = serve_slice eng2 ~from:6 ~upto:10 structs in
@@ -536,13 +538,111 @@ let test_restart_restore_from_disk () =
          Alcotest.(check int) "no cold replay after the restart" 0
            sn.Engine.sn_cold
        | _ -> Alcotest.fail "expected one session");
-      Alcotest.(check bool) "spill file consumed" false
-        (Array.exists
-           (fun f -> Filename.check_suffix f ".csx")
-           (Sys.readdir dir));
+      Alcotest.(check (list string)) "spill file consumed" [] (spill_files dir);
       check_states_bitwise spec eng2 ~session:"chat" compiled
         (Checkpoint.resolver weights)
         (List.nth structs 9))
+
+(* ---------- spills the engine must refuse ---------- *)
+
+let refusal_spec = Models.Tree_lstm.spec ~vocab:20 ~hidden:4 ()
+
+(* Serve six tokens of a conversation as "chat" and evict it, [damage]
+   the spill file, then serve [next] as "chat" — in the same engine, or
+   in the one [resume] builds over the same spill directory.  A refused
+   spill must leave no trace: no exception escapes, every token is
+   served cold and is bitwise the cold run, no restore is counted or
+   charged, and the spill is consumed. *)
+let check_refused ~label ?dir ?(damage = ignore) ?resume ~next () =
+  let params = refusal_spec.M.init_params (Rng.create 6) in
+  let eng = engine_bounded refusal_spec ?session_spill_dir:dir params in
+  ignore (serve_session eng (conversation 61 ~vocab:20 ~kind:Structure.Tree ~tokens:5));
+  Alcotest.(check bool) (label ^ ": evicted") true (Engine.evict_session eng "chat");
+  Option.iter (fun d -> List.iter (fun f -> damage (Filename.concat d f)) (spill_files d)) dir;
+  let spec, params, eng =
+    match resume with Some f -> f params | None -> (refusal_spec, params, eng)
+  in
+  let restores = (Engine.session_table_stats eng).Session_store.st_restores in
+  let s = serve_session eng next in
+  let st = Engine.session_table_stats eng in
+  Alcotest.(check int) (label ^ ": no restore counted") restores st.Session_store.st_restores;
+  Alcotest.(check int) (label ^ ": the spill is consumed") 0 st.Session_store.st_spilled;
+  Option.iter
+    (fun d -> Alcotest.(check (list string)) (label ^ ": no spill file left") [] (spill_files d))
+    dir;
+  List.iter
+    (fun (r : Engine.request_report) ->
+      Alcotest.(check (float 0.0)) (label ^ ": no restore charged") 0.0 r.Engine.rr_linearize_us)
+    s.Engine.requests;
+  (match Engine.sessions eng with
+   | [ sn ] ->
+     Alcotest.(check int) (label ^ ": first token cold") 1 sn.Engine.sn_cold;
+     Alcotest.(check int) (label ^ ": no restore reported") 0 sn.Engine.sn_restores
+   | _ -> Alcotest.failf "%s: expected one session" label);
+  let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+  let out = List.hd spec.M.program.Ra.outputs in
+  List.iteri
+    (fun i st ->
+      let cold = Runtime.state (Runtime.execute compiled ~params st) out (List.hd st.Structure.roots) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: token %d bitwise the cold run" label i)
+        true
+        (Tensor.max_abs_diff (snd (List.nth s.Engine.results i)) cold = 0.0))
+    next;
+  check_states_bitwise spec eng ~session:"chat" compiled params (List.nth next (List.length next - 1))
+
+(* The same conversation's next tokens, which a sound spill restores. *)
+let resumed = List.filteri (fun i _ -> i >= 6) (conversation 61 ~vocab:20 ~kind:Structure.Tree ~tokens:8)
+
+let restart ?(spec = refusal_spec) dir params =
+  let params = if spec == refusal_spec then params else spec.M.init_params (Rng.create 6) in
+  (spec, params, engine_bounded spec ~session_spill_dir:dir params)
+
+let test_refuse_other_conversation () =
+  check_refused ~label:"other conversation"
+    ~next:(conversation 62 ~vocab:20 ~kind:Structure.Tree ~tokens:3) ()
+
+let test_refuse_truncated () =
+  with_spill_dir (fun dir ->
+      let truncate path =
+        let data = In_channel.with_open_bin path In_channel.input_all in
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc (String.sub data 0 (String.length data - 1)))
+      in
+      check_refused ~label:"truncated by a byte" ~dir ~damage:truncate
+        ~resume:(restart dir) ~next:resumed ())
+
+let test_refuse_other_model () =
+  with_spill_dir (fun dir ->
+      check_refused ~label:"another model" ~dir
+        ~resume:(restart ~spec:(Models.Tree_gru.spec ~vocab:20 ~hidden:4 ()) dir)
+        ~next:resumed ())
+
+(* An explicit eviction reaches the trace like a budget one. *)
+let test_explicit_evict_traced () =
+  let obs = Obs.create ~clock:Obs.Logical () in
+  let params = refusal_spec.M.init_params (Rng.create 6) in
+  let eng =
+    Engine.of_spec ~config:(Engine.Config.make ~obs ~params ()) refusal_spec ~backend:gpu
+  in
+  ignore (serve_session eng (conversation 61 ~vocab:20 ~kind:Structure.Tree ~tokens:3));
+  Alcotest.(check bool) "evicted" true (Engine.evict_session eng "chat");
+  let evicts =
+    List.filter
+      (fun (e : Chrome_trace.event) ->
+        e.Chrome_trace.ev_name = "evict" && e.Chrome_trace.ev_ph = Chrome_trace.Instant)
+      (Obs.events obs)
+  in
+  (match evicts with
+   | [ e ] ->
+     Alcotest.(check bool) "reason: explicit" true
+       (List.assoc_opt "reason" e.Chrome_trace.ev_args = Some (Chrome_trace.Str "explicit"))
+   | l -> Alcotest.failf "%d evict instants, want 1" (List.length l));
+  match Obs.snapshot (Some obs) with
+  | Some snap ->
+    Alcotest.(check (option int)) "sessions.evictions" (Some 1)
+      (List.assoc_opt "sessions.evictions" snap.Metrics.counters)
+  | None -> Alcotest.fail "no metrics"
 
 (* [sn_materializations] counts regrowths of the session's layout.  A tree
    conversation starts at one node (capacity 16) and each token adds
@@ -1177,12 +1277,10 @@ let test_pack_deadline_misses () =
    replaced under its name, a byte budget that forces evict/restore
    churn, transient aborts and a mid-drain fail-stop — rendered down to
    the summary's deterministic fields (floats by their bits) and
-   hashed.  The pack-window-8 digest was last re-pinned when the
-   eviction pass came to run once per session window, after every
-   member is re-accounted (before, a packed window's evicted members
-   stayed live in the store); the pack-window-1 digest when the summary
-   lost its fault-spec flag and [sn_materializations] came to count
-   layout regrowths.  Any refactor of the window path must leave them
+   hashed.  Both digests were last re-pinned when a refused spill
+   stopped counting as a restore: chat-3's replacement consumes the old
+   conversation's spill without restoring it, so its [sn_restores], the
+   table's [st_restores] and [st_restore_us] each drop by one restore.  Any refactor of the window path must leave them
    unchanged, at pack window 8 (packed, size-1 and regular windows
    interleaved) and at pack window 1 (size-1 and regular only). *)
 let render_summary (s : Engine.summary) =
@@ -1331,8 +1429,8 @@ let test_characterization () =
         expected
         (Digest.to_hex (Digest.string rendered)))
     [
-      (8, "8ff3538f7a341eb4ba669b7ea2d26fc0");
-      (1, "fe4c89452fa40d81dfa01a1b0b27be33");
+      (8, "6536bdc26148e71232896145db363015");
+      (1, "2613192b732fb812b27109c8d9329043");
     ]
 
 (* ---------- one simulated clock ---------- *)
@@ -1448,6 +1546,11 @@ let () =
           Alcotest.test_case "evict-failover" `Quick test_evict_failover_restore;
           Alcotest.test_case "restart-restore" `Quick
             test_restart_restore_from_disk;
+          Alcotest.test_case "refuse-other-conversation" `Quick
+            test_refuse_other_conversation;
+          Alcotest.test_case "refuse-truncated" `Quick test_refuse_truncated;
+          Alcotest.test_case "refuse-other-model" `Quick test_refuse_other_model;
+          Alcotest.test_case "explicit-evict-traced" `Quick test_explicit_evict_traced;
           QCheck_alcotest.to_alcotest prop_accounting_matches_linearizer;
           QCheck_alcotest.to_alcotest prop_session_lifecycle;
           Alcotest.test_case "packed-budget-no-ghosts" `Quick test_packed_budget_no_ghosts;
