@@ -160,8 +160,8 @@ let load path = of_string (read_file path)
 (* ---------- session-state sections ---------- *)
 
 (* A spilled serving session: which model and conversation prefix the
-   state rows belong to, then a plain tensor table (the per-node hidden
-   states, names encoding (state, node)).  Same byte discipline as the
+   state rows belong to, then a plain tensor table (one [n; dims] tensor
+   of rows per state, named by the state).  Same byte discipline as the
    parameter format — counts and lengths little-endian i64, payloads
    float64 bits — so restore is bitwise exact, and the same hardened
    cursor walk, so a truncated or bit-flipped spill file fails with

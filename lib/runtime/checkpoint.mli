@@ -61,11 +61,12 @@ val load : string -> t
 (** {2 Session-state sections}
 
     A spilled serving session: the model it belongs to, how many nodes
-    of conversation prefix its state rows cover, a content digest of
+    [n] of conversation prefix its state rows cover, a content digest of
     that prefix (the engine refuses to graft spilled states onto a
-    different conversation), and the per-node hidden states as a plain
-    tensor table.  Float64 payloads round-trip bitwise, so an evicted
-    conversation restores exactly.  The reader shares the hardened
+    different conversation), and the hidden states as a plain tensor
+    table — one tensor per state, named by the state and shaped
+    [[n; dims]], row [i] for node [i].  Float64 payloads round-trip
+    bitwise, so an evicted conversation restores exactly.  The reader shares the hardened
     cursor walk with the parameter format: truncation, implausible
     lengths, overflow extents and wrong-model payloads all raise
     {!Corrupt} — never [Marshal] failures. *)
@@ -74,7 +75,7 @@ type session_state = {
   ss_model : string;  (** [Ra] program name the states were computed under. *)
   ss_nodes : int;  (** Conversation prefix length the states cover. *)
   ss_digest : string;  (** Content digest of that prefix. *)
-  ss_states : t;  (** Per-node hidden-state rows. *)
+  ss_states : t;  (** One [[n; dims]] tensor of rows per state. *)
 }
 
 val session_to_string : session_state -> string

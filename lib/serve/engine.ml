@@ -5,7 +5,6 @@ module Ra = Cortex_ra.Ra
 module Lower = Cortex_lower.Lower
 module Backend = Cortex_backend.Backend
 module Runtime = Cortex_runtime.Runtime
-module Checkpoint = Cortex_runtime.Checkpoint
 module Stats = Cortex_util.Stats
 module Tensor = Cortex_tensor.Tensor
 module M = Cortex_models.Models_common
@@ -677,14 +676,9 @@ let evict_session_now t (sx : Session_store.session) ~reason =
    the table fits.  Runs after every session item and at the end of
    each drain, so the accounted-bytes invariant holds at both points. *)
 let enforce_sessions t =
-  match Session_store.victims t.eng_store ~now_us:t.eng_clock_us with
-  | [] -> ()
-  | victims ->
-    List.iter
-      (fun (sx, reason) ->
-        evict_session_now t sx
-          ~reason:(match reason with `Ttl -> `Ttl | `Budget -> `Budget))
-      victims
+  List.iter
+    (fun (sx, reason) -> evict_session_now t sx ~reason)
+    (Session_store.victims t.eng_store ~now_us:t.eng_clock_us)
 
 type request_report = {
   rr_id : int;

@@ -54,10 +54,6 @@ type session = {
   mutable sx_last_us : float;
 }
 
-(* A held spill: bytes live in memory, or on disk when the store is
-   file-backed (the record then only carries the size). *)
-type spill_rec = { sp_data : string option; sp_bytes : int }
-
 (* Per-name lifetime counters, surviving evict/restore cycles (the
    session record itself leaves the table on eviction). *)
 type counters = { mutable c_evictions : int; mutable c_restores : int }
@@ -70,7 +66,8 @@ type t = {
   widths : int array;  (* floats per row, per state *)
   row_bytes : int;  (* one node's rows across every state *)
   live : (string, session) Hashtbl.t;
-  spilled : (string, spill_rec) Hashtbl.t;
+  spilled : (string, string option) Hashtbl.t;
+      (* held spills: their bytes, or [None] when they are on disk *)
   counts : (string, counters) Hashtbl.t;
   mutable total_bytes : int;
   mutable evictions : int;
@@ -104,7 +101,6 @@ let create ?(config = default_config) ~model ~max_children ~states () =
     restore_us = 0.0;
   }
 
-let config t = t.cfg
 let set_budget t b = t.cfg <- { t.cfg with budget_bytes = b }
 
 let counters_of t name =
@@ -211,16 +207,11 @@ let save_row t sx node ~from ~at =
   if node >= sx.sx_num_rows then sx.sx_num_rows <- node + 1
 
 let row t sx st node =
-  let rec go k = function
-    | [] -> None
-    | (name, dims) :: rest ->
-      if name <> st then go (k + 1) rest
-      else if node < 0 || node >= sx.sx_num_rows then None
-      else
-        let w = t.widths.(k) in
-        Some (Tensor.of_array (Array.copy dims) (Array.sub sx.sx_rows.(k) (node * w) w))
-  in
-  go 0 t.states
+  match List.find_index (fun (name, _) -> name = st) t.states with
+  | Some k when node >= 0 && node < sx.sx_num_rows ->
+    let w = t.widths.(k) in
+    Some (Tensor.of_array (Array.copy (snd (List.nth t.states k))) (Array.sub sx.sx_rows.(k) (node * w) w))
+  | _ -> None
 
 (* ---------- priced spill/restore costs ---------- *)
 
@@ -294,90 +285,66 @@ let prefix_digest (s : Structure.t) n =
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* A session's restorable half as a Checkpoint session section:
-   conversation size, prefix digest, and the rows of nodes [0, n) under
-   "state@node" names (sorted, so the spill bytes — and therefore the
-   priced costs and CI diffs — are deterministic).  Float64 payloads
-   round-trip bitwise, which is what makes evict -> restore ≡
+   conversation size, prefix digest, and one tensor per state, named by
+   the state and shaped [n; dims] — rows [0, n) of its matrix.  Float64
+   payloads round-trip bitwise, which is what makes evict -> restore ≡
    never-evicted an exact statement.  [None]: nothing worth keeping. *)
 let spill_payload t sx =
   match sx.sx_structure with
-  | None -> None
-  | Some s ->
+  | Some s
+    when Structure.num_nodes s > 0 && (t.states = [] || sx.sx_num_rows >= Structure.num_nodes s)
+    ->
     let n = Structure.num_nodes s in
-    if n = 0 then None
-    else
-      let states =
-        List.concat
-          (List.mapi
-             (fun k (st, dims) ->
-               List.init (min n sx.sx_num_rows) (fun id ->
-                   let w = t.widths.(k) in
-                   ( Printf.sprintf "%s@%d" st id,
-                     Tensor.of_array (Array.copy dims) (Array.sub sx.sx_rows.(k) (id * w) w) )))
-             t.states)
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      Some
-        (Checkpoint.session_to_string
-           {
-             Checkpoint.ss_model = t.model;
-             ss_nodes = n;
-             ss_digest = prefix_digest s n;
-             ss_states = states;
-           })
+    let states =
+      List.mapi
+        (fun k (st, dims) ->
+          ( st,
+            Tensor.of_array (Array.append [| n |] dims)
+              (Array.sub sx.sx_rows.(k) 0 (n * t.widths.(k))) ))
+        t.states
+    in
+    Some
+      (Checkpoint.session_to_string
+         {
+           Checkpoint.ss_model = t.model;
+           ss_nodes = n;
+           ss_digest = prefix_digest s n;
+           ss_states = states;
+         })
+  | _ -> None
 
-(* Adopt a spill for [s]: check it against the model, the prefix
-   digest and strict growth, reseed the layout over the prefix and
-   refill the rows — every state's rows [0, b) must be present, or the
-   delta boundary would miss them mid-execution. *)
+(* Adopt a spill for [s]: it must be this model's, cover a strict
+   prefix of [s] whose content digest matches, and hold exactly one
+   tensor per state, shaped [b; dims].  Then the layout is reseeded over
+   the prefix and the tensors' arrays become the rows. *)
 let adopt t sx (s : Structure.t) data =
-  try
-    let ss = Checkpoint.session_of_string ~expect_model:t.model data in
+  match Checkpoint.session_of_string ~expect_model:t.model data with
+  | exception Checkpoint.Corrupt _ -> false
+  | ss ->
     let b = ss.Checkpoint.ss_nodes in
-    if b <= 0 || Structure.num_nodes s <= b || prefix_digest s b <> ss.Checkpoint.ss_digest
-    then false
-    else begin
+    let rows =
+      List.filter_map
+        (fun (st, dims) ->
+          match List.assoc_opt st ss.Checkpoint.ss_states with
+          | Some (v : Tensor.t) when v.Tensor.shape = Array.append [| b |] dims ->
+            Some v.Tensor.data
+          | _ -> None)
+        t.states
+    in
+    b > 0
+    && Structure.num_nodes s > b
+    && prefix_digest s b = ss.Checkpoint.ss_digest
+    && List.length rows = List.length t.states
+    && List.length ss.Checkpoint.ss_states = List.length t.states
+    && begin
       Linearizer.reseed sx.sx_layout s ~prefix:b;
       sx.sx_height <- Linearizer.layout_height sx.sx_layout;
-      reserve t sx b;
-      let seen = Array.map (fun _ -> Array.make b false) t.widths in
-      let index st =
-        let rec go k = function
-          | [] -> None
-          | (name, _) :: rest -> if name = st then Some k else go (k + 1) rest
-        in
-        go 0 t.states
-      in
-      let ok =
-        List.for_all
-          (fun (name, (v : Tensor.t)) ->
-            match String.rindex_opt name '@' with
-            | None -> false
-            | Some i -> (
-              let id = int_of_string_opt (String.sub name (i + 1) (String.length name - i - 1)) in
-              match (index (String.sub name 0 i), id) with
-              | _, None -> false
-              | _, Some id when id < 0 || id >= b -> false
-              | None, Some _ -> true
-              | Some k, Some id ->
-                let w = t.widths.(k) in
-                Tensor.numel v = w
-                && begin
-                  Array.blit v.Tensor.data 0 sx.sx_rows.(k) (id * w) w;
-                  seen.(k).(id) <- true;
-                  true
-                end))
-          ss.Checkpoint.ss_states
-        && Array.for_all (Array.for_all Fun.id) seen
-      in
-      if ok then begin
-        sx.sx_num_rows <- b;
-        sx.sx_restored_base <- Some b;
-        sx.sx_structure <- None
-      end;
-      ok
+      sx.sx_rows <- Array.of_list rows;
+      sx.sx_num_rows <- b;
+      sx.sx_restored_base <- Some b;
+      sx.sx_structure <- None;
+      true
     end
-  with Checkpoint.Corrupt _ | Failure _ | Invalid_argument _ -> false
 
 (* ---------- evict, restore, forget ---------- *)
 
@@ -396,8 +363,6 @@ let spill_path t name =
     in
     let tag = String.sub (Digest.to_hex (Digest.string name)) 0 8 in
     Some (Filename.concat dir (Printf.sprintf "%s-%s.csx" safe tag))
-
-let ensure_dir dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
 let drop_live t name =
   match find t name with
@@ -421,14 +386,13 @@ let evict t sx ~expired =
       if expired then t.expired <- t.expired + 1;
       let size = String.length data in
       (match spill_path t name with
-       | None -> Hashtbl.replace t.spilled name { sp_data = Some data; sp_bytes = size }
+       | None -> Hashtbl.replace t.spilled name (Some data)
        | Some path ->
-         Option.iter ensure_dir t.cfg.spill_dir;
-         let oc = open_out_bin path in
-         Fun.protect
-           ~finally:(fun () -> close_out oc)
-           (fun () -> output_string oc data);
-         Hashtbl.replace t.spilled name { sp_data = None; sp_bytes = size });
+         Option.iter
+           (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
+           t.cfg.spill_dir;
+         Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
+         Hashtbl.replace t.spilled name None);
       t.spills <- t.spills + 1;
       t.spilled_bytes <- t.spilled_bytes + size;
       let cost = spill_cost_us ~bytes:size in
@@ -436,32 +400,22 @@ let evict t sx ~expired =
       cost
   end
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Consume the spill held for [name]: its bytes, with the record and
    the file removed.  File-backed, or a fresh store finding its
    predecessor's files after an engine restart. *)
 let take_spill t name =
+  let path = spill_path t name in
   let held =
-    match Hashtbl.find_opt t.spilled name with
-    | Some { sp_data = Some data; _ } -> Some data
-    | Some { sp_data = None; _ } | None -> (
-      match spill_path t name with
-      | Some p when Sys.file_exists p -> (
-        match read_file p with data -> Some data | exception Sys_error _ -> None)
-      | _ -> None)
+    match (Hashtbl.find_opt t.spilled name, path) with
+    | Some (Some data), _ -> Some data
+    | _, Some p when Sys.file_exists p -> (
+      try Some (In_channel.with_open_bin p In_channel.input_all) with Sys_error _ -> None)
+    | _ -> None
   in
-  Option.iter
-    (fun _ ->
-      Hashtbl.remove t.spilled name;
-      match spill_path t name with
-      | Some p when Sys.file_exists p -> Sys.remove p
-      | _ -> ())
-    held;
+  if held <> None then begin
+    Hashtbl.remove t.spilled name;
+    Option.iter (fun p -> if Sys.file_exists p then Sys.remove p) path
+  end;
   held
 
 let restore t sx s =

@@ -100,8 +100,6 @@ val create :
     file-backed [spill_dir] the directory is created on first spill,
     not here. *)
 
-val config : t -> config
-
 val set_budget : t -> int option -> unit
 (** Change the byte ceiling in place — takes effect at the next
     eviction pass (the harness's budget-shrink lifecycle op). *)

@@ -618,6 +618,53 @@ let test_refuse_other_model () =
         ~resume:(restart ~spec:(Models.Tree_gru.spec ~vocab:20 ~hidden:4 ()) dir)
         ~next:resumed ())
 
+(* The spill the engine wrote, re-saved through the public codec in a
+   damaged form: one tensor per state, shaped [n; dims], is the only
+   form a restore adopts. *)
+let resave f path =
+  let ss = Checkpoint.load_session path in
+  Checkpoint.save_session path { ss with Checkpoint.ss_states = f ss.Checkpoint.ss_states }
+
+(* Rows [lo, hi) of a [n; dims] state tensor, as a tensor of its own. *)
+let rows (v : Tensor.t) ~lo ~hi ~shape =
+  let w = Tensor.numel v / v.Tensor.shape.(0) in
+  Tensor.of_array shape (Array.sub v.Tensor.data (lo * w) ((hi - lo) * w))
+
+let test_refuse_damaged_spills () =
+  let tail (v : Tensor.t) = Array.sub v.Tensor.shape 1 (Array.length v.Tensor.shape - 1) in
+  List.iter
+    (fun (label, f) ->
+      with_spill_dir (fun dir ->
+          check_refused ~label ~dir ~damage:(resave f) ~resume:(restart dir) ~next:resumed ()))
+    [
+      ("a state tensor dropped", List.tl);
+      ( "a row short",
+        function
+        | (name, v) :: rest ->
+          let n = v.Tensor.shape.(0) - 1 in
+          (name, rows v ~lo:0 ~hi:n ~shape:(Array.append [| n |] (tail v))) :: rest
+        | [] -> [] );
+      ( "state@node names",
+        fun states ->
+          List.concat_map
+            (fun (name, (v : Tensor.t)) ->
+              List.init v.Tensor.shape.(0) (fun i ->
+                  (Printf.sprintf "%s@%d" name i, rows v ~lo:i ~hi:(i + 1) ~shape:(tail v))))
+            states
+          |> List.sort compare );
+    ];
+  (* The control: re-saved as it was, the spill restores. *)
+  with_spill_dir (fun dir ->
+      let params = refusal_spec.M.init_params (Rng.create 6) in
+      let eng = engine_bounded refusal_spec ~session_spill_dir:dir params in
+      ignore (serve_session eng (conversation 61 ~vocab:20 ~kind:Structure.Tree ~tokens:5));
+      ignore (Engine.evict_session eng "chat");
+      List.iter (fun f -> resave Fun.id (Filename.concat dir f)) (spill_files dir);
+      let _, _, eng = restart dir params in
+      ignore (serve_session eng resumed);
+      Alcotest.(check int) "a re-saved spill restores" 1
+        (Engine.session_table_stats eng).Session_store.st_restores)
+
 (* An explicit eviction reaches the trace like a budget one. *)
 let test_explicit_evict_traced () =
   let obs = Obs.create ~clock:Obs.Logical () in
@@ -1277,10 +1324,11 @@ let test_pack_deadline_misses () =
    replaced under its name, a byte budget that forces evict/restore
    churn, transient aborts and a mid-drain fail-stop — rendered down to
    the summary's deterministic fields (floats by their bits) and
-   hashed.  Both digests were last re-pinned when a refused spill
-   stopped counting as a restore: chat-3's replacement consumes the old
-   conversation's spill without restoring it, so its [sn_restores], the
-   table's [st_restores] and [st_restore_us] each drop by one restore.  Any refactor of the window path must leave them
+   hashed.  Both digests were last re-pinned when a spill came to hold
+   one tensor per state: spills are smaller, so every priced spill and
+   restore, and the latencies they feed, moved; eviction and restore
+   counts did not.  Before that, when a refused spill stopped counting
+   as a restore.  Any refactor of the window path must leave them
    unchanged, at pack window 8 (packed, size-1 and regular windows
    interleaved) and at pack window 1 (size-1 and regular only). *)
 let render_summary (s : Engine.summary) =
@@ -1429,8 +1477,8 @@ let test_characterization () =
         expected
         (Digest.to_hex (Digest.string rendered)))
     [
-      (8, "6536bdc26148e71232896145db363015");
-      (1, "2613192b732fb812b27109c8d9329043");
+      (8, "11d9a833037e089519a93312cfd73374");
+      (1, "81a0a2a9055d7d423c0615b4a67b7856");
     ]
 
 (* ---------- one simulated clock ---------- *)
@@ -1550,6 +1598,7 @@ let () =
             test_refuse_other_conversation;
           Alcotest.test_case "refuse-truncated" `Quick test_refuse_truncated;
           Alcotest.test_case "refuse-other-model" `Quick test_refuse_other_model;
+          Alcotest.test_case "refuse-damaged-spills" `Quick test_refuse_damaged_spills;
           Alcotest.test_case "explicit-evict-traced" `Quick test_explicit_evict_traced;
           QCheck_alcotest.to_alcotest prop_accounting_matches_linearizer;
           QCheck_alcotest.to_alcotest prop_session_lifecycle;
