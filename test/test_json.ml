@@ -149,8 +149,8 @@ let test_bench_files () =
       | _ -> Alcotest.failf "BENCH_%s.json is not a non-empty array" name
       | exception Json.Parse_error e -> Alcotest.failf "BENCH_%s.json: %s" name e)
     [
-      "autotune"; "bundle"; "fmeca"; "incremental"; "incremental_host"; "packing";
-      "sessions";
+      "autotune"; "bundle"; "bundle_host"; "fmeca"; "incremental"; "incremental_host";
+      "packing"; "sessions";
     ]
 
 let () =
