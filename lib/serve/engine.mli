@@ -553,10 +553,10 @@ val sessions : t -> session_report list
 
 val session_state :
   t -> string -> string -> Cortex_ds.Node.t -> Cortex_tensor.Tensor.t option
-(** [session_state t name st node] reads a node's persisted row of
-    state [st] from session [name]'s on-device store (by the node's
-    identity in the conversation) — [None] when the session, node or
-    state is unknown, or the engine serves without [params]. *)
+(** [session_state t name st node] is a copy of a node's persisted row
+    of state [st] in live session [name] (by the node's identity in the
+    conversation) — [None] when the session, node or state is unknown,
+    or the engine serves without [params]. *)
 
 val close_session : t -> string -> unit
 (** Drop a session for good: its layout, device pin and
@@ -573,16 +573,19 @@ val close_session : t -> string -> unit
     its windows have played and re-accounted their members) and at the
     end of every drain, sessions idle past [ttl_us] expire and — if the
     survivors still exceed [budget_bytes] — sessions are evicted in
-    policy order (LRU by default) until the table fits.  An evicted
-    session's restorable state is spilled through the
-    {!Cortex_runtime.Checkpoint} session-section format (in memory, or
-    one file per session under [spill_dir]); when its conversation
-    comes back — grown, under the same name — it is validated by
-    content digest, restored, and the next token serves as a delta
+    policy order (LRU by default) until the table fits.  The table is
+    {!Session_store}'s, the one place live sessions are kept.  An
+    evicted session's rows are spilled as a
+    {!Cortex_runtime.Checkpoint} session section, one [[n; dims]]
+    tensor per state (in memory, or one file per session under
+    [spill_dir]); when its conversation comes back — grown, under the
+    same name — the spill is checked by content digest and tensor
+    shapes, its rows are adopted, and the next token serves as a delta
     with its boundary states preloaded: bitwise identical to a
     never-evicted run, and the deterministic priced restore cost is
-    charged to that token.  With a [spill_dir], restore also works
-    across a full engine restart from a bundle. *)
+    charged to that token.  A spill that fails a check is consumed and
+    counts no restore; its token serves cold.  With a [spill_dir],
+    restore also works across a full engine restart from a bundle. *)
 
 val session_table_stats : t -> Session_store.stats
 (** The bounded-table accounting right now (between drains). *)
