@@ -1400,7 +1400,9 @@ let execute_window t ds ~lin ~ran members =
     (* Each state's bound storage, in the store's row format. *)
     let storage bound =
       Array.of_list
-        (List.map (fun (st, _) -> Lower.state_rows bound ran st) t.eng_compiled.Lower.state_tensors)
+        (List.map
+           (fun (st, _) -> Lower.state_rows bound ran st)
+           t.eng_compiled.Lower.state_tensors)
     in
     let preload bound =
       let into = storage bound in

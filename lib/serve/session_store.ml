@@ -80,7 +80,9 @@ type t = {
 }
 
 let create ?(config = default_config) ~model ~max_children ~states () =
-  let widths = Array.of_list (List.map (fun (_, dims) -> Array.fold_left ( * ) 1 dims) states) in
+  let widths =
+    Array.of_list (List.map (fun (_, dims) -> Array.fold_left ( * ) 1 dims) states)
+  in
   {
     cfg = config;
     model;
@@ -210,7 +212,8 @@ let row t sx st node =
   match List.find_index (fun (name, _) -> name = st) t.states with
   | Some k when node >= 0 && node < sx.sx_num_rows ->
     let w = t.widths.(k) in
-    Some (Tensor.of_array (Array.copy (snd (List.nth t.states k))) (Array.sub sx.sx_rows.(k) (node * w) w))
+    let dims = snd (List.nth t.states k) in
+    Some (Tensor.of_array (Array.copy dims) (Array.sub sx.sx_rows.(k) (node * w) w))
   | _ -> None
 
 (* ---------- priced spill/restore costs ---------- *)
@@ -290,11 +293,9 @@ let prefix_digest (s : Structure.t) n =
    payloads round-trip bitwise, which is what makes evict -> restore ≡
    never-evicted an exact statement.  [None]: nothing worth keeping. *)
 let spill_payload t sx =
+  let n = match sx.sx_structure with Some s -> Structure.num_nodes s | None -> 0 in
   match sx.sx_structure with
-  | Some s
-    when Structure.num_nodes s > 0 && (t.states = [] || sx.sx_num_rows >= Structure.num_nodes s)
-    ->
-    let n = Structure.num_nodes s in
+  | Some s when n > 0 && (t.states = [] || sx.sx_num_rows >= n) ->
     let states =
       List.mapi
         (fun k (st, dims) ->

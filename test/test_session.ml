@@ -599,19 +599,28 @@ let check_refused ~label ?dir ?(damage = ignore) ?resume ~next () =
   let out = List.hd spec.M.program.Ra.outputs in
   List.iteri
     (fun i st ->
-      let cold = Runtime.state (Runtime.execute compiled ~params st) out (List.hd st.Structure.roots) in
+      let solo = Runtime.execute compiled ~params st in
+      let cold = Runtime.state solo out (List.hd st.Structure.roots) in
       Alcotest.(check bool)
         (Printf.sprintf "%s: token %d bitwise the cold run" label i)
         true
         (Tensor.max_abs_diff (snd (List.nth s.Engine.results i)) cold = 0.0))
     next;
-  check_states_bitwise spec eng ~session:"chat" compiled params (List.nth next (List.length next - 1))
+  check_states_bitwise spec eng ~session:"chat" compiled params
+    (List.nth next (List.length next - 1))
 
 (* The same conversation's next tokens, which a sound spill restores. *)
-let resumed = List.filteri (fun i _ -> i >= 6) (conversation 61 ~vocab:20 ~kind:Structure.Tree ~tokens:8)
+let resumed =
+  List.filteri (fun i _ -> i >= 6) (conversation 61 ~vocab:20 ~kind:Structure.Tree ~tokens:8)
 
-let restart ?(spec = refusal_spec) dir params =
-  let params = if spec == refusal_spec then params else spec.M.init_params (Rng.create 6) in
+(* A fresh engine over the same spill directory: a restart, or with
+   [spec] an engine of another model sharing the directory. *)
+let restart ?spec dir params =
+  let spec, params =
+    match spec with
+    | None -> (refusal_spec, params)
+    | Some spec -> (spec, spec.M.init_params (Rng.create 6))
+  in
   (spec, params, engine_bounded spec ~session_spill_dir:dir params)
 
 let test_refuse_other_conversation () =
