@@ -182,30 +182,33 @@ let reset sx =
 
 (* ---------- rows: one growable matrix per state ---------- *)
 
-(* Room for rows [0, n) in every matrix, doubling like the layout. *)
+(* Room for rows [0, n) in every matrix, doubling like the layout.  The
+   row loops below are plain [for] loops: they run once per node of
+   every session window and allocate nothing. *)
 let reserve t sx n =
-  Array.iteri
-    (fun k w ->
-      let m = sx.sx_rows.(k) in
-      if Array.length m < n * w then begin
-        let grown = Array.make (w * max n (max 16 (2 * (Array.length m / w)))) 0.0 in
-        Array.blit m 0 grown 0 (Array.length m);
-        sx.sx_rows.(k) <- grown
-      end)
-    t.widths
+  for k = 0 to Array.length t.widths - 1 do
+    let w = t.widths.(k) and m = sx.sx_rows.(k) in
+    if Array.length m < n * w then begin
+      let grown = Array.make (w * max n (max 16 (2 * (Array.length m / w)))) 0.0 in
+      Array.blit m 0 grown 0 (Array.length m);
+      sx.sx_rows.(k) <- grown
+    end
+  done
 
 let load_row t sx node ~into ~at =
   if node >= sx.sx_num_rows then
     failwith "Engine: missing persisted state at a session's delta boundary";
-  Array.iteri
-    (fun k w -> Array.blit sx.sx_rows.(k) (node * w) into.(k) (at * w) w)
-    t.widths
+  for k = 0 to Array.length t.widths - 1 do
+    let w = t.widths.(k) in
+    Array.blit sx.sx_rows.(k) (node * w) into.(k) (at * w) w
+  done
 
 let save_row t sx node ~from ~at =
   reserve t sx (node + 1);
-  Array.iteri
-    (fun k w -> Array.blit from.(k) (at * w) sx.sx_rows.(k) (node * w) w)
-    t.widths;
+  for k = 0 to Array.length t.widths - 1 do
+    let w = t.widths.(k) in
+    Array.blit from.(k) (at * w) sx.sx_rows.(k) (node * w) w
+  done;
   if node >= sx.sx_num_rows then sx.sx_num_rows <- node + 1
 
 let row t sx st node =
