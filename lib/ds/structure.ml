@@ -24,24 +24,9 @@ let collect_reachable roots =
   List.iter go roots;
   !acc
 
-let check_acyclic roots =
-  (* Colors: 0 unvisited, 1 on stack, 2 done. *)
-  let color = Hashtbl.create 64 in
-  let rec go (n : Node.t) =
-    match Hashtbl.find_opt color n.id with
-    | Some 1 -> fail "cycle through node %d" n.id
-    | Some _ -> ()
-    | None ->
-      Hashtbl.replace color n.id 1;
-      Array.iter go n.children;
-      Hashtbl.replace color n.id 2
-  in
-  List.iter go roots
-
 let create ~kind ~max_children roots =
   if roots = [] then fail "structure with no roots";
   if max_children < 1 then fail "max_children must be >= 1";
-  check_acyclic roots;
   let reachable = collect_reachable roots in
   let n = List.length reachable in
   let nodes = Array.make n (List.hd reachable) in
@@ -61,7 +46,14 @@ let create ~kind ~max_children roots =
       if Array.length node.children > max_children then
         fail "node %d has %d children (max %d)" node.id (Array.length node.children)
           max_children;
-      Array.iter (fun (c : Node.t) -> parents.(c.id) <- parents.(c.id) + 1) node.children)
+      Array.iter
+        (fun (c : Node.t) ->
+          (* Ids fall along every edge: that alone makes the structure
+             acyclic, and node-id order lists children first. *)
+          if c.id >= node.id then
+            fail "node %d lists child %d: children must precede their parent" node.id c.id;
+          parents.(c.id) <- parents.(c.id) + 1)
+        node.children)
     nodes;
   (match kind with
    | Dag -> ()

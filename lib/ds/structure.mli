@@ -19,9 +19,11 @@ exception Invalid of string
 
 val create : kind:kind -> max_children:int -> Node.t list -> t
 (** Walks the roots, collects all reachable nodes and verifies:
-    node ids are dense in [0, n); fanout is within [max_children];
-    sequences are chains; trees have a unique parent per node; the
-    structure is acyclic.  Raises [Invalid] otherwise. *)
+    node ids are dense in [0, n); every child's id is below its
+    parent's (so the structure is acyclic, and node-id order lists
+    children before parents); fanout is within [max_children];
+    sequences are chains; trees have a unique parent per node.  Raises
+    [Invalid] otherwise. *)
 
 val append : t -> roots:Node.t list -> added:Node.t array -> t
 (** [append base ~roots ~added] grows [base] in place of a full

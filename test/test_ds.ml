@@ -28,6 +28,22 @@ let test_structure_validation () =
      Alcotest.fail "sequence with max_children 2 accepted"
    with Structure.Invalid _ -> ())
 
+(* Two builders can number a child above its parent: the parent (id 0)
+   over a child (id 1).  The ids are dense and the tree is well formed,
+   but a layout pushed in node-id order would lay the parent out before
+   its child, so construction refuses it. *)
+let test_child_numbered_above_parent () =
+  let kids = Node.builder () and parents = Node.builder () in
+  ignore (Node.make kids []);
+  let child = Node.make kids ~payload:1 [] in
+  let root = Node.make parents ~payload:2 [ child ] in
+  List.iter
+    (fun kind ->
+      match Structure.create ~kind ~max_children:1 [ root ] with
+      | _ -> Alcotest.fail "a child numbered above its parent was accepted"
+      | exception Structure.Invalid _ -> ())
+    [ Structure.Tree; Structure.Dag; Structure.Sequence ]
+
 let test_perfect_tree () =
   let rng = Rng.create 1 in
   let t = Gen.perfect_tree rng ~height:7 () in
@@ -186,6 +202,7 @@ let () =
       ( "structure",
         [
           Alcotest.test_case "validation" `Quick test_structure_validation;
+          Alcotest.test_case "child-above-parent" `Quick test_child_numbered_above_parent;
           Alcotest.test_case "merge" `Quick test_merge;
           QCheck_alcotest.to_alcotest test_random_generators_valid;
           QCheck_alcotest.to_alcotest test_levels_respect_children;
