@@ -661,7 +661,7 @@ let serve_cmd =
               ~session:(Printf.sprintf "chat-%d" i) s
           with
           | Ok _ | Error (Engine.Shed _) -> ()
-          | Error e -> raise (Engine.Error e)
+          | Error e -> die (Engine.error_to_string e)
         in
         submit 0 (Gen.growth_structure g);
         for j = 1 to session_tokens do

@@ -307,10 +307,8 @@ let shape_key ?max_children structures =
 (* Reuse a cached numbering for a forest of identical shape: everything
    but the payload table is a pure function of the shape, so a cache hit
    re-binds payloads through the span maps and shares the rest.  The
-   [structure] field of the result still names the shape-representative
-   merged structure of the original cold run (its payloads are stale);
-   nothing downstream reads payloads from it — the executor goes through
-   the [payload] array rebound here. *)
+   [structure] field of the result is the merge of the new requests,
+   their payloads included, not the cold run's. *)
 let rebind_forest f structures =
   let spans = f.spans in
   if List.length structures <> Array.length spans then
@@ -529,8 +527,8 @@ let push g (node : Node.t) =
   g.g_level.(lid) <- !lv;
   if !lv > g.g_height then g.g_height <- !lv
 
-(* Node ids are creation-ordered (children precede parents), so laying
-   a prefix out in node-id order pushes children first, and its layout
+(* [Structure.create] puts children below their parents, so laying a
+   prefix out in node-id order pushes children first, and its layout
    ids are its node ids. *)
 let reseed g (s : Structure.t) ~prefix =
   g.g_used <- 0;
@@ -540,10 +538,76 @@ let reseed g (s : Structure.t) ~prefix =
     push g s.Structure.nodes.(i)
   done
 
-(* O(delta): the appended nodes are validated in full, level-sorted
-   (stably, so each level run keeps node-id order) and pushed; the view
-   windows over the live tables, so its batches cover only the step
-   while its node-id space covers the whole conversation. *)
+(* Lay nodes [b, n) of [s] out as one step: level-sorted (stably, so
+   each level run keeps node-id order) and pushed; the view windows
+   over the live tables, so its batches cover only the step while its
+   node-id space covers the whole conversation. *)
+let lay_out g (s : Structure.t) b =
+  let n = Structure.num_nodes s in
+  let nodes = s.Structure.nodes in
+  reserve g n;
+  let d = n - b in
+  let dlv = Array.make d 0 in
+  for i = 0 to d - 1 do
+    Array.iter
+      (fun (c : Node.t) ->
+        let cl =
+          if c.Node.id < b then g.g_level.(g.g_id.(c.Node.id)) else dlv.(c.Node.id - b)
+        in
+        if cl + 1 > dlv.(i) then dlv.(i) <- cl + 1)
+      nodes.(b + i).Node.children
+  done;
+  let order = Array.init d Fun.id in
+  Array.stable_sort (fun i j -> compare dlv.(i) dlv.(j)) order;
+  let news = Array.map (fun i -> nodes.(b + i)) order in
+  Array.iter (push g) news;
+  (* The leaf run first (possibly empty: a sequence token appends no
+     leaf), then one batch per level run. *)
+  let leaves = ref 0 in
+  Array.iter (fun i -> if dlv.(i) = 0 then incr leaves) order;
+  let batches = ref [ (b, !leaves) ] in
+  let i = ref !leaves in
+  while !i < d do
+    let l = dlv.(order.(!i)) in
+    let j = ref !i in
+    while !j < d && dlv.(order.(!j)) = l do
+      incr j
+    done;
+    batches := (b + !i, !j - !i) :: !batches;
+    i := !j
+  done;
+  let view =
+    {
+      structure = s;
+      num_nodes = g.g_used;
+      num_leaves = !leaves;
+      max_children = Array.length g.g_child;
+      (* Host-side inspector state the executor never resolves; left
+         empty so a step costs O(delta). *)
+      new_of_old = [||];
+      old_of_new = [||];
+      leaf_begin = b;
+      child = g.g_child;
+      num_children = g.g_num_children;
+      payload = g.g_payload;
+      level_of = g.g_level;
+      batches = Array.of_list (List.rev !batches);
+      postorder = [||];
+    }
+  in
+  { step_view = view; step_nodes = news; step_base = b }
+
+(* A cold token: the whole structure as one step from base 0.  Nothing
+   needs checking: [Structure.create] gives dense ids with children
+   below their parents, and the engine bounds every arity before a
+   token reaches a layout. *)
+let seed g s =
+  g.g_used <- 0;
+  g.g_height <- 0;
+  lay_out g s 0
+
+(* O(delta): the appended nodes are validated in full, then laid out as
+   one step over the grown prefix. *)
 let grow g (s : Structure.t) =
   let b = g.g_used in
   let n = Structure.num_nodes s in
@@ -558,60 +622,7 @@ let grow g (s : Structure.t) =
          nd.Node.children
   in
   let rec valid i = i >= n || (appended i && valid (i + 1)) in
-  if n <= b || not (valid b) then None
-  else begin
-    reserve g n;
-    let d = n - b in
-    let dlv = Array.make d 0 in
-    for i = 0 to d - 1 do
-      Array.iter
-        (fun (c : Node.t) ->
-          let cl =
-            if c.Node.id < b then g.g_level.(g.g_id.(c.Node.id)) else dlv.(c.Node.id - b)
-          in
-          if cl + 1 > dlv.(i) then dlv.(i) <- cl + 1)
-        nodes.(b + i).Node.children
-    done;
-    let order = Array.init d Fun.id in
-    Array.stable_sort (fun i j -> compare dlv.(i) dlv.(j)) order;
-    let news = Array.map (fun i -> nodes.(b + i)) order in
-    Array.iter (push g) news;
-    (* The leaf run first (possibly empty: a sequence token appends no
-       leaf), then one batch per level run. *)
-    let leaves = ref 0 in
-    Array.iter (fun i -> if dlv.(i) = 0 then incr leaves) order;
-    let batches = ref [ (b, !leaves) ] in
-    let i = ref !leaves in
-    while !i < d do
-      let l = dlv.(order.(!i)) in
-      let j = ref !i in
-      while !j < d && dlv.(order.(!j)) = l do
-        incr j
-      done;
-      batches := (b + !i, !j - !i) :: !batches;
-      i := !j
-    done;
-    let view =
-      {
-        structure = s;
-        num_nodes = g.g_used;
-        num_leaves = !leaves;
-        max_children = mc;
-        (* Host-side inspector state the executor never resolves; left
-           empty so a step costs O(delta). *)
-        new_of_old = [||];
-        old_of_new = [||];
-        leaf_begin = b;
-        child = g.g_child;
-        num_children = g.g_num_children;
-        payload = g.g_payload;
-        level_of = g.g_level;
-        batches = Array.of_list (List.rev !batches);
-        postorder = [||];
-      }
-    in
-    Some { step_view = view; step_nodes = news; step_base = b }
-  end
+  if n <= b || not (valid b) then None else Some (lay_out g s b)
 
 (* ---------- packed steps (multi-session batching) ---------- *)
 

@@ -206,13 +206,14 @@ val state_rows_bytes : num_nodes:int -> bytes_per_node:int -> int
 
 (** {2 Growing layouts (pinned sessions)}
 
-    A pinned conversation keeps one layout for its whole life and the
-    serving engine never re-linearizes it: each token {e grows} it.  A
+    A pinned conversation keeps one layout for its whole life, and
+    every token the serving engine serves is one {!step} of it: a delta
+    {e grows} it, a cold token {e seeds} it afresh from base 0.  A
     growing layout is child, payload and level rows at per-session
     {e layout ids}, handed out in push order and stable until the next
-    {!reseed}, in tables that double when they fill up (so n nodes cost
-    O(n) copying in total).  A token's {!step} is a [t] whose batch
-    table covers only the nodes it appended — the leaf run first,
+    {!seed} or {!reseed}, in tables that double when they fill up (so n
+    nodes cost O(n) copying in total).  A token's {!step} is a [t] whose
+    batch table covers only the nodes it laid out — the leaf run first,
     possibly empty, then one batch per level run, children first —
     while its node-id space, and so the state tensors bound over it,
     covers the whole conversation, so the boundary rows can be
@@ -232,20 +233,28 @@ type step = private {
   step_nodes : Cortex_ds.Node.t array;  (** the appended nodes, in view batch order *)
   step_base : int;
       (** the layout's size before the step: node ids and layout ids
-          below it were laid out earlier *)
+          below it were laid out earlier; 0 for a {!seed} *)
 }
-(** One token's growth, as {!grow} laid it out. *)
+(** One token's nodes, as {!seed} or {!grow} laid them out. *)
 
 val empty_layout : max_children:int -> growing
 (** A layout with nothing laid out, whose child tables are
     [max_children] wide. *)
 
+val seed : growing -> Cortex_ds.Structure.t -> step
+(** [seed g s] drops what [g] held and lays all of [s] out as one step
+    from base 0 — the same level sort, push and view as {!grow}, so a
+    cold token plays exactly like a delta.  It checks nothing and
+    raises nothing: [Cortex_ds.Structure.create] gives dense ids with
+    children below their parents, and the caller bounds every arity by
+    the child-table width (the engine validates it at submit). *)
+
 val reseed : growing -> Cortex_ds.Structure.t -> prefix:int -> unit
 (** [reseed g s ~prefix] drops what [g] held and lays out nodes
     [0, prefix) of [s] at layout ids [0, prefix), in node-id order, with
-    room for all of [s].  A cold serve reseeds the whole structure; a
-    restore reseeds the spilled prefix, whose content the caller has
-    checked. *)
+    room for all of [s], and returns no step: a restore reseeds the
+    spilled prefix, whose content the caller has checked, and the next
+    token grows it. *)
 
 val grow : growing -> Cortex_ds.Structure.t -> step option
 (** [grow g s] lays out the nodes of [s] past the layout's size and
@@ -260,8 +269,8 @@ val layout_id : growing -> int -> int
 (** [layout_id g id] is the layout id of request-local node [id]. *)
 
 val layout_height : growing -> int
-(** The highest level laid out since the last {!reseed}: a layout of
-    height [h] prices as [h + 1] level batches. *)
+(** The highest level laid out since the last {!seed} or {!reseed}: a
+    layout of height [h] prices as [h + 1] level batches. *)
 
 val regrowths : growing -> int
 (** How many times the layout's allocated tables doubled — its only

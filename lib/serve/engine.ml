@@ -28,6 +28,7 @@ type error =
   | Rejected of Linearizer.rejection
   | Shed of { cap : int }
   | Unsorted_trace of { index : int; at_us : float; prev_us : float }
+  | No_session_deltas
 
 exception Error of error
 
@@ -47,6 +48,9 @@ let error_to_string = function
     Printf.sprintf
       "unsorted trace: event %d arrives at %g us after an event at %g us" index
       at_us prev_us
+  | No_session_deltas ->
+    "sessions need a schedule that serves deltas: dynamic batching, specialization \
+     and fusion on, unrolling and refactoring off"
 
 (* ---------- configuration ---------- *)
 
@@ -529,9 +533,13 @@ let config t = t.eng_config
    compiled kernels: a structure of the wrong kind (a DAG's shared
    subtrees re-enter a tree model's traversal, the moral equivalent of a
    cycle) or a node whose arity exceeds the child-table width the model
-   was compiled for. *)
-let validate t (s : Structure.t) =
-  if Structure.num_nodes s = 0 then Some (Rejected Linearizer.Empty_structure)
+   was compiled for.  A session token also needs a schedule that serves
+   deltas: every token is a step of its session's layout, and only those
+   kernels run a step over a pre-seeded prefix. *)
+let validate t ?session (s : Structure.t) =
+  if session <> None && not (Lower.delta_compatible t.eng_compiled.Lower.options) then
+    Some No_session_deltas
+  else if Structure.num_nodes s = 0 then Some (Rejected Linearizer.Empty_structure)
   else if s.Structure.kind <> t.model.Ra.kind then
     Some (Kind_mismatch { expected = t.model.Ra.kind; got = s.Structure.kind })
   else begin
@@ -566,7 +574,7 @@ let submit t ?(arrival_us = 0.0) ?deadline_us ?session structure =
     t.first_shed_us <- Float.min t.first_shed_us arrival_us;
     Stdlib.Error (Shed { cap })
   | _ -> (
-    match validate t structure with
+    match validate t ?session structure with
     | Some e ->
       t.n_rejected <- t.n_rejected + 1;
       Stdlib.Error e
@@ -608,11 +616,6 @@ let submit_exn t ?arrival_us ?deadline_us ?session structure =
 
 (* ---------- sessions ---------- *)
 
-(* How one session submission is served this window. *)
-type session_serve =
-  | S_delta of Linearizer.step
-  | S_cold of Linearizer.forest * bool  (* full (re)linearization, cache hit *)
-
 (* The prefix size [s] grows from, when it is a pure-growth candidate
    over the session's last structure [prev]: longer, same kind, and
    physically sharing the prefix at both endpoints.  A restored session
@@ -640,7 +643,7 @@ let growth_base ~prev ~restored (s : Structure.t) =
 (* Grow the session's layout by the token, when [s] purely grows the
    pinned conversation: the prefix is checked here by physical identity
    at its endpoints ([growth_base]), every appended node by
-   [Linearizer.grow].  [None] falls back to a cold run. *)
+   [Linearizer.grow].  [None]: the token is served cold. *)
 let session_step (sx : Session_store.session) (s : Structure.t) =
   match growth_base ~prev:sx.sx_structure ~restored:sx.sx_restored_base s with
   | None -> None
@@ -927,9 +930,9 @@ type drain_item = I_regular of pending list | I_session of pending list
 
 (* A session member's state traffic: before the run, the persisted rows
    of [sm_nodes]' children below [sm_base] are preloaded; after it, the
-   rows of [sm_nodes] are persisted.  A delta token stores its appended
-   nodes over its old prefix; a cold token has base 0 (nothing to
-   preload) and stores every node. *)
+   rows of [sm_nodes] are persisted.  Both come from the token's step: a
+   delta stores its appended nodes over its old prefix; a cold token has
+   base 0 (nothing to preload) and stores every node. *)
 type session_member = {
   sm_sx : Session_store.session;
   sm_nodes : Node.t array;
@@ -937,10 +940,10 @@ type session_member = {
 }
 
 (* One request inside a window.  [m_id] maps its request-local node ids
-   into the window's numbering: a cold forest span's [span_ids], a
-   session's layout ids, or those composed with [Linearizer.pack_id]
-   in a packed window.  [m_lin_us] is its [rr_linearize_us] charge: 0
-   for a regular member, its token's priced restore for a session one. *)
+   into the window's numbering: a forest span's [span_ids], a session's
+   layout ids, or those composed with [Linearizer.pack_id] in a packed
+   window.  [m_lin_us] is its [rr_linearize_us] charge: 0 for a regular
+   member, its token's priced restore for a session one. *)
 type member = {
   m_p : pending;
   m_lin_us : float;
@@ -948,12 +951,13 @@ type member = {
   m_session : session_member option;
 }
 
-(* A session token after its inspector work, before it plays. *)
+(* A session token after its inspector work, before it plays: its step
+   of the session's layout, from base 0 when it was served cold. *)
 type token = {
   tk_p : pending;
   tk_sx : Session_store.session;
   tk_lin_us : float;  (* its priced restore, 0 unless it was spilled *)
-  tk_serve : session_serve;
+  tk_step : Linearizer.step;
 }
 
 (* A window that ran to completion. *)
@@ -978,7 +982,6 @@ type attempt_outcome =
 type drain_state = {
   ds_disp : Dispatch.t;
   ds_faults : Fault.t;  (* an empty spec fails, slows and draws nothing *)
-  ds_delta_ok : bool;  (* the compiled options can serve session deltas *)
   ds_depth : int;  (* requests queued at the drain *)
   ds_degraded : bool;
   ds_shed : int;
@@ -1014,7 +1017,6 @@ let open_drain t =
       ds_disp = Dispatch.create ~policy:t.eng_dispatch t.eng_devices;
       ds_faults =
         Fault.create ~seed:t.eng_seed ~devices:(List.length t.eng_devices) t.eng_faults;
-      ds_delta_ok = Lower.delta_compatible t.eng_compiled.Lower.options;
       ds_depth = depth;
       ds_degraded = (match t.eng_watermark with Some w -> depth > w | None -> false);
       ds_shed = t.n_shed;
@@ -1063,7 +1065,7 @@ type forming = {
    pack opened after the session's previous item, and an item's ready
    time is bumped to at least the ready time of every member session's
    previous item. *)
-let form_packs t ~delta_ok sessionp =
+let form_packs t sessionp =
   let pack_w = t.eng_config.Config.sessions.Session_store.pack_window in
   let pack_wait = t.eng_config.Config.sessions.Session_store.pack_wait_us in
   let last_item = Hashtbl.create 16 in
@@ -1080,7 +1082,7 @@ let form_packs t ~delta_ok sessionp =
       | None, None -> (None, None, None)
     in
     let s = p.p_structure in
-    let ok = delta_ok && growth_base ~prev ~restored s <> None in
+    let ok = growth_base ~prev ~restored s <> None in
     Hashtbl.replace pred name (dev, Some s, None);
     if ok then Some (Option.value dev ~default:(-1)) else None
   in
@@ -1156,7 +1158,7 @@ let ready_items t ds pendings =
     | Fifo -> form_windows policy regular
     | By_size -> form_windows_bucketed policy regular
   in
-  let packs = form_packs t ~delta_ok:ds.ds_delta_ok sessionp in
+  let packs = form_packs t sessionp in
   List.stable_sort
     (fun (ra, _) (rb, _) -> compare ra rb)
     (List.map (fun (r, ms) -> (r, I_regular ms)) windows @ packs)
@@ -1182,59 +1184,40 @@ let restore_spilled t (sx : Session_store.session) (s : Structure.t) =
          ~ts_us:t.eng_clock_us ());
     cost
 
-(* Not pure growth of the pinned conversation (or the compiled options
-   cannot serve deltas): full (re)linearization through the shape cache.
-   A different conversation under the same name drops the persisted
-   state — its node identities no longer mean the same thing. *)
-let serve_cold t ~delta_ok (sx : Session_store.session) (s : Structure.t) =
-  let n = Structure.num_nodes s in
-  let fresh =
-    match sx.sx_structure with
-    | Some prev ->
-      Structure.num_nodes prev = 0 || n = 0
-      || not (s.Structure.nodes.(0) == prev.Structure.nodes.(0))
-    | None -> false
-  in
-  if fresh then Session_store.reset sx;
-  let fl, hit =
-    Shape_cache.find_or_linearize ?obs:t.eng_obs t.eng_cache
-      ~max_children:t.model.Ra.max_children [ s ]
-  in
-  sx.sx_structure <- Some s;
-  sx.sx_restored_base <- None;
-  sx.sx_cold <- sx.sx_cold + 1;
-  sx.sx_height <- Array.length fl.Linearizer.lin.Linearizer.batches - 1;
-  (* Reseed the layout so the next token can grow it. *)
-  if delta_ok then Linearizer.reseed sx.sx_layout s ~prefix:n;
-  S_cold (fl, hit)
-
-(* One session token's inspector work: restore if spilled, then the
-   delta/cold decision, growing the session's layout — a pack's
-   members are all served, in pack order, before any of them plays.
-   The delta/cold work runs in one wall-clock span: that is the
-   per-token cost BENCH_incremental compares against a cold
-   re-linearization.  It is host time, so the simulated clock never
-   reads it. *)
-let serve_token t ~delta_ok p =
+(* One session token's inspector work, in order: restore a held spill;
+   grow the session's layout by the token's delta; failing that, serve
+   it cold — a different conversation under the name drops the
+   persisted state (its node identities no longer mean the same
+   thing), and the whole structure is laid out as one step from base 0.
+   A pack's members are all served, in pack order, before any of them
+   plays.  The step runs in one wall-clock span: that is the per-token
+   cost BENCH_incremental compares against a cold re-linearization.  It
+   is host time, so the simulated clock never reads it. *)
+let serve_token t p =
   let name = Option.get p.p_session in
   let s = p.p_structure in
   let sx = Session_store.session t.eng_store name in
   let restore_us = restore_spilled t sx s in
-  let serve =
+  let step =
     Obs.wall_span t.eng_obs ~track:"inspector" "token"
       ~args:[ ("session", CT.Str name); ("nodes", CT.Int (Structure.num_nodes s)) ]
       (fun () ->
-        match if delta_ok then session_step sx s else None with
+        match session_step sx s with
         | Some st ->
-          sx.sx_structure <- Some s;
-          sx.sx_restored_base <- None;
-          sx.sx_height <- Linearizer.layout_height sx.sx_layout;
           sx.sx_extends <- sx.sx_extends + 1;
           sx.sx_delta_nodes <- sx.sx_delta_nodes + Array.length st.Linearizer.step_nodes;
-          S_delta st
-        | None -> serve_cold t ~delta_ok sx s)
+          st
+        | None ->
+          (match sx.sx_structure with
+           | Some prev when s.Structure.nodes.(0) != prev.Structure.nodes.(0) ->
+             Session_store.reset sx
+           | _ -> ());
+          sx.sx_cold <- sx.sx_cold + 1;
+          Linearizer.seed sx.sx_layout s)
   in
-  { tk_p = p; tk_sx = sx; tk_lin_us = restore_us; tk_serve = serve }
+  sx.sx_structure <- Some s;
+  sx.sx_restored_base <- None;
+  { tk_p = p; tk_sx = sx; tk_lin_us = restore_us; tk_step = step }
 
 (* ---------- pricing and dispatch ---------- *)
 
@@ -1581,48 +1564,39 @@ let play_regular t ds ~ready members =
        members)
 
 (* Play a pack of served session tokens at the pack's ready time.
-   Members that came out cold play first, each as its own size-1 window
-   over its forest.  The deltas then merge into one packed window; a
-   lone delta runs its own view directly (no merge, so size-1 serving
-   stays O(delta)), and deltas whose views refuse to merge each play
-   alone. *)
+   Members served cold (their steps start at base 0) play first, each as
+   its own size-1 window.  The deltas then merge into one packed window;
+   a lone delta runs its own view directly (no merge, so size-1 serving
+   stays O(delta)). *)
 let play_tokens t ds ~ready toks =
   (* [ids] is given the session, not the token: id maps that kept the
      tokens reachable while the window records raised the packed
      benchmark's peak heap by about 1 MB (a tenth). *)
-  let member tk ~ids nodes base =
+  let member tk ~ids =
+    let st = tk.tk_step in
     {
       m_p = tk.tk_p;
       m_lin_us = tk.tk_lin_us;
       m_id = ids tk.tk_sx;
-      m_session = Some { sm_sx = tk.tk_sx; sm_nodes = nodes; sm_base = base };
+      m_session =
+        Some
+          { sm_sx = tk.tk_sx; sm_nodes = st.Linearizer.step_nodes;
+            sm_base = st.Linearizer.step_base };
     }
   in
   let layout_id sx id = Linearizer.layout_id sx.Session_store.sx_layout id in
-  let play_step (tk, st) =
+  let play_step tk =
+    let st = tk.tk_step in
     play_window t ds ~ready ~lin:st.Linearizer.step_view
-      ~nodes:(Array.length st.Linearizer.step_nodes) ~hit:false
-      [ member tk ~ids:layout_id st.Linearizer.step_nodes st.Linearizer.step_base ]
+      ~nodes:(Array.length st.Linearizer.step_nodes) ~hit:false [ member tk ~ids:layout_id ]
   in
-  let colds, deltas =
-    List.partition_map
-      (fun tk ->
-        match tk.tk_serve with
-        | S_cold (fl, hit) -> Either.Left (tk, fl, hit)
-        | S_delta st -> Either.Right (tk, st))
-      toks
-  in
-  List.iter
-    (fun (tk, fl, hit) ->
-      let ids _ id = fl.Linearizer.spans.(0).Linearizer.span_ids.(id) in
-      play_window t ds ~ready ~lin:fl.Linearizer.lin ~nodes:tk.tk_p.p_nodes ~hit
-        [ member tk ~ids tk.tk_p.p_structure.Structure.nodes 0 ])
-    colds;
+  let colds, deltas = List.partition (fun tk -> tk.tk_step.Linearizer.step_base = 0) toks in
+  List.iter play_step colds;
   match deltas with
   | [] -> ()
   | [ one ] -> play_step one
   | first :: rest ->
-    let on_layout (tk, st) = (tk.tk_sx.sx_layout, st) in
+    let on_layout tk = (tk.tk_sx.sx_layout, tk.tk_step) in
     let pk = Linearizer.pack (on_layout first) (List.map on_layout rest) in
     let view = pk.Linearizer.pk_view in
     (* The window's work is its step nodes; the old-prefix rows below
@@ -1632,10 +1606,8 @@ let play_tokens t ds ~ready toks =
       ~nodes:(view.Linearizer.num_nodes - pk.Linearizer.pk_base)
       ~hit:false
       (List.mapi
-         (fun i (tk, st) ->
-           member tk
-             ~ids:(fun sx id -> Linearizer.pack_id pk ~member:i (layout_id sx id))
-             st.Linearizer.step_nodes st.Linearizer.step_base)
+         (fun i tk ->
+           member tk ~ids:(fun sx id -> Linearizer.pack_id pk ~member:i (layout_id sx id)))
          deltas)
 
 (* Play one item at its ready time, advancing the monotone engine clock
@@ -1654,7 +1626,7 @@ let play_item t ds (ready, item) =
   match item with
   | I_regular members -> play_regular t ds ~ready members
   | I_session members ->
-    play_tokens t ds ~ready (List.map (serve_token t ~delta_ok:ds.ds_delta_ok) members);
+    play_tokens t ds ~ready (List.map (serve_token t) members);
     enforce_sessions t
 
 (* ---------- the summary ---------- *)

@@ -91,6 +91,10 @@ type error =
           summary's SLO block, not a caller error *)
   | Unsorted_trace of { index : int; at_us : float; prev_us : float }
       (** [run_trace] saw an event arriving before its predecessor *)
+  | No_session_deltas
+      (** a [~session] submission to an engine whose schedule cannot
+          serve a delta ({!Cortex_lower.Lower.delta_compatible} is
+          false): every token of the session would run cold *)
 
 exception Error of error
 
@@ -291,8 +295,9 @@ val of_bundle :
 val compiled : t -> Cortex_lower.Lower.compiled
 val backend : t -> Cortex_backend.Backend.t
 val cache_stats : t -> Shape_cache.stats
-(** Cumulative shape-cache counters (both the drain and the numeric
-    {!execute} path go through the cache). *)
+(** Cumulative shape-cache counters: the drain's regular windows and
+    the numeric {!execute} path go through the cache; session tokens
+    never do. *)
 
 val pending : t -> int
 (** Requests queued and not yet drained. *)
@@ -312,8 +317,9 @@ val submit :
   ?session:string ->
   Cortex_ds.Structure.t ->
   (int, error) result
-(** Validate a request against the compiled model (kind, fanout) and
-    enqueue it; returns its request id.  [arrival_us] (default 0)
+(** Validate a request against the compiled model (kind, fanout, and
+    for a [session] a schedule that serves deltas) and enqueue it;
+    returns its request id.  [arrival_us] (default 0)
     stamps the simulated arrival clock; [deadline_us] is the {e
     absolute} completion deadline on the same clock (default none — the
     request can never miss).  The queue cap is checked {e before}
@@ -322,15 +328,20 @@ val submit :
 
     [session] pins the request to a named growing conversation: it is
     served on the session's pinned device, in its own window or packed
-    with other sessions' delta tokens ([sessions.pack_window]), and when
-    the structure is the session's previous structure plus appended
-    nodes (same [Node.t] values, new nodes on top) the engine serves
-    only the delta — the appended nodes laid out as one step of the
-    session's {!Cortex_linearizer.Linearizer.growing} layout on the
-    host, pre-seeded persistent hidden states on the device — instead
-    of re-linearizing and re-executing the whole conversation.  Any other structure under the same name
-    re-linearizes cold and (if it is not a pure prefix-growth of the
-    previous one) drops the persisted state. *)
+    with other sessions' delta tokens ([sessions.pack_window]), and
+    every token is one step of the session's
+    {!Cortex_linearizer.Linearizer.growing} layout.  When the structure
+    is the session's previous structure plus appended nodes (same
+    [Node.t] values, new nodes on top) the step is only the delta — the
+    appended nodes, with pre-seeded persistent hidden states on the
+    device — instead of the whole conversation.  Any other structure
+    under the same name is served cold: the layout is seeded afresh
+    with the whole structure as one step from base 0, and (if it is not
+    the same conversation) the persisted state is dropped.  Session
+    tokens never go through the shape cache.  An engine whose compiled
+    options cannot serve a delta
+    ({!Cortex_lower.Lower.delta_compatible}) refuses every [session]
+    submission with [No_session_deltas], counted as rejected. *)
 
 val submit_exn :
   t ->
@@ -366,7 +377,8 @@ type window_report = {
   wr_nodes : int;
   wr_device : int;  (** index of the device it (finally) ran on *)
   wr_cache_hit : bool;
-      (** whether the forest numbering came out of the shape cache *)
+      (** whether the forest numbering came out of the shape cache;
+          [false] for session windows, which never use it *)
   wr_attempts : int;
       (** executions charged against the retry budget (1 = clean run;
           failover re-dispatches after a fail-stop are not counted) *)
@@ -441,7 +453,9 @@ type session_report = {
   sn_windows : int;  (** tokens served: [sn_extends + sn_cold] *)
   sn_delta_nodes : int;  (** nodes served through layout steps *)
   sn_extends : int;  (** windows served as deltas (layout steps) *)
-  sn_cold : int;  (** windows that re-linearized the whole conversation *)
+  sn_cold : int;
+      (** windows served cold: the whole conversation laid out as one
+          base-0 step of a freshly seeded layout *)
   sn_materializations : int;
       (** regrowths of the session's growing layout
           ({!Cortex_linearizer.Linearizer.regrowths}): a conversation
@@ -522,7 +536,8 @@ val drain : t -> summary
     and {e form packs} of session tokens (several sessions' delta tokens
     share a window when [sessions.pack_window] > 1).  Then, item by item
     in ready order: {e serve} each session token (restore a spill, then
-    a layout step or a cold linearization — a regular window's forest is
+    one step of its session's layout: a delta, or the whole structure
+    from base 0 when it is served cold — a regular window's forest is
     linearized once through the shape cache instead); {e price} the
     window on a device (under [autotune], regular and packed windows
     run plans tuned in separate key spaces, size-1 session windows
@@ -561,9 +576,8 @@ val session_state :
 val close_session : t -> string -> unit
 (** Drop a session for good: its layout, device pin and
     persisted states are released, and any held spill — record and
-    file — is discarded.  The shape cache holds nothing of a session's
-    beyond the cold linearizations it ran through it.  Unknown names
-    are ignored. *)
+    file — is discarded.  The shape cache holds nothing of a session's.
+    Unknown names are ignored. *)
 
 (** {2 Bounded session table}
 

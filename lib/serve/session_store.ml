@@ -45,7 +45,6 @@ type session = {
   mutable sx_delta_nodes : int;
   mutable sx_packed : int;
   mutable sx_deadline_misses : int;
-  mutable sx_height : int;
   mutable sx_restored_base : int option;
   sx_layout : Linearizer.growing;
   mutable sx_rows : float array array;
@@ -132,7 +131,6 @@ let session t name =
         sx_delta_nodes = 0;
         sx_packed = 0;
         sx_deadline_misses = 0;
-        sx_height = 0;
         sx_restored_base = None;
         sx_layout = Linearizer.empty_layout ~max_children:(max 1 t.max_children);
         sx_rows = Array.map (fun _ -> [||]) t.widths;
@@ -149,15 +147,17 @@ let is_live t sx = match find t sx.sx_name with Some x -> x == sx | None -> fals
 
 (* What a live session costs its device, in closed form: the four
    resolved layout tables of the current conversation (a structure of
-   height h lays out as h + 1 level batches — [sx_height] tracks the
-   max layout level, so no re-traversal) plus the per-node state rows
-   it pins.  The QCheck accounting property holds this equal to the
-   linearizer's price of a cold linearization of the conversation. *)
+   height h lays out as h + 1 level batches; every token served leaves
+   the layout's height current, so no re-traversal) plus the per-node
+   state rows it pins.  The QCheck accounting property holds this equal
+   to the linearizer's price of a cold linearization of the
+   conversation. *)
 let accounted_bytes t sx =
   let n = match sx.sx_structure with Some s -> Structure.num_nodes s | None -> 0 in
   if n = 0 then 0
   else
-    Linearizer.layout_bytes ~num_nodes:n ~num_batches:(sx.sx_height + 1)
+    Linearizer.layout_bytes ~num_nodes:n
+      ~num_batches:(Linearizer.layout_height sx.sx_layout + 1)
       ~max_children:t.max_children
     + Linearizer.state_rows_bytes ~num_nodes:n ~bytes_per_node:t.row_bytes
 
@@ -172,11 +172,10 @@ let touch t sx ~now_us =
 (* A different conversation took over the name, or a lost window left
    its rows behind: node identities mean something else now, so the
    rows are dropped (the counters stay — they are cumulative).  With no
-   structure and no restored prefix the layout is never grown again
-   before a reseed. *)
+   structure and no restored prefix the next token seeds the layout
+   afresh. *)
 let reset sx =
   sx.sx_structure <- None;
-  sx.sx_height <- 0;
   sx.sx_restored_base <- None;
   sx.sx_num_rows <- 0
 
@@ -342,7 +341,6 @@ let adopt t sx (s : Structure.t) data =
     && List.length ss.Checkpoint.ss_states = List.length t.states
     && begin
       Linearizer.reseed sx.sx_layout s ~prefix:b;
-      sx.sx_height <- Linearizer.layout_height sx.sx_layout;
       sx.sx_rows <- Array.of_list rows;
       sx.sx_num_rows <- b;
       sx.sx_restored_base <- Some b;

@@ -66,12 +66,11 @@ type session = {
   mutable sx_structure : Cortex_ds.Structure.t option;  (** last structure served *)
   mutable sx_device : int option;  (** pinned device index *)
   mutable sx_extends : int;  (** windows served from a layout step *)
-  mutable sx_cold : int;  (** windows served by full (re)linearization *)
+  mutable sx_cold : int;  (** windows served cold: the layout seeded afresh *)
   mutable sx_rebinds : int;  (** re-pins of a previously pinned session *)
   mutable sx_delta_nodes : int;  (** nodes served via layout steps *)
   mutable sx_packed : int;  (** windows served inside a packed window *)
   mutable sx_deadline_misses : int;  (** tokens completed past deadline *)
-  mutable sx_height : int;  (** max layout level: prices the layout *)
   mutable sx_restored_base : int option;
       (** [Some b]: the first [b] nodes were just restored from a spill —
           the next token's step trusts the content digest instead of

@@ -138,6 +138,108 @@ let prop_grow_bitwise =
       check_grow_bitwise spec ~vocab ~kind ~tokens (100 + seed);
       true)
 
+(* ---------- a cold token is a base-0 step ---------- *)
+
+(* Every catalog model at hidden 4, compiled once. *)
+let catalog =
+  lazy
+    (List.map
+       (fun (spec : M.t) ->
+         (spec, Runtime.compile ~options:(Runtime.options_for spec) spec.M.program))
+       [
+         Models.Tree_fc.spec ~hidden:4 ();
+         Models.Tree_rnn.spec ~hidden:4 ();
+         Models.Tree_lstm.spec ~hidden:4 ();
+         Models.Tree_lstm.nary_spec ~hidden:4 ();
+         Models.Tree_gru.spec ~hidden:4 ();
+         Models.Tree_gru.spec ~simple:true ~hidden:4 ();
+         Models.Mv_rnn.spec ~hidden:4 ();
+         Models.Dag_rnn.spec ~hidden:4 ();
+         Models.Tree_lstm.spec ~sequence:true ~hidden:4 ();
+         Models.Tree_gru.spec ~sequence:true ~hidden:4 ();
+         Models.Tree_gru.spec ~simple:true ~sequence:true ~hidden:4 ();
+       ])
+
+(* A random structure of the model's kind, every payload folded into
+   the rows of the model's input tables.  Nodes are rebuilt in id order,
+   which lists children first, so every id is kept. *)
+let random_input rng (spec : M.t) =
+  let prog = spec.M.program in
+  let shape =
+    match prog.Ra.kind with
+    | Structure.Tree -> Gen.sst_tree rng ~len:(1 + Rng.int rng 12) ()
+    | Structure.Sequence -> Gen.sequence rng ~len:(1 + Rng.int rng 12) ()
+    | Structure.Dag -> Gen.random_dag rng ~max_nodes:16 ~max_children:prog.Ra.max_children
+  in
+  let rows =
+    List.fold_left
+      (fun m (name, dims) ->
+        if name = "X" || String.starts_with ~prefix:"Emb" name then min m (List.hd dims)
+        else m)
+      max_int prog.Ra.params
+  in
+  let b = Node.builder () in
+  let made = Array.make (Structure.num_nodes shape) None in
+  let copy (n : Node.t) = Option.get made.(n.Node.id) in
+  Array.iter
+    (fun (n : Node.t) ->
+      made.(n.Node.id) <-
+        Some
+          (Node.make b ~payload:(n.Node.payload mod rows)
+             (List.map copy (Array.to_list n.Node.children))))
+    shape.Structure.nodes;
+  Structure.create ~kind:shape.Structure.kind ~max_children:shape.Structure.max_children
+    (List.map copy shape.Structure.roots)
+
+let bits (v : Tensor.t) = Array.map Int64.bits_of_float v.Tensor.data
+
+(* The step a cold session token plays against the forest a regular
+   window of the same structure plays: equal prices, bit for bit, on
+   every backend, and equal states at every node. *)
+let prop_seed_is_cold_run =
+  Q.Test.make ~count:6 ~name:"a base-0 step prices and executes as run_forest"
+    Q.small_int
+    (fun seed ->
+      let rng = Rng.create (700 + seed) in
+      List.iter
+        (fun ((spec : M.t), compiled) ->
+          let s = random_input rng spec in
+          let mc = spec.M.program.Ra.max_children in
+          let g = Linearizer.empty_layout ~max_children:mc in
+          let st = Linearizer.seed g s in
+          let fl = Linearizer.run_forest ~max_children:mc [ s ] in
+          let ids = fl.Linearizer.spans.(0).Linearizer.span_ids in
+          let label = Printf.sprintf "%s, %d nodes" spec.M.name (Structure.num_nodes s) in
+          if st.Linearizer.step_base <> 0 || Array.length st.Linearizer.step_nodes <> Structure.num_nodes s
+          then Q.Test.fail_reportf "%s: not a whole-structure step" label;
+          List.iter
+            (fun backend ->
+              let price lin =
+                Marshal.to_string (Runtime.simulate_lin compiled ~backend lin) [ Marshal.No_sharing ]
+              in
+              if price st.Linearizer.step_view <> price fl.Linearizer.lin then
+                Q.Test.fail_reportf "%s: priced unlike run_forest on %s" label
+                  backend.Backend.short)
+            Backend.all;
+          let params = spec.M.init_params (Rng.create seed) in
+          let run lin = (Runtime.execute_lin compiled ~params lin).Runtime.exec_bound in
+          let by_step = run st.Linearizer.step_view and by_forest = run fl.Linearizer.lin in
+          Array.iter
+            (fun (nd : Node.t) ->
+              List.iter
+                (fun (state : Ra.state) ->
+                  let at bound id = bits (Lower.state_value_lin bound compiled state.Ra.st_name id) in
+                  if
+                    at by_step (Linearizer.layout_id g nd.Node.id)
+                    <> at by_forest ids.(nd.Node.id)
+                  then
+                    Q.Test.fail_reportf "%s: state %s of node %d differs" label state.Ra.st_name
+                      nd.Node.id)
+                spec.M.program.Ra.states)
+            s.Structure.nodes)
+        (Lazy.force catalog);
+      true)
+
 (* ---------- per-token windows and interleaving ---------- *)
 
 let test_session_windows () =
@@ -211,6 +313,55 @@ let test_session_replacement () =
     Alcotest.(check int) "replacement went cold once more" 2 sn.Engine.sn_cold;
     Alcotest.(check int) "then kept extending" 6 sn.Engine.sn_extends
   | _ -> Alcotest.fail "expected one session"
+
+(* A cold token is laid out once, as its session's layout step: it
+   never reaches the shape cache, neither as a conversation's first
+   token nor as a replacement under the same name. *)
+let test_cold_tokens_skip_cache () =
+  let spec = Models.Tree_lstm.spec ~vocab:20 ~hidden:4 () in
+  let eng = engine_of spec (spec.M.init_params (Rng.create 4)) in
+  let before = Engine.cache_stats eng in
+  let s =
+    serve_session eng
+      (conversation 33 ~vocab:20 ~kind:Structure.Tree ~tokens:3
+      @ conversation 34 ~vocab:20 ~kind:Structure.Tree ~tokens:2)
+  in
+  Alcotest.(check int) "every token completed" 7 s.Engine.slo.Engine.slo_completed;
+  (match Engine.sessions eng with
+   | [ sn ] -> Alcotest.(check int) "two cold tokens" 2 sn.Engine.sn_cold
+   | _ -> Alcotest.fail "expected one session");
+  Alcotest.(check bool) "the shape cache is untouched" true (Engine.cache_stats eng = before);
+  List.iter
+    (fun w -> Alcotest.(check bool) "no session window is a cache hit" false w.Engine.wr_cache_hit)
+    s.Engine.windows
+
+(* A schedule that cannot run a step over a pre-seeded prefix cannot
+   serve a session: the submission is refused with a typed error and
+   counted as rejected, and regular requests still serve. *)
+let test_non_delta_schedule_refused () =
+  let spec = Models.Tree_lstm.spec ~vocab:20 ~hidden:4 () in
+  let s = List.hd (conversation 35 ~vocab:20 ~kind:Structure.Tree ~tokens:0) in
+  List.iter
+    (fun (label, options) ->
+      let eng =
+        Engine.of_spec ~config:(Engine.Config.make ~options ()) spec ~backend:gpu
+      in
+      (match Engine.submit eng ~session:"chat" s with
+       | Error Engine.No_session_deltas -> ()
+       | Ok _ -> Alcotest.failf "%s: a session was accepted" label
+       | Error e -> Alcotest.failf "%s: wrong error: %s" label (Engine.error_to_string e));
+      ignore (Engine.submit_exn eng s);
+      let sum = Engine.drain eng in
+      Alcotest.(check int) (label ^ ": counted as rejected") 1 sum.Engine.slo.Engine.slo_rejected;
+      Alcotest.(check int) (label ^ ": the regular request served") 1
+        sum.Engine.slo.Engine.slo_completed;
+      Alcotest.(check int) (label ^ ": no session") 0 (List.length (Engine.sessions eng)))
+    [
+      ("unrolled", { Lower.default with Lower.unroll = true });
+      ("unfused", { Lower.default with Lower.fuse = false });
+      ("unspecialized", { Lower.default with Lower.specialize = false });
+      ("no dynamic batching", { Lower.default with Lower.dynamic_batch = false });
+    ]
 
 (* ---------- failover: the pinned device dies mid-conversation ---------- *)
 
@@ -1375,11 +1526,14 @@ let test_pack_deadline_misses () =
    replaced under its name, a byte budget that forces evict/restore
    churn, transient aborts and a mid-drain fail-stop — rendered down to
    the summary's deterministic fields (floats by their bits) and
-   hashed.  Both digests were last re-pinned when a spill came to hold
-   one tensor per state: spills are smaller, so every priced spill and
-   restore, and the latencies they feed, moved; eviction and restore
-   counts did not.  Before that, when a refused spill stopped counting
-   as a restore.  Any refactor of the window path must leave them
+   hashed.  Both digests were last re-pinned when a cold session token
+   became a base-0 step of its session's layout instead of a trip
+   through the shape cache: four cold session windows per digest now
+   report [wr_cache_hit = false], and nothing else moved.  Before that,
+   when a spill came to hold one tensor per state (every priced spill
+   and restore, and the latencies they feed, moved), and when a refused
+   spill stopped counting as a restore.  Any refactor of the window
+   path must leave them
    unchanged, at pack window 8 (packed, size-1 and regular windows
    interleaved) and at pack window 1 (size-1 and regular only). *)
 let render_summary (s : Engine.summary) =
@@ -1528,8 +1682,8 @@ let test_characterization () =
         expected
         (Digest.to_hex (Digest.string rendered)))
     [
-      (8, "11d9a833037e089519a93312cfd73374");
-      (1, "81a0a2a9055d7d423c0615b4a67b7856");
+      (8, "6a6b1481257419837b8c665cf94263f9");
+      (1, "4d0d99e2da6f1a827b8b9a097a84aed2");
     ]
 
 (* ---------- one simulated clock ---------- *)
@@ -1622,6 +1776,7 @@ let () =
           Alcotest.test_case "sequence" `Quick test_sequence_bitwise;
           Alcotest.test_case "dag" `Quick test_dag_bitwise;
           QCheck_alcotest.to_alcotest prop_grow_bitwise;
+          QCheck_alcotest.to_alcotest prop_seed_is_cold_run;
         ] );
       ( "serving",
         [
@@ -1629,6 +1784,9 @@ let () =
           Alcotest.test_case "replacement" `Quick test_session_replacement;
           Alcotest.test_case "bundle" `Quick test_session_through_bundle;
           Alcotest.test_case "regrowth-counts" `Quick test_regrowth_counts;
+          Alcotest.test_case "cold-tokens-skip-cache" `Quick test_cold_tokens_skip_cache;
+          Alcotest.test_case "non-delta-schedule-refused" `Quick
+            test_non_delta_schedule_refused;
         ] );
       ( "failover",
         [
