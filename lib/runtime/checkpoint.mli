@@ -61,9 +61,10 @@ val load : string -> t
 (** {2 Session-state sections}
 
     A spilled serving session: the model it belongs to, how many nodes
-    [n] of conversation prefix its state rows cover, a content digest of
-    that prefix (the engine refuses to graft spilled states onto a
-    different conversation), and the hidden states as a plain tensor
+    [n] of conversation prefix its state rows cover, a content digest
+    (the engine digests that prefix and the rows, so it refuses to
+    graft spilled states onto a different conversation, or damaged
+    rows onto any), and the hidden states as a plain tensor
     table — one tensor per state, named by the state and shaped
     [[n; dims]], row [i] for node [i].  Float64 payloads round-trip
     bitwise, so an evicted conversation restores exactly.  The reader shares the hardened
@@ -74,7 +75,7 @@ val load : string -> t
 type session_state = {
   ss_model : string;  (** [Ra] program name the states were computed under. *)
   ss_nodes : int;  (** Conversation prefix length the states cover. *)
-  ss_digest : string;  (** Content digest of that prefix. *)
+  ss_digest : string;  (** Content digest, as its writer computed it. *)
   ss_states : t;  (** One [[n; dims]] tensor of rows per state. *)
 }
 

@@ -593,9 +593,9 @@ val close_session : t -> string -> unit
     {!Cortex_runtime.Checkpoint} session section, one [[n; dims]]
     tensor per state (in memory, or one file per session under
     [spill_dir]); when its conversation comes back — grown, under the
-    same name — the spill is checked by content digest and tensor
-    shapes, its rows are adopted, and the next token serves as a delta
-    with its boundary states preloaded: bitwise identical to a
+    same name — the spill is checked by tensor shapes and by a content
+    digest over the prefix and the rows, its rows are adopted, and the
+    next token serves as a delta with its boundary states preloaded: bitwise identical to a
     never-evicted run, and the deterministic priced restore cost is
     charged to that token.  A spill that fails a check is consumed and
     counts no restore; its token serves cold.  With a [spill_dir],

@@ -268,14 +268,17 @@ let victims t ~now_us =
 
 (* ---------- the spill format ---------- *)
 
-(* Content digest of a conversation prefix: payloads and child ids of
-   nodes [0, n).  This is what lets spilled state survive eviction and
-   engine restarts — physical node identity (the live-session prefix
-   check) cannot.  Payloads are included deliberately: the shape key
-   excludes them, but grafting states onto a same-shaped conversation
-   with different tokens would be silent corruption. *)
-let prefix_digest (s : Structure.t) n =
-  let buf = Buffer.create (n * 12) in
+(* Content digest of a spill: the conversation prefix — payloads and
+   child ids of nodes [0, n) — and the bits of its rows, the first
+   [n * width] floats of each state's matrix.  The prefix is what lets
+   spilled state survive eviction and engine restarts — physical node
+   identity (the live-session prefix check) cannot.  Payloads are
+   included deliberately: the shape key excludes them, but grafting
+   states onto a same-shaped conversation with different tokens would
+   be silent corruption.  The rows are included so that a damaged row
+   is refused too, instead of feeding every later token. *)
+let spill_digest t (s : Structure.t) n rows =
+  let buf = Buffer.create (n * (12 + t.row_bytes)) in
   for i = 0 to n - 1 do
     let nd = s.Structure.nodes.(i) in
     Buffer.add_string buf (string_of_int nd.Node.payload);
@@ -287,10 +290,16 @@ let prefix_digest (s : Structure.t) n =
       nd.Node.children;
     Buffer.add_char buf ';'
   done;
+  Array.iteri
+    (fun k m ->
+      for j = 0 to (n * t.widths.(k)) - 1 do
+        Buffer.add_int64_le buf (Int64.bits_of_float m.(j))
+      done)
+    rows;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* A session's restorable half as a Checkpoint session section:
-   conversation size, prefix digest, and one tensor per state, named by
+   conversation size, content digest, and one tensor per state, named by
    the state and shaped [n; dims] — rows [0, n) of its matrix.  Float64
    payloads round-trip bitwise, which is what makes evict -> restore ≡
    never-evicted an exact statement.  [None]: nothing worth keeping. *)
@@ -311,15 +320,16 @@ let spill_payload t sx =
          {
            Checkpoint.ss_model = t.model;
            ss_nodes = n;
-           ss_digest = prefix_digest s n;
+           ss_digest = spill_digest t s n sx.sx_rows;
            ss_states = states;
          })
   | _ -> None
 
 (* Adopt a spill for [s]: it must be this model's, cover a strict
-   prefix of [s] whose content digest matches, and hold exactly one
-   tensor per state, shaped [b; dims].  Then the layout is reseeded over
-   the prefix and the tensors' arrays become the rows. *)
+   prefix of [s], hold exactly one tensor per state, shaped [b; dims],
+   and match its content digest over that prefix and those rows.  Then
+   the layout is reseeded over the prefix and the tensors' arrays
+   become the rows. *)
 let adopt t sx (s : Structure.t) data =
   match Checkpoint.session_of_string ~expect_model:t.model data with
   | exception Checkpoint.Corrupt _ -> false
@@ -333,15 +343,16 @@ let adopt t sx (s : Structure.t) data =
             Some v.Tensor.data
           | _ -> None)
         t.states
+      |> Array.of_list
     in
     b > 0
     && Structure.num_nodes s > b
-    && prefix_digest s b = ss.Checkpoint.ss_digest
-    && List.length rows = List.length t.states
+    && Array.length rows = List.length t.states
     && List.length ss.Checkpoint.ss_states = List.length t.states
+    && spill_digest t s b rows = ss.Checkpoint.ss_digest
     && begin
       Linearizer.reseed sx.sx_layout s ~prefix:b;
-      sx.sx_rows <- Array.of_list rows;
+      sx.sx_rows <- rows;
       sx.sx_num_rows <- b;
       sx.sx_restored_base <- Some b;
       sx.sx_structure <- None;

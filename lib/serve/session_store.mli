@@ -154,9 +154,9 @@ val evict : t -> session -> expired:bool -> float
 val restore : t -> session -> Cortex_ds.Structure.t -> float option
 (** Re-admit a spilled conversation into a session that holds none: if
     a spill is held under its name it is consumed (record and file),
-    checked against the incoming structure (model, prefix digest,
-    strict growth), the layout is reseeded over the prefix and the rows
-    refilled.  [Some cost], the priced restore, on success: the next
+    checked against the incoming structure (model, strict growth,
+    tensor shapes, and a content digest over the prefix and the rows),
+    the layout is reseeded over the prefix and the rows refilled.  [Some cost], the priced restore, on success: the next
     token serves as a delta with its boundary rows preloaded.  [None]
     when nothing is held, or when the spill is refused — the session is
     then {!reset} and its token serves cold. *)

@@ -841,6 +841,24 @@ let test_refuse_damaged_spills () =
       Alcotest.(check int) "a re-saved spill restores" 1
         (Engine.session_table_stats eng).Session_store.st_restores)
 
+(* One flipped bit in the spill file, in the last state row and then in
+   the header's node count: the spill's digest covers the prefix and
+   every row, so a restore refuses both. *)
+let test_refuse_flipped_bits () =
+  let flip ~at path =
+    let data = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+    let i = at (Bytes.length data) in
+    Bytes.set data i (Char.chr (Char.code (Bytes.get data i) lxor 1));
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc data)
+  in
+  (* Magic, then the model name's length and the name. *)
+  let node_count = 8 + 8 + String.length refusal_spec.M.program.Ra.name in
+  List.iter
+    (fun (label, at) ->
+      with_spill_dir (fun dir ->
+          check_refused ~label ~dir ~damage:(flip ~at) ~resume:(restart dir) ~next:resumed ()))
+    [ ("a flipped row bit", fun len -> len - 3); ("a flipped header bit", fun _ -> node_count) ]
+
 (* An explicit eviction reaches the trace like a budget one. *)
 let test_explicit_evict_traced () =
   let obs = Obs.create ~clock:Obs.Logical () in
@@ -1808,6 +1826,7 @@ let () =
           Alcotest.test_case "refuse-truncated" `Quick test_refuse_truncated;
           Alcotest.test_case "refuse-other-model" `Quick test_refuse_other_model;
           Alcotest.test_case "refuse-damaged-spills" `Quick test_refuse_damaged_spills;
+          Alcotest.test_case "refuse-flipped-bits" `Quick test_refuse_flipped_bits;
           Alcotest.test_case "explicit-evict-traced" `Quick test_explicit_evict_traced;
           QCheck_alcotest.to_alcotest prop_accounting_matches_linearizer;
           QCheck_alcotest.to_alcotest prop_session_lifecycle;
