@@ -391,12 +391,12 @@ let evict t sx ~expired =
     let data = spill_payload t sx in
     drop_live t name;
     t.evictions <- t.evictions + 1;
+    if expired then t.expired <- t.expired + 1;
     let c = counters_of t name in
     c.c_evictions <- c.c_evictions + 1;
     match data with
     | None -> 0.0
     | Some data ->
-      if expired then t.expired <- t.expired + 1;
       let size = String.length data in
       (match spill_path t name with
        | None -> Hashtbl.replace t.spilled name (Some data)

@@ -591,6 +591,26 @@ let test_ttl_expiry_and_return () =
        (Engine.sessions eng));
   check_states_bitwise spec eng ~session:"b" compiled params (List.nth b 12)
 
+(* A session whose only window was lost holds no structure: idle past
+   the TTL, it is evicted with nothing to spill, and that eviction is
+   still an expiry. *)
+let test_ttl_expires_structureless () =
+  let params = failover_spec.M.init_params (Rng.create 9) in
+  let faults =
+    [ Fault.Transient { device = -1; prob = 1.0; from_us = 0.0; until_us = 4000.0 } ]
+  in
+  let eng = engine_bounded failover_spec ~faults ~session_ttl_us:1000.0 params in
+  let lost = List.hd (conversation 43 ~vocab:20 ~kind:Structure.Tree ~tokens:0) in
+  let later = List.hd (conversation 44 ~vocab:20 ~kind:Structure.Tree ~tokens:0) in
+  ignore (Engine.submit_exn eng ~arrival_us:0.0 ~session:"lost" lost);
+  ignore (Engine.submit_exn eng ~arrival_us:20000.0 ~session:"later" later);
+  let s = Engine.drain eng in
+  Alcotest.(check int) "the first window was lost" 1 s.Engine.slo.Engine.slo_lost;
+  let st = Engine.session_table_stats eng in
+  Alcotest.(check int) "one eviction" 1 st.Session_store.st_evictions;
+  Alcotest.(check int) "it expired" 1 st.Session_store.st_expired;
+  Alcotest.(check int) "nothing spilled" 0 st.Session_store.st_spills
+
 (* Satellite: eviction x failover.  Evict, fail-stop the device the
    session was pinned to, resume — the restore must re-pin to the
    survivor and still be bitwise-correct. *)
@@ -1818,6 +1838,8 @@ let () =
           Alcotest.test_case "evict-restore-bitwise" `Quick
             test_evict_restore_bitwise;
           Alcotest.test_case "ttl-expiry" `Quick test_ttl_expiry_and_return;
+          Alcotest.test_case "ttl-expires-structureless" `Quick
+            test_ttl_expires_structureless;
           Alcotest.test_case "evict-failover" `Quick test_evict_failover_restore;
           Alcotest.test_case "restart-restore" `Quick
             test_restart_restore_from_disk;
