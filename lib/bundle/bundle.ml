@@ -325,10 +325,6 @@ let decode data =
     with Failure reason | Invalid_argument reason ->
       fail (Corrupt_section { section = "compiled"; reason })
   in
-  (* The deserialized program carries the ids it was compiled with;
-     reserve them so later fresh ids (plan staging tensors, split-loop
-     vars) cannot alias them. *)
-  Ir.claim_ids compiled.Lower.prog;
   let plans = parse_plans (section_string data sections "plans") in
   let weights = section_weights Checkpoint.of_string data sections in
   let int_key key =

@@ -214,12 +214,21 @@ let rec map_stmt ?(expr = fun _ -> None) ?(stmt = fun _ -> None) s =
 let subst_var_stmt v replacement s =
   map_stmt ~expr:(function Var v' when Var.equal v v' -> Some replacement | _ -> None) s
 
-(* A program read back from a bundle carries the dim/var/uf/tensor ids
-   it was compiled with.  Advance the global counters past every id it
-   uses, or the next [fresh] in this process (a staging tensor added by
-   [Lower.apply_plan], a split loop's new var) could collide with an
-   unmarshalled id and alias a distinct object in every id-keyed
-   table. *)
+(* Start every id counter over, so the ids of the next program lowered,
+   and the bytes a bundle marshals, do not depend on what the process
+   compiled before. *)
+let reset_ids () =
+  Dim.counter := 0;
+  Uf.counter := 0;
+  Var.counter := 0;
+  tensor_counter := 0
+
+(* A program keeps the dim/var/uf/tensor ids it was lowered with, and
+   the counters may since have been reset or moved on (or the program
+   was read back from a bundle).  Advance them past every id it uses, or
+   the next [fresh] minted into it (a staging tensor added by
+   [Lower.apply_plan], a split loop's new var) could collide with one of
+   its ids and alias a distinct object in every id-keyed table. *)
 let claim_ids (p : program) =
   let claim r id = if id > !r then r := id in
   let claim_dim (d : Dim.t) = claim Dim.counter d.Dim.did in

@@ -144,12 +144,17 @@ val map_stmt :
 
 val subst_var_stmt : Var.t -> expr -> stmt -> stmt
 
+val reset_ids : unit -> unit
+(** Set the global dim/var/uf/tensor id counters back to zero, so the
+    next program lowered gets the same ids whatever the process lowered
+    before. *)
+
 val claim_ids : program -> unit
 (** Advance the global dim/var/uf/tensor id counters past every id the
-    program uses.  Call after deserializing a program (bundle load): the
-    next [fresh] in this process must not collide with an id baked into
-    the deserialized program, or two distinct objects would alias in the
-    id-keyed tables the interpreter and schedulers build. *)
+    program uses.  Call before minting fresh ids into an existing
+    program (a lowered one, or one read back from a bundle): they must
+    not collide with its ids, or two distinct objects would alias in
+    the id-keyed tables the interpreter and schedulers build. *)
 
 (** {2 Printing} *)
 

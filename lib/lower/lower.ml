@@ -995,6 +995,7 @@ let assemble c =
 let lower ?obs ?(options = default) (ra : Ra.t) =
   let pass name f = Obs.wall_span obs ~track:"compile" name f in
   pass "lower" @@ fun () ->
+  Ir.reset_ids ();
   pass "validate" (fun () ->
       Ra.validate ra;
       let tree_like =
@@ -1121,6 +1122,8 @@ let apply_plan (plan : Schedule.plan) compiled =
   | [] -> compiled
   | _ ->
     let prog = compiled.prog in
+    (* The directives mint fresh ids into a program lowered earlier. *)
+    Ir.claim_ids prog;
     let kernels = Array.of_list prog.Ir.kernels in
     let modified = Array.make (Array.length kernels) false in
     let staged = ref [] in

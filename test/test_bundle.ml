@@ -69,6 +69,22 @@ let test_roundtrip () =
      CLI prints is stable across builds. *)
   Alcotest.(check bool) "re-encode is stable" true (Bundle.encode d = Bundle.encode b)
 
+(* A bundle's bytes depend on what it bundles, not on what the process
+   lowered before it: every lowering starts the IR's ids over. *)
+let test_bytes_independent_of_history () =
+  let bundle () =
+    let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+    Bundle.encode
+      (Bundle.create ~model:"TreeFC" ~size:"small" ~backend:backend.Backend.short compiled)
+  in
+  let first = bundle () in
+  List.iter
+    (fun (other : M.t) ->
+      ignore (Runtime.compile ~options:(Runtime.options_for other) other.M.program))
+    [ Models.Tree_lstm.spec ~vocab:12 ~hidden:8 (); Models.Dag_rnn.spec ~hidden:4 () ];
+  Alcotest.(check bool) "the same bytes after lowering two other models" true
+    (first = bundle ())
+
 (* Bundled weights round-trip bit for bit, compared as
    [Int64.bits_of_float]: a quiet nan with a non-default payload, -0.0,
    both infinities, the smallest subnormal and [max_float]. *)
@@ -438,6 +454,8 @@ let () =
         [
           Alcotest.test_case "fields" `Quick test_roundtrip;
           Alcotest.test_case "weights-bitwise" `Quick test_weights_bitwise;
+          Alcotest.test_case "bytes-independent-of-history" `Quick
+            test_bytes_independent_of_history;
           q prop_roundtrip;
         ] );
       ( "adversarial",
