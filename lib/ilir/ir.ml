@@ -214,9 +214,8 @@ let rec map_stmt ?(expr = fun _ -> None) ?(stmt = fun _ -> None) s =
 let subst_var_stmt v replacement s =
   map_stmt ~expr:(function Var v' when Var.equal v v' -> Some replacement | _ -> None) s
 
-(* Start every id counter over, so the ids of the next program lowered,
-   and the bytes a bundle marshals, do not depend on what the process
-   compiled before. *)
+(* [Lower.lower] starts over, so a program's ids (and a bundle's bytes)
+   do not depend on what the process lowered before. *)
 let reset_ids () =
   Dim.counter := 0;
   Uf.counter := 0;

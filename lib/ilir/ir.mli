@@ -145,9 +145,7 @@ val map_stmt :
 val subst_var_stmt : Var.t -> expr -> stmt -> stmt
 
 val reset_ids : unit -> unit
-(** Set the global dim/var/uf/tensor id counters back to zero, so the
-    next program lowered gets the same ids whatever the process lowered
-    before. *)
+(** Set the global dim/var/uf/tensor id counters back to zero. *)
 
 val claim_ids : program -> unit
 (** Advance the global dim/var/uf/tensor id counters past every id the

@@ -597,10 +597,7 @@ let lay_out g (s : Structure.t) b =
   in
   { step_view = view; step_nodes = news; step_base = b }
 
-(* A cold token: the whole structure as one step from base 0.  Nothing
-   needs checking: [Structure.create] gives dense ids with children
-   below their parents, and the engine bounds every arity before a
-   token reaches a layout. *)
+(* Nothing to check: [Structure.create] orders children first. *)
 let seed g s =
   g.g_used <- 0;
   g.g_height <- 0;

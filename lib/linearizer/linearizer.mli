@@ -243,18 +243,14 @@ val empty_layout : max_children:int -> growing
 
 val seed : growing -> Cortex_ds.Structure.t -> step
 (** [seed g s] drops what [g] held and lays all of [s] out as one step
-    from base 0 — the same level sort, push and view as {!grow}, so a
-    cold token plays exactly like a delta.  It checks nothing and
-    raises nothing: [Cortex_ds.Structure.create] gives dense ids with
-    children below their parents, and the caller bounds every arity by
-    the child-table width (the engine validates it at submit). *)
+    from base 0, as {!grow} lays out a delta.  It raises nothing; the
+    caller bounds every arity by the child-table width. *)
 
 val reseed : growing -> Cortex_ds.Structure.t -> prefix:int -> unit
 (** [reseed g s ~prefix] drops what [g] held and lays out nodes
     [0, prefix) of [s] at layout ids [0, prefix), in node-id order, with
-    room for all of [s], and returns no step: a restore reseeds the
-    spilled prefix, whose content the caller has checked, and the next
-    token grows it. *)
+    room for all of [s]: a restore reseeds the spilled prefix, whose
+    content the caller has checked. *)
 
 val grow : growing -> Cortex_ds.Structure.t -> step option
 (** [grow g s] lays out the nodes of [s] past the layout's size and

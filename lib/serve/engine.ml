@@ -640,15 +640,6 @@ let growth_base ~prev ~restored (s : Structure.t) =
   | None -> (
     match restored with Some b when n > b && b > 0 -> Some b | _ -> None)
 
-(* Grow the session's layout by the token, when [s] purely grows the
-   pinned conversation: the prefix is checked here by physical identity
-   at its endpoints ([growth_base]), every appended node by
-   [Linearizer.grow].  [None]: the token is served cold. *)
-let session_step (sx : Session_store.session) (s : Structure.t) =
-  match growth_base ~prev:sx.sx_structure ~restored:sx.sx_restored_base s with
-  | None -> None
-  | Some _ -> Linearizer.grow sx.sx_layout s
-
 (* ---------- bounded session table ---------- *)
 
 let bump_clock t at = if at > t.eng_clock_us then t.eng_clock_us <- at
@@ -1071,7 +1062,7 @@ let form_packs t sessionp =
   let last_item = Hashtbl.create 16 in
   (* name -> (pinned device, structure as of the session's last token
      below, restored prefix) — the grouping-time mirror of what
-     [session_step] will see when the token is served. *)
+     [serve_token] will see when the token is served. *)
   let pred = Hashtbl.create 16 in
   let predicted p =
     let name = Option.get p.p_session in
@@ -1185,9 +1176,10 @@ let restore_spilled t (sx : Session_store.session) (s : Structure.t) =
     cost
 
 (* One session token's inspector work, in order: restore a held spill;
-   grow the session's layout by the token's delta; failing that, serve
-   it cold — a different conversation under the name drops the
-   persisted state (its node identities no longer mean the same
+   grow the session's layout by the token's delta (the prefix checked by
+   [growth_base], every appended node by [Linearizer.grow]); failing
+   that, serve it cold — a different conversation under the name drops
+   the persisted state (its node identities no longer mean the same
    thing), and the whole structure is laid out as one step from base 0.
    A pack's members are all served, in pack order, before any of them
    plays.  The step runs in one wall-clock span: that is the per-token
@@ -1202,7 +1194,10 @@ let serve_token t p =
     Obs.wall_span t.eng_obs ~track:"inspector" "token"
       ~args:[ ("session", CT.Str name); ("nodes", CT.Int (Structure.num_nodes s)) ]
       (fun () ->
-        match session_step sx s with
+        match
+          Option.bind (growth_base ~prev:sx.sx_structure ~restored:sx.sx_restored_base s)
+            (fun _ -> Linearizer.grow sx.sx_layout s)
+        with
         | Some st ->
           sx.sx_extends <- sx.sx_extends + 1;
           sx.sx_delta_nodes <- sx.sx_delta_nodes + Array.length st.Linearizer.step_nodes;

@@ -92,9 +92,8 @@ type error =
   | Unsorted_trace of { index : int; at_us : float; prev_us : float }
       (** [run_trace] saw an event arriving before its predecessor *)
   | No_session_deltas
-      (** a [~session] submission to an engine whose schedule cannot
-          serve a delta ({!Cortex_lower.Lower.delta_compatible} is
-          false): every token of the session would run cold *)
+      (** a [session] submitted to an engine whose schedule cannot serve
+          a delta ({!Cortex_lower.Lower.delta_compatible}) *)
 
 exception Error of error
 
@@ -295,9 +294,7 @@ val of_bundle :
 val compiled : t -> Cortex_lower.Lower.compiled
 val backend : t -> Cortex_backend.Backend.t
 val cache_stats : t -> Shape_cache.stats
-(** Cumulative shape-cache counters: the drain's regular windows and
-    the numeric {!execute} path go through the cache; session tokens
-    never do. *)
+(** Cumulative shape-cache counters (regular windows and {!execute}). *)
 
 val pending : t -> int
 (** Requests queued and not yet drained. *)
@@ -326,22 +323,15 @@ val submit :
     validation — an overloaded server drops before it parses — so a
     shed invalid request counts as shed, not rejected.
 
-    [session] pins the request to a named growing conversation: it is
-    served on the session's pinned device, in its own window or packed
-    with other sessions' delta tokens ([sessions.pack_window]), and
-    every token is one step of the session's
-    {!Cortex_linearizer.Linearizer.growing} layout.  When the structure
-    is the session's previous structure plus appended nodes (same
-    [Node.t] values, new nodes on top) the step is only the delta — the
-    appended nodes, with pre-seeded persistent hidden states on the
-    device — instead of the whole conversation.  Any other structure
-    under the same name is served cold: the layout is seeded afresh
-    with the whole structure as one step from base 0, and (if it is not
-    the same conversation) the persisted state is dropped.  Session
-    tokens never go through the shape cache.  An engine whose compiled
-    options cannot serve a delta
-    ({!Cortex_lower.Lower.delta_compatible}) refuses every [session]
-    submission with [No_session_deltas], counted as rejected. *)
+    [session] pins the request to a named growing conversation, served
+    on the session's pinned device, alone or packed with other sessions'
+    delta tokens ([sessions.pack_window]), each token as one step of
+    the session's {!Cortex_linearizer.Linearizer.growing} layout, never
+    through the shape cache.  When the structure is the previous one
+    plus appended nodes (same [Node.t] values, new nodes on top) the
+    step is only the delta, over pre-seeded hidden states; any other
+    structure is served cold, as one step of the whole structure (and
+    a different conversation drops the persisted state). *)
 
 val submit_exn :
   t ->
@@ -377,8 +367,7 @@ type window_report = {
   wr_nodes : int;
   wr_device : int;  (** index of the device it (finally) ran on *)
   wr_cache_hit : bool;
-      (** whether the forest numbering came out of the shape cache;
-          [false] for session windows, which never use it *)
+      (** whether the forest numbering came out of the shape cache *)
   wr_attempts : int;
       (** executions charged against the retry budget (1 = clean run;
           failover re-dispatches after a fail-stop are not counted) *)
@@ -453,9 +442,7 @@ type session_report = {
   sn_windows : int;  (** tokens served: [sn_extends + sn_cold] *)
   sn_delta_nodes : int;  (** nodes served through layout steps *)
   sn_extends : int;  (** windows served as deltas (layout steps) *)
-  sn_cold : int;
-      (** windows served cold: the whole conversation laid out as one
-          base-0 step of a freshly seeded layout *)
+  sn_cold : int;  (** windows served cold: the whole conversation as one step *)
   sn_materializations : int;
       (** regrowths of the session's growing layout
           ({!Cortex_linearizer.Linearizer.regrowths}): a conversation

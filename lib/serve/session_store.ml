@@ -154,12 +154,10 @@ let is_live t sx = match find t sx.sx_name with Some x -> x == sx | None -> fals
    conversation. *)
 let accounted_bytes t sx =
   let n = match sx.sx_structure with Some s -> Structure.num_nodes s | None -> 0 in
-  if n = 0 then 0
-  else
-    Linearizer.layout_bytes ~num_nodes:n
-      ~num_batches:(Linearizer.layout_height sx.sx_layout + 1)
-      ~max_children:t.max_children
-    + Linearizer.state_rows_bytes ~num_nodes:n ~bytes_per_node:t.row_bytes
+  Linearizer.layout_bytes ~num_nodes:n
+    ~num_batches:(Linearizer.layout_height sx.sx_layout + 1)
+    ~max_children:t.max_children
+  + Linearizer.state_rows_bytes ~num_nodes:n ~bytes_per_node:t.row_bytes
 
 let touch t sx ~now_us =
   if is_live t sx then begin
@@ -268,15 +266,13 @@ let victims t ~now_us =
 
 (* ---------- the spill format ---------- *)
 
-(* Content digest of a spill: the conversation prefix — payloads and
-   child ids of nodes [0, n) — and the bits of its rows, the first
-   [n * width] floats of each state's matrix.  The prefix is what lets
-   spilled state survive eviction and engine restarts — physical node
-   identity (the live-session prefix check) cannot.  Payloads are
-   included deliberately: the shape key excludes them, but grafting
-   states onto a same-shaped conversation with different tokens would
-   be silent corruption.  The rows are included so that a damaged row
-   is refused too, instead of feeding every later token. *)
+(* Content digest of a spill: payloads and child ids of nodes [0, n),
+   then the bits of their rows.  This is what lets spilled state survive
+   eviction and engine restarts — physical node identity (the
+   live-session prefix check) cannot.  Payloads are included
+   deliberately: the shape key excludes them, but grafting states onto
+   a same-shaped conversation with different tokens, or restoring a
+   damaged row, would be silent corruption. *)
 let spill_digest t (s : Structure.t) n rows =
   let buf = Buffer.create (n * (12 + t.row_bytes)) in
   for i = 0 to n - 1 do
@@ -304,9 +300,9 @@ let spill_digest t (s : Structure.t) n rows =
    payloads round-trip bitwise, which is what makes evict -> restore ≡
    never-evicted an exact statement.  [None]: nothing worth keeping. *)
 let spill_payload t sx =
-  let n = match sx.sx_structure with Some s -> Structure.num_nodes s | None -> 0 in
   match sx.sx_structure with
-  | Some s when n > 0 && (t.states = [] || sx.sx_num_rows >= n) ->
+  | Some s when t.states = [] || sx.sx_num_rows >= Structure.num_nodes s ->
+    let n = Structure.num_nodes s in
     let states =
       List.mapi
         (fun k (st, dims) ->
