@@ -603,22 +603,19 @@ let seed g s =
   g.g_height <- 0;
   lay_out g s 0
 
-(* O(delta): the appended nodes are validated in full, then laid out as
-   one step over the grown prefix. *)
+(* O(delta): [Structure.create] already orders every node's children
+   before it, so an appended node is checked only for its arity and for
+   children that are members of [s]; then the step is laid out. *)
 let grow g (s : Structure.t) =
   let b = g.g_used in
   let n = Structure.num_nodes s in
   let nodes = s.Structure.nodes in
   let mc = Array.length g.g_child in
-  let appended i =
-    let nd = nodes.(i) in
-    nd.Node.id = i
-    && Array.length nd.Node.children <= mc
-    && Array.for_all
-         (fun (c : Node.t) -> c.Node.id >= 0 && c.Node.id < i && nodes.(c.Node.id) == c)
-         nd.Node.children
+  let appended (nd : Node.t) =
+    Array.length nd.Node.children <= mc
+    && Array.for_all (fun (c : Node.t) -> nodes.(c.Node.id) == c) nd.Node.children
   in
-  let rec valid i = i >= n || (appended i && valid (i + 1)) in
+  let rec valid i = i >= n || (appended nodes.(i) && valid (i + 1)) in
   if n <= b || not (valid b) then None else Some (lay_out g s b)
 
 (* ---------- packed steps (multi-session batching) ---------- *)

@@ -230,7 +230,7 @@ type step = private {
       (** The step's view.  [leaf_begin] is [step_base];
           [new_of_old], [old_of_new] and [postorder] are empty: the
           executor never reads them. *)
-  step_nodes : Cortex_ds.Node.t array;  (** the appended nodes, in view batch order *)
+  step_nodes : Cortex_ds.Node.t array;  (** the step's nodes, in view batch order *)
   step_base : int;
       (** the layout's size before the step: node ids and layout ids
           below it were laid out earlier; 0 for a {!seed} *)
@@ -256,10 +256,11 @@ val grow : growing -> Cortex_ds.Structure.t -> step option
 (** [grow g s] lays out the nodes of [s] past the layout's size and
     returns their {!step}.  O(delta): the prefix is the caller's
     promise (the engine checks it by physical identity or by a content
-    digest); every appended node is checked in full — dense ids, arity
-    within the child-table width, children earlier members of [s].
-    [None], with [g] unchanged, when [s] does not grow the layout by at
-    least one such node. *)
+    digest); every appended node is checked for its arity (within the
+    child-table width) and for children that are members of [s]
+    ([Cortex_ds.Structure.create] already orders them first).  [None],
+    with [g] unchanged, when [s] does not grow the layout by at least
+    one such node. *)
 
 val layout_id : growing -> int -> int
 (** [layout_id g id] is the layout id of request-local node [id]. *)
