@@ -156,10 +156,11 @@ val restore : t -> session -> Cortex_ds.Structure.t -> float option
     a spill is held under its name it is consumed (record and file),
     checked against the incoming structure (model, strict growth,
     tensor shapes, and a content digest over the prefix and the rows),
-    the layout is reseeded over the prefix and the rows refilled.  [Some cost], the priced restore, on success: the next
-    token serves as a delta with its boundary rows preloaded.  [None]
-    when nothing is held, or when the spill is refused — the session is
-    then {!reset} and its token serves cold. *)
+    the layout is reseeded over the prefix and the rows refilled.
+    [Some cost], the priced restore, on success: the next token serves
+    as a delta with its boundary rows preloaded.  [None] when nothing is
+    held, or when the spill is refused — the session is then {!reset}
+    and its token serves cold. *)
 
 val forget : t -> string -> unit
 (** Remove every trace of [name]: the live session, spill record,

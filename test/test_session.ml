@@ -210,12 +210,16 @@ let prop_seed_is_cold_run =
           let fl = Linearizer.run_forest ~max_children:mc [ s ] in
           let ids = fl.Linearizer.spans.(0).Linearizer.span_ids in
           let label = Printf.sprintf "%s, %d nodes" spec.M.name (Structure.num_nodes s) in
-          if st.Linearizer.step_base <> 0 || Array.length st.Linearizer.step_nodes <> Structure.num_nodes s
+          if
+            st.Linearizer.step_base <> 0
+            || Array.length st.Linearizer.step_nodes <> Structure.num_nodes s
           then Q.Test.fail_reportf "%s: not a whole-structure step" label;
           List.iter
             (fun backend ->
               let price lin =
-                Marshal.to_string (Runtime.simulate_lin compiled ~backend lin) [ Marshal.No_sharing ]
+                Marshal.to_string
+                  (Runtime.simulate_lin compiled ~backend lin)
+                  [ Marshal.No_sharing ]
               in
               if price st.Linearizer.step_view <> price fl.Linearizer.lin then
                 Q.Test.fail_reportf "%s: priced unlike run_forest on %s" label
@@ -228,13 +232,15 @@ let prop_seed_is_cold_run =
             (fun (nd : Node.t) ->
               List.iter
                 (fun (state : Ra.state) ->
-                  let at bound id = bits (Lower.state_value_lin bound compiled state.Ra.st_name id) in
+                  let at bound id =
+                    bits (Lower.state_value_lin bound compiled state.Ra.st_name id)
+                  in
                   if
                     at by_step (Linearizer.layout_id g nd.Node.id)
                     <> at by_forest ids.(nd.Node.id)
                   then
-                    Q.Test.fail_reportf "%s: state %s of node %d differs" label state.Ra.st_name
-                      nd.Node.id)
+                    Q.Test.fail_reportf "%s: state %s of node %d differs" label
+                      state.Ra.st_name nd.Node.id)
                 spec.M.program.Ra.states)
             s.Structure.nodes)
         (Lazy.force catalog);
@@ -330,9 +336,11 @@ let test_cold_tokens_skip_cache () =
   (match Engine.sessions eng with
    | [ sn ] -> Alcotest.(check int) "two cold tokens" 2 sn.Engine.sn_cold
    | _ -> Alcotest.fail "expected one session");
-  Alcotest.(check bool) "the shape cache is untouched" true (Engine.cache_stats eng = before);
+  Alcotest.(check bool) "the shape cache is untouched" true
+    (Engine.cache_stats eng = before);
   List.iter
-    (fun w -> Alcotest.(check bool) "no session window is a cache hit" false w.Engine.wr_cache_hit)
+    (fun w ->
+      Alcotest.(check bool) "no session window is a cache hit" false w.Engine.wr_cache_hit)
     s.Engine.windows
 
 (* A schedule that cannot run a step over a pre-seeded prefix cannot
@@ -352,7 +360,8 @@ let test_non_delta_schedule_refused () =
        | Error e -> Alcotest.failf "%s: wrong error: %s" label (Engine.error_to_string e));
       ignore (Engine.submit_exn eng s);
       let sum = Engine.drain eng in
-      Alcotest.(check int) (label ^ ": counted as rejected") 1 sum.Engine.slo.Engine.slo_rejected;
+      Alcotest.(check int) (label ^ ": counted as rejected") 1
+        sum.Engine.slo.Engine.slo_rejected;
       Alcotest.(check int) (label ^ ": the regular request served") 1
         sum.Engine.slo.Engine.slo_completed;
       Alcotest.(check int) (label ^ ": no session") 0 (List.length (Engine.sessions eng)))
@@ -876,8 +885,12 @@ let test_refuse_flipped_bits () =
   List.iter
     (fun (label, at) ->
       with_spill_dir (fun dir ->
-          check_refused ~label ~dir ~damage:(flip ~at) ~resume:(restart dir) ~next:resumed ()))
-    [ ("a flipped row bit", fun len -> len - 3); ("a flipped header bit", fun _ -> node_count) ]
+          check_refused ~label ~dir ~damage:(flip ~at) ~resume:(restart dir)
+            ~next:resumed ()))
+    [
+      ("a flipped row bit", fun len -> len - 3);
+      ("a flipped header bit", fun _ -> node_count);
+    ]
 
 (* An explicit eviction reaches the trace like a budget one. *)
 let test_explicit_evict_traced () =
@@ -1571,9 +1584,9 @@ let test_pack_deadline_misses () =
    when a spill came to hold one tensor per state (every priced spill
    and restore, and the latencies they feed, moved), and when a refused
    spill stopped counting as a restore.  Any refactor of the window
-   path must leave them
-   unchanged, at pack window 8 (packed, size-1 and regular windows
-   interleaved) and at pack window 1 (size-1 and regular only). *)
+   path must leave them unchanged, at pack window 8 (packed, size-1 and
+   regular windows interleaved) and at pack window 1 (size-1 and
+   regular only). *)
 let render_summary (s : Engine.summary) =
   let b = Buffer.create 8192 in
   let f x = Int64.to_string (Int64.bits_of_float x) in
