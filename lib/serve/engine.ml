@@ -760,7 +760,7 @@ type session_report = {
   sn_windows : int;
   sn_delta_nodes : int;  (* nodes served via layout steps *)
   sn_extends : int;  (* windows served from a layout step *)
-  sn_cold : int;  (* full (re)linearizations *)
+  sn_cold : int;  (* tokens served cold, as one base-0 step *)
   sn_materializations : int;  (* doubling regrowths of the session's layout *)
   sn_rebinds : int;  (* re-pins of a previously pinned session *)
   sn_packed : int;  (* tokens served inside packed multi-session windows *)
