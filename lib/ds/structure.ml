@@ -36,10 +36,13 @@ let create ~kind ~max_children roots =
         fail "node ids are not dense: id %d with %d reachable nodes" node.id n;
       nodes.(node.id) <- node)
     reachable;
-  Array.iteri
-    (fun i (node : Node.t) ->
-      if node.id <> i then fail "duplicate node id %d" node.id)
-    nodes;
+  (* The walk keeps one node per id, so a second node with a taken id
+     is never collected; every edge or root pointing at it must be
+     refused, or it would resolve to the first. *)
+  let stored (m : Node.t) =
+    if nodes.(m.id) != m then fail "two nodes share id %d" m.id
+  in
+  List.iter stored roots;
   let parents = Array.make n 0 in
   Array.iter
     (fun (node : Node.t) ->
@@ -48,6 +51,7 @@ let create ~kind ~max_children roots =
           max_children;
       Array.iter
         (fun (c : Node.t) ->
+          stored c;
           (* Ids fall along every edge: that alone makes the structure
              acyclic, and node-id order lists children first. *)
           if c.id >= node.id then

@@ -19,7 +19,8 @@ exception Invalid of string
 
 val create : kind:kind -> max_children:int -> Node.t list -> t
 (** Walks the roots, collects all reachable nodes and verifies:
-    node ids are dense in [0, n); every child's id is below its
+    node ids are dense in [0, n) and no two reachable nodes share an
+    id; every child's id is below its
     parent's (so the structure is acyclic, and node-id order lists
     children before parents); fanout is within [max_children];
     sequences are chains; trees have a unique parent per node.  Raises

@@ -44,6 +44,19 @@ let test_child_numbered_above_parent () =
       | exception Structure.Invalid _ -> ())
     [ Structure.Tree; Structure.Dag; Structure.Sequence ]
 
+(* Two builders each number a leaf 0; a third roots both.  A walk keyed
+   by id would keep the first leaf and route the second edge to it. *)
+let test_shared_id () =
+  let leaf payload = Node.make (Node.builder ()) ~payload [] in
+  let root = Node.make (Node.builder_from 1) ~payload:1 [ leaf 7; leaf 9 ] in
+  List.iter
+    (fun kind ->
+      match Structure.create ~kind ~max_children:2 [ root ] with
+      | _ -> Alcotest.fail "two nodes sharing id 0 were accepted"
+      | exception Structure.Invalid msg ->
+        Alcotest.(check string) "message" "two nodes share id 0" msg)
+    [ Structure.Dag; Structure.Tree ]
+
 let test_perfect_tree () =
   let rng = Rng.create 1 in
   let t = Gen.perfect_tree rng ~height:7 () in
@@ -203,6 +216,7 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_structure_validation;
           Alcotest.test_case "child-above-parent" `Quick test_child_numbered_above_parent;
+          Alcotest.test_case "shared-id" `Quick test_shared_id;
           Alcotest.test_case "merge" `Quick test_merge;
           QCheck_alcotest.to_alcotest test_random_generators_valid;
           QCheck_alcotest.to_alcotest test_levels_respect_children;
