@@ -456,7 +456,7 @@ let appd () =
           match
             Runtime.Schedule_check.check ~backend:Backend.gpu ~hidden
               ~states:(List.length spec.M.program.Ra.states)
-              (Runtime.options_for ~base spec)
+              base
               ~cost:r.Runtime.cost
           with
           | Runtime.Schedule_check.Valid -> "ok"
@@ -707,12 +707,11 @@ let bundle () =
     List.map
       (fun (name, with_weights) ->
         let spec = Models.Catalog.get name Models.Catalog.Small in
-        let options = Runtime.options_for spec in
         let weights = if with_weights then Checkpoint.of_spec spec ~seed else [] in
         let label = if with_weights then name ^ "+weights" else name in
         let ckpt = Filename.temp_file "cortex_weights" ".ckpt" in
         Checkpoint.save ckpt weights;
-        let compiled = Runtime.compile ~options spec.M.program in
+        let compiled = Runtime.compile spec.M.program in
         let b =
           Bundle.create ~weights ~model:name ~size:"small" ~backend:Backend.gpu.Backend.short
             compiled
@@ -726,7 +725,7 @@ let bundle () =
           [
             ( "compile",
               fun () ->
-                ignore (Runtime.compile ~options spec.M.program);
+                ignore (Runtime.compile spec.M.program);
                 if with_weights then ignore (Checkpoint.load ckpt) );
             ("bundle_load", fun () -> ignore (Bundle.load path));
           ]

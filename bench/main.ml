@@ -17,17 +17,17 @@ let bechamel_tests () =
   let module M = Models.Common in
   let spec = Models.Catalog.get "TreeLSTM" Models.Catalog.Small in
   let structure = spec.M.dataset (Rng.create 7) ~batch:10 in
-  let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+  let compiled = Runtime.compile spec.M.program in
   let small = Models.Tree_lstm.spec ~vocab:50 ~hidden:8 () in
   let small_structure = small.M.dataset (Rng.create 7) ~batch:2 in
-  let small_compiled = Runtime.compile ~options:(Runtime.options_for small) small.M.program in
+  let small_compiled = Runtime.compile small.M.program in
   let small_params = small.M.init_params (Rng.create 8) in
   [
     Test.make ~name:"linearize-treelstm-bs10"
       (Staged.stage (fun () -> ignore (Linearizer.run structure)));
     Test.make ~name:"compile-treelstm"
       (Staged.stage (fun () ->
-           ignore (Runtime.compile ~options:(Runtime.options_for spec) spec.M.program)));
+           ignore (Runtime.compile spec.M.program)));
     Test.make ~name:"cost+simulate-treelstm-bs10"
       (Staged.stage (fun () ->
            ignore (Runtime.simulate compiled ~backend:Backend.gpu structure)));

@@ -109,7 +109,7 @@ let get_spec ?hidden name size =
      | other -> die ("unknown model " ^ other))
 
 let compile ~options (spec : M.t) =
-  try Runtime.compile ~options:(Runtime.options_for ~base:options spec) spec.M.program
+  try Runtime.compile ~options spec.M.program
   with Lower.Lowering_error msg -> die msg
 
 let dataset (spec : M.t) ~seed ~batch =

@@ -50,6 +50,7 @@ let model =
     leaf_ops = None;
     states = [ { st_name = "h"; st_op = "h"; st_init = Zero } ];
     outputs = [ "h" ];
+    facts = no_facts;
   }
 
 let () =
@@ -105,7 +106,14 @@ let () =
     let engine = Engine.create ~config:(Engine.Config.make ~options ()) ~model ~backend:Backend.gpu () in
     Runtime.total_ms (Engine.run_one engine structure)
   in
-  let best, best_ms = Runtime.grid_search ~candidates ~eval in
+  let best, best_ms =
+    List.fold_left
+      (fun (best, best_ms) options ->
+        let ms = eval options in
+        if ms < best_ms then (options, ms) else (best, best_ms))
+      (List.hd candidates, eval (List.hd candidates))
+      (List.tl candidates)
+  in
   Printf.printf
     "\ngrid search over %d schedules picked: fuse=%b specialize=%b persist=%b unroll=%b dynamic_batch=%b (%.3f ms simulated)\n"
     (List.length candidates) best.Lower.fuse best.Lower.specialize best.Lower.persist

@@ -20,7 +20,8 @@ module Checkpoint = Cortex_runtime.Checkpoint
    actually remaining (the checkpoint reader's adversarial posture),
    so truncation dies with {!Truncated} before any allocation.
 
-   Sections (current version 1):
+   Sections (current version 2; version 1 marshalled a [Lower.compiled]
+   whose options carried the model's schedule facts, so it is refused):
      "manifest"  key=value lines, human-readable (model, backend,
                  options, planned/worst on-chip footprint, counts)
      "compiled"  [Lower.compiled], marshalled — pure data, no closures
@@ -29,7 +30,7 @@ module Checkpoint = Cortex_runtime.Checkpoint
      "weights"   a [Checkpoint] table (may be empty: zero tensors) *)
 
 let magic = "CORTEXB1"
-let version = 1
+let version = 2
 
 type plan_entry = {
   bp_backend : string;  (* Backend.short *)

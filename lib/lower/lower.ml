@@ -23,37 +23,31 @@ type options = {
   fuse : bool;
   persist : bool;
   unroll : bool;
-  block_local_unroll : bool;
   refactor : bool;
-  refactor_publish : string list;
-  refactor_removes_barrier : bool;
   barrier_mode : Barrier.mode;
 }
 
-let default =
+let none =
   {
-    dynamic_batch = true;
-    specialize = true;
-    fuse = true;
-    persist = true;
+    dynamic_batch = false;
+    specialize = false;
+    fuse = false;
+    persist = false;
     unroll = false;
-    block_local_unroll = false;
     refactor = false;
-    refactor_publish = [];
-    refactor_removes_barrier = true;
     barrier_mode = Barrier.Carrier;
   }
+
+let default = { none with dynamic_batch = true; specialize = true; fuse = true; persist = true }
 
 let baseline =
   { default with specialize = false; fuse = false; persist = false }
 
 (* Canonical textual form for options, round-tripping through bundle
    manifests and engine config files.  Comma-joined tokens: a flag name
-   present means the boolean is on; [publish=a|b] carries the
-   refactoring publication list; [keep_barrier] and
-   [barrier=conservative] mark the non-default barrier settings.  The
-   empty token list (printed ["none"]) is all-off; [default] names
-   {!default}. *)
+   present means the boolean is on; [barrier=conservative] marks the
+   non-default barrier placement.  The empty token list (printed
+   ["none"]) is all-off; [default] names {!default}. *)
 let options_to_string o =
   if o = default then "default"
   else begin
@@ -64,11 +58,7 @@ let options_to_string o =
     if o.fuse then add "fuse";
     if o.persist then add "persist";
     if o.unroll then add "unroll";
-    if o.block_local_unroll then add "block_local_unroll";
     if o.refactor then add "refactor";
-    if o.refactor_publish <> [] then
-      add ("publish=" ^ String.concat "|" o.refactor_publish);
-    if not o.refactor_removes_barrier then add "keep_barrier";
     if o.barrier_mode = Barrier.Conservative then add "barrier=conservative";
     match List.rev !toks with [] -> "none" | toks -> String.concat "," toks
   end
@@ -76,36 +66,9 @@ let options_to_string o =
 let options_of_string s =
   let s = String.trim s in
   if s = "default" then Some default
-  else if s = "none" || s = "" then
-    Some
-      {
-        dynamic_batch = false;
-        specialize = false;
-        fuse = false;
-        persist = false;
-        unroll = false;
-        block_local_unroll = false;
-        refactor = false;
-        refactor_publish = [];
-        refactor_removes_barrier = true;
-        barrier_mode = Barrier.Carrier;
-      }
+  else if s = "none" then Some none
   else begin
-    let o =
-      ref
-        {
-          dynamic_batch = false;
-          specialize = false;
-          fuse = false;
-          persist = false;
-          unroll = false;
-          block_local_unroll = false;
-          refactor = false;
-          refactor_publish = [];
-          refactor_removes_barrier = true;
-          barrier_mode = Barrier.Carrier;
-        }
-    in
+    let o = ref none in
     let ok = ref true in
     List.iter
       (fun tok ->
@@ -116,19 +79,9 @@ let options_of_string s =
         | "fuse" -> o := { !o with fuse = true }
         | "persist" -> o := { !o with persist = true }
         | "unroll" -> o := { !o with unroll = true }
-        | "block_local_unroll" -> o := { !o with block_local_unroll = true }
         | "refactor" -> o := { !o with refactor = true }
-        | "keep_barrier" -> o := { !o with refactor_removes_barrier = false }
         | "barrier=conservative" -> o := { !o with barrier_mode = Barrier.Conservative }
         | "barrier=carrier" -> o := { !o with barrier_mode = Barrier.Carrier }
-        | tok when String.length tok > 8 && String.sub tok 0 8 = "publish=" ->
-          let names = String.sub tok 8 (String.length tok - 8) in
-          o :=
-            {
-              !o with
-              refactor_publish =
-                String.split_on_char '|' names |> List.filter (fun n -> n <> "");
-            }
         | _ -> ok := false)
       (String.split_on_char ',' s);
     if !ok then Some !o else None
@@ -681,7 +634,8 @@ let leaf_case_ops c =
 let rec_case_ops c =
   let ra = c.ra in
   let non_pre = List.filter (fun (o : op) -> not o.op_precompute) ra.rec_ops in
-  prune_ops non_pre (state_op_names ra @ (if c.opts.refactor then c.opts.refactor_publish else []))
+  prune_ops non_pre
+    (state_op_names ra @ (if c.opts.refactor then ra.facts.refactor_publish else []))
 
 (* ---------- kernel assembly ---------- *)
 
@@ -779,7 +733,7 @@ let batch_loop_stmt c ~rec_temps ~leaf_temps ~rec_ops ~leaf_ops ~pub_tensors =
   done;
   let phase_loops = List.rev !phase_loops in
   let interphase p =
-    let removed = c.opts.refactor && c.opts.refactor_removes_barrier in
+    let removed = c.opts.refactor && c.ra.facts.refactor_removes_barrier in
     if p > 0 && not removed then [ Ir.Barrier ] else []
   in
   let body_parts =
@@ -853,7 +807,7 @@ let assemble c =
             nullary c.ufs.u_num_nodes :: List.map (fun d -> Ir.Int d) (op_dims o)
           in
           (name, record_temp c (Ir.tensor ~space:Ir.Global ("pub_" ^ name) dims extents)))
-        opts.refactor_publish
+        ra.facts.refactor_publish
     else []
   in
   (* Setup: precompute operators over all nodes, then hoisted leaf
@@ -1009,16 +963,11 @@ let lower ?obs ?(options = default) (ra : Ra.t) =
         if not (options.specialize && options.dynamic_batch && options.fuse) then
           fail "unrolling requires specialization, dynamic batching and fusion"
       end;
-      if options.block_local_unroll && not options.unroll then
-        fail "block_local_unroll requires unroll";
       if options.refactor then begin
         if not tree_like then
           fail "recursive refactoring is restricted to trees and sequences";
         if num_phases ra.rec_ops < 2 then
-          fail "recursive refactoring needs a multi-phase recursive case";
-        List.iter
-          (fun name -> ignore (find_op ra.rec_ops name))
-          options.refactor_publish
+          fail "recursive refactoring needs a multi-phase recursive case"
       end);
   let ufs = make_ufs () in
   let c =
@@ -1258,7 +1207,8 @@ let uf_bindings compiled (lin : Linearizer.t) =
           | Some r ->
             (match r.(a.(0)) with
              | Unrolling.Child_phase -> 1
-             | Unrolling.Parent_phase -> if opts.block_local_unroll then 0 else 1)
+             | Unrolling.Parent_phase ->
+               if compiled.ra.facts.block_local_unroll then 0 else 1)
           | None -> 1 );
     ] )
 

@@ -31,26 +31,18 @@
 open Cortex_ilir
 open Cortex_ra
 
+(** The schedule a user chooses.  What the model fixes about its §7.4
+    schedules (the refactoring publication list, whether refactoring
+    removes the inter-phase barrier, block-local unroll groups) is not
+    here: lowering reads it from the program's {!Cortex_ra.Ra.facts},
+    under [refactor] and [unroll]. *)
 type options = {
   dynamic_batch : bool;
   specialize : bool;
   fuse : bool;
   persist : bool;  (** model persistence; consumed by the backend model *)
   unroll : bool;
-  block_local_unroll : bool;
-      (** schedule one unroll group per thread block, making the
-          parent-phase synchronization free (TreeRNN schedule, §7.4) *)
   refactor : bool;
-  refactor_publish : string list;
-      (** recursive-case temporaries that must additionally be published
-          to global memory when refactoring moves the final phase across
-          the recursion backedge *)
-  refactor_removes_barrier : bool;
-      (** whether the backedge change actually eliminates the
-          inter-phase synchronization — §7.4 found it does for the
-          simplified GRU cell but not for the full child-sum TreeGRU,
-          whose deferred combine still feeds a synchronized
-          matrix-vector stage *)
   barrier_mode : Cortex_ilir.Barrier.mode;
 }
 
@@ -65,12 +57,11 @@ val baseline : options
 
 val options_to_string : options -> string
 (** Canonical textual form: comma-joined flag tokens
-    (e.g. ["dynamic_batch,specialize,fuse,persist"]), plus
-    [publish=a|b], [keep_barrier] and [barrier=conservative] for the
-    non-default settings.  {!default} prints as ["default"], the
-    all-off record as ["none"].  Round-trips through
-    {!options_of_string}; bundle manifests and [Engine.Config] files
-    store this form. *)
+    (e.g. ["dynamic_batch,specialize,fuse,persist,unroll"]), plus
+    [barrier=conservative] for the non-default barrier placement.
+    {!default} prints as ["default"], the all-off record as ["none"].
+    Round-trips through {!options_of_string}; bundle manifests and
+    [Engine.Config] files store this form. *)
 
 val options_of_string : string -> options option
 (** Inverse of {!options_to_string}; [None] on an unknown token. *)

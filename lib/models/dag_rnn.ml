@@ -43,6 +43,7 @@ let program ~hidden ~cells ~(variant : C.variant) =
     leaf_ops = None;
     states = [ { st_name = "h"; st_op = "h"; st_init = Zero } ];
     outputs = [ "h" ];
+    facts = no_facts;
   }
 
 let spec ?(rows = 10) ?(cols = 10) ?(variant = C.Full) ~hidden () =
@@ -52,7 +53,4 @@ let spec ?(rows = 10) ?(cols = 10) ?(variant = C.Full) ~hidden () =
     program;
     init_params = (fun rng -> C.make_params ~specs:program.params ~zero_rows:[] rng);
     dataset = (fun rng ~batch -> ignore rng; Gen.grid_batch ~batch ~rows ~cols);
-    refactor_publish = [];
-    refactor_removes_barrier = true;
-    block_local_unroll = false;
   }

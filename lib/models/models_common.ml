@@ -17,9 +17,6 @@ type t = {
   program : Ra.t;
   init_params : Rng.t -> string -> Tensor.t;
   dataset : Rng.t -> batch:int -> Cortex_ds.Structure.t;
-  refactor_publish : string list;
-  refactor_removes_barrier : bool;
-  block_local_unroll : bool;
 }
 
 let make_params ~specs ~zero_rows rng =

@@ -1,9 +1,10 @@
 (** Shared scaffolding for the model zoo (Table 2 of the paper).
 
     A {!t} bundles the RA program, a deterministic parameter
-    initializer, the dataset generator the paper pairs with the model,
-    and the model-specific schedule metadata consumed by the §7.4
-    experiments (refactoring publication lists, block-local unrolling).
+    initializer and the dataset generator the paper pairs with the
+    model.  The model's §7.4 schedule facts (refactoring publication
+    list, whether refactoring removes the barrier, block-local
+    unrolling) live in the program itself ({!Cortex_ra.Ra.facts}).
 
     Models come in two variants: [Full] includes the input
     matrix-vector products, hoisted to one upfront kernel exactly as the
@@ -22,11 +23,6 @@ type t = {
       (** Builds the whole parameter table on first use per generator;
           embedding tables have their null-word row zeroed. *)
   dataset : Cortex_util.Rng.t -> batch:int -> Cortex_ds.Structure.t;
-  refactor_publish : string list;
-  refactor_removes_barrier : bool;
-      (** §7.4: whether recursive refactoring actually removes the
-          inter-phase barrier for this cell *)
-  block_local_unroll : bool;
 }
 
 val make_params :

@@ -70,6 +70,7 @@ let program ~hidden ~vocab =
         { st_name = "A"; st_op = "A"; st_init = Zero };
       ];
     outputs = [ "p" ];
+    facts = no_facts;
   }
 
 let spec ?(vocab = 256) ~hidden () =
@@ -83,7 +84,4 @@ let spec ?(vocab = 256) ~hidden () =
           ~zero_rows:[ ("EmbV", vocab); ("EmbM", vocab) ]
           rng);
     dataset = (fun rng ~batch -> Gen.sst_batch rng ~vocab ~batch ());
-    refactor_publish = [];
-    refactor_removes_barrier = true;
-    block_local_unroll = false;
   }

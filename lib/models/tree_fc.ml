@@ -29,6 +29,7 @@ let program ~hidden ~vocab =
     leaf_ops = Some [ op "h" ~axes:[ ("i", hidden) ] (Param ("Emb", [ IPayload; IAxis "i" ])) ];
     states = [ { st_name = "h"; st_op = "h"; st_init = Zero } ];
     outputs = [ "h" ];
+    facts = no_facts;
   }
 
 let spec ?(height = 7) ?(vocab = Cortex_ds.Gen.vocab_size) ~hidden () =
@@ -39,7 +40,4 @@ let spec ?(height = 7) ?(vocab = Cortex_ds.Gen.vocab_size) ~hidden () =
     init_params =
       (fun rng -> C.make_params ~specs:program.params ~zero_rows:[] rng);
     dataset = (fun rng ~batch -> Cortex_ds.Gen.perfect_batch rng ~vocab ~batch ~height ());
-    refactor_publish = [];
-    refactor_removes_barrier = true;
-    block_local_unroll = false;
   }

@@ -84,6 +84,19 @@ let program ~hidden ~vocab ~kind ~max_children ~simple ~(variant : C.variant) =
     leaf_ops = None;
     states = [ { st_name = "h"; st_op = "h"; st_init = Zero } ];
     outputs = [ "h" ];
+    facts =
+      {
+        (* The deferred combine needs the child's z (and for the full
+           cell also its child-sum) in addition to the candidate state
+           hc, which replaces h as a published vector. *)
+        refactor_publish = (if simple then [ "z" ] else [ "z"; "hsum" ]);
+        (* §7.4: the full cell's deferred combine feeds the candidate
+           state's synchronized matrix-vector stage, so the backedge
+           change does not eliminate the barrier; the simplified cell's
+           does. *)
+        refactor_removes_barrier = simple;
+        block_local_unroll = false;
+      };
   }
 
 let spec ?(vocab = Gen.vocab_size) ?(variant = C.Full) ?(simple = false) ?(sequence = false)
@@ -117,13 +130,4 @@ let spec ?(vocab = Gen.vocab_size) ?(variant = C.Full) ?(simple = false) ?(seque
           Cortex_ds.Structure.merge
             (List.init batch (fun _ -> Gen.sequence rng ~vocab ~len:seq_len ()))
         else Gen.sst_batch rng ~vocab ~batch ());
-    (* The deferred combine needs the child's z (and for the full cell
-       also its child-sum) in addition to the candidate state hc, which
-       replaces h as a published vector. *)
-    refactor_publish = (if simple then [ "z" ] else [ "z"; "hsum" ]);
-    (* §7.4: the full cell's deferred combine feeds the candidate
-       state's synchronized matrix-vector stage, so the backedge change
-       does not eliminate the barrier; the simplified cell's does. *)
-    refactor_removes_barrier = simple;
-    block_local_unroll = false;
   }

@@ -80,6 +80,7 @@ let program ~hidden ~vocab ~kind ~max_children ~(variant : C.variant) =
         { st_name = "c"; st_op = "c"; st_init = Zero };
       ];
     outputs = [ "h" ];
+    facts = no_facts;
   }
 
 (* The N-ary TreeLSTM of Tai et al. §3.2 (binary form): separate U
@@ -159,6 +160,7 @@ let nary_program ~hidden ~vocab ~(variant : C.variant) =
         { st_name = "c"; st_op = "c"; st_init = Zero };
       ];
     outputs = [ "h" ];
+    facts = no_facts;
   }
 
 let nary_spec ?(vocab = Gen.vocab_size) ?(variant = C.Full) ~hidden () =
@@ -172,9 +174,6 @@ let nary_spec ?(vocab = Gen.vocab_size) ?(variant = C.Full) ~hidden () =
           ~zero_rows:(if variant = C.Full then [ ("Emb", vocab) ] else [])
           rng);
     dataset = (fun rng ~batch -> Gen.sst_batch rng ~vocab ~batch ());
-    refactor_publish = [];
-    refactor_removes_barrier = true;
-    block_local_unroll = false;
   }
 
 let spec ?(vocab = Gen.vocab_size) ?(variant = C.Full) ?(sequence = false) ?(seq_len = 100)
@@ -198,7 +197,4 @@ let spec ?(vocab = Gen.vocab_size) ?(variant = C.Full) ?(sequence = false) ?(seq
           Cortex_ds.Structure.merge
             (List.init batch (fun _ -> Gen.sequence rng ~vocab ~len:seq_len ()))
         else Gen.sst_batch rng ~vocab ~batch ());
-    refactor_publish = [];
-    refactor_removes_barrier = true;
-    block_local_unroll = false;
   }

@@ -30,6 +30,9 @@ let program ~hidden ~vocab =
     leaf_ops = None;
     states = [ { st_name = "h"; st_op = "h"; st_init = Zero } ];
     outputs = [ "h" ];
+    (* §7.4: an unroll group (a parent and its children) fits one
+       thread block, so the parent phase needs no global barrier. *)
+    facts = { no_facts with block_local_unroll = true };
   }
 
 let spec ?(vocab = Gen.vocab_size) ~hidden () =
@@ -40,7 +43,4 @@ let spec ?(vocab = Gen.vocab_size) ~hidden () =
     init_params =
       (fun rng -> C.make_params ~specs:program.params ~zero_rows:[ ("Emb", vocab) ] rng);
     dataset = (fun rng ~batch -> Gen.sst_batch rng ~vocab ~batch ());
-    refactor_publish = [];
-    refactor_removes_barrier = true;
-    block_local_unroll = true;
   }

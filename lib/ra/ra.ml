@@ -28,6 +28,15 @@ type init = Zero | Init_param of string
 
 type state = { st_name : string; st_op : string; st_init : init }
 
+type facts = {
+  refactor_publish : string list;
+  refactor_removes_barrier : bool;
+  block_local_unroll : bool;
+}
+
+let no_facts =
+  { refactor_publish = []; refactor_removes_barrier = true; block_local_unroll = false }
+
 type t = {
   name : string;
   kind : Cortex_ds.Structure.kind;
@@ -37,6 +46,7 @@ type t = {
   leaf_ops : op list option;
   states : state list;
   outputs : string list;
+  facts : facts;
 }
 
 let op ?(phase = 0) ?(precompute = false) op_name ~axes op_body =
@@ -180,7 +190,8 @@ let validate t =
           | None -> fail "unknown init parameter %s" p)))
     t.states;
   List.iter (fun o -> ignore (state_by_name t o)) t.outputs;
-  if t.outputs = [] then fail "a program needs at least one output state"
+  if t.outputs = [] then fail "a program needs at least one output state";
+  List.iter (fun name -> ignore (find_op t.rec_ops name)) t.facts.refactor_publish
 
 (* ---------- printing ---------- *)
 

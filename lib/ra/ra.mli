@@ -65,6 +65,31 @@ type state = {
   st_init : init;  (** value a [ChildState] reference sees below a leaf *)
 }
 
+(** What the model itself fixes about its §7.4 schedules.  The
+    lowerer reads these from the program it lowers, under the user's
+    [refactor] and [unroll] options; no caller copies them in. *)
+type facts = {
+  refactor_publish : string list;
+      (** recursive-case operators that refactoring must also publish
+          to global memory, because moving the final phase across the
+          recursion backedge makes the deferred phase read them from
+          the child (a GRU cell's gate [z], and for the full cell also
+          its child-sum) *)
+  refactor_removes_barrier : bool;
+      (** whether moving the final phase across the backedge removes
+          the inter-phase barrier: §7.4 found it does for the
+          simplified GRU cell but not for the full child-sum TreeGRU,
+          whose deferred combine still feeds a synchronized
+          matrix-vector stage *)
+  block_local_unroll : bool;
+      (** whether each unroll group fits one thread block, so the
+          parent-phase synchronization is free (TreeRNN, §7.4) *)
+}
+
+val no_facts : facts
+(** Nothing to publish, refactoring removes the barrier, unroll groups
+    are not block-local: what a model without §7.4 facts compiles to. *)
+
 type t = {
   name : string;
   kind : Cortex_ds.Structure.kind;
@@ -74,6 +99,7 @@ type t = {
   leaf_ops : op list option;
   states : state list;
   outputs : string list;  (** states read out at the roots *)
+  facts : facts;
 }
 
 val op : ?phase:int -> ?precompute:bool -> string -> axes:(string * int) list -> rexpr -> op
@@ -93,7 +119,8 @@ val validate : t -> unit
     only under [ChildSum]; [Child k] is within [max_children] and only
     used when a leaf case exists; leaf operators reference no children;
     precompute operators reference no children or temps that are not
-    themselves precompute; phases are dense from 0.
+    themselves precompute; phases are dense from 0; the facts' publish
+    list names operators of the recursive case.
     Raises [Invalid_program] otherwise. *)
 
 val op_dims : op -> int list

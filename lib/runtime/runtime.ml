@@ -9,14 +9,7 @@ type compiled = Lower.compiled
 
 let compile ?obs ?options ra = Lower.lower ?obs ?options ra
 
-let options_for ?(base = Lower.default) (spec : M.t) =
-  {
-    base with
-    Lower.refactor_publish =
-      (if base.Lower.refactor then spec.M.refactor_publish else []);
-    refactor_removes_barrier = spec.M.refactor_removes_barrier;
-    block_local_unroll = base.Lower.unroll && spec.M.block_local_unroll;
-  }
+let options_for ?(base = Lower.default) (_ : M.t) = base
 
 type execution = { exec_compiled : compiled; exec_bound : Lower.bound }
 
@@ -33,7 +26,8 @@ let execute_lin ?preload compiled ~params lin =
   { exec_compiled = compiled; exec_bound = bound }
 
 let execute compiled ~params structure =
-  execute_lin compiled ~params (Linearizer.run structure)
+  execute_lin compiled ~params
+    (Linearizer.run ~max_children:compiled.Lower.ra.Cortex_ra.Ra.max_children structure)
 
 let state e st node = Lower.state_value e.exec_bound e.exec_compiled st node
 
@@ -83,7 +77,9 @@ let simulate_lin ?(lock_free = false) ?(linearize_us = 0.0) compiled ~backend li
   }
 
 let simulate ?lock_free compiled ~backend structure =
-  let lin = Linearizer.run structure in
+  let lin =
+    Linearizer.run ~max_children:compiled.Lower.ra.Cortex_ra.Ra.max_children structure
+  in
   simulate_lin ?lock_free ~linearize_us:(Linearizer.priced_us lin) compiled ~backend lin
 
 let total_ms r = (r.latency.Backend.total_us +. r.linearize_us) /. 1000.0
@@ -140,13 +136,3 @@ module Schedule_check = struct
            demand backend.Backend.onchip_capacity_bytes)
     else Valid
 end
-
-let grid_search ~candidates ~eval =
-  match candidates with
-  | [] -> invalid_arg "Runtime.grid_search: no candidates"
-  | first :: rest ->
-    List.fold_left
-      (fun (best, best_t) cand ->
-        let t = eval cand in
-        if t < best_t then (cand, t) else (best, best_t))
-      (first, eval first) rest

@@ -24,9 +24,10 @@ val compile :
 
 val options_for :
   ?base:Cortex_lower.Lower.options -> M.t -> Cortex_lower.Lower.options
-(** The model's schedule metadata (refactoring publication list,
-    block-local unrolling) merged into [base] (default
-    [Lower.default]). *)
+(** [base] (default [Lower.default]), unchanged: a model's schedule
+    facts live in its program ({!Cortex_ra.Ra.facts}), so there is
+    nothing to merge.  Kept only because the repository benchmark
+    calls it; it goes with the benchmark's next re-anchor. *)
 
 type execution = {
   exec_compiled : compiled;
@@ -153,10 +154,3 @@ module Schedule_check : sig
       intersect share arena space, so this admits schedules the
       sum-of-buffers worst case would reject. *)
 end
-
-val grid_search :
-  candidates:Cortex_lower.Lower.options list ->
-  eval:(Cortex_lower.Lower.options -> float) ->
-  Cortex_lower.Lower.options * float
-(** §6's auto-tuning: exhaustively evaluate schedule candidates and keep
-    the fastest. *)

@@ -58,7 +58,7 @@ let candidates (spec : M.t) =
          && ((not o.Lower.refactor)
              || (tree_like && Ra.num_phases program.Ra.rec_ops >= 2))
          && not (o.Lower.unroll && o.Lower.refactor))
-  |> List.map (fun o -> (label_of o, Runtime.options_for ~base:o spec))
+  |> List.map (fun o -> (label_of o, o))
 
 (* Widest output axis of the state ops stands in for the hidden size
    (what the App. D register check needs). *)

@@ -454,17 +454,7 @@ let create ?(config = Config.default) ~model ~backend () =
         ?obs:config.Config.observability.Config.obs
         ?options:config.Config.compile.Config.options model)
 
-let of_spec ?(config = Config.default) (spec : M.t) ~backend =
-  (* The config's options act as the base the model's schedule metadata
-     merges into — the old [?base] argument's contract. *)
-  let options = Runtime.options_for ?base:config.Config.compile.Config.options spec in
-  let config =
-    {
-      config with
-      Config.compile = { config.Config.compile with Config.options = Some options };
-    }
-  in
-  create ~config ~model:spec.M.program ~backend ()
+let of_spec ?config (spec : M.t) ~backend = create ?config ~model:spec.M.program ~backend ()
 
 let of_bundle ?config ?expect_model (b : Bundle.t) ~backend =
   if b.Bundle.b_backend <> backend.Backend.short then

@@ -115,9 +115,9 @@ val error_to_string : error -> string
 module Config : sig
   type compile = {
     options : Cortex_lower.Lower.options option;
-        (** lowering options; [None] = [Lower.default] ({!of_spec}
-            treats this as the base its schedule metadata merges into,
-            the old [?base] contract) *)
+        (** lowering options as the user chose them; [None] =
+            [Lower.default].  The model's own schedule facts come with
+            its program ({!Cortex_ra.Ra.facts}). *)
     lock_free : bool;
         (** price the lock-free global barrier (§7.2) *)
     params : (string -> Cortex_tensor.Tensor.t) option;
@@ -262,9 +262,7 @@ val of_spec :
   M.t ->
   backend:Cortex_backend.Backend.t ->
   t
-(** {!create} for a model-zoo spec: the spec's schedule metadata is
-    merged into [config.compile.options] (treated as the base) via
-    [Runtime.options_for]. *)
+(** {!create} on the spec's program. *)
 
 val of_bundle :
   ?config:Config.t ->

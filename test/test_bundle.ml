@@ -19,7 +19,7 @@ let backend = Backend.gpu
 let spec = Models.Tree_fc.spec ~vocab:12 ~hidden:4 ()
 
 let compiled =
-  lazy (Runtime.compile ~options:(Runtime.options_for spec) spec.M.program)
+  lazy (Runtime.compile spec.M.program)
 
 let weights = lazy (Checkpoint.of_spec spec ~seed:5)
 
@@ -73,14 +73,14 @@ let test_roundtrip () =
    lowered before it: every lowering starts the IR's ids over. *)
 let test_bytes_independent_of_history () =
   let bundle () =
-    let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+    let compiled = Runtime.compile spec.M.program in
     Bundle.encode
       (Bundle.create ~model:"TreeFC" ~size:"small" ~backend:backend.Backend.short compiled)
   in
   let first = bundle () in
   List.iter
     (fun (other : M.t) ->
-      ignore (Runtime.compile ~options:(Runtime.options_for other) other.M.program))
+      ignore (Runtime.compile other.M.program))
     [ Models.Tree_lstm.spec ~vocab:12 ~hidden:8 (); Models.Dag_rnn.spec ~hidden:4 () ];
   Alcotest.(check bool) "the same bytes after lowering two other models" true
     (first = bundle ())
@@ -208,6 +208,17 @@ let test_wrong_magic_and_version () =
   match Bundle.decode (Bytes.to_string bumped) with
   | (_ : Bundle.t) -> Alcotest.fail "future version accepted"
   | exception Bundle.Error (Bundle.Unsupported_version 9) -> ()
+  | exception Bundle.Error e ->
+    Alcotest.failf "expected version error, got %s" (Bundle.error_to_string e)
+
+(* Version 1 marshalled a [Lower.compiled] of another shape; reading one
+   into today's type must be refused, not attempted. *)
+let test_version_1_refused () =
+  let old = Bytes.of_string (Bundle.encode (make_bundle ())) in
+  Bytes.set old 8 '\x01';
+  match Bundle.decode (Bytes.to_string old) with
+  | (_ : Bundle.t) -> Alcotest.fail "a version-1 bundle was accepted"
+  | exception Bundle.Error (Bundle.Unsupported_version 1) -> ()
   | exception Bundle.Error e ->
     Alcotest.failf "expected version error, got %s" (Bundle.error_to_string e)
 
@@ -396,6 +407,36 @@ let test_config_of_string_errors () =
       (Engine.Config.to_string Engine.Config.default)
       (Engine.Config.to_string c)
 
+(* Options text holds only what a user chooses: every one of the seven
+   settings round-trips, and a model fact is no token. *)
+let test_options_codec () =
+  let all_off = { Lower.baseline with Lower.dynamic_batch = false } in
+  let all =
+    List.fold_left
+      (fun acc set -> List.concat_map (fun o -> [ o; set o ]) acc)
+      [ all_off ]
+      [
+        (fun o -> { o with Lower.dynamic_batch = true });
+        (fun o -> { o with Lower.specialize = true });
+        (fun o -> { o with Lower.fuse = true });
+        (fun o -> { o with Lower.persist = true });
+        (fun o -> { o with Lower.unroll = true });
+        (fun o -> { o with Lower.refactor = true });
+        (fun o -> { o with Lower.barrier_mode = Barrier.Conservative });
+      ]
+  in
+  Alcotest.(check int) "distinct settings" 128 (List.length (List.sort_uniq compare all));
+  List.iter
+    (fun o ->
+      let text = Lower.options_to_string o in
+      if Lower.options_of_string text <> Some o then
+        Alcotest.failf "%S does not round-trip" text)
+    all;
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) text true (Lower.options_of_string text = None))
+    [ "publish=z"; "keep_barrier"; "block_local_unroll"; "dynamic_batch,fuse,keep_barrier" ]
+
 (* ---------- checkpoint manifests ---------- *)
 
 let test_checkpoint_manifest () =
@@ -463,6 +504,7 @@ let () =
           Alcotest.test_case "truncation" `Quick test_truncation;
           Alcotest.test_case "bit-flip" `Quick test_bit_flip;
           Alcotest.test_case "magic-version" `Quick test_wrong_magic_and_version;
+          Alcotest.test_case "version-1-refused" `Quick test_version_1_refused;
         ] );
       ( "serving",
         [
@@ -476,6 +518,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_config_roundtrip;
           Alcotest.test_case "exact-text" `Quick test_config_to_string_exact;
           Alcotest.test_case "errors" `Quick test_config_of_string_errors;
+          Alcotest.test_case "options-codec" `Quick test_options_codec;
         ] );
       ( "checkpoint",
         [

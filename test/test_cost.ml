@@ -7,7 +7,7 @@ open Cortex
 module M = Models.Common
 
 let counts_agree ?(options = Lower.default) (spec : M.t) ~batch =
-  let compiled = Runtime.compile ~options:(Runtime.options_for ~base:options spec) spec.M.program in
+  let compiled = Runtime.compile ~options:options spec.M.program in
   let structure = spec.M.dataset (Rng.create 31) ~batch in
   let lin = Linearizer.run structure in
   (* Dynamic execution with counters on. *)
@@ -73,7 +73,7 @@ let test_one (mname, spec) (vname, options) () = ignore vname; ignore mname;
 let test_per_space_counts () =
   (* On-chip vs off-chip split agrees too. *)
   let spec = Models.Tree_lstm.spec ~vocab:30 ~hidden:6 () in
-  let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+  let compiled = Runtime.compile spec.M.program in
   let structure = spec.M.dataset (Rng.create 77) ~batch:2 in
   let lin = Linearizer.run structure in
   let bound = Lower.bind ~count:true compiled lin in

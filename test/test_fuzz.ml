@@ -150,6 +150,7 @@ let random_program seed =
           (fun st -> { Ra.st_name = st; st_op = st ^ "_op"; st_init = Ra.Zero })
           states;
       outputs = states;
+      facts = Ra.no_facts;
     }
   in
   Ra.validate program;

@@ -237,7 +237,7 @@ let test_zero_denominator_extent () =
 
 let planned_for name =
   let spec = Models.Catalog.get name Models.Catalog.Small in
-  let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+  let compiled = Runtime.compile spec.M.program in
   let structure = spec.M.dataset (Rng.create 3) ~batch:8 in
   let bound = Lower.bind compiled (Linearizer.run structure) in
   let static = Mem_plan.plan ~spaces compiled.Lower.prog in
@@ -281,7 +281,7 @@ let test_cost_records_planned () =
   (* Cost.analyze must carry the static planner's number, and it can
      never exceed the constant-extent worst case it replaces. *)
   let spec = Models.Catalog.get "TreeLSTM" Models.Catalog.Small in
-  let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+  let compiled = Runtime.compile spec.M.program in
   let structure = spec.M.dataset (Rng.create 3) ~batch:8 in
   let bound = Lower.bind compiled (Linearizer.run structure) in
   let cost =

@@ -164,7 +164,9 @@ let test_reference_agreement (case : case) () =
   check_ra_against_reference case.spec structure params (case.refs params structure)
     case.label
 
-let options_for (case : case) =
+(* The schedules a user can choose; the model's own §7.4 facts come
+   with its program. *)
+let schedules (case : case) =
   let base =
     [
       ("default", Lower.default);
@@ -176,26 +178,10 @@ let options_for (case : case) =
   in
   let tree_like = case.spec.M.program.Ra.kind <> Structure.Dag in
   let extra =
-    (if tree_like then
-       [
-         ( "unroll",
-           {
-             Lower.default with
-             unroll = true;
-             block_local_unroll = case.spec.M.block_local_unroll;
-           } );
-       ]
-     else [])
+    (if tree_like then [ ("unroll", { Lower.default with unroll = true }) ] else [])
     @
     if tree_like && Ra.num_phases case.spec.M.program.Ra.rec_ops > 1 then
-      [
-        ( "refactor",
-          {
-            Lower.default with
-            refactor = true;
-            refactor_publish = case.spec.M.refactor_publish;
-          } );
-      ]
+      [ ("refactor", { Lower.default with refactor = true }) ]
     else []
   in
   base @ extra
@@ -208,7 +194,7 @@ let test_compiled_agreement (case : case) () =
     (fun (olabel, options) ->
       check_against_ra ~options case.spec structure params
         (Printf.sprintf "%s/%s" case.label olabel))
-    (options_for case)
+    (schedules case)
 
 let () =
   Alcotest.run "models"

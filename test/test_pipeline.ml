@@ -35,7 +35,13 @@ let treernn_program =
     leaf_ops = None;
     states = [ { st_name = "h"; st_op = "h"; st_init = Zero } ];
     outputs = [ "h" ];
+    facts = no_facts;
   }
+
+(* The same cell, stating TreeRNN's §7.4 fact that an unroll group fits
+   one thread block. *)
+let block_local_treernn =
+  { treernn_program with facts = { Ra.no_facts with block_local_unroll = true } }
 
 let random_params rng (program : Ra.t) =
   let tensors =
@@ -74,24 +80,26 @@ let check_agreement ?options program structure rng label =
     structure.Structure.nodes
 
 let option_combos =
-  [
-    ("default", Lower.default);
-    ("baseline", Lower.baseline);
-    ("nospec", { Lower.default with specialize = false });
-    ("nofuse", { Lower.default with fuse = false });
-    ("nobatch", { Lower.default with dynamic_batch = false });
-    ("nobatch_nospec", { Lower.default with dynamic_batch = false; specialize = false });
-    ("unroll", { Lower.default with unroll = true });
-    ("unroll_block", { Lower.default with unroll = true; block_local_unroll = true });
-    ( "conservative_barriers",
-      { Lower.default with barrier_mode = Cortex_ilir.Barrier.Conservative } );
-  ]
+  List.map
+    (fun (label, options) -> (label, treernn_program, options))
+    [
+      ("default", Lower.default);
+      ("baseline", Lower.baseline);
+      ("nospec", { Lower.default with specialize = false });
+      ("nofuse", { Lower.default with fuse = false });
+      ("nobatch", { Lower.default with dynamic_batch = false });
+      ("nobatch_nospec", { Lower.default with dynamic_batch = false; specialize = false });
+      ("unroll", { Lower.default with unroll = true });
+      ( "conservative_barriers",
+        { Lower.default with barrier_mode = Cortex_ilir.Barrier.Conservative } );
+    ]
+  @ [ ("unroll_block", block_local_treernn, { Lower.default with unroll = true }) ]
 
-let test_treernn_combo (label, options) () =
+let test_treernn_combo (label, program, options) () =
   let rng = Rng.create 42 in
   for trial = 1 to 5 do
     let structure = Gen.random_tree rng ~max_nodes:25 ~max_children:3 in
-    check_agreement ~options treernn_program structure rng
+    check_agreement ~options program structure rng
       (Printf.sprintf "%s/trial%d" label trial)
   done
 
@@ -206,8 +214,8 @@ let () =
         ] );
       ( "treernn",
         List.map
-          (fun combo ->
-            Alcotest.test_case (fst combo) `Quick (test_treernn_combo combo))
+          (fun ((label, _, _) as combo) ->
+            Alcotest.test_case label `Quick (test_treernn_combo combo))
           option_combos
         @ [
             Alcotest.test_case "single-node" `Quick test_treernn_single_node;

@@ -26,6 +26,7 @@ let base =
     leaf_ops = None;
     states = [ { Ra.st_name = "s"; st_op = "out"; st_init = Ra.Zero } ];
     outputs = [ "s" ];
+    facts = Ra.no_facts;
   }
 
 let invalid label program =
@@ -100,7 +101,9 @@ let test_validate_errors () =
     { base with Ra.states = [ { Ra.st_name = "s"; st_op = "out"; st_init = Ra.Init_param "m" } ] };
   invalid "unknown output" { base with Ra.outputs = [ "zzz" ] };
   invalid "no outputs" { base with Ra.outputs = [] };
-  invalid "sequence arity" { base with Ra.kind = Structure.Sequence }
+  invalid "sequence arity" { base with Ra.kind = Structure.Sequence };
+  invalid "unknown published op"
+    { base with Ra.facts = { Ra.no_facts with refactor_publish = [ "zzz" ] } }
 
 (* ---------- evaluator semantics ---------- *)
 

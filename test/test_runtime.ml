@@ -8,7 +8,7 @@ module M = Models.Common
 let gpu = Backend.gpu
 
 let sim ?(base = Lower.default) (spec : M.t) ~batch =
-  let compiled = Runtime.compile ~options:(Runtime.options_for ~base spec) spec.M.program in
+  let compiled = Runtime.compile ~options:base spec.M.program in
   let structure = spec.M.dataset (Rng.create 21) ~batch in
   Runtime.simulate compiled ~backend:gpu structure
 
@@ -18,7 +18,7 @@ let ms r = Runtime.total_ms r
 
 let test_execute_and_state () =
   let spec = Models.Tree_rnn.spec ~vocab:20 ~hidden:4 () in
-  let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+  let compiled = Runtime.compile spec.M.program in
   let structure = spec.M.dataset (Rng.create 1) ~batch:2 in
   let params = spec.M.init_params (Rng.create 2) in
   let e = Runtime.execute compiled ~params structure in
@@ -33,22 +33,70 @@ let test_execute_and_state () =
       done)
     structure.Structure.roots
 
-let test_grid_search () =
-  let candidates =
-    [ Lower.baseline; Lower.default; { Lower.default with Lower.specialize = false } ]
+(* A binary model's one-structure entry points check the model's
+   fanout, as the engine does, instead of laying out a child table
+   wider than the kernels index. *)
+let test_single_structure_fanout () =
+  let spec = Models.Tree_lstm.spec ~vocab:20 ~hidden:4 () in
+  let compiled = Runtime.compile spec.M.program in
+  let b = Node.builder () in
+  let leaves = List.init 3 (fun i -> Node.make b ~payload:i []) in
+  let root = Node.make b ~payload:3 leaves in
+  let structure = Structure.create ~kind:Structure.Tree ~max_children:3 [ root ] in
+  let params = spec.M.init_params (Rng.create 2) in
+  let refused label f =
+    match f () with
+    | () -> Alcotest.failf "%s: a root of 3 children was accepted" label
+    | exception
+        Linearizer.Rejected (Linearizer.Fanout_exceeded { arity = 3; max_children = 2; _ }) ->
+      ()
   in
-  let eval o = if o = Lower.default then 1.0 else 2.0 in
-  let best, t = Runtime.grid_search ~candidates ~eval in
-  Alcotest.(check bool) "picks min" true (best = Lower.default);
-  Alcotest.(check (float 0.0)) "min value" 1.0 t
+  refused "simulate" (fun () -> ignore (Runtime.simulate compiled ~backend:gpu structure));
+  refused "execute" (fun () -> ignore (Runtime.execute compiled ~params structure))
+
+(* ---------- a model's schedule facts come with its program ---------- *)
+
+let gru_report ~create =
+  let spec = Models.Tree_gru.spec ~vocab:20 ~hidden:4 () in
+  let config =
+    Engine.Config.make ~options:{ Lower.default with Lower.refactor = true } ()
+  in
+  let engine =
+    if create then Engine.create ~config ~model:spec.M.program ~backend:gpu ()
+    else Engine.of_spec ~config spec ~backend:gpu
+  in
+  Engine.run_one engine (spec.M.dataset (Rng.create 3) ~batch:2)
+
+(* TreeGRU keeps its inter-phase barrier under refactoring (§7.4); a
+   caller that compiles the bare program gets that schedule too. *)
+let test_create_prices_like_of_spec () =
+  let created = gru_report ~create:true and of_spec = gru_report ~create:false in
+  Alcotest.(check int) "barriers" 12 created.Runtime.latency.Backend.barriers;
+  Alcotest.(check bool) "bitwise" true
+    (Marshal.to_string created [ Marshal.No_sharing ]
+    = Marshal.to_string of_spec [ Marshal.No_sharing ])
+
+(* TreeRNN's unroll groups are block-local: plain [unroll] compiles its
+   program to the schedule whose parent phase needs no barrier. *)
+let test_treernn_block_local_unroll () =
+  let program = (Models.Tree_rnn.spec ~vocab:20 ~hidden:4 ()).M.program in
+  let structure = Gen.sst_batch (Rng.create 4) ~vocab:20 ~batch:2 () in
+  let barriers program =
+    let compiled = Runtime.compile ~options:{ Lower.default with Lower.unroll = true } program in
+    (Runtime.simulate compiled ~backend:gpu structure).Runtime.latency.Backend.barriers
+  in
+  let block_local = barriers program in
+  let synchronized = barriers { program with Ra.facts = Ra.no_facts } in
+  Alcotest.(check bool)
+    (Printf.sprintf "block-local %d < synchronized %d" block_local synchronized)
+    true (block_local < synchronized)
 
 let test_schedule_check_appd () =
   let spec = Models.Catalog.get "TreeLSTM" Models.Catalog.Small in
   let r = sim spec ~batch:10 in
   let verdict options =
     Runtime.Schedule_check.check ~backend:gpu ~hidden:256 ~states:2
-      (Runtime.options_for ~base:options spec)
-      ~cost:r.Runtime.cost
+      options ~cost:r.Runtime.cost
   in
   (match verdict Lower.default with
    | Runtime.Schedule_check.Valid -> ()
@@ -99,7 +147,7 @@ let test_checkpoint_roundtrip () =
         table;
       (* the restored table drives inference identically *)
       let structure = spec.M.dataset (Rng.create 3) ~batch:2 in
-      let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+      let compiled = Runtime.compile spec.M.program in
       let run params =
         let e = Runtime.execute compiled ~params structure in
         List.map (fun r -> Runtime.state e "h" r) structure.Structure.roots
@@ -407,7 +455,6 @@ let test_bounds_clean () =
       let spec = Models.Catalog.get name Models.Catalog.Small in
       List.iter
         (fun options ->
-          let options = Runtime.options_for ~base:options spec in
           let compiled = Runtime.compile ~options spec.M.program in
           let structure = spec.M.dataset (Rng.create 14) ~batch:2 in
           let lin = Linearizer.run structure in
@@ -436,7 +483,7 @@ let test_device_memory_positive () =
    allocation sequence is fixed, so the number is deterministic. *)
 let test_pricing_alloc () =
   let spec = Models.Catalog.get "TreeLSTM" Models.Catalog.Small in
-  let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+  let compiled = Runtime.compile spec.M.program in
   let lin = Linearizer.run (spec.M.dataset (Rng.create 42) ~batch:8) in
   let price () = ignore (Runtime.simulate_lin compiled ~backend:gpu lin) in
   price ();
@@ -461,7 +508,7 @@ let test_codec_alloc () =
   in
   let weight_bytes = float_of_int (8 * (1024 * 1024 + 1024)) in
   let spec = Models.Tree_fc.spec ~vocab:12 ~hidden:4 () in
-  let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+  let compiled = Runtime.compile spec.M.program in
   let encoded =
     Bundle.encode
       (Bundle.create ~weights ~model:"TreeFC" ~size:"small" ~backend:gpu.Backend.short
@@ -495,7 +542,7 @@ let test_cortex_beats_frameworks () =
         (fun batch ->
           let structure = spec.M.dataset (Rng.create 4) ~batch in
           let lin = Linearizer.run structure in
-          let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+          let compiled = Runtime.compile spec.M.program in
           let cortex = ms (Runtime.simulate compiled ~backend:gpu structure) in
           List.iter
             (fun kind ->
@@ -538,21 +585,17 @@ let test_specialization_dag_vs_tree () =
   Alcotest.(check bool) "tree gains more than DAG" true (tree > dag)
 
 let test_fig10b_unrolling () =
-  let run name block_local =
+  let run name =
     let device r = r.Runtime.latency.Backend.total_us in
     let spec = Models.Catalog.get name Models.Catalog.Small in
     let base = device (sim ~base:{ Lower.default with Lower.persist = false } spec ~batch:10) in
     let unrolled =
-      device
-        (sim
-           ~base:{ Lower.default with Lower.unroll = true; persist = false;
-                   block_local_unroll = block_local }
-           spec ~batch:10)
+      device (sim ~base:{ Lower.default with Lower.unroll = true; persist = false } spec ~batch:10)
     in
     (base, unrolled)
   in
-  let lstm_base, lstm_unrolled = run "TreeLSTM" false in
-  let rnn_base, rnn_unrolled = run "TreeRNN" true in
+  let lstm_base, lstm_unrolled = run "TreeLSTM" in
+  let rnn_base, rnn_unrolled = run "TreeRNN" in
   Alcotest.(check bool) "unrolling slows TreeLSTM" true (lstm_unrolled > lstm_base);
   Alcotest.(check bool) "unrolling speeds TreeRNN" true (rnn_unrolled < rnn_base)
 
@@ -577,7 +620,7 @@ let test_fig12_memory_ordering () =
       let structure = spec.M.dataset (Rng.create 5) ~batch:10 in
       let lin = Linearizer.run structure in
       let fw kind = (Frameworks.run kind ~backend:gpu spec.M.program lin).Frameworks.memory_bytes in
-      let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+      let compiled = Runtime.compile spec.M.program in
       let cortex = (Runtime.simulate compiled ~backend:gpu structure).Runtime.device_memory_bytes in
       Alcotest.(check bool) (name ^ ": cortex below DyNet") true (cortex < fw Frameworks.Dynet);
       (* PyTorch keeps the least (no batching scratch, temps freed); a
@@ -605,7 +648,7 @@ let test_grnn_comparison () =
   (* Fig. 9: the lock-free barrier makes GRNN-style code strictly
      faster; Cortex with the same barrier matches it. *)
   let spec = Models.Catalog.get "LSTM" Models.Catalog.Small in
-  let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+  let compiled = Runtime.compile spec.M.program in
   let structure = spec.M.dataset (Rng.create 6) ~batch:1 in
   let grnn = Runtime.simulate ~lock_free:true compiled ~backend:gpu structure in
   let cortex = Runtime.simulate compiled ~backend:gpu structure in
@@ -647,7 +690,7 @@ let test_linearization_hidden_independent () =
   in
   let charge size =
     let spec = Models.Catalog.get "TreeLSTM" size in
-    let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+    let compiled = Runtime.compile spec.M.program in
     (Runtime.simulate compiled ~backend:gpu s).Runtime.linearize_us
   in
   Alcotest.(check (float 0.0)) "h_s and h_l charge alike"
@@ -718,7 +761,7 @@ let zoo_digests () =
       let runs =
         List.filter_map
           (fun (label, base) ->
-            match Runtime.compile ~options:(Runtime.options_for ~base spec) spec.M.program with
+            match Runtime.compile ~options:base spec.M.program with
             | compiled ->
               Some (name ^ "/" ^ label, execution_digest spec compiled lin)
             | exception Lower.Lowering_error _ -> None)
@@ -729,7 +772,7 @@ let zoo_digests () =
       let plan =
         if name <> "TreeLSTM" then []
         else
-          let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+          let compiled = Runtime.compile spec.M.program in
           let stages p = List.exists (function Schedule.Stage _ -> true | _ -> false) p in
           match
             List.find_opt (fun (p, _) -> stages p)
@@ -887,7 +930,7 @@ let cost_digests () =
         let runs =
           List.filter_map
             (fun (label, base) ->
-              match Runtime.compile ~options:(Runtime.options_for ~base spec) spec.M.program with
+              match Runtime.compile ~options:base spec.M.program with
               | compiled -> Some (name ^ "/" ^ label, cost_digest compiled lins)
               | exception Lower.Lowering_error _ -> None)
             zoo_option_sets
@@ -895,7 +938,7 @@ let cost_digests () =
         let plan =
           if name <> "TreeLSTM" then []
           else
-            let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+            let compiled = Runtime.compile spec.M.program in
             let stages p = List.exists (function Schedule.Stage _ -> true | _ -> false) p in
             match
               List.find_opt (fun (p, _) -> stages p)
@@ -911,7 +954,7 @@ let cost_digests () =
      benchmark's sst-priced workload serves it: the default schedule and
      the plan its bundle carries (tuned on the seed-42 window). *)
   let spec = Models.Catalog.get "TreeLSTM" Models.Catalog.Small in
-  let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+  let compiled = Runtime.compile spec.M.program in
   let lins =
     List.map (fun seed -> Linearizer.run (spec.M.dataset (Rng.create seed) ~batch:8)) [ 42; 7 ]
   in
@@ -1006,7 +1049,6 @@ let () =
       ( "plumbing",
         [
           Alcotest.test_case "execute-state" `Quick test_execute_and_state;
-          Alcotest.test_case "grid-search" `Quick test_grid_search;
           Alcotest.test_case "schedule-check" `Quick test_schedule_check_appd;
           Alcotest.test_case "tuner" `Quick test_tuner;
           Alcotest.test_case "checkpoint" `Quick test_checkpoint_roundtrip;
@@ -1020,6 +1062,14 @@ let () =
           Alcotest.test_case "device-memory" `Quick test_device_memory_positive;
           Alcotest.test_case "pricing-alloc" `Quick test_pricing_alloc;
           Alcotest.test_case "codec-alloc" `Quick test_codec_alloc;
+          Alcotest.test_case "single-structure-fanout" `Quick test_single_structure_fanout;
+        ] );
+      ( "facts",
+        [
+          Alcotest.test_case "create-prices-like-of-spec" `Quick
+            test_create_prices_like_of_spec;
+          Alcotest.test_case "treernn-block-local-unroll" `Quick
+            test_treernn_block_local_unroll;
         ] );
       ( "paper-claims",
         [

@@ -68,7 +68,7 @@ let prop_plans_preserve_semantics =
       let structure = spec.M.dataset (Rng.create seed) ~batch in
       let params = spec.M.init_params (Rng.create (seed + 1)) in
       let compiled =
-        Runtime.compile ~options:(Runtime.options_for spec) spec.M.program
+        Runtime.compile spec.M.program
       in
       let pool = directive_pool compiled.Lower.prog in
       if pool = [] then true
@@ -94,7 +94,7 @@ let prop_tuner_lattice_preserves_semantics =
       let structure = spec.M.dataset (Rng.create seed) ~batch:2 in
       let params = spec.M.init_params (Rng.create (seed + 1)) in
       let compiled =
-        Runtime.compile ~options:(Runtime.options_for spec) spec.M.program
+        Runtime.compile spec.M.program
       in
       let plans = Tuner.loop_plans compiled in
       let plan = List.nth plans (pidx mod List.length plans) in
@@ -109,7 +109,7 @@ let test_canonical_names () =
     (fun mk ->
       let spec : M.t = mk () in
       let compiled =
-        Runtime.compile ~options:(Runtime.options_for spec) spec.M.program
+        Runtime.compile spec.M.program
       in
       let names =
         List.concat_map
@@ -122,7 +122,7 @@ let test_canonical_names () =
         (List.length (List.sort_uniq compare names));
       (* stable: recompiling yields the same names in the same order *)
       let compiled2 =
-        Runtime.compile ~options:(Runtime.options_for spec) spec.M.program
+        Runtime.compile spec.M.program
       in
       let names2 =
         List.concat_map
@@ -136,7 +136,7 @@ let test_canonical_names () =
 
 let test_tune_loops () =
   let spec = Models.Tree_lstm.spec ~vocab:50 ~hidden:8 () in
-  let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+  let compiled = Runtime.compile spec.M.program in
   let structure = spec.M.dataset (Rng.create 7) ~batch:8 in
   let lin = Linearizer.run structure in
   let ranked = Tuner.tune_loops ~budget:12 compiled ~backend:gpu lin in
@@ -169,7 +169,7 @@ let test_tune_loops () =
 
 let test_plan_cache () =
   let spec = Models.Tree_lstm.spec ~vocab:50 ~hidden:8 () in
-  let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+  let compiled = Runtime.compile spec.M.program in
   let structure = spec.M.dataset (Rng.create 11) ~batch:8 in
   let lin = Linearizer.run structure in
   let nodes = lin.Linearizer.num_nodes in
@@ -212,7 +212,7 @@ let test_plan_cache () =
    reused for the other. *)
 let test_plan_cache_packed () =
   let spec = Models.Tree_lstm.spec ~vocab:50 ~hidden:8 () in
-  let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+  let compiled = Runtime.compile spec.M.program in
   let structure = spec.M.dataset (Rng.create 11) ~batch:8 in
   let lin = Linearizer.run structure in
   let nodes = lin.Linearizer.num_nodes in

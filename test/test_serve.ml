@@ -62,7 +62,7 @@ let check_forest_equivalence (spec : M.t) structures seed =
   let params = spec.M.init_params (Rng.create seed) in
   let engine = Engine.of_spec spec ~backend:gpu in
   let fx = Engine.execute engine ~params structures in
-  let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+  let compiled = Runtime.compile spec.M.program in
   List.iteri
     (fun k s ->
       let solo = Runtime.execute compiled ~params s in
@@ -124,6 +124,7 @@ let tree_model max_children =
     leaf_ops = None;
     states = [ { st_name = "h"; st_op = "h"; st_init = Zero } ];
     outputs = [ "h" ];
+    facts = no_facts;
   }
 
 let ternary_tree () =
@@ -282,7 +283,7 @@ let test_run_one_matches_runtime () =
   let structure = spec.M.dataset (Rng.create 31) ~batch:4 in
   let engine = Engine.of_spec spec ~backend:gpu in
   let via_engine = Engine.run_one engine structure in
-  let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+  let compiled = Runtime.compile spec.M.program in
   let via_runtime = Runtime.simulate compiled ~backend:gpu structure in
   (* Both price the same linearization the same way, inspector charge
      included, so the end-to-end figure agrees exactly too. *)

@@ -67,7 +67,7 @@ let check_states_bitwise spec eng ~session compiled params s =
 let check_grow_bitwise spec ~vocab ~kind ~tokens seed =
   let params = spec.M.init_params (Rng.create (seed + 1)) in
   let compiled =
-    Runtime.compile ~options:(Runtime.options_for spec) spec.M.program
+    Runtime.compile spec.M.program
   in
   let eng = engine_of spec params in
   let structs = conversation seed ~vocab ~kind ~tokens in
@@ -145,7 +145,7 @@ let catalog =
   lazy
     (List.map
        (fun (spec : M.t) ->
-         (spec, Runtime.compile ~options:(Runtime.options_for spec) spec.M.program))
+         (spec, Runtime.compile spec.M.program))
        [
          Models.Tree_fc.spec ~hidden:4 ();
          Models.Tree_rnn.spec ~hidden:4 ();
@@ -302,7 +302,7 @@ let test_session_replacement () =
   let spec = Models.Tree_lstm.spec ~vocab:20 ~hidden:4 () in
   let params = spec.M.init_params (Rng.create 4) in
   let compiled =
-    Runtime.compile ~options:(Runtime.options_for spec) spec.M.program
+    Runtime.compile spec.M.program
   in
   let eng = engine_of spec params in
   ignore (serve_session eng (conversation 31 ~vocab:20 ~kind:Structure.Tree ~tokens:4));
@@ -415,9 +415,7 @@ let test_session_failover () =
   (* Failing over cannot perturb the numbers: the re-pinned session
      serves the same deltas. *)
   let compiled =
-    Runtime.compile
-      ~options:(Runtime.options_for failover_spec)
-      failover_spec.M.program
+    Runtime.compile failover_spec.M.program
   in
   let params = failover_spec.M.init_params (Rng.create 9) in
   check_states_bitwise failover_spec eng ~session:"chat" compiled params
@@ -449,7 +447,7 @@ let test_session_chaos_determinism () =
 let test_session_through_bundle () =
   let spec = Models.Tree_fc.spec ~vocab:12 ~hidden:4 () in
   let compiled =
-    Runtime.compile ~options:(Runtime.options_for spec) spec.M.program
+    Runtime.compile spec.M.program
   in
   let weights = Checkpoint.of_spec spec ~seed:5 in
   let b =
@@ -505,7 +503,7 @@ let test_evict_restore_bitwise () =
   let spec = Models.Tree_lstm.spec ~vocab:20 ~hidden:4 () in
   let params = spec.M.init_params (Rng.create 6) in
   let compiled =
-    Runtime.compile ~options:(Runtime.options_for spec) spec.M.program
+    Runtime.compile spec.M.program
   in
   let structs = conversation 61 ~vocab:20 ~kind:Structure.Tree ~tokens:10 in
   let eng = engine_of spec params in
@@ -554,7 +552,7 @@ let test_ttl_expiry_and_return () =
   let spec = Models.Tree_lstm.spec ~vocab:20 ~hidden:4 () in
   let params = spec.M.init_params (Rng.create 8) in
   let compiled =
-    Runtime.compile ~options:(Runtime.options_for spec) spec.M.program
+    Runtime.compile spec.M.program
   in
   let eng = engine_bounded spec ~session_ttl_us:2500.0 params in
   let a = conversation 71 ~vocab:20 ~kind:Structure.Tree ~tokens:12 in
@@ -627,9 +625,7 @@ let test_evict_failover_restore () =
   let params = failover_spec.M.init_params (Rng.create 9) in
   let structs = conversation 81 ~vocab:20 ~kind:Structure.Tree ~tokens:8 in
   let compiled =
-    Runtime.compile
-      ~options:(Runtime.options_for failover_spec)
-      failover_spec.M.program
+    Runtime.compile failover_spec.M.program
   in
   let run faults =
     let eng =
@@ -686,7 +682,7 @@ let spill_files dir =
 let test_restart_restore_from_disk () =
   let spec = Models.Tree_fc.spec ~vocab:12 ~hidden:4 () in
   let compiled =
-    Runtime.compile ~options:(Runtime.options_for spec) spec.M.program
+    Runtime.compile spec.M.program
   in
   let weights = Checkpoint.of_spec spec ~seed:5 in
   let b =
@@ -775,7 +771,7 @@ let check_refused ~label ?dir ?(damage = ignore) ?resume ~next () =
      Alcotest.(check int) (label ^ ": first token cold") 1 sn.Engine.sn_cold;
      Alcotest.(check int) (label ^ ": no restore reported") 0 sn.Engine.sn_restores
    | _ -> Alcotest.failf "%s: expected one session" label);
-  let compiled = Runtime.compile ~options:(Runtime.options_for spec) spec.M.program in
+  let compiled = Runtime.compile spec.M.program in
   let out = List.hd spec.M.program.Ra.outputs in
   List.iteri
     (fun i st ->
@@ -1147,7 +1143,7 @@ let prop_session_lifecycle =
             conversation (300 + i) ~vocab:15 ~kind:Structure.Tree ~tokens)
       in
       let compiled =
-        Runtime.compile ~options:(Runtime.options_for spec) spec.M.program
+        Runtime.compile spec.M.program
       in
       let run () =
         (* Chaos mode (empty fault spec): every drain below is a pure
@@ -1297,7 +1293,7 @@ let check_pack_bitwise ?(autotune = false) spec ~vocab ~kind ~tokens ~members
     seed =
   let params = spec.M.init_params (Rng.create (seed + 1)) in
   let compiled =
-    Runtime.compile ~options:(Runtime.options_for spec) spec.M.program
+    Runtime.compile spec.M.program
   in
   let convs =
     List.init members (fun i ->
@@ -1398,7 +1394,7 @@ let prop_pack_bitwise =
       in
       let params = spec.M.init_params (Rng.create (seed + 1)) in
       let compiled =
-        Runtime.compile ~options:(Runtime.options_for spec) spec.M.program
+        Runtime.compile spec.M.program
       in
       let rng = Rng.create (400 + seed) in
       let convs =
@@ -1463,7 +1459,7 @@ let test_pack_failover () =
         (sn.Engine.sn_device >= 0 && sn.Engine.sn_device <> pinned))
     (Engine.sessions eng);
   let compiled =
-    Runtime.compile ~options:(Runtime.options_for spec) spec.M.program
+    Runtime.compile spec.M.program
   in
   List.iter
     (fun (name, structs) ->
@@ -1480,7 +1476,7 @@ let test_lost_window_next_token_cold () =
   let spec = failover_spec in
   let params = spec.M.init_params (Rng.create 9) in
   let compiled =
-    Runtime.compile ~options:(Runtime.options_for spec) spec.M.program
+    Runtime.compile spec.M.program
   in
   let faults =
     [ Fault.Transient { device = -1; prob = 1.0; from_us = 0.0; until_us = 4000.0 } ]
