@@ -778,27 +778,28 @@ type summary = {
   plan_cache : Plan_cache.stats option;
 }
 
-let session_report_of t (sx : Session_store.session) =
+let session_report_of (sx : Session_store.session) =
+  let c = sx.sx_counters in
   {
     sn_name = sx.sx_name;
     sn_nodes =
       (match sx.sx_structure with Some s -> Structure.num_nodes s | None -> 0);
-    sn_windows = sx.sx_extends + sx.sx_cold;
-    sn_delta_nodes = sx.sx_delta_nodes;
-    sn_extends = sx.sx_extends;
-    sn_cold = sx.sx_cold;
+    sn_windows = c.c_extends + c.c_cold;
+    sn_delta_nodes = c.c_delta_nodes;
+    sn_extends = c.c_extends;
+    sn_cold = c.c_cold;
     sn_materializations = Linearizer.regrowths sx.sx_layout;
-    sn_rebinds = sx.sx_rebinds;
-    sn_packed = sx.sx_packed;
-    sn_deadline_misses = sx.sx_deadline_misses;
+    sn_rebinds = c.c_rebinds;
+    sn_packed = c.c_packed;
+    sn_deadline_misses = c.c_deadline_misses;
     sn_device = Option.value sx.sx_device ~default:(-1);
     sn_bytes = sx.sx_bytes;
-    sn_evictions = Session_store.evictions_of t.eng_store sx.sx_name;
-    sn_restores = Session_store.restores_of t.eng_store sx.sx_name;
+    sn_evictions = c.c_evictions;
+    sn_restores = c.c_restores;
   }
 
 let sessions t =
-  List.map (session_report_of t) (Session_store.sessions t.eng_store)
+  List.map session_report_of (Session_store.sessions t.eng_store)
   |> List.sort (fun a b -> compare a.sn_name b.sn_name)
 
 let session_state t name st (node : Node.t) =
@@ -1189,15 +1190,16 @@ let serve_token t p =
             (fun _ -> Linearizer.grow sx.sx_layout s)
         with
         | Some st ->
-          sx.sx_extends <- sx.sx_extends + 1;
-          sx.sx_delta_nodes <- sx.sx_delta_nodes + Array.length st.Linearizer.step_nodes;
+          let c = sx.sx_counters in
+          c.c_extends <- c.c_extends + 1;
+          c.c_delta_nodes <- c.c_delta_nodes + Array.length st.Linearizer.step_nodes;
           st
         | None ->
           (match sx.sx_structure with
            | Some prev when s.Structure.nodes.(0) != prev.Structure.nodes.(0) ->
              Session_store.reset sx
            | _ -> ());
-          sx.sx_cold <- sx.sx_cold + 1;
+          sx.sx_counters.c_cold <- sx.sx_counters.c_cold + 1;
           Linearizer.seed sx.sx_layout s)
   in
   sx.sx_structure <- Some s;
@@ -1262,7 +1264,7 @@ let pick_device ds ~sxs ~nodes =
       match sx.Session_store.sx_device with
       | Some di when di = dev.Dispatch.dev_index -> ()
       | prev ->
-        if prev <> None then sx.sx_rebinds <- sx.sx_rebinds + 1;
+        if prev <> None then sx.sx_counters.c_rebinds <- sx.sx_counters.c_rebinds + 1;
         sx.sx_device <- Some dev.Dispatch.dev_index)
     sxs;
   dev
@@ -1445,9 +1447,9 @@ let record_requests t ds ~index ~size ~packed members c =
       if completion > p.p_deadline then note_damage ds p.p_deadline;
       Option.iter
         (fun { sm_sx = sx; _ } ->
-          if packed then sx.sx_packed <- sx.sx_packed + 1;
-          if completion > p.p_deadline then
-            sx.sx_deadline_misses <- sx.sx_deadline_misses + 1)
+          let c = sx.Session_store.sx_counters in
+          if packed then c.c_packed <- c.c_packed + 1;
+          if completion > p.p_deadline then c.c_deadline_misses <- c.c_deadline_misses + 1)
         m.m_session)
     members
 

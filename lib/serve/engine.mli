@@ -433,7 +433,11 @@ type slo = {
           detectability lead against this instant. *)
 }
 
-(** Per-session counters, cumulative over the session's lifetime. *)
+(** Per-session counters, cumulative over the session's lifetime: they
+    are kept per name, so evictions and restores do not reset them, and
+    only {!close_session} drops them.  [sn_nodes], [sn_device],
+    [sn_bytes] and [sn_materializations] describe the live session
+    instead. *)
 type session_report = {
   sn_name : string;
   sn_nodes : int;  (** nodes of the session's current structure *)
@@ -442,8 +446,9 @@ type session_report = {
   sn_extends : int;  (** windows served as deltas (layout steps) *)
   sn_cold : int;  (** windows served cold: the whole conversation as one step *)
   sn_materializations : int;
-      (** regrowths of the session's growing layout
-          ({!Cortex_linearizer.Linearizer.regrowths}): a conversation
+      (** regrowths of the session's current layout
+          ({!Cortex_linearizer.Linearizer.regrowths}; a restore reseeds
+          a fresh one, so this restarts at 0): a conversation
           that outgrows the layout's capacity is copied into tables
           twice as large.  That copy is the session's only O(n) layout
           rebuild, and doubling keeps a token's host cost amortized

@@ -35,16 +35,25 @@ type stats = {
   st_restore_us : float;
 }
 
+(* Per-name lifetime counters: the live session points at its name's
+   record, so they survive evict/restore cycles (the session record
+   itself leaves the table on eviction). *)
+type counters = {
+  mutable c_extends : int;
+  mutable c_cold : int;
+  mutable c_rebinds : int;
+  mutable c_delta_nodes : int;
+  mutable c_packed : int;
+  mutable c_deadline_misses : int;
+  mutable c_evictions : int;
+  mutable c_restores : int;
+}
+
 type session = {
   sx_name : string;
+  sx_counters : counters;
   mutable sx_structure : Structure.t option;
   mutable sx_device : int option;
-  mutable sx_extends : int;
-  mutable sx_cold : int;
-  mutable sx_rebinds : int;
-  mutable sx_delta_nodes : int;
-  mutable sx_packed : int;
-  mutable sx_deadline_misses : int;
   mutable sx_restored_base : int option;
   sx_layout : Linearizer.growing;
   mutable sx_rows : float array array;
@@ -52,10 +61,6 @@ type session = {
   mutable sx_bytes : int;
   mutable sx_last_us : float;
 }
-
-(* Per-name lifetime counters, surviving evict/restore cycles (the
-   session record itself leaves the table on eviction). *)
-type counters = { mutable c_evictions : int; mutable c_restores : int }
 
 type t = {
   mutable cfg : config;
@@ -108,7 +113,18 @@ let counters_of t name =
   match Hashtbl.find_opt t.counts name with
   | Some c -> c
   | None ->
-    let c = { c_evictions = 0; c_restores = 0 } in
+    let c =
+      {
+        c_extends = 0;
+        c_cold = 0;
+        c_rebinds = 0;
+        c_delta_nodes = 0;
+        c_packed = 0;
+        c_deadline_misses = 0;
+        c_evictions = 0;
+        c_restores = 0;
+      }
+    in
     Hashtbl.replace t.counts name c;
     c
 
@@ -123,14 +139,9 @@ let session t name =
     let sx =
       {
         sx_name = name;
+        sx_counters = counters_of t name;
         sx_structure = None;
         sx_device = None;
-        sx_extends = 0;
-        sx_cold = 0;
-        sx_rebinds = 0;
-        sx_delta_nodes = 0;
-        sx_packed = 0;
-        sx_deadline_misses = 0;
         sx_restored_base = None;
         sx_layout = Linearizer.empty_layout ~max_children:(max 1 t.max_children);
         sx_rows = Array.map (fun _ -> [||]) t.widths;
@@ -388,8 +399,7 @@ let evict t sx ~expired =
     drop_live t name;
     t.evictions <- t.evictions + 1;
     if expired then t.expired <- t.expired + 1;
-    let c = counters_of t name in
-    c.c_evictions <- c.c_evictions + 1;
+    sx.sx_counters.c_evictions <- sx.sx_counters.c_evictions + 1;
     match data with
     | None -> 0.0
     | Some data ->
@@ -435,8 +445,7 @@ let restore t sx s =
     | None -> None
     | Some data when adopt t sx s data ->
       t.restores <- t.restores + 1;
-      let c = counters_of t sx.sx_name in
-      c.c_restores <- c.c_restores + 1;
+      sx.sx_counters.c_restores <- sx.sx_counters.c_restores + 1;
       let cost = restore_cost_us ~bytes:(String.length data) in
       t.restore_us <- t.restore_us +. cost;
       Some cost
@@ -454,12 +463,6 @@ let forget t name =
    | Some p when Sys.file_exists p -> ( try Sys.remove p with Sys_error _ -> ())
    | _ -> ());
   Hashtbl.remove t.counts name
-
-let evictions_of t name =
-  match Hashtbl.find_opt t.counts name with Some c -> c.c_evictions | None -> 0
-
-let restores_of t name =
-  match Hashtbl.find_opt t.counts name with Some c -> c.c_restores | None -> 0
 
 let stats t =
   {

@@ -59,18 +59,28 @@ type stats = {
   st_restore_us : float;  (** Cumulative priced cost of those restores. *)
 }
 
+(** A name's lifetime counters.  They are kept per name, not per live
+    session, so they survive evict/restore cycles; only {!forget} drops
+    them. *)
+type counters = {
+  mutable c_extends : int;  (** windows served from a layout step *)
+  mutable c_cold : int;  (** windows served cold: the layout seeded afresh *)
+  mutable c_rebinds : int;  (** re-pins of a previously pinned session *)
+  mutable c_delta_nodes : int;  (** nodes served via layout steps *)
+  mutable c_packed : int;  (** windows served inside a packed window *)
+  mutable c_deadline_misses : int;  (** tokens completed past deadline *)
+  mutable c_evictions : int;  (** times the name was evicted *)
+  mutable c_restores : int;  (** spills of the name accepted by a restore *)
+}
+
 (** A live session.  The engine serves tokens through the fields up to
     [sx_layout]; the rows and the accounting belong to the store. *)
 type session = {
   sx_name : string;
+  sx_counters : counters;  (** the name's record, shared across evictions *)
   mutable sx_structure : Cortex_ds.Structure.t option;  (** last structure served *)
-  mutable sx_device : int option;  (** pinned device index *)
-  mutable sx_extends : int;  (** windows served from a layout step *)
-  mutable sx_cold : int;  (** windows served cold: the layout seeded afresh *)
-  mutable sx_rebinds : int;  (** re-pins of a previously pinned session *)
-  mutable sx_delta_nodes : int;  (** nodes served via layout steps *)
-  mutable sx_packed : int;  (** windows served inside a packed window *)
-  mutable sx_deadline_misses : int;  (** tokens completed past deadline *)
+  mutable sx_device : int option;
+      (** pinned device index; an eviction drops it *)
   mutable sx_restored_base : int option;
       (** [Some b]: the first [b] nodes were just restored from a spill —
           the next token's step trusts the content digest instead of
@@ -108,7 +118,8 @@ val find : t -> string -> session option
 
 val session : t -> string -> session
 (** Find or create: a new session has no structure, no rows and no
-    pin; it is accounted at its first {!touch}. *)
+    pin, and points at its name's counters (fresh unless the name was
+    evicted before); it is accounted at its first {!touch}. *)
 
 val sessions : t -> session list
 (** Every live session, in no particular order. *)
@@ -164,13 +175,7 @@ val restore : t -> session -> Cortex_ds.Structure.t -> float option
 
 val forget : t -> string -> unit
 (** Remove every trace of [name]: the live session, spill record,
-    spill file, per-session counters ([Engine.close_session]). *)
-
-val evictions_of : t -> string -> int
-(** Cumulative evictions of [name], surviving evict/restore cycles. *)
-
-val restores_of : t -> string -> int
-(** Cumulative restores of [name]. *)
+    spill file, lifetime counters ([Engine.close_session]). *)
 
 val stats : t -> stats
 
