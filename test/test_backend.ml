@@ -10,7 +10,7 @@ let structure = spec.M.dataset (Rng.create 2) ~batch:10
 let lin = Linearizer.run structure
 
 let cost_of options =
-  let compiled = Runtime.compile ~options:options spec.M.program in
+  let compiled = Runtime.compile ~options spec.M.program in
   let bound = Lower.bind compiled lin in
   Cost.analyze ~uf:bound.Lower.uf_resolver
     ~num_internal_batches:bound.Lower.num_batch_launches compiled.Lower.prog

@@ -7,7 +7,7 @@ open Cortex
 module M = Models.Common
 
 let counts_agree ?(options = Lower.default) (spec : M.t) ~batch =
-  let compiled = Runtime.compile ~options:options spec.M.program in
+  let compiled = Runtime.compile ~options spec.M.program in
   let structure = spec.M.dataset (Rng.create 31) ~batch in
   let lin = Linearizer.run structure in
   (* Dynamic execution with counters on. *)

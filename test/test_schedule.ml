@@ -67,9 +67,7 @@ let prop_plans_preserve_semantics =
       let spec = (List.nth models mi) () in
       let structure = spec.M.dataset (Rng.create seed) ~batch in
       let params = spec.M.init_params (Rng.create (seed + 1)) in
-      let compiled =
-        Runtime.compile spec.M.program
-      in
+      let compiled = Runtime.compile spec.M.program in
       let pool = directive_pool compiled.Lower.prog in
       if pool = [] then true
       else begin
@@ -93,9 +91,7 @@ let prop_tuner_lattice_preserves_semantics =
       let spec = (List.nth models mi) () in
       let structure = spec.M.dataset (Rng.create seed) ~batch:2 in
       let params = spec.M.init_params (Rng.create (seed + 1)) in
-      let compiled =
-        Runtime.compile spec.M.program
-      in
+      let compiled = Runtime.compile spec.M.program in
       let plans = Tuner.loop_plans compiled in
       let plan = List.nth plans (pidx mod List.length plans) in
       match Lower.apply_plan plan compiled with
@@ -108,9 +104,7 @@ let test_canonical_names () =
   List.iter
     (fun mk ->
       let spec : M.t = mk () in
-      let compiled =
-        Runtime.compile spec.M.program
-      in
+      let compiled = Runtime.compile spec.M.program in
       let names =
         List.concat_map
           (fun k -> Schedule.loop_names k.Ir.body)
@@ -121,9 +115,7 @@ let test_canonical_names () =
         (List.length names)
         (List.length (List.sort_uniq compare names));
       (* stable: recompiling yields the same names in the same order *)
-      let compiled2 =
-        Runtime.compile spec.M.program
-      in
+      let compiled2 = Runtime.compile spec.M.program in
       let names2 =
         List.concat_map
           (fun k -> Schedule.loop_names k.Ir.body)

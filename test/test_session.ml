@@ -66,9 +66,7 @@ let check_states_bitwise spec eng ~session compiled params s =
 
 let check_grow_bitwise spec ~vocab ~kind ~tokens seed =
   let params = spec.M.init_params (Rng.create (seed + 1)) in
-  let compiled =
-    Runtime.compile spec.M.program
-  in
+  let compiled = Runtime.compile spec.M.program in
   let eng = engine_of spec params in
   let structs = conversation seed ~vocab ~kind ~tokens in
   let s = serve_session eng structs in
@@ -144,8 +142,7 @@ let prop_grow_bitwise =
 let catalog =
   lazy
     (List.map
-       (fun (spec : M.t) ->
-         (spec, Runtime.compile spec.M.program))
+       (fun (spec : M.t) -> (spec, Runtime.compile spec.M.program))
        [
          Models.Tree_fc.spec ~hidden:4 ();
          Models.Tree_rnn.spec ~hidden:4 ();
@@ -301,9 +298,7 @@ let test_session_windows () =
 let test_session_replacement () =
   let spec = Models.Tree_lstm.spec ~vocab:20 ~hidden:4 () in
   let params = spec.M.init_params (Rng.create 4) in
-  let compiled =
-    Runtime.compile spec.M.program
-  in
+  let compiled = Runtime.compile spec.M.program in
   let eng = engine_of spec params in
   ignore (serve_session eng (conversation 31 ~vocab:20 ~kind:Structure.Tree ~tokens:4));
   (* A brand-new conversation under the same name: served cold, the old
@@ -414,9 +409,7 @@ let test_session_failover () =
     faulted.Shape_cache.entries;
   (* Failing over cannot perturb the numbers: the re-pinned session
      serves the same deltas. *)
-  let compiled =
-    Runtime.compile failover_spec.M.program
-  in
+  let compiled = Runtime.compile failover_spec.M.program in
   let params = failover_spec.M.init_params (Rng.create 9) in
   check_states_bitwise failover_spec eng ~session:"chat" compiled params
     (List.nth structs 8)
@@ -446,9 +439,7 @@ let test_session_chaos_determinism () =
 
 let test_session_through_bundle () =
   let spec = Models.Tree_fc.spec ~vocab:12 ~hidden:4 () in
-  let compiled =
-    Runtime.compile spec.M.program
-  in
+  let compiled = Runtime.compile spec.M.program in
   let weights = Checkpoint.of_spec spec ~seed:5 in
   let b =
     Bundle.create ~weights ~model:"TreeFC" ~size:"small"
@@ -502,9 +493,7 @@ let serve_slice eng ?(session = "chat") ~from ~upto structs =
 let test_evict_restore_bitwise () =
   let spec = Models.Tree_lstm.spec ~vocab:20 ~hidden:4 () in
   let params = spec.M.init_params (Rng.create 6) in
-  let compiled =
-    Runtime.compile spec.M.program
-  in
+  let compiled = Runtime.compile spec.M.program in
   let structs = conversation 61 ~vocab:20 ~kind:Structure.Tree ~tokens:10 in
   let eng = engine_of spec params in
   let s1 = serve_slice eng ~from:0 ~upto:6 structs in
@@ -555,9 +544,7 @@ let test_evict_restore_bitwise () =
 let test_ttl_expiry_and_return () =
   let spec = Models.Tree_lstm.spec ~vocab:20 ~hidden:4 () in
   let params = spec.M.init_params (Rng.create 8) in
-  let compiled =
-    Runtime.compile spec.M.program
-  in
+  let compiled = Runtime.compile spec.M.program in
   let eng = engine_bounded spec ~session_ttl_us:2500.0 params in
   let a = conversation 71 ~vocab:20 ~kind:Structure.Tree ~tokens:12 in
   let b = conversation 72 ~vocab:20 ~kind:Structure.Tree ~tokens:12 in
@@ -628,9 +615,7 @@ let test_ttl_expires_structureless () =
 let test_evict_failover_restore () =
   let params = failover_spec.M.init_params (Rng.create 9) in
   let structs = conversation 81 ~vocab:20 ~kind:Structure.Tree ~tokens:8 in
-  let compiled =
-    Runtime.compile failover_spec.M.program
-  in
+  let compiled = Runtime.compile failover_spec.M.program in
   let run faults =
     let eng =
       engine_bounded failover_spec ~devices:[ gpu; gpu ] ~faults ~seed:11 params
@@ -685,9 +670,7 @@ let spill_files dir =
    and resumes the conversation bitwise. *)
 let test_restart_restore_from_disk () =
   let spec = Models.Tree_fc.spec ~vocab:12 ~hidden:4 () in
-  let compiled =
-    Runtime.compile spec.M.program
-  in
+  let compiled = Runtime.compile spec.M.program in
   let weights = Checkpoint.of_spec spec ~seed:5 in
   let b =
     Bundle.create ~weights ~model:"TreeFC" ~size:"small"
@@ -1156,9 +1139,7 @@ let prop_session_lifecycle =
         Array.init 3 (fun i ->
             conversation (300 + i) ~vocab:15 ~kind:Structure.Tree ~tokens)
       in
-      let compiled =
-        Runtime.compile spec.M.program
-      in
+      let compiled = Runtime.compile spec.M.program in
       let run () =
         (* Chaos mode (empty fault spec): every drain below is a pure
            function of the trace, which is what makes (d) a byte
@@ -1306,9 +1287,7 @@ let submit_interleaved eng convs =
 let check_pack_bitwise ?(autotune = false) spec ~vocab ~kind ~tokens ~members
     seed =
   let params = spec.M.init_params (Rng.create (seed + 1)) in
-  let compiled =
-    Runtime.compile spec.M.program
-  in
+  let compiled = Runtime.compile spec.M.program in
   let convs =
     List.init members (fun i ->
         ( Printf.sprintf "chat-%d" i,
@@ -1407,9 +1386,7 @@ let prop_pack_bitwise =
         | _ -> (Structure.Dag, Models.Dag_rnn.spec ~rows:4 ~cols:4 ~hidden:3 (), 15)
       in
       let params = spec.M.init_params (Rng.create (seed + 1)) in
-      let compiled =
-        Runtime.compile spec.M.program
-      in
+      let compiled = Runtime.compile spec.M.program in
       let rng = Rng.create (400 + seed) in
       let convs =
         List.init members (fun i ->
@@ -1472,9 +1449,7 @@ let test_pack_failover () =
         true
         (sn.Engine.sn_device >= 0 && sn.Engine.sn_device <> pinned))
     (Engine.sessions eng);
-  let compiled =
-    Runtime.compile spec.M.program
-  in
+  let compiled = Runtime.compile spec.M.program in
   List.iter
     (fun (name, structs) ->
       check_states_bitwise spec eng ~session:name compiled params
@@ -1489,9 +1464,7 @@ let test_pack_failover () =
 let test_lost_window_next_token_cold () =
   let spec = failover_spec in
   let params = spec.M.init_params (Rng.create 9) in
-  let compiled =
-    Runtime.compile spec.M.program
-  in
+  let compiled = Runtime.compile spec.M.program in
   let faults =
     [ Fault.Transient { device = -1; prob = 1.0; from_us = 0.0; until_us = 4000.0 } ]
   in
