@@ -456,8 +456,7 @@ let appd () =
           match
             Runtime.Schedule_check.check ~backend:Backend.gpu ~hidden
               ~states:(List.length spec.M.program.Ra.states)
-              base
-              ~cost:r.Runtime.cost
+              base ~cost:r.Runtime.cost
           with
           | Runtime.Schedule_check.Valid -> "ok"
           | Runtime.Schedule_check.Invalid _ -> "REJECTED"
