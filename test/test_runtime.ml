@@ -56,21 +56,14 @@ let test_single_structure_fanout () =
 
 (* ---------- a model's schedule facts come with its program ---------- *)
 
-let gru_report ~create =
-  let spec = Models.Tree_gru.spec ~vocab:20 ~hidden:4 () in
-  let config =
-    Engine.Config.make ~options:{ Lower.default with Lower.refactor = true } ()
-  in
-  let engine =
-    if create then Engine.create ~config ~model:spec.M.program ~backend:gpu ()
-    else Engine.of_spec ~config spec ~backend:gpu
-  in
-  Engine.run_one engine (spec.M.dataset (Rng.create 3) ~batch:2)
-
 (* TreeGRU keeps its inter-phase barrier under refactoring (§7.4); a
    caller that compiles the bare program gets that schedule too. *)
 let test_create_prices_like_of_spec () =
-  let created = gru_report ~create:true and of_spec = gru_report ~create:false in
+  let spec = Models.Tree_gru.spec ~vocab:20 ~hidden:4 () in
+  let config = Engine.Config.make ~options:{ Lower.default with Lower.refactor = true } () in
+  let price engine = Engine.run_one engine (spec.M.dataset (Rng.create 3) ~batch:2) in
+  let created = price (Engine.create ~config ~model:spec.M.program ~backend:gpu ()) in
+  let of_spec = price (Engine.of_spec ~config spec ~backend:gpu) in
   Alcotest.(check int) "barriers" 12 created.Runtime.latency.Backend.barriers;
   Alcotest.(check bool) "bitwise" true
     (Marshal.to_string created [ Marshal.No_sharing ]
