@@ -1229,11 +1229,12 @@ let observability () =
    anyway.  Each side is timed [repeats] times, sides alternating, each
    sample in a fresh process; BENCH_incremental_host.json records min,
    median and IQR per token, and nothing diffs it.  BENCH_incremental.json
-   holds what is deterministic — the session's counters and the
-   layout's exactness: grown token by token as a session grows it, the
-   layout matches a cold [run_forest] of the final conversation node
-   for node (payload, arity, children through both id maps, level) —
-   and CI diffs it. *)
+   holds what is deterministic — the session's counters, the most rows
+   any of its windows bound (a token's step and boundary rows, not the
+   conversation) and the layout's exactness: grown token by token as a
+   session grows it, the layout's own tables match a cold [run_forest]
+   of the final conversation node for node (payload, arity, children
+   through both id maps, level) — and CI diffs it. *)
 let incremental () =
   let spec = Models.Catalog.get "TreeLSTM" Models.Catalog.Small in
   let mc = spec.M.program.Ra.max_children in
@@ -1270,53 +1271,54 @@ let incremental () =
         in
         Obs.wall_us obs ~track:"inspector" ~name /. float_of_int (tokens + 1))
   in
+  (* The layout's own tables, read at layout ids, against a cold run. *)
   let layout_matches_cold structs =
-    let first = List.hd structs in
     let g = Linearizer.empty_layout ~max_children:mc in
-    ignore (Linearizer.seed g first);
-    let rec grow_all last = function
-      | [] -> last
-      | s :: rest -> (
-        match Linearizer.grow g s with None -> None | Some st -> grow_all (Some st) rest)
-    in
-    match grow_all None (List.tl structs) with
-    | None -> false
-    | Some st ->
-      let v = st.Linearizer.step_view in
-      let final = List.nth structs (List.length structs - 1) in
-      let cold = Linearizer.run_forest ~max_children:mc [ final ] in
-      let ids = cold.Linearizer.spans.(0).Linearizer.span_ids in
-      let c = cold.Linearizer.lin in
-      Array.for_all
-        (fun (nd : Node.t) ->
-          let l = Linearizer.layout_id g nd.Node.id and k = ids.(nd.Node.id) in
-          let arity = Array.length nd.Node.children in
-          let child_ok j =
-            if j < arity then
-              let ch = nd.Node.children.(j).Node.id in
-              v.Linearizer.child.(j).(l) = Linearizer.layout_id g ch
-              && c.Linearizer.child.(j).(k) = ids.(ch)
-            else v.Linearizer.child.(j).(l) = -1 && c.Linearizer.child.(j).(k) = -1
-          in
-          v.Linearizer.payload.(l) = c.Linearizer.payload.(k)
-          && v.Linearizer.num_children.(l) = arity
-          && c.Linearizer.num_children.(k) = arity
-          && v.Linearizer.level_of.(l) = c.Linearizer.level_of.(k)
-          && List.for_all child_ok (List.init mc Fun.id))
-        final.Structure.nodes
+    ignore (Linearizer.seed g (List.hd structs));
+    List.for_all (fun s -> Linearizer.grow g s <> None) (List.tl structs)
+    &&
+    let final = List.nth structs (List.length structs - 1) in
+    let cold = Linearizer.run_forest ~max_children:mc [ final ] in
+    let ids = cold.Linearizer.spans.(0).Linearizer.span_ids in
+    let c = cold.Linearizer.lin in
+    Array.for_all
+      (fun (nd : Node.t) ->
+        let row = Linearizer.layout_row g (Linearizer.layout_id g nd.Node.id)
+        and k = ids.(nd.Node.id) in
+        let arity = Array.length nd.Node.children in
+        let child_ok j =
+          if j < arity then
+            let ch = nd.Node.children.(j).Node.id in
+            row.Linearizer.row_children.(j) = Linearizer.layout_id g ch
+            && c.Linearizer.child.(j).(k) = ids.(ch)
+          else c.Linearizer.child.(j).(k) = -1
+        in
+        row.Linearizer.row_payload = c.Linearizer.payload.(k)
+        && Array.length row.Linearizer.row_children = arity
+        && c.Linearizer.num_children.(k) = arity
+        && row.Linearizer.row_level = c.Linearizer.level_of.(k)
+        && List.for_all child_ok (List.init mc Fun.id))
+      final.Structure.nodes
   in
   let records = ref [] and host_records = ref [] in
   let header =
     [ "Nodes"; "Tokens"; "session us/tok"; "IQR"; "cold us/tok"; "IQR"; "speedup";
-      "materializations"; "bitwise" ]
+      "materializations"; "max window rows"; "bitwise" ]
   in
   let rows =
     List.map
       (fun tokens ->
         let structs = conversation tokens in
         let n = Structure.num_nodes (List.nth structs tokens) in
-        let sn =
-          List.hd (serve ~config:(Engine.Config.make ()) ~session:"bench" structs).Engine.sessions
+        let served = serve ~config:(Engine.Config.make ()) ~session:"bench" structs in
+        let sn = List.hd served.Engine.sessions in
+        (* The largest window the session bound: O(delta) keeps it at a
+           token's step and boundary rows, whatever the conversation's
+           size. *)
+        let max_rows =
+          List.fold_left
+            (fun m w -> max m w.Engine.wr_report.Runtime.num_nodes)
+            0 served.Engine.windows
         in
         let bitwise = layout_matches_cold structs in
         let samples =
@@ -1330,9 +1332,10 @@ let incremental () =
         records :=
           Printf.sprintf
             "{\"kind\": \"tree\", \"nodes\": %d, \"tokens\": %d, \"extends\": %d, \
-             \"cold_windows\": %d, \"materializations\": %d, \"bitwise\": %b}"
+             \"cold_windows\": %d, \"materializations\": %d, \"max_window_rows\": %d, \
+             \"bitwise\": %b}"
             n tokens sn.Engine.sn_extends sn.Engine.sn_cold sn.Engine.sn_materializations
-            bitwise
+            max_rows bitwise
           :: !records;
         host_records :=
           Printf.sprintf
@@ -1352,6 +1355,7 @@ let incremental () =
           Printf.sprintf "%.2f" ciqr;
           Table.fx speedup;
           string_of_int sn.Engine.sn_materializations;
+          string_of_int max_rows;
           (if bitwise then "yes" else "NO");
         ])
       [ 32; 128; 512; 1024 ]

@@ -731,11 +731,12 @@ let serve_cmd =
       (fun (sn : Engine.session_report) ->
         Printf.printf
           "  session %s: %d nodes, %d windows (%d cold, %d delta), %d delta nodes, \
-           %d materializations, %d rebinds, device %d, %d packed, %d deadline misses\n"
+           %d materializations, %d rebinds, device %d, %d packed, %d deadline misses%s\n"
           sn.Engine.sn_name sn.Engine.sn_nodes sn.Engine.sn_windows
           sn.Engine.sn_cold sn.Engine.sn_extends sn.Engine.sn_delta_nodes
           sn.Engine.sn_materializations sn.Engine.sn_rebinds sn.Engine.sn_device
-          sn.Engine.sn_packed sn.Engine.sn_deadline_misses)
+          sn.Engine.sn_packed sn.Engine.sn_deadline_misses
+          (if sn.Engine.sn_spilled then " (spilled)" else ""))
       s.Engine.sessions;
     (* Packed-window counters: only under a pack window, so runs that
        never enabled packing (and the CI steps diffing their stdout)

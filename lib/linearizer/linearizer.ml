@@ -456,7 +456,8 @@ let priced_us t =
 (* A pinned conversation's one layout: child, payload and level rows at
    per-session layout ids, handed out in push order, in tables that
    double when they fill up.  [g_id] maps a request-local node id to its
-   layout id. *)
+   layout id; [g_slot] maps each boundary row of the latest step to its
+   view id (-1 elsewhere). *)
 type growing = {
   mutable g_used : int;  (* layout ids in use *)
   mutable g_child : int array array;  (* child.(k).(lid), k < max_children *)
@@ -464,11 +465,21 @@ type growing = {
   mutable g_payload : int array;
   mutable g_level : int array;
   mutable g_id : int array;
+  mutable g_slot : int array;
+  mutable g_boundary : int array;  (* the latest step's boundary rows *)
+  mutable g_base : int;  (* the latest step's base *)
   mutable g_height : int;  (* max level laid out since the last reseed *)
   mutable g_regrowths : int;
 }
 
-type step = { step_view : t; step_nodes : Node.t array; step_base : int }
+type step = {
+  step_view : t;
+  step_nodes : Node.t array;
+  step_base : int;
+  step_boundary : int array;
+}
+
+type row = { row_payload : int; row_level : int; row_children : int array }
 
 let empty_layout ~max_children =
   {
@@ -478,6 +489,9 @@ let empty_layout ~max_children =
     g_payload = [||];
     g_level = [||];
     g_id = [||];
+    g_slot = [||];
+    g_boundary = [||];
+    g_base = 0;
     g_height = 0;
     g_regrowths = 0;
   }
@@ -485,6 +499,16 @@ let empty_layout ~max_children =
 let layout_id g id = g.g_id.(id)
 let layout_height g = g.g_height
 let regrowths g = g.g_regrowths
+
+let view_id g lid =
+  if lid >= g.g_base then Array.length g.g_boundary + lid - g.g_base else g.g_slot.(lid)
+
+let layout_row g lid =
+  {
+    row_payload = g.g_payload.(lid);
+    row_level = g.g_level.(lid);
+    row_children = Array.init g.g_num_children.(lid) (fun k -> g.g_child.(k).(lid));
+  }
 
 (* Doubling growth, so n laid-out nodes cost O(n) total copying.  A
    regrowth of an allocated table is the layout's only O(n) rebuild. *)
@@ -502,8 +526,14 @@ let reserve g n =
     g.g_num_children <- grow g.g_num_children;
     g.g_payload <- grow g.g_payload;
     g.g_level <- grow g.g_level;
-    g.g_id <- grow g.g_id
+    g.g_id <- grow g.g_id;
+    g.g_slot <- grow g.g_slot
   end
+
+(* Forget the latest step's boundary slots, and with them its view. *)
+let clear_boundary g =
+  Array.iter (fun lid -> g.g_slot.(lid) <- -1) g.g_boundary;
+  g.g_boundary <- [||]
 
 (* Lay [node] out at the next layout id.  Its children must already be
    laid out (callers push children first). *)
@@ -531,7 +561,9 @@ let push g (node : Node.t) =
    prefix out in node-id order pushes children first, and its layout
    ids are its node ids. *)
 let reseed g (s : Structure.t) ~prefix =
+  clear_boundary g;
   g.g_used <- 0;
+  g.g_base <- 0;
   g.g_height <- 0;
   reserve g (Structure.num_nodes s);
   for i = 0 to prefix - 1 do
@@ -539,13 +571,15 @@ let reseed g (s : Structure.t) ~prefix =
   done
 
 (* Lay nodes [b, n) of [s] out as one step: level-sorted (stably, so
-   each level run keeps node-id order) and pushed; the view windows
-   over the live tables, so its batches cover only the step while its
-   node-id space covers the whole conversation. *)
+   each level run keeps node-id order) and pushed.  The view is fresh
+   arrays in its own compact id space: first the boundary, the distinct
+   rows below [b] the step reads, in first-read order, then the step's
+   nodes in push order. *)
 let lay_out g (s : Structure.t) b =
   let n = Structure.num_nodes s in
   let nodes = s.Structure.nodes in
   reserve g n;
+  clear_boundary g;
   let d = n - b in
   let dlv = Array.make d 0 in
   for i = 0 to d - 1 do
@@ -561,11 +595,36 @@ let lay_out g (s : Structure.t) b =
   Array.stable_sort (fun i j -> compare dlv.(i) dlv.(j)) order;
   let news = Array.map (fun i -> nodes.(b + i)) order in
   Array.iter (push g) news;
+  let mc = Array.length g.g_child in
+  let boundary = ref [] and k = ref 0 in
+  for lid = b to n - 1 do
+    for j = 0 to g.g_num_children.(lid) - 1 do
+      let c = g.g_child.(j).(lid) in
+      if c < b && g.g_slot.(c) < 0 then begin
+        g.g_slot.(c) <- !k;
+        incr k;
+        boundary := c :: !boundary
+      end
+    done
+  done;
+  let k = !k in
+  g.g_boundary <- Array.of_list (List.rev !boundary);
+  g.g_base <- b;
+  let lid_of r = if r < k then g.g_boundary.(r) else b + r - k in
+  let rows = k + d in
+  let child =
+    Array.init mc (fun j ->
+        Array.init rows (fun r ->
+            if r < k then -1
+            else
+              let c = g.g_child.(j).(lid_of r) in
+              if c < 0 then -1 else view_id g c))
+  in
   (* The leaf run first (possibly empty: a sequence token appends no
      leaf), then one batch per level run. *)
   let leaves = ref 0 in
   Array.iter (fun i -> if dlv.(i) = 0 then incr leaves) order;
-  let batches = ref [ (b, !leaves) ] in
+  let batches = ref [ (k, !leaves) ] in
   let i = ref !leaves in
   while !i < d do
     let l = dlv.(order.(!i)) in
@@ -573,29 +632,31 @@ let lay_out g (s : Structure.t) b =
     while !j < d && dlv.(order.(!j)) = l do
       incr j
     done;
-    batches := (b + !i, !j - !i) :: !batches;
+    batches := (k + !i, !j - !i) :: !batches;
     i := !j
   done;
   let view =
     {
       structure = s;
-      num_nodes = g.g_used;
+      num_nodes = rows;
       num_leaves = !leaves;
-      max_children = Array.length g.g_child;
+      max_children = mc;
       (* Host-side inspector state the executor never resolves; left
          empty so a step costs O(delta). *)
       new_of_old = [||];
       old_of_new = [||];
-      leaf_begin = b;
-      child = g.g_child;
-      num_children = g.g_num_children;
-      payload = g.g_payload;
-      level_of = g.g_level;
+      leaf_begin = k;
+      child;
+      (* A boundary row has no children and is in no batch: its state
+         rows are preloaded, and only the precompute loops read it. *)
+      num_children = Array.init rows (fun r -> if r < k then 0 else g.g_num_children.(lid_of r));
+      payload = Array.init rows (fun r -> g.g_payload.(lid_of r));
+      level_of = Array.init rows (fun r -> g.g_level.(lid_of r));
       batches = Array.of_list (List.rev !batches);
       postorder = [||];
     }
   in
-  { step_view = view; step_nodes = news; step_base = b }
+  { step_view = view; step_nodes = news; step_base = b; step_boundary = g.g_boundary }
 
 (* Nothing to check: [Structure.create] orders children first. *)
 let seed g s =
@@ -624,32 +685,29 @@ type packed = {
   pk_view : t;
   pk_members : int;
   pk_base : int;
-  pk_old_off : int array;
+  pk_boundary_off : int array;
   pk_delta_base : int array;
   pk_delta_of : int array array;
 }
 
-let pack_id p ~member lid =
-  if lid < p.pk_delta_base.(member) then p.pk_old_off.(member) + lid
-  else p.pk_delta_of.(member).(lid - p.pk_delta_base.(member))
+let pack_id p ~member vid =
+  let k = p.pk_delta_base.(member) in
+  if vid < k then p.pk_boundary_off.(member) + vid else p.pk_delta_of.(member).(vid - k)
 
-(* Every member is a step [grow] built over its own layout, so nothing
-   needs re-checking: a step's batches tile [step_base, num_nodes) as a
-   leaf run then strictly ascending level runs, and one engine gives
-   every layout the same child-table width. *)
+(* Every member is a step [lay_out] built, so nothing needs re-checking:
+   a step's batches tile its view past the boundary as a leaf run then
+   strictly ascending level runs, and one engine gives every layout the
+   same child-table width. *)
 let pack first rest =
-  let members = Array.of_list (first :: rest) in
+  let members = Array.of_list (List.map (fun st -> st.step_view) (first :: rest)) in
   let m = Array.length members in
-  let mc = Array.length (fst first).g_child in
-  let delta_base = Array.map (fun (_, st) -> st.step_base) members in
-  let extent i = (snd members.(i)).step_view.num_nodes in
+  let mc = first.step_view.max_children in
+  let delta_base = Array.map (fun v -> v.leaf_begin) members in
   (* Each member's batches with their levels: the leaf run is level 0. *)
   let member_batches =
     Array.map
-      (fun (g, st) ->
-        Array.mapi
-          (fun k (b, len) -> ((if k = 0 then 0 else g.g_level.(b)), b, len))
-          st.step_view.batches)
+      (fun v ->
+        Array.mapi (fun k (b, len) -> ((if k = 0 then 0 else v.level_of.(b)), b, len)) v.batches)
       members
   in
   let max_level =
@@ -657,23 +715,21 @@ let pack first rest =
       (fun acc runs -> Array.fold_left (fun acc (l, _, _) -> max acc l) acc runs)
       0 member_batches
   in
-  (* Region A: each member's old prefix, concatenated.  No batch covers
-     these rows, but they are not inert: boundary state rows are
-     pre-seeded here, and the setup kernels' precompute loops run over
-     the whole id space [0, num_nodes), so the rows must carry the
-     member's real payload/child data (like a single step's view, whose
-     arrays cover the whole conversation). *)
-  let old_off = Array.make m 0 in
+  (* The members' boundary rows, concatenated: no batch covers them;
+     they hold the preloaded state rows and their real payloads. *)
+  let boundary_off = Array.make m 0 in
   let base = ref 0 in
   Array.iteri
-    (fun i db ->
-      old_off.(i) <- !base;
-      base := !base + db)
+    (fun i k ->
+      boundary_off.(i) <- !base;
+      base := !base + k)
     delta_base;
   let base = !base in
-  (* Region B: delta nodes grouped by level, members in pack order
-     within each level, so every packed batch is one contiguous run. *)
-  let delta_of = Array.init m (fun i -> Array.make (extent i - delta_base.(i)) (-1)) in
+  (* Then the step nodes grouped by level, members in pack order within
+     each level, so every packed batch is one contiguous run. *)
+  let delta_of =
+    Array.mapi (fun i v -> Array.make (v.num_nodes - delta_base.(i)) (-1)) members
+  in
   let cursor = ref base in
   let batches = ref [] in
   for l = 0 to max_level do
@@ -701,31 +757,30 @@ let pack first rest =
   let payload = Array.make num_nodes (-1) in
   let level_of = Array.make num_nodes 0 in
   Array.iteri
-    (fun i (g, _) ->
-      let db = delta_base.(i) in
-      let row lid =
-        if lid < db then old_off.(i) + lid else delta_of.(i).(lid - db)
+    (fun i v ->
+      let row r =
+        if r < delta_base.(i) then boundary_off.(i) + r else delta_of.(i).(r - delta_base.(i))
       in
-      for lid = 0 to extent i - 1 do
-        let y = row lid in
-        num_children.(y) <- g.g_num_children.(lid);
-        payload.(y) <- g.g_payload.(lid);
-        level_of.(y) <- g.g_level.(lid);
+      for r = 0 to v.num_nodes - 1 do
+        let y = row r in
+        num_children.(y) <- v.num_children.(r);
+        payload.(y) <- v.payload.(r);
+        level_of.(y) <- v.level_of.(r);
         for k = 0 to mc - 1 do
-          let c = g.g_child.(k).(lid) in
+          let c = v.child.(k).(r) in
           child.(k).(y) <- (if c < 0 then -1 else row c)
         done
       done)
     members;
   let view =
     {
-      structure = (snd first).step_view.structure;
+      structure = first.step_view.structure;
       num_nodes;
       num_leaves;
       max_children = mc;
       (* Host-side inspector state the executor never resolves — left
-         empty like a step's view.  Region A above still makes a pack
-         O(max_children * sum of conversation sizes). *)
+         empty like a step's view, so a pack costs O(sum of its
+         members' views). *)
       new_of_old = [||];
       old_of_new = [||];
       leaf_begin = base;
@@ -741,7 +796,7 @@ let pack first rest =
     pk_view = view;
     pk_members = m;
     pk_base = base;
-    pk_old_off = old_off;
+    pk_boundary_off = boundary_off;
     pk_delta_base = delta_base;
     pk_delta_of = delta_of;
   }

@@ -212,28 +212,37 @@ val state_rows_bytes : num_nodes:int -> bytes_per_node:int -> int
     growing layout is child, payload and level rows at per-session
     {e layout ids}, handed out in push order and stable until the next
     {!seed} or {!reseed}, in tables that double when they fill up (so n
-    nodes cost O(n) copying in total).  A token's {!step} is a [t] whose
-    batch table covers only the nodes it laid out — the leaf run first,
-    possibly empty, then one batch per level run, children first —
-    while its node-id space, and so the state tensors bound over it,
-    covers the whole conversation, so the boundary rows can be
-    pre-seeded.  The step's arrays are the layout's live tables: no
-    per-token copy and no re-traversal.  Layout ids are not the
-    Appendix-B numbering — children precede their parents — so a
-    step's level runs, not the id order, carry the dependence order. *)
+    nodes cost O(n) copying in total).  The layout's tables are the
+    session's record ({!layout_row}, {!layout_height}).
+
+    A token's {!step} is a [t] in its own compact id space, fresh
+    arrays of [k + d] rows.  Rows [\[0, k)] are the step's {e boundary}:
+    the distinct layout rows below its base that its nodes read as
+    children, in first-read order, each with its real payload and
+    level, no children and no batch, so their state rows can be
+    preloaded.  Rows [\[k, k + d)] are the step's [d] nodes in batch
+    order — the leaf run first, possibly empty, then one batch per
+    level run, children first — with their children remapped.
+    Everything the executor sizes by the node count is then O(delta),
+    not O(conversation).  A {!seed} has no boundary, so its view is the
+    whole structure.  Layout ids are not the Appendix-B numbering —
+    children precede their parents — so a step's level runs, not the id
+    order, carry the dependence order. *)
 
 type growing
 (** A mutable growing layout. *)
 
 type step = private {
   step_view : t;
-      (** The step's view.  [leaf_begin] is [step_base];
-          [new_of_old], [old_of_new] and [postorder] are empty: the
-          executor never reads them. *)
+      (** The step's view: [num_nodes] is [k + d] and [leaf_begin] is
+          [k]; [new_of_old], [old_of_new] and [postorder] are empty:
+          the executor never reads them. *)
   step_nodes : Cortex_ds.Node.t array;  (** the step's nodes, in view batch order *)
   step_base : int;
       (** the layout's size before the step: node ids and layout ids
           below it were laid out earlier; 0 for a {!seed} *)
+  step_boundary : int array;
+      (** the layout ids of view rows [\[0, k)]; empty for a {!seed} *)
 }
 (** One token's nodes, as {!seed} or {!grow} laid them out. *)
 
@@ -265,6 +274,20 @@ val grow : growing -> Cortex_ds.Structure.t -> step option
 val layout_id : growing -> int -> int
 (** [layout_id g id] is the layout id of request-local node [id]. *)
 
+val view_id : growing -> int -> int
+(** [view_id g lid] is the row of layout id [lid] in the view of [g]'s
+    latest step: [k + lid - step_base] for a step node, the boundary
+    slot for a boundary row.  [lid] must be one of that step's rows. *)
+
+type row = {
+  row_payload : int;
+  row_level : int;
+  row_children : int array;  (** the children's layout ids *)
+}
+
+val layout_row : growing -> int -> row
+(** [layout_row g lid] is what the layout holds at layout id [lid]. *)
+
 val layout_height : growing -> int
 (** The highest level laid out since the last {!seed} or {!reseed}: a
     layout of height [h] prices as [h + 1] level batches. *)
@@ -279,41 +302,39 @@ val regrowths : growing -> int
     their steps can merge into one packed window: per level, the
     members' batch runs concatenate into a single contiguous packed
     batch, so the level launches once for the whole pack instead of
-    once per session.  Ids below [pk_base] are the members' old
-    prefixes laid end to end — never iterated by any batch, present
-    only so each member's boundary state rows have a row to be
-    pre-seeded into; ids at and above [pk_base] are the step nodes
-    grouped by level.  {!pack_id} translates a member's layout id into
-    the packed numbering on both sides of that boundary. *)
+    once per session.  Ids below [pk_base] are the members' boundary
+    rows laid end to end — never iterated by any batch, present only so
+    each member's boundary state rows have a row to be preloaded into;
+    ids at and above [pk_base] are the step nodes grouped by level.
+    {!pack_id} translates a member's view id into the packed numbering
+    on both sides of that boundary. *)
 
 type packed = {
   pk_view : t;
       (** the merged window: batch table over the packed step nodes,
-          node-id space covering every member's whole conversation *)
+          node-id space covering every member's view *)
   pk_members : int;  (** how many steps were merged *)
-  pk_base : int;  (** packed ids below this are old-prefix rows *)
-  pk_old_off : int array;
-      (** member -> offset of its old prefix in the packed numbering *)
+  pk_base : int;  (** packed ids below this are boundary rows *)
+  pk_boundary_off : int array;
+      (** member -> offset of its boundary rows in the packed numbering *)
   pk_delta_base : int array;
-      (** member -> its step's first layout id (= its old prefix size) *)
+      (** member -> its view's first step row (= its boundary size) *)
   pk_delta_of : int array array;
-      (** member -> (layout id - delta base) -> packed id *)
+      (** member -> (view id - delta base) -> packed id *)
 }
 
-val pack : growing * step -> (growing * step) list -> packed
-(** [pack first rest] merges the members' steps, each over its own
-    layout and each the layout's latest step, into one packed window.
-    Members keep their pack-order position within every level batch,
-    so the merge — and everything priced or executed from it — is
-    deterministic in the member order.  It raises nothing: a step
-    {!grow} built tiles its nodes by construction, and the members
-    share a child-table width and a structure kind because one engine
-    creates all of them.  O(max_children * sum of member conversation
-    sizes): Region A copies every member's whole old prefix, and the
-    child tables are allocated over it, so a pack costs its
-    conversations' size, not only their steps. *)
+val pack : step -> step list -> packed
+(** [pack first rest] merges the members' steps, each the latest step
+    of its own layout, into one packed window.  Members keep their
+    pack-order position within every level batch, so the merge — and
+    everything priced or executed from it — is deterministic in the
+    member order.  It raises nothing: a step {!grow} built tiles its
+    nodes by construction, and the members share a child-table width
+    and a structure kind because one engine creates all of them.
+    O(max_children * sum of the members' view sizes): a pack costs its
+    steps and their boundary rows, not its conversations. *)
 
 val pack_id : packed -> member:int -> int -> int
-(** [pack_id p ~member lid] is the packed id of [member]'s layout id
-    [lid] — an old-prefix row below the member's delta base, a step
-    node at or above it. *)
+(** [pack_id p ~member vid] is the packed id of [member]'s view id
+    [vid] — a boundary row below the member's delta base, a step node
+    at or above it. *)

@@ -759,6 +759,7 @@ type session_report = {
   sn_bytes : int;  (* accounted bytes (layout + pinned state rows) *)
   sn_evictions : int;  (* times evicted, surviving restore cycles *)
   sn_restores : int;  (* times restored from a spill *)
+  sn_spilled : bool;  (* evicted, its spill held: no layout, no device *)
 }
 
 type summary = {
@@ -778,28 +779,39 @@ type summary = {
   plan_cache : Plan_cache.stats option;
 }
 
-let session_report_of (sx : Session_store.session) =
-  let c = sx.sx_counters in
+(* A spilled name's report: its counters and its spill's node count. *)
+let spilled_report (name, nodes, (c : Session_store.counters)) =
   {
-    sn_name = sx.sx_name;
-    sn_nodes =
-      (match sx.sx_structure with Some s -> Structure.num_nodes s | None -> 0);
+    sn_name = name;
+    sn_nodes = nodes;
     sn_windows = c.c_extends + c.c_cold;
     sn_delta_nodes = c.c_delta_nodes;
     sn_extends = c.c_extends;
     sn_cold = c.c_cold;
-    sn_materializations = Linearizer.regrowths sx.sx_layout;
+    sn_materializations = 0;
     sn_rebinds = c.c_rebinds;
     sn_packed = c.c_packed;
     sn_deadline_misses = c.c_deadline_misses;
-    sn_device = Option.value sx.sx_device ~default:(-1);
-    sn_bytes = sx.sx_bytes;
+    sn_device = -1;
+    sn_bytes = 0;
     sn_evictions = c.c_evictions;
     sn_restores = c.c_restores;
+    sn_spilled = true;
+  }
+
+let live_report (sx : Session_store.session) =
+  let nodes = match sx.sx_structure with Some s -> Structure.num_nodes s | None -> 0 in
+  {
+    (spilled_report (sx.sx_name, nodes, sx.sx_counters)) with
+    sn_materializations = Linearizer.regrowths sx.sx_layout;
+    sn_device = Option.value sx.sx_device ~default:(-1);
+    sn_bytes = sx.sx_bytes;
+    sn_spilled = false;
   }
 
 let sessions t =
-  List.map session_report_of (Session_store.sessions t.eng_store)
+  List.map live_report (Session_store.sessions t.eng_store)
+  @ List.map spilled_report (Session_store.held_spills t.eng_store)
   |> List.sort (fun a b -> compare a.sn_name b.sn_name)
 
 let session_state t name st (node : Node.t) =
@@ -922,10 +934,11 @@ type session_member = {
 }
 
 (* One request inside a window.  [m_id] maps its request-local node ids
-   into the window's numbering: a forest span's [span_ids], a session's
-   layout ids, or those composed with [Linearizer.pack_id] in a packed
-   window.  [m_lin_us] is its [rr_linearize_us] charge: 0 for a regular
-   member, its token's priced restore for a session one. *)
+   into the window's numbering: a forest span's [span_ids], the rows of
+   a session step's view ([Linearizer.view_id] over the layout ids), or
+   those composed with [Linearizer.pack_id] in a packed window.
+   [m_lin_us] is its [rr_linearize_us] charge: 0 for a regular member,
+   its token's priced restore for a session one. *)
 type member = {
   m_p : pending;
   m_lin_us : float;
@@ -1571,11 +1584,18 @@ let play_tokens t ds ~ready toks =
             sm_base = st.Linearizer.step_base };
     }
   in
-  let layout_id sx id = Linearizer.layout_id sx.Session_store.sx_layout id in
+  (* Request-local node id -> layout id -> row of the latest step's
+     view, which is the token's step: a pack holds one token per
+     session, and each window plays before its session's next token is
+     served. *)
+  let view_id sx id =
+    let g = sx.Session_store.sx_layout in
+    Linearizer.view_id g (Linearizer.layout_id g id)
+  in
   let play_step tk =
     let st = tk.tk_step in
     play_window t ds ~ready ~lin:st.Linearizer.step_view
-      ~nodes:(Array.length st.Linearizer.step_nodes) ~hit:false [ member tk ~ids:layout_id ]
+      ~nodes:(Array.length st.Linearizer.step_nodes) ~hit:false [ member tk ~ids:view_id ]
   in
   let colds, deltas = List.partition (fun tk -> tk.tk_step.Linearizer.step_base = 0) toks in
   List.iter play_step colds;
@@ -1583,18 +1603,17 @@ let play_tokens t ds ~ready toks =
   | [] -> ()
   | [ one ] -> play_step one
   | first :: rest ->
-    let on_layout tk = (tk.tk_sx.sx_layout, tk.tk_step) in
-    let pk = Linearizer.pack (on_layout first) (List.map on_layout rest) in
+    let pk = Linearizer.pack first.tk_step (List.map (fun tk -> tk.tk_step) rest) in
     let view = pk.Linearizer.pk_view in
-    (* The window's work is its step nodes; the old-prefix rows below
-       [pk_base] only receive pre-seeded boundary states and are never
-       iterated by a batch. *)
+    (* The window's work is its step nodes; the boundary rows below
+       [pk_base] only receive preloaded states and are never iterated
+       by a batch. *)
     play_window t ds ~ready ~lin:view
       ~nodes:(view.Linearizer.num_nodes - pk.Linearizer.pk_base)
       ~hit:false
       (List.mapi
          (fun i tk ->
-           member tk ~ids:(fun sx id -> Linearizer.pack_id pk ~member:i (layout_id sx id)))
+           member tk ~ids:(fun sx id -> Linearizer.pack_id pk ~member:i (view_id sx id)))
          deltas)
 
 (* Play one item at its ready time, advancing the monotone engine clock

@@ -437,7 +437,8 @@ type slo = {
     are kept per name, so evictions and restores do not reset them, and
     only {!close_session} drops them.  [sn_nodes], [sn_device],
     [sn_bytes] and [sn_materializations] describe the live session
-    instead. *)
+    instead; a spilled name ([sn_spilled]) reports the node count its
+    spill holds, device -1, 0 bytes and 0 materializations. *)
 type session_report = {
   sn_name : string;
   sn_nodes : int;  (** nodes of the session's current structure *)
@@ -471,6 +472,9 @@ type session_report = {
   sn_restores : int;
       (** times a spill of this name was accepted by a restore (a refused
           spill is consumed and counts nothing) *)
+  sn_spilled : bool;
+      (** the name is evicted and its spill is held: it has no live
+          session, layout or device until its next token restores it *)
 }
 
 type plan_report = {
@@ -552,9 +556,11 @@ val run_trace : t -> Trace.t -> summary
     time. *)
 
 val sessions : t -> session_report list
-(** Live sessions, by name.  A session is created by the first
-    {!submit}[ ~session] under its name and lives (layout, pinned
-    device, persisted states, counters) until {!close_session}. *)
+(** Every name with a live session or a held spill, by name.  A
+    session is created by the first {!submit}[ ~session] under its name
+    and lives (layout, pinned device, persisted states, counters) until
+    {!close_session}; an eviction with a spill leaves the name reported
+    with [sn_spilled] set. *)
 
 val session_state :
   t -> string -> string -> Cortex_ds.Node.t -> Cortex_tensor.Tensor.t option

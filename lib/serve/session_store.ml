@@ -62,6 +62,10 @@ type session = {
   mutable sx_last_us : float;
 }
 
+(* A held spill: its bytes, or [None] when they are on disk, and the
+   node count it covers. *)
+type held = { h_data : string option; h_nodes : int }
+
 type t = {
   mutable cfg : config;
   model : string;
@@ -70,8 +74,7 @@ type t = {
   widths : int array;  (* floats per row, per state *)
   row_bytes : int;  (* one node's rows across every state *)
   live : (string, session) Hashtbl.t;
-  spilled : (string, string option) Hashtbl.t;
-      (* held spills: their bytes, or [None] when they are on disk *)
+  spilled : (string, held) Hashtbl.t;
   counts : (string, counters) Hashtbl.t;
   mutable total_bytes : int;
   mutable evictions : int;
@@ -154,6 +157,12 @@ let session t name =
     sx
 
 let sessions t = Hashtbl.fold (fun _ sx acc -> sx :: acc) t.live []
+
+let held_spills t =
+  Hashtbl.fold
+    (fun name h acc ->
+      if Hashtbl.mem t.live name then acc else (name, h.h_nodes, counters_of t name) :: acc)
+    t.spilled []
 let is_live t sx = match find t sx.sx_name with Some x -> x == sx | None -> false
 
 (* What a live session costs its device, in closed form: the four
@@ -395,6 +404,9 @@ let evict t sx ~expired =
   if not (is_live t sx) then 0.0
   else begin
     let name = sx.sx_name in
+    let nodes =
+      match sx.sx_structure with Some s -> Structure.num_nodes s | None -> 0
+    in
     let data = spill_payload t sx in
     drop_live t name;
     t.evictions <- t.evictions + 1;
@@ -404,14 +416,17 @@ let evict t sx ~expired =
     | None -> 0.0
     | Some data ->
       let size = String.length data in
-      (match spill_path t name with
-       | None -> Hashtbl.replace t.spilled name (Some data)
-       | Some path ->
-         Option.iter
-           (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
-           t.cfg.spill_dir;
-         Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
-         Hashtbl.replace t.spilled name None);
+      let h_data =
+        match spill_path t name with
+        | None -> Some data
+        | Some path ->
+          Option.iter
+            (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
+            t.cfg.spill_dir;
+          Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
+          None
+      in
+      Hashtbl.replace t.spilled name { h_data; h_nodes = nodes };
       t.spills <- t.spills + 1;
       t.spilled_bytes <- t.spilled_bytes + size;
       let cost = spill_cost_us ~bytes:size in
@@ -426,7 +441,7 @@ let take_spill t name =
   let path = spill_path t name in
   let held =
     match (Hashtbl.find_opt t.spilled name, path) with
-    | Some (Some data), _ -> Some data
+    | Some { h_data = Some data; _ }, _ -> Some data
     | _, Some p when Sys.file_exists p -> (
       try Some (In_channel.with_open_bin p In_channel.input_all) with Sys_error _ -> None)
     | _ -> None

@@ -124,6 +124,11 @@ val session : t -> string -> session
 val sessions : t -> session list
 (** Every live session, in no particular order. *)
 
+val held_spills : t -> (string * int * counters) list
+(** Every name evicted with a spill held and no live session, in no
+    particular order: the name, the node count its spill covers and
+    its lifetime counters. *)
+
 val touch : t -> session -> now_us:float -> unit
 (** Re-account a live session at its current size, last used at
     [now_us].  A session that has left the table is left alone. *)

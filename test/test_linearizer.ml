@@ -460,23 +460,66 @@ let grow_layout rng kind ~steps =
   in
   (g, first @ go s0 steps [])
 
-(* What [Linearizer.pack] relies on without checking it: each step's
-   batches tile exactly its new layout ids, leaf run first, in strictly
+(* A step's compact view, row by row.  Rows [0, k) are its boundary:
+   the distinct old rows its nodes read, each a childless copy of its
+   layout row (payload and level); rows [k, k + d) are its nodes, each
+   its layout row with the children remapped into the view.  The
+   batches tile exactly the node rows, leaf run first, in strictly
    ascending level order, and every child sits at a lower level than
-   its parent.  And what a session relies on: the grown layout is a
-   cold [run_forest] of the final structure, node for node. *)
-let check_step (st : Linearizer.step) =
+   its parent: what [Linearizer.pack] relies on without checking it. *)
+let check_step g (st : Linearizer.step) =
   let v = st.Linearizer.step_view in
   let base = st.Linearizer.step_base in
-  if v.Linearizer.num_nodes - base <> Array.length st.Linearizer.step_nodes then
-    QCheck.Test.fail_report "step size is not its appended node count";
-  let cursor = ref base in
+  let boundary = st.Linearizer.step_boundary in
+  let k = Array.length boundary and d = Array.length st.Linearizer.step_nodes in
+  if v.Linearizer.num_nodes <> k + d || v.Linearizer.leaf_begin <> k then
+    QCheck.Test.fail_report "view is not its boundary plus its nodes";
+  (* The boundary is exactly the distinct old rows the nodes read. *)
+  let read = Hashtbl.create 16 in
   Array.iteri
-    (fun k (b, len) ->
-      if b <> !cursor || (k > 0 && len <= 0) then
-        QCheck.Test.fail_report "step batches do not tile the new ids";
-      let level = if k = 0 then 0 else v.Linearizer.level_of.(b) in
-      if k > 1 && level <= v.Linearizer.level_of.(fst v.Linearizer.batches.(k - 1)) then
+    (fun i (nd : Node.t) ->
+      if Linearizer.layout_id g nd.Node.id <> base + i then
+        QCheck.Test.fail_reportf "step node %d not at its push-order layout id" nd.Node.id;
+      Array.iter
+        (fun (c : Node.t) ->
+          if c.Node.id < base then Hashtbl.replace read (Linearizer.layout_id g c.Node.id) ())
+        nd.Node.children)
+    st.Linearizer.step_nodes;
+  let slot = Hashtbl.create 16 in
+  Array.iteri
+    (fun r lid ->
+      if lid >= base || Hashtbl.mem slot lid || not (Hashtbl.mem read lid) then
+        QCheck.Test.fail_reportf "boundary row %d (layout id %d) is not a distinct old child" r
+          lid;
+      Hashtbl.replace slot lid r)
+    boundary;
+  if Hashtbl.length slot <> Hashtbl.length read then
+    QCheck.Test.fail_report "the boundary misses an old child";
+  let vid lid = if lid >= base then k + lid - base else Hashtbl.find slot lid in
+  for r = 0 to k + d - 1 do
+    let lid = if r < k then boundary.(r) else base + r - k in
+    let row = Linearizer.layout_row g lid in
+    let arity = if r < k then 0 else Array.length row.Linearizer.row_children in
+    if
+      v.Linearizer.payload.(r) <> row.Linearizer.row_payload
+      || v.Linearizer.level_of.(r) <> row.Linearizer.row_level
+      || v.Linearizer.num_children.(r) <> arity
+    then QCheck.Test.fail_reportf "view row %d differs from layout id %d" r lid;
+    for j = 0 to v.Linearizer.max_children - 1 do
+      let want = if j < arity then vid row.Linearizer.row_children.(j) else -1 in
+      let c = v.Linearizer.child.(j).(r) in
+      if c <> want then QCheck.Test.fail_reportf "child %d of view row %d not remapped" j r;
+      if c >= 0 && v.Linearizer.level_of.(c) >= v.Linearizer.level_of.(r) then
+        QCheck.Test.fail_reportf "child %d of %d not at a lower level" c r
+    done
+  done;
+  let cursor = ref k in
+  Array.iteri
+    (fun i (b, len) ->
+      if b <> !cursor || (i > 0 && len <= 0) then
+        QCheck.Test.fail_report "step batches do not tile the node rows";
+      let level = if i = 0 then 0 else v.Linearizer.level_of.(b) in
+      if i > 1 && level <= v.Linearizer.level_of.(fst v.Linearizer.batches.(i - 1)) then
         QCheck.Test.fail_report "step batch levels not ascending";
       for l = b to b + len - 1 do
         if v.Linearizer.level_of.(l) <> level then
@@ -484,42 +527,36 @@ let check_step (st : Linearizer.step) =
       done;
       cursor := b + len)
     v.Linearizer.batches;
-  if !cursor <> v.Linearizer.num_nodes then
-    QCheck.Test.fail_report "step batches stop short of the layout";
-  for l = 0 to v.Linearizer.num_nodes - 1 do
-    for k = 0 to v.Linearizer.num_children.(l) - 1 do
-      let c = v.Linearizer.child.(k).(l) in
-      if c < 0 || v.Linearizer.level_of.(c) >= v.Linearizer.level_of.(l) then
-        QCheck.Test.fail_reportf "child %d of %d not at a lower level" c l
-    done
-  done
+  if !cursor <> k + d then QCheck.Test.fail_report "step batches stop short of the view"
 
-let check_layout_is_cold g (st : Linearizer.step) (final : Structure.t) =
-  let v = st.Linearizer.step_view in
-  let mc = v.Linearizer.max_children in
+(* What a session relies on: its layout's own tables, read at layout
+   ids, are a cold [run_forest] of the final structure node for node. *)
+let check_layout_is_cold g ~mc (final : Structure.t) =
   let cold = Linearizer.run_forest ~max_children:mc [ final ] in
   let ids = cold.Linearizer.spans.(0).Linearizer.span_ids in
   let c = cold.Linearizer.lin in
   Array.iter
     (fun (nd : Node.t) ->
-      let l = Linearizer.layout_id g nd.Node.id and k = ids.(nd.Node.id) in
+      let row = Linearizer.layout_row g (Linearizer.layout_id g nd.Node.id)
+      and k = ids.(nd.Node.id) in
       let arity = Array.length nd.Node.children in
       let same =
-        v.Linearizer.payload.(l) = c.Linearizer.payload.(k)
-        && v.Linearizer.num_children.(l) = arity
+        row.Linearizer.row_payload = c.Linearizer.payload.(k)
+        && Array.length row.Linearizer.row_children = arity
         && c.Linearizer.num_children.(k) = arity
-        && v.Linearizer.level_of.(l) = c.Linearizer.level_of.(k)
+        && row.Linearizer.row_level = c.Linearizer.level_of.(k)
       in
       if not same then QCheck.Test.fail_reportf "node %d differs from the cold run" nd.Node.id;
-      for j = 0 to mc - 1 do
-        let ok =
-          if j < arity then
-            let ch = nd.Node.children.(j).Node.id in
-            v.Linearizer.child.(j).(l) = Linearizer.layout_id g ch
-            && c.Linearizer.child.(j).(k) = ids.(ch)
-          else v.Linearizer.child.(j).(l) = -1 && c.Linearizer.child.(j).(k) = -1
-        in
-        if not ok then QCheck.Test.fail_reportf "child %d of node %d differs" j nd.Node.id
+      Array.iteri
+        (fun j (ch : Node.t) ->
+          if
+            row.Linearizer.row_children.(j) <> Linearizer.layout_id g ch.Node.id
+            || c.Linearizer.child.(j).(k) <> ids.(ch.Node.id)
+          then QCheck.Test.fail_reportf "child %d of node %d differs" j nd.Node.id)
+        nd.Node.children;
+      for j = arity to mc - 1 do
+        if c.Linearizer.child.(j).(k) <> -1 then
+          QCheck.Test.fail_reportf "cold child %d of node %d" j nd.Node.id
       done)
     final.Structure.nodes
 
@@ -528,20 +565,33 @@ let prop_growing_layout =
     (fun seed ->
       let rng = Rng.create (seed + 901) in
       let g, steps = grow_layout rng (random_kind rng) ~steps:(1 + Rng.int rng 6) in
-      List.iter (fun (_, st) -> check_step st) steps;
+      List.iter (fun (_, st) -> check_step g st) steps;
       let final, last =
         match List.rev steps with
         | (s, st) :: _ -> (s, st)
         | [] -> QCheck.Test.fail_report "no step"
       in
-      check_layout_is_cold g last final;
+      (* [view_id] maps the latest step's rows to their view rows. *)
+      let k = Array.length last.Linearizer.step_boundary in
+      Array.iteri
+        (fun r lid ->
+          if Linearizer.view_id g lid <> r then
+            QCheck.Test.fail_reportf "view_id of boundary row %d" r)
+        last.Linearizer.step_boundary;
+      Array.iteri
+        (fun i (nd : Node.t) ->
+          if Linearizer.view_id g (Linearizer.layout_id g nd.Node.id) <> k + i then
+            QCheck.Test.fail_reportf "view_id of step node %d" nd.Node.id)
+        last.Linearizer.step_nodes;
+      check_layout_is_cold g ~mc:final.Structure.max_children final;
       (* Nothing more to lay out: the same structure is not growth. *)
       Linearizer.grow g final = None)
 
-(* Packs of 2-4 layouts of one kind, each with its latest step: every
-   member row maps through [pack_id] to a distinct packed row with its
-   payload, arity, level and remapped children, and the packed batches
-   tile the step rows as contiguous, strictly ascending level runs. *)
+(* Packs of 2-4 steps of one kind, each its layout's latest: every
+   member view row maps through [pack_id] to a distinct packed row with
+   its payload, arity, level and remapped children, boundary rows below
+   the base and step rows above it, and the packed batches tile the
+   step rows as contiguous, strictly ascending level runs. *)
 let prop_pack =
   QCheck.Test.make ~name:"pack = members' rows, contiguous level runs" ~count:150
     QCheck.small_int (fun seed ->
@@ -549,33 +599,34 @@ let prop_pack =
       let kind = random_kind rng in
       let members =
         List.init (2 + Rng.int rng 3) (fun _ ->
-            let g, steps = grow_layout rng kind ~steps:(1 + Rng.int rng 3) in
-            (g, snd (List.nth steps (List.length steps - 1))))
+            let _, steps = grow_layout rng kind ~steps:(1 + Rng.int rng 3) in
+            snd (List.nth steps (List.length steps - 1)))
       in
       let p = Linearizer.pack (List.hd members) (List.tl members) in
       let pv = p.Linearizer.pk_view in
       let seen = Array.make pv.Linearizer.num_nodes false in
       List.iteri
-        (fun i (_, (st : Linearizer.step)) ->
+        (fun i (st : Linearizer.step) ->
           let v = st.Linearizer.step_view in
-          let row lid = Linearizer.pack_id p ~member:i lid in
-          for lid = 0 to v.Linearizer.num_nodes - 1 do
-            let y = row lid in
+          let k = Array.length st.Linearizer.step_boundary in
+          let row r = Linearizer.pack_id p ~member:i r in
+          for r = 0 to v.Linearizer.num_nodes - 1 do
+            let y = row r in
             if seen.(y) then QCheck.Test.fail_reportf "packed row %d claimed twice" y;
             seen.(y) <- true;
             if
-              pv.Linearizer.payload.(y) <> v.Linearizer.payload.(lid)
-              || pv.Linearizer.num_children.(y) <> v.Linearizer.num_children.(lid)
-              || pv.Linearizer.level_of.(y) <> v.Linearizer.level_of.(lid)
-            then QCheck.Test.fail_reportf "member %d row %d differs in the pack" i lid;
-            for k = 0 to v.Linearizer.max_children - 1 do
-              let c = v.Linearizer.child.(k).(lid) in
+              pv.Linearizer.payload.(y) <> v.Linearizer.payload.(r)
+              || pv.Linearizer.num_children.(y) <> v.Linearizer.num_children.(r)
+              || pv.Linearizer.level_of.(y) <> v.Linearizer.level_of.(r)
+            then QCheck.Test.fail_reportf "member %d row %d differs in the pack" i r;
+            for j = 0 to v.Linearizer.max_children - 1 do
+              let c = v.Linearizer.child.(j).(r) in
               let want = if c < 0 then -1 else row c in
-              if pv.Linearizer.child.(k).(y) <> want then
-                QCheck.Test.fail_reportf "member %d row %d child %d not remapped" i lid k
+              if pv.Linearizer.child.(j).(y) <> want then
+                QCheck.Test.fail_reportf "member %d row %d child %d not remapped" i r j
             done;
-            if (lid >= st.Linearizer.step_base) <> (y >= p.Linearizer.pk_base) then
-              QCheck.Test.fail_reportf "member %d row %d on the wrong side of the base" i lid
+            if (r >= k) <> (y >= p.Linearizer.pk_base) then
+              QCheck.Test.fail_reportf "member %d row %d on the wrong side of the base" i r
           done)
         members;
       if Array.exists not seen then QCheck.Test.fail_report "a packed row has no member";

@@ -500,7 +500,8 @@ let test_evict_restore_bitwise () =
   Alcotest.(check int) "first half completed" 6 s1.Engine.slo.Engine.slo_completed;
   let before = List.hd (Engine.sessions eng) in
   Alcotest.(check bool) "evicted" true (Engine.evict_session eng "chat");
-  Alcotest.(check int) "no longer live" 0 (List.length (Engine.sessions eng));
+  Alcotest.(check (list bool)) "no longer live, reported spilled" [ true ]
+    (List.map (fun (x : Engine.session_report) -> x.Engine.sn_spilled) (Engine.sessions eng));
   let st = Engine.session_table_stats eng in
   Alcotest.(check int) "spill held for re-admission" 1
     st.Session_store.st_spilled;
@@ -567,8 +568,10 @@ let test_ttl_expiry_and_return () =
   let st = Engine.session_table_stats eng in
   Alcotest.(check int) "the quiet session expired" 1 st.Session_store.st_expired;
   Alcotest.(check int) "its spill is held" 1 st.Session_store.st_spilled;
-  Alcotest.(check (list string)) "only the talker stays live" [ "a" ]
-    (List.map (fun (x : Engine.session_report) -> x.Engine.sn_name)
+  Alcotest.(check (list (pair string bool))) "only the talker stays live"
+    [ ("a", false); ("b", true) ]
+    (List.map
+       (fun (x : Engine.session_report) -> (x.Engine.sn_name, x.Engine.sn_spilled))
        (Engine.sessions eng));
   (* [b] comes back much later: restored from the spill, and its final
      states are bitwise the never-expired run.  Its own tokens arrive
@@ -936,6 +939,12 @@ let test_regrowth_counts () =
    first member alone would evict the members after it (their last use
    dates from the previous wave) and their own accounting would then
    put the evicted names back in the store as live entries. *)
+(* The reports of live sessions; a spilled name is reported too. *)
+let live_reports eng =
+  List.length
+    (List.filter (fun (x : Engine.session_report) -> not x.Engine.sn_spilled)
+       (Engine.sessions eng))
+
 let test_packed_budget_no_ghosts () =
   let spec = Models.Tree_lstm.spec ~vocab:20 ~hidden:4 () in
   let budget = 2500 in
@@ -965,7 +974,7 @@ let test_packed_budget_no_ghosts () =
     let st = Engine.session_table_stats eng in
     let label what = Printf.sprintf "wave %d: %s" j what in
     Alcotest.(check int) (label "store live = engine sessions")
-      (List.length (Engine.sessions eng)) st.Session_store.st_live;
+      (live_reports eng) st.Session_store.st_live;
     Alcotest.(check int) (label "live + spilled = started") 4
       (st.Session_store.st_live + st.Session_store.st_spilled);
     Alcotest.(check bool)
@@ -1018,7 +1027,7 @@ let test_packed_budget_faulted_no_ghosts () =
           let st = Engine.session_table_stats eng in
           let label what = Printf.sprintf "seed %d at %g, tick %d: %s" seed prob j what in
           Alcotest.(check int) (label "store live = engine sessions")
-            (List.length (Engine.sessions eng)) st.Session_store.st_live;
+            (live_reports eng) st.Session_store.st_live;
           Alcotest.(check bool)
             (label (Printf.sprintf "%d bytes within the budget" st.Session_store.st_bytes))
             true
@@ -1169,8 +1178,15 @@ let prop_session_lifecycle =
           then
             Q.Test.fail_reportf "%d live + %d spilled <> %d started"
               st.Session_store.st_live st.Session_store.st_spilled started;
-          if List.length (Engine.sessions eng) <> st.Session_store.st_live then
-            Q.Test.fail_report "live reports disagree with the table";
+          let live, spilled =
+            List.partition
+              (fun (x : Engine.session_report) -> not x.Engine.sn_spilled)
+              (Engine.sessions eng)
+          in
+          if
+            List.length live <> st.Session_store.st_live
+            || List.length spilled <> st.Session_store.st_spilled
+          then Q.Test.fail_report "session reports disagree with the table";
           Buffer.add_string log
             (Printf.sprintf "%d:%d:%d:%d:%d;" st.Session_store.st_live
                st.Session_store.st_spilled st.Session_store.st_bytes
@@ -1202,7 +1218,8 @@ let prop_session_lifecycle =
                   let s = List.nth convs.(i) tokens in
                   let live =
                     List.exists
-                      (fun (sn : Engine.session_report) -> sn.Engine.sn_name = names.(i))
+                      (fun (sn : Engine.session_report) ->
+                        sn.Engine.sn_name = names.(i) && not sn.Engine.sn_spilled)
                       (Engine.sessions eng)
                   in
                   if live then
@@ -1553,6 +1570,77 @@ let test_pack_deadline_misses () =
          acc + x.Engine.sn_deadline_misses)
        0 (Engine.sessions eng))
 
+(* ---------- O(delta) windows ---------- *)
+
+(* A delta window binds only its step's nodes and the distinct boundary
+   rows they read, so a priced conversation of 2-node tokens costs the
+   same at every delta token however long it has grown: at hidden 256,
+   tokens 2 to 96 price the same flops, device time and device memory,
+   bit for bit. *)
+let test_flat_token_cost () =
+  let spec = Models.Catalog.get "TreeLSTM" Models.Catalog.Small in
+  let eng = Engine.of_spec spec ~backend:gpu in
+  let structs = conversation 96 ~vocab:50 ~kind:Structure.Tree ~tokens:96 in
+  let s = serve_session eng structs in
+  let windows =
+    Array.of_list
+      (List.sort (fun a b -> compare a.Engine.wr_index b.Engine.wr_index) s.Engine.windows)
+  in
+  Alcotest.(check int) "one window per token" 97 (Array.length windows);
+  let priced j =
+    let r = windows.(j).Engine.wr_report in
+    List.map Int64.bits_of_float
+      [ Cost.total_flops r.Runtime.cost; r.Runtime.latency.Backend.total_us;
+        r.Runtime.device_memory_bytes ]
+  in
+  for j = 3 to 96 do
+    Alcotest.(check (list int64))
+      (Printf.sprintf "token %d prices as token 2" j)
+      (priced 2) (priced j)
+  done
+
+(* Every session window, size-1 or packed, cold or delta, with or
+   without a byte budget forcing restores, binds at most
+   [(1 + max_children) * wr_nodes] rows: its nodes and at most
+   [max_children] boundary rows per node, never the conversation. *)
+let test_window_rows_bounded () =
+  List.iter
+    (fun ((spec : M.t), kind, vocab) ->
+      let mc = spec.M.program.Ra.max_children in
+      let params = spec.M.init_params (Rng.create 3) in
+      let convs =
+        List.init 3 (fun i ->
+            (Printf.sprintf "chat-%d" i, conversation (410 + i) ~vocab ~kind ~tokens:12))
+      in
+      List.iter
+        (fun (label, eng) ->
+          let s = submit_interleaved eng convs in
+          Alcotest.(check int) (label ^ ": all served") 39 s.Engine.slo.Engine.slo_completed;
+          (match label with
+           | "packed" ->
+             Alcotest.(check bool) "tokens packed" true (s.Engine.packed_windows > 0)
+           | "budgeted" ->
+             Alcotest.(check bool) "spills restored" true
+               (s.Engine.session_table.Session_store.st_restores > 0)
+           | _ -> ());
+          List.iter
+            (fun (w : Engine.window_report) ->
+              let rows = w.Engine.wr_report.Runtime.num_nodes in
+              if rows > (1 + mc) * w.Engine.wr_nodes then
+                Alcotest.failf "%s, %s: window %d binds %d rows for %d nodes" spec.M.name
+                  label w.Engine.wr_index rows w.Engine.wr_nodes)
+            s.Engine.windows)
+        [
+          ("packed", engine_packed spec params);
+          ("size-1", engine_of spec params);
+          ("budgeted", engine_bounded spec ~session_budget_bytes:700 params);
+        ])
+    [
+      (Models.Tree_lstm.spec ~vocab:20 ~hidden:4 (), Structure.Tree, 20);
+      (Models.Tree_gru.spec ~vocab:15 ~hidden:3 ~sequence:true (), Structure.Sequence, 15);
+      (Models.Dag_rnn.spec ~rows:4 ~cols:4 ~hidden:3 (), Structure.Dag, 15);
+    ]
+
 (* ---------- characterization: every window kind in one digest ---------- *)
 
 (* Seeded chaos drains that mix regular requests with growing
@@ -1560,13 +1648,18 @@ let test_pack_deadline_misses () =
    replaced under its name, a byte budget that forces evict/restore
    churn, transient aborts and a mid-drain fail-stop — rendered down to
    the summary's deterministic fields (floats by their bits) and
-   hashed.  Both digests were last re-pinned when a cold session token
-   became a base-0 step of its session's layout instead of a trip
-   through the shape cache: four cold session windows per digest now
-   report [wr_cache_hit = false], and nothing else moved.  Before that,
-   when a spill came to hold one tensor per state (every priced spill
-   and restore, and the latencies they feed, moved), and when a refused
-   spill stopped counting as a restore.  Any refactor of the window
+   hashed; a spilled name's session record starts with [S].  Both
+   digests were last re-pinned when a delta window came to bind only
+   its step's nodes and boundary rows (the priced fields of every delta
+   and packed session window, and the request latencies and goodput
+   they feed, moved; no result or count did) and spilled names came to
+   be reported (the [S] records).  Before that, when a cold session
+   token became a base-0 step of its session's layout instead of a trip
+   through the shape cache (four cold session windows per digest came
+   to report [wr_cache_hit = false]), when a spill came to hold one
+   tensor per state (every priced spill and restore, and the latencies
+   they feed, moved), and when a refused spill stopped counting as a
+   restore.  Any refactor of the window
    path must leave them unchanged, at pack window 8 (packed, size-1 and
    regular windows interleaved) and at pack window 1 (size-1 and
    regular only). *)
@@ -1613,7 +1706,9 @@ let render_summary (s : Engine.summary) =
     (match o.Engine.slo_first_damage_us with Some x -> f x | None -> "-");
   List.iter
     (fun (x : Engine.session_report) ->
-      add "s%s:%d:%d:%d:%d:%d:%d:%d:%d:%d:%d:%d:%d:%d;" x.Engine.sn_name
+      add "%s%s:%d:%d:%d:%d:%d:%d:%d:%d:%d:%d:%d:%d:%d;"
+        (if x.Engine.sn_spilled then "S" else "s")
+        x.Engine.sn_name
         x.Engine.sn_nodes x.Engine.sn_windows x.Engine.sn_delta_nodes
         x.Engine.sn_extends x.Engine.sn_cold x.Engine.sn_materializations
         x.Engine.sn_rebinds x.Engine.sn_packed x.Engine.sn_deadline_misses
@@ -1716,8 +1811,8 @@ let test_characterization () =
         expected
         (Digest.to_hex (Digest.string rendered)))
     [
-      (8, "7d857413c4653e3d7248a1c5e07a63f9");
-      (1, "d4c01d9a913653fcfbf61a51f1815062");
+      (8, "dd06e336f3c5a69916c39049bba6f6ce");
+      (1, "9dc5640822da93bea0232ce6e8b89113");
     ]
 
 (* ---------- one simulated clock ---------- *)
@@ -1821,6 +1916,8 @@ let () =
           Alcotest.test_case "cold-tokens-skip-cache" `Quick test_cold_tokens_skip_cache;
           Alcotest.test_case "non-delta-schedule-refused" `Quick
             test_non_delta_schedule_refused;
+          Alcotest.test_case "flat-token-cost" `Quick test_flat_token_cost;
+          Alcotest.test_case "window-rows-bounded" `Quick test_window_rows_bounded;
         ] );
       ( "failover",
         [
