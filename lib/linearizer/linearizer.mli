@@ -324,8 +324,8 @@ type packed = {
 }
 
 val pack : step -> step list -> packed
-(** [pack first rest] merges the members' steps, each the latest step
-    of its own layout, into one packed window.  Members keep their
+(** [pack first rest] merges the members' steps, each of its own
+    layout, into one packed window.  Members keep their
     pack-order position within every level batch, so the merge — and
     everything priced or executed from it — is deterministic in the
     member order.  It raises nothing: a step {!grow} built tiles its

@@ -45,12 +45,15 @@ val execute_lin :
     after parameter binding and before the kernels — the serving
     engine's sessions use it ({!Cortex_lower.Lower.state_rows}) to
     seed a conversation's persistent hidden states into the context so
-    a delta run over the grown tail continues from them.  One call may
-    seed boundary rows for {e several} sessions at once: a packed
-    multi-session window ({!Cortex_linearizer.Linearizer.pack})
-    lays every member's old prefix out in its id space, and the engine
-    preloads each member's rows at their packed ids before the single
-    launch sequence. *)
+    a delta run over the grown tail continues from them.  A session
+    step's view holds only its boundary rows (the old nodes its nodes
+    read as children) and its own nodes, so the run binds and
+    precomputes O(delta) rows, not the conversation.  One call may seed
+    boundary rows for {e several} sessions at once: a packed
+    multi-session window ({!Cortex_linearizer.Linearizer.pack}) lays
+    every member's boundary rows out below its step nodes, and the
+    engine preloads each member's rows at their packed ids before the
+    single launch sequence. *)
 
 val execute :
   compiled ->

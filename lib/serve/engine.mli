@@ -327,7 +327,10 @@ val submit :
     the session's {!Cortex_linearizer.Linearizer.growing} layout, never
     through the shape cache.  When the structure is the previous one
     plus appended nodes (same [Node.t] values, new nodes on top) the
-    step is only the delta, over pre-seeded hidden states; any other
+    step is only the delta, over pre-seeded hidden states, and its
+    window binds only the delta's nodes and the boundary rows they
+    read as children, so a token's priced and host cost does not grow
+    with the conversation; any other
     structure is served cold, as one step of the whole structure (and
     a different conversation drops the persisted state). *)
 
