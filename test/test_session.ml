@@ -933,18 +933,19 @@ let test_regrowth_counts () =
       | _ -> Alcotest.fail "expected one session")
     [ (7, 0); (8, 1) ]
 
+(* How many reports are of live sessions: a spilled name is reported
+   too. *)
+let live_reports eng =
+  List.length
+    (List.filter (fun (x : Engine.session_report) -> not x.Engine.sn_spilled)
+       (Engine.sessions eng))
+
 (* Four lock-step conversations packed into windows of 4 under a byte
    budget, drained wave by wave.  The eviction pass runs once per
    window, after every member is re-accounted: a pass run after the
    first member alone would evict the members after it (their last use
    dates from the previous wave) and their own accounting would then
    put the evicted names back in the store as live entries. *)
-(* The reports of live sessions; a spilled name is reported too. *)
-let live_reports eng =
-  List.length
-    (List.filter (fun (x : Engine.session_report) -> not x.Engine.sn_spilled)
-       (Engine.sessions eng))
-
 let test_packed_budget_no_ghosts () =
   let spec = Models.Tree_lstm.spec ~vocab:20 ~hidden:4 () in
   let budget = 2500 in
