@@ -158,11 +158,14 @@ let session t name =
 
 let sessions t = Hashtbl.fold (fun _ sx acc -> sx :: acc) t.live []
 
+(* A name can be live and still hold a spill: from [session] creating
+   it until [restore] takes the spill. *)
 let held_spills t =
   Hashtbl.fold
     (fun name h acc ->
       if Hashtbl.mem t.live name then acc else (name, h.h_nodes, counters_of t name) :: acc)
     t.spilled []
+
 let is_live t sx = match find t sx.sx_name with Some x -> x == sx | None -> false
 
 (* What a live session costs its device, in closed form: the four
